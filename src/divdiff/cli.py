@@ -455,8 +455,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     text = render_json(report) if args.format == "json" else render_csv(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"divdiff: error: cannot write {args.out}: {reason}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     if diagnostic:

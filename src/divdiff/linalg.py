@@ -102,26 +102,3 @@ def kernel_basis(
         basis.append(vec)
     return rank, pivot_cols, basis
 
-
-def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve a square rational system by Gaussian elimination.
-
-    Returns the solution vector, or None when the matrix is singular.
-    """
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] / inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        s = m[r][n] - sum(m[r][c] * x[c] for c in range(r + 1, n))
-        x[r] = s / m[r][r]
-    return x

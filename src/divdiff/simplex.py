@@ -3,11 +3,20 @@
 Solves   minimize c.x   subject to   A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
 
 by the two-phase tableau simplex method with Bland's anti-cycling rule.
-Every tableau entry is a Fraction, so feasibility, optimality and the
-reported optimum are exact statements, never floating-point verdicts.
-Intended for the small, dense instances this package produces.
+The tableau is integer-preserving: each row (and the cost row) is kept
+as a list of ints that is a positive multiple of the true rational row.
+Input rows are scaled once by the lcm of their denominators; a pivot
+replaces row i by p*row_i - row_i[c]*pivot_row, touching only the pivot
+row's nonzero columns for the subtraction, and then divides the row by
+the gcd of its entries.  A positive row scale changes neither the sign
+of an entry nor the ratio rhs/entry, which is all Bland's rule reads, so
+pivoting follows exactly the path of a rational tableau.  Feasibility,
+optimality and the reported optimum are therefore exact statements,
+never floating-point verdicts; the solution is read back as the
+Fraction rhs/basic-entry.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -24,30 +33,54 @@ class LpResult:
     x: Optional[tuple[Fraction, ...]]
 
 
-def _pivot(rows: list[list[Fraction]], cost: list[Fraction], basis: list[int], r: int, c: int) -> None:
-    pivot = rows[r][c]
-    rows[r] = [v / pivot for v in rows[r]]
+def _reduced(row: list[int]) -> list[int]:
+    """``row`` divided by the gcd of its entries (a zero row is returned as is)."""
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def _scaled(values: Sequence) -> tuple[list[int], int]:
+    """``values`` times the lcm of their denominators, and that lcm."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _eliminate(row: list[int], f: int, p: int, support: list[tuple[int, int]]) -> list[int]:
+    """p*row - f*prow over the pivot row's nonzero entries ``support``."""
+    row = [p * v for v in row] if p != 1 else row[:]
+    for j, v in support:
+        row[j] -= f * v
+    return _reduced(row)
+
+
+def _pivot(rows: list[list[int]], cost: list[int], basis: list[int], r: int, c: int) -> None:
     prow = rows[r]
+    p = prow[c]
+    # Negating keeps the pivot row a positive multiple of the rational row
+    # prow/p; the artificial cleanup in solve_lp can pivot on a negative entry.
+    if p < 0:
+        prow = rows[r] = [-v for v in prow]
+        p = -p
+    support = [(j, v) for j, v in enumerate(prow) if v]
     for i, row in enumerate(rows):
-        if i != r and row[c] != 0:
-            f = row[c]
-            rows[i] = [a - f * b for a, b in zip(row, prow)]
-    if cost[c] != 0:
-        f = cost[c]
-        cost[:] = [a - f * b for a, b in zip(cost, prow)]
+        if i != r and row[c]:
+            rows[i] = _eliminate(row, row[c], p, support)
+    if cost[c]:
+        cost[:] = _eliminate(cost, cost[c], p, support)
     basis[r] = c
 
 
-def _price_out(cost: list[Fraction], rows: list[list[Fraction]], basis: list[int]) -> None:
+def _price_out(cost: list[int], rows: list[list[int]], basis: list[int]) -> None:
     for i, b in enumerate(basis):
-        if cost[b] != 0:
-            f = cost[b]
-            cost[:] = [a - f * v for a, v in zip(cost, rows[i])]
+        if cost[b]:
+            row = rows[i]
+            cost[:] = _eliminate(cost, cost[b], row[b], [(j, v) for j, v in enumerate(row) if v])
 
 
 def _iterate(
-    rows: list[list[Fraction]],
-    cost: list[Fraction],
+    rows: list[list[int]],
+    cost: list[int],
     basis: list[int],
     banned: frozenset[int],
 ) -> str:
@@ -59,14 +92,16 @@ def _iterate(
         if entering is None:
             return OPTIMAL
         leaving = None
-        best = None
+        best_rhs = best_coeff = 0
         for i, row in enumerate(rows):
             coeff = row[entering]
             if coeff > 0:
-                ratio = row[-1] / coeff
+                # rhs/coeff against best_rhs/best_coeff, both denominators > 0.
+                lhs = row[-1] * best_coeff
+                rhs = best_rhs * coeff
                 # Bland: break ratio ties on the smallest basic variable index.
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
+                if leaving is None or lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    best_rhs, best_coeff = row[-1], coeff
                     leaving = i
         if leaving is None:
             return UNBOUNDED
@@ -81,45 +116,41 @@ def solve_lp(
     b_eq: Sequence[Fraction] = (),
 ) -> LpResult:
     """Minimize c.x over x >= 0 with the given inequality and equality rows."""
+    ub = [_scaled([*row, b]) for row, b in zip(a_ub, b_ub, strict=True)]
+    eq = [_scaled([*row, b]) for row, b in zip(a_eq, b_eq, strict=True)]
     n = len(c)
-    m_ub = len(a_ub)
-    n_art = len(a_eq) + sum(1 for b in b_ub if Fraction(b) < 0)
+    m_ub = len(ub)
+    n_art = len(eq) + sum(1 for scaled, _ in ub if scaled[-1] < 0)
     art_start = n + m_ub
     total = art_start + n_art
 
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     basis: list[int] = []
     art = art_start
-    for i in range(m_ub):
-        b = Fraction(b_ub[i])
-        coeffs = [Fraction(v) for v in a_ub[i]]
-        negate = b < 0
+    for i, (scaled, s) in enumerate(ub):
+        negate = scaled[-1] < 0
         if negate:
-            b = -b
-            coeffs = [-v for v in coeffs]
-        row = coeffs + [Fraction(0)] * (m_ub + n_art) + [b]
-        row[n + i] = Fraction(-1) if negate else Fraction(1)
+            scaled = [-v for v in scaled]
+        row = scaled[:n] + [0] * (m_ub + n_art) + scaled[n:]
+        row[n + i] = -s if negate else s
         if negate:
-            row[art] = Fraction(1)
+            row[art] = s
             basis.append(art)
             art += 1
         else:
             basis.append(n + i)
-        rows.append(row)
-    for i in range(len(a_eq)):
-        b = Fraction(b_eq[i])
-        coeffs = [Fraction(v) for v in a_eq[i]]
-        if b < 0:
-            b = -b
-            coeffs = [-v for v in coeffs]
-        row = coeffs + [Fraction(0)] * (m_ub + n_art) + [b]
-        row[art] = Fraction(1)
+        rows.append(_reduced(row))
+    for scaled, s in eq:
+        if scaled[-1] < 0:
+            scaled = [-v for v in scaled]
+        row = scaled[:n] + [0] * (m_ub + n_art) + scaled[n:]
+        row[art] = s
         basis.append(art)
         art += 1
-        rows.append(row)
+        rows.append(_reduced(row))
 
     if n_art:
-        cost1 = [Fraction(0)] * art_start + [Fraction(1)] * n_art + [Fraction(0)]
+        cost1 = [0] * art_start + [1] * n_art + [0]
         _price_out(cost1, rows, basis)
         status = _iterate(rows, cost1, basis, frozenset())
         if status != OPTIMAL or -cost1[-1] > 0:
@@ -138,7 +169,7 @@ def solve_lp(
         basis = [basis[i] for i in keep]
 
     banned = frozenset(range(art_start, total))
-    cost2 = [Fraction(v) for v in c] + [Fraction(0)] * (m_ub + n_art) + [Fraction(0)]
+    cost2 = _reduced(_scaled(c)[0]) + [0] * (m_ub + n_art) + [0]
     _price_out(cost2, rows, basis)
     status = _iterate(rows, cost2, basis, banned)
     if status == UNBOUNDED:
@@ -147,6 +178,6 @@ def solve_lp(
     x = [Fraction(0)] * n
     for i, b in enumerate(basis):
         if b < n:
-            x[b] = rows[i][-1]
+            x[b] = Fraction(rows[i][-1], rows[i][b])
     value = sum(ci * xi for ci, xi in zip(c, x))
     return LpResult(OPTIMAL, value, tuple(x))

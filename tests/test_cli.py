@@ -232,6 +232,15 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert doc["results"]["divided_difference"] == "1"
 
 
+def test_out_into_missing_directory_is_one_line_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "minlip", "--N", "3", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err == f"divdiff: error: cannot write {target}: No such file or directory\n"
+    assert not target.exists()
+
+
 def test_duplicate_knots_exit_code(capsys):
     code, out, err = run(capsys, "eval", "--knots", "0,0", "--values", "1,2")
     assert code == 2

@@ -10,6 +10,8 @@ pair, and pins over every non-forced column, so it validates both
 reductions at small N.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from divdiff import (
     min_lipschitz_unit_norm,
     nullspace,
 )
+from divdiff.cli import main
 from divdiff.simplex import INFEASIBLE, OPTIMAL, solve_lp
 
 
@@ -126,12 +129,32 @@ def test_reduced_problem_matches_full_grid(N):
 
 
 def test_five_and_six_stay_at_six():
-    # slower; exercises pin pruning on wider grids
     for N in (5, 6):
         result = min_lipschitz_unit_norm(N)
         assert result.status == "optimal"
         assert result.value == 6
         witness_is_valid(result)
+
+
+# SHA-256 of the full stdout of `divdiff minlip --N k`, and the pin the
+# optimum was found at, recorded with the rational (Fraction) tableau.
+# The witness and pin come from the pivot path of Bland's rule, so a
+# change to that path shows up here even when the value stays 6.
+MINLIP_REPORTS = {
+    3: (1, "bfbc05ad05007afe0c128db14a6043da5e77eb3dbcc898f09621111b52e5c9e5"),
+    4: (2, "9c324280106ddbea5c42e547af059c34c0054f2503be857ed7e3286e9f6d1ee7"),
+    5: (10, "ec188bf350a57e945643e73827ce2427941c106ee65b268a9c36063f9507df0a"),
+    6: (10, "88ea50d284d4b24524b55feb3a8506ebcdf1304d9610a44c7a751bebe848bebf"),
+}
+
+
+@pytest.mark.parametrize("N", sorted(MINLIP_REPORTS))
+def test_minlip_report_is_byte_identical(N, capsys):
+    pin, digest = MINLIP_REPORTS[N]
+    assert main(["minlip", "--N", str(N)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert json.loads(out)["results"]["pin_index"] == pin
 
 
 def test_rejects_nonpositive_n():

@@ -7,7 +7,9 @@ a deliberately different code path from the integer-preserving scheme.
 import random
 from fractions import Fraction
 
-from divdiff.linalg import integer_echelon, kernel_basis, solve_square
+from divdiff.linalg import integer_echelon, kernel_basis
+
+from util import solve_square
 
 
 def fraction_rank(matrix):

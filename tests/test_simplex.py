@@ -11,8 +11,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from divdiff.linalg import solve_square
 from divdiff.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+
+from util import solve_square
 
 
 def F(x):
@@ -103,18 +104,52 @@ def enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, nvars):
     return best
 
 
-def test_against_vertex_enumeration():
-    rng = random.Random(515)
+def integer_draw(rng):
+    return lambda lo, hi: F(rng.randint(lo, hi))
+
+
+def rational_draw(rng):
+    # p/q with its own q per entry, so a row mixes denominators and the
+    # tableau's per-row lcm scaling is exercised.
+    def draw(lo, hi):
+        q = rng.randint(1, 6)
+        return Fraction(rng.randint(lo * q, hi * q), q)
+
+    return draw
+
+
+def assert_matches_enumeration(c, a_ub, b_ub, a_eq, b_eq):
+    """Check solve_lp against the vertex oracle; return the oracle's optimum."""
+    res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    expected = enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, len(c))
+    if expected is None:
+        assert res.status == INFEASIBLE
+        return None
+    assert res.status == OPTIMAL
+    assert res.value == expected
+    # the reported point must itself be feasible and attain the value
+    x = res.x
+    for row, b in zip(a_ub, b_ub):
+        assert sum(r * v for r, v in zip(row, x)) <= b
+    for row, b in zip(a_eq, b_eq):
+        assert sum(r * v for r, v in zip(row, x)) == b
+    assert all(v >= 0 for v in x)
+    assert sum(ci * xi for ci, xi in zip(c, x)) == expected
+    return expected
+
+
+def count_against_enumeration(rng, draw, cases):
+    """Solve random boxed LPs drawn by ``draw``; count optimal and infeasible."""
     optimal_seen = 0
     infeasible_seen = 0
-    for _ in range(50):
+    for _ in range(cases):
         nvars = rng.randint(1, 3)
-        c = [F(rng.randint(-4, 4)) for _ in range(nvars)]
+        c = [draw(-4, 4) for _ in range(nvars)]
         a_ub = []
         b_ub = []
         for _ in range(rng.randint(1, 4)):
-            a_ub.append([F(rng.randint(-3, 3)) for _ in range(nvars)])
-            b_ub.append(F(rng.randint(-2, 4)))
+            a_ub.append([draw(-3, 3) for _ in range(nvars)])
+            b_ub.append(draw(-2, 4))
         # box rows keep the region bounded, so UNBOUNDED cannot occur
         for i in range(nvars):
             a_ub.append([F(0)] * i + [F(1)] + [F(0)] * (nvars - 1 - i))
@@ -122,25 +157,54 @@ def test_against_vertex_enumeration():
         a_eq = []
         b_eq = []
         if rng.random() < 0.4:
-            a_eq.append([F(rng.randint(-2, 2)) for _ in range(nvars)])
-            b_eq.append(F(rng.randint(0, 2)))
+            a_eq.append([draw(-2, 2) for _ in range(nvars)])
+            b_eq.append(draw(0, 2))
 
-        res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-        expected = enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, nvars)
-        if expected is None:
-            assert res.status == INFEASIBLE
+        if assert_matches_enumeration(c, a_ub, b_ub, a_eq, b_eq) is None:
             infeasible_seen += 1
         else:
-            assert res.status == OPTIMAL
-            assert res.value == expected
             optimal_seen += 1
-            # the reported point must itself be feasible and attain the value
-            x = res.x
-            for row, b in zip(a_ub, b_ub):
-                assert sum(r * v for r, v in zip(row, x)) <= b
-            for row, b in zip(a_eq, b_eq):
-                assert sum(r * v for r, v in zip(row, x)) == b
-            assert all(v >= 0 for v in x)
-            assert sum(ci * xi for ci, xi in zip(c, x)) == expected
+    return optimal_seen, infeasible_seen
+
+
+def test_against_vertex_enumeration():
+    rng = random.Random(515)
+    optimal_seen, infeasible_seen = count_against_enumeration(rng, integer_draw(rng), 50)
     assert optimal_seen >= 20
     assert infeasible_seen >= 3
+
+
+def test_against_vertex_enumeration_with_rational_data():
+    rng = random.Random(616)
+    optimal_seen, infeasible_seen = count_against_enumeration(rng, rational_draw(rng), 80)
+    assert optimal_seen >= 30
+    assert infeasible_seen >= 20
+
+
+BOX = ([[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]], [F(3), F(3), Fraction(7, 2)])
+
+
+def test_cleanup_pivots_an_artificial_out_on_a_negative_entry():
+    # Phase 1 stops at once: pricing out -5/3 x - y = 0 leaves reduced
+    # costs 5/3 and 1, so the artificial stays basic at level 0 and the
+    # cleanup pivots it out on the entry -5/3.
+    c = [Fraction(5, 3), F(2), Fraction(-1, 2)]
+    a_eq = [[Fraction(-5, 3), F(-1), F(0)]]
+    assert assert_matches_enumeration(c, *BOX, a_eq, [F(0)]) == Fraction(-7, 4)
+
+
+def test_cleanup_pivots_one_artificial_out_and_drops_its_redundant_twin():
+    # The two rows are -3 times each other, so phase 1 again stops at
+    # once with both artificials at level 0.  The first is pivoted out on
+    # 1/2; that turns the second row into 0 = 0, which is dropped.
+    c = [Fraction(1, 2), Fraction(-2, 3), Fraction(-1, 3)]
+    a_eq = [[Fraction(1, 2), Fraction(1, 3), F(0)], [Fraction(-3, 2), F(-1), F(0)]]
+    assert assert_matches_enumeration(c, *BOX, a_eq, [F(0), F(0)]) == Fraction(-7, 6)
+
+
+def test_redundant_rational_equalities_are_dropped():
+    # Phase 1 pivots x in on a ratio tie; the second row, three times the
+    # first, becomes 0 = 0 and is dropped without a cleanup pivot.
+    c = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
+    a_eq = [[Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)], [Fraction(3, 2), F(1), Fraction(3, 5)]]
+    assert assert_matches_enumeration(c, *BOX, a_eq, [Fraction(1, 5), Fraction(3, 5)]) == Fraction(1, 5)

@@ -1,7 +1,8 @@
 """Shared helpers for randomized tests.
 
-Everything here takes an explicit ``random.Random`` so individual tests
-stay reproducible under a fixed seed.
+The generators take an explicit ``random.Random`` so individual tests
+stay reproducible under a fixed seed.  ``solve_square`` is a plain
+Fraction Gaussian elimination, kept here as an oracle for the solvers.
 """
 
 from fractions import Fraction
@@ -66,3 +67,27 @@ def distinct_knots(rng, count, max_num=30, max_den=8):
     knots = list(knots)
     rng.shuffle(knots)
     return tuple(knots)
+
+
+def solve_square(matrix, rhs):
+    """Solve a square rational system by Gaussian elimination.
+
+    Returns the solution vector, or None when the matrix is singular.
+    """
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                factor = m[r][col] / inv
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    x = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        s = m[r][n] - sum(m[r][c] * x[c] for c in range(r + 1, n))
+        x[r] = s / m[r][r]
+    return x
