@@ -1,0 +1,165 @@
+"""Golden CLI reports: byte-exact outputs and SHA-256 pins.
+
+The files beside this module are the stdout of every example command in
+the README, once with ``--format json`` (``<command>.json``) and once with
+``--format csv`` (``<command>.csv``), run from this directory so that
+``pl:hat.csv`` names the fixture committed here.  ``PINS`` holds the
+SHA-256 of the JSON stdout of larger runs, where the report itself is
+too big to keep.  Both were recorded with the plain ``Fraction`` kernels
+(direct sum, recursive table, ``Polynomial`` products, Fraction Horner),
+so they hold every later kernel to the same bytes.
+
+``tests/test_golden.py`` runs these under pytest.  Without pytest, run
+
+    PYTHONPATH=src python tests/golden/check.py
+
+from the root of a checkout; it prints one line per case and exits 1 if
+any report differs.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+from divdiff.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent
+
+# The example commands of the README "Command line" section, in order.
+README_COMMANDS = {
+    "eval": ["eval", "--knots", "0,1/2,1", "--values", "0,1/4,1"],
+    "uniform": ["uniform", "--func", "poly:0,0,1", "--n", "2"],
+    "fd": ["fd", "--func", "poly:0,0,1", "--x", "0", "--h", "1/2", "--n", "2"],
+    "identity": ["identity", "--func", "ratfun:1;1,0,25", "--n", "6"],
+    "interp": ["interp", "--func", "poly:0,-1,0,1", "--n", "3"],
+    "cascade": ["cascade", "--func", "poly:0,-1,1"],
+    "nullspace": ["nullspace", "--N", "3"],
+    "minlip": ["minlip", "--N", "3"],
+    "probe": [
+        "probe", "--func", "pl:hat.csv", "--extend-zero",
+        "--x", "0", "--h", "1/4", "--n", "1", "--Nmax", "8",
+    ],
+    "telescope": [
+        "telescope", "--func", "pl:hat.csv", "--extend-zero",
+        "--x", "1/10", "--h", "1/50", "--n", "2", "--j", "1", "--N", "6",
+    ],
+    "walkthrough": [
+        "walkthrough", "--func", "pl:hat.csv", "--extend-zero",
+        "--x", "1/10", "--h", "1/8", "--n", "1", "--N", "8",
+    ],
+}
+
+RUNGE = "ratfun:1;1,0,25"
+
+
+def _eval_argv(n):
+    # Knot j is (j - n/2) / (j % 2 + 1): integers and half-integers of
+    # both signs, taken in a scrambled order, with values whose
+    # denominators run up to 2^12 (n + 5).  The "=" form keeps argparse
+    # from reading a leading minus as a flag.
+    order = [(37 * k) % (n + 1) for k in range(n + 1)]
+    knots = [f"{2 * j - n}/{2 * (j % 2 + 1)}" for j in order]
+    values = [f"{(-1) ** j * (3 * j + 1)}/{2 ** (j % 13) * (j + 5)}" for j in order]
+    return ["eval", "--knots=" + ",".join(knots), "--values=" + ",".join(values)]
+
+
+def _cascade_argv(degree):
+    coeffs = [f"{(-1) ** k * (k + 1)}/{k % 5 + 1}" for k in range(degree + 1)]
+    return ["cascade", "--func", "poly:" + ",".join(coeffs)]
+
+
+PINS = {
+    "uniform-64": (
+        ["uniform", "--func", RUNGE, "--n", "64"],
+        "b923f00b0a1cdf12ea9027da2050be508274f99c466e81ea4e4229d2857d6ba6",
+    ),
+    "uniform-256": (
+        ["uniform", "--func", RUNGE, "--n", "256"],
+        "85f89389068ae60e9dc00ce0d7bc68d557d27b4ce50ee7753c7029c829fcf123",
+    ),
+    "identity-64": (
+        ["identity", "--func", RUNGE, "--n", "64"],
+        "3b4b25ce65829a260a9cec2537a5ae8fcc0e9098ff7519dcbc7a7062b81a637e",
+    ),
+    "identity-256": (
+        ["identity", "--func", RUNGE, "--n", "256"],
+        "af49d95c891abb23edffc9ed8d98bb784a87bdd24216fde41d556cdab78550b9",
+    ),
+    "interp-64": (
+        ["interp", "--func", RUNGE, "--n", "64"],
+        "0e18d29b78a0f94205b6287c4b655024608b139503c47cd6ac0072b087f3f130",
+    ),
+    "interp-256": (
+        ["interp", "--func", RUNGE, "--n", "256"],
+        "71074496ccec849d44976b8c6b0dd039d9f6e322005b7cec10dd891cef89781b",
+    ),
+    "eval-64": (
+        _eval_argv(64),
+        "5838744728f2dbd4c38399dc1b7cf3738df8120885257c6a34bfe2ca9b02f7c5",
+    ),
+    "eval-256": (
+        _eval_argv(256),
+        "27fea9ca78410c7e9f6d057e22431bd7befcb8013d61f9edbbb06d19162fb47b",
+    ),
+    "fd-64": (
+        ["fd", "--func", RUNGE, "--x", "0", "--h", "1/64", "--n", "64"],
+        "5bd6a1fbec58e98b04612365ebe7fd9809670b7e390877bba4285dca82a0108a",
+    ),
+    "fd-256": (
+        ["fd", "--func", RUNGE, "--x", "0", "--h", "1/256", "--n", "256"],
+        "ab5a413cfd67cedd9a8e3db30e436d0d9684bd8aeca91327dcf5e433c93f4a71",
+    ),
+    "cascade-24": (
+        _cascade_argv(24),
+        "a661adf9d843f194227c0584b0517fbfd8c788e961dd21c1dc5412bf259ccf26",
+    ),
+}
+
+
+def run(argv):
+    """Exit code and stdout of ``divdiff <argv>``, run in GOLDEN_DIR."""
+    out = io.StringIO()
+    previous = os.getcwd()
+    os.chdir(GOLDEN_DIR)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+    finally:
+        os.chdir(previous)
+    return code, out.getvalue()
+
+
+def readme_argv(name, fmt):
+    return README_COMMANDS[name] + ["--format", fmt]
+
+
+def golden_text(name, fmt):
+    return (GOLDEN_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _check_all():
+    failures = 0
+    for name in README_COMMANDS:
+        for fmt in ("json", "csv"):
+            code, out = run(readme_argv(name, fmt))
+            ok = code == 0 and out == golden_text(name, fmt)
+            failures += not ok
+            print(f"{'ok  ' if ok else 'FAIL'} {name}.{fmt}")
+    for name, (argv, digest) in PINS.items():
+        code, out = run(argv)
+        ok = code == 0 and sha256(out) == digest
+        failures += not ok
+        print(f"{'ok  ' if ok else 'FAIL'} pin {name}")
+    print(f"python {sys.version.split()[0]}: {failures} failed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(_check_all())

@@ -1,0 +1,22 @@
+"""Every README example report, and the larger pinned runs, stay
+byte-identical to the outputs recorded in tests/golden/."""
+
+import pytest
+
+from golden.check import PINS, README_COMMANDS, golden_text, readme_argv, run, sha256
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", list(README_COMMANDS))
+def test_readme_command_matches_golden(name, fmt):
+    code, out = run(readme_argv(name, fmt))
+    assert code == 0
+    assert out == golden_text(name, fmt)
+
+
+@pytest.mark.parametrize("name", list(PINS))
+def test_pinned_report_digest(name):
+    argv, digest = PINS[name]
+    code, out = run(argv)
+    assert code == 0
+    assert sha256(out) == digest
