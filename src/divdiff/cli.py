@@ -4,7 +4,7 @@ One subcommand per library operation; every run emits a single Report
 (JSON by default, CSV with --format csv) on stdout or to --out.
 Diagnostics go to stderr only.  Exit codes: 0 success, 1 usage or parse
 errors, 2 domain errors (duplicate knots, a rational-function pole, an
-infeasible optimization).
+infeasible optimization) and failed internal checks.
 """
 
 import argparse
@@ -449,6 +449,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except (DuplicateKnotError, PoleError, DomainEvaluationError) as exc:
         print(f"divdiff: error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # Raised by the exact self-checks (LP status, residual
+        # recomputation, fraction-free division), never by bad input.
+        print(f"divdiff: error: internal check failed: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"divdiff: error: {exc}", file=sys.stderr)

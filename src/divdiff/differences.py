@@ -16,12 +16,20 @@ notions are connected exactly:
 
 which check_equispaced_identity verifies as an exact comparison.  Order 0
 is defined as f(x_0) for divided differences and f(x) for finite ones.
+
+The two divided-difference kernels work on integers: each scales the
+knots by the lcm D of their denominators to integers a_k = x_k D.  The
+direct sum forms W'(x_k) D^n as the integer product
+prod_{i != k} (a_k - a_i) and adds the terms over one common denominator.
+The recursive table keeps each column as integer numerators over one
+denominator, reduced by one gcd per column.  Each kernel reduces to a
+Fraction once, at the end.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DuplicateKnotError
 from .funcs import FuncSpec
@@ -72,30 +80,60 @@ class KnotValueList:
 
 
 def divided_difference_direct(kv: KnotValueList) -> Fraction:
-    """Sum of f(x_k) / W'(x_k) over the knots."""
-    xs = kv.knots
-    total = Fraction(0)
-    for k, (xk, vk) in enumerate(kv.pairs):
-        w = Fraction(1)
-        for i, xi in enumerate(xs):
-            if i != k:
-                w *= xk - xi
-        total += vk / w
-    return total
+    """Sum of f(x_k) / W'(x_k) over the knots.
+
+    With a_k = x_k D integers, W'(x_k) = P_k / D^n for the integer
+    P_k = prod_{i != k} (a_k - a_i); the terms f(x_k) / P_k are summed
+    over the lcm of their denominators and rescaled by D^n once."""
+    # The knots are scaled here and in _difference_columns separately, so
+    # the two kernels share no code and stay independent oracles.
+    scale = math.lcm(*(x.denominator for x in kv.knots))
+    points = [x.numerator * (scale // x.denominator) for x in kv.knots]
+    dens = [
+        v.denominator * math.prod(ak - ai for ai in points if ai != ak)
+        for ak, v in zip(points, kv.values)
+    ]
+    common = math.lcm(*dens)
+    total = sum(v.numerator * (common // d) for v, d in zip(kv.values, dens))
+    return Fraction(total * scale**kv.order, common)
+
+
+def _difference_columns(kv: KnotValueList) -> Iterator[tuple[list[int], int]]:
+    """Columns of the recursive difference table, fraction-free.
+
+    Column d is yielded as (numerators, denominator): its entry for
+    i = d..n is the order-d divided difference at knots i-d..i, equal to
+    numerators[i - d] / denominator.  The knots enter as a_i = x_i D with
+    integer a_i, so a step is (t_i - t_{i-1}) D / (a_i - a_{i-d}); each
+    column takes the lcm of its knot gaps into its denominator and is
+    reduced by one gcd, so it is in lowest terms as a whole."""
+    scale = math.lcm(*(x.denominator for x in kv.knots))
+    points = [x.numerator * (scale // x.denominator) for x in kv.knots]
+    den = math.lcm(*(v.denominator for v in kv.values))
+    column = [v.numerator * (den // v.denominator) for v in kv.values]
+    yield column, den
+    for depth in range(1, len(points)):
+        gaps = [points[i] - points[i - depth] for i in range(depth, len(points))]
+        lcm = math.lcm(*gaps)
+        column = [
+            (hi - lo) * scale * (lcm // gap)
+            for hi, lo, gap in zip(column[1:], column, gaps)
+        ]
+        den *= lcm
+        # Entries depth + 1 apart, and the last one, have windows covering
+        # every knot, so their gcd with den is already small and the pass
+        # over the whole column runs on small numbers.
+        g = math.gcd(den, *column[:: depth + 1], column[-1], *column)
+        if g > 1:
+            den //= g
+            column = [c // g for c in column]
+        yield column, den
 
 
 def newton_coefficients(kv: KnotValueList) -> tuple[Fraction, ...]:
     """Entry k is the order-k divided difference at the first k+1 knots,
     computed by the recursive difference table."""
-    xs = list(kv.knots)
-    table = list(kv.values)
-    n = kv.order
-    coeffs = [table[0]]
-    for depth in range(1, n + 1):
-        for i in range(n, depth - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - depth])
-        coeffs.append(table[depth])
-    return tuple(coeffs)
+    return tuple(Fraction(column[0], den) for column, den in _difference_columns(kv))
 
 
 def divided_difference_recursive(kv: KnotValueList) -> Fraction:

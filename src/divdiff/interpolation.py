@@ -4,8 +4,14 @@ The interpolant of order n matches a function at the knots 0, 1/n, ..., 1
 and is built in Newton form, so its x^n coefficient is exactly the order-n
 divided difference at those knots.  The interpolant drops to degree n-1 or
 lower precisely when that divided difference vanishes.
+
+The Newton form is assembled on integers: in t = n x the Newton basis is
+the falling factorial t (t - 1) ... (t - k + 1), the weights are put over
+one common denominator, and each x^j coefficient is reduced to a Fraction
+once at the end.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,16 +49,30 @@ class EquispacedSample:
 
 
 def lagrange_equispaced(sample: EquispacedSample) -> Polynomial:
-    """Interpolating polynomial through the sample, assembled in Newton form."""
-    knots = sample.knots
-    kv = KnotValueList(tuple(zip(knots, sample.values)))
+    """Interpolating polynomial through the sample, assembled in Newton form.
+
+    In t = n x the knots are t = 0..n and the Newton basis is the falling
+    factorial prod_{i<k} (t - i), so q(x) = sum_k (c_k / n^k) prod_{i<k} (t - i).
+    The weights c_k / n^k are put over one common denominator B, the
+    integer polynomial in t is built by nested multiplication, and the x^j
+    coefficient is its t^j coefficient times n^j / B."""
+    n = sample.n
+    kv = KnotValueList(tuple(zip(sample.knots, sample.values)))
     coeffs = newton_coefficients(kv)
-    result = Polynomial.zero()
-    basis = Polynomial.constant(1)
-    for k, c in enumerate(coeffs):
-        result = result + basis * c
-        basis = basis * Polynomial((-knots[k], Fraction(1)))
-    return result
+    dens = [c.denominator * n**k for k, c in enumerate(coeffs)]
+    common = math.lcm(*dens)
+    weights = [c.numerator * (common // d) for c, d in zip(coeffs, dens)]
+    # acc <- acc * (t - k) + w_k for k = n-1 down to 0, on ascending coefficients.
+    acc = [weights[n]]
+    for k in range(n - 1, -1, -1):
+        middle = [lo - k * hi for lo, hi in zip(acc, acc[1:])]
+        acc = [weights[k] - k * acc[0]] + middle + [acc[-1]]
+    power = 1
+    result = []
+    for c in acc:
+        result.append(Fraction(c * power, common))
+        power *= n
+    return Polynomial(tuple(result))
 
 
 def leading_coefficient(q: Polynomial, n: int) -> Fraction:

@@ -4,10 +4,17 @@ A polynomial is a tuple of Fraction coefficients in ascending degree with
 trailing zeros trimmed, so structural equality is value equality.  The
 zero polynomial is the empty tuple and reports degree -inf instead of
 pretending to have degree 0.
+
+Evaluation runs on integers: the coefficients are written once, and
+cached, as integers C_k over their common denominator D, Horner's rule
+runs on the integer numerator and denominator of x, and the value is
+reduced to a Fraction once.  The cache is not a field, so it takes no
+part in equality, hashing or repr.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Union
 
@@ -66,13 +73,27 @@ class Polynomial:
             return self.coefficients[k]
         return Fraction(0)
 
+    @cached_property
+    def _integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """(D, (C_0, ..., C_d)) with coefficient k equal to C_k / D."""
+        den = math.lcm(*(c.denominator for c in self.coefficients))
+        nums = tuple(c.numerator * (den // c.denominator) for c in self.coefficients)
+        return den, nums
+
     def evaluate(self, x: Scalar) -> Fraction:
-        """Horner evaluation, exact."""
+        """Horner evaluation, exact: at x = a/b the integer Horner sum
+        sum_i C_i a^i b^(d-i) is divided by D b^d once."""
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        den, nums = self._integer_form
+        if not nums:
+            return Fraction(0)
+        a, b = x.numerator, x.denominator
+        acc = nums[-1]
+        power = 1
+        for c in reversed(nums[:-1]):
+            power *= b
+            acc = acc * a + c * power
+        return Fraction(acc, den * power)
 
     def derivative(self, order: int = 1) -> "Polynomial":
         if order < 0:

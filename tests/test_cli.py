@@ -2,7 +2,9 @@
 
 import json
 
-from divdiff import parse_rational
+import pytest
+
+from divdiff import cli, parse_rational
 from divdiff.cli import main
 
 
@@ -239,6 +241,32 @@ def test_out_into_missing_directory_is_one_line_error(capsys, tmp_path):
     assert out == ""
     assert err == f"divdiff: error: cannot write {target}: No such file or directory\n"
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "callee, argv, exc",
+    [
+        ("min_lipschitz_unit_norm", ["minlip", "--N", "3"],
+         ArithmeticError("unexpected LP status unbounded")),
+        ("nullspace", ["nullspace", "--N", "3"],
+         ArithmeticError("inexact division in fraction-free elimination")),
+        ("averaging_probe",
+         ["probe", "--func", "poly:1", "--extend-zero", "--x", "0", "--h", "1/4",
+          "--n", "1", "--N", "2"],
+         ZeroDivisionError("Fraction(1, 0)")),
+    ],
+)
+def test_internal_arithmetic_error_is_one_line_exit_two(
+    capsys, monkeypatch, callee, argv, exc
+):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, callee, fail)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"divdiff: error: internal check failed: {exc}\n"
 
 
 def test_duplicate_knots_exit_code(capsys):

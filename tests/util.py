@@ -3,12 +3,17 @@
 The generators take an explicit ``random.Random`` so individual tests
 stay reproducible under a fixed seed.  ``solve_square`` is a plain
 Fraction Gaussian elimination, kept here as an oracle for the solvers.
+The ``reference_*`` functions are plain Fraction versions of the
+integer kernels (the weighted sum, the recursive table, the Newton form
+assembled from ``Polynomial`` products, and Horner's rule), kept as
+oracles for them.
 """
 
 from fractions import Fraction
 
 from divdiff import (
     GridFunction,
+    KnotValueList,
     PiecewiseLinearFunc,
     Polynomial,
     PolynomialFunc,
@@ -91,3 +96,50 @@ def solve_square(matrix, rhs):
         s = m[r][n] - sum(m[r][c] * x[c] for c in range(r + 1, n))
         x[r] = s / m[r][r]
     return x
+
+
+def reference_divided_difference(kv):
+    """Sum of f(x_k) / W'(x_k), one Fraction product per factor."""
+    xs = kv.knots
+    total = Fraction(0)
+    for k, (xk, vk) in enumerate(kv.pairs):
+        w = Fraction(1)
+        for i, xi in enumerate(xs):
+            if i != k:
+                w *= xk - xi
+        total += vk / w
+    return total
+
+
+def reference_newton_coefficients(kv):
+    """Prefix divided differences from the in-place Fraction table."""
+    xs = list(kv.knots)
+    table = list(kv.values)
+    n = kv.order
+    coeffs = [table[0]]
+    for depth in range(1, n + 1):
+        for i in range(n, depth - 1, -1):
+            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - depth])
+        coeffs.append(table[depth])
+    return tuple(coeffs)
+
+
+def reference_lagrange(sample):
+    """Newton form summed with Polynomial additions and products."""
+    knots = sample.knots
+    kv = KnotValueList(tuple(zip(knots, sample.values)))
+    result = Polynomial.zero()
+    basis = Polynomial.constant(1)
+    for k, c in enumerate(reference_newton_coefficients(kv)):
+        result = result + basis * c
+        basis = basis * Polynomial((-knots[k], Fraction(1)))
+    return result
+
+
+def reference_evaluate(p, x):
+    """Horner's rule on Fractions."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(p.coefficients):
+        acc = acc * x + c
+    return acc
