@@ -67,12 +67,7 @@ def lagrange_equispaced(sample: EquispacedSample) -> Polynomial:
     for k in range(n - 1, -1, -1):
         middle = [lo - k * hi for lo, hi in zip(acc, acc[1:])]
         acc = [weights[k] - k * acc[0]] + middle + [acc[-1]]
-    power = 1
-    result = []
-    for c in acc:
-        result.append(Fraction(c * power, common))
-        power *= n
-    return Polynomial(tuple(result))
+    return Polynomial(tuple(Fraction(c * n**j, common) for j, c in enumerate(acc)))
 
 
 def leading_coefficient(q: Polynomial, n: int) -> Fraction:
