@@ -8,6 +8,7 @@ infeasible optimization) and failed internal checks.
 """
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Any, Optional
@@ -53,7 +54,13 @@ def _rational_list(text: str, what: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(item) for item in items)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing leaves no state in the parser, so one instance serves every
+    call of main in a process.
+    """
     parser = _Parser(
         prog="divdiff",
         description="Exact divided differences, equispaced interpolation, "

@@ -14,14 +14,38 @@ reindexing identity behind that decay (:func:`telescope_shift_identity`);
 and assembles the full chain of intermediate quantities for the
 interpolation defect f - Q_n (:func:`proof_walkthrough`), where Q_n is
 the equispaced interpolating polynomial of f.
+
+Every such quantity is a sum of f(x + i*s) over a run of shifts
+i = lo..hi along one step s = j*h, and the work is not the length of
+the run:
+
+- For a zero-extended function only the survivors, the i with
+  0 <= x + i*s <= 1, contribute.  They form the clipped range
+  max(lo, ceil(-x/s)) .. min(hi, floor((1-x)/s)), so the work is the
+  number of points inside [0, 1], not N or n!.  Survivors are evaluated
+  in ascending i, the order of the full loop, so a pole is reported at
+  the same point.
+- For a polynomial p (the interpolant Q_n, or an unextended polynomial
+  in the telescope check) the sum is a difference of two prefix sums,
+  each given by the hockey-stick identity
+  (Graham, Knuth & Patashnik, Concrete Mathematics, section 2.6):
+
+      sum_{i=0}^{m} p(x + i*s) = sum_k C(m+1, k+1) * Delta_s^k p(x),
+
+  where the forward differences Delta_s^k p(x), k = 0..deg p, come from
+  the deg p + 1 values p(x), p(x+s), ..., p(x + deg(p)*s).
+
+Only the telescope check on a rational or piecewise-linear function
+that is not zero-extended still sums term by term.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
-from .funcs import FuncSpec, PiecewiseLinearFunc
+from .funcs import FuncSpec, PiecewiseLinearFunc, PolynomialFunc
 from .interpolation import EquispacedSample, lagrange_equispaced, leading_coefficient
 from .poly import Polynomial, binomial
 from .rational import Rational
@@ -49,18 +73,56 @@ class _Memo:
         return value
 
 
-def _shift_average(
-    ev: Callable[[Fraction], Fraction],
-    x: Fraction,
-    h: Fraction,
-    n: int,
-    N: int,
+def _survivors(x: Fraction, s: Fraction, lo: int, hi: int) -> range:
+    """The i in lo..hi with 0 <= x + i*s <= 1, for a step s > 0."""
+    return range(max(lo, math.ceil(-x / s)), min(hi, math.floor((1 - x) / s)) + 1)
+
+
+def _clipped_sum(
+    ev: Callable[[Fraction], Fraction], x: Fraction, s: Fraction, lo: int, hi: int
 ) -> Fraction:
-    """(1/N) * sum_{i=1..N} D_{ih}^n ev(x), with no restriction on x."""
+    """sum_{i=lo}^{hi} ev(x + i*s) for an ev that vanishes outside [0, 1]."""
+    if s == 0:
+        return (hi - lo + 1) * ev(x)
+    return sum((ev(x + i * s) for i in _survivors(x, s, lo, hi)), Fraction(0))
+
+
+def _polynomial_sum(p: Polynomial, x: Fraction, s: Fraction, lo: int, hi: int) -> Fraction:
+    """sum_{i=lo}^{hi} p(x + i*s) for 0 <= lo, by the hockey-stick identity.
+
+    The sum is the prefix sum up to hi minus the prefix sum up to lo - 1,
+    so the k-th forward difference enters with C(hi+1, k+1) - C(lo, k+1).
+    math.comb is 0 when k + 1 exceeds its top, as it must be when the run
+    is shorter than the degree.
+    """
+    if p.is_zero:
+        return Fraction(0)
+    column = [p.evaluate(x + i * s) for i in range(len(p.coefficients))]
+    total = Fraction(0)
+    for k in range(len(column)):
+        total += (math.comb(hi + 1, k + 1) - math.comb(lo, k + 1)) * column[0]
+        column = [b - a for a, b in zip(column, column[1:])]
+    return total
+
+
+def _looped_sum(
+    ev: Callable[[Fraction], Fraction], x: Fraction, s: Fraction, lo: int, hi: int
+) -> Fraction:
+    """sum_{i=lo}^{hi} ev(x + i*s), term by term."""
+    return sum((ev(x + i * s) for i in range(lo, hi + 1)), Fraction(0))
+
+
+ShiftSum = Callable[[Fraction, Fraction, int, int], Fraction]
+
+
+def _shift_average(
+    shift_sum: ShiftSum, x: Fraction, h: Fraction, n: int, N: int
+) -> Fraction:
+    """(1/N) * sum_{i=1..N} D_{ih}^n f(x), given shift_sum(x, s, lo, hi)
+    = sum_{i=lo}^{hi} f(x + i*s)."""
     total = Fraction(0)
     for j, w in _weights(n):
-        step = j * h
-        total += w * sum((ev(x + i * step) for i in range(1, N + 1)), Fraction(0))
+        total += w * shift_sum(x, j * h, 1, N)
     return total / N
 
 
@@ -103,11 +165,14 @@ def averaging_probe(
     the uncapped count of surviving shifts and by a bound M on |f| over
     [0, 1]: exact for piecewise-linear f, the maximum over the touched
     evaluation points otherwise.
+
+    f is evaluated only at the survivors x + j*i*h <= 1 (i <= N), so the
+    cost does not depend on N once N exceeds floor((1-x)/h).
     """
     x, h = Fraction(x), Fraction(h)
     _validate_probe_args(f, x, h, n, N)
     ev = _Memo(f.evaluate)
-    average = _shift_average(ev, x, h, n, N)
+    average = _shift_average(partial(_clipped_sum, ev), x, h, n, N)
     residual = average - (-1) ** n * ev(x)
 
     boundary = Fraction(0)
@@ -115,10 +180,8 @@ def averaging_probe(
         if j == 0:
             continue
         step = j * h
-        boundary += w * sum(
-            (ev(x + i * step) for i in range(1, N + 1) if x + i * step <= 1),
-            Fraction(0),
-        )
+        last = min(N, math.floor((1 - x) / step))
+        boundary += w * sum((ev(x + i * step) for i in range(1, last + 1)), Fraction(0))
     boundary /= N
     if boundary != residual:
         raise ArithmeticError("residual recomputation mismatch")
@@ -169,6 +232,12 @@ def telescope_shift_identity(
 
     This is pure bookkeeping, valid for any g, so equal must come back
     true; the check evaluates both sides independently and exactly.
+
+    For a zero-extended g each sum runs over its survivors only, the i
+    with 0 <= x + j*i*h <= 1 (x may be negative, and y may lie beyond 1);
+    for a polynomial g that is not zero-extended each sum is taken in
+    closed form by the hockey-stick identity.  Either way the cost does
+    not grow with N or j'.  Any other g is summed term by term.
     """
     x, h = Fraction(x), Fraction(h)
     if n < 1:
@@ -186,12 +255,28 @@ def telescope_shift_identity(
     y = x + nfact * h
     ev = _Memo(g.evaluate)
     step = j * h
-    lhs = sum(
-        (ev(x + i * step) - ev(y + i * step) for i in range(1, N + 1)), Fraction(0)
-    )
-    rhs = sum((ev(x + i * step) for i in range(1, jprime + 1)), Fraction(0)) - sum(
-        (ev(x + i * step) for i in range(N + 1, N + jprime + 1)), Fraction(0)
-    )
+    shift_sum: ShiftSum
+    if g.extended_by_zero:
+        shift_sum = partial(_clipped_sum, ev)
+        # Ascending i, the x point before the y point, as the term-by-term
+        # loop visits them, so a pole is reported at the same point.
+        xs = _survivors(x, step, 1, N)
+        ys = _survivors(y, step, 1, N)
+        lhs = Fraction(0)
+        for i in sorted(set(xs).union(ys)):
+            if i in xs:
+                lhs += ev(x + i * step)
+            if i in ys:
+                lhs -= ev(y + i * step)
+    elif isinstance(g, PolynomialFunc):
+        shift_sum = partial(_polynomial_sum, g.poly)
+        lhs = shift_sum(x, step, 1, N) - shift_sum(y, step, 1, N)
+    else:
+        shift_sum = partial(_looped_sum, ev)
+        lhs = sum(
+            (ev(x + i * step) - ev(y + i * step) for i in range(1, N + 1)), Fraction(0)
+        )
+    rhs = shift_sum(x, step, 1, jprime) - shift_sum(x, step, N + 1, N + jprime)
     return TelescopeCheck(
         n=n, j=j, jprime=jprime, N=N, x=x, h=h, y=y, lhs=lhs, rhs=rhs, equal=lhs == rhs
     )
@@ -263,6 +348,10 @@ def proof_walkthrough(
     like 1/N otherwise, as witnessed by residual_envelope and by the
     (j'/N)-weighted interpolant terms.  Nothing here asserts a limit;
     every reported quantity is a finite, exact rational.
+
+    The defect is evaluated at its survivors inside [0, 1] only, and the
+    interpolant sums are taken in closed form by the hockey-stick
+    identity, so neither N nor n! sets the cost.
     """
     x, h = Fraction(x), Fraction(h)
     _validate_probe_args(f, x, h, n, N)
@@ -280,21 +369,23 @@ def proof_walkthrough(
         return f.evaluate(point) - q_memo(point)
 
     g_memo = _Memo(defect)
-    avg_defect_x = _shift_average(g_memo, x, h, n, N)
-    avg_defect_y = _shift_average(g_memo, y, h, n, N)
-    avg_interp_x = _shift_average(q_memo, x, h, n, N)
-    avg_interp_y = _shift_average(q_memo, y, h, n, N)
+    defect_sum = partial(_clipped_sum, g_memo)
+    interp_sum = partial(_polynomial_sum, q)
+    avg_defect_x = _shift_average(defect_sum, x, h, n, N)
+    avg_defect_y = _shift_average(defect_sum, y, h, n, N)
+    avg_interp_x = _shift_average(interp_sum, x, h, n, N)
+    avg_interp_y = _shift_average(interp_sum, y, h, n, N)
 
     blocks: list[tuple[int, int, Fraction, Fraction, list[Fraction]]] = []
     touched_defects: list[Fraction] = []
     for j in range(1, n + 1):
         jprime = nfact // j
         step = j * h
-        near_points = [x + i * step for i in range(1, jprime + 1)]
-        far_points = [x + i * step for i in range(N + 1, N + jprime + 1)]
+        near_points = [x + i * step for i in _survivors(x, step, 1, jprime)]
+        far_points = [x + i * step for i in _survivors(x, step, N + 1, N + jprime)]
         near = sum((g_memo(p) for p in near_points), Fraction(0))
         far = sum((g_memo(p) for p in far_points), Fraction(0))
-        inside = [p for p in near_points + far_points if 0 <= p <= 1]
+        inside = near_points + far_points
         touched_defects.extend(g_memo(p) for p in inside)
         blocks.append((j, jprime, near, far, inside))
     max_defect = max((abs(v) for v in touched_defects), default=Fraction(0))

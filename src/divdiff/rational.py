@@ -31,11 +31,26 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(numerator, denominator)
 
 
+def integer_text(value: int) -> str:
+    """str(value), also past the interpreter's limit on the digits of an
+    int-to-str conversion (sys.set_int_max_str_digits).  The limit is left
+    as it is: a longer integer is cut into blocks of digits that each fit."""
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    if value < 0:
+        return "-" + integer_text(-value)
+    low_digits = value.bit_length() * 3 // 20  # about half of the digits
+    high, low = divmod(value, 10**low_digits)
+    return integer_text(high) + integer_text(low).zfill(low_digits)
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical text form: bare integer when the denominator is 1."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return integer_text(value.numerator)
+    return f"{integer_text(value.numerator)}/{integer_text(value.denominator)}"
 
 
 def decimal_string(value: Fraction, digits: int = DECIMAL_DIGITS) -> str:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import __version__
-from .rational import decimal_string, format_rational
+from .rational import decimal_string, format_rational, integer_text
 
 
 @dataclass
@@ -43,6 +43,12 @@ def _convert(value: Any, path: str, exact: list[str], approx: list[str]) -> Any:
         return format_rational(value)
     if isinstance(value, int):
         exact.append(path)
+        try:
+            str(value)
+        except ValueError:
+            # json cannot write an int past the digit limit as a number;
+            # it goes out as a string of digits, like other exact values.
+            return integer_text(value)
         return value
     if value is None or isinstance(value, str):
         return value

@@ -1,10 +1,13 @@
 """End-to-end command-line behaviour: reports, formats, and exit codes."""
 
 import json
+import math
+import sys
+from fractions import Fraction
 
 import pytest
 
-from divdiff import cli, parse_rational
+from divdiff import KnotValueList, cli, divided_difference_direct, parse_rational
 from divdiff.cli import main
 
 
@@ -384,3 +387,121 @@ def test_every_exact_field_reparses_across_commands(capsys, tmp_path):
                 parse_rational(leaf)
             else:
                 assert isinstance(leaf, int), (argv, path)
+
+
+def test_main_reuses_one_parser_across_calls(capsys):
+    cases = [
+        ("uniform", "--func", "poly:0,0,1", "--n", "2"),
+        ("uniform", "--n", "2"),
+        ("fd", "--func", "poly:0,0,1", "--x", "0", "--h", "1/2", "--n", "2"),
+    ]
+    fresh = {}
+    for argv in cases:
+        cli.build_parser.cache_clear()
+        fresh[argv] = run(capsys, *argv)
+    code, out, err = fresh[cases[1]]
+    assert code == 1 and out == ""
+    assert err.startswith("usage: divdiff uniform")
+    assert "--func" in err
+    for _ in range(3):
+        for argv in cases:
+            assert run(capsys, *argv) == fresh[argv]
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _parse_long_rational(text):
+    # Parsing the value back needs the int-from-str digit limit lifted;
+    # the CLI itself must print it without lifting the limit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return parse_rational(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_exact_values_past_the_str_digit_limit_print(capsys, fmt):
+    # 97 knots of this family give a divided difference of over 4,600
+    # digits, past CPython's default limit of 4,300 for int-to-str.
+    n = 96
+    knots = [Fraction((-1) ** k * (k * k + 1), k % 7 + 2) for k in range(n + 1)]
+    values = [
+        Fraction((-1) ** k * (3 * k + 1), 2 ** (k % 13) * (k + 5)) for k in range(n + 1)
+    ]
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(
+        capsys, "eval", "--knots", ",".join(map(str, knots)),
+        "--values", ",".join(map(str, values)), "--format", fmt,
+    )
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    if fmt == "json":
+        results = json.loads(out)["results"]
+    else:
+        results = dict(line.split(",", 1) for line in out.splitlines() if "," in line)
+        results = {k.removeprefix("results."): v for k, v in results.items()}
+    expected = divided_difference_direct(KnotValueList(tuple(zip(knots, values))))
+    assert len(results["direct"]) > 4300
+    assert _parse_long_rational(results["direct"]) == expected
+    assert _parse_long_rational(results["recursive"]) == expected
+    assert results["direct_decimal"] == results["recursive_decimal"]
+
+
+def test_integers_past_the_str_digit_limit_print_as_digit_strings(capsys):
+    # j' = 1800! has 5,050 digits; json and csv write it as a string
+    limit = sys.get_int_max_str_digits()
+    argv = ["telescope", "--func", "poly:1,2", "--extend-zero", "--x", "0",
+            "--h", "1/8", "--n", "1800", "--j", "1", "--N", "5"]
+    doc = run_json(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    jprime = doc["results"]["jprime"]
+    assert isinstance(jprime, str) and "results.jprime" in doc["provenance"]["exact_fields"]
+    assert _parse_long_rational(jprime) == math.factorial(1800)
+    assert f"results.jprime,{jprime}\n" in out
+    assert doc["results"]["equal"] is True
+    assert doc["results"]["N"] == 5
+
+
+def test_probe_with_a_huge_shift_count_finishes(capsys, tmp_path):
+    grid = tmp_path / "hat.csv"
+    grid.write_text("L=2\n1,1\n")
+    common = ["probe", "--func", f"pl:{grid}", "--extend-zero", "--x", "1/10",
+              "--h", "1/64", "--n", "3"]
+    big = run_json(capsys, *common, "--N", "100000000")["results"]["rows"][0]
+    small = run_json(capsys, *common, "--N", "64")["results"]["rows"][0]
+    residual = parse_rational(big["residual"])
+    assert abs(residual) <= parse_rational(big["bound"])
+    # residual * N is constant once N passes the cutoff floor((1-x)/h) = 57
+    assert residual * 100000000 == parse_rational(small["residual"]) * 64
+
+
+def test_walkthrough_of_order_fifteen_finishes(capsys, tmp_path):
+    grid = tmp_path / "hat.csv"
+    grid.write_text("L=2\n1,1\n")
+    results = run_json(
+        capsys, "walkthrough", "--func", f"pl:{grid}", "--extend-zero",
+        "--x", "1/10", "--h", "1/64", "--n", "15", "--N", "8",
+    )["results"]
+    assert results["identity_equal"] is True
+    assert results["residual"] == results["boundary_total"]
+    assert len(results["boundary"]) == 15
+
+
+@pytest.mark.parametrize(
+    "func, extend",
+    [("poly:1,-2,3/5,7", True), ("poly:1,-2,3/5,7", False), ("pl:{grid}", True)],
+)
+def test_telescope_of_order_twenty_finishes(capsys, tmp_path, func, extend):
+    grid = tmp_path / "hat.csv"
+    grid.write_text("L=2\n1,1\n")
+    argv = ["telescope", "--func", func.format(grid=grid), "--x", "1/10",
+            "--h", "1/50", "--n", "20", "--j", "3", "--N", "1000"]
+    if extend:
+        argv.append("--extend-zero")
+    results = run_json(capsys, *argv)["results"]
+    assert results["jprime"] == math.factorial(20) // 3
+    assert results["equal"] is True
+    assert results["lhs"] == results["rhs"]

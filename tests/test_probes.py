@@ -4,6 +4,7 @@ The hat function (grid value 1 at 1/2, zero at the ends, zero-extended)
 is small enough to check by hand and appears in several fixtures.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,8 @@ from fractions import Fraction
 import pytest
 
 from divdiff import (
+    AveragingProbeResult,
+    FuncSpec,
     GridFunction,
     PiecewiseLinearFunc,
     PoleError,
@@ -22,7 +25,14 @@ from divdiff import (
     telescope_shift_identity,
 )
 
-from util import random_funcspec
+from util import (
+    pole_free_rational,
+    random_funcspec,
+    random_polynomial,
+    reference_shift_average,
+    reference_telescope,
+    reference_walkthrough_sums,
+)
 
 HAT = PiecewiseLinearFunc(GridFunction(2, {1: Fraction(1)}), extended_by_zero=True)
 
@@ -251,3 +261,184 @@ def test_walkthrough_requires_zero_extension():
     f = PolynomialFunc(Polynomial.monomial(1))
     with pytest.raises(ValueError):
         proof_walkthrough(f, 1, Fraction(1, 8), 4, Fraction(1, 2))
+
+
+# --- the clipped and closed-form sums against the full loops --------------
+
+
+def outcome(call, *args):
+    """The value of call(*args), or the type and message of what it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def reference_probe(f, x, h, n, N):
+    x, h = Fraction(x), Fraction(h)
+    touched = {}
+
+    def ev(point):
+        if point not in touched:
+            touched[point] = f.evaluate(point)
+        return touched[point]
+
+    average = reference_shift_average(ev, x, h, n, N)
+    if isinstance(f, PiecewiseLinearFunc):
+        m_bound = f.grid.sup_norm()
+    else:
+        m_bound = max(
+            (abs(v) for p, v in touched.items() if 0 <= p <= 1), default=Fraction(0)
+        )
+    survivors = sum(
+        math.comb(n, j) * max(0, math.floor((1 - x) / (j * h))) for j in range(1, n + 1)
+    )
+    return AveragingProbeResult(
+        n=n,
+        h=h,
+        x=x,
+        N=N,
+        average=average,
+        residual=average - (-1) ** n * f.evaluate(x),
+        bound=survivors * m_bound / N,
+        cutoff=math.floor((1 - x) / h),
+    )
+
+
+def reference_telescope_check(g, x, n, j, h, N):
+    jprime, y, lhs, rhs = reference_telescope(g, x, n, j, h, N)
+    return (jprime, y, lhs, rhs, lhs == rhs)
+
+
+def telescope_fields(g, x, n, j, h, N):
+    t = telescope_shift_identity(g, x, n, j, h, N)
+    assert (t.n, t.j, t.N, t.x, t.h) == (n, j, N, x, h)
+    return (t.jprime, t.y, t.lhs, t.rhs, t.equal)
+
+
+def walkthrough_fields(f, n, h, N, x):
+    w = proof_walkthrough(f, n, h, N, x)
+    return {
+        field.name: getattr(w, field.name)
+        for field in dataclasses.fields(w)
+        if field.name != "note"
+    }
+
+
+# x = k/20 with h = 1/20 puts x + j*i*h exactly on 1 whenever j divides 20 - k.
+EXACT_HITS = [Fraction(k, 20) for k in range(0, 20, 3)]
+SHIFT_COUNTS = [1, 2, 3, 5, 17, 60]
+
+
+def test_probe_matches_the_full_loop():
+    rng = random.Random(1201)
+    for trial in range(60):
+        f = random_funcspec(rng, extend_zero=True)
+        n = rng.randint(1, 4)
+        if trial % 2:
+            x, h = rng.choice(EXACT_HITS), Fraction(1, 20)
+        else:
+            x, h = Fraction(rng.randint(0, 19), 20), Fraction(1, rng.randint(3, 40))
+        N = rng.choice(SHIFT_COUNTS)
+        args = (f, x, h, n, N)
+        assert averaging_probe(*args) == reference_probe(*args), args
+
+
+def test_telescope_matches_the_full_loop():
+    rng = random.Random(1202)
+    for trial in range(160):
+        extend = trial % 4 != 0
+        g = random_funcspec(rng, extend_zero=extend)
+        n = rng.randint(1, 5)
+        j = rng.randint(1, n)
+        if trial % 3 == 0:
+            x, h = rng.choice(EXACT_HITS), Fraction(1, 20)
+        else:
+            # negative x, and x beyond 1
+            x, h = Fraction(rng.randint(-40, 30), 20), Fraction(1, rng.randint(3, 60))
+        N = rng.choice(SHIFT_COUNTS)
+        args = (g, x, n, j, h, N)
+        assert outcome(telescope_fields, *args) == outcome(
+            reference_telescope_check, *args
+        ), args
+
+
+def test_telescope_closed_form_on_unextended_polynomials_and_ratfuns():
+    rng = random.Random(1203)
+    for trial in range(80):
+        if trial % 2:
+            g = PolynomialFunc(random_polynomial(rng, max_degree=8))
+        else:
+            g = pole_free_rational(rng)
+        n = rng.randint(1, 5)
+        j = rng.randint(1, n)
+        x = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+        h = Fraction(rng.randint(1, 9), rng.randint(1, 30))
+        N = rng.randint(1, 6)  # also below the degree
+        args = (g, x, n, j, h, N)
+        assert telescope_fields(*args) == reference_telescope_check(*args), args
+
+
+def test_walkthrough_matches_the_full_loop():
+    rng = random.Random(1204)
+    for trial in range(50):
+        f = random_funcspec(rng, extend_zero=True)
+        n = rng.randint(1, 4)
+        if trial % 2:
+            x, h = rng.choice(EXACT_HITS), Fraction(1, 20)
+        else:
+            x, h = Fraction(rng.randint(0, 19), 20), Fraction(1, rng.randint(3, 40))
+        N = rng.choice(SHIFT_COUNTS[:4])  # 1..5, at or below the degree of Q_n
+        args = (f, n, h, N, x)
+        assert walkthrough_fields(*args) == reference_walkthrough_sums(*args), args
+
+
+def test_telescope_reports_the_pole_the_full_loop_meets_first():
+    # poles at 1/4 and 3/8; the loop reaches 3/8 first, as y + 1*h
+    g = RationalFunc(
+        Polynomial.constant(1),
+        Polynomial((Fraction(3, 32), Fraction(-5, 8), Fraction(1))),
+        extended_by_zero=True,
+    )
+    args = (g, Fraction(0), 2, 1, Fraction(1, 8), 4)
+    expected = outcome(reference_telescope_check, *args)
+    assert expected == ("PoleError", "denominator vanishes at 3/8")
+    assert outcome(telescope_fields, *args) == expected
+
+
+class Recording(FuncSpec):
+    """Delegates to another spec and records every point it is asked for."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.extended_by_zero = inner.extended_by_zero
+        self.points = []
+
+    def evaluate(self, x):
+        self.points.append(Fraction(x))
+        return self.inner.evaluate(x)
+
+    def _evaluate(self, x):
+        raise AssertionError("evaluate is overridden")
+
+
+def test_zero_extended_sums_evaluate_only_inside_the_unit_interval():
+    f = PolynomialFunc(
+        Polynomial((Fraction(1), Fraction(-3), Fraction(2))), extended_by_zero=True
+    )
+    h = Fraction(1, 16)
+    counts = []
+    for N in (20, 10**6):
+        spy = Recording(f)
+        averaging_probe(spy, Fraction(1, 4), h, 3, N)
+        assert all(0 <= p <= 1 for p in spy.points)
+        counts.append(len(spy.points))
+    assert counts[0] == counts[1]
+
+    spy = Recording(f)
+    telescope_shift_identity(spy, Fraction(-7, 3), 3, 2, h, 10**6)
+    assert spy.points and all(0 <= p <= 1 for p in spy.points)
+
+    spy = Recording(f)
+    proof_walkthrough(spy, 5, h, 10**6, Fraction(1, 8))
+    assert all(0 <= p <= 1 for p in spy.points)

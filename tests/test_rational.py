@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -59,3 +60,23 @@ def test_decimal_strings():
 
 def test_decimal_keeps_leading_zeros_of_small_values():
     assert decimal_string(Fraction(1, 300000)) == "0.00000333333333333333"
+
+
+def test_format_past_the_str_digit_limit_matches_str():
+    limit = sys.get_int_max_str_digits()
+    values = [
+        10**limit - 1,  # the longest that str() takes
+        10**limit,
+        -(10**5000) - 7,  # a run of zeros inside the low block
+        3**20000,
+        -(7**9000) * 10**1500,
+    ]
+    texts = [format_rational(Fraction(v)) for v in values]
+    texts.append(format_rational(Fraction(1, 3**9000)))
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [str(v) for v in values] + [f"1/{3**9000}"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert texts == expected

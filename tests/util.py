@@ -5,19 +5,26 @@ stay reproducible under a fixed seed.  ``solve_square`` is a plain
 Fraction Gaussian elimination, kept here as an oracle for the solvers.
 The ``reference_*`` functions are plain Fraction versions of the
 integer kernels (the weighted sum, the recursive table, the Newton form
-assembled from ``Polynomial`` products, and Horner's rule), kept as
-oracles for them.
+assembled from ``Polynomial`` products, and Horner's rule), and the
+term-by-term loops over every shift i = 1..N and every near and far
+index behind the clipped and closed-form shift sums in ``probes``, kept
+as oracles for them.
 """
 
+import math
 from fractions import Fraction
 
 from divdiff import (
+    BoundaryTerm,
+    EquispacedSample,
     GridFunction,
     KnotValueList,
     PiecewiseLinearFunc,
     Polynomial,
     PolynomialFunc,
     RationalFunc,
+    lagrange_equispaced,
+    leading_coefficient,
 )
 
 
@@ -143,3 +150,104 @@ def reference_evaluate(p, x):
     for c in reversed(p.coefficients):
         acc = acc * x + c
     return acc
+
+
+def _stencil(n):
+    return [(j, (-1) ** (n - j) * math.comb(n, j)) for j in range(n + 1)]
+
+
+def reference_shift_average(ev, x, h, n, N):
+    """(1/N) * sum_{i=1..N} D_{ih}^n ev(x), one ev call per shift and j."""
+    total = Fraction(0)
+    for j, w in _stencil(n):
+        step = j * h
+        total += w * sum((ev(x + i * step) for i in range(1, N + 1)), Fraction(0))
+    return total / N
+
+
+def reference_telescope(g, x, n, j, h, N):
+    """(jprime, y, lhs, rhs) of the reindexing identity, every term summed."""
+    x, h = Fraction(x), Fraction(h)
+    nfact = math.factorial(n)
+    jprime = nfact // j
+    y = x + nfact * h
+    step = j * h
+    lhs = sum(
+        (g.evaluate(x + i * step) - g.evaluate(y + i * step) for i in range(1, N + 1)),
+        Fraction(0),
+    )
+    rhs = sum(
+        (g.evaluate(x + i * step) for i in range(1, jprime + 1)), Fraction(0)
+    ) - sum((g.evaluate(x + i * step) for i in range(N + 1, N + jprime + 1)), Fraction(0))
+    return jprime, y, lhs, rhs
+
+
+def reference_walkthrough_sums(f, n, h, N, x):
+    """Every field of proof_walkthrough's report, by name, from full loops."""
+    x, h = Fraction(x), Fraction(h)
+    q = lagrange_equispaced(EquispacedSample.from_function(f, n))
+    nfact = math.factorial(n)
+    y = x + nfact * h
+
+    def defect(point):
+        if point < 0 or point > 1:
+            return Fraction(0)
+        return f.evaluate(point) - q.evaluate(point)
+
+    avg_defect_x = reference_shift_average(defect, x, h, n, N)
+    avg_defect_y = reference_shift_average(defect, y, h, n, N)
+    blocks = []
+    for j in range(1, n + 1):
+        jprime = nfact // j
+        near_points = [x + i * j * h for i in range(1, jprime + 1)]
+        far_points = [x + i * j * h for i in range(N + 1, N + jprime + 1)]
+        near = sum((defect(p) for p in near_points), Fraction(0))
+        far = sum((defect(p) for p in far_points), Fraction(0))
+        inside = [p for p in near_points + far_points if 0 <= p <= 1]
+        blocks.append((j, jprime, near, far, inside))
+    max_defect = max(
+        (abs(defect(p)) for *_, inside in blocks for p in inside), default=Fraction(0)
+    )
+    boundary = tuple(
+        BoundaryTerm(
+            j=j,
+            jprime=jprime,
+            near_sum=near,
+            far_sum=far,
+            weighted=Fraction((-1) ** (n - j) * math.comb(n, j), N) * (near - far),
+            envelope=Fraction(math.comb(n, j) * len(inside), N) * max_defect,
+        )
+        for j, jprime, near, far, inside in blocks
+    )
+    boundary_total = sum((t.weighted for t in boundary), Fraction(0))
+    identity_rhs = (-1) ** n * (defect(x) - defect(y))
+    identity_lhs = avg_defect_x - avg_defect_y - boundary_total
+    lead = leading_coefficient(q, n)
+    return {
+        "n": n,
+        "h": h,
+        "N": N,
+        "x": x,
+        "y": y,
+        "interpolant": q,
+        "leading": lead,
+        "degree_reduced": lead == 0,
+        "f_at_x": f.evaluate(x),
+        "q_at_x": q.evaluate(x),
+        "defect_at_x": defect(x),
+        "defect_at_y": defect(y),
+        "avg_defect_x": avg_defect_x,
+        "avg_defect_y": avg_defect_y,
+        "avg_interp_x": reference_shift_average(q.evaluate, x, h, n, N),
+        "avg_interp_y": reference_shift_average(q.evaluate, y, h, n, N),
+        "boundary": boundary,
+        "boundary_total": boundary_total,
+        "identity_lhs": identity_lhs,
+        "identity_rhs": identity_rhs,
+        "identity_equal": identity_lhs == identity_rhs,
+        "residual": avg_defect_x - avg_defect_y - identity_rhs,
+        "residual_envelope": sum((t.envelope for t in boundary), Fraction(0)),
+        "interp_limit_terms": tuple(
+            (j, (-1) ** n * Fraction(nfact // j, N) * q.evaluate(x)) for j in range(1, n + 1)
+        ),
+    }
