@@ -4,10 +4,13 @@ The files beside this module are the stdout of every example command in
 the README, once with ``--format json`` (``<command>.json``) and once with
 ``--format csv`` (``<command>.csv``), run from this directory so that
 ``pl:hat.csv`` names the fixture committed here.  ``PINS`` holds the
-SHA-256 of the JSON stdout of larger runs, where the report itself is
-too big to keep.  Both were recorded with the plain ``Fraction`` kernels
+SHA-256 of the stdout of larger runs, where the report itself is too
+big to keep.  Both were recorded with the plain ``Fraction`` kernels
 (direct sum, recursive table, ``Polynomial`` products, Fraction Horner),
-so they hold every later kernel to the same bytes.
+so they hold every later kernel to the same bytes.  The ``nullspace``
+pins, JSON and CSV at N = 9..12, were recorded while the null space
+still built one grid function per basis vector and scanned every grid
+column for forced zeros.
 
 ``tests/test_golden.py`` runs these under pytest.  Without pytest, run
 
@@ -115,6 +118,38 @@ PINS = {
     "cascade-24": (
         _cascade_argv(24),
         "a661adf9d843f194227c0584b0517fbfd8c788e961dd21c1dc5412bf259ccf26",
+    ),
+    "nullspace-9": (
+        ["nullspace", "--N", "9"],
+        "e7be061ae33620f7f49a41cd401b38e79015569a182fd305a15db4a41b3d7e90",
+    ),
+    "nullspace-9-csv": (
+        ["nullspace", "--N", "9", "--format", "csv"],
+        "3db0b0631f3f538818dc4f59f6337ecd68a67b111c2981017e815b66136fa7d6",
+    ),
+    "nullspace-10": (
+        ["nullspace", "--N", "10"],
+        "76f10e1f71dafd0d4d56a51dbdfa8cbef2bc7990d7d76a5087f7e174df869605",
+    ),
+    "nullspace-10-csv": (
+        ["nullspace", "--N", "10", "--format", "csv"],
+        "70739a25799b2c0c5fd42bf22454b363b1ac11363fd2d3f0e8ee0dc6a688c9fd",
+    ),
+    "nullspace-11": (
+        ["nullspace", "--N", "11"],
+        "98bb0a572b7aeb3888fb1fd752cc8090a71bcc26e7285d1e4f9b38508f7f5908",
+    ),
+    "nullspace-11-csv": (
+        ["nullspace", "--N", "11", "--format", "csv"],
+        "500d403ef9cfab9c9ba3648a04ffe85d040962fc4d1b1c7062721cf88efb9d03",
+    ),
+    "nullspace-12": (
+        ["nullspace", "--N", "12"],
+        "4520951f329771ea2042803a237f90904ca4f6a5200dd8ab578fa243e23d6171",
+    ),
+    "nullspace-12-csv": (
+        ["nullspace", "--N", "12", "--format", "csv"],
+        "619bf7238ad6447114247ffab261e91ab8932d45aef6057fb3dd68c8de6231dd",
     ),
 }
 
