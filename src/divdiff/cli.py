@@ -9,6 +9,7 @@ infeasible optimization) and failed internal checks.
 
 import argparse
 import functools
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Optional
@@ -37,6 +38,15 @@ Outcome = tuple[Report, int, Optional[str]]
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument that starts with "-" as a flag unless
+        # it matches this pattern, and its own pattern knows only integers
+        # and decimals.  No option name here starts with a digit, so a
+        # minus followed by a digit always starts a value: "--x -1/10" and
+        # "--knots -1,0,1" parse, and the value's own parser judges it.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits with status 2 on usage errors; our contract is 1.
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
@@ -264,9 +274,7 @@ def _capped_N(args: argparse.Namespace) -> int:
 def _cmd_nullspace(args: argparse.Namespace) -> Outcome:
     N = _capped_N(args)
     result = nullspace(build_constraint_system(N))
-    basis = [
-        {str(k): v for k, v in sorted(vec.entries.items())} for vec in result.basis
-    ]
+    basis = [{str(k): v for k, v in sorted(vec.items())} for vec in result.vectors]
     report = Report(
         command="nullspace",
         inputs={"N": N},

@@ -10,11 +10,18 @@ integer linear equation in the grid values f(k/L): the order-n row has
 entry (-1)**(n-j) * C(n, j) in the column k = j*L/n for j = 0..n.  The
 null space of the resulting (N+1) x (L+1) system describes exactly the
 grid functions invisible to all these differences at once.
+
+Only the touched columns, the Farey fractions of order N scaled by L,
+carry any structure.  Every other column is free with a singleton null
+vector, so it is never forced to zero; the null space is computed from the
+touched columns alone, and its basis as grid functions is built only when
+it is first read.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .funcs import GridFunction
 from .linalg import kernel_basis
@@ -30,6 +37,11 @@ class ConstraintSystem:
     @property
     def ncols(self) -> int:
         return self.L + 1
+
+    @cached_property
+    def touched(self) -> tuple[int, ...]:
+        """The columns some row has an entry in, in increasing order."""
+        return tuple(sorted({c for row in self.rows for c in row}))
 
     def residuals(self, g: GridFunction) -> tuple[Fraction, ...]:
         """Evaluate every constraint row at g (all zero iff g is a solution)."""
@@ -59,12 +71,24 @@ def build_constraint_system(N: int) -> ConstraintSystem:
 
 @dataclass(frozen=True)
 class NullspaceReport:
+    """Rank, null space and forced zeros of a constraint system.
+
+    ``vectors`` is the null space basis as ``kernel_basis`` returns it:
+    sparse mappings from grid index to value, one per free column, in
+    increasing free-column order.  ``basis`` holds the same vectors as
+    grid functions; it is built on first access and kept.
+    """
+
     N: int
     L: int
     rank: int
     dimension: int
-    basis: tuple[GridFunction, ...]
+    vectors: tuple[dict[int, Fraction], ...]
     forced_zero_points: tuple[int, ...]
+
+    @cached_property
+    def basis(self) -> tuple[GridFunction, ...]:
+        return tuple(GridFunction(denominator=self.L, entries=vec) for vec in self.vectors)
 
 
 def nullspace(system: ConstraintSystem) -> NullspaceReport:
@@ -72,20 +96,26 @@ def nullspace(system: ConstraintSystem) -> NullspaceReport:
 
     A grid index k is reported as forced to zero when every solution
     vanishes there, i.e. no basis vector has a nonzero entry in column k.
+    An untouched column carries its own singleton vector, so only touched
+    columns can be forced, and only the vectors of touched free columns
+    can cover them.  The vectors come in free-column order, so the vector
+    of free column c sits at c minus the number of pivot columns below c.
     """
-    rank, _, vectors = kernel_basis(system.rows, system.ncols)
-    basis = tuple(
-        GridFunction(denominator=system.L, entries=vec) for vec in vectors
-    )
-    covered = set()
-    for vec in vectors:
-        covered.update(k for k, v in vec.items() if v != 0)
-    forced = tuple(k for k in range(system.ncols) if k not in covered)
+    rank, pivot_cols, vectors = kernel_basis(system.rows, system.ncols)
+    pivots = set(pivot_cols)
+    covered: set[int] = set()
+    pivots_below = 0
+    for c in system.touched:
+        if c in pivots:
+            pivots_below += 1
+        else:
+            covered.update(vectors[c - pivots_below])
+    forced = tuple(c for c in system.touched if c not in covered)
     return NullspaceReport(
         N=system.N,
         L=system.L,
         rank=rank,
-        dimension=len(basis),
-        basis=basis,
+        dimension=len(vectors),
+        vectors=tuple(vectors),
         forced_zero_points=forced,
     )

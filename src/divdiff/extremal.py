@@ -112,9 +112,7 @@ def min_lipschitz_unit_norm(N: int) -> MinLipschitzResult:
             N=N, L=system.L, status="infeasible", value=None, witness=None, pin_index=None
         )
 
-    touched: set[int] = set()
-    for row in system.rows:
-        touched.update(row)
+    touched = set(system.touched)
     forced = set(report.forced_zero_points)
 
     best_value: Optional[Fraction] = None

@@ -1,11 +1,12 @@
 """Exact linear algebra helpers: fraction-free echelon form and kernels.
 
 Rows are sparse mappings from column index to coefficient.  Elimination
-runs on the submatrix of columns actually touched by some row; columns no
-row touches are free with trivial singleton kernel vectors, which keeps
-kernels of very wide systems cheap.  The echelon step is the one-step
-fraction-free (integer-preserving) scheme: every division is exact, so no
-rational blowup occurs during pivoting.
+and back-substitution run on the submatrix of columns actually touched by
+some row.  A column no row touches is free: it gets its singleton kernel
+vector directly, so it is never forced to zero, and a very wide system
+costs little more than its touched columns.  The echelon step is the
+one-step fraction-free (integer-preserving) scheme: every division is
+exact, so no rational blowup occurs during pivoting.
 """
 
 import math
@@ -79,26 +80,21 @@ def kernel_basis(
     pivot_cols = [touched[c] for c in pivot_local]
     pivot_set = set(pivot_local)
 
-    free_cols: list[int] = []
-    for c in range(ncols):
-        if c not in col_of or col_of[c] not in pivot_set:
-            free_cols.append(c)
-
+    one = Fraction(1)
     basis: list[dict[int, Fraction]] = []
-    for f in free_cols:
-        vec_local: dict[int, Fraction] = {}
-        if f in col_of:
-            vec_local[col_of[f]] = Fraction(1)
-            for row, pc in zip(reversed(echelon), reversed(pivot_local)):
-                s = Fraction(0)
-                for j in range(pc + 1, len(touched)):
-                    if row[j] and j in vec_local:
-                        s += row[j] * vec_local[j]
-                if s:
-                    vec_local[pc] = -s / row[pc]
-        vec = {touched[j]: v for j, v in vec_local.items() if v != 0}
-        if f not in col_of:
-            vec = {f: Fraction(1)}
-        basis.append(vec)
+    for f in range(ncols):
+        local = col_of.get(f)
+        if local is None:
+            basis.append({f: one})
+            continue
+        if local in pivot_set:
+            continue
+        vec_local: dict[int, Fraction] = {local: one}
+        for row, pc in zip(reversed(echelon), reversed(pivot_local)):
+            # row is zero left of pc, and vec_local holds only f and the
+            # pivots right of pc, so this is the sum over j > pc.
+            s = sum((row[j] * v for j, v in vec_local.items() if row[j]), Fraction(0))
+            if s:
+                vec_local[pc] = -s / row[pc]
+        basis.append({touched[j]: v for j, v in vec_local.items()})
     return rank, pivot_cols, basis
-

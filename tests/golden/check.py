@@ -61,8 +61,7 @@ RUNGE = "ratfun:1;1,0,25"
 def _eval_argv(n):
     # Knot j is (j - n/2) / (j % 2 + 1): integers and half-integers of
     # both signs, taken in a scrambled order, with values whose
-    # denominators run up to 2^12 (n + 5).  The "=" form keeps argparse
-    # from reading a leading minus as a flag.
+    # denominators run up to 2^12 (n + 5).
     order = [(37 * k) % (n + 1) for k in range(n + 1)]
     knots = [f"{2 * j - n}/{2 * (j % 2 + 1)}" for j in order]
     values = [f"{(-1) ** j * (3 * j + 1)}/{2 ** (j % 13) * (j + 5)}" for j in order]

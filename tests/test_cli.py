@@ -305,10 +305,29 @@ def test_usage_errors_exit_one(capsys):
         ["uniform", "--func", "poly:0,1", "--n", "x"],
         ["uniform", "--func", "poly:0,1", "--n", "2", "--unknown-flag"],
         ["fd", "--func", "poly:1", "--x", "0.5", "--h", "1/2", "--n", "1"],
+        ["eval", "--knots", "0,1", "--values", "0,1", "-z"],
+        ["fd", "--func", "poly:1", "--x", "-z", "--h", "1/2", "--n", "1"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
         assert out == "", argv
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (
+            ["telescope", "--func", "poly:0,1", "--extend-zero",
+             "--h", "1/4", "--n", "2", "--j", "1", "--N", "3"],
+            "--x", "-1/10",
+        ),
+        (["eval", "--values", "1,0,1"], "--knots", "-1,0,1"),
+    ],
+)
+def test_negative_rational_value_after_a_space(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv, flag, value)
+    assert code == 0, err
+    assert (code, out, err) == run(capsys, *argv, f"{flag}={value}")
 
 
 def test_bad_rational_value_names_the_flag_style_error(capsys):

@@ -7,14 +7,21 @@ from fractions import Fraction
 import pytest
 
 from divdiff import (
+    ConstraintSystem,
     FiniteDifferenceRequest,
     GridFunction,
     build_constraint_system,
+    constraints,
     finite_difference,
     nullspace,
 )
 
-from util import random_funcspec
+from util import (
+    random_funcspec,
+    random_sparse_rows,
+    reference_forced_zeros,
+    reference_kernel_basis,
+)
 
 
 def test_grid_size_is_the_lcm():
@@ -46,6 +53,8 @@ def test_rows_for_four_differences():
     assert system.rows[2] == {0: 1, 6: -2, 12: 1}
     assert system.rows[3] == {0: -1, 4: 3, 8: -3, 12: 1}
     assert system.rows[4] == {0: 1, 3: -4, 6: 6, 9: -4, 12: 1}
+    # the Farey fractions of order 4, scaled by L
+    assert system.touched == (0, 3, 4, 6, 8, 9, 12)
 
 
 def test_rows_apply_the_order_n_difference():
@@ -126,3 +135,38 @@ def test_wide_system_stays_fast():
     assert report.rank == 13
     assert report.dimension == 27708
     assert {0, 13860, 27720} <= set(report.forced_zero_points)
+
+
+def assert_matches_full_scan_oracle(system):
+    rank, _, vectors = reference_kernel_basis(system.rows, system.ncols)
+    report = nullspace(system)
+    assert report.rank == rank
+    assert report.dimension == len(vectors)
+    assert report.vectors == tuple(vectors)
+    assert report.forced_zero_points == reference_forced_zeros(vectors, system.ncols)
+    assert report.basis == tuple(GridFunction(system.L, vec) for vec in vectors)
+
+
+@pytest.mark.parametrize("N", range(1, 11))
+def test_nullspace_matches_the_full_scan_oracle(N):
+    assert_matches_full_scan_oracle(build_constraint_system(N))
+
+
+def test_nullspace_matches_the_full_scan_oracle_on_sparse_systems():
+    rng = random.Random(72)
+    for _ in range(300):
+        L = rng.randint(1, 13)
+        rows = tuple(random_sparse_rows(rng, L + 1))
+        assert_matches_full_scan_oracle(ConstraintSystem(N=len(rows), L=L, rows=rows))
+
+
+def test_basis_is_built_on_first_access_only(monkeypatch):
+    def no_grid_function(*args, **kwargs):
+        raise AssertionError("grid function built before basis was read")
+
+    system = build_constraint_system(6)
+    monkeypatch.setattr(constraints, "GridFunction", no_grid_function)
+    report = nullspace(system)
+    monkeypatch.undo()
+    assert report.basis is report.basis
+    assert len(report.basis) == report.dimension

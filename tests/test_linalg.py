@@ -7,9 +7,11 @@ a deliberately different code path from the integer-preserving scheme.
 import random
 from fractions import Fraction
 
+import pytest
+
 from divdiff.linalg import integer_echelon, kernel_basis
 
-from util import solve_square
+from util import random_sparse_rows, reference_kernel_basis, solve_square
 
 
 def fraction_rank(matrix):
@@ -124,6 +126,32 @@ def test_kernel_accepts_fraction_coefficients():
     assert rank == 1
     assert len(basis) == 1
     assert apply_row(rows[0], basis[0]) == 0
+
+
+def test_kernel_matches_the_per_column_oracle_on_sparse_systems():
+    # equal lists: the same rank, pivots and vectors, in the same order
+    rng = random.Random(408)
+    untouched = 0
+    for _ in range(300):
+        ncols = rng.randint(1, 14)
+        rows = random_sparse_rows(rng, ncols)
+        assert kernel_basis(rows, ncols) == reference_kernel_basis(rows, ncols)
+        untouched += ncols - len({c for row in rows for c in row})
+    assert untouched > 300
+
+
+@pytest.mark.parametrize(
+    "rows, ncols",
+    [
+        ([{}, {1: 2, 3: -1}, {}], 5),
+        ([{}], 3),
+        ([], 4),
+        ([{0: 1, 2: -1}, {1: 3, 2: Fraction(1, 2)}], 9),
+    ],
+    ids=["empty-rows", "only-empty-rows", "no-rows", "ncols-past-touched"],
+)
+def test_kernel_matches_the_per_column_oracle_on_edge_systems(rows, ncols):
+    assert kernel_basis(rows, ncols) == reference_kernel_basis(rows, ncols)
 
 
 def test_solve_square_round_trip():

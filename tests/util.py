@@ -8,7 +8,10 @@ integer kernels (the weighted sum, the recursive table, the Newton form
 assembled from ``Polynomial`` products, and Horner's rule), and the
 term-by-term loops over every shift i = 1..N and every near and far
 index behind the clipped and closed-form shift sums in ``probes``, kept
-as oracles for them.
+as oracles for them.  ``reference_kernel_basis`` and
+``reference_forced_zeros`` are the null-space steps that list every free
+column before building its vector and scan every grid column for forced
+zeros, kept as oracles for ``kernel_basis`` and ``nullspace``.
 """
 
 import math
@@ -26,6 +29,7 @@ from divdiff import (
     lagrange_equispaced,
     leading_coefficient,
 )
+from divdiff.linalg import integer_echelon
 
 
 def random_fraction(rng, max_num=9, max_den=9):
@@ -52,6 +56,23 @@ def random_grid_function(rng, max_denominator=8):
         if rng.random() < 0.7
     }
     return GridFunction(denominator=denominator, entries=entries)
+
+
+def random_sparse_rows(rng, ncols):
+    """Up to six rows over a random half of the columns 0..ncols-1.
+
+    The other columns stay untouched.  Rows may be empty, coefficients are
+    integers or fractions, and a zero coefficient still touches its column.
+    """
+    used = [c for c in range(ncols) if rng.random() < 0.5]
+    return [
+        {
+            c: rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.randint(1, 4))))
+            for c in used
+            if rng.random() < 0.6
+        }
+        for _ in range(rng.randint(0, 6))
+    ]
 
 
 def pole_free_rational(rng, extend_zero=False):
@@ -251,3 +272,56 @@ def reference_walkthrough_sums(f, n, h, N, x):
             (j, (-1) ** n * Fraction(nfact // j, N) * q.evaluate(x)) for j in range(1, n + 1)
         ),
     }
+
+
+def reference_kernel_basis(rows, ncols):
+    """(rank, pivot columns, basis) with one vector built per free column."""
+    touched = sorted({c for row in rows for c in row})
+    col_of = {c: i for i, c in enumerate(touched)}
+
+    int_rows = []
+    for row in rows:
+        if not row:
+            continue
+        scale = math.lcm(*(Fraction(v).denominator for v in row.values()))
+        dense = [0] * len(touched)
+        for c, v in row.items():
+            scaled = Fraction(v) * scale
+            dense[col_of[c]] = scaled.numerator
+        int_rows.append(dense)
+
+    echelon, pivot_local = integer_echelon(int_rows) if int_rows else ([], [])
+    rank = len(pivot_local)
+    pivot_cols = [touched[c] for c in pivot_local]
+    pivot_set = set(pivot_local)
+
+    free_cols = []
+    for c in range(ncols):
+        if c not in col_of or col_of[c] not in pivot_set:
+            free_cols.append(c)
+
+    basis = []
+    for f in free_cols:
+        vec_local = {}
+        if f in col_of:
+            vec_local[col_of[f]] = Fraction(1)
+            for row, pc in zip(reversed(echelon), reversed(pivot_local)):
+                s = Fraction(0)
+                for j in range(pc + 1, len(touched)):
+                    if row[j] and j in vec_local:
+                        s += row[j] * vec_local[j]
+                if s:
+                    vec_local[pc] = -s / row[pc]
+        vec = {touched[j]: v for j, v in vec_local.items() if v != 0}
+        if f not in col_of:
+            vec = {f: Fraction(1)}
+        basis.append(vec)
+    return rank, pivot_cols, basis
+
+
+def reference_forced_zeros(vectors, ncols):
+    """The columns 0..ncols-1 where every vector holds 0."""
+    covered = set()
+    for vec in vectors:
+        covered.update(k for k, v in vec.items() if v != 0)
+    return tuple(k for k in range(ncols) if k not in covered)
