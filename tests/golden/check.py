@@ -5,12 +5,17 @@ the README, once with ``--format json`` (``<command>.json``) and once with
 ``--format csv`` (``<command>.csv``), run from this directory so that
 ``pl:hat.csv`` names the fixture committed here.  ``PINS`` holds the
 SHA-256 of the stdout of larger runs, where the report itself is too
-big to keep.  Both were recorded with the plain ``Fraction`` kernels
+big to keep, and of report shapes no README command shows: an
+infeasible ``minlip`` (exit 2, a ``Pin`` carries its exit code), a
+``minlip`` witness in CSV, the zero polynomial's ``cascade``, a
+degree-reduced ``interp``, single-N ``probe``, ``walkthrough`` on the
+Runge function and ``telescope`` at n = 20.  Both were recorded with the plain ``Fraction`` kernels
 (direct sum, recursive table, ``Polynomial`` products, Fraction Horner),
 so they hold every later kernel to the same bytes.  The ``nullspace``
 pins, JSON and CSV at N = 9..12, were recorded while the null space
 still built one grid function per basis vector and scanned every grid
-column for forced zeros.
+column for forced zeros.  The report-shape pins were recorded while
+every CLI handler still built its results dict by hand.
 
 ``tests/test_golden.py`` runs these under pytest.  Without pytest, run
 
@@ -26,6 +31,7 @@ import io
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from divdiff.cli import main
 
@@ -73,82 +79,140 @@ def _cascade_argv(degree):
     return ["cascade", "--func", "poly:" + ",".join(coeffs)]
 
 
+def _walkthrough_argv(fmt):
+    return [
+        "walkthrough", "--func", RUNGE, "--extend-zero",
+        "--x", "1/10", "--h", "1/64", "--n", "3", "--N", "8", "--format", fmt,
+    ]
+
+
+class Pin(NamedTuple):
+    """A pinned run: its argv, the SHA-256 of its stdout, its exit code."""
+
+    argv: list
+    digest: str
+    code: int = 0
+
+
 PINS = {
-    "uniform-64": (
+    "uniform-64": Pin(
         ["uniform", "--func", RUNGE, "--n", "64"],
         "b923f00b0a1cdf12ea9027da2050be508274f99c466e81ea4e4229d2857d6ba6",
     ),
-    "uniform-256": (
+    "uniform-256": Pin(
         ["uniform", "--func", RUNGE, "--n", "256"],
         "85f89389068ae60e9dc00ce0d7bc68d557d27b4ce50ee7753c7029c829fcf123",
     ),
-    "identity-64": (
+    "identity-64": Pin(
         ["identity", "--func", RUNGE, "--n", "64"],
         "3b4b25ce65829a260a9cec2537a5ae8fcc0e9098ff7519dcbc7a7062b81a637e",
     ),
-    "identity-256": (
+    "identity-256": Pin(
         ["identity", "--func", RUNGE, "--n", "256"],
         "af49d95c891abb23edffc9ed8d98bb784a87bdd24216fde41d556cdab78550b9",
     ),
-    "interp-64": (
+    "interp-64": Pin(
         ["interp", "--func", RUNGE, "--n", "64"],
         "0e18d29b78a0f94205b6287c4b655024608b139503c47cd6ac0072b087f3f130",
     ),
-    "interp-256": (
+    "interp-256": Pin(
         ["interp", "--func", RUNGE, "--n", "256"],
         "71074496ccec849d44976b8c6b0dd039d9f6e322005b7cec10dd891cef89781b",
     ),
-    "eval-64": (
+    "eval-64": Pin(
         _eval_argv(64),
         "5838744728f2dbd4c38399dc1b7cf3738df8120885257c6a34bfe2ca9b02f7c5",
     ),
-    "eval-256": (
+    "eval-256": Pin(
         _eval_argv(256),
         "27fea9ca78410c7e9f6d057e22431bd7befcb8013d61f9edbbb06d19162fb47b",
     ),
-    "fd-64": (
+    "fd-64": Pin(
         ["fd", "--func", RUNGE, "--x", "0", "--h", "1/64", "--n", "64"],
         "5bd6a1fbec58e98b04612365ebe7fd9809670b7e390877bba4285dca82a0108a",
     ),
-    "fd-256": (
+    "fd-256": Pin(
         ["fd", "--func", RUNGE, "--x", "0", "--h", "1/256", "--n", "256"],
         "ab5a413cfd67cedd9a8e3db30e436d0d9684bd8aeca91327dcf5e433c93f4a71",
     ),
-    "cascade-24": (
+    "cascade-24": Pin(
         _cascade_argv(24),
         "a661adf9d843f194227c0584b0517fbfd8c788e961dd21c1dc5412bf259ccf26",
     ),
-    "nullspace-9": (
+    "nullspace-9": Pin(
         ["nullspace", "--N", "9"],
         "e7be061ae33620f7f49a41cd401b38e79015569a182fd305a15db4a41b3d7e90",
     ),
-    "nullspace-9-csv": (
+    "nullspace-9-csv": Pin(
         ["nullspace", "--N", "9", "--format", "csv"],
         "3db0b0631f3f538818dc4f59f6337ecd68a67b111c2981017e815b66136fa7d6",
     ),
-    "nullspace-10": (
+    "nullspace-10": Pin(
         ["nullspace", "--N", "10"],
         "76f10e1f71dafd0d4d56a51dbdfa8cbef2bc7990d7d76a5087f7e174df869605",
     ),
-    "nullspace-10-csv": (
+    "nullspace-10-csv": Pin(
         ["nullspace", "--N", "10", "--format", "csv"],
         "70739a25799b2c0c5fd42bf22454b363b1ac11363fd2d3f0e8ee0dc6a688c9fd",
     ),
-    "nullspace-11": (
+    "nullspace-11": Pin(
         ["nullspace", "--N", "11"],
         "98bb0a572b7aeb3888fb1fd752cc8090a71bcc26e7285d1e4f9b38508f7f5908",
     ),
-    "nullspace-11-csv": (
+    "nullspace-11-csv": Pin(
         ["nullspace", "--N", "11", "--format", "csv"],
         "500d403ef9cfab9c9ba3648a04ffe85d040962fc4d1b1c7062721cf88efb9d03",
     ),
-    "nullspace-12": (
+    "nullspace-12": Pin(
         ["nullspace", "--N", "12"],
         "4520951f329771ea2042803a237f90904ca4f6a5200dd8ab578fa243e23d6171",
     ),
-    "nullspace-12-csv": (
+    "nullspace-12-csv": Pin(
         ["nullspace", "--N", "12", "--format", "csv"],
         "619bf7238ad6447114247ffab261e91ab8932d45aef6057fb3dd68c8de6231dd",
+    ),
+    "minlip-2-infeasible": Pin(
+        ["minlip", "--N", "2"],
+        "9495fa2067e2106accfc0930ca23f53e6ed033079db0a90990832936d2b1a1ec",
+        code=2,
+    ),
+    "minlip-4-csv": Pin(
+        ["minlip", "--N", "4", "--format", "csv"],
+        "c3026dab25fcc404f968266e6fc66e4212bd483c0dfa9fb57418f2b6214ff8c0",
+    ),
+    "cascade-zero": Pin(
+        ["cascade", "--func", "poly:0"],
+        "d987e3da68a53e95ad17706095cb73ba09e0fdb9d262b1053bdc712bd09848e5",
+    ),
+    "cascade-zero-csv": Pin(
+        ["cascade", "--func", "poly:0", "--format", "csv"],
+        "4e3ad761b416c0b0e6d09ef59ce5e6f20bb1f5666d8f26abaf4dcd382af29c16",
+    ),
+    "interp-reduced": Pin(
+        ["interp", "--func", "poly:0,1/2,-3/2,1", "--n", "2"],
+        "8985040230036eb2011d0fbc90bc624abd868fd36d2bc210a1d02f201fac4d63",
+    ),
+    "probe-runge": Pin(
+        [
+            "probe", "--func", RUNGE, "--extend-zero",
+            "--x", "1/3", "--h", "1/16", "--n", "3", "--N", "5",
+        ],
+        "067592fab1bf9db267ccc5014a519bba2863b5304ce3de693b1f337689dd8178",
+    ),
+    "walkthrough-runge": Pin(
+        _walkthrough_argv("json"),
+        "bcf5e22fd48de1f24628fbb4adccbb995e186aa0c18f945adc457fd8084894a2",
+    ),
+    "walkthrough-runge-csv": Pin(
+        _walkthrough_argv("csv"),
+        "5c03d12e00f433c024e66865fb14873377ebf19982374962a7d02ae6075a72fc",
+    ),
+    "telescope-20": Pin(
+        [
+            "telescope", "--func", "poly:1,-2,0,3",
+            "--x", "1/10", "--h", "1/50", "--n", "20", "--j", "3", "--N", "1000",
+        ],
+        "e2ec6d729229382dce83137a78d20d377a92596a8a6ca1aaed2900a81681d124",
     ),
 }
 
@@ -186,9 +250,9 @@ def _check_all():
             ok = code == 0 and out == golden_text(name, fmt)
             failures += not ok
             print(f"{'ok  ' if ok else 'FAIL'} {name}.{fmt}")
-    for name, (argv, digest) in PINS.items():
-        code, out = run(argv)
-        ok = code == 0 and sha256(out) == digest
+    for name, pin in PINS.items():
+        code, out = run(pin.argv)
+        ok = code == pin.code and sha256(out) == pin.digest
         failures += not ok
         print(f"{'ok  ' if ok else 'FAIL'} pin {name}")
     print(f"python {sys.version.split()[0]}: {failures} failed")

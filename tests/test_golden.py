@@ -16,7 +16,7 @@ def test_readme_command_matches_golden(name, fmt):
 
 @pytest.mark.parametrize("name", list(PINS))
 def test_pinned_report_digest(name):
-    argv, digest = PINS[name]
-    code, out = run(argv)
-    assert code == 0
-    assert sha256(out) == digest
+    pin = PINS[name]
+    code, out = run(pin.argv)
+    assert code == pin.code
+    assert sha256(out) == pin.digest
