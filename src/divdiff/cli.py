@@ -1,13 +1,18 @@
 """Command-line front end.
 
 One subcommand per library operation; every run emits a single Report
-(JSON by default, CSV with --format csv) on stdout or to --out.
+(JSON by default, CSV with --format csv) on stdout or to --out.  A
+handler validates its arguments, calls the library and hands the result
+to divdiff.report as it is: a result dataclass directly, or a dict only
+where no dataclass carries the report.  How a value is written is
+decided in divdiff.report alone.
 Diagnostics go to stderr only.  Exit codes: 0 success, 1 usage or parse
 errors, 2 domain errors (duplicate knots, a rational-function pole, an
 infeasible optimization) and failed internal checks.
 """
 
 import argparse
+import dataclasses
 import functools
 import re
 import sys
@@ -159,6 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _inputs(args: argparse.Namespace, *names: str) -> dict[str, Any]:
+    """The named command-line values, for a report's inputs block."""
+    return {name: getattr(args, name) for name in names}
+
+
 def _cmd_eval(args: argparse.Namespace) -> Outcome:
     knots = _rational_list(args.knots, "--knots")
     values = _rational_list(args.values, "--values")
@@ -169,76 +179,51 @@ def _cmd_eval(args: argparse.Namespace) -> Outcome:
     kv = KnotValueList(tuple(zip(knots, values)))
     direct = divided_difference_direct(kv)
     recursive = divided_difference_recursive(kv)
-    report = Report(
-        command="eval",
-        inputs={"knots": list(knots), "values": list(values)},
-        results={
-            "order": kv.order,
-            "direct": direct,
-            "recursive": recursive,
-            "equal": direct == recursive,
-        },
-    )
-    return report, 0, None
+    results = {
+        "order": kv.order,
+        "direct": direct,
+        "recursive": recursive,
+        "equal": direct == recursive,
+    }
+    return Report("eval", {"knots": knots, "values": values}, results), 0, None
 
 
 def _cmd_uniform(args: argparse.Namespace) -> Outcome:
     f = parse_funcspec(args.func, args.extend_zero)
     if args.n < 0:
         raise ParseError("--n must be nonnegative")
-    kv = KnotValueList.equispaced(f, args.n)
-    value = divided_difference_direct(kv)
-    report = Report(
-        command="uniform",
-        inputs={"func": args.func, "n": args.n},
-        results={"n": args.n, "divided_difference": value},
-    )
-    return report, 0, None
+    value = divided_difference_direct(KnotValueList.equispaced(f, args.n))
+    results = {"n": args.n, "divided_difference": value}
+    return Report("uniform", _inputs(args, "func", "n"), results), 0, None
 
 
 def _cmd_fd(args: argparse.Namespace) -> Outcome:
     f = parse_funcspec(args.func, args.extend_zero)
-    request = FiniteDifferenceRequest(f=f, x=args.x, h=args.h, n=args.n)
-    value = finite_difference(request)
-    report = Report(
-        command="fd",
-        inputs={"func": args.func, "x": args.x, "h": args.h, "n": args.n},
-        results={"n": args.n, "x": args.x, "h": args.h, "value": value},
-    )
-    return report, 0, None
+    value = finite_difference(FiniteDifferenceRequest(f=f, x=args.x, h=args.h, n=args.n))
+    results = {"n": args.n, "x": args.x, "h": args.h, "value": value}
+    return Report("fd", _inputs(args, "func", "x", "h", "n"), results), 0, None
 
 
 def _cmd_identity(args: argparse.Namespace) -> Outcome:
     f = parse_funcspec(args.func, args.extend_zero)
     check = check_equispaced_identity(f, args.n)
-    report = Report(
-        command="identity",
-        inputs={"func": args.func, "n": args.n},
-        results={"n": check.n, "lhs": check.lhs, "rhs": check.rhs, "equal": check.equal},
-    )
-    return report, 0, None
+    return Report("identity", _inputs(args, "func", "n"), check), 0, None
 
 
 def _cmd_interp(args: argparse.Namespace) -> Outcome:
     f = parse_funcspec(args.func, args.extend_zero)
     if args.n < 0:
         raise ParseError("--n must be nonnegative")
-    sample = EquispacedSample.from_function(f, args.n)
-    q = lagrange_equispaced(sample)
+    q = lagrange_equispaced(EquispacedSample.from_function(f, args.n))
     lead = leading_coefficient(q, args.n)
-    degree: Any = "-inf" if q.is_zero else q.degree
-    report = Report(
-        command="interp",
-        inputs={"func": args.func, "n": args.n},
-        results={
-            "n": args.n,
-            "coefficients": tuple(q.coefficients),
-            "degree": degree,
-            "leading": lead,
-            "degree_reduced": lead == 0,
-        },
-    )
-    return report, 0, None
+    results = {
+        "n": args.n,
+        "coefficients": q,
+        "degree": "-inf" if q.is_zero else q.degree,
+        "leading": lead,
+        "degree_reduced": lead == 0,
+    }
+    return Report("interp", _inputs(args, "func", "n"), results), 0, None
 
 
 def _cmd_cascade(args: argparse.Namespace) -> Outcome:
@@ -247,19 +232,12 @@ def _cmd_cascade(args: argparse.Namespace) -> Outcome:
         raise ParseError("cascade works on polynomials; pass --func poly:a0,a1,...")
     result = polynomial_cascade(f.poly)
     verdict = result.verdict
-    report = Report(
-        command="cascade",
-        inputs={"func": args.func},
-        results={
-            "verdict": type(verdict).__name__,
-            "order": verdict.order if isinstance(verdict, NonzeroAtOrder) else None,
-            "rows": [
-                {"order": check.order, "step": check.step, "value": check.value}
-                for check in result.checks
-            ],
-        },
-    )
-    return report, 0, None
+    results = {
+        "verdict": type(verdict).__name__,
+        "order": verdict.order if isinstance(verdict, NonzeroAtOrder) else None,
+        "rows": result.checks,
+    }
+    return Report("cascade", _inputs(args, "func"), results), 0, None
 
 
 def _capped_N(args: argparse.Namespace) -> int:
@@ -272,42 +250,22 @@ def _capped_N(args: argparse.Namespace) -> int:
 
 
 def _cmd_nullspace(args: argparse.Namespace) -> Outcome:
-    N = _capped_N(args)
-    result = nullspace(build_constraint_system(N))
-    basis = [{str(k): v for k, v in sorted(vec.items())} for vec in result.vectors]
-    report = Report(
-        command="nullspace",
-        inputs={"N": N},
-        results={
-            "N": result.N,
-            "L": result.L,
-            "rank": result.rank,
-            "dimension": result.dimension,
-            "forced_zero_points": list(result.forced_zero_points),
-            "basis": basis,
-        },
-    )
-    return report, 0, None
+    result = nullspace(build_constraint_system(_capped_N(args)))
+    results = {
+        "N": result.N,
+        "L": result.L,
+        "rank": result.rank,
+        "dimension": result.dimension,
+        "forced_zero_points": result.forced_zero_points,
+        "basis": result.vectors,
+    }
+    return Report("nullspace", _inputs(args, "N"), results), 0, None
 
 
 def _cmd_minlip(args: argparse.Namespace) -> Outcome:
     N = _capped_N(args)
     result = min_lipschitz_unit_norm(N)
-    witness = None
-    if result.witness is not None:
-        witness = {str(k): v for k, v in sorted(result.witness.entries.items())}
-    report = Report(
-        command="minlip",
-        inputs={"N": N},
-        results={
-            "N": result.N,
-            "L": result.L,
-            "status": result.status,
-            "value": result.value,
-            "pin_index": result.pin_index,
-            "witness": witness,
-        },
-    )
+    report = Report("minlip", _inputs(args, "N"), result)
     if result.status == "infeasible":
         return report, 2, f"minlip: no solution with sup norm 1 exists for N={N}"
     return report, 0, None
@@ -344,41 +302,15 @@ def _cmd_probe(args: argparse.Namespace) -> Outcome:
                 "bound": probe.bound,
             }
         )
-    report = Report(
-        command="probe",
-        inputs={"func": args.func, "x": args.x, "h": args.h, "n": args.n},
-        results={"n": args.n, "h": args.h, "x": args.x, "cutoff": cutoff, "rows": rows},
-    )
-    return report, 0, None
+    results = {"n": args.n, "h": args.h, "x": args.x, "cutoff": cutoff, "rows": rows}
+    return Report("probe", _inputs(args, "func", "x", "h", "n"), results), 0, None
 
 
 def _cmd_telescope(args: argparse.Namespace) -> Outcome:
     f = parse_funcspec(args.func, args.extend_zero)
     check = telescope_shift_identity(f, args.x, args.n, args.j, args.h, args.N)
-    report = Report(
-        command="telescope",
-        inputs={
-            "func": args.func,
-            "x": args.x,
-            "h": args.h,
-            "n": args.n,
-            "j": args.j,
-            "N": args.N,
-        },
-        results={
-            "n": check.n,
-            "j": check.j,
-            "jprime": check.jprime,
-            "N": check.N,
-            "x": check.x,
-            "h": check.h,
-            "y": check.y,
-            "lhs": check.lhs,
-            "rhs": check.rhs,
-            "equal": check.equal,
-        },
-    )
-    return report, 0, None
+    inputs = _inputs(args, "func", "x", "h", "n", "j", "N")
+    return Report("telescope", inputs, check), 0, None
 
 
 def _cmd_walkthrough(args: argparse.Namespace) -> Outcome:
@@ -390,50 +322,11 @@ def _cmd_walkthrough(args: argparse.Namespace) -> Outcome:
     if not 0 <= args.x < 1:
         raise ParseError("--x must lie in [0, 1)")
     w = proof_walkthrough(f, args.n, args.h, args.N, args.x)
-    report = Report(
-        command="walkthrough",
-        inputs={"func": args.func, "x": args.x, "h": args.h, "n": args.n, "N": args.N},
-        results={
-            "n": w.n,
-            "h": w.h,
-            "N": w.N,
-            "x": w.x,
-            "y": w.y,
-            "interpolant": tuple(w.interpolant.coefficients),
-            "leading": w.leading,
-            "degree_reduced": w.degree_reduced,
-            "f_at_x": w.f_at_x,
-            "q_at_x": w.q_at_x,
-            "defect_at_x": w.defect_at_x,
-            "defect_at_y": w.defect_at_y,
-            "avg_defect_x": w.avg_defect_x,
-            "avg_defect_y": w.avg_defect_y,
-            "avg_interp_x": w.avg_interp_x,
-            "avg_interp_y": w.avg_interp_y,
-            "boundary": [
-                {
-                    "j": term.j,
-                    "jprime": term.jprime,
-                    "near_sum": term.near_sum,
-                    "far_sum": term.far_sum,
-                    "weighted": term.weighted,
-                    "envelope": term.envelope,
-                }
-                for term in w.boundary
-            ],
-            "boundary_total": w.boundary_total,
-            "identity_lhs": w.identity_lhs,
-            "identity_rhs": w.identity_rhs,
-            "identity_equal": w.identity_equal,
-            "residual": w.residual,
-            "residual_envelope": w.residual_envelope,
-            "interp_limit_terms": [
-                {"j": j, "term": term} for j, term in w.interp_limit_terms
-            ],
-            "note": w.note,
-        },
-    )
-    return report, 0, None
+    # The (j, term) pairs are written as records, not as bare pairs.
+    terms = tuple({"j": j, "term": term} for j, term in w.interp_limit_terms)
+    results = dataclasses.replace(w, interp_limit_terms=terms)
+    inputs = _inputs(args, "func", "x", "h", "n", "N")
+    return Report("walkthrough", inputs, results), 0, None
 
 
 _HANDLERS = {

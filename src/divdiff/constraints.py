@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .differences import difference_stencil
 from .funcs import GridFunction
 from .linalg import kernel_basis
-from .poly import binomial
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,7 @@ def build_constraint_system(N: int) -> ConstraintSystem:
     rows: list[dict[int, int]] = [{0: 1}]
     for n in range(1, N + 1):
         stride = L // n
-        row = {
-            j * stride: (-1) ** (n - j) * binomial(n, j) for j in range(n + 1)
-        }
-        rows.append(row)
+        rows.append({j * stride: w for j, w in enumerate(difference_stencil(n))})
     return ConstraintSystem(N=N, L=L, rows=tuple(rows))
 
 

@@ -72,11 +72,15 @@ class KnotValueList:
     @classmethod
     def equispaced(cls, f: FuncSpec, n: int) -> "KnotValueList":
         """Knots k/n for k = 0..n; n = 0 degenerates to the single knot 0."""
-        if n < 0:
-            raise ValueError("order must be nonnegative")
-        if n == 0:
-            return cls.from_function(f, (Fraction(0),))
-        return cls.from_function(f, (Fraction(k, n) for k in range(n + 1)))
+        return cls.from_function(f, _equispaced_knots(n))
+
+
+def _equispaced_knots(n: int) -> tuple[Fraction, ...]:
+    if n < 0:
+        raise ValueError("order must be nonnegative")
+    if n == 0:
+        return (Fraction(0),)
+    return tuple(Fraction(k, n) for k in range(n + 1))
 
 
 def divided_difference_direct(kv: KnotValueList) -> Fraction:
@@ -159,12 +163,16 @@ class FiniteDifferenceRequest:
             raise ValueError("order must be nonnegative")
 
 
+def difference_stencil(n: int) -> tuple[int, ...]:
+    """The weights (-1)^(n-j) C(n, j), j = 0..n, of the order-n forward
+    difference: D_h^n f(x) = sum_j w_j f(x + j h)."""
+    return tuple((-1) ** (n - j) * binomial(n, j) for j in range(n + 1))
+
+
 def finite_difference(req: FiniteDifferenceRequest) -> Fraction:
-    n = req.n
     total = Fraction(0)
-    for j in range(n + 1):
-        sign = -1 if (n - j) % 2 else 1
-        total += sign * binomial(n, j) * req.f.evaluate(req.x + j * req.h)
+    for j, w in enumerate(difference_stencil(req.n)):
+        total += w * req.f.evaluate(req.x + j * req.h)
     return total
 
 

@@ -41,8 +41,8 @@ class MinLipschitzResult:
     L: int
     status: str  # "optimal" or "infeasible"
     value: Optional[Fraction]
-    witness: Optional[GridFunction]
     pin_index: Optional[int]
+    witness: Optional[GridFunction]
 
 
 def _solve_pinned(
@@ -109,7 +109,7 @@ def min_lipschitz_unit_norm(N: int) -> MinLipschitzResult:
     report = nullspace(system)
     if report.dimension == 0:
         return MinLipschitzResult(
-            N=N, L=system.L, status="infeasible", value=None, witness=None, pin_index=None
+            N=N, L=system.L, status="infeasible", value=None, pin_index=None, witness=None
         )
 
     touched = set(system.touched)
@@ -130,7 +130,7 @@ def min_lipschitz_unit_norm(N: int) -> MinLipschitzResult:
             best_value, best_x, best_cols, best_pin = value, x, cols, pin
     if best_value is None:
         return MinLipschitzResult(
-            N=N, L=system.L, status="infeasible", value=None, witness=None, pin_index=None
+            N=N, L=system.L, status="infeasible", value=None, pin_index=None, witness=None
         )
     witness = _fill_witness(system.L, best_cols, best_x[: len(best_cols)])
     return MinLipschitzResult(
@@ -138,6 +138,6 @@ def min_lipschitz_unit_norm(N: int) -> MinLipschitzResult:
         L=system.L,
         status="optimal",
         value=best_value,
-        witness=witness,
         pin_index=best_pin,
+        witness=witness,
     )

@@ -183,7 +183,7 @@ def load_grid_function(path: str) -> GridFunction:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read grid file {path!r}: {exc}") from exc
     lines = [ln for ln in lines if ln]
     if not lines or not lines[0].startswith("L="):

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .differences import KnotValueList, newton_coefficients
+from .differences import KnotValueList, _equispaced_knots, newton_coefficients
 from .funcs import FuncSpec
 from .poly import Polynomial
 
@@ -37,15 +37,11 @@ class EquispacedSample:
 
     @property
     def knots(self) -> tuple[Fraction, ...]:
-        if self.n == 0:
-            return (Fraction(0),)
-        return tuple(Fraction(k, self.n) for k in range(self.n + 1))
+        return _equispaced_knots(self.n)
 
     @classmethod
     def from_function(cls, f: FuncSpec, n: int) -> "EquispacedSample":
-        if n == 0:
-            return cls(0, (f.evaluate(Fraction(0)),))
-        return cls(n, tuple(f.evaluate(Fraction(k, n)) for k in range(n + 1)))
+        return cls(n, KnotValueList.equispaced(f, n).values)
 
 
 def lagrange_equispaced(sample: EquispacedSample) -> Polynomial:

@@ -45,17 +45,13 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable
 
+from .differences import difference_stencil
 from .funcs import FuncSpec, PiecewiseLinearFunc, PolynomialFunc
 from .interpolation import EquispacedSample, lagrange_equispaced, leading_coefficient
-from .poly import Polynomial, binomial
+from .poly import Polynomial
 from .rational import Rational
 
 Point = Fraction
-
-
-def _weights(n: int) -> list[tuple[int, int]]:
-    """(j, (-1)**(n-j) * C(n,j)) for j = 0..n, the difference stencil."""
-    return [(j, (-1) ** (n - j) * binomial(n, j)) for j in range(n + 1)]
 
 
 class _Memo:
@@ -121,7 +117,7 @@ def _shift_average(
     """(1/N) * sum_{i=1..N} D_{ih}^n f(x), given shift_sum(x, s, lo, hi)
     = sum_{i=lo}^{hi} f(x + i*s)."""
     total = Fraction(0)
-    for j, w in _weights(n):
+    for j, w in enumerate(difference_stencil(n)):
         total += w * shift_sum(x, j * h, 1, N)
     return total / N
 
@@ -175,10 +171,9 @@ def averaging_probe(
     average = _shift_average(partial(_clipped_sum, ev), x, h, n, N)
     residual = average - (-1) ** n * ev(x)
 
+    stencil = difference_stencil(n)
     boundary = Fraction(0)
-    for j, w in _weights(n):
-        if j == 0:
-            continue
+    for j, w in enumerate(stencil[1:], 1):
         step = j * h
         last = min(N, math.floor((1 - x) / step))
         boundary += w * sum((ev(x + i * step) for i in range(1, last + 1)), Fraction(0))
@@ -193,9 +188,9 @@ def averaging_probe(
             (abs(v) for p, v in ev.values.items() if 0 <= p <= 1), default=Fraction(0)
         )
     bound = Fraction(0)
-    for j in range(1, n + 1):
+    for j, w in enumerate(stencil[1:], 1):
         survivors = max(0, math.floor((1 - x) / (j * h)))
-        bound += binomial(n, j) * survivors * m_bound
+        bound += abs(w) * survivors * m_bound
     bound /= N
 
     cutoff = math.floor((1 - x) / h)
@@ -390,9 +385,10 @@ def proof_walkthrough(
         blocks.append((j, jprime, near, far, inside))
     max_defect = max((abs(v) for v in touched_defects), default=Fraction(0))
 
+    stencil = difference_stencil(n)
     boundary = []
     for j, jprime, near, far, inside in blocks:
-        weight = (-1) ** (n - j) * binomial(n, j)
+        weight = stencil[j]
         boundary.append(
             BoundaryTerm(
                 j=j,
@@ -400,7 +396,7 @@ def proof_walkthrough(
                 near_sum=near,
                 far_sum=far,
                 weighted=Fraction(weight, N) * (near - far),
-                envelope=Fraction(binomial(n, j) * len(inside), N) * max_defect,
+                envelope=Fraction(abs(weight) * len(inside), N) * max_defect,
             )
         )
     boundary_total = sum((term.weighted for term in boundary), Fraction(0))

@@ -1,5 +1,16 @@
 """Machine-readable reports: JSON and CSV with exact rational fields.
 
+This module alone decides how a result becomes report text.  The CLI
+hands it library results as they are, and it writes them by type:
+
+- a dataclass record is written as its fields, in declaration order;
+- a Polynomial is written as its coefficient list, ascending;
+- a GridFunction is written as its nonzero entries, by grid index;
+- a mapping with integer keys (a sparse vector) is written in
+  increasing key order, each key as a string; other mappings keep
+  their own order;
+- lists and tuples are written as lists.
+
 Every rational quantity is serialized as a canonical "p/q" string so
 reports are bit-reproducible and re-parseable without loss.  Fields
 with a name-like key additionally get a "<key>_decimal" sibling holding
@@ -16,11 +27,13 @@ table after a separating blank line.
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Any
 
 from . import __version__
+from .funcs import GridFunction
+from .poly import Polynomial
 from .rational import decimal_string, format_rational, integer_text
 
 
@@ -28,7 +41,7 @@ from .rational import decimal_string, format_rational, integer_text
 class Report:
     command: str
     inputs: dict[str, Any]
-    results: dict[str, Any]
+    results: Any  # a dict, or a result dataclass written as its fields
 
 
 def _name_like(key: str) -> bool:
@@ -57,14 +70,24 @@ def _convert(value: Any, path: str, exact: list[str], approx: list[str]) -> Any:
             _convert(v, f"{path}[{i}]", exact, approx) for i, v in enumerate(value)
         ]
     if isinstance(value, dict):
+        items: Any = value.items()
+        if all(isinstance(k, int) for k in value):
+            items = sorted(items)
         out: dict[str, Any] = {}
-        for k, v in value.items():
+        for k, v in items:
             key = str(k)
             out[key] = _convert(v, f"{path}.{key}", exact, approx)
             if isinstance(v, Fraction) and _name_like(key):
                 out[f"{key}_decimal"] = decimal_string(v)
                 approx.append(f"{path}.{key}_decimal")
         return out
+    if isinstance(value, Polynomial):
+        return _convert(value.coefficients, path, exact, approx)
+    if isinstance(value, GridFunction):
+        return _convert(value.entries, path, exact, approx)
+    if is_dataclass(value) and not isinstance(value, type):
+        record = {f.name: getattr(value, f.name) for f in fields(value)}
+        return _convert(record, path, exact, approx)
     raise TypeError(f"cannot serialize {type(value).__name__} at {path}")
 
 

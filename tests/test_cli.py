@@ -297,6 +297,16 @@ def test_domain_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+def test_grid_file_not_utf8_is_one_line_exit_one(capsys, tmp_path):
+    grid = tmp_path / "bad.csv"
+    grid.write_bytes(b"L=2\n1,\xff\n")
+    code, out, err = run(capsys, "uniform", "--func", f"pl:{grid}", "--n", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"divdiff: error: cannot read grid file {str(grid)!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_usage_errors_exit_one(capsys):
     for argv in (
         [],

@@ -190,3 +190,10 @@ def test_load_grid_file_rejects(tmp_path, content):
 def test_load_grid_file_missing():
     with pytest.raises(ParseError):
         load_grid_function("/no/such/file.csv")
+
+
+def test_load_grid_file_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"L=2\n1,\xff\n")
+    with pytest.raises(ParseError, match=r"cannot read grid file .*bad\.csv.*utf-8"):
+        load_grid_function(str(path))

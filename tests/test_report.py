@@ -1,12 +1,14 @@
 """Report documents: exact serialization, decimal twins, provenance, CSV."""
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
 import divdiff
-from divdiff import parse_rational
+from divdiff import GridFunction, Polynomial, parse_rational
 from divdiff.report import Report, build_document, render_csv, render_json
 
 
@@ -113,3 +115,66 @@ def test_float_values_are_rejected():
     report = Report(command="c", inputs={}, results={"v": 0.5})
     with pytest.raises(TypeError):
         build_document(report)
+
+
+@dataclass(frozen=True)
+class Record:
+    zeta: Fraction
+    alpha: int
+    middle: Optional[Fraction]
+
+
+def test_a_dataclass_is_written_as_its_fields_in_declaration_order():
+    report = Report("c", {}, Record(zeta=Fraction(1, 3), alpha=2, middle=None))
+    doc = build_document(report)
+    assert list(doc["results"]) == ["zeta", "zeta_decimal", "alpha", "middle"]
+    assert doc["results"]["zeta"] == "1/3"
+    assert doc["results"]["zeta_decimal"] == "0.333333333333333"
+    assert doc["results"]["middle"] is None
+    prov = doc["provenance"]
+    assert prov["exact_fields"] == ["results.zeta", "results.alpha"]
+    assert prov["approx_fields"] == ["results.zeta_decimal"]
+
+
+def test_a_tuple_of_dataclasses_is_a_list_of_records():
+    rows = (Record(Fraction(1, 2), 1, None), Record(Fraction(-1), 2, Fraction(3)))
+    doc = build_document(Report("c", {}, {"rows": rows}))
+    assert doc["results"]["rows"] == [
+        {"zeta": "1/2", "zeta_decimal": "0.5", "alpha": 1, "middle": None},
+        {
+            "zeta": "-1", "zeta_decimal": "-1", "alpha": 2,
+            "middle": "3", "middle_decimal": "3",
+        },
+    ]
+    assert "results.rows[1].middle" in doc["provenance"]["exact_fields"]
+    text = render_csv(Report("c", {}, {"rows": rows}))
+    assert text.endswith("\nzeta,zeta_decimal,alpha,middle\n1/2,0.5,1,\n-1,-1,2,3\n")
+
+
+def test_a_polynomial_is_its_coefficient_list():
+    p = Polynomial((Fraction(1, 2), 0, Fraction(-3)))
+    doc = build_document(Report("c", {}, {"p": p, "zero": Polynomial.zero()}))
+    assert doc["results"]["p"] == ["1/2", "0", "-3"]
+    assert doc["results"]["zero"] == []
+    assert "results.p[2]" in doc["provenance"]["exact_fields"]
+
+
+def test_a_grid_function_is_its_nonzero_entries_by_index():
+    g = GridFunction(4, {3: Fraction(-1, 2), 1: Fraction(1, 3), 2: 0})
+    doc = build_document(Report("c", {}, {"g": g}))
+    assert doc["results"]["g"] == {"1": "1/3", "3": "-1/2"}
+    assert list(doc["results"]["g"]) == ["1", "3"]
+    assert "results.g.3" in doc["provenance"]["exact_fields"]
+    assert doc["provenance"]["approx_fields"] == []
+
+
+def test_an_int_keyed_mapping_is_written_in_key_order():
+    vec = {10: Fraction(1), 2: Fraction(-1, 2), 7: Fraction(3)}
+    doc = build_document(Report("c", {}, {"v": vec}))
+    assert list(doc["results"]["v"].items()) == [("2", "-1/2"), ("7", "3"), ("10", "1")]
+
+
+def test_a_str_keyed_mapping_keeps_its_order():
+    results = {"zeta": 1, "alpha": 2, "10": 3, "2": 4}
+    doc = build_document(Report("c", {}, results))
+    assert list(doc["results"]) == ["zeta", "alpha", "10", "2"]
