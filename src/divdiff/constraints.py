@@ -88,6 +88,30 @@ class NullspaceReport:
         return tuple(GridFunction(denominator=self.L, entries=vec) for vec in self.vectors)
 
 
+def _check_free_vector(
+    system: ConstraintSystem, pivots: set[int], free: int, vector: dict[int, Fraction]
+) -> None:
+    """Certify the null vector of a touched free column, exactly.
+
+    It must hold 1 in its own free column and 0 in every other free
+    column, which makes the basis independent, and every constraint row
+    must vanish on it.  A row reads only the touched columns.  A vector
+    that fails raises ArithmeticError.
+    """
+    if vector.get(free) != 1 or any(
+        v and c != free and c not in pivots for c, v in vector.items()
+    ):
+        raise ArithmeticError(
+            f"null vector of column {free} is not 1 there and 0 in the other free columns"
+        )
+    # The vector times the lcm of its denominators, in integers.
+    scale = math.lcm(*(v.denominator for v in vector.values()))
+    scaled = {c: v.numerator * (scale // v.denominator) for c, v in vector.items()}
+    for n, row in enumerate(system.rows):
+        if sum(coeff * scaled[c] for c, coeff in row.items() if c in scaled):
+            raise ArithmeticError(f"null vector of column {free} fails constraint row {n}")
+
+
 def nullspace(system: ConstraintSystem) -> NullspaceReport:
     """Compute a basis of the solution set and the columns it never touches.
 
@@ -97,6 +121,8 @@ def nullspace(system: ConstraintSystem) -> NullspaceReport:
     columns can be forced, and only the vectors of touched free columns
     can cover them.  The vectors come in free-column order, so the vector
     of free column c sits at c minus the number of pivot columns below c.
+    Each vector of a touched free column is certified on the way; the
+    singleton vectors of untouched columns hold by construction.
     """
     rank, pivot_cols, vectors = kernel_basis(system.rows, system.ncols)
     pivots = set(pivot_cols)
@@ -106,7 +132,9 @@ def nullspace(system: ConstraintSystem) -> NullspaceReport:
         if c in pivots:
             pivots_below += 1
         else:
-            covered.update(vectors[c - pivots_below])
+            vector = vectors[c - pivots_below]
+            _check_free_vector(system, pivots, c, vector)
+            covered.update(vector)
     forced = tuple(c for c in system.touched if c not in covered)
     return NullspaceReport(
         N=system.N,

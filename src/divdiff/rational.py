@@ -48,6 +48,10 @@ def integer_text(value: int) -> str:
 
 def format_rational(value: Fraction) -> str:
     """Canonical text form: bare integer when the denominator is 1."""
+    try:
+        return str(value)  # Fraction's own text has this form
+    except ValueError:
+        pass  # past the digit limit of an int-to-str conversion
     if value.denominator == 1:
         return integer_text(value.numerator)
     return f"{integer_text(value.numerator)}/{integer_text(value.denominator)}"

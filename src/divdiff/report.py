@@ -18,18 +18,24 @@ a 15-significant-digit decimal for human readers; these are display
 columns only and are listed as approximate in the provenance block.
 
 A report document has four top-level keys: command, inputs, results,
-provenance.  The CSV rendering flattens the same document into
-key,value lines; when the results contain a "rows" list (a homogeneous
-table, e.g. one line per N), the rows are appended as a regular CSV
-table after a separating blank line.
+provenance.  Both formats come from one depth-first walk over the
+result values themselves; no intermediate document is built.  For JSON
+the walk writes the text json.dumps(document, indent=2) would give,
+and collects the paths of the exact and decimal fields for the
+provenance block.  For CSV it yields one key,value line per scalar,
+keyed by its path; when the results contain a "rows" list (a table,
+e.g. one line per N), the rows are appended as a regular CSV table
+after a separating blank line, with the columns of all rows in the
+order they first appear.
 """
 
 import csv
 import io
-import json
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Any
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Optional
 
 from . import __version__
 from .funcs import GridFunction
@@ -44,110 +50,166 @@ class Report:
     results: Any  # a dict, or a result dataclass written as its fields
 
 
-def _name_like(key: str) -> bool:
-    return not key.lstrip("+-").isdigit()
+# How a value is written: a scalar kind, or a container kind.
+_CONSTANT, _LIST, _MAP, _RECORD = "constant", "list", "map", "record"
+# A constant's JSON text and CSV cell.
+_CONSTANTS = {None: ("null", ""), True: ("true", "true"), False: ("false", "false")}
 
 
-def _convert(value: Any, path: str, exact: list[str], approx: list[str]) -> Any:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, Fraction):
-        exact.append(path)
-        return format_rational(value)
-    if isinstance(value, int):
-        exact.append(path)
-        try:
-            str(value)
-        except ValueError:
-            # json cannot write an int past the digit limit as a number;
-            # it goes out as a string of digits, like other exact values.
-            return integer_text(value)
-        return value
-    if value is None or isinstance(value, str):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [
-            _convert(v, f"{path}[{i}]", exact, approx) for i, v in enumerate(value)
-        ]
-    if isinstance(value, dict):
-        items: Any = value.items()
-        if all(isinstance(k, int) for k in value):
-            items = sorted(items)
-        out: dict[str, Any] = {}
-        for k, v in items:
+def _kind(cls: type) -> Any:
+    """How values of cls are written; None if they cannot be."""
+    if cls is bool or cls is type(None):
+        return _CONSTANT
+    for kind in (Fraction, int, str):
+        if issubclass(cls, kind):
+            return kind
+    if issubclass(cls, (list, tuple)):
+        return _LIST
+    if issubclass(cls, dict):
+        return _MAP
+    for kind in (Polynomial, GridFunction):
+        if issubclass(cls, kind):
+            return kind
+    return _RECORD if is_dataclass(cls) else None
+
+
+# The kinds of the classes a report is mostly made of, found by one lookup.
+_KINDS = {
+    cls: _kind(cls)
+    for cls in (Fraction, int, str, bool, type(None), list, tuple, dict, Polynomial, GridFunction)
+}
+
+
+def _items(value: Any, kind: Any) -> Any:
+    """The (key, value) pairs of a mapping or a record, in report order."""
+    if kind is _RECORD:
+        return [(f.name, getattr(value, f.name)) for f in fields(value)]
+    items = value.items()
+    if len(items) > 1 and all(map(isinstance, value, repeat(int))):
+        return sorted(items)
+    return items
+
+
+def _write(
+    value: Any, kind: Any, path: str, pad: Optional[str], out: list, exact: list, approx: list
+) -> None:
+    """Write a list, mapping or record of the given kind, found at path, to out.
+
+    The path of a field is its container's path, a dot and its key, or
+    the key alone at the top; the path of a list element adds "[i]".
+    With pad a string (a newline and the indent of the value's first
+    line), out gets JSON text, and exact and approx get the paths of the
+    exact and the decimal fields.  With pad None, out gets one
+    (path, cell) pair per scalar, and exact and approx are left alone.
+    """
+    if kind is _LIST:
+        items: Any = enumerate(value)
+        brackets = "[]"
+    else:
+        items = _items(value, kind)
+        prefix = path + "." if path else ""
+        brackets = "{}"
+    inner = None if pad is None else pad + "  "
+    opener = None if inner is None else brackets[0] + inner
+    for k, v in items:
+        if kind is _LIST:
+            key, child = None, f"{path}[{k}]"
+        else:
             key = str(k)
-            out[key] = _convert(v, f"{path}.{key}", exact, approx)
-            if isinstance(v, Fraction) and _name_like(key):
-                out[f"{key}_decimal"] = decimal_string(v)
-                approx.append(f"{path}.{key}_decimal")
-        return out
-    if isinstance(value, Polynomial):
-        return _convert(value.coefficients, path, exact, approx)
-    if isinstance(value, GridFunction):
-        return _convert(value.entries, path, exact, approx)
-    if is_dataclass(value) and not isinstance(value, type):
-        record = {f.name: getattr(value, f.name) for f in fields(value)}
-        return _convert(record, path, exact, approx)
-    raise TypeError(f"cannot serialize {type(value).__name__} at {path}")
-
-
-def build_document(report: Report) -> dict[str, Any]:
-    exact: list[str] = []
-    approx: list[str] = []
-    doc: dict[str, Any] = {"command": report.command}
-    doc["inputs"] = _convert(report.inputs, "inputs", exact, approx)
-    doc["results"] = _convert(report.results, "results", exact, approx)
-    doc["provenance"] = {
-        "version": __version__,
-        "exact_fields": exact,
-        "approx_fields": approx,
-    }
-    return doc
+            child = prefix + key
+        if inner is not None:
+            out.append(opener if key is None else f"{opener}{_quote(key)}: ")
+            opener = "," + inner
+        vkind = _KINDS.get(type(v)) or _kind(type(v))
+        if vkind is Fraction:
+            cell = format_rational(v)
+            text = f'"{cell}"'
+        elif vkind is int:
+            try:
+                cell = text = str(v)
+            except ValueError:
+                # json cannot write an int past the digit limit as a number;
+                # it goes out as a string of digits, like other exact values.
+                cell = integer_text(v)
+                text = f'"{cell}"'
+        elif vkind is str:
+            cell = v
+            text = _quote(v)
+        elif vkind is _CONSTANT:
+            text, cell = _CONSTANTS[v]
+        elif vkind is Polynomial:
+            _write(v.coefficients, _LIST, child, inner, out, exact, approx)
+            continue
+        elif vkind is GridFunction:
+            _write(v.entries, _MAP, child, inner, out, exact, approx)
+            continue
+        elif vkind is not None:
+            _write(v, vkind, child, inner, out, exact, approx)
+            continue
+        else:
+            raise TypeError(f"cannot serialize {type(v).__name__} at {child}")
+        if inner is None:
+            out.append((child, cell))
+        else:
+            out.append(text)
+            if vkind is not str and vkind is not _CONSTANT:
+                exact.append(child)
+        if vkind is Fraction and key is not None and not key.lstrip("+-").isdigit():
+            # A name-like field gets a decimal twin for human readers.
+            child += "_decimal"
+            cell = decimal_string(v)
+            if inner is None:
+                out.append((child, cell))
+            else:
+                out.append(f"{opener}{_quote(key + '_decimal')}: {_quote(cell)}")
+                approx.append(child)
+    if inner is not None:
+        out.append(pad + brackets[1] if opener[0] == "," else brackets)
 
 
 def render_json(report: Report) -> str:
-    return json.dumps(build_document(report), indent=2) + "\n"
-
-
-def _cell(value: Any) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return ""
-    return str(value)
-
-
-def _flatten(value: Any, path: str, pairs: list[tuple[str, str]]) -> None:
-    if isinstance(value, dict):
-        for key, v in value.items():
-            _flatten(v, f"{path}.{key}", pairs)
-    elif isinstance(value, list):
-        for i, v in enumerate(value):
-            _flatten(v, f"{path}[{i}]", pairs)
-    else:
-        pairs.append((path, _cell(value)))
+    exact: list[str] = []
+    approx: list[str] = []
+    # Provenance goes last, so its lists are complete when they are written.
+    document = {
+        "command": report.command,
+        "inputs": report.inputs,
+        "results": report.results,
+        "provenance": {"version": __version__, "exact_fields": exact, "approx_fields": approx},
+    }
+    out: list[str] = []
+    _write(document, _MAP, "", "\n", out, exact, approx)
+    out.append("\n")
+    return "".join(out)
 
 
 def render_csv(report: Report) -> str:
-    doc = build_document(report)
+    results = dict(_items(report.results, _kind(type(report.results))))
+    table = results.pop("rows", None)
+    document = {
+        "command": report.command,
+        "inputs": report.inputs,
+        "results": results,
+        "provenance": {"version": __version__},
+    }
+    pairs: list[tuple[str, str]] = [("key", "value")]
+    _write(document, _MAP, "", None, pairs, [], [])
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    pairs: list[tuple[str, str]] = []
-    _flatten(doc["command"], "command", pairs)
-    _flatten(doc["inputs"], "inputs", pairs)
-    results = dict(doc["results"])
-    table = results.pop("rows", None)
-    _flatten(results, "results", pairs)
-    _flatten(doc["provenance"]["version"], "provenance.version", pairs)
     writer.writerows(pairs)
     if table is not None:
         writer.writerow([])
-        if table:
-            header = list(table[0].keys())
+        rows = []
+        for i, row in enumerate(table):
+            kind = _kind(type(row))
+            if kind is not _MAP and kind is not _RECORD:
+                raise TypeError(f"results.rows[{i}] is not a record")
+            cells: list[tuple[str, str]] = []
+            _write(row, kind, "", None, cells, [], [])
+            rows.append(dict(cells))
+        if rows:
+            # The columns of every row, in the order they first appear.
+            header = list(dict.fromkeys(column for row in rows for column in row))
             writer.writerow(header)
-            for row in table:
-                writer.writerow([_cell(row.get(col)) for col in header])
+            writer.writerows([row.get(column, "") for column in header] for row in rows)
     return buffer.getvalue()

@@ -7,8 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from divdiff import KnotValueList, cli, divided_difference_direct, parse_rational
+from divdiff import (
+    KnotValueList,
+    cli,
+    constraints,
+    divided_difference_direct,
+    parse_rational,
+)
 from divdiff.cli import main
+
+from util import corrupting_kernel_basis
 
 
 def run(capsys, *argv):
@@ -270,6 +278,22 @@ def test_internal_arithmetic_error_is_one_line_exit_two(
     assert code == 2
     assert out == ""
     assert err == f"divdiff: error: internal check failed: {exc}\n"
+
+
+def test_corrupted_null_vector_is_one_line_exit_two(capsys, monkeypatch):
+    def add_one_to_a_pivot_entry(vector, free, pivot):
+        vector[pivot] += 1
+
+    monkeypatch.setattr(
+        constraints, "kernel_basis", corrupting_kernel_basis(add_one_to_a_pivot_entry)
+    )
+    code, out, err = run(capsys, "nullspace", "--N", "4")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "divdiff: error: internal check failed: "
+        "null vector of column 8 fails constraint row 3\n"
+    )
 
 
 def test_duplicate_knots_exit_code(capsys):

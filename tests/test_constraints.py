@@ -17,6 +17,7 @@ from divdiff import (
 )
 
 from util import (
+    corrupting_kernel_basis,
     random_funcspec,
     random_sparse_rows,
     reference_forced_zeros,
@@ -170,3 +171,22 @@ def test_basis_is_built_on_first_access_only(monkeypatch):
     monkeypatch.undo()
     assert report.basis is report.basis
     assert len(report.basis) == report.dimension
+
+
+CORRUPTIONS = {
+    "pivot entry off by one": (
+        lambda v, free, pivot: v.update({pivot: v[pivot] + 1}), "fails constraint row"
+    ),
+    "free entry 2": (lambda v, free, pivot: v.update({free: Fraction(2)}), "is not 1 there"),
+    "entry in another free column": (
+        lambda v, free, pivot: v.update({1: Fraction(1, 3)}), "is not 1 there"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CORRUPTIONS))
+def test_nullspace_certificate_catches_a_corrupted_vector(monkeypatch, name):
+    corrupt, message = CORRUPTIONS[name]
+    monkeypatch.setattr(constraints, "kernel_basis", corrupting_kernel_basis(corrupt))
+    with pytest.raises(ArithmeticError, match=message):
+        nullspace(build_constraint_system(4))  # column 1 is untouched and free

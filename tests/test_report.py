@@ -9,7 +9,7 @@ import pytest
 
 import divdiff
 from divdiff import GridFunction, Polynomial, parse_rational
-from divdiff.report import Report, build_document, render_csv, render_json
+from divdiff.report import Report, render_csv, render_json
 
 
 def sample_report():
@@ -30,7 +30,7 @@ def sample_report():
 
 
 def test_document_serializes_fractions_as_strings():
-    doc = build_document(sample_report())
+    doc = json.loads(render_json(sample_report()))
     assert doc["inputs"]["x"] == "1/3"
     assert doc["results"]["value"] == "-7/4"
     assert doc["results"]["equal"] is True
@@ -38,7 +38,7 @@ def test_document_serializes_fractions_as_strings():
 
 
 def test_name_like_keys_get_decimal_twins():
-    doc = build_document(sample_report())
+    doc = json.loads(render_json(sample_report()))
     assert doc["inputs"]["x_decimal"] == "0.333333333333333"
     assert doc["results"]["value_decimal"] == "-1.75"
     # digit keys (grid indices) stay exact-only
@@ -46,7 +46,7 @@ def test_name_like_keys_get_decimal_twins():
 
 
 def test_provenance_lists_field_paths():
-    doc = build_document(sample_report())
+    doc = json.loads(render_json(sample_report()))
     prov = doc["provenance"]
     assert prov["version"] == divdiff.__version__
     assert "inputs.x" in prov["exact_fields"]
@@ -58,7 +58,7 @@ def test_provenance_lists_field_paths():
 
 
 def test_every_exact_field_reparses():
-    doc = build_document(sample_report())
+    doc = json.loads(render_json(sample_report()))
 
     def lookup(path):
         node = doc
@@ -104,17 +104,42 @@ def test_csv_without_rows_has_no_table():
     assert "results.v,1/2" in text
 
 
+def test_csv_table_has_the_columns_of_every_row():
+    # The first row has no decimal twin for a; the second one does.
+    report = Report("c", {}, {"rows": [{"a": None}, {"a": Fraction(1, 2)}, {"b": 1}]})
+    text = render_csv(report)
+    assert text.endswith("\na,a_decimal,b\n,,\n1/2,0.5,\n,,1\n")
+    assert json.loads(render_json(report))["results"]["rows"][1]["a_decimal"] == "0.5"
+
+
+def test_csv_table_cell_holding_a_list_or_record_is_flattened_into_columns():
+    rows = [{"N": 1, "p": Polynomial((Fraction(1, 2), 3)), "r": Record(Fraction(1), 2, None)}]
+    text = render_csv(Report("c", {}, {"rows": rows}))
+    assert text.endswith(
+        "\nN,p[0],p[1],r.zeta,r.zeta_decimal,r.alpha,r.middle\n1,1/2,3,1,1,2,\n"
+    )
+
+
+def test_csv_table_row_that_is_not_a_record_is_rejected():
+    with pytest.raises(TypeError, match=r"results\.rows\[1\]"):
+        render_csv(Report("c", {}, {"rows": [{"N": 1}, Fraction(1, 2)]}))
+
+
 def test_unserializable_values_are_rejected():
     report = Report(command="c", inputs={}, results={"v": object()})
     with pytest.raises(TypeError):
-        build_document(report)
+        render_json(report)
+    with pytest.raises(TypeError):
+        render_csv(report)
 
 
 def test_float_values_are_rejected():
     # the whole point is exactness; a float sneaking in is a bug
     report = Report(command="c", inputs={}, results={"v": 0.5})
     with pytest.raises(TypeError):
-        build_document(report)
+        render_json(report)
+    with pytest.raises(TypeError):
+        render_csv(report)
 
 
 @dataclass(frozen=True)
@@ -126,7 +151,7 @@ class Record:
 
 def test_a_dataclass_is_written_as_its_fields_in_declaration_order():
     report = Report("c", {}, Record(zeta=Fraction(1, 3), alpha=2, middle=None))
-    doc = build_document(report)
+    doc = json.loads(render_json(report))
     assert list(doc["results"]) == ["zeta", "zeta_decimal", "alpha", "middle"]
     assert doc["results"]["zeta"] == "1/3"
     assert doc["results"]["zeta_decimal"] == "0.333333333333333"
@@ -138,7 +163,7 @@ def test_a_dataclass_is_written_as_its_fields_in_declaration_order():
 
 def test_a_tuple_of_dataclasses_is_a_list_of_records():
     rows = (Record(Fraction(1, 2), 1, None), Record(Fraction(-1), 2, Fraction(3)))
-    doc = build_document(Report("c", {}, {"rows": rows}))
+    doc = json.loads(render_json(Report("c", {}, {"rows": rows})))
     assert doc["results"]["rows"] == [
         {"zeta": "1/2", "zeta_decimal": "0.5", "alpha": 1, "middle": None},
         {
@@ -148,12 +173,14 @@ def test_a_tuple_of_dataclasses_is_a_list_of_records():
     ]
     assert "results.rows[1].middle" in doc["provenance"]["exact_fields"]
     text = render_csv(Report("c", {}, {"rows": rows}))
-    assert text.endswith("\nzeta,zeta_decimal,alpha,middle\n1/2,0.5,1,\n-1,-1,2,3\n")
+    assert text.endswith(
+        "\nzeta,zeta_decimal,alpha,middle,middle_decimal\n1/2,0.5,1,,\n-1,-1,2,3,3\n"
+    )
 
 
 def test_a_polynomial_is_its_coefficient_list():
     p = Polynomial((Fraction(1, 2), 0, Fraction(-3)))
-    doc = build_document(Report("c", {}, {"p": p, "zero": Polynomial.zero()}))
+    doc = json.loads(render_json(Report("c", {}, {"p": p, "zero": Polynomial.zero()})))
     assert doc["results"]["p"] == ["1/2", "0", "-3"]
     assert doc["results"]["zero"] == []
     assert "results.p[2]" in doc["provenance"]["exact_fields"]
@@ -161,7 +188,7 @@ def test_a_polynomial_is_its_coefficient_list():
 
 def test_a_grid_function_is_its_nonzero_entries_by_index():
     g = GridFunction(4, {3: Fraction(-1, 2), 1: Fraction(1, 3), 2: 0})
-    doc = build_document(Report("c", {}, {"g": g}))
+    doc = json.loads(render_json(Report("c", {}, {"g": g})))
     assert doc["results"]["g"] == {"1": "1/3", "3": "-1/2"}
     assert list(doc["results"]["g"]) == ["1", "3"]
     assert "results.g.3" in doc["provenance"]["exact_fields"]
@@ -170,11 +197,11 @@ def test_a_grid_function_is_its_nonzero_entries_by_index():
 
 def test_an_int_keyed_mapping_is_written_in_key_order():
     vec = {10: Fraction(1), 2: Fraction(-1, 2), 7: Fraction(3)}
-    doc = build_document(Report("c", {}, {"v": vec}))
+    doc = json.loads(render_json(Report("c", {}, {"v": vec})))
     assert list(doc["results"]["v"].items()) == [("2", "-1/2"), ("7", "3"), ("10", "1")]
 
 
 def test_a_str_keyed_mapping_keeps_its_order():
     results = {"zeta": 1, "alpha": 2, "10": 3, "2": 4}
-    doc = build_document(Report("c", {}, results))
+    doc = json.loads(render_json(Report("c", {}, results)))
     assert list(doc["results"]) == ["zeta", "alpha", "10", "2"]

@@ -1,0 +1,165 @@
+"""The one-pass report writer against the document-building writer.
+
+render_json and render_csv walk the result values once and write text;
+``reference_render_json`` and ``reference_render_csv`` in util.py first
+convert a report to a document of dicts, lists and strings and hand
+that to ``json.dumps(indent=2)`` or flatten it for the ``csv`` module.
+Both must give the same bytes on every CLI report and on seeded nested
+values: records, polynomials, grid functions, sparse vectors with keys
+out of order, empty containers, constants, exact values past the
+int-to-str digit limit and strings that need escaping.
+
+A CSV ``rows`` table is generated with the same columns in every row,
+because the reference took the header from the first row alone.
+"""
+
+import dataclasses
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Any, Optional
+
+import pytest
+
+from divdiff import Polynomial, cli
+from divdiff.report import Report, render_csv, render_json
+
+from golden.check import GOLDEN_DIR, PINS, README_COMMANDS
+from util import (
+    random_fraction,
+    random_grid_function,
+    random_polynomial,
+    reference_render_csv,
+    reference_render_json,
+)
+
+# Every README command, and every pinned run but the largest kernels; a
+# handler's report does not depend on --format, so each is run once.
+CLI_RUNS = dict(README_COMMANDS)
+CLI_RUNS.update(
+    (f"pin-{name}", pin.argv)
+    for name, pin in PINS.items()
+    if not name.endswith("-256") and "--format" not in pin.argv
+)
+
+
+def handler_report(argv):
+    args = cli.build_parser().parse_args(argv)
+    report, _, _ = cli._HANDLERS[args.command](args)
+    return report
+
+
+@pytest.mark.parametrize("name", list(CLI_RUNS))
+def test_cli_reports_match_the_reference_writer(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN_DIR)  # so pl:hat.csv names the fixture
+    report = handler_report(CLI_RUNS[name])
+    assert render_json(report) == reference_render_json(report)
+    assert render_csv(report) == reference_render_csv(report)
+
+
+HUGE = 7**5200  # 4,395 digits, past CPython's default int-to-str limit
+TEXTS = (
+    "", "plain", 'say "hi"', "two\nlines", "tab\tback\\slash", "a,b",
+    "pl:dätä.csv", "naïve ∑ ünïcödé", " \x01\x7f\u2028",
+)
+NAME_KEYS = ("x", "value", "alpha_1", "", "-", "+x", "1a", "ä", 'q"k', "k\nl")
+DIGIT_KEYS = ("0", "12", "-3", "+7", "007")
+
+
+@dataclass(frozen=True)
+class Leaf:
+    zeta: Fraction
+    label: str
+    count: int
+    maybe: Optional[Fraction]
+
+
+@dataclass(frozen=True)
+class Node:
+    name: str
+    child: Any
+    children: tuple
+
+
+def random_scalar(rng):
+    return rng.choice((
+        None, True, False,
+        rng.randint(-50, 50),
+        random_fraction(rng),
+        random_fraction(rng, 999, 999),
+        rng.choice(TEXTS),
+        rng.choice((HUGE, -HUGE)),
+        Fraction(rng.choice((HUGE, -HUGE)), 3),
+    ))
+
+
+def random_leaf(rng):
+    maybe = rng.choice((None, random_fraction(rng)))
+    return Leaf(random_fraction(rng), rng.choice(TEXTS), rng.randint(-9, 9), maybe)
+
+
+def random_value(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return random_scalar(rng)
+    shape = rng.randrange(10)
+    if shape == 0:
+        return [random_value(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if shape == 1:
+        return tuple(random_value(rng, depth - 1) for _ in range(rng.randint(0, 3)))
+    if shape == 2:
+        # a sparse vector: int keys, some negative, in scrambled order
+        keys = rng.sample(range(-20, 40), rng.randint(0, 6))
+        return {k: random_value(rng, depth - 1) for k in keys}
+    if shape == 3:
+        keys = rng.sample(NAME_KEYS + DIGIT_KEYS, rng.randint(0, 6))
+        return {k: random_fraction(rng) if rng.random() < 0.5 else random_value(rng, depth - 1)
+                for k in keys}
+    if shape == 4:
+        # int and str keys together keep their own order
+        return {3: random_scalar(rng), "b": random_scalar(rng), -1: random_fraction(rng)}
+    if shape == 5:
+        return random_polynomial(rng) if rng.random() < 0.8 else Polynomial.zero()
+    if shape == 6:
+        return random_grid_function(rng)
+    if shape == 7:
+        return random_leaf(rng)
+    if shape == 8:
+        children = tuple(random_value(rng, depth - 1) for _ in range(rng.randint(0, 3)))
+        return Node(rng.choice(TEXTS), random_value(rng, depth - 1), children)
+    return rng.choice(([], {}, (), [[]], {"e": {}}, ((),)))
+
+
+def random_rows(rng):
+    """A table whose rows all have the same columns, of the same kinds."""
+    if rng.random() < 0.5:
+        maybe = rng.choice((None, random_fraction(rng)))  # one kind per column
+        return [
+            dataclasses.replace(random_leaf(rng), maybe=maybe) for _ in range(rng.randint(0, 4))
+        ]
+    return [
+        {"N": n, "r": random_fraction(rng), "s": rng.choice(TEXTS), "ok": rng.random() < 0.5,
+         "none": None, "12": random_fraction(rng)}
+        for n in range(rng.randint(0, 4))
+    ]
+
+
+def random_report(rng):
+    inputs = {k: random_value(rng, 1) for k in rng.sample(NAME_KEYS, rng.randint(0, 4))}
+    if rng.random() < 0.2:
+        results = random_value(rng, 4)
+        if not isinstance(results, (dict, Node, Leaf)):
+            results = {"value": results}
+    else:
+        keys = rng.sample(NAME_KEYS + DIGIT_KEYS, rng.randint(0, 6))
+        results = {k: random_value(rng, 4) for k in keys}
+        if rng.random() < 0.5:
+            results["rows"] = random_rows(rng)
+    return Report(rng.choice(("demo", "démo")), inputs, results)
+
+
+def test_seeded_nested_values_match_the_reference_writer():
+    rng = random.Random(20161)
+    for _ in range(400):
+        report = random_report(rng)
+        assert render_json(report) == reference_render_json(report)
+        assert render_csv(report) == reference_render_csv(report)

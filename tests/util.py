@@ -12,9 +12,19 @@ as oracles for them.  ``reference_kernel_basis`` and
 ``reference_forced_zeros`` are the null-space steps that list every free
 column before building its vector and scan every grid column for forced
 zeros, kept as oracles for ``kernel_basis`` and ``nullspace``.
+``reference_render_json`` and ``reference_render_csv`` write a report by
+first converting it to a document of dicts, lists and strings, then
+handing that to ``json.dumps(indent=2)`` or flattening it for the
+``csv`` module, kept as oracles for the one-pass writer in ``report``.
+``corrupting_kernel_basis`` spoils one null vector, to show that the
+null-space certificate in ``constraints`` catches it.
 """
 
+import csv
+import io
+import json
 import math
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from divdiff import (
@@ -26,10 +36,13 @@ from divdiff import (
     Polynomial,
     PolynomialFunc,
     RationalFunc,
+    __version__,
     lagrange_equispaced,
     leading_coefficient,
+    linalg,
 )
 from divdiff.linalg import integer_echelon
+from divdiff.rational import decimal_string, format_rational, integer_text
 
 
 def random_fraction(rng, max_num=9, max_den=9):
@@ -319,9 +332,128 @@ def reference_kernel_basis(rows, ncols):
     return rank, pivot_cols, basis
 
 
+def corrupting_kernel_basis(corrupt):
+    """kernel_basis with corrupt(vector, free, pivot) applied to the first
+    vector of a touched free column that has a pivot entry."""
+
+    def kernel_basis(rows, ncols):
+        rank, pivot_cols, vectors = linalg.kernel_basis(rows, ncols)
+        vector = next(v for v in vectors if len(v) > 1)
+        free = next(c for c in vector if c not in pivot_cols)
+        pivot = next(c for c in vector if c in pivot_cols)
+        corrupt(vector, free, pivot)
+        return rank, pivot_cols, vectors
+
+    return kernel_basis
+
+
 def reference_forced_zeros(vectors, ncols):
     """The columns 0..ncols-1 where every vector holds 0."""
     covered = set()
     for vec in vectors:
         covered.update(k for k, v in vec.items() if v != 0)
     return tuple(k for k in range(ncols) if k not in covered)
+
+
+def _reference_convert(value, path, exact, approx):
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, Fraction):
+        exact.append(path)
+        return format_rational(value)
+    if isinstance(value, int):
+        exact.append(path)
+        try:
+            str(value)
+        except ValueError:
+            return integer_text(value)
+        return value
+    if value is None or isinstance(value, str):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [
+            _reference_convert(v, f"{path}[{i}]", exact, approx) for i, v in enumerate(value)
+        ]
+    if isinstance(value, dict):
+        items = value.items()
+        if all(isinstance(k, int) for k in value):
+            items = sorted(items)
+        out = {}
+        for k, v in items:
+            key = str(k)
+            out[key] = _reference_convert(v, f"{path}.{key}", exact, approx)
+            if isinstance(v, Fraction) and not key.lstrip("+-").isdigit():
+                out[f"{key}_decimal"] = decimal_string(v)
+                approx.append(f"{path}.{key}_decimal")
+        return out
+    if isinstance(value, Polynomial):
+        return _reference_convert(value.coefficients, path, exact, approx)
+    if isinstance(value, GridFunction):
+        return _reference_convert(value.entries, path, exact, approx)
+    if is_dataclass(value) and not isinstance(value, type):
+        record = {f.name: getattr(value, f.name) for f in fields(value)}
+        return _reference_convert(record, path, exact, approx)
+    raise TypeError(f"cannot serialize {type(value).__name__} at {path}")
+
+
+def _reference_document(report):
+    exact = []
+    approx = []
+    doc = {"command": report.command}
+    doc["inputs"] = _reference_convert(report.inputs, "inputs", exact, approx)
+    doc["results"] = _reference_convert(report.results, "results", exact, approx)
+    doc["provenance"] = {
+        "version": __version__,
+        "exact_fields": exact,
+        "approx_fields": approx,
+    }
+    return doc
+
+
+def reference_render_json(report):
+    return json.dumps(_reference_document(report), indent=2) + "\n"
+
+
+def _reference_cell(value):
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return ""
+    return str(value)
+
+
+def _reference_flatten(value, path, pairs):
+    if isinstance(value, dict):
+        for key, v in value.items():
+            _reference_flatten(v, f"{path}.{key}", pairs)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _reference_flatten(v, f"{path}[{i}]", pairs)
+    else:
+        pairs.append((path, _reference_cell(value)))
+
+
+def reference_render_csv(report):
+    """The CSV writer that took a table's header from its first row alone."""
+    doc = _reference_document(report)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["key", "value"])
+    pairs = []
+    _reference_flatten(doc["command"], "command", pairs)
+    _reference_flatten(doc["inputs"], "inputs", pairs)
+    results = dict(doc["results"])
+    table = results.pop("rows", None)
+    _reference_flatten(results, "results", pairs)
+    _reference_flatten(doc["provenance"]["version"], "provenance.version", pairs)
+    writer.writerows(pairs)
+    if table is not None:
+        writer.writerow([])
+        if table:
+            header = list(table[0].keys())
+            writer.writerow(header)
+            for row in table:
+                writer.writerow([_reference_cell(row.get(col)) for col in header])
+    return buffer.getvalue()
