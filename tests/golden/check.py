@@ -14,7 +14,8 @@ Runge function and ``telescope`` at n = 20.  Both were recorded with the plain `
 so they hold every later kernel to the same bytes.  The ``nullspace``
 pins, JSON and CSV at N = 9..12, were recorded while the null space
 still built one grid function per basis vector and scanned every grid
-column for forced zeros.  The report-shape pins were recorded while
+column for forced zeros.  The ``minlip`` pins at N = 7..9 were recorded
+while ``minlip`` still solved one LP per pin 0..L/2.  The report-shape pins were recorded while
 every CLI handler still built its results dict by hand.
 
 ``tests/test_golden.py`` runs these under pytest.  Without pytest, run
@@ -175,6 +176,18 @@ PINS = {
         ["minlip", "--N", "2"],
         "9495fa2067e2106accfc0930ca23f53e6ed033079db0a90990832936d2b1a1ec",
         code=2,
+    ),
+    "minlip-7": Pin(
+        ["minlip", "--N", "7"],
+        "bb250df9ea5354f5ba23cfc9b237bb48e17cc6b979c85c4c505c18834eebc333",
+    ),
+    "minlip-8": Pin(
+        ["minlip", "--N", "8"],
+        "16e0e894915cf0c9c1957bd574da8f05cd9d2374bd0346b95048220870e7e7b5",
+    ),
+    "minlip-9": Pin(
+        ["minlip", "--N", "9"],
+        "0c9df4770c9b56d54e9a6fbb10e85a3bb8b3ad831a32e873cf6f04cc97fdbafc",
     ),
     "minlip-4-csv": Pin(
         ["minlip", "--N", "4", "--format", "csv"],
