@@ -6,33 +6,76 @@ exactly 1, we look for one whose Lipschitz constant (largest slope
 between neighbouring grid points, scaled by the grid density L) is as
 small as possible.
 
-The search is organised as a family of linear programs.  A solution
-with sup norm 1 attains the value +1 or -1 at some grid index p; after
-a sign flip and a reflection k -> L - k (both leave the constraints and
-the objective unchanged) we may assume the value +1 is attained at some
-p <= L/2.  For each such pin the program
+A solution with sup norm 1 attains the value +1 or -1 at some grid
+index p; after a sign flip and a reflection k -> L - k (both leave the
+constraints and the objective unchanged) we may assume the value +1 is
+attained at some p <= L/2.  For each such pin the program
 
     minimize  t
     subject to constraint rows,  f(p/L) = 1,  |f(k/L)| <= 1,
                |f((k+1)/L) - f(k/L)| * L <= t
 
-is solved exactly.  Only columns that occur in some constraint row (or
-the pin itself) need to be variables: between two consecutive
-constrained columns the straight-line fill is optimal, because the
-largest slope over a gap is at least the average slope, the line stays
-inside the sup-norm box, and the skipped columns appear in no
-constraint.  The slope bound across a gap of width g therefore reads
-|f(c')-f(c)| * L / g.  Variables are shifted by u = f + 1 so they live
-in [0, 2] and fit the nonnegative LP format.
+has an exact optimum v(p), and the answer is the smallest v(p) over the
+pins, reported at the smallest pin that attains it.  Only columns that
+occur in some constraint row (the touched columns) or the pin itself
+need to be variables: between two consecutive such columns the
+straight-line fill is optimal, because the largest slope over a gap is
+at least the average slope, the line stays inside the sup-norm box, and
+the skipped columns appear in no constraint.  The slope bound across a
+gap of width g therefore reads |f(c')-f(c)| * L / g.  Variables are
+shifted by u = f + 1 so they live in [0, 2] and fit the nonnegative LP
+format.
+
+The pins are not tried one by one.  The touched columns in [0, L/2],
+which include 0 and L/2 for N >= 2, cut it into gaps [a, b].  For a pin
+p in a gap, u_p = 2 and the rows that involve it read
+
+    (2 - u_a) L <= t (p - a),    (2 - u_b) L <= t (b - p),
+
+so the pinned program is the touched-column program with the a-b slope
+rows replaced by these two.  For a fixed t they are linear in (u, p),
+so {p : v(p) <= t} is an interval: v is quasiconvex on the gap.  Adding
+the two rows gives the relaxed program of the gap, with the single row
+L (4 - u_a - u_b) <= t (b - a).  Its optimum is the least v(p) over real
+p in [a, b], attained at p* = a + (2 - u_a) L / t, so it bounds every
+pin of the gap from below, and by quasiconvexity the best integer pin is
+floor(p*) or ceil(p*); when p* is an integer, v(p*) is the bound itself.
+A cheaper bound needs no program: a solution that is 1 at p and 0 at a
+forced zero z has slope at least L / |p - z|.
+
+The search visits the gaps in order.  It skips a gap whose distance
+bound, or else whose relaxed bound, is no better than the best value
+found so far; in a gap that improves on it, it solves floor(p*) and
+ceil(p*).  The pins of the gap that attain its minimum m form an
+interval, {p : v(p) <= m}; its left end, the smallest such pin, is
+found by testing the pin left of the best candidate and, when that one
+attains m too, by bisection.  A gap with at most two unsolved pins (one,
+once a value is known) is cheaper to enumerate than to bound.  Because
+every skip is strict on the value and the gaps come in order, the
+result is the smallest v(p) at the smallest pin attaining it.  Each pin
+is solved by the same program the one-pin-at-a-time loop solved (and
+the best pin once more at the end if its value came from a bound), so
+the value, the pin and the witness (the vertex Bland's rule reaches for
+that pin) are the loop's.  Only a relaxed program's value and p* are
+read, so it is solved by the largest-coefficient rule, which takes
+fewer pivots.
+
+A wrong bound would prune the optimum silently, so every program the
+search solves, relaxed or pinned, is checked in exact arithmetic before
+it is used: an optimum must come with a feasible dual solution of the
+same value, and an infeasible program with a Farkas ray
+(:func:`divdiff.simplex.certify`).  A failed check raises
+ArithmeticError.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .constraints import ConstraintSystem, build_constraint_system, nullspace
 from .funcs import GridFunction
-from .simplex import INFEASIBLE, OPTIMAL, solve_lp
+from .simplex import INFEASIBLE, LpResult, certify, solve_lp
 
 
 @dataclass(frozen=True)
@@ -45,52 +88,91 @@ class MinLipschitzResult:
     witness: Optional[GridFunction]
 
 
-def _solve_pinned(
-    system: ConstraintSystem, cols: list[int], pin: int
-) -> tuple[Optional[Fraction], Optional[tuple[Fraction, ...]]]:
+def _program(
+    system: ConstraintSystem, cols: list[int], pin: Optional[int] = None, merged: Optional[int] = None
+) -> tuple[list, list, list, list, list]:
+    """The program over cols as (objective, a_ub, b_ub, a_eq, b_eq).
+
+    The unknowns are u_k = f(k/L) + 1 for k in cols, then t.  With pin,
+    u_pin = 2.  With merged = i, the two slope rows between cols[i] and
+    cols[i + 1] are replaced by their relaxed sum for the gap.  Entries
+    are ints, except the slope weights L / gap, which are Fractions.
+    """
     index = {k: i for i, k in enumerate(cols)}
     nv = len(cols) + 1  # grid unknowns plus the slope bound t
     t = len(cols)
-    zero = Fraction(0)
 
-    a_eq: list[list[Fraction]] = []
-    b_eq: list[Fraction] = []
+    a_eq: list[list] = []
+    b_eq: list = []
     for row in system.rows:
-        coeffs = [zero] * nv
+        coeffs = [0] * nv
         for col, coeff in row.items():
-            coeffs[index[col]] = Fraction(coeff)
+            coeffs[index[col]] = coeff
         a_eq.append(coeffs)
-        b_eq.append(Fraction(sum(row.values())))
-    pin_row = [zero] * nv
-    pin_row[index[pin]] = Fraction(1)
-    a_eq.append(pin_row)
-    b_eq.append(Fraction(2))
+        b_eq.append(sum(row.values()))
+    if pin is not None:
+        pin_row = [0] * nv
+        pin_row[index[pin]] = 1
+        a_eq.append(pin_row)
+        b_eq.append(2)
 
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
+    a_ub: list[list] = []
+    b_ub: list = []
     for i in range(len(cols) - 1):
         weight = Fraction(system.L, cols[i + 1] - cols[i])
+        if i == merged:
+            # weight * (4 - u_a - u_b) <= t
+            coeffs = [0] * nv
+            coeffs[i] = coeffs[i + 1] = -weight
+            coeffs[t] = -1
+            a_ub.append(coeffs)
+            b_ub.append(-4 * weight)
+            continue
         for sign in (1, -1):
-            coeffs = [zero] * nv
+            coeffs = [0] * nv
             coeffs[i + 1] = sign * weight
             coeffs[i] = -sign * weight
-            coeffs[t] = Fraction(-1)
+            coeffs[t] = -1
             a_ub.append(coeffs)
-            b_ub.append(zero)
+            b_ub.append(0)
     for i in range(len(cols)):
-        coeffs = [zero] * nv
-        coeffs[i] = Fraction(1)
+        coeffs = [0] * nv
+        coeffs[i] = 1
         a_ub.append(coeffs)
-        b_ub.append(Fraction(2))
+        b_ub.append(2)
 
-    objective = [zero] * nv
-    objective[t] = Fraction(1)
-    result = solve_lp(objective, a_ub, b_ub, a_eq, b_eq)
-    if result.status == INFEASIBLE:
-        return None, None
-    if result.status != OPTIMAL:
-        raise ArithmeticError(f"unexpected LP status {result.status}")
+    objective = [0] * nv
+    objective[t] = 1
+    return objective, a_ub, b_ub, a_eq, b_eq
+
+
+def _solve(program: tuple, largest: bool = False) -> LpResult:
+    """solve_lp on the program, its certificate checked (so optimal or infeasible)."""
+    result = solve_lp(*program, largest=largest)
+    certify(result, *program)
+    return result
+
+
+def _solve_pinned(
+    system: ConstraintSystem, cols: list[int], pin: int
+) -> tuple[Optional[Fraction], Optional[tuple[Fraction, ...]]]:
+    """v(pin) and its Bland vertex over cols, or (None, None) if infeasible."""
+    result = _solve(_program(system, cols, pin=pin))
     return result.value, result.x
+
+
+def _gap_bound(
+    system: ConstraintSystem, cols: list[int], i: int
+) -> Optional[tuple[Fraction, Fraction]]:
+    """The relaxed optimum over the gap cols[i]..cols[i + 1] and a real pin
+    p* attaining it, or None when no pin of the gap is feasible."""
+    # Only the value and p* are read, so any optimal vertex will do.
+    result = _solve(_program(system, cols, merged=i), largest=True)
+    if result.status == INFEASIBLE:
+        return None
+    u_a, t = result.x[i], result.x[-1]
+    a = cols[i]
+    return result.value, (a + (2 - u_a) * system.L / t if t else Fraction(a))
 
 
 def _fill_witness(L: int, cols: list[int], shifted: tuple[Fraction, ...]) -> GridFunction:
@@ -103,41 +185,127 @@ def _fill_witness(L: int, cols: list[int], shifted: tuple[Fraction, ...]) -> Gri
     return GridFunction(denominator=L, entries=entries)
 
 
+def _distance_bound(L: int, forced: set[int], a: int, b: int) -> Fraction:
+    """L over the largest distance from a pin in [a, b] to a forced zero.
+
+    A solution that is 1 at p and 0 at a forced zero z climbs by 1 over
+    |p - z| / L, so v(p) >= L / |p - z|.  No forced zero lies inside a
+    gap, so the nearest ones to [a, b] are the last at or before a and
+    the first at or after b (0 and L are always forced).
+    """
+    left = max(z for z in forced if z <= a)
+    right = min(z for z in forced if z >= b)
+    twice_p = min(max(left + right, 2 * a), 2 * b)  # the midpoint, clamped
+    return Fraction(2 * L, min(twice_p - 2 * left, 2 * right - twice_p))
+
+
+def _search(
+    half: list[int],
+    forced: set[int],
+    pinned: Callable[[int], Optional[Fraction]],
+    relaxed: Callable[[int], Optional[tuple[Fraction, Fraction]]],
+    lower: Callable[[int, int], Fraction],
+) -> Optional[tuple[Fraction, int]]:
+    """The least v(p) over the pins half[0]..half[-1], at the smallest pin attaining it.
+
+    half holds the gap ends in increasing order, and forced the pins
+    known to be infeasible.  pinned(p) is v(p), or None when the pin is
+    infeasible; it is called at most once per pin.  relaxed(i) is the
+    least v over real p in [half[i], half[i + 1]] and a real p* attaining
+    it, or None when no p there is feasible; lower(a, b) is a lower bound
+    on v over [a, b] that costs no LP.  None when no pin is feasible.
+    """
+    values: dict[int, Optional[Fraction]] = {}
+
+    def value(pin: int) -> Optional[Fraction]:
+        if pin in forced:
+            return None
+        if pin not in values:
+            values[pin] = pinned(pin)
+        return values[pin]
+
+    def above(pin: int, m: Fraction) -> bool:
+        """Whether v(pin) > m, without an LP when the cheap bound settles it."""
+        if pin in forced or lower(pin, pin) > m:
+            return True
+        v = value(pin)
+        return v is None or v > m
+
+    best: Optional[tuple[Fraction, int]] = None
+    for i, (a, b) in enumerate(zip(half, half[1:])):
+        if best is not None and lower(a, b) >= best[0]:
+            continue
+        pins = [p for p in range(a, b + 1) if p not in forced]
+        if sum(p not in values for p in pins) <= (2 if best is None else 1):
+            candidates = pins
+        else:
+            bound = relaxed(i)
+            if bound is None or (best is not None and bound[0] >= best[0]):
+                continue
+            m, p_star = bound
+            low = math.floor(p_star)
+            if low == p_star:
+                # The relaxed optimum is feasible for this pin, so v = m there.
+                values.setdefault(low, m)
+                candidates = [low]
+            else:
+                candidates = [low, low + 1]
+        found = [(v, p) for p in candidates if (v := value(p)) is not None]
+        if not found:
+            continue
+        m, q = min(found)
+        if q > a and not above(q - 1, m):
+            # {p : v(p) <= m} is an interval of pins ending at or after
+            # q - 1; bisect [a, q - 1] for its left end.
+            lo, q = a, q - 1
+            while lo < q:
+                mid = (lo + q) // 2
+                if above(mid, m):
+                    lo = mid + 1
+                else:
+                    q = mid
+        if best is None or (m, q) < best:
+            best = (m, q)
+    return best
+
+
 def min_lipschitz_unit_norm(N: int) -> MinLipschitzResult:
     """Smallest Lipschitz constant among sup-norm-1 solutions, or infeasible."""
     system = build_constraint_system(N)
     report = nullspace(system)
+    L = system.L
+    infeasible = MinLipschitzResult(
+        N=N, L=L, status="infeasible", value=None, pin_index=None, witness=None
+    )
     if report.dimension == 0:
-        return MinLipschitzResult(
-            N=N, L=system.L, status="infeasible", value=None, pin_index=None, witness=None
-        )
+        return infeasible
 
-    touched = set(system.touched)
+    touched = list(system.touched)
     forced = set(report.forced_zero_points)
+    vertices: dict[int, Optional[tuple[Fraction, ...]]] = {}
 
-    best_value: Optional[Fraction] = None
-    best_x: Optional[tuple[Fraction, ...]] = None
-    best_cols: Optional[list[int]] = None
-    best_pin: Optional[int] = None
-    for pin in range(system.L // 2 + 1):
-        if pin in forced:
-            continue
-        cols = sorted(touched | {pin})
-        value, x = _solve_pinned(system, cols, pin)
-        if value is None:
-            continue
-        if best_value is None or value < best_value:
-            best_value, best_x, best_cols, best_pin = value, x, cols, pin
-    if best_value is None:
-        return MinLipschitzResult(
-            N=N, L=system.L, status="infeasible", value=None, pin_index=None, witness=None
-        )
-    witness = _fill_witness(system.L, best_cols, best_x[: len(best_cols)])
+    def pinned(pin: int) -> Optional[Fraction]:
+        value, vertices[pin] = _solve_pinned(system, sorted({*touched, pin}), pin)
+        return value
+
+    best = _search(
+        [c for c in touched if 2 * c <= L],
+        forced,
+        pinned,
+        lambda i: _gap_bound(system, touched, i),
+        lambda a, b: _distance_bound(L, forced, a, b),
+    )
+    if best is None:
+        return infeasible
+    value, pin = best
+    cols = sorted({*touched, pin})
+    # A value known from its gap's bound has no vertex yet.
+    x = vertices.get(pin) or _solve_pinned(system, cols, pin)[1]
     return MinLipschitzResult(
         N=N,
-        L=system.L,
+        L=L,
         status="optimal",
-        value=best_value,
-        pin_index=best_pin,
-        witness=witness,
+        value=value,
+        pin_index=pin,
+        witness=_fill_witness(L, cols, x[: len(cols)]),
     )

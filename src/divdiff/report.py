@@ -90,6 +90,23 @@ def _items(value: Any, kind: Any) -> Any:
     return items
 
 
+def _check_keys(items: Any, prefix: str) -> None:
+    """Raise ValueError if two fields of one mapping would be written under one key.
+
+    That happens when two keys have the same str(), or when the
+    "<key>_decimal" twin of a name-like Fraction field is a key too.
+    """
+    seen: set[str] = set()
+    for k, v in items:
+        key = str(k)
+        twin = isinstance(v, Fraction) and not key.lstrip("+-").isdigit()
+        written = (key, key + "_decimal") if twin else (key,)
+        for name in written:
+            if name in seen:
+                raise ValueError(f"report field {prefix}{name} is written twice")
+            seen.add(name)
+
+
 def _write(
     value: Any, kind: Any, path: str, pad: Optional[str], out: list, exact: list, approx: list
 ) -> None:
@@ -108,6 +125,8 @@ def _write(
     else:
         items = _items(value, kind)
         prefix = path + "." if path else ""
+        if len(items) > 1:
+            _check_keys(items, prefix)
         brackets = "{}"
     inner = None if pad is None else pad + "  "
     opener = None if inner is None else brackets[0] + inner

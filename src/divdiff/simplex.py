@@ -14,6 +14,15 @@ pivoting follows exactly the path of a rational tableau.  Feasibility,
 optimality and the reported optimum are therefore exact statements,
 never floating-point verdicts; the solution is read back as the
 Fraction rhs/basic-entry.
+
+The cost row carries one more entry after its rhs: the positive factor
+it is scaled by, which the pivots update like any other entry.  With it
+the final cost row gives the simplex multipliers exactly: the reduced
+cost of a row's slack (or, for an equality, its artificial) column is
+minus that row's multiplier.  ``solve_lp`` returns them as a dual
+solution when the program is optimal and as a Farkas ray, read from the
+phase-1 cost row, when it is infeasible; ``certify`` checks either one
+from the program's own data, without the tableau.
 """
 
 import math
@@ -24,13 +33,19 @@ from typing import Optional, Sequence
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
 class LpResult:
+    """An LP outcome.  ``dual`` holds one multiplier per row, the a_ub rows
+    first: an optimal dual solution when OPTIMAL, a Farkas ray when
+    INFEASIBLE, None when UNBOUNDED."""
+
     status: str
     value: Optional[Fraction]
     x: Optional[tuple[Fraction, ...]]
+    dual: Optional[tuple[Fraction, ...]] = None
 
 
 def _reduced(row: list[int]) -> list[int]:
@@ -78,17 +93,31 @@ def _price_out(cost: list[int], rows: list[list[int]], basis: list[int]) -> None
             cost[:] = _eliminate(cost, cost[b], row[b], [(j, v) for j, v in enumerate(row) if v])
 
 
+# Degenerate pivots in a row after which the largest-coefficient rule
+# gives way to Bland's rule for the rest of the phase.
+STALL_LIMIT = 50
+
+
 def _iterate(
     rows: list[list[int]],
     cost: list[int],
     basis: list[int],
     banned: frozenset[int],
+    largest: bool = False,
 ) -> str:
-    width = len(cost) - 1
+    width = len(cost) - 2  # the cost row ends in its rhs and its scale
+    stalls = 0
     while True:
-        entering = next(
-            (j for j in range(width) if j not in banned and cost[j] < 0), None
-        )
+        if largest and stalls < STALL_LIMIT:
+            # Dantzig: the most negative reduced cost, the smallest index on ties.
+            entering = min(
+                ((v, j) for j, v in enumerate(cost[:width]) if v < 0 and j not in banned),
+                default=(0, None),
+            )[1]
+        else:
+            entering = next(
+                (j for j in range(width) if j not in banned and cost[j] < 0), None
+            )
         if entering is None:
             return OPTIMAL
         leaving = None
@@ -105,7 +134,24 @@ def _iterate(
                     leaving = i
         if leaving is None:
             return UNBOUNDED
+        stalls = stalls + 1 if best_rhs == 0 else 0
         _pivot(rows, cost, basis, leaving, entering)
+
+
+def _multipliers(
+    cost: list[int], n: int, m_ub: int, eq_units: list[tuple[int, int]], art_cost: int
+) -> tuple[Fraction, ...]:
+    """The multiplier of every input row, read from the reduced costs.
+
+    A cost row is scale * (cost - y.M) over the input rows M, so the
+    slack column of a_ub row i holds -scale * y_i.  An equality row is
+    read at its artificial column (entry art_cost before pricing), with
+    sign -1 when the row was negated to make its rhs nonnegative.
+    """
+    scale = cost[-1]
+    y = [-cost[n + i] for i in range(m_ub)]
+    y += [sign * (art_cost * scale - cost[j]) for j, sign in eq_units]
+    return tuple(Fraction(v, scale) if v else _ZERO for v in y)
 
 
 def solve_lp(
@@ -114,8 +160,17 @@ def solve_lp(
     b_ub: Sequence[Fraction] = (),
     a_eq: Sequence[Sequence[Fraction]] = (),
     b_eq: Sequence[Fraction] = (),
+    largest: bool = False,
 ) -> LpResult:
-    """Minimize c.x over x >= 0 with the given inequality and equality rows."""
+    """Minimize c.x over x >= 0 with the given inequality and equality rows.
+
+    Pivots follow Bland's rule, so the vertex returned is a function of
+    the program alone.  With largest, a column enters by the most
+    negative reduced cost instead (Dantzig's rule), which usually takes
+    far fewer pivots; after STALL_LIMIT degenerate pivots in a row the
+    phase goes on by Bland's rule, so it cannot cycle.  The optimum value
+    is the same either way, the vertex may not be.
+    """
     ub = [_scaled([*row, b]) for row, b in zip(a_ub, b_ub, strict=True)]
     eq = [_scaled([*row, b]) for row, b in zip(a_eq, b_eq, strict=True)]
     n = len(c)
@@ -140,21 +195,25 @@ def solve_lp(
         else:
             basis.append(n + i)
         rows.append(_reduced(row))
+    eq_units: list[tuple[int, int]] = []  # (artificial column, sign) per a_eq row
     for scaled, s in eq:
-        if scaled[-1] < 0:
+        sign = -1 if scaled[-1] < 0 else 1
+        if sign < 0:
             scaled = [-v for v in scaled]
         row = scaled[:n] + [0] * (m_ub + n_art) + scaled[n:]
         row[art] = s
         basis.append(art)
+        eq_units.append((art, sign))
         art += 1
         rows.append(_reduced(row))
 
     if n_art:
-        cost1 = [0] * art_start + [1] * n_art + [0]
+        cost1 = [0] * art_start + [1] * n_art + [0, 1]
         _price_out(cost1, rows, basis)
-        status = _iterate(rows, cost1, basis, frozenset())
-        if status != OPTIMAL or -cost1[-1] > 0:
-            return LpResult(INFEASIBLE, None, None)
+        status = _iterate(rows, cost1, basis, frozenset(), largest)
+        if status != OPTIMAL or -cost1[-2] > 0:
+            ray = _multipliers(cost1, n, m_ub, eq_units, 1)
+            return LpResult(INFEASIBLE, None, None, ray)
         # Pivot leftover artificials out of the basis; rows that cannot be
         # pivoted are redundant and get dropped.
         keep: list[int] = []
@@ -169,9 +228,10 @@ def solve_lp(
         basis = [basis[i] for i in keep]
 
     banned = frozenset(range(art_start, total))
-    cost2 = _reduced(_scaled(c)[0]) + [0] * (m_ub + n_art) + [0]
+    scaled_c, s = _scaled(c)
+    cost2 = _reduced(scaled_c + [0] * (m_ub + n_art) + [0, s])
     _price_out(cost2, rows, basis)
-    status = _iterate(rows, cost2, basis, banned)
+    status = _iterate(rows, cost2, basis, banned, largest)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)
 
@@ -180,4 +240,59 @@ def solve_lp(
         if b < n:
             x[b] = Fraction(rows[i][-1], rows[i][b])
     value = sum(ci * xi for ci, xi in zip(c, x))
-    return LpResult(OPTIMAL, value, tuple(x))
+    return LpResult(OPTIMAL, value, tuple(x), _multipliers(cost2, n, m_ub, eq_units, 0))
+
+
+def _dot(row: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
+    """row . x over the nonzero products, in integers, as one Fraction."""
+    num, den = 0, 1
+    for a, v in zip(row, x):
+        if a and v:
+            d = a.denominator * v.denominator
+            num = num * d + a.numerator * v.numerator * den
+            den *= d
+    return Fraction(num, den)
+
+
+def certify(
+    result: LpResult,
+    c: Sequence[Fraction],
+    a_ub: Sequence[Sequence[Fraction]] = (),
+    b_ub: Sequence[Fraction] = (),
+    a_eq: Sequence[Sequence[Fraction]] = (),
+    b_eq: Sequence[Fraction] = (),
+) -> None:
+    """Check result's certificate against the program; raise ArithmeticError if it fails.
+
+    An OPTIMAL result needs x feasible, its dual y feasible (y <= 0 on
+    the a_ub rows, A^T y <= c) and b.y == c.x == value: weak duality
+    then makes value the exact optimum.  An INFEASIBLE result needs its
+    ray y <= 0 on the a_ub rows with A^T y <= 0 and b.y > 0, which no
+    x >= 0 can satisfy.  Each sum of products runs in integers over the
+    nonzero terms, so the check costs one pass over the program.
+    """
+    rows = [*a_ub, *a_eq]
+    y = result.dual
+    if result.status not in (OPTIMAL, INFEASIBLE) or y is None or len(y) != len(rows):
+        raise ArithmeticError(f"LP result ({result.status}) carries no certificate")
+    if any(v > 0 for v in y[: len(a_ub)]):
+        raise ArithmeticError("LP multiplier of an inequality row is positive")
+    ty = [_dot(column, y) for column in zip(*rows)] or [0] * len(c)  # A^T y
+    by = _dot(y, [*b_ub, *b_eq])
+    if result.status == INFEASIBLE:
+        if by <= 0 or any(v > 0 for v in ty):
+            raise ArithmeticError("LP Farkas ray does not prove infeasibility")
+        return
+    x = result.x
+    if (
+        x is None
+        or len(x) != len(c)
+        or any(v < 0 for v in x)
+        or any(_dot(row, x) > b for row, b in zip(a_ub, b_ub))
+        or any(_dot(row, x) != b for row, b in zip(a_eq, b_eq))
+    ):
+        raise ArithmeticError("LP solution is not feasible")
+    if any(v > cj for v, cj in zip(ty, c)):
+        raise ArithmeticError("LP dual is not feasible")
+    if not _dot(c, x) == by == result.value:
+        raise ArithmeticError("LP duality gap is not zero")

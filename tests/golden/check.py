@@ -15,8 +15,10 @@ so they hold every later kernel to the same bytes.  The ``nullspace``
 pins, JSON and CSV at N = 9..12, were recorded while the null space
 still built one grid function per basis vector and scanned every grid
 column for forced zeros.  The ``minlip`` pins at N = 7..9 were recorded
-while ``minlip`` still solved one LP per pin 0..L/2.  The report-shape pins were recorded while
-every CLI handler still built its results dict by hand.
+while ``minlip`` still solved one LP per pin 0..L/2; those at N = 10..12,
+out of that loop's reach, by the gap search that replaced it.  The
+report-shape pins were recorded while every CLI handler still built its
+results dict by hand.
 
 ``tests/test_golden.py`` runs these under pytest.  Without pytest, run
 
@@ -188,6 +190,18 @@ PINS = {
     "minlip-9": Pin(
         ["minlip", "--N", "9"],
         "0c9df4770c9b56d54e9a6fbb10e85a3bb8b3ad831a32e873cf6f04cc97fdbafc",
+    ),
+    "minlip-10": Pin(
+        ["minlip", "--N", "10"],
+        "71fac5a20973e21d2089d41d68cb6ad221783a7df042902e0aedb045eeaa8da1",
+    ),
+    "minlip-11": Pin(
+        ["minlip", "--N", "11"],
+        "eb45a2281dfd93c81fa3f32a6f490eb7aad4e6aa346810050181606f954280c1",
+    ),
+    "minlip-12": Pin(
+        ["minlip", "--N", "12"],
+        "499a57710f56d93f3294d68e29d43b11abd8c9d7e8da1660e21fd085186aa144",
     ),
     "minlip-4-csv": Pin(
         ["minlip", "--N", "4", "--format", "csv"],

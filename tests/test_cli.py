@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: reports, formats, and exit codes."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -12,11 +13,12 @@ from divdiff import (
     cli,
     constraints,
     divided_difference_direct,
+    extremal,
     parse_rational,
 )
 from divdiff.cli import main
 
-from util import corrupting_kernel_basis
+from util import corrupting_kernel_basis, corrupting_solve_lp
 
 
 def run(capsys, *argv):
@@ -294,6 +296,17 @@ def test_corrupted_null_vector_is_one_line_exit_two(capsys, monkeypatch):
         "divdiff: error: internal check failed: "
         "null vector of column 8 fails constraint row 3\n"
     )
+
+
+def test_lp_certificate_failure_is_one_line_exit_two(capsys, monkeypatch):
+    def lower_the_value(result):
+        return dataclasses.replace(result, value=result.value - 1)
+
+    monkeypatch.setattr(extremal, "solve_lp", corrupting_solve_lp(lower_the_value))
+    code, out, err = run(capsys, "minlip", "--N", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "divdiff: error: internal check failed: LP duality gap is not zero\n"
 
 
 def test_duplicate_knots_exit_code(capsys):

@@ -12,17 +12,23 @@ reductions at small N.
 
 import hashlib
 import json
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from divdiff import (
     build_constraint_system,
+    extremal,
     min_lipschitz_unit_norm,
     nullspace,
 )
 from divdiff.cli import main
+from divdiff.extremal import _search
 from divdiff.simplex import INFEASIBLE, OPTIMAL, solve_lp
+
+from util import corrupting_solve_lp, reference_min_lipschitz
 
 
 def full_grid_minimum(N):
@@ -134,6 +140,144 @@ def test_five_and_six_stay_at_six():
         assert result.status == "optimal"
         assert result.value == 6
         witness_is_valid(result)
+
+
+# LPs the gap search solves; the per-pin loop solves 0, 0, 2, 5, 29, 29.
+GAP_SEARCH_LPS = {1: 0, 2: 0, 3: 2, 4: 3, 5: 4, 6: 5}
+
+
+@pytest.mark.parametrize("N", sorted(GAP_SEARCH_LPS))
+def test_gap_search_matches_the_per_pin_loop(N, monkeypatch):
+    calls = []
+
+    def counting_solve_lp(*args, **kwargs):
+        calls.append(None)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(extremal, "solve_lp", counting_solve_lp)
+    expected = reference_min_lipschitz(N)
+    loop_lps = len(calls)
+    calls.clear()
+    result = min_lipschitz_unit_norm(N)
+    assert result.status == expected.status
+    assert result.value == expected.value
+    assert result.pin_index == expected.pin_index
+    assert result.witness == expected.witness
+    assert len(calls) == GAP_SEARCH_LPS[N]
+    assert len(calls) <= loop_lps
+    if N in (5, 6):
+        assert len(calls) < loop_lps
+
+
+class Bathtubs:
+    """A random instance of the gap search with a known answer.
+
+    On each gap [a, b] the value falls linearly from its value at a to a
+    level m at l, stays at m up to r, and rises linearly to its value at
+    b: quasiconvex, and flat over [l, r].  Levels and end values come
+    from a few small numbers, so ties within and across gaps are common.
+    A forced end is infeasible, and m stays above its virtual value there.
+    """
+
+    def __init__(self, rng):
+        self.half = [0] + sorted(rng.sample(range(1, 40), rng.randint(1, 5)))
+        self.forced = {0} | {e for e in self.half[1:] if rng.random() < 0.2}
+        ends = {e: Fraction(rng.randint(2, 6), 2) for e in self.half}
+        self.gaps = []
+        for a, b in zip(self.half, self.half[1:]):
+            top_a = Fraction(10) if a in self.forced else ends[a]
+            top_b = Fraction(10) if b in self.forced else ends[b]
+            m = min(top_a, top_b, Fraction(rng.randint(1, 6), 2))
+            l = a if m == top_a else a + Fraction(rng.randint(1, 4 * (b - a) - 1), 4)
+            if m == top_b:
+                r = b
+            else:
+                r = l + Fraction(rng.randint(0, int(4 * (b - l)) - 1), 4)
+            p_star = rng.choice([l, r, (l + r) / 2])
+            self.gaps.append((a, b, top_a, top_b, m, l, r, p_star))
+        self.calls = []
+
+    def v(self, p):
+        if p in self.forced:
+            return None
+        a, b, top_a, top_b, m, l, r, _ = next(g for g in self.gaps if g[0] <= p <= g[1])
+        if p < l:
+            return top_a + (m - top_a) * (p - a) / (l - a)
+        if p <= r:
+            return m
+        return m + (top_b - m) * (p - r) / (b - r)
+
+    def pinned(self, p):
+        self.calls.append(p)
+        return self.v(p)
+
+    def relaxed(self, i):
+        _, _, _, _, m, _, _, p_star = self.gaps[i]
+        return m, p_star
+
+    def answer(self):
+        return min((v, p) for p in range(self.half[-1] + 1) if (v := self.v(p)) is not None)
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_gap_search_finds_the_smallest_pin_of_the_least_value(seed):
+    rng = random.Random(seed)
+    case = Bathtubs(rng)
+    exact = rng.random() < 0.5
+
+    def lower(a, b):
+        if not exact:
+            return Fraction(0)
+        # The exact least value: the value at a pin, the level over a gap.
+        return case.v(a) if a == b else next(g[4] for g in case.gaps if g[0] == a)
+
+    assert _search(case.half, case.forced, case.pinned, case.relaxed, lower) == case.answer()
+    assert len(case.calls) == len(set(case.calls))
+
+
+def test_gap_search_skips_a_gap_whose_bound_ties_the_best():
+    # Level 1 over [4, 6] in the first gap and over [14, 16] in the
+    # second; the first gap holds the answer, so the second is never
+    # entered, although p* = 31/2 there has two candidate pins.
+    case = Bathtubs(random.Random(0))
+    case.half, case.forced = [0, 10, 20], {0}
+    case.gaps = [
+        (0, 10, Fraction(10), Fraction(3), Fraction(1), 4, 6, Fraction(6)),
+        (10, 20, Fraction(3), Fraction(3), Fraction(1), 14, 16, Fraction(31, 2)),
+    ]
+    best = _search(case.half, case.forced, case.pinned, case.relaxed, lambda a, b: 0)
+    assert best == (1, 4)
+    assert max(case.calls) <= 10
+
+
+def _reported_infeasible(result):
+    return replace(result, status=INFEASIBLE, value=None, x=None)
+
+
+# How an LP result is spoiled, and the check that must catch it.
+LP_CORRUPTIONS = {
+    "a lower value": (lambda r: replace(r, value=r.value - 1), "duality gap is not zero"),
+    "an optimum reported infeasible": (_reported_infeasible, "does not prove infeasibility"),
+    "a positive multiplier": (
+        lambda r: replace(r, dual=(Fraction(1),) + r.dual[1:]),
+        "multiplier of an inequality row is positive",
+    ),
+    "a smaller slope bound": (
+        lambda r: replace(r, x=r.x[:-1] + (r.x[-1] - 1,)), "solution is not feasible"
+    ),
+    "no certificate": (lambda r: replace(r, dual=None), "carries no certificate"),
+}
+
+
+# The first LP of N = 3 is a pinned one (its gaps are enumerated), the
+# first LP of N = 5 the relaxed one of the gap (0, 12).
+@pytest.mark.parametrize("N", [3, 5])
+@pytest.mark.parametrize("name", list(LP_CORRUPTIONS))
+def test_lp_certificate_catches_a_corrupted_result(monkeypatch, name, N):
+    corrupt, message = LP_CORRUPTIONS[name]
+    monkeypatch.setattr(extremal, "solve_lp", corrupting_solve_lp(corrupt))
+    with pytest.raises(ArithmeticError, match=message):
+        min_lipschitz_unit_norm(N)
 
 
 # SHA-256 of the full stdout of `divdiff minlip --N k`, and the pin the

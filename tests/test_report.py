@@ -205,3 +205,21 @@ def test_a_str_keyed_mapping_keeps_its_order():
     results = {"zeta": 1, "alpha": 2, "10": 3, "2": 4}
     doc = json.loads(render_json(Report("c", {}, results)))
     assert list(doc["results"]) == ["zeta", "alpha", "10", "2"]
+
+
+@pytest.mark.parametrize("render", [render_json, render_csv])
+def test_two_keys_with_one_text_are_rejected(render):
+    report = Report(command="demo", inputs={}, results={"v": {1: "a", "1": "b"}})
+    with pytest.raises(ValueError, match=r"results\.v\.1 is written twice"):
+        render(report)
+
+
+@pytest.mark.parametrize("render", [render_json, render_csv])
+def test_a_key_named_like_a_decimal_twin_is_rejected(render):
+    for results in (
+        {"x": Fraction(1, 2), "x_decimal": "own"},
+        {"x_decimal": "own", "x": Fraction(1, 2)},
+    ):
+        report = Report(command="demo", inputs={}, results=results)
+        with pytest.raises(ValueError, match=r"results\.x_decimal is written twice"):
+            render(report)

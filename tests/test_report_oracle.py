@@ -33,13 +33,16 @@ from util import (
     reference_render_json,
 )
 
-# Every README command, and every pinned run but the largest kernels; a
-# handler's report does not depend on --format, so each is run once.
+# Every README command, and every pinned run but the largest kernels and
+# the minlip runs past N = 9, whose reports have the shape of N = 9's and
+# cost seconds of LPs each; a handler's report does not depend on
+# --format, so each is run once.
+LARGEST = ("-256", "minlip-10", "minlip-11", "minlip-12")
 CLI_RUNS = dict(README_COMMANDS)
 CLI_RUNS.update(
     (f"pin-{name}", pin.argv)
     for name, pin in PINS.items()
-    if not name.endswith("-256") and "--format" not in pin.argv
+    if not name.endswith(LARGEST) and "--format" not in pin.argv
 )
 
 

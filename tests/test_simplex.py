@@ -9,9 +9,13 @@ square subsystems is exponential but exact, which is all the tests need.
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
-from divdiff.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+import pytest
+
+from divdiff import simplex
+from divdiff.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, certify, solve_lp
 
 from util import solve_square
 
@@ -71,6 +75,37 @@ def test_fractional_optimum_is_exact():
     assert res.value == Fraction(-4, 5)
 
 
+def test_an_optimum_carries_its_dual():
+    # The dual of test_fractional_optimum: both rows are tight.
+    program = ([F(-1), F(-1)], [[F(2), F(1)], [F(1), F(3)]], [F(1), F(2)])
+    res = solve_lp(*program)
+    assert res.dual == (Fraction(-2, 5), Fraction(-1, 5))
+    certify(res, *program)
+    with pytest.raises(ArithmeticError, match="duality gap"):
+        certify(replace(res, dual=(Fraction(-1, 2), Fraction(-1, 6))), *program)
+
+
+def test_an_infeasible_program_carries_a_farkas_ray():
+    program = ([F(1), F(1)], [], [], [[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)])
+    res = solve_lp(*program)
+    assert res.status == INFEASIBLE
+    certify(res, *program)
+    with pytest.raises(ArithmeticError, match="Farkas ray"):
+        certify(replace(res, dual=tuple(-y for y in res.dual)), *program)
+
+
+def test_largest_coefficient_rule_falls_back_to_bland(monkeypatch):
+    # With no degenerate pivot allowed it is Bland's rule from the start,
+    # so it reaches Bland's vertex.
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 0)
+    rng = random.Random(717)
+    for _ in range(30):
+        c = [F(rng.randint(-4, 4)) for _ in range(3)]
+        a_ub = [[F(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)] + BOX[0]
+        b_ub = [F(rng.randint(-2, 4)) for _ in range(3)] + BOX[1]
+        assert solve_lp(c, a_ub, b_ub, largest=True) == solve_lp(c, a_ub, b_ub)
+
+
 def enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, nvars):
     rows = []
     rhs = []
@@ -119,8 +154,16 @@ def rational_draw(rng):
 
 
 def assert_matches_enumeration(c, a_ub, b_ub, a_eq, b_eq):
-    """Check solve_lp against the vertex oracle; return the oracle's optimum."""
+    """Check solve_lp against the vertex oracle; return the oracle's optimum.
+
+    The result's dual or Farkas ray must pass ``certify`` as well, and
+    the largest-coefficient rule must reach the same status and value.
+    """
     res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    certify(res, c, a_ub, b_ub, a_eq, b_eq)
+    fast = solve_lp(c, a_ub, b_ub, a_eq, b_eq, largest=True)
+    certify(fast, c, a_ub, b_ub, a_eq, b_eq)
+    assert (fast.status, fast.value) == (res.status, res.value)
     expected = enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, len(c))
     if expected is None:
         assert res.status == INFEASIBLE

@@ -18,6 +18,10 @@ handing that to ``json.dumps(indent=2)`` or flattening it for the
 ``csv`` module, kept as oracles for the one-pass writer in ``report``.
 ``corrupting_kernel_basis`` spoils one null vector, to show that the
 null-space certificate in ``constraints`` catches it.
+``reference_min_lipschitz`` solves one pinned LP per pin 0..L/2, kept
+as the oracle for the gap search in ``extremal``, and
+``corrupting_solve_lp`` spoils every LP result, to show that the LP
+certificate check there catches it.
 """
 
 import csv
@@ -37,10 +41,14 @@ from divdiff import (
     PolynomialFunc,
     RationalFunc,
     __version__,
+    build_constraint_system,
     lagrange_equispaced,
     leading_coefficient,
     linalg,
+    nullspace,
+    simplex,
 )
+from divdiff.extremal import MinLipschitzResult, _fill_witness, _solve_pinned
 from divdiff.linalg import integer_echelon
 from divdiff.rational import decimal_string, format_rational, integer_text
 
@@ -345,6 +353,43 @@ def corrupting_kernel_basis(corrupt):
         return rank, pivot_cols, vectors
 
     return kernel_basis
+
+
+def reference_min_lipschitz(N):
+    """min_lipschitz_unit_norm with one pinned LP per non-forced pin 0..L/2."""
+    system = build_constraint_system(N)
+    report = nullspace(system)
+    infeasible = MinLipschitzResult(
+        N=N, L=system.L, status="infeasible", value=None, pin_index=None, witness=None
+    )
+    if report.dimension == 0:
+        return infeasible
+    touched = set(system.touched)
+    forced = set(report.forced_zero_points)
+    best = None
+    for pin in range(system.L // 2 + 1):
+        if pin in forced:
+            continue
+        cols = sorted(touched | {pin})
+        value, x = _solve_pinned(system, cols, pin)
+        if value is not None and (best is None or value < best[0]):
+            best = (value, x, cols, pin)
+    if best is None:
+        return infeasible
+    value, x, cols, pin = best
+    witness = _fill_witness(system.L, cols, x[: len(cols)])
+    return MinLipschitzResult(
+        N=N, L=system.L, status="optimal", value=value, pin_index=pin, witness=witness
+    )
+
+
+def corrupting_solve_lp(corrupt):
+    """solve_lp that hands back corrupt(result) in place of every result."""
+
+    def solve_lp(*args, **kwargs):
+        return corrupt(simplex.solve_lp(*args, **kwargs))
+
+    return solve_lp
 
 
 def reference_forced_zeros(vectors, ncols):
