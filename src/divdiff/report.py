@@ -80,13 +80,17 @@ _KINDS = {
 }
 
 
-def _items(value: Any, kind: Any) -> Any:
-    """The (key, value) pairs of a mapping or a record, in report order."""
+def _items(value: Any, kind: Any, prefix: str) -> Any:
+    """The (key, value) pairs of a mapping or a record at prefix, in report order."""
     if kind is _RECORD:
-        return [(f.name, getattr(value, f.name)) for f in fields(value)]
-    items = value.items()
-    if len(items) > 1 and all(map(isinstance, value, repeat(int))):
-        return sorted(items)
+        items: Any = [(f.name, getattr(value, f.name)) for f in fields(value)]
+    else:
+        items = value.items()
+        if len(items) > 1 and all(map(isinstance, value, repeat(int))):
+            # Distinct ints have distinct texts, and a digit key has no twin.
+            return sorted(items)
+    if len(items) > 1:
+        _check_keys(items, prefix)
     return items
 
 
@@ -123,10 +127,8 @@ def _write(
         items: Any = enumerate(value)
         brackets = "[]"
     else:
-        items = _items(value, kind)
         prefix = path + "." if path else ""
-        if len(items) > 1:
-            _check_keys(items, prefix)
+        items = _items(value, kind, prefix)
         brackets = "{}"
     inner = None if pad is None else pad + "  "
     opener = None if inner is None else brackets[0] + inner
@@ -203,7 +205,7 @@ def render_json(report: Report) -> str:
 
 
 def render_csv(report: Report) -> str:
-    results = dict(_items(report.results, _kind(type(report.results))))
+    results = dict(_items(report.results, _kind(type(report.results)), "results."))
     table = results.pop("rows", None)
     document = {
         "command": report.command,

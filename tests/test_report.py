@@ -214,11 +214,18 @@ def test_two_keys_with_one_text_are_rejected(render):
         render(report)
 
 
+@dataclass(frozen=True)
+class Twinned:
+    x: Fraction
+    x_decimal: str
+
+
 @pytest.mark.parametrize("render", [render_json, render_csv])
 def test_a_key_named_like_a_decimal_twin_is_rejected(render):
     for results in (
         {"x": Fraction(1, 2), "x_decimal": "own"},
         {"x_decimal": "own", "x": Fraction(1, 2)},
+        Twinned(Fraction(1, 2), "own"),
     ):
         report = Report(command="demo", inputs={}, results=results)
         with pytest.raises(ValueError, match=r"results\.x_decimal is written twice"):
