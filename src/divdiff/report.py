@@ -80,35 +80,26 @@ _KINDS = {
 }
 
 
-def _items(value: Any, kind: Any, prefix: str) -> Any:
-    """The (key, value) pairs of a mapping or a record at prefix, in report order."""
+def _items(value: Any, kind: Any) -> tuple[Any, bool]:
+    """The (key, value) pairs of a mapping or a record, in report order,
+    and whether two of them could be written under one key."""
     if kind is _RECORD:
-        items: Any = [(f.name, getattr(value, f.name)) for f in fields(value)]
-    else:
-        items = value.items()
-        if len(items) > 1 and all(map(isinstance, value, repeat(int))):
-            # Distinct ints have distinct texts, and a digit key has no twin.
-            return sorted(items)
-    if len(items) > 1:
-        _check_keys(items, prefix)
-    return items
+        items = [(f.name, getattr(value, f.name)) for f in fields(value)]
+        return items, len(items) > 1
+    items = value.items()
+    if len(items) < 2:
+        return items, False
+    if all(map(isinstance, value, repeat(int))):
+        # Distinct ints have distinct texts, and a digit key has no twin.
+        return sorted(items), False
+    return items, True
 
 
-def _check_keys(items: Any, prefix: str) -> None:
-    """Raise ValueError if two fields of one mapping would be written under one key.
-
-    That happens when two keys have the same str(), or when the
-    "<key>_decimal" twin of a name-like Fraction field is a key too.
-    """
-    seen: set[str] = set()
-    for k, v in items:
-        key = str(k)
-        twin = isinstance(v, Fraction) and not key.lstrip("+-").isdigit()
-        written = (key, key + "_decimal") if twin else (key,)
-        for name in written:
-            if name in seen:
-                raise ValueError(f"report field {prefix}{name} is written twice")
-            seen.add(name)
+def _claim(seen: set, name: str, prefix: str) -> None:
+    """Record that a mapping writes the key name; raise ValueError if it already did."""
+    if name in seen:
+        raise ValueError(f"report field {prefix}{name} is written twice")
+    seen.add(name)
 
 
 def _write(
@@ -122,13 +113,19 @@ def _write(
     line), out gets JSON text, and exact and approx get the paths of the
     exact and the decimal fields.  With pad None, out gets one
     (path, cell) pair per scalar, and exact and approx are left alone.
+    A mapping or record that would write one key twice raises ValueError.
     """
+    # The keys written so far, when two keys or a key and a decimal twin
+    # could clash (two keys with one str(), or a key named "<k>_decimal").
+    seen: Optional[set] = None
     if kind is _LIST:
         items: Any = enumerate(value)
         brackets = "[]"
     else:
+        items, clash = _items(value, kind)
         prefix = path + "." if path else ""
-        items = _items(value, kind, prefix)
+        if clash:
+            seen = set()
         brackets = "{}"
     inner = None if pad is None else pad + "  "
     opener = None if inner is None else brackets[0] + inner
@@ -138,6 +135,8 @@ def _write(
         else:
             key = str(k)
             child = prefix + key
+            if seen is not None:
+                _claim(seen, key, prefix)
         if inner is not None:
             out.append(opener if key is None else f"{opener}{_quote(key)}: ")
             opener = "," + inner
@@ -178,6 +177,8 @@ def _write(
         if vkind is Fraction and key is not None and not key.lstrip("+-").isdigit():
             # A name-like field gets a decimal twin for human readers.
             child += "_decimal"
+            if seen is not None:
+                _claim(seen, key + "_decimal", prefix)
             cell = decimal_string(v)
             if inner is None:
                 out.append((child, cell))
@@ -205,7 +206,7 @@ def render_json(report: Report) -> str:
 
 
 def render_csv(report: Report) -> str:
-    results = dict(_items(report.results, _kind(type(report.results)), "results."))
+    results = dict(_items(report.results, _kind(type(report.results)))[0])
     table = results.pop("rows", None)
     document = {
         "command": report.command,
