@@ -53,12 +53,12 @@ attains m too, by bisection.  A gap with at most two unsolved pins (one,
 once a value is known) is cheaper to enumerate than to bound.  Because
 every skip is strict on the value and the gaps come in order, the
 result is the smallest v(p) at the smallest pin attaining it.  Each pin
-is solved by the same program the one-pin-at-a-time loop solved (and
-the best pin once more at the end if its value came from a bound), so
-the value, the pin and the witness (the vertex Bland's rule reaches for
-that pin) are the loop's.  Only a relaxed program's value and p* are
-read, so it is solved by the largest-coefficient rule, which takes
-fewer pivots.
+is solved by the same program the one-pin-at-a-time loop solved (the
+best pin at the end if its value came from a bound, and its optimum
+must equal that bound), so the value, the pin and the witness (the
+vertex Bland's rule reaches for that pin) are the loop's.  Only a
+relaxed program's value and p* are read, so it is solved by the
+largest-coefficient rule, which takes fewer pivots.
 
 A wrong bound would prune the optimum silently, so every program the
 search solves, relaxed or pinned, is checked in exact arithmetic before
@@ -299,8 +299,17 @@ def min_lipschitz_unit_norm(N: int) -> MinLipschitzResult:
         return infeasible
     value, pin = best
     cols = sorted({*touched, pin})
-    # A value known from its gap's bound has no vertex yet.
-    x = vertices.get(pin) or _solve_pinned(system, cols, pin)[1]
+    x = vertices.get(pin)
+    if x is None:
+        # The value came from the gap's bound at an integer p*: the pin
+        # that wins is solved, and must attain that bound.  A losing such
+        # pin cannot change the answer, since its value only ever bounds
+        # it from below.
+        solved, x = _solve_pinned(system, cols, pin)
+        if solved != value:
+            raise ArithmeticError(
+                f"pin {pin} has optimum {solved}, not its gap's bound {value}"
+            )
     return MinLipschitzResult(
         N=N,
         L=L,

@@ -94,7 +94,7 @@ def _price_out(cost: list[int], rows: list[list[int]], basis: list[int]) -> None
 
 
 # Degenerate pivots in a row after which the largest-coefficient rule
-# gives way to Bland's rule for the rest of the phase.
+# gives way to Bland's rule until the next nondegenerate pivot.
 STALL_LIMIT = 50
 
 
@@ -167,9 +167,12 @@ def solve_lp(
     Pivots follow Bland's rule, so the vertex returned is a function of
     the program alone.  With largest, a column enters by the most
     negative reduced cost instead (Dantzig's rule), which usually takes
-    far fewer pivots; after STALL_LIMIT degenerate pivots in a row the
-    phase goes on by Bland's rule, so it cannot cycle.  The optimum value
-    is the same either way, the vertex may not be.
+    far fewer pivots; after STALL_LIMIT degenerate pivots in a row,
+    Bland's rule picks the entering column until a nondegenerate pivot
+    comes.  It still cannot cycle: a nondegenerate pivot strictly lowers
+    the objective, so a cycle would be a run of degenerate pivots only,
+    and such a run ends under Bland's rule.  The optimum value is the
+    same either way, the vertex may not be.
     """
     ub = [_scaled([*row, b]) for row, b in zip(a_ub, b_ub, strict=True)]
     eq = [_scaled([*row, b]) for row, b in zip(a_eq, b_eq, strict=True)]

@@ -280,6 +280,22 @@ def test_lp_certificate_catches_a_corrupted_result(monkeypatch, name, N):
         min_lipschitz_unit_norm(N)
 
 
+def test_a_misplaced_integer_p_star_is_caught(monkeypatch):
+    # At N = 5 the gap (0, 12) has the integer p* = 10.  Moved one pin
+    # left, it credits pin 9 with the bound 6, which pin 9 does not attain.
+    gap_bound = extremal._gap_bound
+
+    def misplaced(system, cols, i):
+        bound = gap_bound(system, cols, i)
+        if bound is None or bound[1].denominator != 1 or bound[1] == cols[i]:
+            return bound
+        return bound[0], bound[1] - 1
+
+    monkeypatch.setattr(extremal, "_gap_bound", misplaced)
+    with pytest.raises(ArithmeticError, match="pin 9 has optimum 20/3, not its gap's bound 6"):
+        min_lipschitz_unit_norm(5)
+
+
 # SHA-256 of the full stdout of `divdiff minlip --N k`, and the pin the
 # optimum was found at, recorded with the rational (Fraction) tableau.
 # The witness and pin come from the pivot path of Bland's rule, so a
