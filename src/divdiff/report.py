@@ -27,6 +27,16 @@ keyed by its path; when the results contain a "rows" list (a table,
 e.g. one line per N), the rows are appended as a regular CSV table
 after a separating blank line, with the columns of all rows in the
 order they first appear.
+
+A list is written in one pass over its members, with no call per
+member for the two kinds that make up large reports: flat lists of
+strs, ints and Fractions (the provenance paths, the forced zeros) and
+lists of sparse vectors (int keys, Fraction values, such as a null
+space basis).  Any other member is walked in its place, so the bytes
+are the same either way.  `nullspace --N 12` writes a basis of 27,708
+vectors, 2.0 MB of JSON or 0.8 MB of CSV, in about 40 ms each on
+Python 3.11 (2 CPUs): 0.45-0.5 (JSON) and 0.6 (CSV) of the time a walk
+per member takes.
 """
 
 import csv
@@ -35,7 +45,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from . import __version__
 from .funcs import GridFunction
@@ -102,6 +112,74 @@ def _claim(seen: set, name: str, prefix: str) -> None:
     seen.add(name)
 
 
+def _list_members(
+    value: Any, path: str, inner: Optional[str], out: list, exact: list
+) -> Iterator[tuple[int, Any]]:
+    """Write the members of a list at path that need no walk of their own,
+    with the text and paths _write would give them; yield (index, member)
+    for each other member, which the caller writes in its place before the
+    next members are written here.
+
+    A member needs no walk when it is a str, an int or a Fraction, or a
+    nonempty dict with int keys and Fraction values (a sparse vector), and
+    its numbers are within the int-to-str digit limit.  The text of a
+    number is kept while the same object comes again, as the shared 1 of
+    the singleton vectors of a null space basis does.
+    """
+    if inner is not None:
+        first, comma, ind = "[" + inner, "," + inner, inner + "  "
+        head, sep, tail = "{" + ind + '"', '",' + ind + '"', '"' + inner + "}"
+    last = text = None  # the last number written, and its text
+    for i, v in enumerate(value):
+        cls = type(v)
+        if cls is dict and v:
+            entries: Any = v.items()
+            if len(v) > 1 and all(map(isinstance, v, repeat(int))):
+                entries = sorted(entries)
+            n, m = len(out), len(exact)
+            cells = []
+            for k, x in entries:
+                if type(k) is not int or type(x) is not Fraction:
+                    break
+                if x is not last:
+                    try:
+                        text, last = str(x), x
+                    except ValueError:
+                        break
+                child = f"{path}[{i}].{k}"
+                if inner is None:
+                    out.append((child, text))
+                else:
+                    cells.append(f'{k}": "{text}')
+                    exact.append(child)
+            else:
+                if inner is not None:
+                    out += comma if i else first, head + sep.join(cells) + tail
+                continue
+            del out[n:], exact[m:]  # the walk writes this member whole
+        elif cls is str:
+            if inner is None:
+                out.append((f"{path}[{i}]", v))
+            else:
+                out += comma if i else first, _quote(v)
+            continue
+        elif cls is int or cls is Fraction:
+            try:
+                if v is not last:
+                    text, last = str(v), v
+            except ValueError:
+                pass
+            else:
+                child = f"{path}[{i}]"
+                if inner is None:
+                    out.append((child, text))
+                else:
+                    out += comma if i else first, text if cls is int else f'"{text}"'
+                    exact.append(child)
+                continue
+        yield i, v
+
+
 def _write(
     value: Any, kind: Any, path: str, pad: Optional[str], out: list, exact: list, approx: list
 ) -> None:
@@ -115,11 +193,12 @@ def _write(
     (path, cell) pair per scalar, and exact and approx are left alone.
     A mapping or record that would write one key twice raises ValueError.
     """
+    inner = None if pad is None else pad + "  "
     # The keys written so far, when two keys or a key and a decimal twin
     # could clash (two keys with one str(), or a key named "<k>_decimal").
     seen: Optional[set] = None
     if kind is _LIST:
-        items: Any = enumerate(value)
+        items: Any = _list_members(value, path, inner, out, exact)
         brackets = "[]"
     else:
         items, clash = _items(value, kind)
@@ -127,8 +206,11 @@ def _write(
         if clash:
             seen = set()
         brackets = "{}"
-    inner = None if pad is None else pad + "  "
-    opener = None if inner is None else brackets[0] + inner
+    if inner is not None:
+        first, comma = brackets[0] + inner, "," + inner
+    # In JSON every member adds to out, whichever function writes it, so
+    # out keeps this length until the first member is written.
+    mark = len(out)
     for k, v in items:
         if kind is _LIST:
             key, child = None, f"{path}[{k}]"
@@ -138,8 +220,8 @@ def _write(
             if seen is not None:
                 _claim(seen, key, prefix)
         if inner is not None:
+            opener = first if len(out) == mark else comma
             out.append(opener if key is None else f"{opener}{_quote(key)}: ")
-            opener = "," + inner
         vkind = _KINDS.get(type(v)) or _kind(type(v))
         if vkind is Fraction:
             cell = format_rational(v)
@@ -183,10 +265,10 @@ def _write(
             if inner is None:
                 out.append((child, cell))
             else:
-                out.append(f"{opener}{_quote(key + '_decimal')}: {_quote(cell)}")
+                out.append(f"{comma}{_quote(key + '_decimal')}: {_quote(cell)}")
                 approx.append(child)
     if inner is not None:
-        out.append(pad + brackets[1] if opener[0] == "," else brackets)
+        out.append(brackets if len(out) == mark else pad + brackets[1])
 
 
 def render_json(report: Report) -> str:

@@ -214,6 +214,16 @@ def test_two_keys_with_one_text_are_rejected(render):
         render(report)
 
 
+@pytest.mark.parametrize("render", [render_json, render_csv])
+@pytest.mark.parametrize("i", [0, 2, 4])
+def test_two_keys_with_one_text_in_a_vector_list_are_rejected(render, i):
+    basis = [{k: Fraction(1), k + 1: Fraction(-1, 2)} for k in range(5)]
+    basis[i] = {1: Fraction(1, 3), "1": Fraction(2, 3)}
+    report = Report(command="demo", inputs={}, results={"basis": basis})
+    with pytest.raises(ValueError, match=rf"results\.basis\[{i}\]\.1 is written twice"):
+        render(report)
+
+
 @dataclass(frozen=True)
 class Twinned:
     x: Fraction

@@ -11,6 +11,11 @@ int-to-str digit limit and strings that need escaping.
 
 A CSV ``rows`` table is generated with the same columns in every row,
 because the reference took the header from the first row alone.
+
+Lists of sparse vectors and flat lists of scalars are written in one
+pass over their members, and a member of any other shape by the walk in
+its place; seeded lists with one such member, first, last or anywhere
+between, are checked against the reference as well.
 """
 
 import dataclasses
@@ -166,3 +171,70 @@ def test_seeded_nested_values_match_the_reference_writer():
         report = random_report(rng)
         assert render_json(report) == reference_render_json(report)
         assert render_csv(report) == reference_render_csv(report)
+
+
+# Members that the one-pass list writer hands back to the walk, or, for
+# scrambled negative keys and lone scalars, writes itself; each is put
+# once into a list of sparse vectors or of scalars.
+ODD_MEMBERS = (
+    lambda rng: {True: random_fraction(rng), 3: random_fraction(rng)},  # key text "True"
+    lambda rng: {2: rng.randint(-9, 9), 5: random_fraction(rng)},  # a bare JSON number
+    lambda rng: {"7": random_fraction(rng)},
+    lambda rng: {1: random_fraction(rng), "b": random_fraction(rng)},
+    lambda rng: [random_fraction(rng), [rng.randint(0, 9)]],
+    lambda rng: None,
+    lambda rng: {},
+    lambda rng: {4: Fraction(rng.choice((HUGE, -HUGE)), 7)},
+    lambda rng: Fraction(rng.choice((HUGE, -HUGE)), 3),
+    lambda rng: rng.choice((HUGE, -HUGE)),
+    lambda rng: {k: random_fraction(rng) for k in rng.sample(range(-30, 0), rng.randint(2, 6))},
+    lambda rng: {rng.choice(NAME_KEYS): random_fraction(rng), 0: random_fraction(rng)},
+    lambda rng: True,
+    lambda rng: rng.choice(TEXTS),
+    lambda rng: rng.randint(-50, 50),
+    lambda rng: random_fraction(rng),
+)
+
+
+def random_vectors(rng, size):
+    """Sparse rational vectors: most hold one shared 1, as the singleton
+    vectors of a null space basis do, the rest a few scrambled keys."""
+    one = Fraction(1)
+    return [
+        {k: one} if rng.random() < 0.6 else {
+            j: rng.choice((one, random_fraction(rng, 99, 99)))
+            for j in rng.sample(range(-5, 60), rng.randint(1, 5))
+        }
+        for k in range(size)
+    ]
+
+
+def random_scalars(rng, size):
+    """Scalars of one kind, strs, ints or Fractions, some objects repeated."""
+    kind = rng.choice((
+        lambda: rng.choice(TEXTS),
+        lambda: rng.randint(-50, 50),
+        lambda: random_fraction(rng),
+    ))
+    members = [kind() for _ in range(size)]
+    for i in range(1, size):
+        if rng.random() < 0.3:
+            members[i] = members[i - 1]
+    return members
+
+
+def test_seeded_lists_with_one_odd_member_match_the_reference_writer():
+    # Its own seed, so the cases above keep their random stream.
+    rng = random.Random(20169)
+    for case in range(2 * 3 * len(ODD_MEMBERS)):
+        size = rng.randint(1, 8)
+        members = (random_vectors if case % 2 else random_scalars)(rng, size)
+        at = (0, size - 1, rng.randrange(size))[case // 2 % 3]  # first, last, anywhere
+        members[at] = ODD_MEMBERS[case // 6](rng)
+        key = rng.choice(("basis", "forced_zero_points") + NAME_KEYS)
+        results: Any = {"N": size, key: members if rng.random() < 0.7 else tuple(members)}
+        if rng.random() < 0.3:
+            results = Node(rng.choice(TEXTS), results, (members, random_vectors(rng, 2)))
+        report = Report("nullspace", {"N": size}, results)
+        assert render_json(report) == reference_render_json(report), (case, at)
+        assert render_csv(report) == reference_render_csv(report), (case, at)
