@@ -14,8 +14,9 @@ grid functions invisible to all these differences at once.
 Only the touched columns, the Farey fractions of order N scaled by L,
 carry any structure.  Every other column is free with a singleton null
 vector, so it is never forced to zero; the null space is computed from the
-touched columns alone, and its basis as grid functions is built only when
-it is first read.
+touched columns alone.  Its basis keeps each run of consecutive untouched
+columns as one range (a ``linalg.NullBasis``), and its vectors as grid
+functions are built only when they are first read.
 """
 
 import math
@@ -25,7 +26,7 @@ from functools import cached_property
 
 from .differences import difference_stencil
 from .funcs import GridFunction
-from .linalg import kernel_basis
+from .linalg import NullBasis, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -70,17 +71,18 @@ def build_constraint_system(N: int) -> ConstraintSystem:
 class NullspaceReport:
     """Rank, null space and forced zeros of a constraint system.
 
-    ``vectors`` is the null space basis as ``kernel_basis`` returns it:
-    sparse mappings from grid index to value, one per free column, in
-    increasing free-column order.  ``basis`` holds the same vectors as
-    grid functions; it is built on first access and kept.
+    ``vectors`` is the null space basis as ``kernel_basis`` returns it, a
+    ``NullBasis``: sparse mappings from grid index to value, one per free
+    column, in increasing free-column order, with the singleton vectors of
+    the untouched columns kept as runs of columns.  ``basis`` holds the
+    same vectors as grid functions; it is built on first access and kept.
     """
 
     N: int
     L: int
     rank: int
     dimension: int
-    vectors: tuple[dict[int, Fraction], ...]
+    vectors: NullBasis
     forced_zero_points: tuple[int, ...]
 
     @cached_property
@@ -141,6 +143,6 @@ def nullspace(system: ConstraintSystem) -> NullspaceReport:
         L=system.L,
         rank=rank,
         dimension=len(vectors),
-        vectors=tuple(vectors),
+        vectors=vectors,
         forced_zero_points=forced,
     )

@@ -2,16 +2,24 @@
 
 Rows are sparse mappings from column index to coefficient.  Elimination
 and back-substitution run on the submatrix of columns actually touched by
-some row.  A column no row touches is free: it gets its singleton kernel
-vector directly, so it is never forced to zero, and a very wide system
-costs little more than its touched columns.  The echelon step is the
-one-step fraction-free (integer-preserving) scheme: every division is
-exact, so no rational blowup occurs during pivoting.
+some row.  A column no row touches is free, with the singleton kernel
+vector {k: 1}, so it is never forced to zero.  The basis keeps each run
+of consecutive untouched columns as a ``range`` and builds their vectors
+only when they are read, so a very wide system costs little more than
+its touched columns.  The echelon step is the one-step fraction-free
+(integer-preserving) scheme: every division is exact, so no rational
+blowup occurs during pivoting.
 """
 
 import math
+from bisect import bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
+from operator import index
+from typing import Iterable, Iterator, Mapping, Union
+
+# The value every vector holds in its own free column.
+ONE = Fraction(1)
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -52,14 +60,69 @@ def integer_echelon(matrix: list[list[int]]) -> tuple[list[list[int]], list[int]
     return rows[:r], pivot_cols
 
 
+class NullBasis(Sequence[dict[int, Fraction]]):
+    """A null-space basis: a sequence of sparse vectors in free-column order.
+
+    ``segments`` holds the vector of each touched free column as a dict,
+    and each run of consecutive untouched columns as a range, whose
+    vectors are the singletons {k: ONE} for k in the run; those are built
+    only when they are read.  ``offsets[s]`` is the index of the first
+    vector of ``segments[s]``.  A NullBasis equals any list, tuple or
+    NullBasis of the same vectors in the same order.
+    """
+
+    __slots__ = ("segments", "offsets", "_len")
+
+    def __init__(self, segments: Iterable[Union[dict[int, Fraction], range]]) -> None:
+        self.segments = tuple(segments)
+        offsets = []
+        n = 0
+        for segment in self.segments:
+            offsets.append(n)
+            n += len(segment) if type(segment) is range else 1
+        self.offsets = tuple(offsets)
+        self._len = n
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> dict[int, Fraction]:
+        j = index(i)
+        if j < 0:
+            j += self._len
+        if not 0 <= j < self._len:
+            raise IndexError("null space basis index out of range")
+        s = bisect_right(self.offsets, j) - 1
+        segment = self.segments[s]
+        if type(segment) is range:
+            return {segment[j - self.offsets[s]]: ONE}
+        return segment
+
+    def __iter__(self) -> Iterator[dict[int, Fraction]]:
+        for segment in self.segments:
+            if type(segment) is range:
+                yield from ({k: ONE} for k in segment)
+            else:
+                yield segment
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, tuple, NullBasis)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"NullBasis({list(self.segments)!r})"
+
+
 def kernel_basis(
     rows: Sequence[Mapping[int, int | Fraction]], ncols: int
-) -> tuple[int, list[int], list[dict[int, Fraction]]]:
-    """Null-space basis of a sparse row system over the rationals.
+) -> tuple[int, list[int], NullBasis]:
+    """Null-space basis of a sparse row system over the columns 0..ncols-1.
 
     Returns (rank, pivot columns, basis).  Each basis vector is a sparse
     mapping normalised so its free column holds 1; vectors are ordered by
-    free column.  Untouched columns always contribute singleton vectors.
+    free column.  Untouched columns always contribute singleton vectors,
+    kept in the basis as runs of columns.
     """
     touched = sorted({c for row in rows for c in row})
     col_of = {c: i for i, c in enumerate(touched)}
@@ -80,21 +143,22 @@ def kernel_basis(
     pivot_cols = [touched[c] for c in pivot_local]
     pivot_set = set(pivot_local)
 
-    one = Fraction(1)
-    basis: list[dict[int, Fraction]] = []
-    for f in range(ncols):
-        local = col_of.get(f)
-        if local is None:
-            basis.append({f: one})
-            continue
+    segments: list[Union[dict[int, Fraction], range]] = []
+    start = 0  # the first column not yet in a segment
+    for local, f in enumerate(touched):
+        if f > start:
+            segments.append(range(start, f))
+        start = f + 1
         if local in pivot_set:
             continue
-        vec_local: dict[int, Fraction] = {local: one}
+        vec_local: dict[int, Fraction] = {local: ONE}
         for row, pc in zip(reversed(echelon), reversed(pivot_local)):
             # row is zero left of pc, and vec_local holds only f and the
             # pivots right of pc, so this is the sum over j > pc.
             s = sum((row[j] * v for j, v in vec_local.items() if row[j]), Fraction(0))
             if s:
                 vec_local[pc] = -s / row[pc]
-        basis.append({touched[j]: v for j, v in vec_local.items()})
-    return rank, pivot_cols, basis
+        segments.append({touched[j]: v for j, v in vec_local.items()})
+    if ncols > start:
+        segments.append(range(start, ncols))
+    return rank, pivot_cols, NullBasis(segments)

@@ -136,6 +136,10 @@ def test_wide_system_stays_fast():
     assert report.rank == 13
     assert report.dimension == 27708
     assert {0, 13860, 27720} <= set(report.forced_zero_points)
+    # the untouched columns stay 46 runs; only the 34 touched free
+    # columns have a vector built
+    runs = [s for s in report.vectors.segments if type(s) is range]
+    assert (len(runs), sum(map(len, runs))) == (46, 27674)
 
 
 def assert_matches_full_scan_oracle(system):
@@ -159,6 +163,20 @@ def test_nullspace_matches_the_full_scan_oracle_on_sparse_systems():
         L = rng.randint(1, 13)
         rows = tuple(random_sparse_rows(rng, L + 1))
         assert_matches_full_scan_oracle(ConstraintSystem(N=len(rows), L=L, rows=rows))
+
+
+@pytest.mark.parametrize(
+    "L, rows",
+    [
+        (3, ({},)),  # every column untouched
+        (4, ({0: 1, 1: -1, 2: 1, 3: 1, 4: -1},)),  # no untouched column
+        (5, ({2: 1, 4: -1},)),  # a run at 0, runs of length 1 on either side of 4
+        (5, ({0: 1}, {0: 1, 1: 2})),  # one run, after the last touched column
+    ],
+    ids=["all-untouched", "all-touched", "run-at-0", "run-at-end"],
+)
+def test_nullspace_matches_the_full_scan_oracle_at_the_edges(L, rows):
+    assert_matches_full_scan_oracle(ConstraintSystem(N=len(rows), L=L, rows=rows))
 
 
 def test_basis_is_built_on_first_access_only(monkeypatch):

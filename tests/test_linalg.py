@@ -2,6 +2,9 @@
 
 The rank oracle below repeats elimination with plain Fraction pivoting,
 a deliberately different code path from the integer-preserving scheme.
+A kernel basis is a ``NullBasis`` that keeps runs of untouched columns
+as ranges; it must behave as the list of vectors the per-column oracle
+builds, however its runs fall.
 """
 
 import random
@@ -9,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from divdiff.linalg import integer_echelon, kernel_basis
+from divdiff.linalg import NullBasis, integer_echelon, kernel_basis
 
 from util import random_sparse_rows, reference_kernel_basis, solve_square
 
@@ -152,6 +155,66 @@ def test_kernel_matches_the_per_column_oracle_on_sparse_systems():
 )
 def test_kernel_matches_the_per_column_oracle_on_edge_systems(rows, ncols):
     assert kernel_basis(rows, ncols) == reference_kernel_basis(rows, ncols)
+
+
+def assert_behaves_as_list(basis, vectors):
+    """basis, a NullBasis, against the list of vectors it stands for."""
+    assert isinstance(basis, NullBasis)
+    n = len(vectors)
+    assert len(basis) == n
+    assert list(basis) == vectors
+    assert [basis[i] for i in range(n)] == vectors
+    assert [basis[i] for i in range(-n, 0)] == vectors
+    for i in (n, n + 7, -n - 1):
+        with pytest.raises(IndexError):
+            basis[i]
+    assert basis == vectors and vectors == basis
+    assert basis == tuple(vectors) and tuple(vectors) == basis
+    assert basis == NullBasis(vectors)
+    longer = vectors + [{0: Fraction(1)}]
+    assert basis != longer and longer != basis
+    assert basis != tuple(longer) and tuple(longer) != basis
+    if vectors:
+        changed = vectors[:-1] + [{**vectors[-1], -1: Fraction(2)}]
+        assert basis != changed and changed != basis
+        assert basis != tuple(changed) and tuple(changed) != basis
+    assert basis != {} and basis != "basis"
+
+
+def test_kernel_basis_behaves_as_the_oracle_list_on_sparse_systems():
+    rng = random.Random(409)
+    runs = 0
+    for _ in range(300):
+        ncols = rng.randint(1, 14)
+        rows = random_sparse_rows(rng, ncols)
+        basis = kernel_basis(rows, ncols)[2]
+        assert_behaves_as_list(basis, reference_kernel_basis(rows, ncols)[2])
+        runs += sum(type(segment) is range for segment in basis.segments)
+    assert runs > 300
+
+
+# (rows, ncols, the kinds of the basis segments: a run, or "v" for the
+# vector of a touched free column)
+EDGES = {
+    "no-untouched-column": ([{0: 1, 1: -1, 2: 1}], 3, ["v", "v"]),
+    "all-untouched": ([], 5, [range(0, 5)]),
+    "all-untouched-empty-rows": ([{}, {}], 3, [range(0, 3)]),
+    "run-at-column-0": ([{2: 1, 3: 1}], 4, [range(0, 2), "v"]),
+    "run-after-last-touched": ([{0: 1, 1: 2}], 6, ["v", range(2, 6)]),
+    "runs-split-by-touched": ([{2: 1, 5: -1}], 8, [range(0, 2), range(3, 5), "v", range(6, 8)]),
+    "runs-of-length-1": ([{1: 1, 3: 1}], 5, [range(0, 1), range(2, 3), "v", range(4, 5)]),
+    "ncols-1-untouched": ([], 1, [range(0, 1)]),
+    "ncols-1-pivot": ([{0: 3}], 1, []),
+    "ncols-1-touched-free": ([{0: 0}], 1, ["v"]),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGES))
+def test_kernel_basis_runs_at_the_edges(name):
+    rows, ncols, kinds = EDGES[name]
+    basis = kernel_basis(rows, ncols)[2]
+    assert [s if type(s) is range else "v" for s in basis.segments] == kinds
+    assert_behaves_as_list(basis, reference_kernel_basis(rows, ncols)[2])
 
 
 def test_solve_square_round_trip():

@@ -15,7 +15,10 @@ because the reference took the header from the first row alone.
 Lists of sparse vectors and flat lists of scalars are written in one
 pass over their members, and a member of any other shape by the walk in
 its place; seeded lists with one such member, first, last or anywhere
-between, are checked against the reference as well.
+between, are checked against the reference as well.  A ``NullBasis``
+writes each run of singleton vectors with one join; its runs first,
+last, alone, of length 1 or between vectors, under keys that need
+escaping, in a table cell and inside lists are checked the same way.
 """
 
 import dataclasses
@@ -27,6 +30,7 @@ from typing import Any, Optional
 import pytest
 
 from divdiff import Polynomial, cli
+from divdiff.linalg import ONE, NullBasis
 from divdiff.report import Report, render_csv, render_json
 
 from golden.check import GOLDEN_DIR, PINS, README_COMMANDS
@@ -238,3 +242,74 @@ def test_seeded_lists_with_one_odd_member_match_the_reference_writer():
         report = Report("nullspace", {"N": size}, results)
         assert render_json(report) == reference_render_json(report), (case, at)
         assert render_csv(report) == reference_render_csv(report), (case, at)
+
+
+# Null space bases by their segments: a range is a run of singleton
+# vectors {k: 1}, a dict the vector of a touched free column.
+NULL_BASES = {
+    "empty": [],
+    "run-alone": [range(0, 4)],
+    "run-first": [range(0, 3), {3: ONE, 1: Fraction(-1, 2)}],
+    "run-last": [{0: ONE}, range(1, 4)],
+    "runs-of-length-1": [range(0, 1), {1: ONE, 0: Fraction(2, 3)}, range(2, 3)],
+    "runs-split-by-vectors": [
+        range(0, 2), {2: ONE, 9: Fraction(5)}, {3: Fraction(1), 2: Fraction(-7, 4)},
+        range(4, 7), {7: ONE}, range(8, 9),
+    ],
+    "adjacent-runs": [range(0, 2), range(2, 5)],
+    "a-vector-walked-in-its-place": [range(0, 2), {2: 1}, range(3, 5)],  # an int value
+}
+BASIS_KEYS = ("basis", "a,b", 'q"', "ä\nk")
+# Where a basis sits in the results.
+PLACES = {
+    "field": lambda key, basis: {"N": 3, key: basis},
+    "rows-cell": lambda key, basis: {key: basis, "rows": [{"N": 1, key: basis}, {"N": 2}]},
+    "in-lists": lambda key, basis: {"bases": [basis, (basis,), [[basis, basis]]]},
+    "in-a-record": lambda key, basis: Node(key, basis, (basis, [basis])),
+}
+
+
+def assert_written_as_its_vectors(place, key, segments):
+    """A NullBasis at place gives the bytes of the reference writer, and
+    those of the same report with the tuple of its vectors in its place.
+    The reference writes a table cell as one CSV cell, not spread over
+    columns, so a rows table in CSV is held to the second alone."""
+    basis = NullBasis(segments)
+    report = Report("nullspace", {"N": 3}, PLACES[place](key, basis))
+    as_tuple = Report("nullspace", {"N": 3}, PLACES[place](key, tuple(basis)))
+    assert render_json(report) == render_json(as_tuple) == reference_render_json(report)
+    assert render_csv(report) == render_csv(as_tuple)
+    if place != "rows-cell":
+        assert render_csv(report) == reference_render_csv(report)
+
+
+@pytest.mark.parametrize("place", list(PLACES))
+@pytest.mark.parametrize("name", list(NULL_BASES))
+def test_null_bases_match_the_reference_writer(name, place):
+    for key in BASIS_KEYS:
+        assert_written_as_its_vectors(place, key, NULL_BASES[name])
+
+
+def random_segments(rng):
+    """Runs and vectors in a random order, over increasing columns."""
+    segments = []
+    column = 0
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.5:
+            size = rng.choice((1, 1, 2, 3, 9))
+            segments.append(range(column, column + size))
+            column += size
+        else:
+            vector = {column: rng.choice((ONE, Fraction(1)))}
+            for k in rng.sample(range(column + 3), rng.randint(0, 3)):
+                vector.setdefault(k, random_fraction(rng, 99, 99))
+            segments.append(vector)
+            column += 1
+    return segments
+
+
+def test_seeded_null_bases_match_the_reference_writer():
+    rng = random.Random(20170)
+    for _ in range(200):
+        place, key = rng.choice(list(PLACES)), rng.choice(BASIS_KEYS)
+        assert_written_as_its_vectors(place, key, random_segments(rng))

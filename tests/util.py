@@ -15,7 +15,8 @@ zeros, kept as oracles for ``kernel_basis`` and ``nullspace``.
 ``reference_render_json`` and ``reference_render_csv`` write a report by
 first converting it to a document of dicts, lists and strings, then
 handing that to ``json.dumps(indent=2)`` or flattening it for the
-``csv`` module, kept as oracles for the one-pass writer in ``report``.
+``csv`` module, kept as oracles for the one-pass writer in ``report``;
+they write a ``NullBasis`` as the tuple of its vectors.
 ``corrupting_kernel_basis`` spoils one null vector, to show that the
 null-space certificate in ``constraints`` catches it.
 ``reference_min_lipschitz`` solves one pinned LP per pin 0..L/2, kept
@@ -49,7 +50,7 @@ from divdiff import (
     simplex,
 )
 from divdiff.extremal import MinLipschitzResult, _fill_witness, _solve_pinned
-from divdiff.linalg import integer_echelon
+from divdiff.linalg import NullBasis, integer_echelon
 from divdiff.rational import decimal_string, format_rational, integer_text
 
 
@@ -415,6 +416,8 @@ def _reference_convert(value, path, exact, approx):
         return value
     if value is None or isinstance(value, str):
         return value
+    if isinstance(value, NullBasis):
+        value = tuple(value)
     if isinstance(value, (list, tuple)):
         return [
             _reference_convert(v, f"{path}[{i}]", exact, approx) for i, v in enumerate(value)
