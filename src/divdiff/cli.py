@@ -2,22 +2,31 @@
 
 One subcommand per library operation; every run emits a single Report
 (JSON by default, CSV with --format csv) on stdout or to --out.  A
-handler validates its arguments, calls the library and hands the result
-to divdiff.report as it is: a result dataclass directly, or a dict only
-where no dataclass carries the report.  How a value is written is
+subcommand is one entry of COMMANDS: its help line, its options in
+declaration order and a handler.  The handler calls the library and
+returns the results as they are: a result dataclass directly, or a dict
+only where no dataclass carries the report.  How a value is written is
 decided in divdiff.report alone.
+
+run does the shared work for every entry: it applies the checks the
+entry switches on (--extend-zero and a base point in [0, 1), an option's
+least value, the N cap of --max-N), parses --func, builds the Report
+with the required options as its inputs, and turns an infeasible result
+into exit 2 with a diagnostic.  main parses, renders and writes.
 Diagnostics go to stderr only.  Exit codes: 0 success, 1 usage or parse
-errors, 2 domain errors (duplicate knots, a rational-function pole, an
-infeasible optimization) and failed internal checks.
+errors and a report that cannot be written, 2 domain errors (duplicate
+knots, a rational-function pole, an infeasible optimization) and failed
+internal checks.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .cascade import NonzeroAtOrder, polynomial_cascade
 from .constraints import build_constraint_system, nullspace
@@ -38,8 +47,6 @@ from .rational import parse_rational
 from .report import Report, render_csv, render_json
 
 DEFAULT_MAX_N = 12
-
-Outcome = tuple[Report, int, Optional[str]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,6 +76,144 @@ def _rational_list(text: str, what: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(item) for item in items)
 
 
+@dataclasses.dataclass(frozen=True)
+class Arg:
+    """One option of a subcommand; type bool declares an on/off flag.
+
+    Required options are the report's inputs; exclusive ones form the
+    subcommand's required mutually exclusive group.  run checks least
+    when the option is given, and applies parse to the text and flag, so
+    that a malformed value is a one-line error, not a usage error.
+    """
+
+    flag: str
+    type: Optional[Callable[[str], Any]] = None
+    help: Optional[str] = None
+    required: bool = True
+    least: Optional[int] = None
+    parse: Optional[Callable[[str, str], Any]] = None
+    exclusive: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+@dataclasses.dataclass(frozen=True)
+class Command:
+    """A subcommand: its help line, options in declaration order and a
+    handler, which takes the parsed arguments and --func (None without
+    one) and returns the results.
+    """
+
+    help: str
+    options: tuple[Arg, ...]
+    handler: Callable[[argparse.Namespace, Any], Any]
+    zero_extended: bool = False  # needs --extend-zero and --x in [0, 1)
+
+
+FUNC = Arg("--func", help="function spec: poly:a0,a1,..., ratfun:a0,...;b0,..., or pl:<path>")
+EXTEND_ZERO = Arg("--extend-zero", bool, "treat the function as 0 outside [0, 1]", required=False)
+X, H, J = Arg("--x", rational), Arg("--h", rational), Arg("--j", int)
+ORDER, NONNEGATIVE_ORDER = Arg("--n", int), Arg("--n", int, least=0)
+SHIFTS, LATTICE_N = Arg("--N", int), Arg("--N", int, least=1)
+MAX_N = Arg("--max-N", int, f"raise the N cap (default {DEFAULT_MAX_N})", required=False)
+
+
+def _knot_differences(args: argparse.Namespace, f: Any) -> dict[str, Any]:
+    if len(args.knots) != len(args.values):
+        raise ParseError(
+            f"got {len(args.knots)} knots but {len(args.values)} values; they must match"
+        )
+    kv = KnotValueList(tuple(zip(args.knots, args.values)))
+    direct = divided_difference_direct(kv)
+    recursive = divided_difference_recursive(kv)
+    return {"order": kv.order, "direct": direct, "recursive": recursive,
+            "equal": direct == recursive}
+
+
+def _interpolant(args: argparse.Namespace, f: Any) -> dict[str, Any]:
+    q = lagrange_equispaced(EquispacedSample.from_function(f, args.n))
+    lead = leading_coefficient(q, args.n)
+    return {"n": args.n, "coefficients": q, "degree": "-inf" if q.is_zero else q.degree,
+            "leading": lead, "degree_reduced": lead == 0}
+
+
+def _degree_search(args: argparse.Namespace, f: Any) -> dict[str, Any]:
+    if not isinstance(f, PolynomialFunc):
+        raise ParseError("cascade works on polynomials; pass --func poly:a0,a1,...")
+    result = polynomial_cascade(f.poly)
+    verdict = result.verdict
+    order = verdict.order if isinstance(verdict, NonzeroAtOrder) else None
+    return {"verdict": type(verdict).__name__, "order": order, "rows": result.checks}
+
+
+def _null_space(args: argparse.Namespace, f: Any) -> dict[str, Any]:
+    r = nullspace(build_constraint_system(args.N))
+    return {"N": r.N, "L": r.L, "rank": r.rank, "dimension": r.dimension,
+            "forced_zero_points": r.forced_zero_points, "basis": r.vectors}
+
+
+def _shift_averages(args: argparse.Namespace, f: Any) -> dict[str, Any]:
+    # One shift count, or the sweep N = 1, 2, 4, ... up to --Nmax.
+    counts = [args.N] if args.N is not None else [2**k for k in range(args.Nmax.bit_length())]
+    averages = [averaging_probe(f, args.x, args.h, args.n, N) for N in counts]
+    rows = [{"N": N, "average": a.average, "residual": a.residual, "bound": a.bound}
+            for N, a in zip(counts, averages)]
+    return {"n": args.n, "h": args.h, "x": args.x, "cutoff": averages[-1].cutoff, "rows": rows}
+
+
+def _defect_trace(args: argparse.Namespace, f: Any) -> Any:
+    w = proof_walkthrough(f, args.n, args.h, args.N, args.x)
+    # The (j, term) pairs are written as records, not as bare pairs.
+    terms = tuple({"j": j, "term": term} for j, term in w.interp_limit_terms)
+    return dataclasses.replace(w, interp_limit_terms=terms)
+
+
+COMMANDS = {
+    "eval": Command(
+        "divided difference at explicit knots",
+        (Arg("--knots", help="comma-separated rational knots", parse=_rational_list),
+         Arg("--values", help="comma-separated rational values", parse=_rational_list)),
+        _knot_differences),
+    "uniform": Command(
+        "divided difference at the equispaced knots k/n", (FUNC, EXTEND_ZERO, NONNEGATIVE_ORDER),
+        lambda args, f: {"n": args.n, "divided_difference": divided_difference_direct(
+            KnotValueList.equispaced(f, args.n))}),
+    "fd": Command(
+        "forward finite difference of order n with step h", (FUNC, EXTEND_ZERO, X, H, ORDER),
+        lambda args, f: {"n": args.n, "x": args.x, "h": args.h, "value": finite_difference(
+            FiniteDifferenceRequest(f=f, x=args.x, h=args.h, n=args.n))}),
+    "identity": Command(
+        "equispaced divided difference against the scaled finite difference",
+        (FUNC, EXTEND_ZERO, ORDER), lambda args, f: check_equispaced_identity(f, args.n)),
+    "interp": Command(
+        "equispaced interpolating polynomial and leading coefficient",
+        (FUNC, EXTEND_ZERO, NONNEGATIVE_ORDER), _interpolant),
+    "cascade": Command(
+        "difference cascade locating the degree of a polynomial",
+        (Arg("--func", help="polynomial spec poly:a0,a1,..."),), _degree_search),
+    "nullspace": Command(
+        "null space of the difference constraint system", (LATTICE_N, MAX_N), _null_space),
+    "minlip": Command(
+        "least Lipschitz constant among unit-size solutions", (LATTICE_N, MAX_N),
+        lambda args, f: min_lipschitz_unit_norm(args.N)),
+    "probe": Command(
+        "averaged forward differences of a zero-extended function",
+        (FUNC, EXTEND_ZERO, X, H, ORDER,
+         Arg("--N", int, "single shift count", required=False, least=1, exclusive=True),
+         Arg("--Nmax", int, "sweep N = 1, 2, 4, ... up to this value", required=False, least=1,
+             exclusive=True)),
+        _shift_averages, zero_extended=True),
+    "telescope": Command(
+        "exact reindexing identity for shifted sums", (FUNC, EXTEND_ZERO, X, H, ORDER, J, SHIFTS),
+        lambda args, f: telescope_shift_identity(f, args.x, args.n, args.j, args.h, args.N)),
+    "walkthrough": Command(
+        "full exact trace of the averaged-defect identity",
+        (FUNC, EXTEND_ZERO, X, H, ORDER, SHIFTS), _defect_trace, zero_extended=True),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it.
@@ -82,266 +227,54 @@ def build_parser() -> argparse.ArgumentParser:
         "and difference-constraint exploration.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def command(name: str, description: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=description, description=description)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.help)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="write the report to this path instead of stdout")
-        return p
-
-    def func_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--func",
-            required=True,
-            help="function spec: poly:a0,a1,..., ratfun:a0,...;b0,..., or pl:<path>",
-        )
-        p.add_argument(
-            "--extend-zero",
-            action="store_true",
-            help="treat the function as 0 outside [0, 1]",
-        )
-
-    p = command("eval", "divided difference at explicit knots")
-    p.add_argument("--knots", required=True, help="comma-separated rational knots")
-    p.add_argument("--values", required=True, help="comma-separated rational values")
-
-    p = command("uniform", "divided difference at the equispaced knots k/n")
-    func_arg(p)
-    p.add_argument("--n", type=int, required=True)
-
-    p = command("fd", "forward finite difference of order n with step h")
-    func_arg(p)
-    p.add_argument("--x", type=rational, required=True)
-    p.add_argument("--h", type=rational, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = command(
-        "identity",
-        "equispaced divided difference against the scaled finite difference",
-    )
-    func_arg(p)
-    p.add_argument("--n", type=int, required=True)
-
-    p = command("interp", "equispaced interpolating polynomial and leading coefficient")
-    func_arg(p)
-    p.add_argument("--n", type=int, required=True)
-
-    p = command("cascade", "difference cascade locating the degree of a polynomial")
-    p.add_argument("--func", required=True, help="polynomial spec poly:a0,a1,...")
-
-    p = command("nullspace", "null space of the difference constraint system")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--max-N", type=int, help=f"raise the N cap (default {DEFAULT_MAX_N})")
-
-    p = command("minlip", "least Lipschitz constant among unit-size solutions")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--max-N", type=int, help=f"raise the N cap (default {DEFAULT_MAX_N})")
-
-    p = command("probe", "averaged forward differences of a zero-extended function")
-    func_arg(p)
-    p.add_argument("--x", type=rational, required=True)
-    p.add_argument("--h", type=rational, required=True)
-    p.add_argument("--n", type=int, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--N", type=int, help="single shift count")
-    group.add_argument("--Nmax", type=int, help="sweep N = 1, 2, 4, ... up to this value")
-
-    p = command("telescope", "exact reindexing identity for shifted sums")
-    func_arg(p)
-    p.add_argument("--x", type=rational, required=True)
-    p.add_argument("--h", type=rational, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-
-    p = command("walkthrough", "full exact trace of the averaged-defect identity")
-    func_arg(p)
-    p.add_argument("--x", type=rational, required=True)
-    p.add_argument("--h", type=rational, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-
+        group = None
+        for arg in command.options:
+            target = p
+            if arg.exclusive:
+                target = group = group or p.add_mutually_exclusive_group(required=True)
+            if arg.type is bool:
+                target.add_argument(arg.flag, action="store_true", help=arg.help)
+            else:
+                target.add_argument(arg.flag, type=arg.type, required=arg.required, help=arg.help)
     return parser
 
 
-def _inputs(args: argparse.Namespace, *names: str) -> dict[str, Any]:
-    """The named command-line values, for a report's inputs block."""
-    return {name: getattr(args, name) for name in names}
+def run(args: argparse.Namespace) -> tuple[Report, int, Optional[str]]:
+    """Run the parsed subcommand: its report, exit code and stderr diagnostic.
 
-
-def _cmd_eval(args: argparse.Namespace) -> Outcome:
-    knots = _rational_list(args.knots, "--knots")
-    values = _rational_list(args.values, "--values")
-    if len(knots) != len(values):
-        raise ParseError(
-            f"got {len(knots)} knots but {len(values)} values; they must match"
-        )
-    kv = KnotValueList(tuple(zip(knots, values)))
-    direct = divided_difference_direct(kv)
-    recursive = divided_difference_recursive(kv)
-    results = {
-        "order": kv.order,
-        "direct": direct,
-        "recursive": recursive,
-        "equal": direct == recursive,
-    }
-    return Report("eval", {"knots": knots, "values": values}, results), 0, None
-
-
-def _cmd_uniform(args: argparse.Namespace) -> Outcome:
-    f = parse_funcspec(args.func, args.extend_zero)
-    if args.n < 0:
-        raise ParseError("--n must be nonnegative")
-    value = divided_difference_direct(KnotValueList.equispaced(f, args.n))
-    results = {"n": args.n, "divided_difference": value}
-    return Report("uniform", _inputs(args, "func", "n"), results), 0, None
-
-
-def _cmd_fd(args: argparse.Namespace) -> Outcome:
-    f = parse_funcspec(args.func, args.extend_zero)
-    value = finite_difference(FiniteDifferenceRequest(f=f, x=args.x, h=args.h, n=args.n))
-    results = {"n": args.n, "x": args.x, "h": args.h, "value": value}
-    return Report("fd", _inputs(args, "func", "x", "h", "n"), results), 0, None
-
-
-def _cmd_identity(args: argparse.Namespace) -> Outcome:
-    f = parse_funcspec(args.func, args.extend_zero)
-    check = check_equispaced_identity(f, args.n)
-    return Report("identity", _inputs(args, "func", "n"), check), 0, None
-
-
-def _cmd_interp(args: argparse.Namespace) -> Outcome:
-    f = parse_funcspec(args.func, args.extend_zero)
-    if args.n < 0:
-        raise ParseError("--n must be nonnegative")
-    q = lagrange_equispaced(EquispacedSample.from_function(f, args.n))
-    lead = leading_coefficient(q, args.n)
-    results = {
-        "n": args.n,
-        "coefficients": q,
-        "degree": "-inf" if q.is_zero else q.degree,
-        "leading": lead,
-        "degree_reduced": lead == 0,
-    }
-    return Report("interp", _inputs(args, "func", "n"), results), 0, None
-
-
-def _cmd_cascade(args: argparse.Namespace) -> Outcome:
-    f = parse_funcspec(args.func, False)
-    if not isinstance(f, PolynomialFunc):
-        raise ParseError("cascade works on polynomials; pass --func poly:a0,a1,...")
-    result = polynomial_cascade(f.poly)
-    verdict = result.verdict
-    results = {
-        "verdict": type(verdict).__name__,
-        "order": verdict.order if isinstance(verdict, NonzeroAtOrder) else None,
-        "rows": result.checks,
-    }
-    return Report("cascade", _inputs(args, "func"), results), 0, None
-
-
-def _capped_N(args: argparse.Namespace) -> int:
-    cap = args.max_N if args.max_N is not None else DEFAULT_MAX_N
-    if args.N < 1:
-        raise ParseError("--N must be at least 1")
-    if args.N > cap:
-        raise ParseError(f"N={args.N} exceeds the cap {cap}; raise it with --max-N")
-    return args.N
-
-
-def _cmd_nullspace(args: argparse.Namespace) -> Outcome:
-    result = nullspace(build_constraint_system(_capped_N(args)))
-    results = {
-        "N": result.N,
-        "L": result.L,
-        "rank": result.rank,
-        "dimension": result.dimension,
-        "forced_zero_points": result.forced_zero_points,
-        "basis": result.vectors,
-    }
-    return Report("nullspace", _inputs(args, "N"), results), 0, None
-
-
-def _cmd_minlip(args: argparse.Namespace) -> Outcome:
-    N = _capped_N(args)
-    result = min_lipschitz_unit_norm(N)
-    report = Report("minlip", _inputs(args, "N"), result)
-    if result.status == "infeasible":
-        return report, 2, f"minlip: no solution with sup norm 1 exists for N={N}"
+    An option's parse replaces its text in args.  Bad input raises
+    ParseError; the library's own errors propagate.
+    """
+    command = COMMANDS[args.command]
+    if command.zero_extended and not args.extend_zero:
+        raise ParseError(f"{args.command} requires --extend-zero (f must vanish outside [0, 1])")
+    f = None
+    if getattr(args, "func", None) is not None:
+        f = parse_funcspec(args.func, getattr(args, "extend_zero", False))
+    if command.zero_extended and not 0 <= args.x < 1:
+        raise ParseError("--x must lie in [0, 1)")
+    for arg in command.options:
+        value = getattr(args, arg.dest)
+        if arg.parse:
+            setattr(args, arg.dest, arg.parse(value, arg.flag))
+        elif arg.least is not None and value is not None and value < arg.least:
+            bound = "nonnegative" if arg.least == 0 else f"at least {arg.least}"
+            raise ParseError(f"{arg.flag} must be {bound}")
+    if MAX_N in command.options:
+        cap = args.max_N if args.max_N is not None else DEFAULT_MAX_N
+        if args.N > cap:
+            raise ParseError(f"N={args.N} exceeds the cap {cap}; raise it with --max-N")
+    results = command.handler(args, f)
+    inputs = {arg.dest: getattr(args, arg.dest) for arg in command.options if arg.required}
+    report = Report(args.command, inputs, results)
+    if getattr(results, "status", None) == "infeasible":
+        diagnostic = f"{args.command}: no solution with sup norm 1 exists for N={args.N}"
+        return report, 2, diagnostic
     return report, 0, None
-
-
-def _cmd_probe(args: argparse.Namespace) -> Outcome:
-    if not args.extend_zero:
-        raise ParseError("probe requires --extend-zero (f must vanish outside [0, 1])")
-    f = parse_funcspec(args.func, True)
-    if not 0 <= args.x < 1:
-        raise ParseError("--x must lie in [0, 1)")
-    if args.N is not None:
-        if args.N < 1:
-            raise ParseError("--N must be at least 1")
-        counts = [args.N]
-    else:
-        if args.Nmax < 1:
-            raise ParseError("--Nmax must be at least 1")
-        counts = []
-        N = 1
-        while N <= args.Nmax:
-            counts.append(N)
-            N *= 2
-    rows = []
-    cutoff = 0
-    for N in counts:
-        probe = averaging_probe(f, args.x, args.h, args.n, N)
-        cutoff = probe.cutoff
-        rows.append(
-            {
-                "N": N,
-                "average": probe.average,
-                "residual": probe.residual,
-                "bound": probe.bound,
-            }
-        )
-    results = {"n": args.n, "h": args.h, "x": args.x, "cutoff": cutoff, "rows": rows}
-    return Report("probe", _inputs(args, "func", "x", "h", "n"), results), 0, None
-
-
-def _cmd_telescope(args: argparse.Namespace) -> Outcome:
-    f = parse_funcspec(args.func, args.extend_zero)
-    check = telescope_shift_identity(f, args.x, args.n, args.j, args.h, args.N)
-    inputs = _inputs(args, "func", "x", "h", "n", "j", "N")
-    return Report("telescope", inputs, check), 0, None
-
-
-def _cmd_walkthrough(args: argparse.Namespace) -> Outcome:
-    if not args.extend_zero:
-        raise ParseError(
-            "walkthrough requires --extend-zero (f must vanish outside [0, 1])"
-        )
-    f = parse_funcspec(args.func, True)
-    if not 0 <= args.x < 1:
-        raise ParseError("--x must lie in [0, 1)")
-    w = proof_walkthrough(f, args.n, args.h, args.N, args.x)
-    # The (j, term) pairs are written as records, not as bare pairs.
-    terms = tuple({"j": j, "term": term} for j, term in w.interp_limit_terms)
-    results = dataclasses.replace(w, interp_limit_terms=terms)
-    inputs = _inputs(args, "func", "x", "h", "n", "N")
-    return Report("walkthrough", inputs, results), 0, None
-
-
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "uniform": _cmd_uniform,
-    "fd": _cmd_fd,
-    "identity": _cmd_identity,
-    "interp": _cmd_interp,
-    "cascade": _cmd_cascade,
-    "nullspace": _cmd_nullspace,
-    "minlip": _cmd_minlip,
-    "probe": _cmd_probe,
-    "telescope": _cmd_telescope,
-    "walkthrough": _cmd_walkthrough,
-}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -351,10 +284,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report, code, diagnostic = _HANDLERS[args.command](args)
-    except ParseError as exc:
-        print(f"divdiff: error: {exc}", file=sys.stderr)
-        return 1
+        report, code, diagnostic = run(args)
     except (DuplicateKnotError, PoleError, DomainEvaluationError) as exc:
         print(f"divdiff: error: {exc}", file=sys.stderr)
         return 2
@@ -363,20 +293,27 @@ def main(argv: Optional[list[str]] = None) -> int:
         # recomputation, fraction-free division), never by bad input.
         print(f"divdiff: error: internal check failed: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError among them
         print(f"divdiff: error: {exc}", file=sys.stderr)
         return 1
     text = render_json(report) if args.format == "json" else render_csv(report)
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            reason = exc.strerror or exc
-            print(f"divdiff: error: cannot write {args.out}: {reason}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.out:
+            # Python flushes stdout again at exit; a closed stream is
+            # skipped there, so the failure is reported once, here.
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+        reason = exc.strerror or exc
+        target = args.out or "<stdout>"
+        print(f"divdiff: error: cannot write {target}: {reason}", file=sys.stderr)
+        return 1
     if diagnostic:
         print(diagnostic, file=sys.stderr)
     return code

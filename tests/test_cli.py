@@ -1,8 +1,13 @@
 """End-to-end command-line behaviour: reports, formats, and exit codes."""
 
+import argparse
 import dataclasses
+import errno
+import io
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -18,6 +23,7 @@ from divdiff import (
 )
 from divdiff.cli import main
 
+from golden.check import README_COMMANDS
 from util import corrupting_kernel_basis, corrupting_solve_lp
 
 
@@ -256,6 +262,42 @@ def test_out_into_missing_directory_is_one_line_error(capsys, tmp_path):
     assert not target.exists()
 
 
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_closed_stdout_is_one_line_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["minlip", "--N", "3"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"divdiff: error: cannot write <stdout>: {os.strerror(errno.EPIPE)}\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    # A small report waits in the stdout buffer until the flush; a large
+    # one fails in the write itself.
+    [["uniform", "--func", "poly:0,0,1", "--n", "2"], ["nullspace", "--N", "9"]],
+)
+def test_stdout_on_a_full_device_is_one_line_error(argv):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "divdiff", *argv],
+            stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"divdiff: error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "callee, argv, exc",
     [
@@ -473,6 +515,94 @@ def test_main_reuses_one_parser_across_calls(capsys):
         for argv in cases:
             assert run(capsys, *argv) == fresh[argv]
     assert cli.build_parser() is cli.build_parser()
+
+
+# The parser's declarations, read from argparse's actions rather than its
+# rendered help so that they hold on every supported Python.  Each option
+# is (option strings, dest, type name, nargs, required, default, choices,
+# help); each subcommand is (name, help line, options, mutually exclusive
+# groups as (required, member option strings)).
+HELP = (("-h", "--help"), "help", None, 0, False, argparse.SUPPRESS, None,
+        "show this help message and exit")
+FORMAT = (("--format",), "format", None, None, False, "json", ("json", "csv"), None)
+OUT = (("--out",), "out", None, None, False, None, None,
+       "write the report to this path instead of stdout")
+FUNC = (("--func",), "func", None, None, True, None, None,
+        "function spec: poly:a0,a1,..., ratfun:a0,...;b0,..., or pl:<path>")
+EXTEND_ZERO = (("--extend-zero",), "extend_zero", None, 0, False, False, None,
+               "treat the function as 0 outside [0, 1]")
+X = (("--x",), "x", "rational", None, True, None, None, None)
+H = (("--h",), "h", "rational", None, True, None, None, None)
+N_ORDER = (("--n",), "n", "int", None, True, None, None, None)
+N_COUNT = (("--N",), "N", "int", None, True, None, None, None)
+MAX_N = (("--max-N",), "max_N", "int", None, False, None, None,
+         "raise the N cap (default 12)")
+DECLARATIONS = [
+    ("eval", "divided difference at explicit knots", [
+        HELP, FORMAT, OUT,
+        (("--knots",), "knots", None, None, True, None, None,
+         "comma-separated rational knots"),
+        (("--values",), "values", None, None, True, None, None,
+         "comma-separated rational values"),
+    ], []),
+    ("uniform", "divided difference at the equispaced knots k/n",
+     [HELP, FORMAT, OUT, FUNC, EXTEND_ZERO, N_ORDER], []),
+    ("fd", "forward finite difference of order n with step h",
+     [HELP, FORMAT, OUT, FUNC, EXTEND_ZERO, X, H, N_ORDER], []),
+    ("identity", "equispaced divided difference against the scaled finite difference",
+     [HELP, FORMAT, OUT, FUNC, EXTEND_ZERO, N_ORDER], []),
+    ("interp", "equispaced interpolating polynomial and leading coefficient",
+     [HELP, FORMAT, OUT, FUNC, EXTEND_ZERO, N_ORDER], []),
+    ("cascade", "difference cascade locating the degree of a polynomial", [
+        HELP, FORMAT, OUT,
+        (("--func",), "func", None, None, True, None, None,
+         "polynomial spec poly:a0,a1,..."),
+    ], []),
+    ("nullspace", "null space of the difference constraint system",
+     [HELP, FORMAT, OUT, N_COUNT, MAX_N], []),
+    ("minlip", "least Lipschitz constant among unit-size solutions",
+     [HELP, FORMAT, OUT, N_COUNT, MAX_N], []),
+    ("probe", "averaged forward differences of a zero-extended function", [
+        HELP, FORMAT, OUT, FUNC, EXTEND_ZERO, X, H, N_ORDER,
+        (("--N",), "N", "int", None, False, None, None, "single shift count"),
+        (("--Nmax",), "Nmax", "int", None, False, None, None,
+         "sweep N = 1, 2, 4, ... up to this value"),
+    ], [(True, [("--N",), ("--Nmax",)])]),
+    ("telescope", "exact reindexing identity for shifted sums", [
+        HELP, FORMAT, OUT, FUNC, EXTEND_ZERO, X, H, N_ORDER,
+        (("--j",), "j", "int", None, True, None, None, None),
+        N_COUNT,
+    ], []),
+    ("walkthrough", "full exact trace of the averaged-defect identity",
+     [HELP, FORMAT, OUT, FUNC, EXTEND_ZERO, X, H, N_ORDER, N_COUNT], []),
+]
+
+
+def test_parser_declarations_are_pinned():
+    parser = cli.build_parser()
+    assert parser.prog == "divdiff"
+    assert parser.description == (
+        "Exact divided differences, equispaced interpolation, "
+        "and difference-constraint exploration."
+    )
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert (sub.dest, sub.required) == ("command", True)
+    helps = {action.dest: action.help for action in sub._choices_actions}
+    declared = []
+    for name, p in sub.choices.items():
+        assert p.description == helps[name], name
+        options = [
+            (tuple(a.option_strings), a.dest, getattr(a.type, "__name__", None),
+             a.nargs, a.required, a.default, a.choices, a.help)
+            for a in p._actions
+        ]
+        groups = [
+            (g.required, [tuple(a.option_strings) for a in g._group_actions])
+            for g in p._mutually_exclusive_groups
+        ]
+        declared.append((name, helps[name], options, groups))
+    assert declared == DECLARATIONS
+    assert list(sub.choices) == list(README_COMMANDS)
 
 
 def _parse_long_rational(text):

@@ -56,8 +56,7 @@ CLI_RUNS.update(
 
 
 def handler_report(argv):
-    args = cli.build_parser().parse_args(argv)
-    report, _, _ = cli._HANDLERS[args.command](args)
+    report, _, _ = cli.run(cli.build_parser().parse_args(argv))
     return report
 
 
