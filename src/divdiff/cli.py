@@ -14,9 +14,9 @@ least value, the N cap of --max-N), parses --func, builds the Report
 with the required options as its inputs, and turns an infeasible result
 into exit 2 with a diagnostic.  main parses, renders and writes.
 Diagnostics go to stderr only.  Exit codes: 0 success, 1 usage or parse
-errors and a report that cannot be written, 2 domain errors (duplicate
-knots, a rational-function pole, an infeasible optimization) and failed
-internal checks.
+errors and a report or help that cannot be written, 2 domain errors
+(duplicate knots, a rational-function pole, an infeasible optimization)
+and failed internal checks.
 """
 
 import argparse
@@ -26,7 +26,7 @@ import functools
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from typing import IO, Any, Callable, Optional
 
 from .cascade import NonzeroAtOrder, polynomial_cascade
 from .constraints import build_constraint_system, nullspace
@@ -63,6 +63,38 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    # argparse writes help without a flush and ignores a failed write; help
+    # on stdout takes the report's path, so a failure is exit 1.
+    def print_help(self, file: Optional[IO[str]] = None) -> None:
+        if file is not None:
+            super().print_help(file)
+        elif not _write(self.format_help(), None):
+            self.exit(1)
+
+
+def _write(text: str, out: Optional[str]) -> bool:
+    """Write text to the file out, or to stdout and flush it.
+
+    A failure is one line on stderr and False.
+    """
+    try:
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out:
+            # Python flushes stdout again at exit; a closed stream is
+            # skipped there, so the failure is reported once, here.
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+        reason = exc.strerror or exc
+        print(f"divdiff: error: cannot write {out or '<stdout>'}: {reason}", file=sys.stderr)
+        return False
+    return True
 
 
 def rational(text: str) -> Fraction:
@@ -297,22 +329,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"divdiff: error: {exc}", file=sys.stderr)
         return 1
     text = render_json(report) if args.format == "json" else render_csv(report)
-    try:
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-    except OSError as exc:
-        if not args.out:
-            # Python flushes stdout again at exit; a closed stream is
-            # skipped there, so the failure is reported once, here.
-            with contextlib.suppress(OSError):
-                sys.stdout.close()
-        reason = exc.strerror or exc
-        target = args.out or "<stdout>"
-        print(f"divdiff: error: cannot write {target}: {reason}", file=sys.stderr)
+    if not _write(text, args.out):
         return 1
     if diagnostic:
         print(diagnostic, file=sys.stderr)

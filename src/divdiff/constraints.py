@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .differences import difference_stencil
 from .funcs import GridFunction
-from .linalg import NullBasis, kernel_basis
+from .linalg import NullBasis, integer_echelon, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,65 @@ def _check_free_vector(
             raise ArithmeticError(f"null vector of column {free} fails constraint row {n}")
 
 
+# A word-size prime.  A minor with a nonzero residue modulo it is nonzero.
+_PRIME = (1 << 61) - 1
+
+
+def _rank_modulo(rows: list[dict[int, int]], prime: int) -> int:
+    """The rank of sparse integer rows modulo prime, by Gaussian elimination.
+
+    Each row is reduced by the kept rows until its leading column is new
+    (a kept row joins) or nothing is left (the row was dependent).
+    """
+    kept: dict[int, dict[int, int]] = {}  # leading column -> row
+    for row in rows:
+        r = {c: v % prime for c, v in row.items() if v % prime}
+        while r:
+            lead = min(r)
+            krow = kept.get(lead)
+            if krow is None:
+                kept[lead] = r
+                break
+            # r becomes p * r - f * krow, p and f their leading entries;
+            # p is a unit modulo prime, so r keeps its rank.
+            p, f = krow[lead], r[lead]
+            r = {c: v * p % prime for c, v in r.items()}
+            for c, v in krow.items():
+                w = (r.get(c, 0) - f * v) % prime
+                if w:
+                    r[c] = w
+                else:
+                    del r[c]
+    return len(kept)
+
+
+def _check_rank(
+    system: ConstraintSystem, rank: int, pivot_cols: list[int], dimension: int
+) -> None:
+    """Certify that the rows have the reported rank, exactly.
+
+    The basis has ``dimension`` vectors, independent by the free-column
+    check, so the rank is at most ncols - dimension; that must be the
+    rank and the number of pivots.  The rows restricted to the pivot
+    columns must have full column rank, so the rank is at least that
+    number.  The rank of that submatrix modulo _PRIME bounds its rank
+    over the rationals from below, and only when it falls short is
+    fraction-free elimination run.  A check that fails raises
+    ArithmeticError.
+    """
+    if not rank == len(pivot_cols) == system.ncols - dimension:
+        raise ArithmeticError(
+            f"rank {rank} with {len(pivot_cols)} pivots and {dimension} null vectors"
+            f" for {system.ncols} columns"
+        )
+    pivots = set(pivot_cols)
+    minor = [{c: v for c, v in row.items() if c in pivots} for row in system.rows]
+    if _rank_modulo(minor, _PRIME) < rank:
+        dense = [[row.get(c, 0) for c in pivot_cols] for row in minor]
+        if len(integer_echelon(dense)[1]) < rank:
+            raise ArithmeticError(f"the rows have rank below their {rank} pivot columns")
+
+
 def nullspace(system: ConstraintSystem) -> NullspaceReport:
     """Compute a basis of the solution set and the columns it never touches.
 
@@ -124,9 +183,11 @@ def nullspace(system: ConstraintSystem) -> NullspaceReport:
     can cover them.  The vectors come in free-column order, so the vector
     of free column c sits at c minus the number of pivot columns below c.
     Each vector of a touched free column is certified on the way; the
-    singleton vectors of untouched columns hold by construction.
+    singleton vectors of untouched columns hold by construction.  The
+    rank is certified as well, so no null vector can be missing.
     """
     rank, pivot_cols, vectors = kernel_basis(system.rows, system.ncols)
+    _check_rank(system, rank, pivot_cols, len(vectors))
     pivots = set(pivot_cols)
     covered: set[int] = set()
     pivots_below = 0

@@ -131,11 +131,11 @@ def kernel_basis(
     for row in rows:
         if not row:
             continue
-        scale = math.lcm(*(Fraction(v).denominator for v in row.values()))
+        # ints and Fractions alike carry a numerator and a denominator.
+        scale = math.lcm(*(v.denominator for v in row.values()))
         dense = [0] * len(touched)
         for c, v in row.items():
-            scaled = Fraction(v) * scale
-            dense[col_of[c]] = scaled.numerator
+            dense[col_of[c]] = v.numerator * (scale // v.denominator)
         int_rows.append(dense)
 
     echelon, pivot_local = integer_echelon(int_rows) if int_rows else ([], [])

@@ -24,7 +24,12 @@ from divdiff import (
 from divdiff.cli import main
 
 from golden.check import README_COMMANDS
-from util import corrupting_kernel_basis, corrupting_solve_lp
+from util import (
+    corrupting_kernel_basis,
+    corrupting_solve_lp,
+    corrupting_warm_tableau,
+    misreporting_kernel_basis,
+)
 
 
 def run(capsys, *argv):
@@ -298,6 +303,27 @@ def test_stdout_on_a_full_device_is_one_line_error(argv):
     )
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_help_on_a_full_device_is_one_line_error(unbuffered):
+    # Buffered, the help waits for the flush at exit; unbuffered, the
+    # write itself fails.  argparse alone exits 120 or 0 here.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "divdiff", "uniform", "--help"],
+            stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"divdiff: error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "callee, argv, exc",
     [
@@ -340,6 +366,17 @@ def test_corrupted_null_vector_is_one_line_exit_two(capsys, monkeypatch):
     )
 
 
+def test_an_extra_pivot_is_one_line_exit_two(capsys, monkeypatch):
+    monkeypatch.setattr(constraints, "kernel_basis", misreporting_kernel_basis(True))
+    code, out, err = run(capsys, "nullspace", "--N", "4")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "divdiff: error: internal check failed: "
+        "the rows have rank below their 6 pivot columns\n"
+    )
+
+
 def test_lp_certificate_failure_is_one_line_exit_two(capsys, monkeypatch):
     def lower_the_value(result):
         return dataclasses.replace(result, value=result.value - 1)
@@ -349,6 +386,20 @@ def test_lp_certificate_failure_is_one_line_exit_two(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "divdiff: error: internal check failed: LP duality gap is not zero\n"
+
+
+def test_corrupted_warm_dual_is_one_line_exit_two(capsys, monkeypatch):
+    # At N = 5 the second relaxed LP is re-solved from the first one's basis.
+    def negate_the_dual(result):
+        return dataclasses.replace(result, dual=tuple(-y for y in result.dual))
+
+    monkeypatch.setattr(extremal, "_Tableau", corrupting_warm_tableau(negate_the_dual))
+    code, out, err = run(capsys, "minlip", "--N", "5")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "divdiff: error: internal check failed: LP multiplier of an inequality row is positive\n"
+    )
 
 
 def test_duplicate_knots_exit_code(capsys):

@@ -15,9 +15,11 @@ from divdiff import (
     finite_difference,
     nullspace,
 )
+from divdiff.linalg import integer_echelon
 
 from util import (
     corrupting_kernel_basis,
+    misreporting_kernel_basis,
     random_funcspec,
     random_sparse_rows,
     reference_forced_zeros,
@@ -208,3 +210,50 @@ def test_nullspace_certificate_catches_a_corrupted_vector(monkeypatch, name):
     monkeypatch.setattr(constraints, "kernel_basis", corrupting_kernel_basis(corrupt))
     with pytest.raises(ArithmeticError, match=message):
         nullspace(build_constraint_system(4))  # column 1 is untouched and free
+
+
+# At N = 4 the 7 touched columns hold 5 pivots; column 8 is touched and free.
+MISREPORTS = {
+    "an extra pivot": (True, "the rows have rank below their 6 pivot columns"),
+    "a missing vector": (False, "rank 5 with 5 pivots and 7 null vectors for 13 columns"),
+}
+
+
+@pytest.mark.parametrize("name", list(MISREPORTS))
+def test_nullspace_certificate_catches_a_misreported_rank(monkeypatch, name):
+    add_pivot, message = MISREPORTS[name]
+    monkeypatch.setattr(constraints, "kernel_basis", misreporting_kernel_basis(add_pivot))
+    with pytest.raises(ArithmeticError, match=message):
+        nullspace(build_constraint_system(4))
+
+
+def test_only_the_rank_check_sees_an_extra_pivot(monkeypatch):
+    # Every remaining vector passes its own check, so without the rank
+    # check the report would come out with the wrong forced zeros.
+    monkeypatch.setattr(constraints, "kernel_basis", misreporting_kernel_basis(True))
+    monkeypatch.setattr(constraints, "_check_rank", lambda *args: None)
+    report = nullspace(build_constraint_system(4))
+    assert report.forced_zero_points != (0, 6, 12)
+
+
+def test_rank_modulo_a_prime_agrees_with_fraction_free_elimination():
+    rng = random.Random(818)
+    for _ in range(200):
+        ncols = rng.randint(1, 6)
+        matrix = [[rng.choice([0, 0, 1, -1, rng.randint(-9, 9)]) for _ in range(ncols)]
+                  for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.3:  # a dependent row
+            matrix.append([a + 2 * b for a, b in zip(matrix[0], matrix[-1])])
+        rows = [{c: v for c, v in enumerate(row) if v} for row in matrix]
+        assert constraints._rank_modulo(rows, constraints._PRIME) == len(integer_echelon(matrix)[1])
+
+
+def test_rank_check_falls_back_when_the_prime_divides_the_minor(monkeypatch):
+    # Modulo 3 the pivot minor of N = 4 is singular, so the check must
+    # fall back to fraction-free elimination, which proves the rank.
+    expected = nullspace(build_constraint_system(4))
+    monkeypatch.setattr(constraints, "_PRIME", 3)
+    assert nullspace(build_constraint_system(4)) == expected
+    monkeypatch.setattr(constraints, "kernel_basis", misreporting_kernel_basis(True))
+    with pytest.raises(ArithmeticError, match="rank below"):
+        nullspace(build_constraint_system(4))

@@ -23,12 +23,18 @@ from divdiff import (
     extremal,
     min_lipschitz_unit_norm,
     nullspace,
+    simplex,
 )
 from divdiff.cli import main
-from divdiff.extremal import _search
-from divdiff.simplex import INFEASIBLE, OPTIMAL, solve_lp
+from divdiff.extremal import _GapPrograms, _search
+from divdiff.simplex import INFEASIBLE, OPTIMAL, certify, solve_lp
 
-from util import corrupting_solve_lp, reference_min_lipschitz
+from util import (
+    corrupting_solve_lp,
+    corrupting_warm_tableau,
+    reference_gap_program,
+    reference_min_lipschitz,
+)
 
 
 def full_grid_minimum(N):
@@ -142,19 +148,21 @@ def test_five_and_six_stay_at_six():
         witness_is_valid(result)
 
 
-# LPs the gap search solves; the per-pin loop solves 0, 0, 2, 5, 29, 29.
+# LPs the gap search solves, relaxed and pinned, cold and warm; the
+# per-pin loop solves 0, 0, 2, 5, 29, 29.
 GAP_SEARCH_LPS = {1: 0, 2: 0, 3: 2, 4: 3, 5: 4, 6: 5}
 
 
 @pytest.mark.parametrize("N", sorted(GAP_SEARCH_LPS))
 def test_gap_search_matches_the_per_pin_loop(N, monkeypatch):
     calls = []
+    solve = simplex._Tableau.solve
 
-    def counting_solve_lp(*args, **kwargs):
+    def counting_solve(self, *args, **kwargs):
         calls.append(None)
-        return solve_lp(*args, **kwargs)
+        return solve(self, *args, **kwargs)
 
-    monkeypatch.setattr(extremal, "solve_lp", counting_solve_lp)
+    monkeypatch.setattr(simplex._Tableau, "solve", counting_solve)
     expected = reference_min_lipschitz(N)
     loop_lps = len(calls)
     calls.clear()
@@ -269,8 +277,8 @@ LP_CORRUPTIONS = {
 }
 
 
-# The first LP of N = 3 is a pinned one (its gaps are enumerated), the
-# first LP of N = 5 the relaxed one of the gap (0, 12).
+# solve_lp solves the pinned LPs: the first LP of N = 3 (its gaps are
+# enumerated), and at N = 5 the pin 10 after three relaxed LPs.
 @pytest.mark.parametrize("N", [3, 5])
 @pytest.mark.parametrize("name", list(LP_CORRUPTIONS))
 def test_lp_certificate_catches_a_corrupted_result(monkeypatch, name, N):
@@ -278,6 +286,35 @@ def test_lp_certificate_catches_a_corrupted_result(monkeypatch, name, N):
     monkeypatch.setattr(extremal, "solve_lp", corrupting_solve_lp(corrupt))
     with pytest.raises(ArithmeticError, match=message):
         min_lipschitz_unit_norm(N)
+
+
+# At N = 5 the relaxed LP of the gap (0, 12) is solved cold, and the
+# next relaxed LP is the first one re-solved from its basis.
+@pytest.mark.parametrize("name", list(LP_CORRUPTIONS))
+def test_lp_certificate_catches_a_corrupted_warm_result(monkeypatch, name):
+    corrupt, message = LP_CORRUPTIONS[name]
+    monkeypatch.setattr(extremal, "_Tableau", corrupting_warm_tableau(corrupt))
+    with pytest.raises(ArithmeticError, match=message):
+        min_lipschitz_unit_norm(5)
+
+
+@pytest.mark.parametrize("N", range(3, 10))
+def test_warm_relaxed_programs_match_cold_solves(N):
+    # Every gap in [0, L/2] once, in a seeded order, so a re-solve starts
+    # from the basis of a gap to its left or to its right.
+    system = build_constraint_system(N)
+    cols = list(system.touched)
+    gaps = sum(2 * c <= system.L for c in cols) - 1
+    programs = _GapPrograms(system, cols, gaps)
+    order = list(range(gaps))
+    random.Random(N).shuffle(order)
+    for i in order:
+        warm = programs.solve(i)  # certified against the one program
+        program = reference_gap_program(system, cols, i)
+        cold = solve_lp(*program)
+        certify(cold, *program)
+        assert (warm.status, warm.value) == (cold.status, cold.value)
+    assert programs.tableau.warm
 
 
 def test_a_misplaced_integer_p_star_is_caught(monkeypatch):

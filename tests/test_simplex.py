@@ -5,6 +5,8 @@ sign constraints x >= 0 and box rows x_i <= 3, so the region is a
 polytope), an optimal point exists at a vertex, and every vertex is the
 solution of some square subsystem of active constraints.  Enumerating all
 square subsystems is exponential but exact, which is all the tests need.
+The same oracle checks a program re-solved by the dual simplex method
+after its right-hand side changed.
 """
 
 import itertools
@@ -14,8 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from divdiff import simplex
-from divdiff.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, certify, solve_lp
+from divdiff.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, _Tableau, certify, solve_lp
 
 from util import solve_square
 
@@ -94,16 +95,63 @@ def test_an_infeasible_program_carries_a_farkas_ray():
         certify(replace(res, dual=tuple(-y for y in res.dual)), *program)
 
 
-def test_largest_coefficient_rule_falls_back_to_bland(monkeypatch):
-    # With no degenerate pivot allowed it is Bland's rule from the start,
-    # so it reaches Bland's vertex.
-    monkeypatch.setattr(simplex, "STALL_LIMIT", 0)
+def test_an_rhs_change_to_an_infeasible_program_carries_a_farkas_ray():
+    # minimize x + y with x + y >= 1 and the box x, y <= 3; then x + y >= 7,
+    # which the box rules out; then x + y >= 2 again.
+    c = [F(1), F(1)]
+    a_ub = [[F(-1), F(-1)], [F(1), F(0)], [F(0), F(1)]]
+    tableau = _Tableau(c, a_ub)
+    assert tableau.solve([F(-1), F(3), F(3)]).value == 1
+    assert tableau.warm
+    b_ub = [F(-7), F(3), F(3)]
+    res = tableau.solve(b_ub)
+    assert res.status == INFEASIBLE
+    certify(res, c, a_ub, b_ub)
+    assert tableau.warm  # the basis is still dual feasible
+    b_ub = [F(-2), F(3), F(3)]
+    res = tableau.solve(b_ub)
+    assert (res.status, res.value) == (OPTIMAL, 2)
+    certify(res, c, a_ub, b_ub)
+
+
+def test_a_dropped_redundant_row_makes_the_next_solve_cold():
+    # Phase 1 drops the second row, twice the first; a warm start would
+    # then miss that the new rhs makes the two rows contradict.
+    c = [F(1), F(1)]
+    a_eq = [[F(1), F(1)], [F(2), F(2)]]
+    tableau = _Tableau(c, (), a_eq)
+    assert tableau.solve((), [F(1), F(2)]).value == 1
+    assert not tableau.warm
+    res = tableau.solve((), [F(1), F(3)])
+    assert res.status == INFEASIBLE
+    certify(res, c, (), (), a_eq, [F(1), F(3)])
+
+
+def test_warm_resolves_match_vertex_enumeration():
+    # One tableau per program, re-solved for a run of right-hand sides;
+    # each result must match the oracle and carry a valid certificate.
     rng = random.Random(717)
-    for _ in range(30):
-        c = [F(rng.randint(-4, 4)) for _ in range(3)]
-        a_ub = [[F(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)] + BOX[0]
-        b_ub = [F(rng.randint(-2, 4)) for _ in range(3)] + BOX[1]
-        assert solve_lp(c, a_ub, b_ub, largest=True) == solve_lp(c, a_ub, b_ub)
+    draw = rational_draw(rng)
+    warm = statuses = 0
+    for _ in range(40):
+        nvars = rng.randint(1, 3)
+        c = [draw(-4, 4) for _ in range(nvars)]
+        a_ub = [[draw(-3, 3) for _ in range(nvars)] for _ in range(rng.randint(1, 3))]
+        a_ub += [[F(int(i == j)) for j in range(nvars)] for i in range(nvars)]
+        a_eq = [[draw(-2, 2) for _ in range(nvars)]] if rng.random() < 0.4 else []
+        tableau = _Tableau(c, a_ub, a_eq)
+        seen = set()
+        for _ in range(4):
+            b_ub = [draw(-2, 4) for _ in range(len(a_ub) - nvars)] + [F(3)] * nvars
+            b_eq = [draw(-2, 2) for _ in a_eq]  # a negative one negates its row
+            warm += tableau.warm
+            res = tableau.solve(b_ub, b_eq)
+            certify(res, c, a_ub, b_ub, a_eq, b_eq)
+            assert res.value == enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, nvars)
+            seen.add(res.status)
+        statuses += len(seen) == 2
+    assert warm >= 70
+    assert statuses >= 15  # programs that went from optimal to infeasible or back
 
 
 def enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, nvars):
@@ -157,13 +205,16 @@ def assert_matches_enumeration(c, a_ub, b_ub, a_eq, b_eq):
     """Check solve_lp against the vertex oracle; return the oracle's optimum.
 
     The result's dual or Farkas ray must pass ``certify`` as well, and
-    the largest-coefficient rule must reach the same status and value.
+    so must a re-solve of the program from the basis of the program with
+    every rhs one larger, which must reach the same status and value.
     """
     res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
     certify(res, c, a_ub, b_ub, a_eq, b_eq)
-    fast = solve_lp(c, a_ub, b_ub, a_eq, b_eq, largest=True)
-    certify(fast, c, a_ub, b_ub, a_eq, b_eq)
-    assert (fast.status, fast.value) == (res.status, res.value)
+    tableau = _Tableau(c, a_ub, a_eq)
+    tableau.solve([b + 1 for b in b_ub], [b + 1 for b in b_eq])
+    warm = tableau.solve(b_ub, b_eq)
+    certify(warm, c, a_ub, b_ub, a_eq, b_eq)
+    assert (warm.status, warm.value) == (res.status, res.value)
     expected = enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, len(c))
     if expected is None:
         assert res.status == INFEASIBLE

@@ -17,12 +17,17 @@ first converting it to a document of dicts, lists and strings, then
 handing that to ``json.dumps(indent=2)`` or flattening it for the
 ``csv`` module, kept as oracles for the one-pass writer in ``report``;
 they write a ``NullBasis`` as the tuple of its vectors.
-``corrupting_kernel_basis`` spoils one null vector, to show that the
-null-space certificate in ``constraints`` catches it.
+``corrupting_kernel_basis`` spoils one null vector, and
+``misreporting_kernel_basis`` drops one and may call its column a pivot,
+to show that the null-space certificate in ``constraints`` catches it.
 ``reference_min_lipschitz`` solves one pinned LP per pin 0..L/2, kept
 as the oracle for the gap search in ``extremal``, and
 ``corrupting_solve_lp`` spoils every LP result, to show that the LP
-certificate check there catches it.
+certificate check there catches it, and ``corrupting_warm_tableau``
+spoils every result the dual simplex re-solve hands back.
+``reference_gap_program`` is the relaxed program of one gap alone, with
+the gap's two slope rows replaced by their merged row, kept as the
+oracle for the one relaxed program that serves every gap.
 """
 
 import csv
@@ -49,7 +54,7 @@ from divdiff import (
     nullspace,
     simplex,
 )
-from divdiff.extremal import MinLipschitzResult, _fill_witness, _solve_pinned
+from divdiff.extremal import MinLipschitzResult, _fill_witness, _program, _solve_pinned
 from divdiff.linalg import NullBasis, integer_echelon
 from divdiff.rational import decimal_string, format_rational, integer_text
 
@@ -356,6 +361,23 @@ def corrupting_kernel_basis(corrupt):
     return kernel_basis
 
 
+def misreporting_kernel_basis(add_pivot):
+    """kernel_basis without the vector of the first touched free column;
+    with add_pivot that column is reported as a pivot too, as an echelon
+    that took it for a pivot would."""
+
+    def kernel_basis(rows, ncols):
+        rank, pivot_cols, vectors = linalg.kernel_basis(rows, ncols)
+        k = next(i for i, segment in enumerate(vectors.segments) if type(segment) is dict)
+        free = next(c for c in vectors.segments[k] if c not in pivot_cols)
+        if add_pivot:
+            rank, pivot_cols = rank + 1, sorted([*pivot_cols, free])
+        segments = vectors.segments[:k] + vectors.segments[k + 1 :]
+        return rank, pivot_cols, NullBasis(segments)
+
+    return kernel_basis
+
+
 def reference_min_lipschitz(N):
     """min_lipschitz_unit_norm with one pinned LP per non-forced pin 0..L/2."""
     system = build_constraint_system(N)
@@ -391,6 +413,36 @@ def corrupting_solve_lp(corrupt):
         return corrupt(simplex.solve_lp(*args, **kwargs))
 
     return solve_lp
+
+
+def corrupting_warm_tableau(corrupt):
+    """simplex._Tableau that hands back corrupt(result) in place of every
+    result it re-solves from a kept basis."""
+
+    class Tableau(simplex._Tableau):
+        def solve(self, b_ub=(), b_eq=()):
+            warm = self.warm
+            result = super().solve(b_ub, b_eq)
+            return corrupt(result) if warm else result
+
+    return Tableau
+
+
+def reference_gap_program(system, cols, i):
+    """The relaxed program of the gap cols[i]..cols[i + 1] on its own.
+
+    The touched-column program with the two slope rows of the gap
+    replaced by their sum for a pin in the gap,
+    L / g (4 - u_a - u_b) <= t for the gap width g.
+    """
+    objective, a_ub, b_ub, a_eq, b_eq = _program(system, cols)
+    weight = Fraction(system.L, cols[i + 1] - cols[i])
+    merged = [0] * len(objective)
+    merged[i] = merged[i + 1] = -weight
+    merged[-1] = -1
+    a_ub[2 * i : 2 * i + 2] = [merged]
+    b_ub[2 * i : 2 * i + 2] = [-4 * weight]
+    return objective, a_ub, b_ub, a_eq, b_eq
 
 
 def reference_forced_zeros(vectors, ncols):
