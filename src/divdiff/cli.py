@@ -149,7 +149,9 @@ EXTEND_ZERO = Arg("--extend-zero", bool, "treat the function as 0 outside [0, 1]
 X, H, J = Arg("--x", rational), Arg("--h", rational), Arg("--j", int)
 ORDER, NONNEGATIVE_ORDER = Arg("--n", int), Arg("--n", int, least=0)
 SHIFTS, LATTICE_N = Arg("--N", int), Arg("--N", int, least=1)
-MAX_N = Arg("--max-N", int, f"raise the N cap (default {DEFAULT_MAX_N})", required=False)
+MAX_N = Arg(
+    "--max-N", int, f"raise the N cap (default {DEFAULT_MAX_N})", required=False, least=1
+)
 
 
 def _knot_differences(args: argparse.Namespace, f: Any) -> dict[str, Any]:

@@ -29,32 +29,36 @@ e.g. one line per N), the rows are appended as a regular CSV table
 after a separating blank line, with the columns of all rows in the
 order they first appear.
 
-A list is written in one pass over its members, with no call per
-member for the two kinds that make up large reports: flat lists of
-strs, ints and Fractions (the provenance paths, the forced zeros) and
-lists of sparse vectors (int keys, Fraction values, such as a null
-space basis).  Any other member is walked in its place, so the bytes
-are the same either way.  A NullBasis keeps each run of untouched
-columns as a range, and a run is written whole: one join for the JSON
-text of its singleton vectors and one for their paths in provenance,
-or one block of CSV lines written past csv.writer.  Its paths add only
-digits, brackets and dots to the list's path, and none of those needs
-quoting, so the block is used when the list's path needs none.
+A list is written by one loop over its members, which writes three
+kinds of member itself.  A sparse vector (a nonempty dict whose keys
+are all ints and whose values are all Fractions, such as a null space
+basis vector) has its types checked before any of it is written, so it
+cannot fail part-way.  A NullBasis is walked by its segments, and a run
+of untouched columns is written whole: one join for the JSON text of
+its singleton vectors, and one _Run for their exact paths or their CSV
+lines.  In provenance, such a _Run is written as its paths with one
+join.  Every other member, scalars among them, is written by the code
+that writes the values of a mapping.
+
+Every CSV line comes from one line writer: a cell goes in quotes, its
+quotes doubled, when it holds a comma, a quote, a newline or a carriage
+return, and a row of one empty cell is written "" so that it is not a
+blank line.  Each cell reads back unchanged through csv.reader.  The
+lines of a run are one join of its tails, cut from the line of its
+first path: its paths add only digits, brackets and dots to the list's
+path, and none of those changes how a cell is quoted.
 
 `nullspace --N 12` writes a basis of 27,708 vectors, 27,674 of them in
 46 runs: 2.0 MB of JSON or 0.8 MB of CSV.  In process on Python 3.11
-(2 CPUs), four alternating rounds, render_json takes 15-24 ms and
-render_csv 10-18 ms, against 41-77 and 43-73 ms when every singleton
-vector was a dict written on its own.
+(2 CPUs), four rounds of 30 renders each, render_json takes 16-25 ms
+(median 22-25 ms) and render_csv 11-18 ms (median 13-19 ms).
 """
 
-import csv
-import io
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from itertools import groupby, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Iterator, NamedTuple, Optional
+from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 from . import __version__
 from .funcs import GridFunction
@@ -104,6 +108,8 @@ _KINDS = {
 
 # The text of the 1 that every singleton vector of a NullBasis run holds.
 _ONE = str(ONE)
+# The key types and the value types of a sparse vector.
+_INT, _FRACTION = {int}, {Fraction}
 
 
 def _join(items: Iterator[str], head: str, tail: str, sep: str = "") -> str:
@@ -153,88 +159,6 @@ def _claim(seen: set, name: str, prefix: str) -> None:
     seen.add(name)
 
 
-def _list_members(
-    value: Any, path: str, inner: Optional[str], out: list, exact: list
-) -> Iterator[tuple[int, Any]]:
-    """Write the members of a list at path that need no walk of their own,
-    with the text and paths _write would give them; yield (index, member)
-    for each other member, which the caller writes in its place before the
-    next members are written here.
-
-    A member needs no walk when it is a str, an int or a Fraction, or a
-    nonempty dict with int keys and Fraction values (a sparse vector), and
-    its numbers are within the int-to-str digit limit.
-
-    A NullBasis is written by its segments: a dict is a member as above,
-    and a run of untouched columns is written with one join for its JSON
-    text, and as one _Run for its exact paths or its CSV pairs.
-    """
-    if inner is not None:
-        first, comma, ind = "[" + inner, "," + inner, inner + "  "
-        head, sep, tail = "{" + ind + '"', '",' + ind + '"', '"' + inner + "}"
-    runs = type(value) is NullBasis
-    for i, v in zip(value.offsets, value.segments) if runs else enumerate(value):
-        cls = type(v)
-        if cls is dict and v:
-            entries: Any = v.items()
-            if len(v) > 1 and all(map(isinstance, v, repeat(int))):
-                entries = sorted(entries)
-            n, m = len(out), len(exact)
-            cells = []
-            for k, x in entries:
-                if type(k) is not int or type(x) is not Fraction:
-                    break
-                try:
-                    text = str(x)
-                except ValueError:
-                    break
-                child = f"{path}[{i}].{k}"
-                if inner is None:
-                    out.append((child, text))
-                else:
-                    cells.append(f'{k}": "{text}')
-                    exact.append(child)
-            else:
-                if inner is not None:
-                    out += comma if i else first, head + sep.join(cells) + tail
-                continue
-            del out[n:], exact[m:]  # the walk writes this member whole
-        elif cls is str:
-            if inner is None:
-                out.append((f"{path}[{i}]", v))
-            else:
-                out += comma if i else first, _quote(v)
-            continue
-        elif cls is int or cls is Fraction:
-            try:
-                text = str(v)
-            except ValueError:
-                pass
-            else:
-                child = f"{path}[{i}]"
-                if inner is None:
-                    out.append((child, text))
-                else:
-                    out += comma if i else first, text if cls is int else f'"{text}"'
-                    exact.append(child)
-                continue
-        elif cls is range and runs:
-            run = _Run(path, i, v)
-            if inner is None:
-                out.append(run)
-            else:
-                members = _join(map(str, v), head, f'": "{_ONE}{tail}', comma)
-                out += comma if i else first, members
-                exact.append(run)
-            continue
-        elif cls is _Run:
-            # exact paths, in JSON: the paths of a run's members
-            quoted = _quote(v.path)[:-1] + "["  # JSON text up to the first index
-            out += comma if i else first, _join(v.tails(), quoted, '"', comma)
-            continue
-        yield i, v
-
-
 def _write(
     value: Any, kind: Any, path: str, pad: Optional[str], out: list, exact: list, approx: list
 ) -> None:
@@ -254,8 +178,13 @@ def _write(
     # could clash (two keys with one str(), or a key named "<k>_decimal").
     seen: Optional[set] = None
     if kind is _LIST:
-        items: Any = _list_members(value, path, inner, out, exact)
+        runs = type(value) is NullBasis
+        items: Any = zip(value.offsets, value.segments) if runs else enumerate(value)
         brackets = "[]"
+        if inner is not None:
+            # The JSON text of a sparse vector: head, its entries joined by sep, tail.
+            ind = inner + "  "
+            head, sep, tail = "{" + ind + '"', '",' + ind + '"', '"' + inner + "}"
     else:
         items, clash = _items(value, kind)
         prefix = path + "." if path else ""
@@ -264,11 +193,39 @@ def _write(
         brackets = "{}"
     if inner is not None:
         first, comma = brackets[0] + inner, "," + inner
-    # In JSON every member adds to out, whichever function writes it, so
-    # out keeps this length until the first member is written.
+    # In JSON every member adds to out, so out keeps this length until
+    # the first member is written.
     mark = len(out)
     for k, v in items:
+        if inner is not None:
+            opener = first if len(out) == mark else comma
         if kind is _LIST:
+            cls = type(v)
+            if cls is range and runs:
+                # A run of untouched columns: the singleton vectors {c: 1}.
+                run = _Run(path, k, v)
+                if inner is None:
+                    out.append(run)
+                else:
+                    out += opener, _join(map(str, v), head, f'": "{_ONE}{tail}', comma)
+                    exact.append(run)
+                continue
+            if cls is _Run:
+                # The exact paths of a run, in the provenance block.
+                out += opener, _join(v.tails(), _quote(v.path)[:-1] + "[", '"', comma)
+                continue
+            if (cls is dict and v and {*map(type, v)} == _INT
+                    and {*map(type, v.values())} == _FRACTION):
+                # A sparse vector, its types checked before any of it is written.
+                entries = sorted(v.items())
+                child = f"{path}[{k}]."
+                if inner is None:
+                    out += [(f"{child}{j}", format_rational(x)) for j, x in entries]
+                else:
+                    cells = [f'{j}": "{format_rational(x)}' for j, x in entries]
+                    out += opener, head + sep.join(cells) + tail
+                    exact += [f"{child}{j}" for j, _ in entries]
+                continue
             key, child = None, f"{path}[{k}]"
         else:
             key = str(k)
@@ -276,7 +233,6 @@ def _write(
             if seen is not None:
                 _claim(seen, key, prefix)
         if inner is not None:
-            opener = first if len(out) == mark else comma
             out.append(opener if key is None else f"{opener}{_quote(key)}: ")
         vkind = _KINDS.get(type(v)) or _kind(type(v))
         if vkind is Fraction:
@@ -343,14 +299,17 @@ def render_json(report: Report) -> str:
     return "".join(out)
 
 
-_LINE_END = "\n"  # of every CSV line
-
-
-def _unquoted(path: str) -> bool:
-    """Whether the CSV line of (path, "1") is path, a comma and 1, unquoted."""
-    probe = io.StringIO()
-    csv.writer(probe, lineterminator=_LINE_END).writerow((path, _ONE))
-    return probe.getvalue() == f"{path},{_ONE}{_LINE_END}"
+def _line(cells: Sequence[str]) -> str:
+    """The CSV line of a row of cells.  A cell goes in quotes, its quotes
+    doubled, when it holds a comma, a quote, a newline or a carriage
+    return; a row of one empty cell is written "", so that it is not a
+    blank line."""
+    if len(cells) == 1 and not cells[0]:
+        return '""\n'
+    return ",".join([
+        '"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\n" in c or "\r" in c else c
+        for c in cells
+    ]) + "\n"
 
 
 def render_csv(report: Report) -> str:
@@ -364,21 +323,19 @@ def render_csv(report: Report) -> str:
     }
     pairs: list = [("key", "value")]
     _write(document, _MAP, "", None, pairs, [], [])
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator=_LINE_END)
-    for cls, group in groupby(pairs, type):
-        if cls is not _Run:
-            writer.writerows(group)
-            continue
-        for run in group:
-            # The paths of a run differ from its path in digits, brackets
-            # and a dot alone, which need no quoting.
-            if _unquoted(run.path):
-                buffer.write(_join(run.tails(), run.path + "[", f",{_ONE}{_LINE_END}"))
-            else:
-                writer.writerows(run.pairs())
+    lines = []
+    for pair in pairs:
+        if type(pair) is _Run:
+            # Its paths add to its path only digits, brackets and a dot,
+            # none of which changes the quoting: the line of (path + "[",
+            # 1), cut after that "[", is what goes around each tail.
+            line = _line((pair.path + "[", _ONE))
+            cut = line.rindex("[") + 1
+            lines.append(_join(pair.tails(), line[:cut], line[cut:]))
+        else:
+            lines.append(_line(pair))
     if table is not None:
-        writer.writerow([])
+        lines.append(_line(()))
         rows = []
         for i, row in enumerate(table):
             kind = _kind(type(row))
@@ -392,6 +349,6 @@ def render_csv(report: Report) -> str:
         if rows:
             # The columns of every row, in the order they first appear.
             header = list(dict.fromkeys(column for row in rows for column in row))
-            writer.writerow(header)
-            writer.writerows([row.get(column, "") for column in header] for row in rows)
-    return buffer.getvalue()
+            lines.append(_line(header))
+            lines += [_line([row.get(column, "") for column in header]) for row in rows]
+    return "".join(lines)

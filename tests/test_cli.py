@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: reports, formats, and exit codes."""
 
 import argparse
+import csv
 import dataclasses
 import errno
 import io
@@ -158,6 +159,15 @@ def test_n_cap_blocks_large_runs(capsys):
     code, out, err = run(capsys, "minlip", "--N", "3", "--max-N", "2")
     assert code == 1
     assert "cap" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("command", ["nullspace", "minlip"])
+def test_n_cap_below_one_is_refused(capsys, command, cap):
+    # not "N=3 exceeds the cap 0": no N at all is allowed under such a cap
+    code, out, err = run(capsys, command, "--N", "3", "--max-N", cap)
+    assert (code, out) == (1, "")
+    assert err == "divdiff: error: --max-N must be at least 1\n"
 
 
 def test_probe_requires_extension(capsys):
@@ -508,6 +518,21 @@ def test_csv_and_json_agree_on_exact_values(capsys):
         doc["results"]["forced_zero_points"][1]
     )
     assert csv_pairs["provenance.version"] == doc["provenance"]["version"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["uniform", "--func", "poly:1\r", "--n", "2"],
+    ["identity", "--func", "ratfun:1;1,0,25\r", "--n", "2"],
+])
+def test_csv_cells_with_a_carriage_return_read_back_unchanged(capsys, tmp_path, argv):
+    # A lone \r must be quoted: csv.reader ends an unquoted cell there.
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0, err
+    assert dict(csv.reader(io.StringIO(out, newline="")))["inputs.func"] == argv[2]
+    target = tmp_path / "report.csv"
+    assert main([*argv, "--format", "csv", "--out", str(target)]) == 0
+    with open(target, newline="", encoding="utf-8") as fh:
+        assert dict(csv.reader(fh))["inputs.func"] == argv[2]
 
 
 def test_every_exact_field_reparses_across_commands(capsys, tmp_path):

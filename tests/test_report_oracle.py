@@ -12,13 +12,15 @@ int-to-str digit limit and strings that need escaping.
 A CSV ``rows`` table is generated with the same columns in every row,
 because the reference took the header from the first row alone.
 
-Lists of sparse vectors and flat lists of scalars are written in one
-pass over their members, and a member of any other shape by the walk in
-its place; seeded lists with one such member, first, last or anywhere
-between, are checked against the reference as well.  A ``NullBasis``
-writes each run of singleton vectors with one join; its runs first,
-last, alone, of length 1 or between vectors, under keys that need
-escaping, in a table cell and inside lists are checked the same way.
+A list writes a sparse vector (int keys, Fraction values) itself and
+any other member by the code that writes a mapping's values; seeded
+lists of sparse vectors or of scalars with one member of another shape,
+first, last or anywhere between, are checked against the reference as
+well.  A ``NullBasis`` writes each run of singleton vectors with one
+join; its runs first, last, alone, of length 1 or between vectors, under
+keys that need escaping, in a table cell and inside lists are checked
+the same way.  So is a table whose one column is named by the empty
+string, whose lines are each one cell: an empty one is written ``""``.
 """
 
 import dataclasses
@@ -176,9 +178,9 @@ def test_seeded_nested_values_match_the_reference_writer():
         assert render_csv(report) == reference_render_csv(report)
 
 
-# Members that the one-pass list writer hands back to the walk, or, for
-# scrambled negative keys and lone scalars, writes itself; each is put
-# once into a list of sparse vectors or of scalars.
+# Members of many shapes, sparse vectors with scrambled negative keys
+# among them; each is put once into a list of sparse vectors or of
+# scalars.
 ODD_MEMBERS = (
     lambda rng: {True: random_fraction(rng), 3: random_fraction(rng)},  # key text "True"
     lambda rng: {2: rng.randint(-9, 9), 5: random_fraction(rng)},  # a bare JSON number
@@ -258,7 +260,7 @@ NULL_BASES = {
     "adjacent-runs": [range(0, 2), range(2, 5)],
     "a-vector-walked-in-its-place": [range(0, 2), {2: 1}, range(3, 5)],  # an int value
 }
-BASIS_KEYS = ("basis", "a,b", 'q"', "ä\nk")
+BASIS_KEYS = ("basis", "a,b", 'q"', "ä\nk", 'k[0],"')
 # Where a basis sits in the results.
 PLACES = {
     "field": lambda key, basis: {"N": 3, key: basis},
@@ -312,3 +314,11 @@ def test_seeded_null_bases_match_the_reference_writer():
     for _ in range(200):
         place, key = rng.choice(list(PLACES)), rng.choice(BASIS_KEYS)
         assert_written_as_its_vectors(place, key, random_segments(rng))
+
+
+@pytest.mark.parametrize("cells", [[""], ["x", "", None], [None, 3], [True, ""]])
+def test_a_table_of_one_empty_named_column_matches_the_reference_writer(cells):
+    report = Report("probe", {"N": 1}, {"N": 1, "rows": [{"": cell} for cell in cells]})
+    assert render_json(report) == reference_render_json(report)
+    assert render_csv(report) == reference_render_csv(report)
+    assert '\n""\n' in render_csv(report)  # the header, one empty cell
