@@ -29,16 +29,13 @@ e.g. one line per N), the rows are appended as a regular CSV table
 after a separating blank line, with the columns of all rows in the
 order they first appear.
 
-A list is written by one loop over its members, which writes three
-kinds of member itself.  A sparse vector (a nonempty dict whose keys
-are all ints and whose values are all Fractions, such as a null space
-basis vector) has its types checked before any of it is written, so it
-cannot fail part-way.  A NullBasis is walked by its segments, and a run
-of untouched columns is written whole: one join for the JSON text of
-its singleton vectors, and one _Run for their exact paths or their CSV
-lines.  In provenance, such a _Run is written as its paths with one
-join.  Every other member, scalars among them, is written by the code
-that writes the values of a mapping.
+A list is written by one loop over its members, which writes two
+kinds of member itself.  A NullBasis is walked by its segments, and a
+run of untouched columns is written whole: one join for the JSON text
+of its singleton vectors, and one _Run for their exact paths or their
+CSV lines.  In provenance, such a _Run is written as its paths with one
+join.  Every other member, sparse vectors and scalars among them, is
+written by the code that writes the values of a mapping.
 
 Every CSV line comes from one line writer: a cell goes in quotes, its
 quotes doubled, when it holds a comma, a quote, a newline or a carriage
@@ -50,8 +47,8 @@ path, and none of those changes how a cell is quoted.
 
 `nullspace --N 12` writes a basis of 27,708 vectors, 27,674 of them in
 46 runs: 2.0 MB of JSON or 0.8 MB of CSV.  In process on Python 3.11
-(2 CPUs), four rounds of 30 renders each, render_json takes 16-25 ms
-(median 22-25 ms) and render_csv 11-18 ms (median 13-19 ms).
+(2 CPUs), four rounds of 30 renders each, render_json takes 16-28 ms
+(median 23-24 ms) and render_csv 10-32 ms (median 16-17 ms).
 """
 
 from dataclasses import dataclass, fields, is_dataclass
@@ -108,8 +105,6 @@ _KINDS = {
 
 # The text of the 1 that every singleton vector of a NullBasis run holds.
 _ONE = str(ONE)
-# The key types and the value types of a sparse vector.
-_INT, _FRACTION = {int}, {Fraction}
 
 
 def _join(items: Iterator[str], head: str, tail: str, sep: str = "") -> str:
@@ -182,9 +177,8 @@ def _write(
         items: Any = zip(value.offsets, value.segments) if runs else enumerate(value)
         brackets = "[]"
         if inner is not None:
-            # The JSON text of a sparse vector: head, its entries joined by sep, tail.
-            ind = inner + "  "
-            head, sep, tail = "{" + ind + '"', '",' + ind + '"', '"' + inner + "}"
+            # The JSON text of a singleton vector {c: 1}: head, c, tail.
+            head, tail = "{" + inner + '  "', '"' + inner + "}"
     else:
         items, clash = _items(value, kind)
         prefix = path + "." if path else ""
@@ -213,18 +207,6 @@ def _write(
             if cls is _Run:
                 # The exact paths of a run, in the provenance block.
                 out += opener, _join(v.tails(), _quote(v.path)[:-1] + "[", '"', comma)
-                continue
-            if (cls is dict and v and {*map(type, v)} == _INT
-                    and {*map(type, v.values())} == _FRACTION):
-                # A sparse vector, its types checked before any of it is written.
-                entries = sorted(v.items())
-                child = f"{path}[{k}]."
-                if inner is None:
-                    out += [(f"{child}{j}", format_rational(x)) for j, x in entries]
-                else:
-                    cells = [f'{j}": "{format_rational(x)}' for j, x in entries]
-                    out += opener, head + sep.join(cells) + tail
-                    exact += [f"{child}{j}" for j, _ in entries]
                 continue
             key, child = None, f"{path}[{k}]"
         else:
