@@ -8,10 +8,13 @@ SHA-256 of the stdout of larger runs, where the report itself is too
 big to keep, and of report shapes no README command shows: an
 infeasible ``minlip`` (exit 2, a ``Pin`` carries its exit code), a
 ``minlip`` witness in CSV, the zero polynomial's ``cascade``, a
-degree-reduced ``interp``, single-N ``probe``, ``walkthrough`` on the
-Runge function and ``telescope`` at n = 20.  Both were recorded with the plain ``Fraction`` kernels
-(direct sum, recursive table, ``Polynomial`` products, Fraction Horner),
-so they hold every later kernel to the same bytes.  The ``nullspace``
+degree-reduced ``interp``, single-N and swept ``probe``, ``walkthrough``
+on the Runge function, ``telescope`` at n = 20 and a zero-extended
+``telescope`` from a negative x.  Both were recorded with the plain
+``Fraction`` kernels (direct sum, recursive table, ``Polynomial``
+products, Fraction Horner), so they hold every later kernel to the same
+bytes.  The swept ``probe`` and negative-x ``telescope`` pins were
+recorded while the shift sums still added one ``Fraction`` per term.  The ``nullspace``
 pins, JSON and CSV at N = 9..12, were recorded while the null space
 still built one grid function per basis vector and scanned every grid
 column for forced zeros.  The ``minlip`` pins at N = 7..9 were recorded
@@ -226,6 +229,13 @@ PINS = {
         ],
         "067592fab1bf9db267ccc5014a519bba2863b5304ce3de693b1f337689dd8178",
     ),
+    "probe-runge-sweep": Pin(
+        [
+            "probe", "--func", RUNGE, "--extend-zero",
+            "--x", "1/3", "--h", "1/64", "--n", "4", "--Nmax", "256",
+        ],
+        "324c06c404cc655c012bf3a41a3bfd5858a4b87a1b2e8e47b50b83e8f3cb0f9c",
+    ),
     "walkthrough-runge": Pin(
         _walkthrough_argv("json"),
         "bcf5e22fd48de1f24628fbb4adccbb995e186aa0c18f945adc457fd8084894a2",
@@ -233,6 +243,13 @@ PINS = {
     "walkthrough-runge-csv": Pin(
         _walkthrough_argv("csv"),
         "5c03d12e00f433c024e66865fb14873377ebf19982374962a7d02ae6075a72fc",
+    ),
+    "telescope-runge": Pin(
+        [
+            "telescope", "--func", RUNGE, "--extend-zero",
+            "--x", "-1/3", "--h", "1/64", "--n", "4", "--j", "2", "--N", "30",
+        ],
+        "fd07be1d706424b265855325093d03cdf9434f11e89d455f04bad05f442e21dd",
     ),
     "telescope-20": Pin(
         [
