@@ -62,6 +62,7 @@ from .probes import (
     TelescopeCheck,
     WalkthroughReport,
     averaging_probe,
+    averaging_sweep,
     proof_walkthrough,
     telescope_shift_identity,
 )
@@ -97,6 +98,7 @@ __all__ = [
     "ZeroPolynomial",
     "__version__",
     "averaging_probe",
+    "averaging_sweep",
     "binomial",
     "build_constraint_system",
     "check_equispaced_identity",

@@ -42,7 +42,7 @@ from .errors import DomainEvaluationError, DuplicateKnotError, ParseError, PoleE
 from .extremal import min_lipschitz_unit_norm
 from .funcs import PolynomialFunc, parse_funcspec
 from .interpolation import EquispacedSample, lagrange_equispaced, leading_coefficient
-from .probes import averaging_probe, proof_walkthrough, telescope_shift_identity
+from .probes import averaging_sweep, proof_walkthrough, telescope_shift_identity
 from .rational import parse_rational
 from .report import Report, render_csv, render_json
 
@@ -191,7 +191,7 @@ def _null_space(args: argparse.Namespace, f: Any) -> dict[str, Any]:
 def _shift_averages(args: argparse.Namespace, f: Any) -> dict[str, Any]:
     # One shift count, or the sweep N = 1, 2, 4, ... up to --Nmax.
     counts = [args.N] if args.N is not None else [2**k for k in range(args.Nmax.bit_length())]
-    averages = [averaging_probe(f, args.x, args.h, args.n, N) for N in counts]
+    averages = averaging_sweep(f, args.x, args.h, args.n, counts)
     rows = [{"N": N, "average": a.average, "residual": a.residual, "bound": a.bound}
             for N, a in zip(counts, averages)]
     return {"n": args.n, "h": args.h, "x": args.x, "cutoff": averages[-1].cutoff, "rows": rows}

@@ -9,7 +9,8 @@ recovers (-1)**n * f(x) up to a residual that decays like 1/N:
     (1/N) * sum_{i=1}^{N} D_{ih}^n f(x)  =  (-1)**n f(x) + residual.
 
 This module computes the average, the residual, and an explicit
-envelope for it (:func:`averaging_probe`); verifies the exact
+envelope for it (:func:`averaging_probe`, and over ascending N with
+every point evaluated once, :func:`averaging_sweep`); verifies the exact
 reindexing identity behind that decay (:func:`telescope_shift_identity`);
 and assembles the full chain of intermediate quantities for the
 interpolation defect f - Q_n (:func:`proof_walkthrough`), where Q_n is
@@ -19,12 +20,21 @@ Every such quantity is a sum of f(x + i*s) over a run of shifts
 i = lo..hi along one step s = j*h, and the work is not the length of
 the run:
 
-- For a zero-extended function only the survivors, the i with
-  0 <= x + i*s <= 1, contribute.  They form the clipped range
-  max(lo, ceil(-x/s)) .. min(hi, floor((1-x)/s)), so the work is the
-  number of points inside [0, 1], not N or n!.  Survivors are evaluated
-  in ascending i, the order of the full loop, so a pole is reported at
-  the same point.
+- Every point these sums touch is x + m*h for an integer m: the steps
+  j*h give m = i*j, and y = x + n!*h is m = n!.  A private lattice holds
+  D = lcm(den x, den h) and the integers x*D and h*D, so point m is
+  (x*D + m*h*D) / D and f is evaluated once per distinct m, in an
+  int-keyed memo.  For a zero-extended function only the m with
+  0 <= x + m*h <= 1 contribute; they are found by integer floor
+  division, so the work is the number of points inside [0, 1], not N
+  or n!.
+- A stencil-weighted double sum sum_j w_j sum_i f(x + i*j*h) becomes
+  integer weights c_m, accumulated in the full loop's (j, i) order, and
+  the points are evaluated in that order, so a pole is reported at the
+  point the full loop meets first.  sum_m c_m f(point m) adds integer
+  numerators per distinct denominator and combines the groups in a
+  balanced pairwise sum; adding Fractions left to right would cost a
+  growing gcd per term.
 - For a polynomial p (the interpolant Q_n, or an unextended polynomial
   in the telescope check) the sum is a difference of two prefix sums,
   each given by the hockey-stick identity
@@ -36,13 +46,12 @@ the run:
   the deg p + 1 values p(x), p(x+s), ..., p(x + deg(p)*s).
 
 Only the telescope check on a rational or piecewise-linear function
-that is not zero-extended still sums term by term.
+that is not zero-extended still sums every term, on the lattice too.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable
 
 from .differences import difference_stencil
@@ -51,36 +60,89 @@ from .interpolation import EquispacedSample, lagrange_equispaced, leading_coeffi
 from .poly import Polynomial
 from .rational import Rational
 
-Point = Fraction
+class _Lattice:
+    """The points x + m*h, m an integer, each evaluated at most once.
+
+    With D = lcm(den x, den h), point m is (base + m*step) / D for the
+    integers base = x*D and step = h*D.  values maps m to the value at
+    point m.  When clip is set the function vanishes outside [0, 1], so
+    only the m in lo..hi, the points inside, are ever evaluated.
+    """
+
+    def __init__(
+        self, evaluate: Callable[[Fraction], Fraction], x: Fraction, h: Fraction, clip: bool
+    ):
+        self.evaluate = evaluate
+        self.D = D = math.lcm(x.denominator, h.denominator)
+        self.base = base = x.numerator * (D // x.denominator)
+        self.step = step = h.numerator * (D // h.denominator)
+        self.clip = clip
+        if clip:
+            self.lo, self.hi = -(base // step), (D - base) // step
+        self.values: dict[int, Fraction] = {}
+
+    def shifts(self, j: int, lo: int, hi: int, offset: int = 0) -> range:
+        """The i in lo..hi whose point offset + i*j is inside, for j > 0."""
+        if self.clip:
+            lo = max(lo, -((offset - self.lo) // j))
+            hi = min(hi, (self.hi - offset) // j)
+        return range(lo, hi + 1)
+
+    def add(
+        self, weights: dict[int, int], w: int, j: int, lo: int, hi: int, offset: int = 0
+    ) -> None:
+        """weights[offset + i*j] += w for each i in lo..hi whose point is
+        inside, in ascending i."""
+        if j == 0:
+            if not self.clip or self.lo <= offset <= self.hi:
+                weights[offset] = weights.get(offset, 0) + w * (hi - lo + 1)
+            return
+        i = self.shifts(j, lo, hi, offset)
+        get = weights.get
+        for m in range(offset + i.start * j, offset + i.stop * j, j):
+            weights[m] = get(m, 0) + w
+
+    def value(self, m: int) -> Fraction:
+        if self.clip and not self.lo <= m <= self.hi:
+            return Fraction(0)
+        return self.total({m: 1})
+
+    def total(self, weights: dict[int, int]) -> Fraction:
+        """sum of c * (value at point m) over the (m, c) of weights.
+
+        The points are evaluated in the order of weights, those of weight
+        0 too, so the first pole raised is the one a term-by-term loop
+        meets first.  Numerators are added per distinct denominator, and
+        the groups are summed by _pairwise_sum.
+        """
+        values, evaluate, base, step, D = self.values, self.evaluate, self.base, self.step, self.D
+        groups: dict[int, int] = {}
+        for m, c in weights.items():
+            v = values.get(m)
+            if v is None:
+                v = values[m] = evaluate(Fraction(base + m * step, D))
+            d = v.denominator
+            groups[d] = groups.get(d, 0) + c * v.numerator
+        return _pairwise_sum(groups)
 
 
-class _Memo:
-    """Evaluation cache; keeps every point ever requested."""
+def _pairwise_sum(groups: dict[int, int]) -> Fraction:
+    """sum of num/den over the (den, num) of groups, in a balanced tree.
 
-    def __init__(self, evaluate: Callable[[Fraction], Fraction]):
-        self._evaluate = evaluate
-        self.values: dict[Fraction, Fraction] = {}
-
-    def __call__(self, point: Fraction) -> Fraction:
-        value = self.values.get(point)
-        if value is None:
-            value = self._evaluate(point)
-            self.values[point] = value
-        return value
-
-
-def _survivors(x: Fraction, s: Fraction, lo: int, hi: int) -> range:
-    """The i in lo..hi with 0 <= x + i*s <= 1, for a step s > 0."""
-    return range(max(lo, math.ceil(-x / s)), min(hi, math.floor((1 - x) / s)) + 1)
-
-
-def _clipped_sum(
-    ev: Callable[[Fraction], Fraction], x: Fraction, s: Fraction, lo: int, hi: int
-) -> Fraction:
-    """sum_{i=lo}^{hi} ev(x + i*s) for an ev that vanishes outside [0, 1]."""
-    if s == 0:
-        return (hi - lo + 1) * ev(x)
-    return sum((ev(x + i * s) for i in _survivors(x, s, lo, hi)), Fraction(0))
+    The lowest four levels add (den, num) pairs unreduced, so a block of
+    up to 16 groups costs one gcd.  Above them every add is a reducing
+    Fraction add, which keeps the operands small when the denominators
+    share factors; left to right, the sum would grow quadratically.
+    """
+    terms = list(groups.items())
+    for _ in range(4):
+        pairs = [(b * d, a * d + c * b) for (b, a), (d, c) in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[len(pairs) * 2:]
+    sums = [Fraction(a, b) for b, a in terms]
+    while len(sums) > 1:
+        pairs = [p + q for p, q in zip(sums[::2], sums[1::2])]
+        sums = pairs + sums[len(pairs) * 2:]
+    return sums[0] if sums else Fraction(0)
 
 
 def _polynomial_sum(p: Polynomial, x: Fraction, s: Fraction, lo: int, hi: int) -> Fraction:
@@ -101,25 +163,21 @@ def _polynomial_sum(p: Polynomial, x: Fraction, s: Fraction, lo: int, hi: int) -
     return total
 
 
-def _looped_sum(
-    ev: Callable[[Fraction], Fraction], x: Fraction, s: Fraction, lo: int, hi: int
-) -> Fraction:
-    """sum_{i=lo}^{hi} ev(x + i*s), term by term."""
-    return sum((ev(x + i * s) for i in range(lo, hi + 1)), Fraction(0))
-
-
-ShiftSum = Callable[[Fraction, Fraction, int, int], Fraction]
-
-
-def _shift_average(
-    shift_sum: ShiftSum, x: Fraction, h: Fraction, n: int, N: int
-) -> Fraction:
-    """(1/N) * sum_{i=1..N} D_{ih}^n f(x), given shift_sum(x, s, lo, hi)
-    = sum_{i=lo}^{hi} f(x + i*s)."""
+def _polynomial_average(p: Polynomial, x: Fraction, h: Fraction, n: int, N: int) -> Fraction:
+    """(1/N) * sum_{i=1..N} D_{ih}^n p(x), in closed form."""
     total = Fraction(0)
     for j, w in enumerate(difference_stencil(n)):
-        total += w * shift_sum(x, j * h, 1, N)
+        total += w * _polynomial_sum(p, x, j * h, 1, N)
     return total / N
+
+
+def _average_weights(lattice: _Lattice, n: int, N: int, offset: int = 0) -> dict[int, int]:
+    """Weights c_m with N * average = sum_m c_m g(point m) for the shift
+    average of D_{ih}^n g at point offset, in the full loop's (j, i) order."""
+    weights: dict[int, int] = {}
+    for j, w in enumerate(difference_stencil(n)):
+        lattice.add(weights, w, j, 1, N, offset)
+    return weights
 
 
 def _validate_probe_args(f: FuncSpec, x: Fraction, h: Fraction, n: int, N: int) -> None:
@@ -148,7 +206,7 @@ class AveragingProbeResult:
 
 
 def averaging_probe(
-    f: FuncSpec, x: Rational, h: Rational, n: int, N: int
+    f: FuncSpec, x: Rational, h: Rational, n: int, N: int, *, _lattice: _Lattice | None = None
 ) -> AveragingProbeResult:
     """Average D_{ih}^n f(x) over i = 1..N for a zero-extended f.
 
@@ -167,26 +225,24 @@ def averaging_probe(
     """
     x, h = Fraction(x), Fraction(h)
     _validate_probe_args(f, x, h, n, N)
-    ev = _Memo(f.evaluate)
-    average = _shift_average(partial(_clipped_sum, ev), x, h, n, N)
-    residual = average - (-1) ** n * ev(x)
+    lattice = _lattice or _Lattice(f.evaluate, x, h, clip=True)
+    average = lattice.total(_average_weights(lattice, n, N)) / N
+    residual = average - (-1) ** n * lattice.value(0)
 
+    # The check builds its own weights, from the survivor count of each j.
     stencil = difference_stencil(n)
-    boundary = Fraction(0)
+    boundary: dict[int, int] = {}
     for j, w in enumerate(stencil[1:], 1):
-        step = j * h
-        last = min(N, math.floor((1 - x) / step))
-        boundary += w * sum((ev(x + i * step) for i in range(1, last + 1)), Fraction(0))
-    boundary /= N
-    if boundary != residual:
+        for i in range(1, min(N, math.floor((1 - x) / (j * h))) + 1):
+            boundary[i * j] = boundary.get(i * j, 0) + w
+    if lattice.total(boundary) / N != residual:
         raise ArithmeticError("residual recomputation mismatch")
 
     if isinstance(f, PiecewiseLinearFunc):
         m_bound = f.grid.sup_norm()
     else:
-        m_bound = max(
-            (abs(v) for p, v in ev.values.items() if 0 <= p <= 1), default=Fraction(0)
-        )
+        # Every point the lattice evaluated lies inside [0, 1].
+        m_bound = max(map(abs, lattice.values.values()), default=Fraction(0))
     bound = Fraction(0)
     for j, w in enumerate(stencil[1:], 1):
         survivors = max(0, math.floor((1 - x) / (j * h)))
@@ -197,6 +253,23 @@ def averaging_probe(
     return AveragingProbeResult(
         n=n, h=h, x=x, N=N, average=average, residual=residual, bound=bound, cutoff=cutoff
     )
+
+
+def averaging_sweep(
+    f: FuncSpec, x: Rational, h: Rational, n: int, counts: list[int]
+) -> list[AveragingProbeResult]:
+    """averaging_probe at each N of counts, which must ascend.
+
+    The runs share their evaluations: the points touched for one N are
+    among those touched for a larger N, so each is evaluated once in the
+    sweep, and the touched maximum behind each bound is that run's own.
+    """
+    x, h = Fraction(x), Fraction(h)
+    if counts != sorted(counts):
+        raise ValueError("shift counts must ascend")
+    _validate_probe_args(f, x, h, n, min(counts, default=1))
+    lattice = _Lattice(f.evaluate, x, h, clip=True)
+    return [averaging_probe(f, x, h, n, N, _lattice=lattice) for N in counts]
 
 
 @dataclass(frozen=True)
@@ -232,7 +305,8 @@ def telescope_shift_identity(
     with 0 <= x + j*i*h <= 1 (x may be negative, and y may lie beyond 1);
     for a polynomial g that is not zero-extended each sum is taken in
     closed form by the hockey-stick identity.  Either way the cost does
-    not grow with N or j'.  Any other g is summed term by term.
+    not grow with N or j'.  Any other g is summed over every term, each
+    distinct point evaluated once.
     """
     x, h = Fraction(x), Fraction(h)
     if n < 1:
@@ -248,30 +322,29 @@ def telescope_shift_identity(
     if rem:
         raise ValueError(f"{j} does not divide {n}!")
     y = x + nfact * h
-    ev = _Memo(g.evaluate)
-    step = j * h
-    shift_sum: ShiftSum
-    if g.extended_by_zero:
-        shift_sum = partial(_clipped_sum, ev)
+    if isinstance(g, PolynomialFunc) and not g.extended_by_zero:
+        p, step = g.poly, j * h
+        lhs = _polynomial_sum(p, x, step, 1, N) - _polynomial_sum(p, y, step, 1, N)
+        rhs = _polynomial_sum(p, x, step, 1, jprime) - _polynomial_sum(
+            p, x, step, N + 1, N + jprime
+        )
+    else:
+        # x + j*i*h is lattice point i*j, and y + j*i*h is point n! + i*j.
+        lattice = _Lattice(g.evaluate, x, h, clip=g.extended_by_zero)
+        xs, ys = lattice.shifts(j, 1, N), lattice.shifts(j, 1, N, nfact)
         # Ascending i, the x point before the y point, as the term-by-term
         # loop visits them, so a pole is reported at the same point.
-        xs = _survivors(x, step, 1, N)
-        ys = _survivors(y, step, 1, N)
-        lhs = Fraction(0)
-        for i in sorted(set(xs).union(ys)):
+        sides: dict[int, int] = {}
+        for i in sorted({*xs, *ys}):
             if i in xs:
-                lhs += ev(x + i * step)
+                sides[i * j] = sides.get(i * j, 0) + 1
             if i in ys:
-                lhs -= ev(y + i * step)
-    elif isinstance(g, PolynomialFunc):
-        shift_sum = partial(_polynomial_sum, g.poly)
-        lhs = shift_sum(x, step, 1, N) - shift_sum(y, step, 1, N)
-    else:
-        shift_sum = partial(_looped_sum, ev)
-        lhs = sum(
-            (ev(x + i * step) - ev(y + i * step) for i in range(1, N + 1)), Fraction(0)
-        )
-    rhs = shift_sum(x, step, 1, jprime) - shift_sum(x, step, N + 1, N + jprime)
+                sides[nfact + i * j] = sides.get(nfact + i * j, 0) - 1
+        lhs = lattice.total(sides)
+        ends: dict[int, int] = {}
+        lattice.add(ends, 1, j, 1, jprime)
+        lattice.add(ends, -1, j, N + 1, N + jprime)
+        rhs = lattice.total(ends)
     return TelescopeCheck(
         n=n, j=j, jprime=jprime, N=N, x=x, h=h, y=y, lhs=lhs, rhs=rhs, equal=lhs == rhs
     )
@@ -344,9 +417,10 @@ def proof_walkthrough(
     (j'/N)-weighted interpolant terms.  Nothing here asserts a limit;
     every reported quantity is a finite, exact rational.
 
-    The defect is evaluated at its survivors inside [0, 1] only, and the
-    interpolant sums are taken in closed form by the hockey-stick
-    identity, so neither N nor n! sets the cost.
+    The defect is evaluated at its survivors inside [0, 1] only, once per
+    distinct point, and the interpolant sums are taken in closed form by
+    the hockey-stick identity, so neither N nor n! sets the cost.  f is
+    asked for each point once: at a knot k/n the sample's value serves.
     """
     x, h = Fraction(x), Fraction(h)
     _validate_probe_args(f, x, h, n, N)
@@ -356,34 +430,35 @@ def proof_walkthrough(
     nfact = math.factorial(n)
     y = x + nfact * h
 
-    q_memo = _Memo(q.evaluate)
+    def f_value(point: Fraction) -> Fraction:
+        # At a knot k/n the sample already holds f's value.
+        k, r = divmod(point.numerator * n, point.denominator)
+        return f.evaluate(point) if r else sample.values[k]
 
     def defect(point: Fraction) -> Fraction:
-        if point < 0 or point > 1:
-            return Fraction(0)
-        return f.evaluate(point) - q_memo(point)
+        return f_value(point) - q.evaluate(point)
 
-    g_memo = _Memo(defect)
-    defect_sum = partial(_clipped_sum, g_memo)
-    interp_sum = partial(_polynomial_sum, q)
-    avg_defect_x = _shift_average(defect_sum, x, h, n, N)
-    avg_defect_y = _shift_average(defect_sum, y, h, n, N)
-    avg_interp_x = _shift_average(interp_sum, x, h, n, N)
-    avg_interp_y = _shift_average(interp_sum, y, h, n, N)
+    # Lattice point m is x + m*h; y is point n!.  x, inside [0, 1], is the
+    # first point the term-by-term loops meet.
+    lattice = _Lattice(defect, x, h, clip=True)
+    f_at_x, q_at_x = f_value(x), q.evaluate(x)
+    lattice.values[0] = f_at_x - q_at_x
+    avg_defect_x = lattice.total(_average_weights(lattice, n, N)) / N
+    avg_defect_y = lattice.total(_average_weights(lattice, n, N, nfact)) / N
+    avg_interp_x = _polynomial_average(q, x, h, n, N)
+    avg_interp_y = _polynomial_average(q, y, h, n, N)
 
-    blocks: list[tuple[int, int, Fraction, Fraction, list[Fraction]]] = []
-    touched_defects: list[Fraction] = []
+    blocks: list[tuple[int, int, Fraction, Fraction, list[int]]] = []
     for j in range(1, n + 1):
         jprime = nfact // j
-        step = j * h
-        near_points = [x + i * step for i in _survivors(x, step, 1, jprime)]
-        far_points = [x + i * step for i in _survivors(x, step, N + 1, N + jprime)]
-        near = sum((g_memo(p) for p in near_points), Fraction(0))
-        far = sum((g_memo(p) for p in far_points), Fraction(0))
-        inside = near_points + far_points
-        touched_defects.extend(g_memo(p) for p in inside)
-        blocks.append((j, jprime, near, far, inside))
-    max_defect = max((abs(v) for v in touched_defects), default=Fraction(0))
+        near: dict[int, int] = {}
+        far: dict[int, int] = {}
+        lattice.add(near, 1, j, 1, jprime)
+        lattice.add(far, 1, j, N + 1, N + jprime)
+        blocks.append((j, jprime, lattice.total(near), lattice.total(far), [*near, *far]))
+    max_defect = max(
+        (abs(lattice.values[m]) for *_, inside in blocks for m in inside), default=Fraction(0)
+    )
 
     stencil = difference_stencil(n)
     boundary = []
@@ -402,14 +477,14 @@ def proof_walkthrough(
     boundary_total = sum((term.weighted for term in boundary), Fraction(0))
     residual_envelope = sum((term.envelope for term in boundary), Fraction(0))
 
-    defect_at_x = g_memo(x)
-    defect_at_y = g_memo(y)
+    defect_at_x = lattice.value(0)
+    defect_at_y = lattice.value(nfact)
     identity_rhs = (-1) ** n * (defect_at_x - defect_at_y)
     identity_lhs = avg_defect_x - avg_defect_y - boundary_total
     residual = (avg_defect_x - avg_defect_y) - identity_rhs
 
     interp_limit_terms = tuple(
-        (j, (-1) ** n * Fraction(nfact // j, N) * q_memo(x)) for j in range(1, n + 1)
+        (j, (-1) ** n * Fraction(nfact // j, N) * q_at_x) for j in range(1, n + 1)
     )
     return WalkthroughReport(
         n=n,
@@ -420,8 +495,8 @@ def proof_walkthrough(
         interpolant=q,
         leading=lead,
         degree_reduced=lead == 0,
-        f_at_x=f.evaluate(x),
-        q_at_x=q_memo(x),
+        f_at_x=f_at_x,
+        q_at_x=q_at_x,
         defect_at_x=defect_at_x,
         defect_at_y=defect_at_y,
         avg_defect_x=avg_defect_x,

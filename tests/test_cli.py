@@ -341,7 +341,7 @@ def test_help_on_a_full_device_is_one_line_error(unbuffered):
          ArithmeticError("unexpected LP status unbounded")),
         ("nullspace", ["nullspace", "--N", "3"],
          ArithmeticError("inexact division in fraction-free elimination")),
-        ("averaging_probe",
+        ("averaging_sweep",
          ["probe", "--func", "poly:1", "--extend-zero", "--x", "0", "--h", "1/4",
           "--n", "1", "--N", "2"],
          ZeroDivisionError("Fraction(1, 0)")),

@@ -21,6 +21,7 @@ from divdiff import (
     PolynomialFunc,
     RationalFunc,
     averaging_probe,
+    averaging_sweep,
     proof_walkthrough,
     telescope_shift_identity,
 )
@@ -341,7 +342,7 @@ def test_probe_matches_the_full_loop():
             x, h = Fraction(rng.randint(0, 19), 20), Fraction(1, rng.randint(3, 40))
         N = rng.choice(SHIFT_COUNTS)
         args = (f, x, h, n, N)
-        assert averaging_probe(*args) == reference_probe(*args), args
+        assert outcome(averaging_probe, *args) == outcome(reference_probe, *args), args
 
 
 def test_telescope_matches_the_full_loop():
@@ -390,7 +391,9 @@ def test_walkthrough_matches_the_full_loop():
             x, h = Fraction(rng.randint(0, 19), 20), Fraction(1, rng.randint(3, 40))
         N = rng.choice(SHIFT_COUNTS[:4])  # 1..5, at or below the degree of Q_n
         args = (f, n, h, N, x)
-        assert walkthrough_fields(*args) == reference_walkthrough_sums(*args), args
+        assert outcome(walkthrough_fields, *args) == outcome(
+            reference_walkthrough_sums, *args
+        ), args
 
 
 def test_telescope_reports_the_pole_the_full_loop_meets_first():
@@ -404,6 +407,29 @@ def test_telescope_reports_the_pole_the_full_loop_meets_first():
     expected = outcome(reference_telescope_check, *args)
     assert expected == ("PoleError", "denominator vanishes at 3/8")
     assert outcome(telescope_fields, *args) == expected
+
+
+# poles at 3/8 and 1/2; from x = 0 with h = 1/8 the full loops meet 1/2
+# (j = 2, i = 2) before 3/8 (j = 3, i = 1), though 3/8 is the nearer point
+TWO_POLES = RationalFunc(
+    Polynomial.constant(1),
+    Polynomial((Fraction(3, 16), Fraction(-7, 8), Fraction(1))),
+    extended_by_zero=True,
+)
+
+
+def test_probe_reports_the_pole_the_full_loop_meets_first():
+    args = (TWO_POLES, Fraction(0), Fraction(1, 8), 3, 2)
+    expected = outcome(reference_probe, *args)
+    assert expected == ("PoleError", "denominator vanishes at 1/2")
+    assert outcome(averaging_probe, *args) == expected
+
+
+def test_walkthrough_reports_the_pole_the_full_loop_meets_first():
+    args = (TWO_POLES, 3, Fraction(1, 8), 2, Fraction(0))
+    expected = outcome(reference_walkthrough_sums, *args)
+    assert expected == ("PoleError", "denominator vanishes at 1/2")
+    assert outcome(walkthrough_fields, *args) == expected
 
 
 class Recording(FuncSpec):
@@ -442,3 +468,43 @@ def test_zero_extended_sums_evaluate_only_inside_the_unit_interval():
     spy = Recording(f)
     proof_walkthrough(spy, 5, h, 10**6, Fraction(1, 8))
     assert all(0 <= p <= 1 for p in spy.points)
+
+
+def test_each_point_is_asked_for_once():
+    runge = RationalFunc(
+        Polynomial.constant(1),
+        Polynomial((Fraction(1), Fraction(0), Fraction(25))),
+        extended_by_zero=True,
+    )
+    h = Fraction(1, 64)
+    # With x = 1/4 the knots k/4 of the walkthrough's sample lie on the
+    # shifted points too; the sweep's runs touch nested sets of points.
+    calls = {
+        "probe": lambda g: averaging_probe(g, Fraction(1, 3), h, 4, 40),
+        "walkthrough": lambda g: proof_walkthrough(g, 4, h, 40, Fraction(1, 4)),
+        "telescope": lambda g: telescope_shift_identity(g, Fraction(-1, 3), 4, 2, h, 30),
+        "sweep": lambda g: averaging_sweep(g, Fraction(1, 3), h, 4, [2**k for k in range(9)]),
+    }
+    for name, call in calls.items():
+        spy = Recording(runge)
+        call(spy)
+        assert spy.points, name
+        assert len(spy.points) == len(set(spy.points)), name
+    spy = Recording(runge)
+    proof_walkthrough(spy, 4, h, 40, Fraction(1, 4))
+    assert {Fraction(k, 4) for k in range(5)} <= set(spy.points)
+
+
+def test_a_sweep_equals_its_single_runs():
+    rng = random.Random(1205)
+    for _ in range(20):
+        f = random_funcspec(rng, extend_zero=True)
+        n = rng.randint(1, 4)
+        x, h = Fraction(rng.randint(0, 19), 20), Fraction(1, rng.randint(3, 40))
+        counts = [2**k for k in range(rng.randint(1, 8))]
+        args = (f, x, h, n)
+        assert outcome(averaging_sweep, *args, counts) == outcome(
+            lambda: [averaging_probe(*args, N) for N in counts]
+        ), args
+    with pytest.raises(ValueError):
+        averaging_sweep(HAT, Fraction(0), Fraction(1, 4), 1, [4, 2])
