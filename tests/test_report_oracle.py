@@ -7,7 +7,9 @@ that to ``json.dumps(indent=2)`` or flatten it for the ``csv`` module.
 Both must give the same bytes on every CLI report and on seeded nested
 values: records, polynomials, grid functions, sparse vectors with keys
 out of order, empty containers, constants, exact values past the
-int-to-str digit limit and strings that need escaping.
+int-to-str digit limit and strings that need escaping, a lone carriage
+return among them.  Every CSV is also read back by ``csv.reader``, which
+must give the reference's cells.
 
 A CSV ``rows`` table is generated with the same columns in every row,
 because the reference took the header from the first row alone.
@@ -22,7 +24,9 @@ and inside lists are checked the same way.  So is a table whose one column is na
 string, whose lines are each one cell: an empty one is written ``""``.
 """
 
+import csv
 import dataclasses
+import io
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +43,7 @@ from util import (
     random_fraction,
     random_grid_function,
     random_polynomial,
+    reference_csv_rows,
     reference_render_csv,
     reference_render_json,
 )
@@ -56,6 +61,14 @@ CLI_RUNS.update(
 )
 
 
+def assert_csv_matches_the_reference(report, *context):
+    """render_csv gives the reference writer's bytes, and the csv module
+    reads those back as the reference's cells."""
+    text = render_csv(report)
+    assert text == reference_render_csv(report), context
+    assert list(csv.reader(io.StringIO(text, newline=""))) == reference_csv_rows(report), context
+
+
 def handler_report(argv):
     report, _, _ = cli.run(cli.build_parser().parse_args(argv))
     return report
@@ -66,15 +79,15 @@ def test_cli_reports_match_the_reference_writer(name, monkeypatch):
     monkeypatch.chdir(GOLDEN_DIR)  # so pl:hat.csv names the fixture
     report = handler_report(CLI_RUNS[name])
     assert render_json(report) == reference_render_json(report)
-    assert render_csv(report) == reference_render_csv(report)
+    assert_csv_matches_the_reference(report)
 
 
 HUGE = 7**5200  # 4,395 digits, past CPython's default int-to-str limit
 TEXTS = (
     "", "plain", 'say "hi"', "two\nlines", "tab\tback\\slash", "a,b",
-    "pl:dätä.csv", "naïve ∑ ünïcödé", " \x01\x7f\u2028",
+    "pl:dätä.csv", "naïve ∑ ünïcödé", " \x01\x7f\u2028", "car\rriage", "\r\n",
 )
-NAME_KEYS = ("x", "value", "alpha_1", "", "-", "+x", "1a", "ä", 'q"k', "k\nl")
+NAME_KEYS = ("x", "value", "alpha_1", "", "-", "+x", "1a", "ä", 'q"k', "k\nl", "k\rl")
 DIGIT_KEYS = ("0", "12", "-3", "+7", "007")
 
 
@@ -174,7 +187,7 @@ def test_seeded_nested_values_match_the_reference_writer():
     for _ in range(400):
         report = random_report(rng)
         assert render_json(report) == reference_render_json(report)
-        assert render_csv(report) == reference_render_csv(report)
+        assert_csv_matches_the_reference(report)
 
 
 # Members of many shapes, sparse vectors with scrambled negative keys
@@ -241,7 +254,7 @@ def test_seeded_lists_with_one_odd_member_match_the_reference_writer():
             results = Node(rng.choice(TEXTS), results, (members, random_vectors(rng, 2)))
         report = Report("nullspace", {"N": size}, results)
         assert render_json(report) == reference_render_json(report), (case, at)
-        assert render_csv(report) == reference_render_csv(report), (case, at)
+        assert_csv_matches_the_reference(report, case, at)
 
 
 # Null space bases by their segments: a range is a run of singleton
@@ -283,7 +296,7 @@ def assert_written_as_its_vectors(place, key, segments):
     assert render_json(report) == render_json(as_tuple) == reference_render_json(report)
     assert render_csv(report) == render_csv(as_tuple)
     if place != "rows-cell":
-        assert render_csv(report) == reference_render_csv(report)
+        assert_csv_matches_the_reference(report)
 
 
 @pytest.mark.parametrize("place", list(PLACES))
@@ -324,5 +337,5 @@ def test_seeded_null_bases_match_the_reference_writer():
 def test_a_table_of_one_empty_named_column_matches_the_reference_writer(cells):
     report = Report("probe", {"N": 1}, {"N": 1, "rows": [{"": cell} for cell in cells]})
     assert render_json(report) == reference_render_json(report)
-    assert render_csv(report) == reference_render_csv(report)
+    assert_csv_matches_the_reference(report)
     assert '\n""\n' in render_csv(report)  # the header, one empty cell

@@ -535,25 +535,36 @@ def _reference_flatten(value, path, pairs):
         pairs.append((path, _reference_cell(value)))
 
 
-def reference_render_csv(report):
-    """The CSV writer that took a table's header from its first row alone."""
+def reference_csv_rows(report):
+    """The cells of each CSV line of a report, a table's header taken
+    from its first row alone."""
     doc = _reference_document(report)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    pairs = []
-    _reference_flatten(doc["command"], "command", pairs)
-    _reference_flatten(doc["inputs"], "inputs", pairs)
+    rows = [["key", "value"]]
+    _reference_flatten(doc["command"], "command", rows)
+    _reference_flatten(doc["inputs"], "inputs", rows)
     results = dict(doc["results"])
     table = results.pop("rows", None)
-    _reference_flatten(results, "results", pairs)
-    _reference_flatten(doc["provenance"]["version"], "provenance.version", pairs)
-    writer.writerows(pairs)
+    _reference_flatten(results, "results", rows)
+    _reference_flatten(doc["provenance"]["version"], "provenance.version", rows)
     if table is not None:
-        writer.writerow([])
+        rows.append([])
         if table:
             header = list(table[0].keys())
-            writer.writerow(header)
-            for row in table:
-                writer.writerow([_reference_cell(row.get(col)) for col in header])
-    return buffer.getvalue()
+            rows.append(header)
+            rows.extend([_reference_cell(row.get(col)) for col in header] for row in table)
+    return [list(row) for row in rows]
+
+
+def _reference_line(cells):
+    # csv.writer quotes a field that holds a character of its line
+    # terminator; with "\n" alone Python 3.11 would leave a lone "\r"
+    # bare, which a reader takes for a line break.  So the line is written
+    # with "\r\n" and that ending cut back to "\n".
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow(cells)
+    return buffer.getvalue()[:-2] + "\n"
+
+
+def reference_render_csv(report):
+    """The CSV text of reference_csv_rows, written by the csv module."""
+    return "".join(map(_reference_line, reference_csv_rows(report)))
