@@ -163,14 +163,6 @@ def _polynomial_sum(p: Polynomial, x: Fraction, s: Fraction, lo: int, hi: int) -
     return total
 
 
-def _polynomial_average(p: Polynomial, x: Fraction, h: Fraction, n: int, N: int) -> Fraction:
-    """(1/N) * sum_{i=1..N} D_{ih}^n p(x), in closed form."""
-    total = Fraction(0)
-    for j, w in enumerate(difference_stencil(n)):
-        total += w * _polynomial_sum(p, x, j * h, 1, N)
-    return total / N
-
-
 def _average_weights(lattice: _Lattice, n: int, N: int, offset: int = 0) -> dict[int, int]:
     """Weights c_m with N * average = sum_m c_m g(point m) for the shift
     average of D_{ih}^n g at point offset, in the full loop's (j, i) order."""
@@ -241,8 +233,9 @@ def averaging_probe(
     if isinstance(f, PiecewiseLinearFunc):
         m_bound = f.grid.sup_norm()
     else:
-        # Every point the lattice evaluated lies inside [0, 1].
-        m_bound = max(map(abs, lattice.values.values()), default=Fraction(0))
+        # Every point the lattice evaluated lies inside [0, 1]; x is one.
+        values = lattice.values.values()
+        m_bound = max(max(values), -min(values))
     bound = Fraction(0)
     for j, w in enumerate(stencil[1:], 1):
         survivors = max(0, math.floor((1 - x) / (j * h)))
@@ -445,8 +438,10 @@ def proof_walkthrough(
     lattice.values[0] = f_at_x - q_at_x
     avg_defect_x = lattice.total(_average_weights(lattice, n, N)) / N
     avg_defect_y = lattice.total(_average_weights(lattice, n, N, nfact)) / N
-    avg_interp_x = _polynomial_average(q, x, h, n, N)
-    avg_interp_y = _polynomial_average(q, y, h, n, N)
+    # D_s^n q = n! * lead * s^n at every point, as q has degree <= n, so
+    # both interpolant averages are (n! lead h^n / N) * sum_{i=1}^{N} i^n.
+    powers = _polynomial_sum(Polynomial.monomial(n), Fraction(0), Fraction(1), 1, N)
+    avg_interp_x = avg_interp_y = nfact * lead * h**n * powers / N
 
     blocks: list[tuple[int, int, Fraction, Fraction, list[int]]] = []
     for j in range(1, n + 1):
