@@ -52,13 +52,14 @@ that is not zero-extended still sums every term, on the lattice too.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .differences import difference_stencil
 from .funcs import FuncSpec, PiecewiseLinearFunc, PolynomialFunc
 from .interpolation import EquispacedSample, lagrange_equispaced, leading_coefficient
 from .poly import Polynomial
 from .rational import Rational
+
 
 class _Lattice:
     """The points x + m*h, m an integer, each evaluated at most once.
@@ -93,7 +94,7 @@ class _Lattice:
     ) -> None:
         """weights[offset + i*j] += w for each i in lo..hi whose point is
         inside, in ascending i."""
-        if j == 0:
+        if j == 0:  # every i gives the point offset itself
             if not self.clip or self.lo <= offset <= self.hi:
                 weights[offset] = weights.get(offset, 0) + w * (hi - lo + 1)
             return
@@ -212,12 +213,12 @@ def averaging_probe(
     [0, 1]: exact for piecewise-linear f, the maximum over the touched
     evaluation points otherwise.
 
-    f is evaluated only at the survivors x + j*i*h <= 1 (i <= N), so the
-    cost does not depend on N once N exceeds floor((1-x)/h).
+    f is evaluated only at the survivors x + j*i*h <= 1 (i <= N), once
+    each, so the cost does not depend on N once N exceeds floor((1-x)/h).
     """
     x, h = Fraction(x), Fraction(h)
     _validate_probe_args(f, x, h, n, N)
-    lattice = _lattice or _Lattice(f.evaluate, x, h, clip=True)
+    lattice = _Lattice(f.evaluate, x, h, clip=True) if _lattice is None else _lattice
     average = lattice.total(_average_weights(lattice, n, N)) / N
     residual = average - (-1) ** n * lattice.value(0)
 
@@ -249,7 +250,7 @@ def averaging_probe(
 
 
 def averaging_sweep(
-    f: FuncSpec, x: Rational, h: Rational, n: int, counts: list[int]
+    f: FuncSpec, x: Rational, h: Rational, n: int, counts: Sequence[int]
 ) -> list[AveragingProbeResult]:
     """averaging_probe at each N of counts, which must ascend.
 
@@ -258,7 +259,7 @@ def averaging_sweep(
     sweep, and the touched maximum behind each bound is that run's own.
     """
     x, h = Fraction(x), Fraction(h)
-    if counts != sorted(counts):
+    if list(counts) != sorted(counts):
         raise ValueError("shift counts must ascend")
     _validate_probe_args(f, x, h, n, min(counts, default=1))
     lattice = _Lattice(f.evaluate, x, h, clip=True)
