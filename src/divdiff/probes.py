@@ -20,25 +20,20 @@ Every such quantity is a sum of f(x + i*s) over a run of shifts
 i = lo..hi along one step s = j*h, and the work is not the length of
 the run:
 
-- Every point these sums touch is x + m*h for an integer m: the steps
-  j*h give m = i*j, and y = x + n!*h is m = n!.  A private lattice holds
-  D = lcm(den x, den h) and the integers x*D and h*D, so point m is
-  (x*D + m*h*D) / D and f is evaluated once per distinct m, in an
-  int-keyed memo.  For a zero-extended function only the m with
-  0 <= x + m*h <= 1 contribute; they are found by integer floor
-  division, so the work is the number of points inside [0, 1], not N
-  or n!.
+- Every point touched is x + m*h for an integer m (m = i*j along the
+  step j*h; y = x + n!*h is m = n!).  A private lattice evaluates f once
+  per distinct m and, for a zero-extended f, only at the m inside
+  [0, 1], found by integer floor division: the work is the number of
+  points inside, not N or n!.
 - A stencil-weighted double sum sum_j w_j sum_i f(x + i*j*h) becomes
-  integer weights c_m, accumulated in the full loop's (j, i) order, and
-  the points are evaluated in that order, so a pole is reported at the
-  point the full loop meets first.  sum_m c_m f(point m) adds integer
-  numerators per distinct denominator and combines the groups in a
-  balanced pairwise sum; adding Fractions left to right would cost a
-  growing gcd per term.
-- For a polynomial p (the interpolant Q_n, or an unextended polynomial
-  in the telescope check) the sum is a difference of two prefix sums,
-  each given by the hockey-stick identity
-  (Graham, Knuth & Patashnik, Concrete Mathematics, section 2.6):
+  integer weights c_m, built and evaluated in the full loop's (j, i)
+  order, so a pole is reported where that loop meets one first.  The
+  terms c_m f(point m) are added as integer numerators per denominator,
+  the groups in a balanced pairwise sum.
+- For a polynomial p (an unextended polynomial in the telescope check,
+  or i**n for the interpolant's averages in the walkthrough) the sum is
+  a difference of two prefix sums, each given by the hockey-stick
+  identity (Graham, Knuth & Patashnik, Concrete Mathematics, 2.6):
 
       sum_{i=0}^{m} p(x + i*s) = sum_k C(m+1, k+1) * Delta_s^k p(x),
 
@@ -46,7 +41,7 @@ the run:
   the deg p + 1 values p(x), p(x+s), ..., p(x + deg(p)*s).
 
 Only the telescope check on a rational or piecewise-linear function
-that is not zero-extended still sums every term, on the lattice too.
+that is not zero-extended still sums every term (each point once).
 """
 
 import math
