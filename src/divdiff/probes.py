@@ -407,9 +407,10 @@ def proof_walkthrough(
     every reported quantity is a finite, exact rational.
 
     The defect is evaluated at its survivors inside [0, 1] only, once per
-    distinct point, and the interpolant sums are taken in closed form by
-    the hockey-stick identity, so neither N nor n! sets the cost.  f is
-    asked for each point once: at a knot k/n the sample's value serves.
+    distinct point, and the interpolant's averages come from its x^n
+    coefficient and one closed-form power sum, so neither N nor n! sets
+    the cost.  f is asked for each point once: at a knot k/n the
+    sample's value serves.
     """
     x, h = Fraction(x), Fraction(h)
     _validate_probe_args(f, x, h, n, N)

@@ -485,14 +485,13 @@ def test_each_point_is_asked_for_once():
         "telescope": lambda g: telescope_shift_identity(g, Fraction(-1, 3), 4, 2, h, 30),
         "sweep": lambda g: averaging_sweep(g, Fraction(1, 3), h, 4, [2**k for k in range(9)]),
     }
+    spies = {}
     for name, call in calls.items():
-        spy = Recording(runge)
+        spies[name] = spy = Recording(runge)
         call(spy)
         assert spy.points, name
         assert len(spy.points) == len(set(spy.points)), name
-    spy = Recording(runge)
-    proof_walkthrough(spy, 4, h, 40, Fraction(1, 4))
-    assert {Fraction(k, 4) for k in range(5)} <= set(spy.points)
+    assert {Fraction(k, 4) for k in range(5)} <= set(spies["walkthrough"].points)
 
 
 def test_a_sweep_equals_its_single_runs():

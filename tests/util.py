@@ -7,7 +7,7 @@ The ``reference_*`` functions are plain Fraction versions of the
 integer kernels (the weighted sum, the recursive table, the Newton form
 assembled from ``Polynomial`` products, and Horner's rule), and the
 term-by-term loops over every shift i = 1..N and every near and far
-index behind the clipped and closed-form shift sums in ``probes``, kept
+index behind the lattice and closed-form shift sums in ``probes``, kept
 as oracles for them.  ``reference_kernel_basis`` and
 ``reference_forced_zeros`` are the null-space steps that list every free
 column before building its vector and scan every grid column for forced
@@ -16,7 +16,8 @@ zeros, kept as oracles for ``kernel_basis`` and ``nullspace``.
 first converting it to a document of dicts, lists and strings, then
 handing that to ``json.dumps(indent=2)`` or flattening it for the
 ``csv`` module, kept as oracles for the one-pass writer in ``report``;
-they write a ``NullBasis`` as the tuple of its vectors.
+they write a ``NullBasis`` as the tuple of its vectors, and
+``reference_csv_rows`` gives the cells of each CSV line.
 ``corrupting_kernel_basis`` spoils one null vector, and
 ``misreporting_kernel_basis`` drops one and may call its column a pivot,
 to show that the null-space certificate in ``constraints`` catches it.
