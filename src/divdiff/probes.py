@@ -217,11 +217,14 @@ def averaging_probe(
     average = lattice.total(_average_weights(lattice, n, N)) / N
     residual = average - (-1) ** n * lattice.value(0)
 
-    # The check builds its own weights, from the survivor count of each j.
-    stencil = difference_stencil(n)
+    # The check builds its own weights, from the survivor count of each j;
+    # the bound weighs each |stencil weight| by the same, uncapped count.
     boundary: dict[int, int] = {}
-    for j, w in enumerate(stencil[1:], 1):
-        for i in range(1, min(N, math.floor((1 - x) / (j * h))) + 1):
+    weight = 0
+    for j, w in enumerate(difference_stencil(n)[1:], 1):
+        survivors = max(0, math.floor((1 - x) / (j * h)))
+        weight += abs(w) * survivors
+        for i in range(1, min(N, survivors) + 1):
             boundary[i * j] = boundary.get(i * j, 0) + w
     if lattice.total(boundary) / N != residual:
         raise ArithmeticError("residual recomputation mismatch")
@@ -232,11 +235,7 @@ def averaging_probe(
         # Every point the lattice evaluated lies inside [0, 1]; x is one.
         values = lattice.values.values()
         m_bound = max(max(values), -min(values))
-    bound = Fraction(0)
-    for j, w in enumerate(stencil[1:], 1):
-        survivors = max(0, math.floor((1 - x) / (j * h)))
-        bound += abs(w) * survivors * m_bound
-    bound /= N
+    bound = Fraction(weight) * m_bound / N
 
     cutoff = math.floor((1 - x) / h)
     return AveragingProbeResult(
