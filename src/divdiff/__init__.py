@@ -33,9 +33,7 @@ _EXPORTS = {
         "FuncSpec", "GridFunction", "PiecewiseLinearFunc", "PolynomialFunc", "RationalFunc",
         "load_grid_function", "parse_funcspec",
     ),
-    "interpolation": (
-        "EquispacedSample", "degree_reduced", "lagrange_equispaced", "leading_coefficient",
-    ),
+    "interpolation": ("degree_reduced", "lagrange_equispaced", "leading_coefficient"),
     "poly": ("Polynomial", "binomial"),
     "probes": (
         "AveragingProbeResult", "BoundaryTerm", "TelescopeCheck", "WalkthroughReport",

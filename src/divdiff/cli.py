@@ -41,7 +41,7 @@ from .differences import (
 from .errors import DomainEvaluationError, DuplicateKnotError, ParseError, PoleError
 from .extremal import min_lipschitz_unit_norm
 from .funcs import PolynomialFunc, parse_funcspec
-from .interpolation import EquispacedSample, lagrange_equispaced, leading_coefficient
+from .interpolation import lagrange_equispaced, leading_coefficient
 from .probes import averaging_sweep, proof_walkthrough, telescope_shift_identity
 from .rational import parse_rational
 from .report import Report, render_csv, render_json
@@ -167,7 +167,7 @@ def _knot_differences(args: argparse.Namespace, f: Any) -> dict[str, Any]:
 
 
 def _interpolant(args: argparse.Namespace, f: Any) -> dict[str, Any]:
-    q = lagrange_equispaced(EquispacedSample.from_function(f, args.n))
+    q = lagrange_equispaced(KnotValueList.equispaced(f, args.n).values)
     lead = leading_coefficient(q, args.n)
     return {"n": args.n, "coefficients": q, "degree": "-inf" if q.is_zero else q.degree,
             "leading": lead, "degree_reduced": lead == 0}

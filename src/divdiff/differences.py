@@ -16,6 +16,8 @@ notions are connected exactly:
 
 which check_equispaced_identity verifies as an exact comparison.  Order 0
 is defined as f(x_0) for divided differences and f(x) for finite ones.
+finite_difference is the shift average of probes over the one shift
+i = 1, summed with integer weights on the same lattice of points x + m h.
 
 The two divided-difference kernels work on integers: each scales the
 knots by the lcm D of their denominators to integers a_k = x_k D.  The
@@ -29,7 +31,7 @@ Fraction once, at the end.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import DuplicateKnotError
 from .funcs import FuncSpec
@@ -169,11 +171,105 @@ def difference_stencil(n: int) -> tuple[int, ...]:
     return tuple((-1) ** (n - j) * binomial(n, j) for j in range(n + 1))
 
 
+class _Lattice:
+    """The points x + m*h, m an integer, each evaluated at most once.
+
+    With D = lcm(den x, den h), point m is (base + m*step) / D for the
+    integers base = x*D and step = h*D.  values maps m to the value at
+    point m.  When clip is set the function vanishes outside [0, 1], so
+    only the m in lo..hi, the points inside, are ever evaluated.
+    """
+
+    def __init__(
+        self, evaluate: Callable[[Fraction], Fraction], x: Fraction, h: Fraction, clip: bool
+    ):
+        self.evaluate = evaluate
+        self.D = D = math.lcm(x.denominator, h.denominator)
+        self.base = base = x.numerator * (D // x.denominator)
+        self.step = step = h.numerator * (D // h.denominator)
+        self.clip = clip
+        if clip:
+            self.lo, self.hi = -(base // step), (D - base) // step
+        self.values: dict[int, Fraction] = {}
+
+    def shifts(self, j: int, lo: int, hi: int, offset: int = 0) -> range:
+        """The i in lo..hi whose point offset + i*j is inside, for j > 0."""
+        if self.clip:
+            lo = max(lo, -((offset - self.lo) // j))
+            hi = min(hi, (self.hi - offset) // j)
+        return range(lo, hi + 1)
+
+    def add(
+        self, weights: dict[int, int], w: int, j: int, lo: int, hi: int, offset: int = 0
+    ) -> None:
+        """weights[offset + i*j] += w for each i in lo..hi whose point is
+        inside, in ascending i."""
+        if j == 0:  # every i gives the point offset itself
+            if not self.clip or self.lo <= offset <= self.hi:
+                weights[offset] = weights.get(offset, 0) + w * (hi - lo + 1)
+            return
+        i = self.shifts(j, lo, hi, offset)
+        get = weights.get
+        for m in range(offset + i.start * j, offset + i.stop * j, j):
+            weights[m] = get(m, 0) + w
+
+    def value(self, m: int) -> Fraction:
+        if self.clip and not self.lo <= m <= self.hi:
+            return Fraction(0)
+        return self.total({m: 1})
+
+    def total(self, weights: dict[int, int]) -> Fraction:
+        """sum of c * (value at point m) over the (m, c) of weights.
+
+        The points are evaluated in the order of weights, those of weight
+        0 too, so the first pole raised is the one a term-by-term loop
+        meets first.  Numerators are added per distinct denominator, and
+        the groups are summed by _pairwise_sum.
+        """
+        values, evaluate, base, step, D = self.values, self.evaluate, self.base, self.step, self.D
+        groups: dict[int, int] = {}
+        for m, c in weights.items():
+            v = values.get(m)
+            if v is None:
+                v = values[m] = evaluate(Fraction(base + m * step, D))
+            d = v.denominator
+            groups[d] = groups.get(d, 0) + c * v.numerator
+        return _pairwise_sum(groups)
+
+
+def _pairwise_sum(groups: dict[int, int]) -> Fraction:
+    """sum of num/den over the (den, num) of groups, in a balanced tree.
+
+    The lowest four levels add (den, num) pairs unreduced, so a block of
+    up to 16 groups costs one gcd.  Above them every add is a reducing
+    Fraction add, which keeps the operands small when the denominators
+    share factors; left to right, the sum would grow quadratically.
+    """
+    terms = list(groups.items())
+    for _ in range(4):
+        pairs = [(b * d, a * d + c * b) for (b, a), (d, c) in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[len(pairs) * 2:]
+    sums = [Fraction(a, b) for b, a in terms]
+    while len(sums) > 1:
+        pairs = [p + q for p, q in zip(sums[::2], sums[1::2])]
+        sums = pairs + sums[len(pairs) * 2:]
+    return sums[0] if sums else Fraction(0)
+
+
+def _average_weights(lattice: _Lattice, n: int, N: int, offset: int = 0) -> dict[int, int]:
+    """Weights c_m with N * average = sum_m c_m g(point m) for the shift
+    average of D_{ih}^n g at point offset, in the full loop's (j, i) order."""
+    weights: dict[int, int] = {}
+    for j, w in enumerate(difference_stencil(n)):
+        lattice.add(weights, w, j, 1, N, offset)
+    return weights
+
+
 def finite_difference(req: FiniteDifferenceRequest) -> Fraction:
-    total = Fraction(0)
-    for j, w in enumerate(difference_stencil(req.n)):
-        total += w * req.f.evaluate(req.x + j * req.h)
-    return total
+    """D_h^n f(x) on the lattice: each point x + j*h is asked for once, in
+    ascending j, and a zero-extended f only at the points inside [0, 1]."""
+    lattice = _Lattice(req.f.evaluate, req.x, req.h, clip=req.f.extended_by_zero)
+    return lattice.total(_average_weights(lattice, req.n, 1))
 
 
 def finite_difference_via_integral(p: Polynomial, x: Scalar, h: Scalar, n: int) -> Fraction:

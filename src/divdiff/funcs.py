@@ -103,8 +103,10 @@ class FuncSpec(abc.ABC):
     extended_by_zero: bool
 
     def evaluate(self, x: Scalar) -> Fraction:
-        x = Fraction(x)
-        if self.extended_by_zero and not 0 <= x <= 1:
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        # 0 <= x <= 1 on the integers, as the denominator is positive.
+        if self.extended_by_zero and not 0 <= x.numerator <= x.denominator:
             return ZERO
         return self._evaluate(x)
 

@@ -21,10 +21,10 @@ i = lo..hi along one step s = j*h, and the work is not the length of
 the run:
 
 - Every point touched is x + m*h for an integer m (m = i*j along the
-  step j*h; y = x + n!*h is m = n!).  A private lattice evaluates f once
-  per distinct m and, for a zero-extended f, only at the m inside
-  [0, 1], found by integer floor division: the work is the number of
-  points inside, not N or n!.
+  step j*h; y = x + n!*h is m = n!).  The lattice of ``differences``
+  evaluates f once per distinct m and, for a zero-extended f, only at
+  the m inside [0, 1], found by integer floor division: the work is the
+  number of points inside, not N or n!.
 - A stencil-weighted double sum sum_j w_j sum_i f(x + i*j*h) becomes
   integer weights c_m, built and evaluated in the full loop's (j, i)
   order, so a pole is reported where that loop meets one first.  The
@@ -47,98 +47,13 @@ that is not zero-extended still sums every term (each point once).
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .differences import difference_stencil
+from .differences import KnotValueList, _average_weights, _Lattice, difference_stencil
 from .funcs import FuncSpec, PiecewiseLinearFunc, PolynomialFunc
-from .interpolation import EquispacedSample, lagrange_equispaced, leading_coefficient
+from .interpolation import lagrange_equispaced, leading_coefficient
 from .poly import Polynomial
 from .rational import Rational
-
-
-class _Lattice:
-    """The points x + m*h, m an integer, each evaluated at most once.
-
-    With D = lcm(den x, den h), point m is (base + m*step) / D for the
-    integers base = x*D and step = h*D.  values maps m to the value at
-    point m.  When clip is set the function vanishes outside [0, 1], so
-    only the m in lo..hi, the points inside, are ever evaluated.
-    """
-
-    def __init__(
-        self, evaluate: Callable[[Fraction], Fraction], x: Fraction, h: Fraction, clip: bool
-    ):
-        self.evaluate = evaluate
-        self.D = D = math.lcm(x.denominator, h.denominator)
-        self.base = base = x.numerator * (D // x.denominator)
-        self.step = step = h.numerator * (D // h.denominator)
-        self.clip = clip
-        if clip:
-            self.lo, self.hi = -(base // step), (D - base) // step
-        self.values: dict[int, Fraction] = {}
-
-    def shifts(self, j: int, lo: int, hi: int, offset: int = 0) -> range:
-        """The i in lo..hi whose point offset + i*j is inside, for j > 0."""
-        if self.clip:
-            lo = max(lo, -((offset - self.lo) // j))
-            hi = min(hi, (self.hi - offset) // j)
-        return range(lo, hi + 1)
-
-    def add(
-        self, weights: dict[int, int], w: int, j: int, lo: int, hi: int, offset: int = 0
-    ) -> None:
-        """weights[offset + i*j] += w for each i in lo..hi whose point is
-        inside, in ascending i."""
-        if j == 0:  # every i gives the point offset itself
-            if not self.clip or self.lo <= offset <= self.hi:
-                weights[offset] = weights.get(offset, 0) + w * (hi - lo + 1)
-            return
-        i = self.shifts(j, lo, hi, offset)
-        get = weights.get
-        for m in range(offset + i.start * j, offset + i.stop * j, j):
-            weights[m] = get(m, 0) + w
-
-    def value(self, m: int) -> Fraction:
-        if self.clip and not self.lo <= m <= self.hi:
-            return Fraction(0)
-        return self.total({m: 1})
-
-    def total(self, weights: dict[int, int]) -> Fraction:
-        """sum of c * (value at point m) over the (m, c) of weights.
-
-        The points are evaluated in the order of weights, those of weight
-        0 too, so the first pole raised is the one a term-by-term loop
-        meets first.  Numerators are added per distinct denominator, and
-        the groups are summed by _pairwise_sum.
-        """
-        values, evaluate, base, step, D = self.values, self.evaluate, self.base, self.step, self.D
-        groups: dict[int, int] = {}
-        for m, c in weights.items():
-            v = values.get(m)
-            if v is None:
-                v = values[m] = evaluate(Fraction(base + m * step, D))
-            d = v.denominator
-            groups[d] = groups.get(d, 0) + c * v.numerator
-        return _pairwise_sum(groups)
-
-
-def _pairwise_sum(groups: dict[int, int]) -> Fraction:
-    """sum of num/den over the (den, num) of groups, in a balanced tree.
-
-    The lowest four levels add (den, num) pairs unreduced, so a block of
-    up to 16 groups costs one gcd.  Above them every add is a reducing
-    Fraction add, which keeps the operands small when the denominators
-    share factors; left to right, the sum would grow quadratically.
-    """
-    terms = list(groups.items())
-    for _ in range(4):
-        pairs = [(b * d, a * d + c * b) for (b, a), (d, c) in zip(terms[::2], terms[1::2])]
-        terms = pairs + terms[len(pairs) * 2:]
-    sums = [Fraction(a, b) for b, a in terms]
-    while len(sums) > 1:
-        pairs = [p + q for p, q in zip(sums[::2], sums[1::2])]
-        sums = pairs + sums[len(pairs) * 2:]
-    return sums[0] if sums else Fraction(0)
 
 
 def _polynomial_sum(p: Polynomial, x: Fraction, s: Fraction, lo: int, hi: int) -> Fraction:
@@ -157,15 +72,6 @@ def _polynomial_sum(p: Polynomial, x: Fraction, s: Fraction, lo: int, hi: int) -
         total += (math.comb(hi + 1, k + 1) - math.comb(lo, k + 1)) * column[0]
         column = [b - a for a, b in zip(column, column[1:])]
     return total
-
-
-def _average_weights(lattice: _Lattice, n: int, N: int, offset: int = 0) -> dict[int, int]:
-    """Weights c_m with N * average = sum_m c_m g(point m) for the shift
-    average of D_{ih}^n g at point offset, in the full loop's (j, i) order."""
-    weights: dict[int, int] = {}
-    for j, w in enumerate(difference_stencil(n)):
-        lattice.add(weights, w, j, 1, N, offset)
-    return weights
 
 
 def _validate_probe_args(f: FuncSpec, x: Fraction, h: Fraction, n: int, N: int) -> None:
@@ -413,8 +319,8 @@ def proof_walkthrough(
     """
     x, h = Fraction(x), Fraction(h)
     _validate_probe_args(f, x, h, n, N)
-    sample = EquispacedSample.from_function(f, n)
-    q = lagrange_equispaced(sample)
+    values = KnotValueList.equispaced(f, n).values
+    q = lagrange_equispaced(values)
     lead = leading_coefficient(q, n)
     nfact = math.factorial(n)
     y = x + nfact * h
@@ -422,7 +328,7 @@ def proof_walkthrough(
     def f_value(point: Fraction) -> Fraction:
         # At a knot k/n the sample already holds f's value.
         k, r = divmod(point.numerator * n, point.denominator)
-        return f.evaluate(point) if r else sample.values[k]
+        return f.evaluate(point) if r else values[k]
 
     def defect(point: Fraction) -> Fraction:
         return f_value(point) - q.evaluate(point)

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from divdiff import (
-    EquispacedSample,
     KnotValueList,
     Polynomial,
     PolynomialFunc,
@@ -20,22 +19,24 @@ from util import random_fraction, random_polynomial
 
 
 def test_sample_validation():
+    # The order is len(values) - 1: no values is order -1.
     with pytest.raises(ValueError):
-        EquispacedSample(2, (Fraction(1),))
+        lagrange_equispaced(())
     with pytest.raises(ValueError):
-        EquispacedSample(-1, ())
-    s = EquispacedSample(2, (0, 1, 4))
-    assert s.values == (Fraction(0), Fraction(1), Fraction(4))
-    assert s.knots == (0, Fraction(1, 2), 1)
+        degree_reduced(())
+    with pytest.raises(ValueError):
+        degree_reduced((Fraction(1),))
+    # 0, 1 and 4 at the knots 0, 1/2, 1 are 4x^2; ints are taken as values.
+    assert lagrange_equispaced((0, 1, 4)) == Polynomial((0, 0, 4))
 
 
 def test_order_zero_interpolant_is_constant():
-    q = lagrange_equispaced(EquispacedSample(0, (Fraction(5, 3),)))
+    q = lagrange_equispaced((Fraction(5, 3),))
     assert q == Polynomial.constant(Fraction(5, 3))
 
 
 def test_line_through_endpoint_values():
-    q = lagrange_equispaced(EquispacedSample(1, (0, 1)))
+    q = lagrange_equispaced((0, 1))
     assert q == Polynomial.monomial(1)
 
 
@@ -44,11 +45,10 @@ def test_interpolant_matches_given_values():
     for _ in range(30):
         n = rng.randint(0, 8)
         values = tuple(random_fraction(rng) for _ in range(n + 1))
-        sample = EquispacedSample(n, values)
-        q = lagrange_equispaced(sample)
+        q = lagrange_equispaced(values)
         assert q.degree <= n
-        for k, v in zip(sample.knots, values):
-            assert q.evaluate(k) == v
+        for k, v in enumerate(values):
+            assert q.evaluate(Fraction(k, max(n, 1))) == v
 
 
 def test_polynomials_of_matching_degree_are_reproduced():
@@ -56,14 +56,14 @@ def test_polynomials_of_matching_degree_are_reproduced():
     for _ in range(30):
         n = rng.randint(0, 10)
         p = random_polynomial(rng, max_degree=n)
-        sample = EquispacedSample.from_function(PolynomialFunc(p), n)
-        assert lagrange_equispaced(sample) == p
+        values = KnotValueList.equispaced(PolynomialFunc(p), n).values
+        assert lagrange_equispaced(values) == p
 
 
 def test_reproduction_fixture():
     p = Polynomial((Fraction(0), Fraction(-1), Fraction(0), Fraction(1)))
-    sample = EquispacedSample.from_function(PolynomialFunc(p), 3)
-    assert lagrange_equispaced(sample) == p
+    values = KnotValueList.equispaced(PolynomialFunc(p), 3).values
+    assert lagrange_equispaced(values) == p
 
 
 def test_leading_coefficient_reads_the_requested_degree():
@@ -82,9 +82,8 @@ def test_leading_coefficient_is_the_divided_difference():
     for _ in range(40):
         n = rng.randint(1, 8)
         values = tuple(random_fraction(rng) for _ in range(n + 1))
-        sample = EquispacedSample(n, values)
-        q = lagrange_equispaced(sample)
-        kv = KnotValueList(tuple(zip(sample.knots, values)))
+        q = lagrange_equispaced(values)
+        kv = KnotValueList(tuple((Fraction(k, n), v) for k, v in enumerate(values)))
         assert leading_coefficient(q, n) == divided_difference_direct(kv)
 
 
@@ -92,15 +91,15 @@ def test_degree_reduced_fixtures():
     # x(x-1)(x-1/2) vanishes at all three knots of order 2, so the
     # interpolant collapses to the zero polynomial
     p = Polynomial((Fraction(0), Fraction(1, 2), Fraction(-3, 2), Fraction(1)))
-    sample = EquispacedSample.from_function(PolynomialFunc(p), 2)
-    assert degree_reduced(sample)
-    assert lagrange_equispaced(sample).is_zero
+    values = KnotValueList.equispaced(PolynomialFunc(p), 2).values
+    assert degree_reduced(values)
+    assert lagrange_equispaced(values).is_zero
 
-    square = EquispacedSample.from_function(PolynomialFunc(Polynomial.monomial(2)), 2)
+    square = KnotValueList.equispaced(PolynomialFunc(Polynomial.monomial(2)), 2).values
     assert not degree_reduced(square)
 
     parabola = Polynomial((Fraction(0), Fraction(-1), Fraction(1)))
-    low = EquispacedSample.from_function(PolynomialFunc(parabola), 3)
+    low = KnotValueList.equispaced(PolynomialFunc(parabola), 3).values
     assert degree_reduced(low)
 
 
@@ -109,6 +108,5 @@ def test_degree_reduced_agrees_with_interpolant_degree():
     for _ in range(40):
         n = rng.randint(1, 7)
         values = tuple(random_fraction(rng, max_num=3) for _ in range(n + 1))
-        sample = EquispacedSample(n, values)
-        q = lagrange_equispaced(sample)
-        assert degree_reduced(sample) == (q.degree < n)
+        q = lagrange_equispaced(values)
+        assert degree_reduced(values) == (q.degree < n)

@@ -13,6 +13,7 @@ import pytest
 
 from divdiff import (
     AveragingProbeResult,
+    FiniteDifferenceRequest,
     FuncSpec,
     GridFunction,
     PiecewiseLinearFunc,
@@ -22,6 +23,7 @@ from divdiff import (
     RationalFunc,
     averaging_probe,
     averaging_sweep,
+    finite_difference,
     proof_walkthrough,
     telescope_shift_identity,
 )
@@ -317,6 +319,14 @@ def telescope_fields(g, x, n, j, h, N):
     return (t.jprime, t.y, t.lhs, t.rhs, t.equal)
 
 
+def fd_value(f, x, h, n):
+    return finite_difference(FiniteDifferenceRequest(f, x, h, n))
+
+
+def reference_fd(f, x, h, n):
+    return reference_shift_average(f.evaluate, x, h, n, 1)
+
+
 def walkthrough_fields(f, n, h, N, x):
     w = proof_walkthrough(f, n, h, N, x)
     return {
@@ -362,6 +372,24 @@ def test_telescope_matches_the_full_loop():
         assert outcome(telescope_fields, *args) == outcome(
             reference_telescope_check, *args
         ), args
+
+
+def test_finite_difference_matches_the_full_loop():
+    # finite_difference is the shift average over the one shift i = 1.
+    rng = random.Random(1206)
+    raised = set()
+    for trial in range(120):
+        f = random_funcspec(rng, extend_zero=trial % 2 == 0)
+        n = rng.randint(0, 5)
+        x = Fraction(rng.randint(-30, 30), 20)  # inside [0, 1], and either side
+        h = Fraction(rng.randint(1, 3), rng.randint(3, 40))
+        args = (f, x, h, n)
+        expected = outcome(reference_fd, *args)
+        assert outcome(fd_value, *args) == expected, args
+        if isinstance(expected, tuple):
+            raised.add(expected[0])
+    # a pl function that is not zero-extended is not defined outside [0, 1]
+    assert raised == {"DomainEvaluationError"}
 
 
 def test_telescope_closed_form_on_unextended_polynomials_and_ratfuns():
@@ -425,6 +453,14 @@ def test_probe_reports_the_pole_the_full_loop_meets_first():
     assert outcome(averaging_probe, *args) == expected
 
 
+def test_finite_difference_reports_the_pole_the_full_loop_meets_first():
+    # the points are 0, 1/8, ..., 1/2 in ascending j: 3/8 comes before 1/2
+    args = (TWO_POLES, Fraction(0), Fraction(1, 8), 4)
+    expected = outcome(reference_fd, *args)
+    assert expected == ("PoleError", "denominator vanishes at 3/8")
+    assert outcome(fd_value, *args) == expected
+
+
 def test_walkthrough_reports_the_pole_the_full_loop_meets_first():
     args = (TWO_POLES, 3, Fraction(1, 8), 2, Fraction(0))
     expected = outcome(reference_walkthrough_sums, *args)
@@ -469,6 +505,10 @@ def test_zero_extended_sums_evaluate_only_inside_the_unit_interval():
     proof_walkthrough(spy, 5, h, 10**6, Fraction(1, 8))
     assert all(0 <= p <= 1 for p in spy.points)
 
+    spy = Recording(f)
+    fd_value(spy, Fraction(-1, 4), h, 30)
+    assert spy.points and all(0 <= p <= 1 for p in spy.points)
+
 
 def test_each_point_is_asked_for_once():
     runge = RationalFunc(
@@ -484,6 +524,7 @@ def test_each_point_is_asked_for_once():
         "walkthrough": lambda g: proof_walkthrough(g, 4, h, 40, Fraction(1, 4)),
         "telescope": lambda g: telescope_shift_identity(g, Fraction(-1, 3), 4, 2, h, 30),
         "sweep": lambda g: averaging_sweep(g, Fraction(1, 3), h, 4, [2**k for k in range(9)]),
+        "fd": lambda g: fd_value(g, Fraction(-1, 8), h, 20),
     }
     spies = {}
     for name, call in calls.items():

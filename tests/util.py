@@ -5,10 +5,11 @@ stay reproducible under a fixed seed.  ``solve_square`` is a plain
 Fraction Gaussian elimination, kept here as an oracle for the solvers.
 The ``reference_*`` functions are plain Fraction versions of the
 integer kernels (the weighted sum, the recursive table, the Newton form
-assembled from ``Polynomial`` products, and Horner's rule), and the
-term-by-term loops over every shift i = 1..N and every near and far
-index behind the lattice and closed-form shift sums in ``probes``, kept
-as oracles for them.  ``reference_kernel_basis`` and
+through the values at k/n assembled from ``Polynomial`` products, and
+Horner's rule), and the term-by-term loops over every shift i = 1..N
+and every near and far index behind the lattice and closed-form shift
+sums in ``probes``, kept as oracles for them; ``reference_shift_average``
+at N = 1 is also the oracle for ``finite_difference`` on that lattice.  ``reference_kernel_basis`` and
 ``reference_forced_zeros`` are the null-space steps that list every free
 column before building its vector and scan every grid column for forced
 zeros, kept as oracles for ``kernel_basis`` and ``nullspace``.
@@ -40,7 +41,6 @@ from fractions import Fraction
 
 from divdiff import (
     BoundaryTerm,
-    EquispacedSample,
     GridFunction,
     KnotValueList,
     PiecewiseLinearFunc,
@@ -180,10 +180,12 @@ def reference_newton_coefficients(kv):
     return tuple(coeffs)
 
 
-def reference_lagrange(sample):
-    """Newton form summed with Polynomial additions and products."""
-    knots = sample.knots
-    kv = KnotValueList(tuple(zip(knots, sample.values)))
+def reference_lagrange(values):
+    """Newton form through the values at k/n, n = len(values) - 1, summed
+    with Polynomial additions and products."""
+    n = len(values) - 1
+    knots = [Fraction(k, max(n, 1)) for k in range(n + 1)]
+    kv = KnotValueList(tuple(zip(knots, values)))
     result = Polynomial.zero()
     basis = Polynomial.constant(1)
     for k, c in enumerate(reference_newton_coefficients(kv)):
@@ -234,7 +236,7 @@ def reference_telescope(g, x, n, j, h, N):
 def reference_walkthrough_sums(f, n, h, N, x):
     """Every field of proof_walkthrough's report, by name, from full loops."""
     x, h = Fraction(x), Fraction(h)
-    q = lagrange_equispaced(EquispacedSample.from_function(f, n))
+    q = lagrange_equispaced(KnotValueList.equispaced(f, n).values)
     nfact = math.factorial(n)
     y = x + nfact * h
 
