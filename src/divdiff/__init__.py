@@ -21,9 +21,9 @@ _EXPORTS = {
     ),
     "constraints": ("ConstraintSystem", "NullspaceReport", "build_constraint_system", "nullspace"),
     "differences": (
-        "EquispacedIdentityCheck", "FiniteDifferenceRequest", "KnotValueList",
-        "check_equispaced_identity", "divided_difference_direct", "divided_difference_recursive",
-        "finite_difference", "finite_difference_via_integral", "newton_coefficients",
+        "EquispacedIdentityCheck", "KnotValueList", "check_equispaced_identity",
+        "divided_difference_direct", "divided_difference_recursive", "finite_difference",
+        "finite_difference_via_integral", "newton_coefficients",
     ),
     "errors": (
         "DivdiffError", "DomainEvaluationError", "DuplicateKnotError", "ParseError", "PoleError",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .differences import FiniteDifferenceRequest, finite_difference
+from .differences import finite_difference
 from .funcs import PolynomialFunc
 from .poly import Polynomial
 
@@ -67,9 +67,7 @@ def polynomial_cascade(p: Polynomial) -> CascadeResult:
     checks = []
     for order in range(p.degree, 0, -1):
         step = Fraction(1, order)
-        value = finite_difference(
-            FiniteDifferenceRequest(f=f, x=Fraction(0), h=step, n=order)
-        )
+        value = finite_difference(f, 0, step, order)
         checks.append(CascadeCheck(order=order, step=step, value=value))
     checks.append(CascadeCheck(order=0, step=None, value=p.evaluate(Fraction(0))))
     first_nonzero = next((check.order for check in checks if check.nonzero), None)

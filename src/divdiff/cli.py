@@ -31,7 +31,6 @@ from typing import IO, Any, Callable, Optional
 from .cascade import NonzeroAtOrder, polynomial_cascade
 from .constraints import build_constraint_system, nullspace
 from .differences import (
-    FiniteDifferenceRequest,
     KnotValueList,
     check_equispaced_identity,
     divided_difference_direct,
@@ -79,20 +78,21 @@ def _write(text: str, out: Optional[str]) -> bool:
     A failure is one line on stderr and False.
     """
     try:
-        if out:
+        if out is not None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
-        if not out:
+        if out is None:
             # Python flushes stdout again at exit; a closed stream is
             # skipped there, so the failure is reported once, here.
             with contextlib.suppress(OSError):
                 sys.stdout.close()
         reason = exc.strerror or exc
-        print(f"divdiff: error: cannot write {out or '<stdout>'}: {reason}", file=sys.stderr)
+        where = "<stdout>" if out is None else out
+        print(f"divdiff: error: cannot write {where}: {reason}", file=sys.stderr)
         return False
     return True
 
@@ -182,12 +182,6 @@ def _degree_search(args: argparse.Namespace, f: Any) -> dict[str, Any]:
     return {"verdict": type(verdict).__name__, "order": order, "rows": result.checks}
 
 
-def _null_space(args: argparse.Namespace, f: Any) -> dict[str, Any]:
-    r = nullspace(build_constraint_system(args.N))
-    return {"N": r.N, "L": r.L, "rank": r.rank, "dimension": r.dimension,
-            "forced_zero_points": r.forced_zero_points, "basis": r.vectors}
-
-
 def _shift_averages(args: argparse.Namespace, f: Any) -> dict[str, Any]:
     # One shift count, or the sweep N = 1, 2, 4, ... up to --Nmax.
     counts = [args.N] if args.N is not None else [2**k for k in range(args.Nmax.bit_length())]
@@ -216,8 +210,8 @@ COMMANDS = {
             KnotValueList.equispaced(f, args.n))}),
     "fd": Command(
         "forward finite difference of order n with step h", (FUNC, EXTEND_ZERO, X, H, ORDER),
-        lambda args, f: {"n": args.n, "x": args.x, "h": args.h, "value": finite_difference(
-            FiniteDifferenceRequest(f=f, x=args.x, h=args.h, n=args.n))}),
+        lambda args, f: {"n": args.n, "x": args.x, "h": args.h,
+                         "value": finite_difference(f, args.x, args.h, args.n)}),
     "identity": Command(
         "equispaced divided difference against the scaled finite difference",
         (FUNC, EXTEND_ZERO, ORDER), lambda args, f: check_equispaced_identity(f, args.n)),
@@ -228,7 +222,8 @@ COMMANDS = {
         "difference cascade locating the degree of a polynomial",
         (Arg("--func", help="polynomial spec poly:a0,a1,..."),), _degree_search),
     "nullspace": Command(
-        "null space of the difference constraint system", (LATTICE_N, MAX_N), _null_space),
+        "null space of the difference constraint system", (LATTICE_N, MAX_N),
+        lambda args, f: nullspace(build_constraint_system(args.N))),
     "minlip": Command(
         "least Lipschitz constant among unit-size solutions", (LATTICE_N, MAX_N),
         lambda args, f: min_lipschitz_unit_norm(args.N)),

@@ -15,8 +15,7 @@ Only the touched columns, the Farey fractions of order N scaled by L,
 carry any structure.  Every other column is free with a singleton null
 vector, so it is never forced to zero; the null space is computed from the
 touched columns alone.  Its basis keeps each run of consecutive untouched
-columns as one range (a ``linalg.NullBasis``), and its vectors as grid
-functions are built only when they are first read.
+columns as one range (a ``linalg.NullBasis``).
 """
 
 import math
@@ -69,25 +68,20 @@ def build_constraint_system(N: int) -> ConstraintSystem:
 
 @dataclass(frozen=True)
 class NullspaceReport:
-    """Rank, null space and forced zeros of a constraint system.
+    """Rank, forced zeros and null space of a constraint system.
 
-    ``vectors`` is the null space basis as ``kernel_basis`` returns it, a
+    ``basis`` is the null space basis as ``kernel_basis`` returns it, a
     ``NullBasis``: sparse mappings from grid index to value, one per free
     column, in increasing free-column order, with the singleton vectors of
-    the untouched columns kept as runs of columns.  ``basis`` holds the
-    same vectors as grid functions; it is built on first access and kept.
+    the untouched columns kept as runs of columns.
     """
 
     N: int
     L: int
     rank: int
     dimension: int
-    vectors: NullBasis
     forced_zero_points: tuple[int, ...]
-
-    @cached_property
-    def basis(self) -> tuple[GridFunction, ...]:
-        return tuple(GridFunction(denominator=self.L, entries=vec) for vec in self.vectors)
+    basis: NullBasis
 
 
 def _check_free_vector(
@@ -204,6 +198,6 @@ def nullspace(system: ConstraintSystem) -> NullspaceReport:
         L=system.L,
         rank=rank,
         dimension=len(vectors),
-        vectors=vectors,
         forced_zero_points=forced,
+        basis=vectors,
     )

@@ -147,24 +147,6 @@ def divided_difference_recursive(kv: KnotValueList) -> Fraction:
     return newton_coefficients(kv)[-1]
 
 
-@dataclass(frozen=True)
-class FiniteDifferenceRequest:
-    """Forward-difference evaluation request; h must be positive, n >= 0."""
-
-    f: FuncSpec
-    x: Fraction
-    h: Fraction
-    n: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "h", Fraction(self.h))
-        if self.h <= 0:
-            raise ValueError("step must be positive")
-        if self.n < 0:
-            raise ValueError("order must be nonnegative")
-
-
 def difference_stencil(n: int) -> tuple[int, ...]:
     """The weights (-1)^(n-j) C(n, j), j = 0..n, of the order-n forward
     difference: D_h^n f(x) = sum_j w_j f(x + j h)."""
@@ -265,11 +247,17 @@ def _average_weights(lattice: _Lattice, n: int, N: int, offset: int = 0) -> dict
     return weights
 
 
-def finite_difference(req: FiniteDifferenceRequest) -> Fraction:
-    """D_h^n f(x) on the lattice: each point x + j*h is asked for once, in
-    ascending j, and a zero-extended f only at the points inside [0, 1]."""
-    lattice = _Lattice(req.f.evaluate, req.x, req.h, clip=req.f.extended_by_zero)
-    return lattice.total(_average_weights(lattice, req.n, 1))
+def finite_difference(f: FuncSpec, x: Scalar, h: Scalar, n: int) -> Fraction:
+    """D_h^n f(x) on the lattice, for h > 0 and n >= 0: each point x + j*h
+    is asked for once, in ascending j, and a zero-extended f only at the
+    points inside [0, 1]."""
+    x, h = Fraction(x), Fraction(h)
+    if h <= 0:
+        raise ValueError("step must be positive")
+    if n < 0:
+        raise ValueError("order must be nonnegative")
+    lattice = _Lattice(f.evaluate, x, h, clip=f.extended_by_zero)
+    return lattice.total(_average_weights(lattice, n, 1))
 
 
 def finite_difference_via_integral(p: Polynomial, x: Scalar, h: Scalar, n: int) -> Fraction:
@@ -303,5 +291,5 @@ def check_equispaced_identity(f: FuncSpec, n: int) -> EquispacedIdentityCheck:
     kv = KnotValueList.equispaced(f, n)
     lhs = divided_difference_direct(kv)
     scale = math.factorial(n) * h**n
-    rhs = finite_difference(FiniteDifferenceRequest(f, Fraction(0), h, n)) / scale
+    rhs = finite_difference(f, 0, h, n) / scale
     return EquispacedIdentityCheck(n, lhs, rhs, lhs == rhs)

@@ -82,14 +82,8 @@ def _reduced(row: Row) -> Row:
     return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
-def _exact(v) -> int | Fraction:
-    """v as an int or a Fraction."""
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
-
-
 def _scaled(values: Sequence) -> tuple[list[int], int]:
-    """``values`` times the lcm of their denominators, and that lcm."""
-    values = [_exact(v) for v in values]
+    """``values`` (ints and Fractions) times the lcm of their denominators, and that lcm."""
     scale = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
@@ -264,49 +258,41 @@ class _Tableau:
 
     def _cold(self, b_ub: Sequence[Fraction], b_eq: Sequence[Fraction]) -> LpResult:
         c = self.c
-        ub = [_scaled([*row, b]) for row, b in zip(self.a_ub, b_ub, strict=True)]
-        eq = [_scaled([*row, b]) for row, b in zip(self.a_eq, b_eq, strict=True)]
+        inputs = [*zip(self.a_ub, b_ub, strict=True), *zip(self.a_eq, b_eq, strict=True)]
         n = len(c)
-        m_ub = len(ub)
-        n_art = len(eq) + sum(1 for scaled, _ in ub if scaled[-1] < 0)
-        art_start = n + m_ub
-        total = art_start + n_art
+        m_ub = len(self.a_ub)
+        art_start = art = n + m_ub
 
+        # An inequality row gets its slack; an equality row, and an
+        # inequality row negated for its negative rhs, get an artificial.
         rows: list[Row] = []
         basis: list[int] = []
         units: list[tuple[int, int]] = []
-        art = art_start
-        for i, (scaled, s) in enumerate(ub):
+        for i, (a, b) in enumerate(inputs):
+            scaled, s = _scaled([*a, b])
             sign = -1 if scaled[-1] < 0 else 1
             row = {j: sign * v for j, v in enumerate(scaled) if v}
             if scaled[-1]:
                 row[_RHS] = row.pop(n)
-            row[n + i] = sign * s
-            if sign < 0:
+            if i < m_ub:
+                row[n + i] = sign * s
+                units.append((n + i, 1))
+            else:
+                units.append((art, sign))
+            if i < m_ub and sign > 0:
+                basis.append(n + i)
+            else:
                 row[art] = s
                 basis.append(art)
                 art += 1
-            else:
-                basis.append(n + i)
-            rows.append(_reduced(row))
-            units.append((n + i, 1))
-        for scaled, s in eq:
-            sign = -1 if scaled[-1] < 0 else 1
-            row = {j: sign * v for j, v in enumerate(scaled) if v}
-            if scaled[-1]:
-                row[_RHS] = row.pop(n)
-            row[art] = s
-            basis.append(art)
-            units.append((art, sign))
-            art += 1
             rows.append(_reduced(row))
         self.rows, self.basis, self.units = rows, basis, units
         self.warm = False
 
-        if n_art:
-            self.cost = {j: 1 for j in range(art_start, total)}
+        if art > art_start:
+            self.cost = {j: 1 for j in range(art_start, art)}
             self.cost[_SCALE] = 1
-            self.limit = total
+            self.limit = art
             self._price_out()
             if self._primal() != OPTIMAL or -self.cost.get(_RHS, 0) > 0:
                 return LpResult(INFEASIBLE, None, None, self._multipliers(1))
@@ -332,12 +318,11 @@ class _Tableau:
         self._price_out()
         if self._primal() == UNBOUNDED:
             return LpResult(UNBOUNDED, None, None)
-        self.b = [_exact(v) for v in (*b_ub, *b_eq)]
+        self.b = [*b_ub, *b_eq]
         self.warm = not dropped
         return self._optimum()
 
     def _resolve(self, b: list) -> LpResult:
-        b = [_exact(v) for v in b]
         moves = [
             (unit, sign * (new - old))
             for (unit, sign), new, old in zip(self.units, b, self.b, strict=True)

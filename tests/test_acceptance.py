@@ -14,7 +14,6 @@ import time
 from fractions import Fraction
 
 from divdiff import (
-    FiniteDifferenceRequest,
     KnotValueList,
     NonzeroAtOrder,
     PiecewiseLinearFunc,
@@ -101,7 +100,7 @@ def test_criterion_03_integral_representation():
         n = rng.randint(1, 8)
         x = random_fraction(rng)
         h = abs(random_fraction(rng)) + Fraction(1, 4)
-        via_sum = finite_difference(FiniteDifferenceRequest(PolynomialFunc(p), x, h, n))
+        via_sum = finite_difference(PolynomialFunc(p), x, h, n)
         if finite_difference_via_integral(p, x, h, n) != via_sum:
             ok = False
             break
@@ -149,7 +148,7 @@ def test_criterion_06_nullspace_fixtures():
         and reports[2].dimension == 0
         and reports[3].dimension == 3
         and reports[3].forced_zero_points == (0, 3, 6)
-        and all(vec.value(2) == vec.value(4) for vec in reports[3].basis)
+        and all(vec.get(2, 0) == vec.get(4, 0) for vec in reports[3].basis)
         and reports[4].dimension == 8
     )
     report_line(6, "constraint null spaces: dims 0,0,3,8; forced zeros at "

@@ -277,6 +277,14 @@ def test_out_into_missing_directory_is_one_line_error(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_out_empty_path_is_one_line_error(capsys):
+    # An empty path names no file; it must not fall back to stdout.
+    code, out, err = run(capsys, "nullspace", "--N", "3", "--out", "")
+    assert code == 1
+    assert out == ""
+    assert err == "divdiff: error: cannot write : No such file or directory\n"
+
+
 class ClosedPipe(io.StringIO):
     def write(self, text):
         raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))

@@ -14,7 +14,6 @@ import pytest
 from divdiff import (
     DuplicateKnotError,
     EquispacedIdentityCheck,
-    FiniteDifferenceRequest,
     KnotValueList,
     Polynomial,
     PolynomialFunc,
@@ -148,10 +147,10 @@ def test_weight_signs_alternate_from_the_top():
 def test_forward_difference_fixtures():
     f = PolynomialFunc(Polynomial.monomial(2))
     half = Fraction(1, 2)
-    assert finite_difference(FiniteDifferenceRequest(f, 0, half, 1)) == Fraction(1, 4)
-    assert finite_difference(FiniteDifferenceRequest(f, 0, half, 2)) == Fraction(1, 2)
-    assert finite_difference(FiniteDifferenceRequest(f, 0, Fraction(1, 7), 3)) == 0
-    assert finite_difference(FiniteDifferenceRequest(f, Fraction(2, 3), half, 0)) == Fraction(4, 9)
+    assert finite_difference(f, 0, half, 1) == Fraction(1, 4)
+    assert finite_difference(f, 0, half, 2) == Fraction(1, 2)
+    assert finite_difference(f, 0, Fraction(1, 7), 3) == 0
+    assert finite_difference(f, Fraction(2, 3), half, 0) == Fraction(4, 9)
 
 
 def test_forward_difference_of_top_monomial():
@@ -160,7 +159,7 @@ def test_forward_difference_of_top_monomial():
         h = abs(random_fraction(rng)) + Fraction(1, 5)
         x = random_fraction(rng)
         f = PolynomialFunc(Polynomial.monomial(n))
-        got = finite_difference(FiniteDifferenceRequest(f, x, h, n))
+        got = finite_difference(f, x, h, n)
         assert got == math.factorial(n) * h**n
 
 
@@ -175,22 +174,20 @@ def test_forward_difference_is_linear():
         n = rng.randint(0, 5)
 
         def fd(poly):
-            return finite_difference(
-                FiniteDifferenceRequest(PolynomialFunc(poly), x, h, n)
-            )
+            return finite_difference(PolynomialFunc(poly), x, h, n)
 
         assert fd(p + q) == fd(p) + fd(q)
         assert fd(c * p) == c * fd(p)
 
 
-def test_request_validation():
+def test_finite_difference_validation():
     f = PolynomialFunc(Polynomial.monomial(1))
-    with pytest.raises(ValueError):
-        FiniteDifferenceRequest(f, 0, 0, 1)
-    with pytest.raises(ValueError):
-        FiniteDifferenceRequest(f, 0, Fraction(-1, 2), 1)
-    with pytest.raises(ValueError):
-        FiniteDifferenceRequest(f, 0, Fraction(1, 2), -1)
+    with pytest.raises(ValueError, match="step must be positive"):
+        finite_difference(f, 0, 0, 1)
+    with pytest.raises(ValueError, match="step must be positive"):
+        finite_difference(f, 0, Fraction(-1, 2), 1)
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        finite_difference(f, 0, Fraction(1, 2), -1)
 
 
 def test_via_integral_fixtures():
@@ -207,7 +204,7 @@ def test_via_integral_matches_binomial_sum():
         n = rng.randint(1, 6)
         x = random_fraction(rng)
         h = abs(random_fraction(rng)) + Fraction(1, 4)
-        direct = finite_difference(FiniteDifferenceRequest(PolynomialFunc(p), x, h, n))
+        direct = finite_difference(PolynomialFunc(p), x, h, n)
         assert finite_difference_via_integral(p, x, h, n) == direct
 
 

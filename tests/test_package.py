@@ -14,7 +14,7 @@ import divdiff
 PUBLIC = [
     "AveragingProbeResult", "BoundaryTerm", "CascadeCheck", "CascadeResult", "ConstraintSystem",
     "DivdiffError", "DomainEvaluationError", "DuplicateKnotError", "EquispacedIdentityCheck",
-    "FiniteDifferenceRequest", "FuncSpec", "GridFunction", "KnotValueList",
+    "FuncSpec", "GridFunction", "KnotValueList",
     "MinLipschitzResult", "NonzeroAtOrder", "NullspaceReport", "ParseError",
     "PiecewiseLinearFunc", "PoleError", "Polynomial", "PolynomialFunc", "Rational",
     "RationalFunc", "TelescopeCheck", "WalkthroughReport", "ZeroPolynomial", "__version__",

@@ -13,7 +13,6 @@ import pytest
 
 from divdiff import (
     AveragingProbeResult,
-    FiniteDifferenceRequest,
     FuncSpec,
     GridFunction,
     PiecewiseLinearFunc,
@@ -319,10 +318,6 @@ def telescope_fields(g, x, n, j, h, N):
     return (t.jprime, t.y, t.lhs, t.rhs, t.equal)
 
 
-def fd_value(f, x, h, n):
-    return finite_difference(FiniteDifferenceRequest(f, x, h, n))
-
-
 def reference_fd(f, x, h, n):
     return reference_shift_average(f.evaluate, x, h, n, 1)
 
@@ -385,7 +380,7 @@ def test_finite_difference_matches_the_full_loop():
         h = Fraction(rng.randint(1, 3), rng.randint(3, 40))
         args = (f, x, h, n)
         expected = outcome(reference_fd, *args)
-        assert outcome(fd_value, *args) == expected, args
+        assert outcome(finite_difference, *args) == expected, args
         if isinstance(expected, tuple):
             raised.add(expected[0])
     # a pl function that is not zero-extended is not defined outside [0, 1]
@@ -458,7 +453,7 @@ def test_finite_difference_reports_the_pole_the_full_loop_meets_first():
     args = (TWO_POLES, Fraction(0), Fraction(1, 8), 4)
     expected = outcome(reference_fd, *args)
     assert expected == ("PoleError", "denominator vanishes at 3/8")
-    assert outcome(fd_value, *args) == expected
+    assert outcome(finite_difference, *args) == expected
 
 
 def test_walkthrough_reports_the_pole_the_full_loop_meets_first():
@@ -506,7 +501,7 @@ def test_zero_extended_sums_evaluate_only_inside_the_unit_interval():
     assert all(0 <= p <= 1 for p in spy.points)
 
     spy = Recording(f)
-    fd_value(spy, Fraction(-1, 4), h, 30)
+    finite_difference(spy, Fraction(-1, 4), h, 30)
     assert spy.points and all(0 <= p <= 1 for p in spy.points)
 
 
@@ -524,7 +519,7 @@ def test_each_point_is_asked_for_once():
         "walkthrough": lambda g: proof_walkthrough(g, 4, h, 40, Fraction(1, 4)),
         "telescope": lambda g: telescope_shift_identity(g, Fraction(-1, 3), 4, 2, h, 30),
         "sweep": lambda g: averaging_sweep(g, Fraction(1, 3), h, 4, [2**k for k in range(9)]),
-        "fd": lambda g: fd_value(g, Fraction(-1, 8), h, 20),
+        "fd": lambda g: finite_difference(g, Fraction(-1, 8), h, 20),
     }
     spies = {}
     for name, call in calls.items():

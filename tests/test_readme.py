@@ -1,0 +1,37 @@
+"""The README "Library quick tour" runs, and every value it shows is right."""
+
+import ast
+import io
+import re
+import tokenize
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def quick_tour() -> str:
+    """The python block of the README "Library quick tour" section."""
+    section = README.read_text(encoding="utf-8").split("## Library quick tour", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_quick_tour_shows_true_values():
+    # A bare expression whose line ends in "# <python expression>" must
+    # equal that expression; every other statement only has to run.
+    source = quick_tour()
+    comments = {
+        tok.start[0]: tok.string[1:].strip()
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    namespace: dict = {}
+    checked = 0
+    for node in ast.parse(source).body:
+        shown = comments.get(node.end_lineno)
+        if isinstance(node, ast.Expr) and shown is not None:
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            assert value == eval(shown, namespace), f"README.md quick tour line {node.lineno}"
+            checked += 1
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert checked >= 4
