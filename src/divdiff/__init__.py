@@ -16,9 +16,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "cascade": (
-        "CascadeCheck", "CascadeResult", "NonzeroAtOrder", "ZeroPolynomial", "polynomial_cascade",
-    ),
+    "cascade": ("CascadeCheck", "CascadeResult", "polynomial_cascade"),
     "constraints": ("ConstraintSystem", "NullspaceReport", "build_constraint_system", "nullspace"),
     "differences": (
         "EquispacedIdentityCheck", "KnotValueList", "check_equispaced_identity",
@@ -36,7 +34,7 @@ _EXPORTS = {
     "interpolation": ("degree_reduced", "lagrange_equispaced", "leading_coefficient"),
     "poly": ("Polynomial", "binomial"),
     "probes": (
-        "AveragingProbeResult", "BoundaryTerm", "TelescopeCheck", "WalkthroughReport",
+        "AveragingProbeResult", "BoundaryTerm", "LimitTerm", "TelescopeCheck", "WalkthroughReport",
         "averaging_probe", "averaging_sweep", "proof_walkthrough", "telescope_shift_identity",
     ),
     "rational": ("Rational", "decimal_string", "format_rational", "parse_rational"),

@@ -14,26 +14,11 @@ passes every check.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .differences import finite_difference
 from .funcs import PolynomialFunc
 from .poly import Polynomial
-
-
-@dataclass(frozen=True)
-class ZeroPolynomial:
-    """Every difference in the cascade vanished."""
-
-
-@dataclass(frozen=True)
-class NonzeroAtOrder:
-    """The order-``order`` difference is the highest nonzero one."""
-
-    order: int
-
-
-Verdict = Union[ZeroPolynomial, NonzeroAtOrder]
 
 
 @dataclass(frozen=True)
@@ -49,20 +34,21 @@ class CascadeCheck:
 
 @dataclass(frozen=True)
 class CascadeResult:
-    checks: tuple[CascadeCheck, ...]
-    verdict: Verdict
+    verdict: str  # "ZeroPolynomial" when every check vanished, else "NonzeroAtOrder"
+    order: Optional[int]  # the highest order with a nonzero difference
+    rows: tuple[CascadeCheck, ...]
 
 
 def polynomial_cascade(p: Polynomial) -> CascadeResult:
     """Run the difference cascade for p, from order deg(p) down to 0.
 
-    Returns every check in descending order.  The verdict is
-    ZeroPolynomial exactly when p is the zero polynomial; otherwise it
-    is NonzeroAtOrder(d) where d is the highest order with a nonzero
-    difference, which always equals deg(p).
+    Returns every check in descending order as the rows.  The verdict is
+    "ZeroPolynomial", with order None, exactly when p is the zero
+    polynomial; otherwise it is "NonzeroAtOrder" with order d, the
+    highest order with a nonzero difference, which always equals deg(p).
     """
     if p.is_zero:
-        return CascadeResult(checks=(), verdict=ZeroPolynomial())
+        return CascadeResult("ZeroPolynomial", None, ())
     f = PolynomialFunc(p)
     checks = []
     for order in range(p.degree, 0, -1):
@@ -70,9 +56,6 @@ def polynomial_cascade(p: Polynomial) -> CascadeResult:
         value = finite_difference(f, 0, step, order)
         checks.append(CascadeCheck(order=order, step=step, value=value))
     checks.append(CascadeCheck(order=0, step=None, value=p.evaluate(Fraction(0))))
-    first_nonzero = next((check.order for check in checks if check.nonzero), None)
-    if first_nonzero is None:
-        verdict: Verdict = ZeroPolynomial()
-    else:
-        verdict = NonzeroAtOrder(order=first_nonzero)
-    return CascadeResult(checks=tuple(checks), verdict=verdict)
+    order = next((check.order for check in checks if check.nonzero), None)
+    verdict = "ZeroPolynomial" if order is None else "NonzeroAtOrder"
+    return CascadeResult(verdict, order, tuple(checks))

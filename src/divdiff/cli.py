@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from typing import IO, Any, Callable, Optional
 
-from .cascade import NonzeroAtOrder, polynomial_cascade
+from .cascade import CascadeResult, polynomial_cascade
 from .constraints import build_constraint_system, nullspace
 from .differences import (
     KnotValueList,
@@ -155,11 +155,7 @@ MAX_N = Arg(
 
 
 def _knot_differences(args: argparse.Namespace, f: Any) -> dict[str, Any]:
-    if len(args.knots) != len(args.values):
-        raise ParseError(
-            f"got {len(args.knots)} knots but {len(args.values)} values; they must match"
-        )
-    kv = KnotValueList(tuple(zip(args.knots, args.values)))
+    kv = KnotValueList(args.knots, args.values)
     direct = divided_difference_direct(kv)
     recursive = divided_difference_recursive(kv)
     return {"order": kv.order, "direct": direct, "recursive": recursive,
@@ -173,13 +169,10 @@ def _interpolant(args: argparse.Namespace, f: Any) -> dict[str, Any]:
             "leading": lead, "degree_reduced": lead == 0}
 
 
-def _degree_search(args: argparse.Namespace, f: Any) -> dict[str, Any]:
+def _degree_search(args: argparse.Namespace, f: Any) -> CascadeResult:
     if not isinstance(f, PolynomialFunc):
         raise ParseError("cascade works on polynomials; pass --func poly:a0,a1,...")
-    result = polynomial_cascade(f.poly)
-    verdict = result.verdict
-    order = verdict.order if isinstance(verdict, NonzeroAtOrder) else None
-    return {"verdict": type(verdict).__name__, "order": order, "rows": result.checks}
+    return polynomial_cascade(f.poly)
 
 
 def _shift_averages(args: argparse.Namespace, f: Any) -> dict[str, Any]:
@@ -189,13 +182,6 @@ def _shift_averages(args: argparse.Namespace, f: Any) -> dict[str, Any]:
     rows = [{"N": N, "average": a.average, "residual": a.residual, "bound": a.bound}
             for N, a in zip(counts, averages)]
     return {"n": args.n, "h": args.h, "x": args.x, "cutoff": averages[-1].cutoff, "rows": rows}
-
-
-def _defect_trace(args: argparse.Namespace, f: Any) -> Any:
-    w = proof_walkthrough(f, args.n, args.h, args.N, args.x)
-    # The (j, term) pairs are written as records, not as bare pairs.
-    terms = tuple({"j": j, "term": term} for j, term in w.interp_limit_terms)
-    return dataclasses.replace(w, interp_limit_terms=terms)
 
 
 COMMANDS = {
@@ -239,7 +225,8 @@ COMMANDS = {
         lambda args, f: telescope_shift_identity(f, args.x, args.n, args.j, args.h, args.N)),
     "walkthrough": Command(
         "full exact trace of the averaged-defect identity",
-        (FUNC, EXTEND_ZERO, X, H, ORDER, SHIFTS), _defect_trace, zero_extended=True),
+        (FUNC, EXTEND_ZERO, X, H, ORDER, SHIFTS),
+        lambda args, f: proof_walkthrough(f, args.n, args.h, args.N, args.x), zero_extended=True),
 }
 
 

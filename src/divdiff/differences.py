@@ -40,36 +40,34 @@ from .poly import Polynomial, Scalar, binomial
 
 @dataclass(frozen=True)
 class KnotValueList:
-    """Distinct knots paired with function values."""
+    """Distinct knots and the function values at them, entry by entry."""
 
-    pairs: tuple[tuple[Fraction, Fraction], ...]
+    knots: tuple[Fraction, ...]
+    values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple((Fraction(x), Fraction(v)) for x, v in self.pairs)
-        if not pairs:
+        knots = tuple(Fraction(x) for x in self.knots)
+        values = tuple(Fraction(v) for v in self.values)
+        if len(knots) != len(values):
+            raise ValueError(f"got {len(knots)} knots but {len(values)} values; they must match")
+        if not knots:
             raise ValueError("need at least one knot")
         seen: set[Fraction] = set()
-        for x, _ in pairs:
+        for x in knots:
             if x in seen:
                 raise DuplicateKnotError(x)
             seen.add(x)
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "values", values)
 
     @property
     def order(self) -> int:
-        return len(self.pairs) - 1
-
-    @property
-    def knots(self) -> tuple[Fraction, ...]:
-        return tuple(x for x, _ in self.pairs)
-
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        return tuple(v for _, v in self.pairs)
+        return len(self.knots) - 1
 
     @classmethod
     def from_function(cls, f: FuncSpec, knots: Iterable[Scalar]) -> "KnotValueList":
-        return cls(tuple((Fraction(x), f.evaluate(x)) for x in knots))
+        knots = tuple(Fraction(x) for x in knots)
+        return cls(knots, tuple(f.evaluate(x) for x in knots))
 
     @classmethod
     def equispaced(cls, f: FuncSpec, n: int) -> "KnotValueList":

@@ -17,6 +17,8 @@ with every scalar written as "p/q" or a bare integer.
 """
 
 import abc
+import operator
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -42,11 +44,12 @@ class GridFunction:
     entries: dict[int, Fraction]
 
     def __post_init__(self) -> None:
-        if self.denominator < 1:
+        # operator.index refuses a float, Fraction or str; int() truncates.
+        if operator.index(self.denominator) < 1:
             raise ValueError("grid denominator must be at least 1")
         cleaned: dict[int, Fraction] = {}
         for k, v in self.entries.items():
-            k = int(k)
+            k = operator.index(k)
             if not 0 <= k <= self.denominator:
                 raise ValueError(f"grid index {k} outside 0..{self.denominator}")
             v = Fraction(v)
@@ -62,6 +65,7 @@ class GridFunction:
         return cls(len(vals) - 1, {k: v for k, v in enumerate(vals)})
 
     def value(self, k: int) -> Fraction:
+        k = operator.index(k)
         if not 0 <= k <= self.denominator:
             raise ValueError(f"grid index {k} outside 0..{self.denominator}")
         return self.entries.get(k, ZERO)
@@ -177,6 +181,13 @@ def parse_funcspec(text: str, extend_zero: bool = False) -> FuncSpec:
     raise ParseError(f"unknown function kind: {text!r}")
 
 
+def _grid_integer(text: str, error: str) -> int:
+    """An ASCII integer literal; int() alone also takes "1_0" and non-ASCII digits."""
+    if re.fullmatch(r"[+-]?[0-9]+", text.strip()) is None:
+        raise ParseError(error)
+    return int(text)
+
+
 def load_grid_function(path: str) -> GridFunction:
     """Read a grid file: header "L=<int>", then lines "k,<p/q>".
 
@@ -190,10 +201,7 @@ def load_grid_function(path: str) -> GridFunction:
     lines = [ln for ln in lines if ln]
     if not lines or not lines[0].startswith("L="):
         raise ParseError(f"grid file {path!r} must start with an L=<integer> header")
-    try:
-        L = int(lines[0][2:])
-    except ValueError as exc:
-        raise ParseError(f"bad grid header {lines[0]!r}") from exc
+    L = _grid_integer(lines[0][2:], f"bad grid header {lines[0]!r}")
     if L < 1:
         raise ParseError("grid denominator must be at least 1")
     entries: dict[int, Fraction] = {}
@@ -201,10 +209,7 @@ def load_grid_function(path: str) -> GridFunction:
         fields = ln.split(",")
         if len(fields) != 2:
             raise ParseError(f"bad grid line {ln!r}")
-        try:
-            k = int(fields[0])
-        except ValueError as exc:
-            raise ParseError(f"bad grid index in line {ln!r}") from exc
+        k = _grid_integer(fields[0], f"bad grid index in line {ln!r}")
         if not 0 <= k <= L:
             raise ParseError(f"grid index {k} outside 0..{L}")
         if k in entries:

@@ -29,8 +29,7 @@ def lagrange_equispaced(values: Sequence[Scalar]) -> Polynomial:
     integer polynomial in t is built by nested multiplication, and the x^j
     coefficient is its t^j coefficient times n^j / B."""
     n = len(values) - 1
-    kv = KnotValueList(tuple(zip(_equispaced_knots(n), values)))
-    coeffs = newton_coefficients(kv)
+    coeffs = newton_coefficients(KnotValueList(_equispaced_knots(n), values))
     dens = [c.denominator * n**k for k, c in enumerate(coeffs)]
     common = math.lcm(*dens)
     weights = [c.numerator * (common // d) for c, d in zip(coeffs, dens)]

@@ -255,6 +255,12 @@ class BoundaryTerm:
 
 
 @dataclass(frozen=True)
+class LimitTerm:
+    j: int
+    term: Fraction  # (-1)**n * (j'/N) * Q(x), with j' = n!/j
+
+
+@dataclass(frozen=True)
 class WalkthroughReport:
     n: int
     h: Fraction
@@ -279,7 +285,7 @@ class WalkthroughReport:
     identity_equal: bool
     residual: Fraction
     residual_envelope: Fraction
-    interp_limit_terms: tuple[tuple[int, Fraction], ...]
+    interp_limit_terms: tuple[LimitTerm, ...]
     note: str
 
 
@@ -381,7 +387,7 @@ def proof_walkthrough(
     residual = (avg_defect_x - avg_defect_y) - identity_rhs
 
     interp_limit_terms = tuple(
-        (j, (-1) ** n * Fraction(nfact // j, N) * q_at_x) for j in range(1, n + 1)
+        LimitTerm(j, (-1) ** n * Fraction(nfact // j, N) * q_at_x) for j in range(1, n + 1)
     )
     return WalkthroughReport(
         n=n,

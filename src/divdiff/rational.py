@@ -16,7 +16,8 @@ Rational = Fraction
 
 DECIMAL_DIGITS = 15
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+# ASCII: without it \d also matches other scripts' digits, such as "١" or "１".
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -15,12 +15,26 @@ from fractions import Fraction
 import pytest
 
 from divdiff import (
+    CascadeResult,
+    EquispacedIdentityCheck,
     KnotValueList,
+    MinLipschitzResult,
+    NullspaceReport,
+    TelescopeCheck,
+    WalkthroughReport,
+    build_constraint_system,
+    check_equispaced_identity,
     cli,
     constraints,
     divided_difference_direct,
     extremal,
+    min_lipschitz_unit_norm,
+    nullspace,
+    parse_funcspec,
     parse_rational,
+    polynomial_cascade,
+    proof_walkthrough,
+    telescope_shift_identity,
 )
 from divdiff.cli import main
 
@@ -255,6 +269,36 @@ def test_walkthrough_requires_extension(capsys):
     )
     assert code == 1
     assert "extend-zero" in err
+
+
+# Commands whose report is one library record: argv, the record's type
+# and the library call with the same inputs.
+RECORD_COMMANDS = [
+    (["identity", "--func", "ratfun:1;1,0,25", "--n", "4"], EquispacedIdentityCheck,
+     lambda: check_equispaced_identity(parse_funcspec("ratfun:1;1,0,25"), 4)),
+    (["nullspace", "--N", "3"], NullspaceReport, lambda: nullspace(build_constraint_system(3))),
+    (["minlip", "--N", "3"], MinLipschitzResult, lambda: min_lipschitz_unit_norm(3)),
+    (["telescope", "--func", "poly:1,1", "--extend-zero", "--x", "1/10", "--h", "1/100",
+      "--n", "3", "--j", "3", "--N", "5"], TelescopeCheck,
+     lambda: telescope_shift_identity(
+         parse_funcspec("poly:1,1", True), Fraction(1, 10), 3, 3, Fraction(1, 100), 5)),
+    (["cascade", "--func", "poly:0,-1,1"], CascadeResult,
+     lambda: polynomial_cascade(parse_funcspec("poly:0,-1,1").poly)),
+    (["walkthrough", "--func", "poly:0,1,-1", "--extend-zero", "--x", "1/10", "--h", "1/8",
+      "--n", "2", "--N", "8"], WalkthroughReport,
+     lambda: proof_walkthrough(
+         parse_funcspec("poly:0,1,-1", True), 2, Fraction(1, 8), 8, Fraction(1, 10))),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, record, library", RECORD_COMMANDS, ids=[argv[0] for argv, *_ in RECORD_COMMANDS]
+)
+def test_record_commands_report_the_library_value_as_it_is(argv, record, library):
+    report, code, diagnostic = cli.run(cli.build_parser().parse_args(argv))
+    assert (code, diagnostic) == (0, None)
+    assert type(report.results) is record
+    assert report.results == library()
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
@@ -499,7 +543,7 @@ def test_bad_rational_value_names_the_flag_style_error(capsys):
 def test_mismatched_eval_lists(capsys):
     code, out, err = run(capsys, "eval", "--knots", "0,1", "--values", "1")
     assert code == 1
-    assert "match" in err
+    assert err == "divdiff: error: got 2 knots but 1 values; they must match\n"
 
 
 def test_json_output_is_stable_in_process(capsys):
@@ -721,7 +765,7 @@ def test_exact_values_past_the_str_digit_limit_print(capsys, fmt):
     else:
         results = dict(line.split(",", 1) for line in out.splitlines() if "," in line)
         results = {k.removeprefix("results."): v for k, v in results.items()}
-    expected = divided_difference_direct(KnotValueList(tuple(zip(knots, values))))
+    expected = divided_difference_direct(KnotValueList(knots, values))
     assert len(results["direct"]) > 4300
     assert _parse_long_rational(results["direct"]) == expected
     assert _parse_long_rational(results["recursive"]) == expected

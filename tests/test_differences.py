@@ -36,7 +36,8 @@ from util import (
 
 
 def pairs(*items):
-    return KnotValueList(tuple((Fraction(k), Fraction(v)) for k, v in items))
+    knots, values = zip(*items)
+    return KnotValueList(knots, values)
 
 
 def test_order_zero_is_the_value():
@@ -77,8 +78,25 @@ def test_duplicate_knots_rejected():
 
 
 def test_empty_knot_list_rejected():
-    with pytest.raises(ValueError):
-        KnotValueList(())
+    with pytest.raises(ValueError, match="need at least one knot"):
+        KnotValueList((), ())
+
+
+def test_knot_and_value_counts_must_match():
+    # the count is checked first: before an empty list or a duplicate knot
+    for knots, values in [((0, 1), (2,)), ((), (1,)), ((1, 1), (2, 3, 4))]:
+        message = f"got {len(knots)} knots but {len(values)} values; they must match"
+        with pytest.raises(ValueError) as excinfo:
+            KnotValueList(knots, values)
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == message
+
+
+def test_entries_are_fractions():
+    kv = KnotValueList([0, Fraction(1, 2)], (1, "3/4"))
+    assert kv.knots == (Fraction(0), Fraction(1, 2))
+    assert kv.values == (Fraction(1), Fraction(3, 4))
+    assert all(type(e) is Fraction for e in kv.knots + kv.values)
 
 
 def test_equispaced_requires_positive_order():
@@ -94,7 +112,7 @@ def test_direct_equals_recursive_on_random_inputs():
     for _ in range(300):
         order = rng.randint(0, 8)
         knots = distinct_knots(rng, order + 1)
-        kv = KnotValueList(tuple((x, random_fraction(rng)) for x in knots))
+        kv = KnotValueList(knots, tuple(random_fraction(rng) for _ in knots))
         assert divided_difference_direct(kv) == divided_difference_recursive(kv)
 
 
@@ -104,9 +122,9 @@ def test_symmetry_under_knot_permutation():
         order = rng.randint(1, 6)
         knots = distinct_knots(rng, order + 1)
         paired = [(x, random_fraction(rng)) for x in knots]
-        base = divided_difference_direct(KnotValueList(tuple(paired)))
+        base = divided_difference_direct(pairs(*paired))
         rng.shuffle(paired)
-        assert divided_difference_direct(KnotValueList(tuple(paired))) == base
+        assert divided_difference_direct(pairs(*paired)) == base
 
 
 def test_monomial_annihilation_and_normalization():
@@ -129,10 +147,10 @@ def test_newton_coefficients_are_prefix_differences():
     for _ in range(30):
         order = rng.randint(0, 6)
         knots = distinct_knots(rng, order + 1)
-        kv = KnotValueList(tuple((x, random_fraction(rng)) for x in knots))
+        kv = KnotValueList(knots, tuple(random_fraction(rng) for _ in knots))
         coeffs = newton_coefficients(kv)
         for m in range(order + 1):
-            prefix = KnotValueList(kv.pairs[: m + 1])
+            prefix = KnotValueList(kv.knots[: m + 1], kv.values[: m + 1])
             assert coeffs[m] == divided_difference_direct(prefix)
 
 

@@ -42,6 +42,20 @@ def test_grid_validation():
         g.value(5)
 
 
+def test_grid_indices_are_never_truncated():
+    # int() would read 1.5 as 1, and True's value would then replace it
+    for entries in ({Fraction(3, 2): 1, True: 5}, {1.5: 1}, {Fraction(1): 1}, {"1": 1}):
+        with pytest.raises(TypeError):
+            GridFunction(4, entries)
+    with pytest.raises(TypeError):
+        GridFunction(4.0, {1: 1})
+    g = GridFunction(4, {1: 5})
+    for k in (1.5, 1.0, Fraction(1), "1"):
+        with pytest.raises(TypeError):
+            g.value(k)
+    assert g.value(1) == 5
+
+
 def test_dense_round_trip():
     rng = random.Random(11)
     for _ in range(20):
@@ -184,6 +198,22 @@ def test_load_grid_file_rejects(tmp_path, content):
     path = tmp_path / "grid.csv"
     path.write_text(content)
     with pytest.raises(ParseError):
+        load_grid_function(str(path))
+
+
+@pytest.mark.parametrize("header", ["L=1_0", "L=\uff14", "L=\u0664", "L=4.0", "L=0x4"])
+def test_grid_header_is_an_ascii_integer(tmp_path, header):
+    path = tmp_path / "grid.csv"
+    path.write_text(f"{header}\n1,1\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="bad grid header"):
+        load_grid_function(str(path))
+
+
+@pytest.mark.parametrize("index", ["1_0", "\uff11", "\u0661", "1.0", "+"])
+def test_grid_index_is_an_ascii_integer(tmp_path, index):
+    path = tmp_path / "grid.csv"
+    path.write_text(f"L=20\n{index},1\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="bad grid index"):
         load_grid_function(str(path))
 
 

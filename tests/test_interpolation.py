@@ -83,7 +83,7 @@ def test_leading_coefficient_is_the_divided_difference():
         n = rng.randint(1, 8)
         values = tuple(random_fraction(rng) for _ in range(n + 1))
         q = lagrange_equispaced(values)
-        kv = KnotValueList(tuple((Fraction(k, n), v) for k, v in enumerate(values)))
+        kv = KnotValueList(tuple(Fraction(k, n) for k in range(n + 1)), values)
         assert leading_coefficient(q, n) == divided_difference_direct(kv)
 
 

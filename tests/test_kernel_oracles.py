@@ -38,7 +38,7 @@ def large_denominator_value(rng):
 
 def random_knot_values(rng, count, values=random_fraction):
     knots = distinct_knots(rng, count, max_num=40, max_den=12)
-    return KnotValueList(tuple((x, values(rng)) for x in knots))
+    return KnotValueList(knots, tuple(values(rng) for _ in knots))
 
 
 def assert_kernels_match(kv):
@@ -75,7 +75,7 @@ def test_single_knot():
 
 
 def test_zero_values_give_zero_columns():
-    kv = KnotValueList(tuple((Fraction(k, 3), Fraction(0)) for k in range(-2, 5)))
+    kv = KnotValueList(tuple(Fraction(k, 3) for k in range(-2, 5)), (0,) * 7)
     assert divided_difference_direct(kv) == 0
     assert newton_coefficients(kv) == (0,) * 7
 
@@ -144,7 +144,7 @@ def test_equispaced_order_256():
     n = 256
     values = tuple(random_fraction(rng, max_num=20, max_den=12) for _ in range(n + 1))
     knots = tuple(Fraction(k, n) for k in range(n + 1))
-    kv = KnotValueList(tuple(zip(knots, values)))
+    kv = KnotValueList(knots, values)
     coeffs = newton_coefficients(kv)
     assert coeffs == reference_newton_coefficients(kv)
     assert divided_difference_direct(kv) == reference_divided_difference(kv)

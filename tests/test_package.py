@@ -14,10 +14,10 @@ import divdiff
 PUBLIC = [
     "AveragingProbeResult", "BoundaryTerm", "CascadeCheck", "CascadeResult", "ConstraintSystem",
     "DivdiffError", "DomainEvaluationError", "DuplicateKnotError", "EquispacedIdentityCheck",
-    "FuncSpec", "GridFunction", "KnotValueList",
-    "MinLipschitzResult", "NonzeroAtOrder", "NullspaceReport", "ParseError",
+    "FuncSpec", "GridFunction", "KnotValueList", "LimitTerm",
+    "MinLipschitzResult", "NullspaceReport", "ParseError",
     "PiecewiseLinearFunc", "PoleError", "Polynomial", "PolynomialFunc", "Rational",
-    "RationalFunc", "TelescopeCheck", "WalkthroughReport", "ZeroPolynomial", "__version__",
+    "RationalFunc", "TelescopeCheck", "WalkthroughReport", "__version__",
     "averaging_probe", "averaging_sweep", "binomial", "build_constraint_system",
     "check_equispaced_identity", "decimal_string", "degree_reduced",
     "divided_difference_direct", "divided_difference_recursive", "finite_difference",

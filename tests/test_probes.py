@@ -15,6 +15,7 @@ from divdiff import (
     AveragingProbeResult,
     FuncSpec,
     GridFunction,
+    LimitTerm,
     PiecewiseLinearFunc,
     PoleError,
     Polynomial,
@@ -220,12 +221,12 @@ def test_walkthrough_interpolant_terms_halve_with_n():
     w16 = proof_walkthrough(f, 2, Fraction(1, 64), 16, Fraction(1, 8))
     w32 = proof_walkthrough(f, 2, Fraction(1, 64), 32, Fraction(1, 8))
     assert w16.interp_limit_terms == (
-        (1, Fraction(1, 512)),
-        (2, Fraction(1, 1024)),
+        LimitTerm(1, Fraction(1, 512)),
+        LimitTerm(2, Fraction(1, 1024)),
     )
     assert w32.interp_limit_terms == (
-        (1, Fraction(1, 1024)),
-        (2, Fraction(1, 2048)),
+        LimitTerm(1, Fraction(1, 1024)),
+        LimitTerm(2, Fraction(1, 2048)),
     )
     assert w16.leading == 1
     assert w16.f_at_x == w16.q_at_x == Fraction(1, 64)

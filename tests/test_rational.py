@@ -32,6 +32,13 @@ def test_parse_rejects_malformed_tokens(bad):
     assert repr(bad) in str(excinfo.value) or bad in str(excinfo.value)
 
 
+@pytest.mark.parametrize("bad", ["\u0661/\u0662", "\uff11/\uff12", "\u0663", "1/\uff12"])
+def test_parse_takes_ascii_digits_only(bad):
+    # Arabic-Indic and fullwidth digits are digits to str.isdigit, not here
+    with pytest.raises(ParseError, match="not a rational literal"):
+        parse_rational(bad)
+
+
 def test_parse_tolerates_surrounding_whitespace():
     assert parse_rational(" 1 ") == Fraction(1)
     assert parse_rational("\t-2/6\n") == Fraction(-1, 3)

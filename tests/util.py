@@ -43,6 +43,7 @@ from divdiff import (
     BoundaryTerm,
     GridFunction,
     KnotValueList,
+    LimitTerm,
     PiecewiseLinearFunc,
     Polynomial,
     PolynomialFunc,
@@ -158,7 +159,7 @@ def reference_divided_difference(kv):
     """Sum of f(x_k) / W'(x_k), one Fraction product per factor."""
     xs = kv.knots
     total = Fraction(0)
-    for k, (xk, vk) in enumerate(kv.pairs):
+    for k, (xk, vk) in enumerate(zip(xs, kv.values)):
         w = Fraction(1)
         for i, xi in enumerate(xs):
             if i != k:
@@ -185,7 +186,7 @@ def reference_lagrange(values):
     with Polynomial additions and products."""
     n = len(values) - 1
     knots = [Fraction(k, max(n, 1)) for k in range(n + 1)]
-    kv = KnotValueList(tuple(zip(knots, values)))
+    kv = KnotValueList(knots, values)
     result = Polynomial.zero()
     basis = Polynomial.constant(1)
     for k, c in enumerate(reference_newton_coefficients(kv)):
@@ -299,7 +300,8 @@ def reference_walkthrough_sums(f, n, h, N, x):
         "residual": avg_defect_x - avg_defect_y - identity_rhs,
         "residual_envelope": sum((t.envelope for t in boundary), Fraction(0)),
         "interp_limit_terms": tuple(
-            (j, (-1) ** n * Fraction(nfact // j, N) * q.evaluate(x)) for j in range(1, n + 1)
+            LimitTerm(j, (-1) ** n * Fraction(nfact // j, N) * q.evaluate(x))
+            for j in range(1, n + 1)
         ),
     }
 
