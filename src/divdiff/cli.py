@@ -8,13 +8,15 @@ returns the results as they are: a result dataclass directly, or a dict
 only where no dataclass carries the report.  How a value is written is
 decided in divdiff.report alone.
 
-run does the shared work for every entry: it applies the checks the
-entry switches on (--extend-zero and a base point in [0, 1), an option's
-least value, the N cap of --max-N), parses --func, builds the Report
-with the required options as its inputs, and turns an infeasible result
-into exit 2 with a diagnostic.  main parses, renders and writes.
-Diagnostics go to stderr only.  Exit codes: 0 success, 1 usage or parse
-errors and a report or help that cannot be written, 2 domain errors
+run does the shared work for every entry: it reads each option's text
+with the one grammar of divdiff.rational (ASCII digits only; a malformed
+value is one line naming its flag), applies the checks the entry
+switches on (an option's least value, --extend-zero and a base point in
+[0, 1), the N cap of --max-N), parses --func, builds the Report with the
+required options as its inputs, and turns an infeasible result into
+exit 2 with a diagnostic.  main parses, renders and writes.  Diagnostics
+go to stderr only.  Exit codes: 0 success, 1 usage or parse errors and
+a report or help that cannot be written, 2 domain errors
 (duplicate knots, a rational-function pole, an infeasible optimization)
 and failed internal checks.
 """
@@ -25,7 +27,6 @@ import dataclasses
 import functools
 import re
 import sys
-from fractions import Fraction
 from typing import IO, Any, Callable, Optional
 
 from .cascade import CascadeResult, polynomial_cascade
@@ -42,7 +43,7 @@ from .extremal import min_lipschitz_unit_norm
 from .funcs import PolynomialFunc, parse_funcspec
 from .interpolation import lagrange_equispaced, leading_coefficient
 from .probes import averaging_sweep, proof_walkthrough, telescope_shift_identity
-from .rational import parse_rational
+from .rational import parse_integer, parse_rational, parse_rationals
 from .report import Report, render_csv, render_json
 
 DEFAULT_MAX_N = 12
@@ -97,25 +98,14 @@ def _write(text: str, out: Optional[str]) -> bool:
     return True
 
 
-def rational(text: str) -> Fraction:
-    return parse_rational(text)
-
-
-def _rational_list(text: str, what: str) -> tuple[Fraction, ...]:
-    items = [item.strip() for item in text.split(",")]
-    if not items or any(not item for item in items):
-        raise ParseError(f"{what} must be a comma-separated list of rationals")
-    return tuple(parse_rational(item) for item in items)
-
-
 @dataclasses.dataclass(frozen=True)
 class Arg:
     """One option of a subcommand; type bool declares an on/off flag.
 
     Required options are the report's inputs; exclusive ones form the
-    subcommand's required mutually exclusive group.  run checks least
-    when the option is given, and applies parse to the text and flag, so
-    that a malformed value is a one-line error, not a usage error.
+    subcommand's required mutually exclusive group.  argparse keeps the
+    text; when the option is given, run converts it with type and checks
+    least, so that a malformed value is a one-line error naming the flag.
     """
 
     flag: str
@@ -123,7 +113,6 @@ class Arg:
     help: Optional[str] = None
     required: bool = True
     least: Optional[int] = None
-    parse: Optional[Callable[[str, str], Any]] = None
     exclusive: bool = False
 
     @property
@@ -146,12 +135,11 @@ class Command:
 
 FUNC = Arg("--func", help="function spec: poly:a0,a1,..., ratfun:a0,...;b0,..., or pl:<path>")
 EXTEND_ZERO = Arg("--extend-zero", bool, "treat the function as 0 outside [0, 1]", required=False)
-X, H, J = Arg("--x", rational), Arg("--h", rational), Arg("--j", int)
-ORDER, NONNEGATIVE_ORDER = Arg("--n", int), Arg("--n", int, least=0)
-SHIFTS, LATTICE_N = Arg("--N", int), Arg("--N", int, least=1)
-MAX_N = Arg(
-    "--max-N", int, f"raise the N cap (default {DEFAULT_MAX_N})", required=False, least=1
-)
+X, H, J = Arg("--x", parse_rational), Arg("--h", parse_rational), Arg("--j", parse_integer)
+ORDER, NONNEGATIVE_ORDER = Arg("--n", parse_integer), Arg("--n", parse_integer, least=0)
+SHIFTS, LATTICE_N = Arg("--N", parse_integer), Arg("--N", parse_integer, least=1)
+MAX_N = Arg("--max-N", parse_integer, f"raise the N cap (default {DEFAULT_MAX_N})",
+            required=False, least=1)
 
 
 def _knot_differences(args: argparse.Namespace, f: Any) -> dict[str, Any]:
@@ -187,8 +175,8 @@ def _shift_averages(args: argparse.Namespace, f: Any) -> dict[str, Any]:
 COMMANDS = {
     "eval": Command(
         "divided difference at explicit knots",
-        (Arg("--knots", help="comma-separated rational knots", parse=_rational_list),
-         Arg("--values", help="comma-separated rational values", parse=_rational_list)),
+        (Arg("--knots", parse_rationals, "comma-separated rational knots"),
+         Arg("--values", parse_rationals, "comma-separated rational values")),
         _knot_differences),
     "uniform": Command(
         "divided difference at the equispaced knots k/n", (FUNC, EXTEND_ZERO, NONNEGATIVE_ORDER),
@@ -216,9 +204,10 @@ COMMANDS = {
     "probe": Command(
         "averaged forward differences of a zero-extended function",
         (FUNC, EXTEND_ZERO, X, H, ORDER,
-         Arg("--N", int, "single shift count", required=False, least=1, exclusive=True),
-         Arg("--Nmax", int, "sweep N = 1, 2, 4, ... up to this value", required=False, least=1,
-             exclusive=True)),
+         Arg("--N", parse_integer, "single shift count", required=False, least=1,
+             exclusive=True),
+         Arg("--Nmax", parse_integer, "sweep N = 1, 2, 4, ... up to this value",
+             required=False, least=1, exclusive=True)),
         _shift_averages, zero_extended=True),
     "telescope": Command(
         "exact reindexing identity for shifted sums", (FUNC, EXTEND_ZERO, X, H, ORDER, J, SHIFTS),
@@ -255,17 +244,29 @@ def build_parser() -> argparse.ArgumentParser:
             if arg.type is bool:
                 target.add_argument(arg.flag, action="store_true", help=arg.help)
             else:
-                target.add_argument(arg.flag, type=arg.type, required=arg.required, help=arg.help)
+                target.add_argument(arg.flag, required=arg.required, help=arg.help)
     return parser
 
 
 def run(args: argparse.Namespace) -> tuple[Report, int, Optional[str]]:
     """Run the parsed subcommand: its report, exit code and stderr diagnostic.
 
-    An option's parse replaces its text in args.  Bad input raises
-    ParseError; the library's own errors propagate.
+    Each given option's converted value replaces its text in args.  Bad
+    input raises ParseError; the library's own errors propagate.
     """
     command = COMMANDS[args.command]
+    for arg in command.options:
+        value = getattr(args, arg.dest)
+        if value is None or arg.type in (None, bool):
+            continue
+        try:
+            value = arg.type(value)
+        except ValueError as exc:  # ParseError, or int()'s digit limit
+            raise ParseError(f"{arg.flag}: {exc}") from None
+        if arg.least is not None and value < arg.least:
+            bound = "nonnegative" if arg.least == 0 else f"at least {arg.least}"
+            raise ParseError(f"{arg.flag} must be {bound}")
+        setattr(args, arg.dest, value)
     if command.zero_extended and not args.extend_zero:
         raise ParseError(f"{args.command} requires --extend-zero (f must vanish outside [0, 1])")
     f = None
@@ -273,13 +274,6 @@ def run(args: argparse.Namespace) -> tuple[Report, int, Optional[str]]:
         f = parse_funcspec(args.func, getattr(args, "extend_zero", False))
     if command.zero_extended and not 0 <= args.x < 1:
         raise ParseError("--x must lie in [0, 1)")
-    for arg in command.options:
-        value = getattr(args, arg.dest)
-        if arg.parse:
-            setattr(args, arg.dest, arg.parse(value, arg.flag))
-        elif arg.least is not None and value is not None and value < arg.least:
-            bound = "nonnegative" if arg.least == 0 else f"at least {arg.least}"
-            raise ParseError(f"{arg.flag} must be {bound}")
     if MAX_N in command.options:
         cap = args.max_N if args.max_N is not None else DEFAULT_MAX_N
         if args.N > cap:

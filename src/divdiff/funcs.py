@@ -18,14 +18,13 @@ with every scalar written as "p/q" or a bare integer.
 
 import abc
 import operator
-import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainEvaluationError, ParseError, PoleError
 from .poly import Polynomial, Scalar
-from .rational import parse_rational
+from .rational import parse_integer, parse_rational, parse_rationals
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -156,36 +155,22 @@ class PiecewiseLinearFunc(FuncSpec):
         return self.grid.evaluate(x)
 
 
-def _parse_coefficients(text: str, what: str) -> list[Fraction]:
-    if not text:
-        raise ParseError(f"empty coefficient list for {what}")
-    return [parse_rational(tok) for tok in text.split(",")]
-
-
 def parse_funcspec(text: str, extend_zero: bool = False) -> FuncSpec:
     """Parse the poly:/ratfun:/pl: text syntax into a FuncSpec."""
     if text.startswith("poly:"):
-        coeffs = _parse_coefficients(text[len("poly:"):], "poly")
+        coeffs = parse_rationals(text[len("poly:"):])
         return PolynomialFunc(Polynomial(coeffs), extended_by_zero=extend_zero)
     if text.startswith("ratfun:"):
         body = text[len("ratfun:"):]
         parts = body.split(";")
         if len(parts) != 2:
             raise ParseError("ratfun needs numerator and denominator separated by ';'")
-        num = Polynomial(_parse_coefficients(parts[0], "ratfun numerator"))
-        den = Polynomial(_parse_coefficients(parts[1], "ratfun denominator"))
+        num, den = (Polynomial(parse_rationals(part)) for part in parts)
         return RationalFunc(num, den, extended_by_zero=extend_zero)
     if text.startswith("pl:"):
         grid = load_grid_function(text[len("pl:"):])
         return PiecewiseLinearFunc(grid, extended_by_zero=extend_zero)
     raise ParseError(f"unknown function kind: {text!r}")
-
-
-def _grid_integer(text: str, error: str) -> int:
-    """An ASCII integer literal; int() alone also takes "1_0" and non-ASCII digits."""
-    if re.fullmatch(r"[+-]?[0-9]+", text.strip()) is None:
-        raise ParseError(error)
-    return int(text)
 
 
 def load_grid_function(path: str) -> GridFunction:
@@ -201,7 +186,10 @@ def load_grid_function(path: str) -> GridFunction:
     lines = [ln for ln in lines if ln]
     if not lines or not lines[0].startswith("L="):
         raise ParseError(f"grid file {path!r} must start with an L=<integer> header")
-    L = _grid_integer(lines[0][2:], f"bad grid header {lines[0]!r}")
+    try:
+        L = parse_integer(lines[0][2:])
+    except ParseError:
+        raise ParseError(f"bad grid header {lines[0]!r}") from None
     if L < 1:
         raise ParseError("grid denominator must be at least 1")
     entries: dict[int, Fraction] = {}
@@ -209,7 +197,10 @@ def load_grid_function(path: str) -> GridFunction:
         fields = ln.split(",")
         if len(fields) != 2:
             raise ParseError(f"bad grid line {ln!r}")
-        k = _grid_integer(fields[0], f"bad grid index in line {ln!r}")
+        try:
+            k = parse_integer(fields[0])
+        except ParseError:
+            raise ParseError(f"bad grid index in line {ln!r}") from None
         if not 0 <= k <= L:
             raise ParseError(f"grid index {k} outside 0..{L}")
         if k in entries:

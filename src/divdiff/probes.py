@@ -123,12 +123,12 @@ def averaging_probe(
     average = lattice.total(_average_weights(lattice, n, N)) / N
     residual = average - (-1) ** n * lattice.value(0)
 
-    # The check builds its own weights, from the survivor count of each j;
-    # the bound weighs each |stencil weight| by the same, uncapped count.
+    # The check builds its own weights from each j's survivor count, which is
+    # floor((1-x)/(j*h)) = lattice.hi // j; the bound weighs each |stencil weight| by it.
     boundary: dict[int, int] = {}
     weight = 0
     for j, w in enumerate(difference_stencil(n)[1:], 1):
-        survivors = max(0, math.floor((1 - x) / (j * h)))
+        survivors = lattice.hi // j
         weight += abs(w) * survivors
         for i in range(1, min(N, survivors) + 1):
             boundary[i * j] = boundary.get(i * j, 0) + w
@@ -143,9 +143,8 @@ def averaging_probe(
         m_bound = max(max(values), -min(values))
     bound = Fraction(weight) * m_bound / N
 
-    cutoff = math.floor((1 - x) / h)
     return AveragingProbeResult(
-        n=n, h=h, x=x, N=N, average=average, residual=residual, bound=bound, cutoff=cutoff
+        n=n, h=h, x=x, N=N, average=average, residual=residual, bound=bound, cutoff=lattice.hi
     )
 
 

@@ -2,8 +2,9 @@
 
 The scalar type everywhere in this package is fractions.Fraction, which
 already keeps values in lowest terms with a positive denominator and
-raises on division by zero.  Text form is "p/q" or a bare integer and
-nothing else; decimal strings are display-only output, never input.
+raises on division by zero.  Text form is "p/q" or a bare integer in
+ASCII digits, read by the parsers below wherever a number enters the
+package; decimal strings are display-only output, never input.
 """
 
 import re
@@ -16,13 +17,21 @@ Rational = Fraction
 
 DECIMAL_DIGITS = 15
 
-# ASCII: without it \d also matches other scripts' digits, such as "١" or "１".
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
+# [0-9]: \d and int() also take other scripts' digits ("١", "１"), int() "1_0" too.
+_INTEGER_RE = re.compile("[+-]?[0-9]+")
+_RATIONAL_RE = re.compile(f"({_INTEGER_RE.pattern})(?:/([0-9]+))?")
+
+
+def parse_integer(text: str) -> int:
+    """Parse an integer literal; anything else is a ParseError."""
+    if _INTEGER_RE.fullmatch(text.strip()) is None:
+        raise ParseError(f"not an integer literal: {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or an integer literal; anything else is a ParseError."""
-    m = _RATIONAL_RE.match(text.strip())
+    m = _RATIONAL_RE.fullmatch(text.strip())
     if m is None:
         raise ParseError(f"not a rational literal: {text!r}")
     numerator = int(m.group(1))
@@ -30,6 +39,11 @@ def parse_rational(text: str) -> Fraction:
     if denominator == 0:
         raise ParseError(f"zero denominator in rational literal: {text!r}")
     return Fraction(numerator, denominator)
+
+
+def parse_rationals(text: str) -> tuple[Fraction, ...]:
+    """Parse comma-separated rational literals; an empty item is malformed."""
+    return tuple(parse_rational(item) for item in text.split(","))
 
 
 def integer_text(value: int) -> str:
@@ -58,8 +72,8 @@ def format_rational(value: Fraction) -> str:
     return f"{integer_text(value.numerator)}/{integer_text(value.denominator)}"
 
 
-def decimal_string(value: Fraction, digits: int = DECIMAL_DIGITS) -> str:
-    """Display-only decimal rendering with the given significant digits."""
+def decimal_string(value: Fraction) -> str:
+    """Display-only decimal rendering with DECIMAL_DIGITS significant digits."""
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = DECIMAL_DIGITS
         return str(Decimal(value.numerator) / Decimal(value.denominator))

@@ -540,6 +540,56 @@ def test_bad_rational_value_names_the_flag_style_error(capsys):
     assert out == ""
 
 
+INTEGER_OPTIONS = {
+    "--n": ["uniform", "--func", "poly:1", "--n"],
+    "--N": ["nullspace", "--N"],
+    "--j": ["telescope", "--func", "poly:0,1", "--extend-zero", "--x", "0", "--h", "1/4",
+            "--n", "2", "--N", "3", "--j"],
+    "--Nmax": ["probe", "--func", "poly:1", "--extend-zero", "--x", "0", "--h", "1/4",
+               "--n", "1", "--Nmax"],
+    "--max-N": ["nullspace", "--N", "2", "--max-N"],
+}
+
+
+@pytest.mark.parametrize("bad", ["1_0", "\u0663", "\uff11", "4.0", "0x4", "+"])
+@pytest.mark.parametrize("flag", list(INTEGER_OPTIONS))
+def test_integer_options_take_ascii_digits_only(capsys, flag, bad):
+    # int() takes "1_0", Arabic-Indic and fullwidth digits; the CLI does not
+    code, out, err = run(capsys, *INTEGER_OPTIONS[flag], bad)
+    assert (code, out) == (1, "")
+    assert err == f"divdiff: error: {flag}: not an integer literal: {bad!r}\n"
+
+
+@pytest.mark.parametrize("flag", list(INTEGER_OPTIONS))
+def test_integer_options_still_take_a_signed_literal(capsys, flag):
+    code, out, err = run(capsys, *INTEGER_OPTIONS[flag], "+2")
+    assert code == 0, err
+
+
+def test_an_integer_past_the_str_digit_limit_names_the_flag(capsys):
+    # int() refuses it with a plain ValueError, not a ParseError
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "nullspace", "--N", "1" * 4301)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (1, "")
+    assert err.startswith("divdiff: error: --N: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, flag, bad", [
+    (["fd", "--func", "poly:1", "--h", "1/2", "--n", "1", "--x"], "--x", "nope"),
+    (["eval", "--values", "1,2,3", "--knots"], "--knots", "0,,1"),
+])
+def test_malformed_rational_values_name_the_flag(capsys, argv, flag, bad):
+    code, out, err = run(capsys, *argv, bad)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"divdiff: error: {flag}: not a rational literal: ")
+    assert err.count("\n") == 1
+
+
 def test_mismatched_eval_lists(capsys):
     code, out, err = run(capsys, "eval", "--knots", "0,1", "--values", "1")
     assert code == 1
@@ -659,11 +709,11 @@ FUNC = (("--func",), "func", None, None, True, None, None,
         "function spec: poly:a0,a1,..., ratfun:a0,...;b0,..., or pl:<path>")
 EXTEND_ZERO = (("--extend-zero",), "extend_zero", None, 0, False, False, None,
                "treat the function as 0 outside [0, 1]")
-X = (("--x",), "x", "rational", None, True, None, None, None)
-H = (("--h",), "h", "rational", None, True, None, None, None)
-N_ORDER = (("--n",), "n", "int", None, True, None, None, None)
-N_COUNT = (("--N",), "N", "int", None, True, None, None, None)
-MAX_N = (("--max-N",), "max_N", "int", None, False, None, None,
+X = (("--x",), "x", None, None, True, None, None, None)
+H = (("--h",), "h", None, None, True, None, None, None)
+N_ORDER = (("--n",), "n", None, None, True, None, None, None)
+N_COUNT = (("--N",), "N", None, None, True, None, None, None)
+MAX_N = (("--max-N",), "max_N", None, None, False, None, None,
          "raise the N cap (default 12)")
 DECLARATIONS = [
     ("eval", "divided difference at explicit knots", [
@@ -692,13 +742,13 @@ DECLARATIONS = [
      [HELP, FORMAT, OUT, N_COUNT, MAX_N], []),
     ("probe", "averaged forward differences of a zero-extended function", [
         HELP, FORMAT, OUT, FUNC, EXTEND_ZERO, X, H, N_ORDER,
-        (("--N",), "N", "int", None, False, None, None, "single shift count"),
-        (("--Nmax",), "Nmax", "int", None, False, None, None,
+        (("--N",), "N", None, None, False, None, None, "single shift count"),
+        (("--Nmax",), "Nmax", None, None, False, None, None,
          "sweep N = 1, 2, 4, ... up to this value"),
     ], [(True, [("--N",), ("--Nmax",)])]),
     ("telescope", "exact reindexing identity for shifted sums", [
         HELP, FORMAT, OUT, FUNC, EXTEND_ZERO, X, H, N_ORDER,
-        (("--j",), "j", "int", None, True, None, None, None),
+        (("--j",), "j", None, None, True, None, None, None),
         N_COUNT,
     ], []),
     ("walkthrough", "full exact trace of the averaged-defect identity",

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from divdiff import ParseError, decimal_string, format_rational, parse_rational
+from divdiff.rational import parse_integer, parse_rationals
 
 
 def test_parse_integers():
@@ -42,6 +43,33 @@ def test_parse_takes_ascii_digits_only(bad):
 def test_parse_tolerates_surrounding_whitespace():
     assert parse_rational(" 1 ") == Fraction(1)
     assert parse_rational("\t-2/6\n") == Fraction(-1, 3)
+
+
+def test_parse_integer():
+    assert parse_integer("7") == 7
+    assert parse_integer("-3") == -3
+    assert parse_integer("+2") == 2
+    assert parse_integer(" 12\n") == 12
+    assert type(parse_integer("5")) is int
+
+
+@pytest.mark.parametrize(
+    "bad", ["", "+", "-", "1_0", "\u0663", "\uff11", "4.0", "0x4", "1/2", "1e3", "1 2"]
+)
+def test_parse_integer_takes_ascii_digits_only(bad):
+    with pytest.raises(ParseError, match="not an integer literal"):
+        parse_integer(bad)
+
+
+def test_parse_rationals():
+    assert parse_rationals("0") == (Fraction(0),)
+    assert parse_rationals("1, -2/4 ,+3") == (Fraction(1), Fraction(-1, 2), Fraction(3))
+
+
+@pytest.mark.parametrize("bad", ["", ",", "0,,1", "1,", ",1", "1;2", "1,\uff12", "1,x"])
+def test_parse_rationals_refuses_empty_and_malformed_items(bad):
+    with pytest.raises(ParseError, match="not a rational literal"):
+        parse_rationals(bad)
 
 
 def test_format_uses_lowest_terms():
