@@ -12,7 +12,7 @@ run does the shared work for every entry: it reads each option's text
 with the one grammar of divdiff.rational (ASCII digits only; a malformed
 value is one line naming its flag), applies the checks the entry
 switches on (an option's least value, --extend-zero and a base point in
-[0, 1), the N cap of --max-N), parses --func, builds the Report with the
+[0, 1], the N cap of --max-N), parses --func, builds the Report with the
 required options as its inputs, and turns an infeasible result into
 exit 2 with a diagnostic.  main parses, renders and writes.  Diagnostics
 go to stderr only.  Exit codes: 0 success, 1 usage or parse errors and
@@ -130,7 +130,7 @@ class Command:
     help: str
     options: tuple[Arg, ...]
     handler: Callable[[argparse.Namespace, Any], Any]
-    zero_extended: bool = False  # needs --extend-zero and --x in [0, 1)
+    zero_extended: bool = False  # needs --extend-zero and --x in [0, 1]
 
 
 FUNC = Arg("--func", help="function spec: poly:a0,a1,..., ratfun:a0,...;b0,..., or pl:<path>")
@@ -271,9 +271,12 @@ def run(args: argparse.Namespace) -> tuple[Report, int, Optional[str]]:
         raise ParseError(f"{args.command} requires --extend-zero (f must vanish outside [0, 1])")
     f = None
     if getattr(args, "func", None) is not None:
-        f = parse_funcspec(args.func, getattr(args, "extend_zero", False))
-    if command.zero_extended and not 0 <= args.x < 1:
-        raise ParseError("--x must lie in [0, 1)")
+        try:
+            f = parse_funcspec(args.func, getattr(args, "extend_zero", False))
+        except ValueError as exc:
+            raise ParseError(f"--func: {exc}") from None
+    if command.zero_extended and not 0 <= args.x <= 1:
+        raise ParseError("--x must lie in [0, 1]")
     if MAX_N in command.options:
         cap = args.max_N if args.max_N is not None else DEFAULT_MAX_N
         if args.N > cap:

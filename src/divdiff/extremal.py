@@ -104,50 +104,29 @@ def _program(
 ) -> tuple[list, list, list, list, list]:
     """The program over cols as (objective, a_ub, b_ub, a_eq, b_eq).
 
-    The unknowns are u_k = f(k/L) + 1 for k in cols, then t.  With pin,
-    u_pin = 2.  The a_ub rows are the two slope rows of each gap
-    cols[i]..cols[i + 1], at 2i and 2i + 1, then the box rows u_k <= 2.
-    Entries are ints, except the slope weights L / gap, which are
-    Fractions.
+    The unknowns are u_k = f(k/L) + 1 for k in cols, at the index of k
+    in cols, then t.  Each row maps an unknown's index to its nonzero
+    coefficient.  The a_eq rows are the constraint rows, then with pin
+    the row u_pin = 2.  The a_ub rows are the two slope rows
+    +-w (u_{i+1} - u_i) <= t of each gap cols[i]..cols[i + 1], with the
+    Fraction w = L / gap, at 2i and 2i + 1, then the box rows u_k <= 2.
     """
     index = {k: i for i, k in enumerate(cols)}
-    nv = len(cols) + 1  # grid unknowns plus the slope bound t
-    t = len(cols)
+    t = len(cols)  # the index of the slope bound
 
-    a_eq: list[list] = []
-    b_eq: list = []
-    for row in system.rows:
-        coeffs = [0] * nv
-        for col, coeff in row.items():
-            coeffs[index[col]] = coeff
-        a_eq.append(coeffs)
-        b_eq.append(sum(row.values()))
+    a_eq = [{index[col]: coeff for col, coeff in row.items()} for row in system.rows]
+    b_eq = [sum(row.values()) for row in system.rows]
     if pin is not None:
-        pin_row = [0] * nv
-        pin_row[index[pin]] = 1
-        a_eq.append(pin_row)
+        a_eq.append({index[pin]: 1})
         b_eq.append(2)
 
-    a_ub: list[list] = []
-    b_ub: list = []
-    for i in range(len(cols) - 1):
-        weight = Fraction(system.L, cols[i + 1] - cols[i])
-        for sign in (1, -1):
-            coeffs = [0] * nv
-            coeffs[i + 1] = sign * weight
-            coeffs[i] = -sign * weight
-            coeffs[t] = -1
-            a_ub.append(coeffs)
-            b_ub.append(0)
-    for i in range(len(cols)):
-        coeffs = [0] * nv
-        coeffs[i] = 1
-        a_ub.append(coeffs)
-        b_ub.append(2)
-
-    objective = [0] * nv
-    objective[t] = 1
-    return objective, a_ub, b_ub, a_eq, b_eq
+    a_ub = []
+    for i in range(t - 1):
+        w = Fraction(system.L, cols[i + 1] - cols[i])
+        a_ub += [{i: -s * w, i + 1: s * w, t: -1} for s in (1, -1)]
+    b_ub = [0] * len(a_ub) + [2] * t
+    a_ub += [{i: 1} for i in range(t)]
+    return [0] * t + [1], a_ub, b_ub, a_eq, b_eq
 
 
 def _solve_pinned(
@@ -180,13 +159,7 @@ class _GapPrograms:
         self.objective, a_ub, b_ub, self.a_eq, self.b_eq = _program(system, cols)
         self.weights = [Fraction(system.L, b - a) for a, b in zip(cols, cols[1 : gaps + 1])]
         t = len(cols)
-        merged = []
-        for i, weight in enumerate(self.weights):
-            coeffs = [0] * (t + 1)
-            coeffs[i] = coeffs[i + 1] = -weight
-            coeffs[t] = -1
-            merged.append(coeffs)
-        self.a_ub = merged + a_ub
+        self.a_ub = [{i: -w, i + 1: -w, t: -1} for i, w in enumerate(self.weights)] + a_ub
         self.b_off = [0] * gaps + b_ub
         self.tableau = _Tableau(self.objective, self.a_ub, self.a_eq)
 

@@ -4,7 +4,9 @@ Solves   minimize c.x   subject to   A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
 
 by the two-phase tableau simplex method with Bland's anti-cycling rule,
 and solves the same program again for new right-hand sides by the dual
-simplex method, starting from the last optimal basis.
+simplex method, starting from the last optimal basis.  The cost vector c
+is dense; each row of A_ub and A_eq maps a variable's index to its
+nonzero coefficient, an int or a Fraction.
 
 The tableau is integer-preserving and sparse: each row (and the cost
 row) is a positive multiple of the true rational row, kept as a dict of
@@ -52,7 +54,7 @@ next right-hand side.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -62,6 +64,7 @@ _RHS = -1  # the key of a row's right-hand side
 _SCALE = -2  # the key of the cost row's positive scale
 
 Row = dict[int, int]
+InputRow = Mapping[int, int | Fraction]
 
 
 @dataclass(frozen=True)
@@ -82,10 +85,10 @@ def _reduced(row: Row) -> Row:
     return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
-def _scaled(values: Sequence) -> tuple[list[int], int]:
-    """``values`` (ints and Fractions) times the lcm of their denominators, and that lcm."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+def _scaled(row: InputRow) -> tuple[Row, int]:
+    """The nonzero entries of ``row`` times the lcm of its denominators, and that lcm."""
+    scale = math.lcm(*(v.denominator for v in row.values()))
+    return {j: v.numerator * (scale // v.denominator) for j, v in row.items() if v}, scale
 
 
 def _eliminate(row: Row, f: int, p: int, prow: Row) -> Row:
@@ -131,8 +134,8 @@ class _Tableau:
     def __init__(
         self,
         c: Sequence[Fraction],
-        a_ub: Sequence[Sequence[Fraction]] = (),
-        a_eq: Sequence[Sequence[Fraction]] = (),
+        a_ub: Sequence[InputRow] = (),
+        a_eq: Sequence[InputRow] = (),
     ) -> None:
         self.c = c
         self.a_ub = a_ub
@@ -269,11 +272,9 @@ class _Tableau:
         basis: list[int] = []
         units: list[tuple[int, int]] = []
         for i, (a, b) in enumerate(inputs):
-            scaled, s = _scaled([*a, b])
-            sign = -1 if scaled[-1] < 0 else 1
-            row = {j: sign * v for j, v in enumerate(scaled) if v}
-            if scaled[-1]:
-                row[_RHS] = row.pop(n)
+            scaled, s = _scaled({**a, _RHS: b})
+            sign = -1 if scaled.get(_RHS, 0) < 0 else 1
+            row = {j: sign * v for j, v in scaled.items()}
             if i < m_ub:
                 row[n + i] = sign * s
                 units.append((n + i, 1))
@@ -312,8 +313,8 @@ class _Tableau:
         else:
             dropped = False
 
-        scaled_c, s = _scaled(c)
-        self.cost = _reduced({**{j: v for j, v in enumerate(scaled_c) if v}, _SCALE: s})
+        scaled_c, s = _scaled(dict(enumerate(c)))
+        self.cost = _reduced({**scaled_c, _SCALE: s})
         self.limit = art_start
         self._price_out()
         if self._primal() == UNBOUNDED:
@@ -343,23 +344,24 @@ class _Tableau:
 
 def solve_lp(
     c: Sequence[Fraction],
-    a_ub: Sequence[Sequence[Fraction]] = (),
+    a_ub: Sequence[InputRow] = (),
     b_ub: Sequence[Fraction] = (),
-    a_eq: Sequence[Sequence[Fraction]] = (),
+    a_eq: Sequence[InputRow] = (),
     b_eq: Sequence[Fraction] = (),
 ) -> LpResult:
     """Minimize c.x over x >= 0 with the given inequality and equality rows.
 
-    Pivots follow Bland's rule, so the vertex returned is a function of
-    the program alone.
+    c is dense; each row maps a variable's index to its nonzero
+    coefficient.  Pivots follow Bland's rule, so the vertex returned is
+    a function of the program alone.
     """
     return _Tableau(c, a_ub, a_eq).solve(b_ub, b_eq)
 
 
-def _dot(row: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
-    """row . x over the nonzero products, in integers, as one Fraction."""
+def _dot(pairs: Iterable[tuple[int | Fraction, Fraction]]) -> Fraction:
+    """sum(a * v for a, v in pairs) over the nonzero products, in integers, as one Fraction."""
     num, den = 0, 1
-    for a, v in zip(row, x):
+    for a, v in pairs:
         if a and v:
             d = a.denominator * v.denominator
             num = num * d + a.numerator * v.numerator * den
@@ -370,9 +372,9 @@ def _dot(row: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
 def certify(
     result: LpResult,
     c: Sequence[Fraction],
-    a_ub: Sequence[Sequence[Fraction]] = (),
+    a_ub: Sequence[InputRow] = (),
     b_ub: Sequence[Fraction] = (),
-    a_eq: Sequence[Sequence[Fraction]] = (),
+    a_eq: Sequence[InputRow] = (),
     b_eq: Sequence[Fraction] = (),
 ) -> None:
     """Check result's certificate against the program; raise ArithmeticError if it fails.
@@ -381,8 +383,9 @@ def certify(
     the a_ub rows, A^T y <= c) and b.y == c.x == value: weak duality
     then makes value the exact optimum.  An INFEASIBLE result needs its
     ray y <= 0 on the a_ub rows with A^T y <= 0 and b.y > 0, which no
-    x >= 0 can satisfy.  Each sum of products runs in integers over the
-    nonzero terms, so the check costs one pass over the program.
+    x >= 0 can satisfy.  The rows are mappings of their nonzero entries,
+    as ``solve_lp`` takes them, and each sum of products runs in integers
+    over those entries, so the check costs one pass over the program.
     """
     rows = [*a_ub, *a_eq]
     y = result.dual
@@ -390,11 +393,14 @@ def certify(
         raise ArithmeticError(f"LP result ({result.status}) carries no certificate")
     if any(v > 0 for v in y[: len(a_ub)]):
         raise ArithmeticError("LP multiplier of an inequality row is positive")
-    # A^T y, over the rows whose multiplier is not 0.
-    used = [(row, v) for row, v in zip(rows, y) if v]
-    weights = [v for _, v in used]
-    ty = [_dot(column, weights) for column in zip(*(row for row, _ in used))] or [0] * len(c)
-    by = _dot(y, [*b_ub, *b_eq])
+    # A^T y, column by column, over the rows whose multiplier is not 0.
+    columns: list[list] = [[] for _ in c]
+    for row, v in zip(rows, y):
+        if v:
+            for j, a in row.items():
+                columns[j].append((a, v))
+    ty = [_dot(column) for column in columns]
+    by = _dot(zip(y, [*b_ub, *b_eq]))
     if result.status == INFEASIBLE:
         if by <= 0 or any(v > 0 for v in ty):
             raise ArithmeticError("LP Farkas ray does not prove infeasibility")
@@ -404,11 +410,11 @@ def certify(
         x is None
         or len(x) != len(c)
         or any(v < 0 for v in x)
-        or any(_dot(row, x) > b for row, b in zip(a_ub, b_ub))
-        or any(_dot(row, x) != b for row, b in zip(a_eq, b_eq))
+        or any(_dot((a, x[j]) for j, a in row.items()) > b for row, b in zip(a_ub, b_ub))
+        or any(_dot((a, x[j]) for j, a in row.items()) != b for row, b in zip(a_eq, b_eq))
     ):
         raise ArithmeticError("LP solution is not feasible")
     if any(v > cj for v, cj in zip(ty, c)):
         raise ArithmeticError("LP dual is not feasible")
-    if not _dot(c, x) == by == result.value:
+    if not _dot(zip(c, x)) == by == result.value:
         raise ArithmeticError("LP duality gap is not zero")

@@ -495,8 +495,48 @@ def test_grid_file_not_utf8_is_one_line_exit_one(capsys, tmp_path):
     code, out, err = run(capsys, "uniform", "--func", f"pl:{grid}", "--n", "2")
     assert code == 1
     assert out == ""
-    assert err.startswith(f"divdiff: error: cannot read grid file {str(grid)!r}: ")
+    assert err.startswith(f"divdiff: error: --func: cannot read grid file {str(grid)!r}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "spec, reason",
+    [
+        ("poly:1,x", "not a rational literal: 'x'"),
+        ("ratfun:1", "ratfun needs numerator and denominator separated by ';'"),
+        ("pl:{missing}", "cannot read grid file {missing!r}: "
+                         "[Errno 2] No such file or directory: {missing!r}"),
+    ],
+    ids=["poly", "ratfun", "pl"],
+)
+def test_malformed_func_names_its_flag(capsys, tmp_path, spec, reason):
+    missing = str(tmp_path / "missing.csv")
+    code, out, err = run(capsys, "uniform", "--func", spec.format(missing=missing), "--n", "2")
+    assert (code, out) == (1, "")
+    assert err == f"divdiff: error: --func: {reason.format(missing=missing)}\n"
+
+
+def zero_extended_argv(command, x):
+    """probe or walkthrough of a zero-extended quadratic at the base point x."""
+    return [command, "--func", "poly:1,2,3", "--extend-zero", "--x", x, "--h", "1/8",
+            "--n", "3", "--N", "5"]
+
+
+def test_probe_at_x_one_has_zero_residual_and_bound(capsys):
+    # Every shift of x = 1 leaves [0, 1], where f is 0.
+    [row] = run_json(capsys, *zero_extended_argv("probe", "1"))["results"]["rows"]
+    assert (row["residual"], row["bound"]) == ("0", "0")
+
+
+def test_walkthrough_at_x_one_keeps_its_identity(capsys):
+    results = run_json(capsys, *zero_extended_argv("walkthrough", "1"))["results"]
+    assert results["identity_equal"] is True
+
+
+@pytest.mark.parametrize("command", ["probe", "walkthrough"])
+def test_x_beyond_one_is_refused(capsys, command):
+    expected = (1, "", "divdiff: error: --x must lie in [0, 1]\n")
+    assert run(capsys, *zero_extended_argv(command, "9/8")) == expected
 
 
 def test_usage_errors_exit_one(capsys):

@@ -46,29 +46,18 @@ def full_grid_minimum(N):
     nvars = L + 2  # u_0..u_L and the slope bound t
     t = L + 1
 
-    eq_rows = []
-    eq_rhs = []
-    for row in system.rows:
-        dense = [Fraction(0)] * nvars
-        for col, coeff in row.items():
-            dense[col] = Fraction(coeff)
-        eq_rows.append(dense)
-        eq_rhs.append(Fraction(sum(row.values())))
+    # u_k is the unknown at index k, so a constraint row is an LP row as it is.
+    eq_rows = list(system.rows)
+    eq_rhs = [Fraction(sum(row.values())) for row in system.rows]
 
     ub_rows = []
     ub_rhs = []
     for k in range(L):
         for sign in (1, -1):
-            dense = [Fraction(0)] * nvars
-            dense[k] = Fraction(-sign * L)
-            dense[k + 1] = Fraction(sign * L)
-            dense[t] = Fraction(-1)
-            ub_rows.append(dense)
+            ub_rows.append({k: Fraction(-sign * L), k + 1: Fraction(sign * L), t: Fraction(-1)})
             ub_rhs.append(Fraction(0))
     for k in range(L + 1):
-        dense = [Fraction(0)] * nvars
-        dense[k] = Fraction(1)
-        ub_rows.append(dense)
+        ub_rows.append({k: Fraction(1)})
         ub_rhs.append(Fraction(2))
 
     objective = [Fraction(0)] * nvars
@@ -79,13 +68,11 @@ def full_grid_minimum(N):
     for pin in range(L + 1):
         if pin in forced:
             continue
-        pin_row = [Fraction(0)] * nvars
-        pin_row[pin] = Fraction(1)
         res = solve_lp(
             objective,
             a_ub=ub_rows,
             b_ub=ub_rhs,
-            a_eq=eq_rows + [pin_row],
+            a_eq=eq_rows + [{pin: Fraction(1)}],
             b_eq=eq_rhs + [Fraction(2)],
         )
         if res.status == INFEASIBLE:

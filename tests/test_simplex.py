@@ -1,5 +1,8 @@
 """Exact simplex solver, checked against brute-force vertex enumeration.
 
+The solver takes each row as a mapping of its nonzero entries; the
+oracle works on the same rows written out dense, as lists.
+
 Oracle idea: over a pointed feasible region (the tests always include the
 sign constraints x >= 0 and box rows x_i <= 3, so the region is a
 polytope), an optimal point exists at a vertex, and every vertex is the
@@ -18,7 +21,7 @@ import pytest
 
 from divdiff.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, _Tableau, certify, solve_lp
 
-from util import solve_square
+from util import solve_square, sparse_rows
 
 
 def F(x):
@@ -27,7 +30,7 @@ def F(x):
 
 def test_one_variable_lower_bound():
     # minimize x subject to x >= 3
-    res = solve_lp([F(1)], a_ub=[[F(-1)]], b_ub=[F(-3)])
+    res = solve_lp([F(1)], a_ub=[{0: F(-1)}], b_ub=[F(-3)])
     assert res.status == OPTIMAL
     assert res.value == 3
     assert res.x == (3,)
@@ -39,27 +42,27 @@ def test_unbounded_direction_detected():
 
 
 def test_infeasible_sign_conflict():
-    res = solve_lp([F(1)], a_ub=[[F(1)]], b_ub=[F(-1)])
+    res = solve_lp([F(1)], a_ub=[{0: F(1)}], b_ub=[F(-1)])
     assert res.status == INFEASIBLE
 
 
 def test_equality_row():
     # minimize x with x + y = 1
-    res = solve_lp([F(1), F(0)], a_eq=[[F(1), F(1)]], b_eq=[F(1)])
+    res = solve_lp([F(1), F(0)], a_eq=[{0: F(1), 1: F(1)}], b_eq=[F(1)])
     assert res.status == OPTIMAL
     assert res.value == 0
     assert res.x == (0, 1)
 
 
 def test_redundant_equalities_are_tolerated():
-    rows = [[F(1), F(1)], [F(2), F(2)]]
+    rows = [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}]
     res = solve_lp([F(1), F(1)], a_eq=rows, b_eq=[F(1), F(2)])
     assert res.status == OPTIMAL
     assert res.value == 1
 
 
 def test_contradictory_equalities_are_infeasible():
-    rows = [[F(1), F(1)], [F(2), F(2)]]
+    rows = [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}]
     res = solve_lp([F(1), F(1)], a_eq=rows, b_eq=[F(1), F(3)])
     assert res.status == INFEASIBLE
 
@@ -68,7 +71,7 @@ def test_fractional_optimum_is_exact():
     # minimize -x - y subject to 2x + y <= 1, x + 3y <= 2
     res = solve_lp(
         [F(-1), F(-1)],
-        a_ub=[[F(2), F(1)], [F(1), F(3)]],
+        a_ub=[{0: F(2), 1: F(1)}, {0: F(1), 1: F(3)}],
         b_ub=[F(1), F(2)],
     )
     assert res.status == OPTIMAL
@@ -78,7 +81,7 @@ def test_fractional_optimum_is_exact():
 
 def test_an_optimum_carries_its_dual():
     # The dual of test_fractional_optimum: both rows are tight.
-    program = ([F(-1), F(-1)], [[F(2), F(1)], [F(1), F(3)]], [F(1), F(2)])
+    program = ([F(-1), F(-1)], [{0: F(2), 1: F(1)}, {0: F(1), 1: F(3)}], [F(1), F(2)])
     res = solve_lp(*program)
     assert res.dual == (Fraction(-2, 5), Fraction(-1, 5))
     certify(res, *program)
@@ -87,7 +90,7 @@ def test_an_optimum_carries_its_dual():
 
 
 def test_an_infeasible_program_carries_a_farkas_ray():
-    program = ([F(1), F(1)], [], [], [[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)])
+    program = ([F(1), F(1)], [], [], [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}], [F(1), F(3)])
     res = solve_lp(*program)
     assert res.status == INFEASIBLE
     certify(res, *program)
@@ -99,7 +102,7 @@ def test_an_rhs_change_to_an_infeasible_program_carries_a_farkas_ray():
     # minimize x + y with x + y >= 1 and the box x, y <= 3; then x + y >= 7,
     # which the box rules out; then x + y >= 2 again.
     c = [F(1), F(1)]
-    a_ub = [[F(-1), F(-1)], [F(1), F(0)], [F(0), F(1)]]
+    a_ub = [{0: F(-1), 1: F(-1)}, {0: F(1)}, {1: F(1)}]
     tableau = _Tableau(c, a_ub)
     assert tableau.solve([F(-1), F(3), F(3)]).value == 1
     assert tableau.warm
@@ -118,7 +121,7 @@ def test_a_dropped_redundant_row_makes_the_next_solve_cold():
     # Phase 1 drops the second row, twice the first; a warm start would
     # then miss that the new rhs makes the two rows contradict.
     c = [F(1), F(1)]
-    a_eq = [[F(1), F(1)], [F(2), F(2)]]
+    a_eq = [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}]
     tableau = _Tableau(c, (), a_eq)
     assert tableau.solve((), [F(1), F(2)]).value == 1
     assert not tableau.warm
@@ -139,14 +142,15 @@ def test_warm_resolves_match_vertex_enumeration():
         a_ub = [[draw(-3, 3) for _ in range(nvars)] for _ in range(rng.randint(1, 3))]
         a_ub += [[F(int(i == j)) for j in range(nvars)] for i in range(nvars)]
         a_eq = [[draw(-2, 2) for _ in range(nvars)]] if rng.random() < 0.4 else []
-        tableau = _Tableau(c, a_ub, a_eq)
+        rows_ub, rows_eq = sparse_rows(a_ub), sparse_rows(a_eq)
+        tableau = _Tableau(c, rows_ub, rows_eq)
         seen = set()
         for _ in range(4):
             b_ub = [draw(-2, 4) for _ in range(len(a_ub) - nvars)] + [F(3)] * nvars
             b_eq = [draw(-2, 2) for _ in a_eq]  # a negative one negates its row
             warm += tableau.warm
             res = tableau.solve(b_ub, b_eq)
-            certify(res, c, a_ub, b_ub, a_eq, b_eq)
+            certify(res, c, rows_ub, b_ub, rows_eq, b_eq)
             assert res.value == enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, nvars)
             seen.add(res.status)
         statuses += len(seen) == 2
@@ -204,16 +208,18 @@ def rational_draw(rng):
 def assert_matches_enumeration(c, a_ub, b_ub, a_eq, b_eq):
     """Check solve_lp against the vertex oracle; return the oracle's optimum.
 
-    The result's dual or Farkas ray must pass ``certify`` as well, and
-    so must a re-solve of the program from the basis of the program with
+    The rows are dense lists, handed to the solver as mappings.  The
+    result's dual or Farkas ray must pass ``certify`` as well, and so
+    must a re-solve of the program from the basis of the program with
     every rhs one larger, which must reach the same status and value.
     """
-    res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-    certify(res, c, a_ub, b_ub, a_eq, b_eq)
-    tableau = _Tableau(c, a_ub, a_eq)
+    rows_ub, rows_eq = sparse_rows(a_ub), sparse_rows(a_eq)
+    res = solve_lp(c, a_ub=rows_ub, b_ub=b_ub, a_eq=rows_eq, b_eq=b_eq)
+    certify(res, c, rows_ub, b_ub, rows_eq, b_eq)
+    tableau = _Tableau(c, rows_ub, rows_eq)
     tableau.solve([b + 1 for b in b_ub], [b + 1 for b in b_eq])
     warm = tableau.solve(b_ub, b_eq)
-    certify(warm, c, a_ub, b_ub, a_eq, b_eq)
+    certify(warm, c, rows_ub, b_ub, rows_eq, b_eq)
     assert (warm.status, warm.value) == (res.status, res.value)
     expected = enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, len(c))
     if expected is None:

@@ -30,6 +30,8 @@ spoils every result the dual simplex re-solve hands back.
 ``reference_gap_program`` is the relaxed program of one gap alone, with
 the gap's two slope rows replaced by their merged row, kept as the
 oracle for the one relaxed program that serves every gap.
+``sparse_rows`` writes dense LP rows as the mappings of their nonzero
+entries that ``simplex`` takes.
 """
 
 import csv
@@ -442,12 +444,15 @@ def reference_gap_program(system, cols, i):
     """
     objective, a_ub, b_ub, a_eq, b_eq = _program(system, cols)
     weight = Fraction(system.L, cols[i + 1] - cols[i])
-    merged = [0] * len(objective)
-    merged[i] = merged[i + 1] = -weight
-    merged[-1] = -1
+    merged = {i: -weight, i + 1: -weight, len(cols): -1}
     a_ub[2 * i : 2 * i + 2] = [merged]
     b_ub[2 * i : 2 * i + 2] = [-4 * weight]
     return objective, a_ub, b_ub, a_eq, b_eq
+
+
+def sparse_rows(rows):
+    """Each dense row as the mapping of its nonzero entries, by index."""
+    return [{j: a for j, a in enumerate(row) if a} for row in rows]
 
 
 def reference_forced_zeros(vectors, ncols):
