@@ -120,13 +120,18 @@ def _program(
         a_eq.append({index[pin]: 1})
         b_eq.append(2)
 
-    a_ub = []
+    a_ub: list[dict] = []
+    b_ub: list = []
     for i in range(t - 1):
         w = Fraction(system.L, cols[i + 1] - cols[i])
         a_ub += [{i: -s * w, i + 1: s * w, t: -1} for s in (1, -1)]
-    b_ub = [0] * len(a_ub) + [2] * t
+        b_ub += [0, 0]
     a_ub += [{i: 1} for i in range(t)]
-    return [0] * t + [1], a_ub, b_ub, a_eq, b_eq
+    b_ub += [2] * t
+
+    objective = [0] * (t + 1)
+    objective[t] = 1
+    return objective, a_ub, b_ub, a_eq, b_eq
 
 
 def _solve_pinned(

@@ -385,7 +385,7 @@ def certify(
     ray y <= 0 on the a_ub rows with A^T y <= 0 and b.y > 0, which no
     x >= 0 can satisfy.  The rows are mappings of their nonzero entries,
     as ``solve_lp`` takes them, and each sum of products runs in integers
-    over those entries, so the check costs one pass over the program.
+    over its nonzero terms.
     """
     rows = [*a_ub, *a_eq]
     y = result.dual
@@ -394,12 +394,8 @@ def certify(
     if any(v > 0 for v in y[: len(a_ub)]):
         raise ArithmeticError("LP multiplier of an inequality row is positive")
     # A^T y, column by column, over the rows whose multiplier is not 0.
-    columns: list[list] = [[] for _ in c]
-    for row, v in zip(rows, y):
-        if v:
-            for j, a in row.items():
-                columns[j].append((a, v))
-    ty = [_dot(column) for column in columns]
+    used = [(row, v) for row, v in zip(rows, y) if v]
+    ty = [_dot((row.get(j, 0), v) for row, v in used) for j in range(len(c))]
     by = _dot(zip(y, [*b_ub, *b_eq]))
     if result.status == INFEASIBLE:
         if by <= 0 or any(v > 0 for v in ty):
