@@ -21,7 +21,7 @@ _EXPORTS = {
     "differences": (
         "EquispacedIdentityCheck", "KnotValueList", "check_equispaced_identity",
         "divided_difference_direct", "divided_difference_recursive", "finite_difference",
-        "finite_difference_via_integral", "newton_coefficients",
+        "newton_coefficients",
     ),
     "errors": (
         "DivdiffError", "DomainEvaluationError", "DuplicateKnotError", "ParseError", "PoleError",

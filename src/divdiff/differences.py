@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import DuplicateKnotError
 from .funcs import FuncSpec
-from .poly import Polynomial, Scalar, binomial
+from .poly import Scalar, binomial
 
 
 @dataclass(frozen=True)
@@ -256,20 +256,6 @@ def finite_difference(f: FuncSpec, x: Scalar, h: Scalar, n: int) -> Fraction:
         raise ValueError("order must be nonnegative")
     lattice = _Lattice(f.evaluate, x, h, clip=f.extended_by_zero)
     return lattice.total(_average_weights(lattice, n, 1))
-
-
-def finite_difference_via_integral(p: Polynomial, x: Scalar, h: Scalar, n: int) -> Fraction:
-    """D_h^n p(x) computed as the n-fold sliding-window integral of p's
-    n-th derivative; agrees exactly with the binomial sum."""
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    h = Fraction(h)
-    if h <= 0:
-        raise ValueError("step must be positive")
-    q = p.derivative(n)
-    for _ in range(n):
-        q = q.window_integral(h)
-    return q.evaluate(x)
 
 
 @dataclass(frozen=True)

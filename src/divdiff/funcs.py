@@ -18,9 +18,8 @@ with every scalar written as "p/q" or a bare integer.
 
 import abc
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DomainEvaluationError, ParseError, PoleError
 from .poly import Polynomial, Scalar
@@ -56,13 +55,6 @@ class GridFunction:
                 cleaned[k] = v
         object.__setattr__(self, "entries", cleaned)
 
-    @classmethod
-    def from_dense(cls, values: Sequence[Scalar]) -> "GridFunction":
-        vals = [Fraction(v) for v in values]
-        if len(vals) < 2:
-            raise ValueError("a dense grid needs both endpoint values")
-        return cls(len(vals) - 1, {k: v for k, v in enumerate(vals)})
-
     def value(self, k: int) -> Fraction:
         k = operator.index(k)
         if not 0 <= k <= self.denominator:
@@ -71,9 +63,6 @@ class GridFunction:
 
     def dense(self) -> tuple[Fraction, ...]:
         return tuple(self.value(k) for k in range(self.denominator + 1))
-
-    def support(self) -> set[int]:
-        return set(self.entries)
 
     def evaluate(self, x: Scalar) -> Fraction:
         x = Fraction(x)
@@ -115,10 +104,6 @@ class FuncSpec(abc.ABC):
 
     @abc.abstractmethod
     def _evaluate(self, x: Fraction) -> Fraction: ...
-
-    def with_zero_extension(self) -> "FuncSpec":
-        return replace(self, extended_by_zero=True)
-
 
 @dataclass(frozen=True)
 class PolynomialFunc(FuncSpec):

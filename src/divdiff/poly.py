@@ -1,4 +1,4 @@
-"""Dense univariate polynomial arithmetic over exact rationals.
+"""Univariate polynomials over exact rationals, evaluated exactly.
 
 A polynomial is a tuple of Fraction coefficients in ascending degree with
 trailing zeros trimmed, so structural equality is value equality.  The
@@ -38,13 +38,10 @@ class Polynomial:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
 
+    # Kept for __mul__, its one caller in the package.
     @classmethod
     def zero(cls) -> "Polynomial":
         return cls(())
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "Polynomial":
-        return cls((Fraction(c),))
 
     @classmethod
     def monomial(cls, degree: int, coefficient: Scalar = 1) -> "Polynomial":
@@ -62,11 +59,6 @@ class Polynomial:
         if not self.coefficients:
             return float("-inf")
         return len(self.coefficients) - 1
-
-    @property
-    def leading(self) -> Fraction:
-        """Top coefficient; 0 for the zero polynomial."""
-        return self.coefficients[-1] if self.coefficients else Fraction(0)
 
     def coefficient(self, k: int) -> Fraction:
         if 0 <= k < len(self.coefficients):
@@ -95,50 +87,7 @@ class Polynomial:
             acc = acc * a + c * power
         return Fraction(acc, den * power)
 
-    def derivative(self, order: int = 1) -> "Polynomial":
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
-        coeffs = self.coefficients
-        for _ in range(order):
-            coeffs = tuple(Fraction(k) * coeffs[k] for k in range(1, len(coeffs)))
-        return Polynomial(coeffs)
-
-    def antiderivative(self) -> "Polynomial":
-        """Antiderivative with constant term 0."""
-        lifted = tuple(c / (k + 1) for k, c in enumerate(self.coefficients))
-        return Polynomial((Fraction(0),) + lifted)
-
-    def shifted(self, h: Scalar) -> "Polynomial":
-        """The polynomial x -> p(x + h)."""
-        base = Polynomial((Fraction(h), Fraction(1)))
-        acc = Polynomial.zero()
-        for c in reversed(self.coefficients):
-            acc = acc * base + Polynomial.constant(c)
-        return acc
-
-    def window_integral(self, h: Scalar) -> "Polynomial":
-        """q with q(x) equal to the integral of p over [x, x + h], h > 0."""
-        h = Fraction(h)
-        if h <= 0:
-            raise ValueError("window width must be positive")
-        anti = self.antiderivative()
-        return anti.shifted(h) - anti
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        summed = list(a)
-        for k, c in enumerate(b):
-            summed[k] += c
-        return Polynomial(summed)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
+    # Kept with no caller in the package: perfbench times it as its poly.mul layer.
     def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             return Polynomial(tuple(c * other for c in self.coefficients))
@@ -150,21 +99,3 @@ class Polynomial:
             for j, cb in enumerate(b):
                 prod[i + j] += ca * cb
         return Polynomial(prod)
-
-    def __rmul__(self, other: Scalar) -> "Polynomial":
-        return self * other
-
-    def __str__(self) -> str:
-        if not self.coefficients:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*x" if c != 1 else "x")
-            else:
-                parts.append(f"{c}*x^{k}" if c != 1 else f"x^{k}")
-        return " + ".join(parts)

@@ -24,7 +24,6 @@ from divdiff import (
     divided_difference_direct,
     divided_difference_recursive,
     finite_difference,
-    finite_difference_via_integral,
     lagrange_equispaced,
     leading_coefficient,
     min_lipschitz_unit_norm,
@@ -36,6 +35,7 @@ from divdiff import (
 
 from util import (
     distinct_knots,
+    finite_difference_via_integral,
     nonzero_polynomial,
     pole_free_rational,
     random_fraction,

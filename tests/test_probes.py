@@ -64,7 +64,7 @@ def test_zero_function_probes_to_zero():
 
 
 def test_constant_probe_residual_times_n_saturates():
-    c1 = PolynomialFunc(Polynomial.constant(1), extended_by_zero=True)
+    c1 = PolynomialFunc(Polynomial((1,)), extended_by_zero=True)
     rows = {}
     for N in (1, 2, 3, 4, 8):
         r = averaging_probe(c1, Fraction(0), Fraction(1, 2), 1, N)
@@ -94,7 +94,7 @@ def test_probe_bound_holds_on_random_functions():
 
 
 def test_probe_requires_zero_extension():
-    f = PolynomialFunc(Polynomial.constant(1))
+    f = PolynomialFunc(Polynomial((1,)))
     with pytest.raises(ValueError):
         averaging_probe(f, Fraction(0), Fraction(1, 4), 1, 2)
 
@@ -112,7 +112,7 @@ def test_probe_argument_validation():
 
 def test_probe_propagates_poles():
     f = RationalFunc(
-        Polynomial.constant(1),
+        Polynomial((1,)),
         Polynomial((Fraction(-1, 2), Fraction(1))),
         extended_by_zero=True,
     )
@@ -121,7 +121,7 @@ def test_probe_propagates_poles():
 
 
 def test_telescope_on_constant():
-    g = PolynomialFunc(Polynomial.constant(Fraction(5, 3)))
+    g = PolynomialFunc(Polynomial((Fraction(5, 3),)))
     t = telescope_shift_identity(g, Fraction(1, 7), 3, 2, Fraction(1, 9), 11)
     assert t.jprime == 3
     assert t.lhs == 0
@@ -169,7 +169,7 @@ def test_telescope_randomized():
 
 
 def test_telescope_validates_j():
-    g = PolynomialFunc(Polynomial.constant(1))
+    g = PolynomialFunc(Polynomial((1,)))
     with pytest.raises(ValueError):
         telescope_shift_identity(g, Fraction(0), 3, 0, Fraction(1, 9), 5)
     with pytest.raises(ValueError):
@@ -423,7 +423,7 @@ def test_walkthrough_matches_the_full_loop():
 def test_telescope_reports_the_pole_the_full_loop_meets_first():
     # poles at 1/4 and 3/8; the loop reaches 3/8 first, as y + 1*h
     g = RationalFunc(
-        Polynomial.constant(1),
+        Polynomial((1,)),
         Polynomial((Fraction(3, 32), Fraction(-5, 8), Fraction(1))),
         extended_by_zero=True,
     )
@@ -436,7 +436,7 @@ def test_telescope_reports_the_pole_the_full_loop_meets_first():
 # poles at 3/8 and 1/2; from x = 0 with h = 1/8 the full loops meet 1/2
 # (j = 2, i = 2) before 3/8 (j = 3, i = 1), though 3/8 is the nearer point
 TWO_POLES = RationalFunc(
-    Polynomial.constant(1),
+    Polynomial((1,)),
     Polynomial((Fraction(3, 16), Fraction(-7, 8), Fraction(1))),
     extended_by_zero=True,
 )
@@ -508,7 +508,7 @@ def test_zero_extended_sums_evaluate_only_inside_the_unit_interval():
 
 def test_each_point_is_asked_for_once():
     runge = RationalFunc(
-        Polynomial.constant(1),
+        Polynomial((1,)),
         Polynomial((Fraction(1), Fraction(0), Fraction(25))),
         extended_by_zero=True,
     )

@@ -32,6 +32,11 @@ the gap's two slope rows replaced by their merged row, kept as the
 oracle for the one relaxed program that serves every gap.
 ``sparse_rows`` writes dense LP rows as the mappings of their nonzero
 entries that ``simplex`` takes.
+``add``, ``derivative``, ``antiderivative``, ``shifted`` and
+``window_integral`` act on ascending coefficient tuples;
+``finite_difference_via_integral`` chains them into the n-fold window
+integral of the n-th derivative, kept as the oracle for
+``finite_difference`` on a polynomial.
 """
 
 import csv
@@ -40,6 +45,7 @@ import json
 import math
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from divdiff import (
     BoundaryTerm,
@@ -111,7 +117,7 @@ def pole_free_rational(rng, extend_zero=False):
     # can be evaluated anywhere.
     numerator = random_polynomial(rng, max_degree=4)
     q = random_polynomial(rng, max_degree=2, max_num=4)
-    denominator = q * q + Polynomial((Fraction(1),))
+    denominator = Polynomial(add((q * q).coefficients, (1,)))
     return RationalFunc(numerator, denominator, extended_by_zero=extend_zero)
 
 
@@ -185,16 +191,16 @@ def reference_newton_coefficients(kv):
 
 def reference_lagrange(values):
     """Newton form through the values at k/n, n = len(values) - 1, summed
-    with Polynomial additions and products."""
+    with ``add`` from Polynomial products."""
     n = len(values) - 1
     knots = [Fraction(k, max(n, 1)) for k in range(n + 1)]
     kv = KnotValueList(knots, values)
-    result = Polynomial.zero()
-    basis = Polynomial.constant(1)
+    result = ()
+    basis = Polynomial((1,))
     for k, c in enumerate(reference_newton_coefficients(kv)):
-        result = result + basis * c
+        result = add(result, (basis * c).coefficients)
         basis = basis * Polynomial((-knots[k], Fraction(1)))
-    return result
+    return Polynomial(result)
 
 
 def reference_evaluate(p, x):
@@ -204,6 +210,46 @@ def reference_evaluate(p, x):
     for c in reversed(p.coefficients):
         acc = acc * x + c
     return acc
+
+
+def add(a, b):
+    """Coefficients of the sum of two polynomials."""
+    return tuple(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def derivative(a, order=1):
+    """Coefficients of the order-th derivative."""
+    for _ in range(order):
+        a = tuple(k * c for k, c in enumerate(a))[1:]
+    return a
+
+
+def antiderivative(a):
+    """Coefficients of the antiderivative with constant term 0."""
+    return (0, *(Fraction(c) / (k + 1) for k, c in enumerate(a)))
+
+
+def shifted(a, h):
+    """Coefficients of x -> p(x + h), each (x + h)^k expanded binomially."""
+    return tuple(
+        sum(a[k] * math.comb(k, j) * h ** (k - j) for k in range(j, len(a)))
+        for j in range(len(a))
+    )
+
+
+def window_integral(a, h):
+    """Coefficients of x -> the integral of p over [x, x + h], that is
+    A(x + h) - A(x) for the antiderivative A; the top terms cancel."""
+    anti = antiderivative(a)
+    return tuple(s - c for s, c in zip(shifted(anti, h), anti))[:-1]
+
+
+def finite_difference_via_integral(p, x, h, n):
+    """D_h^n p(x) as the n-fold window integral of p's n-th derivative."""
+    a = derivative(p.coefficients, n)
+    for _ in range(n):
+        a = window_integral(a, h)
+    return Polynomial(a).evaluate(x)
 
 
 def _stencil(n):
