@@ -344,33 +344,43 @@ def test_minlip_report_is_byte_identical(N, capsys):
 # SHA-256 of the pivots of `min_lipschitz_unit_norm(N)`, in call order,
 # each written "c r,j" for a cold solve (Bland's rule, both phases) or
 # "w r,j" for a warm re-solve (the dual simplex method), pivoting on
-# column j in tableau row r, and joined by ";".  Bland's rule reads only
-# signs, ratios and column indices, so the input row format, or the
-# scale an integer row is kept at, must leave every path as it is.
+# column j in tableau row r, and joined by ";"; with the number of
+# pivots and of `_Tableau.solve` calls (LPs) in the same run.  Bland's
+# rule reads only signs, ratios and column indices, so the input row
+# format, or the scale an integer row is kept at, must leave every path
+# as it is.
 PIVOT_PATHS = {
-    3: (22, "838df5a1fa8146bd870c1c7c8b9740ae8542d8295edecac919064036d7ea8e52"),
-    4: (36, "1bfa9c38ccb47160c1772c07c1b71441c7451aac7d8cd5f9c22af04f2a93f303"),
-    5: (68, "0b190c249cb403c984f83446ea391bb62bc864295f007e205d4b4e20e027296f"),
-    6: (116, "40ff8e11bbd3341383aeb008ea6bdd3333e289dc1d1f06f41aee20325fd29fe4"),
-    7: (331, "4691fd18f8e7a9db543d963009097e051e326f8d684dcd6bb343b7277bd9013e"),
-    8: (512, "1d89886bf8b87b38f2ebe1696a6096c09e7fb3d3c6bede97c5973e2416a5ee5a"),
-    9: (732, "31b1bc24dd619df7652382afc987a3876405b4dc3390cd770ee4ddeb338411c9"),
+    3: (22, 2, "838df5a1fa8146bd870c1c7c8b9740ae8542d8295edecac919064036d7ea8e52"),
+    4: (36, 3, "1bfa9c38ccb47160c1772c07c1b71441c7451aac7d8cd5f9c22af04f2a93f303"),
+    5: (68, 4, "0b190c249cb403c984f83446ea391bb62bc864295f007e205d4b4e20e027296f"),
+    6: (116, 5, "40ff8e11bbd3341383aeb008ea6bdd3333e289dc1d1f06f41aee20325fd29fe4"),
+    7: (331, 9, "4691fd18f8e7a9db543d963009097e051e326f8d684dcd6bb343b7277bd9013e"),
+    8: (512, 10, "1d89886bf8b87b38f2ebe1696a6096c09e7fb3d3c6bede97c5973e2416a5ee5a"),
+    9: (732, 12, "31b1bc24dd619df7652382afc987a3876405b4dc3390cd770ee4ddeb338411c9"),
 }
 
 
 @pytest.mark.parametrize("N", sorted(PIVOT_PATHS))
 def test_pivot_paths_are_pinned(N, monkeypatch):
     pivots = []
+    lps = []
     pivot = simplex._Tableau._pivot
+    solve = simplex._Tableau.solve
 
     def recording_pivot(self, r, c):
         pivots.append(f"{'w' if self.warm else 'c'} {r},{c}")
         pivot(self, r, c)
 
+    def counting_solve(self, *args, **kwargs):
+        lps.append(None)
+        return solve(self, *args, **kwargs)
+
     monkeypatch.setattr(simplex._Tableau, "_pivot", recording_pivot)
+    monkeypatch.setattr(simplex._Tableau, "solve", counting_solve)
     min_lipschitz_unit_norm(N)
-    count, digest = PIVOT_PATHS[N]
+    count, lp_count, digest = PIVOT_PATHS[N]
     assert len(pivots) == count
+    assert len(lps) == lp_count
     assert hashlib.sha256(";".join(pivots).encode("ascii")).hexdigest() == digest
 
 
