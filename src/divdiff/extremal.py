@@ -86,7 +86,7 @@ from typing import Callable, Optional
 
 from .constraints import ConstraintSystem, build_constraint_system, nullspace
 from .funcs import GridFunction
-from .simplex import INFEASIBLE, LpResult, _Tableau, certify, solve_lp
+from .simplex import INFEASIBLE, _Tableau, certify, solve_lp
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ class _GapPrograms:
 
     Its a_ub rows are the merged row L / g (4 - u_a - u_b) <= t of each
     gap [a, b] of width g, at rhs 0, then the rows of the touched-column
-    program.  ``solve(i)`` moves the rhs of gap i's merged row and slope
+    program.  ``bound(i)`` moves the rhs of gap i's merged row and slope
     rows, which gives the feasible set of gap i's relaxed program, and
     solves it on the one tableau.  With the merged rows first, their
     slacks come first among the slacks in the order the dual simplex
@@ -161,43 +161,37 @@ class _GapPrograms:
 
     def __init__(self, system: ConstraintSystem, cols: list[int], gaps: int) -> None:
         self.L = system.L
-        self.objective, a_ub, b_ub, self.a_eq, self.b_eq = _program(system, cols)
+        self.cols = cols
+        objective, a_ub, b_ub, a_eq, self.b_eq = _program(system, cols)
         self.weights = [Fraction(system.L, b - a) for a, b in zip(cols, cols[1 : gaps + 1])]
         t = len(cols)
-        self.a_ub = [{i: -w, i + 1: -w, t: -1} for i, w in enumerate(self.weights)] + a_ub
+        merged = [{i: -w, i + 1: -w, t: -1} for i, w in enumerate(self.weights)]
         self.b_off = [0] * gaps + b_ub
-        self.tableau = _Tableau(self.objective, self.a_ub, self.a_eq)
+        self.tableau = _Tableau(objective, merged + a_ub, a_eq)
 
-    def solve(self, i: int) -> LpResult:
-        """The relaxed program of gap i, its certificate checked against its own rhs."""
+    def bound(self, i: int) -> Optional[tuple[Fraction, Fraction]]:
+        """The relaxed optimum over the gap cols[i]..cols[i + 1] and a real pin
+        p* attaining it, or None when no pin of the gap is feasible; the LP's
+        certificate is checked against gap i's own rhs."""
         b_ub = list(self.b_off)
         weight = self.weights[i]
         slopes = len(self.weights) + 2 * i  # the first slope row of gap i
         b_ub[i] = -4 * weight
         b_ub[slopes] = b_ub[slopes + 1] = 2 * weight
-        result = self.tableau.solve(b_ub, self.b_eq)
-        certify(result, self.objective, self.a_ub, b_ub, self.a_eq, self.b_eq)
-        return result
-
-
-def _gap_bound(
-    gaps: _GapPrograms, cols: list[int], i: int
-) -> Optional[tuple[Fraction, Fraction]]:
-    """The relaxed optimum over the gap cols[i]..cols[i + 1] and a real pin
-    p* attaining it, or None when no pin of the gap is feasible."""
-    result = gaps.solve(i)
-    if result.status == INFEASIBLE:
-        return None
-    u_a, t = result.x[i], result.x[-1]
-    a = cols[i]
-    return result.value, (a + (2 - u_a) * gaps.L / t if t else Fraction(a))
+        tableau = self.tableau
+        result = tableau.solve(b_ub, self.b_eq)
+        certify(result, tableau.c, tableau.a_ub, b_ub, tableau.a_eq, self.b_eq)
+        if result.status == INFEASIBLE:
+            return None
+        u_a, t = result.x[i], result.x[-1]
+        a = self.cols[i]
+        return result.value, (a + (2 - u_a) * self.L / t if t else Fraction(a))
 
 
 def _fill_witness(L: int, cols: list[int], shifted: tuple[Fraction, ...]) -> GridFunction:
-    values = {k: shifted[i] - 1 for i, k in enumerate(cols)}
-    entries: dict[int, Fraction] = dict(values)
+    entries = {k: shifted[i] - 1 for i, k in enumerate(cols)}
     for a, b in zip(cols, cols[1:]):
-        va, vb = values[a], values[b]
+        va, vb = entries[a], entries[b]
         for k in range(a + 1, b):
             entries[k] = va + (vb - va) * Fraction(k - a, b - a)
     return GridFunction(denominator=L, entries=entries)
@@ -302,45 +296,37 @@ def min_lipschitz_unit_norm(N: int) -> MinLipschitzResult:
     half = [c for c in touched if 2 * c <= L]
     forced = set(report.forced_zero_points)
     vertices: dict[int, Optional[tuple[Fraction, ...]]] = {}
-    gaps: Optional[_GapPrograms] = None
 
     def pinned(pin: int) -> Optional[Fraction]:
         value, vertices[pin] = _solve_pinned(system, sorted({*touched, pin}), pin)
         return value
 
-    def relaxed(i: int) -> Optional[tuple[Fraction, Fraction]]:
-        nonlocal gaps
-        if gaps is None:
-            gaps = _GapPrograms(system, touched, len(half) - 1)
-        return _gap_bound(gaps, touched, i)
-
     best = _search(
         half,
         forced,
         pinned,
-        relaxed,
+        _GapPrograms(system, touched, len(half) - 1).bound,
         lambda a, b: _distance_bound(L, forced, a, b),
     )
     if best is None:
         return infeasible
     value, pin = best
-    cols = sorted({*touched, pin})
-    x = vertices.get(pin)
-    if x is None:
+    if pin not in vertices:
         # The value came from the gap's bound at an integer p*: the pin
         # that wins is solved, and must attain that bound.  A losing such
         # pin cannot change the answer, since its value only ever bounds
         # it from below.
-        solved, x = _solve_pinned(system, cols, pin)
+        solved = pinned(pin)
         if solved != value:
             raise ArithmeticError(
                 f"pin {pin} has optimum {solved}, not its gap's bound {value}"
             )
+    cols = sorted({*touched, pin})
     return MinLipschitzResult(
         N=N,
         L=L,
         status="optimal",
         value=value,
         pin_index=pin,
-        witness=_fill_witness(L, cols, x[: len(cols)]),
+        witness=_fill_witness(L, cols, vertices[pin][: len(cols)]),
     )

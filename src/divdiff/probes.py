@@ -211,9 +211,7 @@ def telescope_shift_identity(
     if N < 1:
         raise ValueError("shift count N must be at least 1")
     nfact = math.factorial(n)
-    jprime, rem = divmod(nfact, j)
-    if rem:
-        raise ValueError(f"{j} does not divide {n}!")
+    jprime = nfact // j
     y = x + nfact * h
     if isinstance(g, PolynomialFunc) and not g.extended_by_zero:
         p, step = g.poly, j * h

@@ -17,9 +17,10 @@ bytes.  The swept ``probe`` and negative-x ``telescope`` pins were
 recorded while the shift sums still added one ``Fraction`` per term.  The ``nullspace``
 pins, JSON and CSV at N = 9..12, were recorded while the null space
 still built one grid function per basis vector and scanned every grid
-column for forced zeros.  The ``minlip`` pins at N = 7..9 were recorded
-while ``minlip`` still solved one LP per pin 0..L/2; those at N = 10..12,
-out of that loop's reach, by the gap search that replaced it.  The
+column for forced zeros.  The ``minlip`` pins at N = 4..6 were recorded
+with the rational (Fraction) tableau; those at N = 7..9 while ``minlip``
+still solved one LP per pin 0..L/2; those at N = 10..12, out of that
+loop's reach, by the gap search that replaced it.  The
 report-shape pins were recorded while every CLI handler still built its
 results dict by hand.
 
@@ -181,6 +182,18 @@ PINS = {
         ["minlip", "--N", "2"],
         "9495fa2067e2106accfc0930ca23f53e6ed033079db0a90990832936d2b1a1ec",
         code=2,
+    ),
+    "minlip-4": Pin(
+        ["minlip", "--N", "4"],
+        "9c324280106ddbea5c42e547af059c34c0054f2503be857ed7e3286e9f6d1ee7",
+    ),
+    "minlip-5": Pin(
+        ["minlip", "--N", "5"],
+        "ec188bf350a57e945643e73827ce2427941c106ee65b268a9c36063f9507df0a",
+    ),
+    "minlip-6": Pin(
+        ["minlip", "--N", "6"],
+        "88ea50d284d4b24524b55feb3a8506ebcdf1304d9610a44c7a751bebe848bebf",
     ),
     "minlip-7": Pin(
         ["minlip", "--N", "7"],

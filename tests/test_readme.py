@@ -1,10 +1,14 @@
-"""The README "Library quick tour" runs, and every value it shows is right."""
+"""The README "Library quick tour" runs, and every value it shows is right;
+its "Command line" examples are the commands of the golden reports."""
 
 import ast
 import io
 import re
+import shlex
 import tokenize
 from pathlib import Path
+
+from golden.check import README_COMMANDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -35,3 +39,15 @@ def test_quick_tour_shows_true_values():
         else:
             exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
     assert checked >= 4
+
+
+def test_command_line_examples_are_the_golden_commands():
+    # Each line as a POSIX shell splits it, so an unquoted ";" shows up
+    # as its own token, in the order of README_COMMANDS.
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    lines = re.search(r"```\n(.*?)```", section, re.S).group(1).splitlines()
+    assert len(lines) == len(README_COMMANDS)
+    for line, argv in zip(lines, README_COMMANDS.values()):
+        lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        assert list(lexer) == ["divdiff", *argv], line
