@@ -11,6 +11,7 @@ reductions at small N.
 """
 
 import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -27,6 +28,7 @@ from divdiff import (
 from divdiff.extremal import _GapPrograms, _search
 from divdiff.simplex import INFEASIBLE, OPTIMAL, certify, solve_lp
 
+from golden.check import golden_text, run
 from util import (
     corrupting_solve_lp,
     corrupting_warm_tableau,
@@ -321,6 +323,19 @@ def test_a_misplaced_integer_p_star_is_caught(monkeypatch):
     monkeypatch.setattr(_GapPrograms, "bound", misplaced)
     with pytest.raises(ArithmeticError, match="pin 9 has optimum 20/3, not its gap's bound 6"):
         min_lipschitz_unit_norm(5)
+
+
+# N = 3 is the README example, whose report is kept whole in
+# tests/golden/minlip.json; the reports at N = 4..12 are digests in PINS
+# there.  The witness and pin come from the pivot path of Bland's rule,
+# so a change to that path shows up here even when the value stays 6.
+@pytest.mark.parametrize("N", [3])
+def test_minlip_report_is_byte_identical(N):
+    code, out = run(["minlip", "--N", str(N)])
+    assert code == 0
+    assert out == golden_text("minlip", "json")
+    results = json.loads(out)["results"]
+    assert (results["value"], results["pin_index"]) == ("6", 1)
 
 
 # SHA-256 of the pivots of `min_lipschitz_unit_norm(N)`, in call order,
