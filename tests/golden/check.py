@@ -22,7 +22,10 @@ with the rational (Fraction) tableau; those at N = 7..9 while ``minlip``
 still solved one LP per pin 0..L/2; those at N = 10..12, out of that
 loop's reach, by the gap search that replaced it.  The
 report-shape pins were recorded while every CLI handler still built its
-results dict by hand.
+results dict by hand.  The ``uniform-1000`` and ``fd-10000`` pins were
+recorded while the direct kernel still formed each node product as a
+product of n factors and the stencil took each binomial from
+``math.comb``.
 
 ``tests/test_golden.py`` runs these under pytest.  Without pytest, run
 
@@ -118,6 +121,10 @@ PINS = {
         ["identity", "--func", RUNGE, "--n", "256"],
         "af49d95c891abb23edffc9ed8d98bb784a87bdd24216fde41d556cdab78550b9",
     ),
+    "uniform-1000": Pin(
+        ["uniform", "--func", RUNGE, "--n", "1000"],
+        "764cbfef56b0b723354cb805f4829b7bd3e243f1cd54dc30b11a1f68c4093cdf",
+    ),
     "interp-64": Pin(
         ["interp", "--func", RUNGE, "--n", "64"],
         "0e18d29b78a0f94205b6287c4b655024608b139503c47cd6ac0072b087f3f130",
@@ -141,6 +148,10 @@ PINS = {
     "fd-256": Pin(
         ["fd", "--func", RUNGE, "--x", "0", "--h", "1/256", "--n", "256"],
         "ab5a413cfd67cedd9a8e3db30e436d0d9684bd8aeca91327dcf5e433c93f4a71",
+    ),
+    "fd-10000": Pin(
+        ["fd", "--func", RUNGE, "--x", "0", "--h", "1/2", "--n", "10000"],
+        "e208d0a182f1ffca69823e9c60a9d6f935dcc88592fbbdceea24fdc9d8a54d10",
     ),
     "cascade-24": Pin(
         _cascade_argv(24),
