@@ -22,7 +22,11 @@ i = 1, summed with integer weights on the same lattice of points x + m h.
 The two divided-difference kernels work on integers: each scales the
 knots by the lcm D of their denominators to integers a_k = x_k D.  The
 direct sum forms W'(x_k) D^n as the integer product
-prod_{i != k} (a_k - a_i) and adds the terms over one common denominator.
+P_k = prod_{i != k} (a_k - a_i) and adds the terms over one common
+denominator.  When the a_k form an arithmetic progression a_0 + k d in
+the order given, as the equispaced knots k/n do, the product has the
+closed form P_k = (-1)^(n-k) d^n k! (n-k)!, read from one table of
+factorials; any other knots form each product from its n factors.
 The recursive table keeps each column as integer numerators over one
 denominator, reduced by one gcd per column.  Each kernel reduces to a
 Fraction once, at the end.
@@ -35,7 +39,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import DuplicateKnotError
 from .funcs import FuncSpec
-from .poly import Scalar, binomial
+from .poly import Scalar
 
 
 @dataclass(frozen=True)
@@ -46,17 +50,21 @@ class KnotValueList:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        knots = tuple(Fraction(x) for x in self.knots)
-        values = tuple(Fraction(v) for v in self.values)
+        knots = _fractions(self.knots)
+        values = _fractions(self.values)
         if len(knots) != len(values):
             raise ValueError(f"got {len(knots)} knots but {len(values)} values; they must match")
         if not knots:
             raise ValueError("need at least one knot")
-        seen: set[Fraction] = set()
+        # A reduced Fraction has one (numerator, denominator) pair, so the
+        # pairs compare as the knots do, and hashing them is cheaper than
+        # Fraction.__hash__.
+        seen: set[tuple[int, int]] = set()
         for x in knots:
-            if x in seen:
+            key = (x.numerator, x.denominator)
+            if key in seen:
                 raise DuplicateKnotError(x)
-            seen.add(x)
+            seen.add(key)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
 
@@ -73,6 +81,11 @@ class KnotValueList:
     def equispaced(cls, f: FuncSpec, n: int) -> "KnotValueList":
         """Knots k/n for k = 0..n; n = 0 degenerates to the single knot 0."""
         return cls.from_function(f, _equispaced_knots(n))
+
+
+def _fractions(items: Iterable[Scalar]) -> tuple[Fraction, ...]:
+    """The items as Fractions; a Fraction is kept as it is."""
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in items)
 
 
 def _equispaced_knots(n: int) -> tuple[Fraction, ...]:
@@ -93,13 +106,29 @@ def divided_difference_direct(kv: KnotValueList) -> Fraction:
     # the two kernels share no code and stay independent oracles.
     scale = math.lcm(*(x.denominator for x in kv.knots))
     points = [x.numerator * (scale // x.denominator) for x in kv.knots]
-    dens = [
-        v.denominator * math.prod(ak - ai for ai in points if ai != ak)
-        for ak, v in zip(points, kv.values)
-    ]
+    dens = [v.denominator * p for p, v in zip(_node_products(points), kv.values)]
     common = math.lcm(*dens)
     total = sum(v.numerator * (common // d) for v, d in zip(kv.values, dens))
     return Fraction(total * scale**kv.order, common)
+
+
+def _node_products(points: list[int]) -> list[int]:
+    """P_k = prod_{i != k} (a_k - a_i) for each point a_k.
+
+    If a_k = a_0 + k d in the order given, then a_k - a_i = (k - i) d and
+    P_k = (-1)^(n-k) d^n k! (n-k)!; other points take the n-factor product."""
+    n = len(points) - 1
+    step = points[1] - points[0] if n else 0
+    if any(b - a != step for a, b in zip(points, points[1:])):
+        return [math.prod(ak - ai for ai in points if ai != ak) for ak in points]
+    factorials = [1]
+    for k in range(1, n + 1):
+        factorials.append(factorials[-1] * k)
+    power = step**n
+    return [
+        (-power if (n - k) % 2 else power) * factorials[k] * factorials[n - k]
+        for k in range(n + 1)
+    ]
 
 
 def _difference_columns(kv: KnotValueList) -> Iterator[tuple[list[int], int]]:
@@ -147,8 +176,17 @@ def divided_difference_recursive(kv: KnotValueList) -> Fraction:
 
 def difference_stencil(n: int) -> tuple[int, ...]:
     """The weights (-1)^(n-j) C(n, j), j = 0..n, of the order-n forward
-    difference: D_h^n f(x) = sum_j w_j f(x + j h)."""
-    return tuple((-1) ** (n - j) * binomial(n, j) for j in range(n + 1))
+    difference: D_h^n f(x) = sum_j w_j f(x + j h); empty for n < 0.
+
+    The first half of the row comes from C(n, j+1) = C(n, j) (n-j) / (j+1),
+    one exact division each, and the rest by C(n, j) = C(n, n-j)."""
+    if n < 0:
+        return ()
+    row = [1]
+    for j in range(n // 2):
+        row.append(row[-1] * (n - j) // (j + 1))
+    row += reversed(row[: n + 1 - len(row)])
+    return tuple(-c if (n - j) % 2 else c for j, c in enumerate(row))
 
 
 class _Lattice:

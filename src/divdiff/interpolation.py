@@ -6,17 +6,20 @@ knot 0) and is built in Newton form, so its x^n coefficient is exactly
 the order-n divided difference at those knots.  The interpolant drops to
 degree n-1 or lower precisely when that divided difference vanishes.
 
-The Newton form is assembled on integers: in t = n x the Newton basis is
-the falling factorial t (t - 1) ... (t - k + 1), the weights are put over
-one common denominator, and each x^j coefficient is reduced to a Fraction
-once at the end.
+The Newton form is assembled on integers: in t = n x the knots are
+t = 0..n, the Newton basis is the falling factorial t (t - 1) ... (t - k + 1),
+and its weights are the forward differences of the values over k!
+(Gregory-Newton).  With the values put over one common denominator as
+integers, the differences are integer subtractions, the weights share
+one denominator, and each x^j coefficient is reduced to a Fraction once
+at the end.
 """
 
 import math
 from fractions import Fraction
 from typing import Sequence
 
-from .differences import KnotValueList, _equispaced_knots, newton_coefficients
+from .differences import _fractions
 from .poly import Polynomial, Scalar
 
 
@@ -24,15 +27,28 @@ def lagrange_equispaced(values: Sequence[Scalar]) -> Polynomial:
     """Interpolant through the values at k/n, n = len(values) - 1, in Newton form.
 
     In t = n x the knots are t = 0..n and the Newton basis is the falling
-    factorial prod_{i<k} (t - i), so q(x) = sum_k (c_k / n^k) prod_{i<k} (t - i).
-    The weights c_k / n^k are put over one common denominator B, the
-    integer polynomial in t is built by nested multiplication, and the x^j
-    coefficient is its t^j coefficient times n^j / B."""
-    n = len(values) - 1
-    coeffs = newton_coefficients(KnotValueList(_equispaced_knots(n), values))
-    dens = [c.denominator * n**k for k, c in enumerate(coeffs)]
-    common = math.lcm(*dens)
-    weights = [c.numerator * (common // d) for c, d in zip(coeffs, dens)]
+    factorial prod_{i<k} (t - i), so q(x) = sum_k (Delta^k y_0 / k!) prod_{i<k} (t - i).
+    With Y_k = y_k D integers over the lcm D of the denominators, the
+    weights are Delta^k Y_0 n!/k! over B = D n!; the integer polynomial in
+    t is built by nested multiplication, and the x^j coefficient is its
+    t^j coefficient times n^j / B."""
+    ys = _fractions(values)
+    n = len(ys) - 1
+    if n < 0:
+        raise ValueError("order must be nonnegative")
+    den = math.lcm(*(y.denominator for y in ys))
+    row = [y.numerator * (den // y.denominator) for y in ys]
+    weights = [row[0]]
+    for _ in range(n):
+        row = [b - a for a, b in zip(row, row[1:])]
+        weights.append(row[0])
+    # weights[k] *= n!/k!, the falling product n (n - 1) ... (k + 1).
+    ratio = 1
+    for k in range(n, 0, -1):
+        weights[k] *= ratio
+        ratio *= k
+    weights[0] *= ratio
+    common = den * ratio
     # acc <- acc * (t - k) + w_k for k = n-1 down to 0, on ascending coefficients.
     acc = [weights[n]]
     for k in range(n - 1, -1, -1):

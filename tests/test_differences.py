@@ -18,12 +18,14 @@ from divdiff import (
     Polynomial,
     PolynomialFunc,
     RationalFunc,
+    binomial,
     check_equispaced_identity,
     divided_difference_direct,
     divided_difference_recursive,
     finite_difference,
     newton_coefficients,
 )
+from divdiff.differences import difference_stencil
 
 from util import (
     add,
@@ -76,6 +78,23 @@ def test_duplicate_knots_rejected():
     with pytest.raises(DuplicateKnotError) as excinfo:
         pairs((0, 1), (Fraction(1, 2), 2), (Fraction(1, 2), 3))
     assert "1/2" in str(excinfo.value)
+
+
+def test_a_repeat_written_differently_is_a_duplicate():
+    # Knots are compared by value, however each was written.
+    cases = [
+        ((0, 1, Fraction(2, 2)), Fraction(1)),
+        ((Fraction(0), 0), Fraction(0)),
+        ((Fraction(-3, 6), Fraction(1, 3), -0.5), Fraction(-1, 2)),
+        (("2/4", Fraction(1, 2), 1), Fraction(1, 2)),
+        ((0, Fraction(4, 2), 1, Fraction(1, 1), 2), Fraction(1)),  # the first repeat in order
+    ]
+    for knots, repeated in cases:
+        with pytest.raises(DuplicateKnotError) as excinfo:
+            KnotValueList(knots, (0,) * len(knots))
+        assert excinfo.value.knot == repeated
+        assert type(excinfo.value.knot) is Fraction
+        assert str(excinfo.value) == f"duplicate knot {repeated}"
 
 
 def test_empty_knot_list_rejected():
@@ -197,6 +216,14 @@ def test_forward_difference_is_linear():
 
         assert fd(Polynomial(add(p.coefficients, q.coefficients))) == fd(p) + fd(q)
         assert fd(p * c) == c * fd(p)
+
+
+def test_difference_stencil_is_the_signed_binomial_row():
+    for n in list(range(-3, 70)) + [255, 256, 1001]:
+        expected = tuple((-1) ** (n - j) * binomial(n, j) for j in range(n + 1))
+        assert difference_stencil(n) == expected
+    assert difference_stencil(0) == (1,)
+    assert difference_stencil(-1) == ()
 
 
 def test_finite_difference_validation():

@@ -2,7 +2,8 @@
 
 divided_difference_direct, newton_coefficients, lagrange_equispaced and
 Polynomial.evaluate work on integers over one common denominator and
-reduce once at the end; the ``reference_*`` functions in util.py are
+reduce once at the end, and the direct kernel takes its node products in
+closed form on knots in arithmetic progression; the ``reference_*`` functions in util.py are
 the Fraction loops they replaced.  The inputs stress the scaling: knots
 with mixed denominators, negative and unsorted, values with large
 denominators, and the degenerate orders.
@@ -12,10 +13,13 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from divdiff import (
     KnotValueList,
     Polynomial,
     divided_difference_direct,
+    divided_difference_recursive,
     lagrange_equispaced,
     newton_coefficients,
 )
@@ -137,6 +141,81 @@ def test_integer_form_stays_out_of_eq_repr_and_hash():
     assert p.evaluate(Fraction(3, 7)) == reference_evaluate(p, Fraction(3, 7))
     assert repr(p) == before
     assert p == fresh and hash(p) == hash(fresh)
+
+
+def progression(start, step, count):
+    return tuple(start + k * step for k in range(count))
+
+
+def products_taken(monkeypatch, kv):
+    """divided_difference_direct(kv), and how many n-factor node
+    products it formed: 0 on the arithmetic-progression path."""
+    calls = []
+    prod = math.prod
+
+    def counting_prod(*args, **kwargs):
+        calls.append(1)
+        return prod(*args, **kwargs)
+
+    monkeypatch.setattr(math, "prod", counting_prod)
+    value = divided_difference_direct(kv)
+    monkeypatch.setattr(math, "prod", prod)
+    return value, len(calls)
+
+
+def test_progression_knots_take_the_closed_form(monkeypatch):
+    rng = random.Random(39)
+    shapes = [
+        progression(Fraction(0), Fraction(1, 7), 9),        # ascending from 0
+        progression(Fraction(1), Fraction(-1, 7), 9),       # descending
+        progression(Fraction(5, 3), Fraction(-2, 3), 11),   # negative step, offset, negatives
+        progression(Fraction(-9, 4), Fraction(3, 4), 8),    # offset a_0 != 0
+        (Fraction(1, 6), Fraction(1, 2), Fraction(5, 6)),   # scaled points 1, 3, 5: d = 2
+        progression(Fraction(7, 10), Fraction(4, 15), 6),   # scaled d = 8, a_0 = 21
+        progression(Fraction(-2, 5), Fraction(-3), 5),      # integer step, scaled d = -15
+    ]
+    for order in range(3):  # orders 0, 1 and 2
+        shapes.append(progression(Fraction(-1, 3), Fraction(5, 2), order + 1))
+    for knots in shapes:
+        for values in (random_fraction, large_denominator_value):
+            kv = KnotValueList(knots, tuple(values(rng) for _ in knots))
+            value, products = products_taken(monkeypatch, kv)
+            assert products == 0
+            assert value == reference_divided_difference(kv)
+            assert value == divided_difference_recursive(kv)
+
+
+def test_knots_off_a_progression_take_the_general_products(monkeypatch):
+    rng = random.Random(40)
+    knots = progression(Fraction(-1, 2), Fraction(1, 6), 8)
+    permuted = list(knots)
+    permuted[2], permuted[5] = permuted[5], permuted[2]
+    moved = list(knots)
+    moved[4] += Fraction(1, 24)
+    descending_swapped = list(reversed(knots))
+    descending_swapped[0], descending_swapped[1] = descending_swapped[1], descending_swapped[0]
+    for shape in (permuted, moved, descending_swapped):
+        kv = KnotValueList(tuple(shape), tuple(random_fraction(rng) for _ in shape))
+        value, products = products_taken(monkeypatch, kv)
+        assert products == len(shape)
+        assert value == reference_divided_difference(kv)
+
+
+def test_forward_difference_interpolant_matches_reference():
+    rng = random.Random(41)
+    for n in range(41):
+        # Denominators 1..60 in every mix, and int values.
+        values = [
+            Fraction(rng.randint(-500, 500), rng.randint(1, 60)) if rng.random() < 0.8
+            else rng.randint(-9, 9)
+            for _ in range(n + 1)
+        ]
+        q = lagrange_equispaced(values)
+        assert q == reference_lagrange(values)
+        ints = [rng.randint(-9, 9) for _ in range(n + 1)]
+        assert lagrange_equispaced(ints) == reference_lagrange(ints)
+    with pytest.raises(ValueError):
+        lagrange_equispaced(())
 
 
 def test_equispaced_order_256():
