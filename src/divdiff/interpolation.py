@@ -37,11 +37,12 @@ def lagrange_equispaced(values: Sequence[Scalar]) -> Polynomial:
     if n < 0:
         raise ValueError("order must be nonnegative")
     den = math.lcm(*(y.denominator for y in ys))
-    row = [y.numerator * (den // y.denominator) for y in ys]
-    weights = [row[0]]
-    for _ in range(n):
-        row = [b - a for a, b in zip(row, row[1:])]
-        weights.append(row[0])
+    weights = [y.numerator * (den // y.denominator) for y in ys]
+    # In place, so one row of differences is alive: pass k leaves
+    # Delta^k Y_{i-k} at each i >= k, and Delta^k Y_0 at k for good.
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            weights[i] -= weights[i - 1]
     # weights[k] *= n!/k!, the falling product n (n - 1) ... (k + 1).
     ratio = 1
     for k in range(n, 0, -1):
