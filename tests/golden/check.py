@@ -17,7 +17,10 @@ bytes.  The swept ``probe`` and negative-x ``telescope`` pins were
 recorded while the shift sums still added one ``Fraction`` per term.  The ``nullspace``
 pins, JSON and CSV at N = 9..12, were recorded while the null space
 still built one grid function per basis vector and scanned every grid
-column for forced zeros.  The ``minlip`` pins at N = 4..6 were recorded
+column for forced zeros.  The ``nullspace-13`` pins, JSON and CSV, the
+first with six-digit columns (L = 360,360), were recorded while the
+report writer still formatted each run's ``i].k`` paths one
+``str.format`` at a time.  The ``minlip`` pins at N = 4..6 were recorded
 with the rational (Fraction) tableau; those at N = 7..9 while ``minlip``
 still solved one LP per pin 0..L/2; those at N = 10..12, out of that
 loop's reach, by the gap search that replaced it.  The
@@ -188,6 +191,14 @@ PINS = {
     "nullspace-12-csv": Pin(
         ["nullspace", "--N", "12", "--format", "csv"],
         "619bf7238ad6447114247ffab261e91ab8932d45aef6057fb3dd68c8de6231dd",
+    ),
+    "nullspace-13": Pin(
+        ["nullspace", "--N", "13", "--max-N", "13"],
+        "9d9f312f33ed63268c18dc531f9c6d7a76c7c6170c45a20b66a3d6bb7fce98ed",
+    ),
+    "nullspace-13-csv": Pin(
+        ["nullspace", "--N", "13", "--max-N", "13", "--format", "csv"],
+        "afb02fcd9f324353c22bc26bfc8a54ed35ee55ea579018c6a2bc9f13fab57b3f",
     ),
     "minlip-2-infeasible": Pin(
         ["minlip", "--N", "2"],
