@@ -37,6 +37,13 @@ CSV lines.  In provenance, such a _Run is written as its paths with one
 join.  Every other member, sparse vectors and scalars among them, is
 written by the code that writes the values of a mapping.
 
+A run's keys and paths are cut from one list of decimal texts, from its
+first index to its last column: the keys are one slice, and as index
+i = k - c for one c, each path "i].k" is "].".join of two slices' items.
+Past 999 the texts go by blocks of 1000 that share str(k // 1000), one
+join each over a table of the suffixes "000".."999".  The list is built
+wherever the run is written, and not kept.
+
 Every CSV line comes from one line writer: a cell goes in quotes, its
 quotes doubled, when it holds a comma, a quote, a newline or a carriage
 return, and a row of one empty cell is written "" so that it is not a
@@ -47,8 +54,9 @@ path, and none of those changes how a cell is quoted.
 
 `nullspace --N 12` writes a basis of 27,708 vectors, 27,674 of them in
 46 runs: 2.0 MB of JSON or 0.8 MB of CSV.  In process on Python 3.11
-(2 CPUs), four rounds of 30 renders each, render_json takes 16-28 ms
-(median 23-24 ms) and render_csv 10-32 ms (median 16-17 ms).
+(2 CPUs), four rounds of 30 renders each, render_json takes 5.7-17 ms
+(round medians 5.8-8.6 ms) and render_csv 3.7-5.2 ms (round medians
+3.8-4.1 ms).
 """
 
 from dataclasses import dataclass, fields, is_dataclass
@@ -105,11 +113,31 @@ _KINDS = {
 
 # The text of the 1 that every singleton vector of a NullBasis run holds.
 _ONE = str(ONE)
+# The three-digit suffixes "000".."999" of _decimals, made on first use.
+_SUFFIXES: list[str] = []
 
 
 def _join(items: Iterator[str], head: str, tail: str, sep: str = "") -> str:
     """head, the item and tail for each of items (at least one), joined by sep."""
     return head + (tail + sep + head).join(items) + tail
+
+
+def _decimals(keys: range) -> list[str]:
+    """[str(k) for k in keys].  Past 999, a range of step 1 goes by blocks
+    that share str(k // 1000): one join puts it before each suffix."""
+    if keys.step != 1 or keys.stop <= 1000:
+        return list(map(str, keys))
+    if not _SUFFIXES:
+        _SUFFIXES[:] = [f"{j:03d}" for j in range(1000)]  # whole, in one step
+    texts = list(map(str, range(keys.start, 1000)))
+    k = max(keys.start, 1000)
+    while k < keys.stop:
+        block, low = divmod(k, 1000)
+        end = min(keys.stop - 1000 * block, 1000)
+        prefix = str(block)
+        texts += (prefix + (" " + prefix).join(_SUFFIXES[low:end])).split(" ")
+        k += end - low
+    return texts
 
 
 class _Run(NamedTuple):
@@ -122,10 +150,21 @@ class _Run(NamedTuple):
     start: int
     columns: range
 
+    def texts(self) -> tuple[list[str], list[str]]:
+        """The decimal texts of the run's indices i and of its columns k:
+        two slices of one list where they lie close, as i = k - c do."""
+        columns, n = self.columns, len(self.columns)
+        indices = range(self.start, self.start + n)
+        lo, hi = min(indices.start, columns.start), max(indices.stop, columns.stop)
+        if columns.step == 1 and hi - lo <= 2 * n:
+            texts = _decimals(range(lo, hi))
+            i, k = indices.start - lo, columns.start - lo
+            return texts[i:i + n], texts[k:k + n]
+        return _decimals(indices), _decimals(columns)
+
     def tails(self) -> Iterator[str]:
         """What follows "path[" in the path of each 1: "i].k"."""
-        indices = range(self.start, self.start + len(self.columns))
-        return map("{}].{}".format, indices, self.columns)
+        return map("].".join, zip(*self.texts()))
 
     def pairs(self) -> Iterator[tuple[str, str]]:
         """The (path, cell) pairs of the 1s."""
@@ -197,11 +236,13 @@ def _write(
             cls = type(v)
             if cls is range and runs:
                 # A run of untouched columns: the singleton vectors {c: 1}.
+                if not v:
+                    continue
                 run = _Run(path, k, v)
                 if inner is None:
                     out.append(run)
                 else:
-                    out += opener, _join(map(str, v), head, f'": "{_ONE}{tail}', comma)
+                    out += opener, _join(run.texts()[1], head, f'": "{_ONE}{tail}', comma)
                     exact.append(run)
                 continue
             if cls is _Run:

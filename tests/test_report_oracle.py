@@ -19,9 +19,17 @@ mapping's values; seeded lists of sparse vectors or of scalars with one
 member of another shape, first, last or anywhere between, are checked
 against the reference as well.  A ``NullBasis`` writes each run of
 singleton vectors with one join; its runs first, last, alone, of length
-1 or between vectors, under keys that need escaping, in a table cell
+1 or 0 or between vectors, under keys that need escaping, in a table cell
 and inside lists are checked the same way.  So is a table whose one column is named by the empty
 string, whose lines are each one cell: an empty one is written ``""``.
+
+A run's keys and paths come from one list of decimal texts, built past
+999 by blocks of 1000 that share a prefix.  Seeded bases whose runs
+start or stop on each digit edge (0, 1, 9/10, 99/100, up to
+999,999/1,000,000), runs of length 1 on the edges among them, and runs
+whose index lies below an edge that its column is on or past, are
+checked against the reference; so are the decimal list against
+``str`` and a run's paths against ``str.format`` on the same edges.
 """
 
 import csv
@@ -36,7 +44,7 @@ import pytest
 
 from divdiff import Polynomial, cli
 from divdiff.linalg import ONE, NullBasis
-from divdiff.report import Report, render_csv, render_json
+from divdiff.report import Report, _decimals, _Run, render_csv, render_json
 
 from golden.check import GOLDEN_DIR, PINS, README_COMMANDS
 from util import (
@@ -273,6 +281,7 @@ NULL_BASES = {
     ],
     "adjacent-runs": [range(0, 2), range(2, 5)],
     "a-vector-walked-in-its-place": [range(0, 2), {2: 1}, range(3, 5)],  # an int value
+    "empty-runs": [range(0, 0), range(0, 2), range(4, 4), {4: ONE}, range(7, 7)],
 }
 BASIS_KEYS = ("basis", "a,b", 'q"', "ä\nk")
 # Keys every basis is also written under, seeded ones too, drawn by no
@@ -333,6 +342,70 @@ def test_seeded_null_bases_match_the_reference_writer():
         segments = random_segments(rng)
         for key in (key, *EVERY_BASIS_KEYS):
             assert_written_as_its_vectors(place, key, segments)
+
+
+# The last key of each digit count and the first of the next.  Past
+# 999, a run's decimal texts come by blocks of 1000 keys that share
+# their leading digits.
+DIGIT_EDGES = (0, 1, 10, 100, 1000, 10_000, 100_000, 1_000_000)
+# The columns of a basis around an edge, as offsets from it: a run
+# stops and the next starts on the edge, runs of length 1 sit on both
+# sides of it, or one run crosses it.
+EDGE_CUTS = ((-3, 0, 3), (-2, -1, 0, 1, 2), (-1, 0, 1), (-2, 2))
+
+
+def edge_segments(rng, edge, cuts, lead):
+    """A basis cut at edge + each of cuts (clipped at column 0), each
+    piece a run or, if of length 1, now and then a touched vector.
+    With lead (edge 10 or more), a run of the columns from 0 and a few
+    left-out columns come first, so each index i lies c = k - i > 0
+    below its column k, on the other side of the edge for some; without,
+    i starts at 0."""
+    columns = sorted({max(edge + cut, 0) for cut in cuts})
+    segments: list = []
+    if lead:
+        segments.append(range(0, columns[0] - rng.choice((1, 2, 3, 5))))
+    for a, b in zip(columns, columns[1:]):
+        if b - a == 1 and rng.random() < 0.3:
+            segments.append({rng.randrange(a + 9): random_fraction(rng), a: ONE})
+        else:
+            segments.append(range(a, b))
+    return segments
+
+
+@pytest.mark.parametrize("edge", DIGIT_EDGES)
+def test_decimal_texts_match_str_on_digit_edges(edge):
+    for lo, hi in (
+        (edge - 1, edge), (edge, edge + 1), (edge - 1, edge + 1), (edge - 3, edge + 4),
+        (edge - 1001, edge + 2), (edge - 2, edge + 2999), (edge, edge), (0, edge + 1),
+    ):
+        assert _decimals(range(lo, hi)) == list(map(str, range(lo, hi))), (lo, hi)
+    for keys in (range(edge + 5, edge - 5, -1), range(edge - 9, edge + 9, 3)):
+        assert _decimals(keys) == list(map(str, keys)), keys
+
+
+@pytest.mark.parametrize("edge", DIGIT_EDGES)
+def test_run_paths_on_digit_edges(edge):
+    # Each index below, on or past its column: from one list, or from two
+    # where the run is short and they lie far apart.
+    for lo, hi in ((-3, 3), (-1, 1), (-1, 0), (0, 1), (-1001, 2)):
+        columns = range(max(edge + lo, 0), max(edge + hi, 1))
+        for c in (-3, -1, 0, 1, 2, 5, 5000):
+            start = max(columns.start - c, 0)
+            indices = range(start, start + len(columns))
+            paths = list(_Run("results.basis", start, columns).tails())
+            assert paths == [f"{i}].{k}" for i, k in zip(indices, columns)], (columns, start)
+
+
+@pytest.mark.parametrize("edge", DIGIT_EDGES)
+def test_null_bases_on_digit_edges_match_the_reference_writer(edge):
+    rng = random.Random(20171 + edge)
+    for cuts in EDGE_CUTS:
+        # A lead run past 10,000 columns would cost the reference seconds.
+        for lead in (False, True) if 10 <= edge <= 10_000 else (False,):
+            segments = edge_segments(rng, edge, cuts, lead)
+            for key in ("basis", *EVERY_BASIS_KEYS):
+                assert_written_as_its_vectors("field", key, segments)
 
 
 @pytest.mark.parametrize("cells", [[""], ["x", "", None], [None, 3], [True, ""]])
