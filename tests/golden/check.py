@@ -28,7 +28,12 @@ report-shape pins were recorded while every CLI handler still built its
 results dict by hand.  The ``uniform-1000`` and ``fd-10000`` pins were
 recorded while the direct kernel still formed each node product as a
 product of n factors and the stencil took each binomial from
-``math.comb``.
+``math.comb``.  The pins on a rational function whose denominator is
+negative on [0, 1] (``probe``, ``walkthrough``, ``telescope``), the
+``walkthrough`` of a polynomial whose points land on the knots k/n, and
+the unextended ``fd`` of a quadratic at order 5 were recorded while
+every point of a shift sum was still evaluated to a ``Fraction``
+through ``FuncSpec.evaluate``.
 
 ``tests/test_golden.py`` runs these under pytest.  Without pytest, run
 
@@ -90,6 +95,10 @@ def _eval_argv(n):
 def _cascade_argv(degree):
     coeffs = [f"{(-1) ** k * (k + 1)}/{k % 5 + 1}" for k in range(degree + 1)]
     return ["cascade", "--func", "poly:" + ",".join(coeffs)]
+
+
+# Denominator -2 + x is negative on [0, 1]; the numerator's degree is higher.
+NEGATIVE_DENOMINATOR = "ratfun:1,2,0,3;-2,1"
 
 
 def _walkthrough_argv(fmt):
@@ -292,6 +301,39 @@ PINS = {
             "--x", "1/10", "--h", "1/50", "--n", "20", "--j", "3", "--N", "1000",
         ],
         "e2ec6d729229382dce83137a78d20d377a92596a8a6ca1aaed2900a81681d124",
+    ),
+    "probe-negative-denominator": Pin(
+        [
+            "probe", "--func", NEGATIVE_DENOMINATOR, "--extend-zero",
+            "--x", "1/5", "--h", "1/32", "--n", "3", "--Nmax", "64",
+        ],
+        "06c77a17f46b560f5d2d018c5ff1a8d6bd6f2ff8ffa931c37287db09d100a058",
+    ),
+    "walkthrough-negative-denominator": Pin(
+        [
+            "walkthrough", "--func", NEGATIVE_DENOMINATOR, "--extend-zero",
+            "--x", "1/10", "--h", "1/40", "--n", "3", "--N", "12",
+        ],
+        "ef5bdc5e090b206ab4385337d91aceacddfff52c7f2687d0b93e2ef9ea871ff5",
+    ),
+    "telescope-negative-denominator": Pin(
+        [
+            "telescope", "--func", NEGATIVE_DENOMINATOR, "--extend-zero",
+            "--x", "-1/5", "--h", "1/48", "--n", "3", "--j", "2", "--N", "20",
+        ],
+        "28b33a9f62e6da663a301c44f1cbe844e64c1cd219a6be5a2d39b3f263f27c18",
+    ),
+    "walkthrough-poly-knots": Pin(
+        # Every other point 1/3 + m/6 is a knot k/3 of the sample.
+        [
+            "walkthrough", "--func", "poly:1,-3,0,2,5,-1", "--extend-zero",
+            "--x", "1/3", "--h", "1/6", "--n", "3", "--N", "9",
+        ],
+        "b27b3efbe35f9596e40feaec86111ae4de642dc54f90f8e0abf22ac455d67d63",
+    ),
+    "fd-poly-above-degree": Pin(
+        ["fd", "--func", "poly:1,-2,3", "--x", "-7/3", "--h", "1/9", "--n", "5"],
+        "46a19799e594659eec23268e5c89918f46984e507a2c3eecfddbc0009e82df7d",
     ),
 }
 
