@@ -18,6 +18,10 @@ which check_equispaced_identity verifies as an exact comparison.  Order 0
 is defined as f(x_0) for divided differences and f(x) for finite ones.
 finite_difference is the shift average of probes over the one shift
 i = 1, summed with integer weights on the same lattice of points x + m h.
+Each lattice point is t/D for an integer t and reaches the sum as the
+integer pair (a, b) with f(t/D) = a/b (FuncSpec.pairs), as do the
+equispaced sample's knots k/n, with D = n.  An unextended polynomial of
+degree below n gives D_h^n p = 0 with no point evaluated.
 
 The two divided-difference kernels work on integers: each scales the
 knots by the lcm D of their denominators to integers a_k = x_k D.  The
@@ -38,7 +42,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .errors import DuplicateKnotError
-from .funcs import FuncSpec
+from .funcs import FuncSpec, Pair, PolynomialFunc
 from .poly import Scalar
 
 
@@ -73,14 +77,12 @@ class KnotValueList:
         return len(self.knots) - 1
 
     @classmethod
-    def from_function(cls, f: FuncSpec, knots: Iterable[Scalar]) -> "KnotValueList":
-        knots = tuple(Fraction(x) for x in knots)
-        return cls(knots, tuple(f.evaluate(x) for x in knots))
-
-    @classmethod
     def equispaced(cls, f: FuncSpec, n: int) -> "KnotValueList":
-        """Knots k/n for k = 0..n; n = 0 degenerates to the single knot 0."""
-        return cls.from_function(f, _equispaced_knots(n))
+        """Knots k/n for k = 0..n; n = 0 degenerates to the single knot 0.
+        The knots are the lattice points t/D with D = n, read as f's pairs."""
+        knots = _equispaced_knots(n)
+        pair = f.pairs(max(n, 1))
+        return cls(knots, tuple(Fraction(*pair(k)) for k in range(n + 1)))
 
 
 def _fractions(items: Iterable[Scalar]) -> tuple[Fraction, ...]:
@@ -193,22 +195,24 @@ class _Lattice:
     """The points x + m*h, m an integer, each evaluated at most once.
 
     With D = lcm(den x, den h), point m is (base + m*step) / D for the
-    integers base = x*D and step = h*D.  values maps m to the value at
-    point m.  When clip is set the function vanishes outside [0, 1], so
-    only the m in lo..hi, the points inside, are ever evaluated.
+    integers base = x*D and step = h*D.  pairs(D) gives the map from t to
+    the pair (a, b), b > 0, of the value a/b at t/D, and memo maps m to
+    the pair at point m, so no point becomes a Fraction.  When clip is set
+    the function vanishes outside [0, 1], so only the m in lo..hi, the
+    points inside, are ever evaluated.
     """
 
     def __init__(
-        self, evaluate: Callable[[Fraction], Fraction], x: Fraction, h: Fraction, clip: bool
+        self, pairs: Callable[[int], Callable[[int], Pair]], x: Fraction, h: Fraction, clip: bool
     ):
-        self.evaluate = evaluate
-        self.D = D = math.lcm(x.denominator, h.denominator)
+        D = math.lcm(x.denominator, h.denominator)
+        self.pair = pairs(D)
         self.base = base = x.numerator * (D // x.denominator)
         self.step = step = h.numerator * (D // h.denominator)
         self.clip = clip
         if clip:
             self.lo, self.hi = -(base // step), (D - base) // step
-        self.values: dict[int, Fraction] = {}
+        self.memo: dict[int, Pair] = {}
 
     def shifts(self, j: int, lo: int, hi: int, offset: int = 0) -> range:
         """The i in lo..hi whose point offset + i*j is inside, for j > 0."""
@@ -236,22 +240,34 @@ class _Lattice:
             return Fraction(0)
         return self.total({m: 1})
 
+    def largest(self, points: Iterable[int]) -> Fraction:
+        """max |value at point m| over the given evaluated m, from the memo;
+        0 for no points.  |a|/b is compared by cross-multiplication."""
+        top, den = 0, 1
+        memo = self.memo
+        for m in points:
+            a, b = memo[m]
+            if abs(a) * den > top * b:
+                top, den = abs(a), b
+        return Fraction(top, den)
+
     def total(self, weights: dict[int, int]) -> Fraction:
         """sum of c * (value at point m) over the (m, c) of weights.
 
         The points are evaluated in the order of weights, those of weight
         0 too, so the first pole raised is the one a term-by-term loop
-        meets first.  Numerators are added per distinct denominator, and
-        the groups are summed by _pairwise_sum.
+        meets first.  The terms c*a are added per distinct denominator b,
+        so a polynomial's whole sum is one integer over E, and the groups
+        are summed by _pairwise_sum.
         """
-        values, evaluate, base, step, D = self.values, self.evaluate, self.base, self.step, self.D
+        memo, pair, base, step = self.memo, self.pair, self.base, self.step
         groups: dict[int, int] = {}
         for m, c in weights.items():
-            v = values.get(m)
-            if v is None:
-                v = values[m] = evaluate(Fraction(base + m * step, D))
-            d = v.denominator
-            groups[d] = groups.get(d, 0) + c * v.numerator
+            p = memo.get(m)
+            if p is None:
+                p = memo[m] = pair(base + m * step)
+            a, b = p
+            groups[b] = groups.get(b, 0) + c * a
         return _pairwise_sum(groups)
 
 
@@ -286,13 +302,16 @@ def _average_weights(lattice: _Lattice, n: int, N: int, offset: int = 0) -> dict
 def finite_difference(f: FuncSpec, x: Scalar, h: Scalar, n: int) -> Fraction:
     """D_h^n f(x) on the lattice, for h > 0 and n >= 0: each point x + j*h
     is asked for once, in ascending j, and a zero-extended f only at the
-    points inside [0, 1]."""
+    points inside [0, 1].  An unextended polynomial of degree below n
+    gives 0 with no point asked for."""
     x, h = Fraction(x), Fraction(h)
     if h <= 0:
         raise ValueError("step must be positive")
     if n < 0:
         raise ValueError("order must be nonnegative")
-    lattice = _Lattice(f.evaluate, x, h, clip=f.extended_by_zero)
+    if isinstance(f, PolynomialFunc) and not f.extended_by_zero and n > f.poly.degree:
+        return Fraction(0)
+    lattice = _Lattice(f.pairs, x, h, clip=f.extended_by_zero)
     return lattice.total(_average_weights(lattice, n, 1))
 
 

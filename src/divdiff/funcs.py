@@ -7,6 +7,12 @@ zero extension: evaluation outside [0, 1] then returns exactly 0.  The
 shift-averaging machinery relies on that extension, so it is an explicit
 flag rather than a convention.
 
+Shift sums and equispaced samples ask for f at lattice points t/D, t an
+integer, through FuncSpec.pairs(D): the map t -> (a, b), b > 0, with
+f(t/D) = a/b, not reduced.  By default it reads evaluate's value; a
+polynomial or a rational function computes it as integer Horner sums
+(Polynomial.integer_sum), with no Fraction per point.
+
 Text syntax accepted by parse_funcspec:
 
     poly:a0,a1,...          coefficients in ascending degree
@@ -20,6 +26,7 @@ import abc
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import DomainEvaluationError, ParseError, PoleError
 from .poly import Polynomial, Scalar
@@ -27,6 +34,8 @@ from .rational import parse_integer, parse_rational, parse_rationals
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+Pair = tuple[int, int]  # (a, b), b > 0: the value a/b, not reduced
 
 
 @dataclass(frozen=True)
@@ -105,6 +114,18 @@ class FuncSpec(abc.ABC):
     @abc.abstractmethod
     def _evaluate(self, x: Fraction) -> Fraction: ...
 
+    def pairs(self, D: int) -> Callable[[int], Pair]:
+        """The map t -> (a, b), b > 0, with f(t/D) = a/b, for D >= 1;
+        here through evaluate, one point at a time."""
+        evaluate = self.evaluate
+
+        def pair(t: int) -> Pair:
+            v = evaluate(Fraction(t, D))
+            return v.numerator, v.denominator
+
+        return pair
+
+
 @dataclass(frozen=True)
 class PolynomialFunc(FuncSpec):
     poly: Polynomial
@@ -112,6 +133,12 @@ class PolynomialFunc(FuncSpec):
 
     def _evaluate(self, x: Fraction) -> Fraction:
         return self.poly.evaluate(x)
+
+    def pairs(self, D: int) -> Callable[[int], Pair]:
+        """t -> (P(t), E) from the polynomial's integer sum."""
+        P, E = self.poly.integer_sum(D)
+        clip = self.extended_by_zero
+        return lambda t: (0, 1) if clip and not 0 <= t <= D else (P(t), E)
 
 
 @dataclass(frozen=True)
@@ -129,6 +156,24 @@ class RationalFunc(FuncSpec):
         if den == 0:
             raise PoleError(x)
         return self.numerator.evaluate(x) / den
+
+    def pairs(self, D: int) -> Callable[[int], Pair]:
+        """t -> (P(t) F, Q(t) E) for the integer sums P/E of the numerator
+        and Q/F of the denominator, signs turned so that b > 0."""
+        P, E = self.numerator.integer_sum(D)
+        Q, F = self.denominator.integer_sum(D)
+        clip = self.extended_by_zero
+
+        def pair(t: int) -> Pair:
+            if clip and not 0 <= t <= D:
+                return 0, 1
+            b = Q(t) * E
+            if b == 0:
+                raise PoleError(Fraction(t, D))
+            a = P(t) * F
+            return (a, b) if b > 0 else (-a, -b)
+
+        return pair
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,18 @@ cached, as integers C_k over their common denominator D, Horner's rule
 runs on the integer numerator and denominator of x, and the value is
 reduced to a Fraction once.  The cache is not a field, so it takes no
 part in equality, hashing or repr.
+
+Along a lattice of points t/D with integer t, as the shift sums use,
+integer_sum(D) scales the coefficients by the powers of D once, so that
+p(t/D) = P(t)/E for one denominator E and an integer Horner sum P(t):
+a point costs d integer multiply-adds and no Fraction at all.
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 Scalar = Union[int, Fraction]
 
@@ -86,6 +91,25 @@ class Polynomial:
             power *= b
             acc = acc * a + c * power
         return Fraction(acc, den * power)
+
+    def integer_sum(self, D: int) -> tuple[Callable[[int], int], int]:
+        """(P, E) with p(t/D) = P(t)/E at every integer t, for D >= 1.
+
+        P(t) = sum_k C_k D^(d-k) t^k, its coefficients scaled once here,
+        and E = den D^d with den the common denominator of the integer
+        form; E > 0.  The zero polynomial gives P = 0 and E = 1."""
+        den, nums = self._integer_form
+        d = len(nums) - 1
+        scaled = [c * D ** (d - k) for k, c in enumerate(nums)]
+        scaled.reverse()
+
+        def P(t: int) -> int:
+            acc = 0
+            for c in scaled:
+                acc = acc * t + c
+            return acc
+
+        return P, den * D ** max(d, 0)
 
     # Kept with no caller in the package: perfbench times it as its poly.mul layer.
     def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":

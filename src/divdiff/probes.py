@@ -27,9 +27,12 @@ the run:
   number of points inside, not N or n!.
 - A stencil-weighted double sum sum_j w_j sum_i f(x + i*j*h) becomes
   integer weights c_m, built and evaluated in the full loop's (j, i)
-  order, so a pole is reported where that loop meets one first.  The
-  terms c_m f(point m) are added as integer numerators per denominator,
-  the groups in a balanced pairwise sum.
+  order, so a pole is reported where that loop meets one first.  Each
+  point is an integer pair (a, b) with f(point m) = a/b (FuncSpec.pairs);
+  the terms c_m * a are added per denominator b, so a polynomial's whole
+  sum is one Fraction, and the groups in a balanced pairwise sum.  The
+  probe bound and the walkthrough's envelope read the largest |a|/b from
+  the same pairs.
 - For a polynomial p (an unextended polynomial in the telescope check,
   or i**n for the interpolant's averages in the walkthrough) the sum is
   a difference of two prefix sums, each given by the hockey-stick
@@ -47,10 +50,10 @@ that is not zero-extended still sums every term (each point once).
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .differences import KnotValueList, _average_weights, _Lattice, difference_stencil
-from .funcs import FuncSpec, PiecewiseLinearFunc, PolynomialFunc
+from .funcs import FuncSpec, Pair, PiecewiseLinearFunc, PolynomialFunc
 from .interpolation import lagrange_equispaced, leading_coefficient
 from .poly import Polynomial
 from .rational import Rational
@@ -119,7 +122,7 @@ def averaging_probe(
     """
     x, h = Fraction(x), Fraction(h)
     _validate_probe_args(f, x, h, n, N)
-    lattice = _Lattice(f.evaluate, x, h, clip=True) if _lattice is None else _lattice
+    lattice = _Lattice(f.pairs, x, h, clip=True) if _lattice is None else _lattice
     average = lattice.total(_average_weights(lattice, n, N)) / N
     residual = average - (-1) ** n * lattice.value(0)
 
@@ -139,8 +142,7 @@ def averaging_probe(
         m_bound = f.grid.sup_norm()
     else:
         # Every point the lattice evaluated lies inside [0, 1]; x is one.
-        values = lattice.values.values()
-        m_bound = max(max(values), -min(values))
+        m_bound = lattice.largest(lattice.memo)
     bound = Fraction(weight) * m_bound / N
 
     return AveragingProbeResult(
@@ -161,7 +163,7 @@ def averaging_sweep(
     if list(counts) != sorted(counts):
         raise ValueError("shift counts must ascend")
     _validate_probe_args(f, x, h, n, min(counts, default=1))
-    lattice = _Lattice(f.evaluate, x, h, clip=True)
+    lattice = _Lattice(f.pairs, x, h, clip=True)
     return [averaging_probe(f, x, h, n, N, _lattice=lattice) for N in counts]
 
 
@@ -221,7 +223,7 @@ def telescope_shift_identity(
         )
     else:
         # x + j*i*h is lattice point i*j, and y + j*i*h is point n! + i*j.
-        lattice = _Lattice(g.evaluate, x, h, clip=g.extended_by_zero)
+        lattice = _Lattice(g.pairs, x, h, clip=g.extended_by_zero)
         xs, ys = lattice.shifts(j, 1, N), lattice.shifts(j, 1, N, nfact)
         # Ascending i, the x point before the y point, as the term-by-term
         # loop visits them, so a pole is reported at the same point.
@@ -318,7 +320,8 @@ def proof_walkthrough(
     distinct point, and the interpolant's averages come from its x^n
     coefficient and one closed-form power sum, so neither N nor n! sets
     the cost.  f is asked for each point once: at a knot k/n the
-    sample's value serves.
+    sample's value serves.  A point's defect is one pair, f's pair a/b
+    less Q's integer sum P(t)/E, that is (a*E - P(t)*b, b*E).
     """
     x, h = Fraction(x), Fraction(h)
     _validate_probe_args(f, x, h, n, N)
@@ -328,19 +331,26 @@ def proof_walkthrough(
     nfact = math.factorial(n)
     y = x + nfact * h
 
-    def f_value(point: Fraction) -> Fraction:
-        # At a knot k/n the sample already holds f's value.
-        k, r = divmod(point.numerator * n, point.denominator)
-        return f.evaluate(point) if r else values[k]
+    def defect_pairs(D: int) -> Callable[[int], Pair]:
+        f_pair = f.pairs(D)
+        P, E = q.integer_sum(D)
 
-    def defect(point: Fraction) -> Fraction:
-        return f_value(point) - q.evaluate(point)
+        def pair(t: int) -> Pair:
+            k, r = divmod(t * n, D)
+            if r:
+                a, b = f_pair(t)
+            else:  # the knot k/n: the sample holds f's value
+                a, b = values[k].numerator, values[k].denominator
+            return a * E - P(t) * b, b * E
+
+        return pair
 
     # Lattice point m is x + m*h; y is point n!.  x, inside [0, 1], is the
     # first point the term-by-term loops meet.
-    lattice = _Lattice(defect, x, h, clip=True)
-    f_at_x, q_at_x = f_value(x), q.evaluate(x)
-    lattice.values[0] = f_at_x - q_at_x
+    lattice = _Lattice(defect_pairs, x, h, clip=True)
+    defect_at_x = lattice.value(0)
+    q_at_x = q.evaluate(x)
+    f_at_x = defect_at_x + q_at_x
     avg_defect_x = lattice.total(_average_weights(lattice, n, N)) / N
     avg_defect_y = lattice.total(_average_weights(lattice, n, N, nfact)) / N
     # D_s^n q = n! * lead * s^n at every point, as q has degree <= n, so
@@ -356,9 +366,7 @@ def proof_walkthrough(
         lattice.add(near, 1, j, 1, jprime)
         lattice.add(far, 1, j, N + 1, N + jprime)
         blocks.append((j, jprime, lattice.total(near), lattice.total(far), [*near, *far]))
-    max_defect = max(
-        (abs(lattice.values[m]) for *_, inside in blocks for m in inside), default=Fraction(0)
-    )
+    max_defect = lattice.largest(m for *_, inside in blocks for m in inside)
 
     stencil = difference_stencil(n)
     boundary = []
@@ -377,7 +385,6 @@ def proof_walkthrough(
     boundary_total = sum((term.weighted for term in boundary), Fraction(0))
     residual_envelope = sum((term.envelope for term in boundary), Fraction(0))
 
-    defect_at_x = lattice.value(0)
     defect_at_y = lattice.value(nfact)
     identity_rhs = (-1) ** n * (defect_at_x - defect_at_y)
     identity_lhs = avg_defect_x - avg_defect_y - boundary_total

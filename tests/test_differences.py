@@ -31,10 +31,12 @@ from util import (
     add,
     distinct_knots,
     finite_difference_via_integral,
+    knot_values,
     pole_free_rational,
     random_fraction,
     random_funcspec,
     random_polynomial,
+    reference_fd,
 )
 
 
@@ -62,7 +64,7 @@ def test_two_knots_give_the_slope():
 
 def test_square_on_three_equispaced_knots():
     f = PolynomialFunc(Polynomial.monomial(2))
-    kv = KnotValueList.from_function(f, [0, Fraction(1, 2), 1])
+    kv = knot_values(f, [0, Fraction(1, 2), 1])
     assert divided_difference_direct(kv) == 1
     assert divided_difference_recursive(kv) == 1
 
@@ -155,10 +157,10 @@ def test_monomial_annihilation_and_normalization():
         knots = distinct_knots(rng, n + 1)
         for k in range(n):
             f = PolynomialFunc(Polynomial.monomial(k))
-            kv = KnotValueList.from_function(f, knots)
+            kv = knot_values(f, knots)
             assert divided_difference_direct(kv) == 0
         top = PolynomialFunc(Polynomial.monomial(n))
-        kv = KnotValueList.from_function(top, knots)
+        kv = knot_values(top, knots)
         assert divided_difference_direct(kv) == 1
 
 
@@ -216,6 +218,54 @@ def test_forward_difference_is_linear():
 
         assert fd(Polynomial(add(p.coefficients, q.coefficients))) == fd(p) + fd(q)
         assert fd(p * c) == c * fd(p)
+
+
+def _spied_polynomial(coefficients, extend, asked):
+    """A PolynomialFunc that records each point asked of it, by either path."""
+
+    class Spy(PolynomialFunc):
+        def evaluate(self, x):
+            asked.append(Fraction(x))
+            return super().evaluate(x)
+
+        def pairs(self, D):
+            pair = super().pairs(D)
+
+            def spy(t):
+                asked.append(Fraction(t, D))
+                return pair(t)
+
+            return spy
+
+    return Spy(Polynomial(coefficients), extended_by_zero=extend)
+
+
+def test_an_unextended_polynomial_above_its_degree_asks_for_no_point():
+    # D_h^n p = 0 for n > deg p, after the h and n checks; at n <= deg p, and
+    # for a zero-extended p, the lattice is kept and asked as the loop asks.
+    x, h = Fraction(-7, 3), Fraction(1, 9)
+    for coefficients in ((), (5,), (1, -2, 3), (0, 0, 0, 0, Fraction(1, 7))):
+        degree = len(coefficients) - 1
+        for n in range(0, degree + 4):
+            for extend in (False, True):
+                asked = []
+                f = _spied_polynomial(coefficients, extend, asked)
+                value = finite_difference(f, x, h, n)
+                assert value == reference_fd(PolynomialFunc(f.poly, extend), x, h, n)
+                if n > degree and not extend:
+                    assert value == 0 and asked == []
+                elif not extend:
+                    assert asked == [x + j * h for j in range(n + 1)]
+        asked = []
+        f = _spied_polynomial(coefficients, False, asked)
+        with pytest.raises(ValueError, match="step must be positive"):
+            finite_difference(f, x, 0, degree + 2)
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            finite_difference(f, x, h, -1)
+        assert asked == []
+    asked = []
+    finite_difference(_spied_polynomial((1, 1), True, asked), Fraction(1, 3), h, 3)
+    assert asked == [Fraction(1, 3) + j * h for j in range(4)]
 
 
 def test_difference_stencil_is_the_signed_binomial_row():

@@ -18,7 +18,7 @@ from divdiff import (
     parse_funcspec,
 )
 
-from util import random_grid_function
+from util import random_grid_function, random_polynomial
 
 HAT = GridFunction(2, {1: Fraction(1)})
 
@@ -225,3 +225,44 @@ def test_load_grid_file_not_utf8_names_the_file(tmp_path):
     path.write_bytes(b"L=2\n1,\xff\n")
     with pytest.raises(ParseError, match=r"cannot read grid file .*bad\.csv.*utf-8"):
         load_grid_function(str(path))
+
+
+def _pair_or_error(pair, t):
+    try:
+        a, b = pair(t)
+    except (PoleError, DomainEvaluationError) as exc:
+        return type(exc).__name__, str(exc)
+    assert type(a) is int and type(b) is int and b > 0
+    return Fraction(a, b)
+
+
+def _value_or_error(f, x):
+    try:
+        return f.evaluate(x)
+    except (PoleError, DomainEvaluationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_pairs_give_the_value_at_each_lattice_point():
+    # pairs(D)(t) is f(t/D) as integers a/b with b > 0, zero extension and
+    # poles included: the denominators here are negative on [0, 1] and
+    # vanish at 2, at -1/2 and at 3/4.
+    rng = random.Random(2025_02)
+    negative = Polynomial((-2, 1))
+    specs = [
+        PolynomialFunc(Polynomial(()), extended_by_zero=False),
+        PolynomialFunc(Polynomial((Fraction(7, 3),)), extended_by_zero=True),
+        RationalFunc(Polynomial((1, 2, 0, 3)), negative),
+        RationalFunc(Polynomial((Fraction(1, 2), -1)), Polynomial((-1, -2))),
+        RationalFunc(Polynomial((3,)), Polynomial((Fraction(-3, 4), 1)), extended_by_zero=True),
+        PiecewiseLinearFunc(random_grid_function(rng), extended_by_zero=True),
+        PiecewiseLinearFunc(random_grid_function(rng)),
+    ]
+    for extend in (False, True):
+        specs.append(PolynomialFunc(random_polynomial(rng, max_degree=24), extended_by_zero=extend))
+        specs.append(RationalFunc(random_polynomial(rng), negative, extended_by_zero=extend))
+    for f in specs:
+        for D in (1, 2, 4, 12, 1_000_003):
+            pair = f.pairs(D)
+            for t in {0, D, -D // 2, 3 * D // 4, 2 * D, rng.randint(-2 * D, 3 * D)}:
+                assert _pair_or_error(pair, t) == _value_or_error(f, Fraction(t, D)), (f, D, t)

@@ -16,6 +16,7 @@ from util import (
     derivative,
     random_fraction,
     random_polynomial,
+    reference_evaluate,
     shifted,
     window_integral,
 )
@@ -140,3 +141,19 @@ def test_window_integral_keeps_degree_and_scales_leading():
         assert q.degree == p.degree
         if not p.is_zero:
             assert q.coefficients[-1] == p.coefficients[-1] * h
+
+
+def test_integer_sum_is_the_value_at_each_lattice_point():
+    # p(t/D) = P(t)/E with E > 0, on the zero polynomial, constants and
+    # degree 24, negative t and large D; reference_evaluate is Fraction Horner.
+    rng = random.Random(2025_01)
+    polys = [Polynomial(()), Polynomial((Fraction(-5, 3),))]
+    polys += [random_polynomial(rng, max_degree=24, max_num=99) for _ in range(20)]
+    polys.append(Polynomial(tuple(random_fraction(rng, 99, 99) for _ in range(25))))
+    for p in polys:
+        for D in (1, 2, 7, 360, rng.randint(10**6, 10**9)):
+            P, E = p.integer_sum(D)
+            assert E > 0
+            for t in [0, 1, -1, D, -D] + [rng.randint(-3 * D, 3 * D) for _ in range(5)]:
+                assert Fraction(P(t), E) == reference_evaluate(p, Fraction(t, D)), (p, D, t)
+    assert Polynomial(()).integer_sum(9)[1] == 1

@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 from divdiff import (
-    AveragingProbeResult,
     FuncSpec,
     GridFunction,
     LimitTerm,
@@ -29,10 +28,12 @@ from divdiff import (
 )
 
 from util import (
+    outcome,
     pole_free_rational,
     random_funcspec,
     random_polynomial,
-    reference_shift_average,
+    reference_fd,
+    reference_probe,
     reference_telescope,
     reference_walkthrough_sums,
 )
@@ -269,45 +270,6 @@ def test_walkthrough_requires_zero_extension():
 # --- the clipped and closed-form sums against the full loops --------------
 
 
-def outcome(call, *args):
-    """The value of call(*args), or the type and message of what it raised."""
-    try:
-        return call(*args)
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
-
-
-def reference_probe(f, x, h, n, N):
-    x, h = Fraction(x), Fraction(h)
-    touched = {}
-
-    def ev(point):
-        if point not in touched:
-            touched[point] = f.evaluate(point)
-        return touched[point]
-
-    average = reference_shift_average(ev, x, h, n, N)
-    if isinstance(f, PiecewiseLinearFunc):
-        m_bound = f.grid.sup_norm()
-    else:
-        m_bound = max(
-            (abs(v) for p, v in touched.items() if 0 <= p <= 1), default=Fraction(0)
-        )
-    survivors = sum(
-        math.comb(n, j) * max(0, math.floor((1 - x) / (j * h))) for j in range(1, n + 1)
-    )
-    return AveragingProbeResult(
-        n=n,
-        h=h,
-        x=x,
-        N=N,
-        average=average,
-        residual=average - (-1) ** n * f.evaluate(x),
-        bound=survivors * m_bound / N,
-        cutoff=math.floor((1 - x) / h),
-    )
-
-
 def reference_telescope_check(g, x, n, j, h, N):
     jprime, y, lhs, rhs = reference_telescope(g, x, n, j, h, N)
     return (jprime, y, lhs, rhs, lhs == rhs)
@@ -317,10 +279,6 @@ def telescope_fields(g, x, n, j, h, N):
     t = telescope_shift_identity(g, x, n, j, h, N)
     assert (t.n, t.j, t.N, t.x, t.h) == (n, j, N, x, h)
     return (t.jprime, t.y, t.lhs, t.rhs, t.equal)
-
-
-def reference_fd(f, x, h, n):
-    return reference_shift_average(f.evaluate, x, h, n, 1)
 
 
 def walkthrough_fields(f, n, h, N, x):

@@ -9,7 +9,11 @@ through the values at k/n assembled from ``Polynomial`` products, and
 Horner's rule), and the term-by-term loops over every shift i = 1..N
 and every near and far index behind the lattice and closed-form shift
 sums in ``probes``, kept as oracles for them; ``reference_shift_average``
-at N = 1 is also the oracle for ``finite_difference`` on that lattice.  ``reference_kernel_basis`` and
+at N = 1 (``reference_fd``) is also the oracle for ``finite_difference``
+on that lattice.  Every such reference asks ``f.evaluate`` for each term,
+and ``reference_equispaced`` samples the knots k/n the same way, so none
+of them reads the integer pairs of ``FuncSpec.pairs``.  ``outcome``
+turns what a call raised into a comparable value.  ``reference_kernel_basis`` and
 ``reference_forced_zeros`` are the null-space steps that list every free
 column before building its vector and scan every grid column for forced
 zeros, kept as oracles for ``kernel_basis`` and ``nullspace``.
@@ -48,6 +52,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from divdiff import (
+    AveragingProbeResult,
     BoundaryTerm,
     GridFunction,
     KnotValueList,
@@ -203,6 +208,17 @@ def reference_lagrange(values):
     return Polynomial(result)
 
 
+def knot_values(f, knots):
+    """The KnotValueList of f at the knots, one f.evaluate per knot."""
+    knots = tuple(Fraction(x) for x in knots)
+    return KnotValueList(knots, tuple(f.evaluate(x) for x in knots))
+
+
+def reference_equispaced(f, n):
+    """KnotValueList.equispaced(f, n) term by term: f.evaluate at each k/n."""
+    return knot_values(f, [Fraction(k, n) for k in range(n + 1)] if n else [0])
+
+
 def reference_evaluate(p, x):
     """Horner's rule on Fractions."""
     x = Fraction(x)
@@ -265,6 +281,53 @@ def reference_shift_average(ev, x, h, n, N):
     return total / N
 
 
+def outcome(call, *args):
+    """The value of call(*args), or the type and message of what it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def reference_fd(f, x, h, n):
+    """D_h^n f(x), one f.evaluate per term."""
+    return reference_shift_average(f.evaluate, x, h, n, 1)
+
+
+def reference_probe(f, x, h, n, N):
+    """averaging_probe's result from the full loop, one f.evaluate per
+    distinct point; the bound's M is the largest |f| over the points the
+    loop touched inside [0, 1], or the grid's sup norm."""
+    x, h = Fraction(x), Fraction(h)
+    touched = {}
+
+    def ev(point):
+        if point not in touched:
+            touched[point] = f.evaluate(point)
+        return touched[point]
+
+    average = reference_shift_average(ev, x, h, n, N)
+    if isinstance(f, PiecewiseLinearFunc):
+        m_bound = f.grid.sup_norm()
+    else:
+        m_bound = max(
+            (abs(v) for p, v in touched.items() if 0 <= p <= 1), default=Fraction(0)
+        )
+    survivors = sum(
+        math.comb(n, j) * max(0, math.floor((1 - x) / (j * h))) for j in range(1, n + 1)
+    )
+    return AveragingProbeResult(
+        n=n,
+        h=h,
+        x=x,
+        N=N,
+        average=average,
+        residual=average - (-1) ** n * f.evaluate(x),
+        bound=survivors * m_bound / N,
+        cutoff=math.floor((1 - x) / h),
+    )
+
+
 def reference_telescope(g, x, n, j, h, N):
     """(jprime, y, lhs, rhs) of the reindexing identity, every term summed."""
     x, h = Fraction(x), Fraction(h)
@@ -285,7 +348,7 @@ def reference_telescope(g, x, n, j, h, N):
 def reference_walkthrough_sums(f, n, h, N, x):
     """Every field of proof_walkthrough's report, by name, from full loops."""
     x, h = Fraction(x), Fraction(h)
-    q = lagrange_equispaced(KnotValueList.equispaced(f, n).values)
+    q = lagrange_equispaced(reference_equispaced(f, n).values)
     nfact = math.factorial(n)
     y = x + nfact * h
 
