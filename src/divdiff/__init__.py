@@ -32,7 +32,7 @@ _EXPORTS = {
         "load_grid_function", "parse_funcspec",
     ),
     "interpolation": ("degree_reduced", "lagrange_equispaced", "leading_coefficient"),
-    "poly": ("Polynomial", "binomial"),
+    "poly": ("Polynomial",),
     "probes": (
         "AveragingProbeResult", "BoundaryTerm", "LimitTerm", "TelescopeCheck", "WalkthroughReport",
         "averaging_probe", "averaging_sweep", "proof_walkthrough", "telescope_shift_identity",

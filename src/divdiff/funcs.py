@@ -9,9 +9,11 @@ flag rather than a convention.
 
 Shift sums and equispaced samples ask for f at lattice points t/D, t an
 integer, through FuncSpec.pairs(D): the map t -> (a, b), b > 0, with
-f(t/D) = a/b, not reduced.  By default it reads evaluate's value; a
-polynomial or a rational function computes it as integer Horner sums
-(Polynomial.integer_sum), with no Fraction per point.
+f(t/D) = a/b, not reduced.  Each kind overrides one evaluator.  A
+polynomial or a rational function computes its pairs as integer Horner
+sums (Polynomial.integer_sum), with no Fraction per point, and
+evaluate(x) reads the pair of x.  A piecewise-linear function
+interpolates its grid in _evaluate, and its pairs read that value.
 
 Text syntax accepted by parse_funcspec:
 
@@ -22,7 +24,6 @@ Text syntax accepted by parse_funcspec:
 with every scalar written as "p/q" or a bare integer.
 """
 
-import abc
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,8 +99,9 @@ class GridFunction:
         return max(L * abs(self.value(k + 1) - self.value(k)) for k in range(L))
 
 
-class FuncSpec(abc.ABC):
-    """A function on the rationals that evaluates exactly."""
+class FuncSpec:
+    """A function on the rationals that evaluates exactly.  A kind overrides
+    exactly one of _evaluate and pairs; each of the two here reads the other."""
 
     extended_by_zero: bool
 
@@ -111,8 +113,8 @@ class FuncSpec(abc.ABC):
             return ZERO
         return self._evaluate(x)
 
-    @abc.abstractmethod
-    def _evaluate(self, x: Fraction) -> Fraction: ...
+    def _evaluate(self, x: Fraction) -> Fraction:
+        return Fraction(*self.pairs(x.denominator)(x.numerator))
 
     def pairs(self, D: int) -> Callable[[int], Pair]:
         """The map t -> (a, b), b > 0, with f(t/D) = a/b, for D >= 1;
@@ -131,9 +133,6 @@ class PolynomialFunc(FuncSpec):
     poly: Polynomial
     extended_by_zero: bool = False
 
-    def _evaluate(self, x: Fraction) -> Fraction:
-        return self.poly.evaluate(x)
-
     def pairs(self, D: int) -> Callable[[int], Pair]:
         """t -> (P(t), E) from the polynomial's integer sum."""
         P, E = self.poly.integer_sum(D)
@@ -150,12 +149,6 @@ class RationalFunc(FuncSpec):
     def __post_init__(self) -> None:
         if self.denominator.is_zero:
             raise ParseError("denominator is the zero polynomial")
-
-    def _evaluate(self, x: Fraction) -> Fraction:
-        den = self.denominator.evaluate(x)
-        if den == 0:
-            raise PoleError(x)
-        return self.numerator.evaluate(x) / den
 
     def pairs(self, D: int) -> Callable[[int], Pair]:
         """t -> (P(t) F, Q(t) E) for the integer sums P/E of the numerator

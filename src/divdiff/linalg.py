@@ -68,7 +68,9 @@ class NullBasis(Sequence[dict[int, Fraction]]):
     vectors are the singletons {k: ONE} for k in the run; those are built
     only when they are read.  ``offsets[s]`` is the index of the first
     vector of ``segments[s]``.  A NullBasis equals any list, tuple or
-    NullBasis of the same vectors in the same order.
+    NullBasis of the same vectors in the same order.  As in kernel_basis,
+    a run is nonempty, of step 1, and its first column is no lower than
+    its first vector's index; any other range raises ValueError.
     """
 
     __slots__ = ("segments", "offsets", "_len")
@@ -79,7 +81,10 @@ class NullBasis(Sequence[dict[int, Fraction]]):
         n = 0
         for segment in self.segments:
             offsets.append(n)
-            n += len(segment) if type(segment) is range else 1
+            run = type(segment) is range
+            if run and not (segment and segment.step == 1 and segment.start >= n):
+                raise ValueError(f"not a run of columns from index {n}: {segment!r}")
+            n += len(segment) if run else 1
         self.offsets = tuple(offsets)
         self._len = n
 

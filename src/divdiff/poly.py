@@ -5,16 +5,15 @@ trailing zeros trimmed, so structural equality is value equality.  The
 zero polynomial is the empty tuple and reports degree -inf instead of
 pretending to have degree 0.
 
-Evaluation runs on integers: the coefficients are written once, and
-cached, as integers C_k over their common denominator D, Horner's rule
-runs on the integer numerator and denominator of x, and the value is
-reduced to a Fraction once.  The cache is not a field, so it takes no
-part in equality, hashing or repr.
-
-Along a lattice of points t/D with integer t, as the shift sums use,
-integer_sum(D) scales the coefficients by the powers of D once, so that
-p(t/D) = P(t)/E for one denominator E and an integer Horner sum P(t):
-a point costs d integer multiply-adds and no Fraction at all.
+Evaluation runs on integers.  The coefficients are written once, and
+cached, as integers C_k over their common denominator; the cache is not
+a field, so it takes no part in equality, hashing or repr.
+integer_sum(D) scales them by the powers of D once, so that
+p(t/D) = P(t)/E at every integer t, for one denominator E and an
+integer Horner sum P(t): along the lattice of a shift sum a point costs
+d integer multiply-adds and no Fraction at all.  evaluate(a/b) is the
+same sum with D = b, reduced to a Fraction once, so the one Horner loop
+is the one in integer_sum.
 """
 
 import math
@@ -24,13 +23,6 @@ from fractions import Fraction
 from typing import Callable, Union
 
 Scalar = Union[int, Fraction]
-
-
-def binomial(n: int, j: int) -> int:
-    """Exact C(n, j); j outside 0..n is an error, not a zero."""
-    if not 0 <= j <= n:
-        raise ValueError(f"binomial index out of range: C({n}, {j})")
-    return math.comb(n, j)
 
 
 @dataclass(frozen=True)
@@ -78,19 +70,10 @@ class Polynomial:
         return den, nums
 
     def evaluate(self, x: Scalar) -> Fraction:
-        """Horner evaluation, exact: at x = a/b the integer Horner sum
-        sum_i C_i a^i b^(d-i) is divided by D b^d once."""
+        """p(x), exact: at x = a/b, the integer sum P(a) over E for D = b."""
         x = Fraction(x)
-        den, nums = self._integer_form
-        if not nums:
-            return Fraction(0)
-        a, b = x.numerator, x.denominator
-        acc = nums[-1]
-        power = 1
-        for c in reversed(nums[:-1]):
-            power *= b
-            acc = acc * a + c * power
-        return Fraction(acc, den * power)
+        P, E = self.integer_sum(x.denominator)
+        return Fraction(P(x.numerator), E)
 
     def integer_sum(self, D: int) -> tuple[Callable[[int], int], int]:
         """(P, E) with p(t/D) = P(t)/E at every integer t, for D >= 1.

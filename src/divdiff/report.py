@@ -1,7 +1,8 @@
 """Machine-readable reports: JSON and CSV with exact rational fields.
 
 This module alone decides how a result becomes report text.  The CLI
-hands it library results as they are, and it writes them by type:
+hands it library results as they are, and it writes them by their exact
+class (a subclass of str or dict, say, raises TypeError):
 
 - a dataclass record is written as its fields, in declaration order;
 - a Polynomial is written as its coefficient list, ascending;
@@ -85,31 +86,19 @@ _CONSTANT, _LIST, _MAP, _RECORD = "constant", "list", "map", "record"
 _CONSTANTS = {None: ("null", ""), True: ("true", "true"), False: ("false", "false")}
 
 
-def _kind(cls: type) -> Any:
-    """How values of cls are written; None if they cannot be."""
-    if cls is bool or cls is type(None):
-        return _CONSTANT
-    for kind in (Fraction, int, str):
-        if issubclass(cls, kind):
-            return kind
-    if issubclass(cls, (list, tuple, NullBasis)):
-        return _LIST
-    if issubclass(cls, dict):
-        return _MAP
-    for kind in (Polynomial, GridFunction):
-        if issubclass(cls, kind):
-            return kind
-    return _RECORD if is_dataclass(cls) else None
-
-
-# The kinds of the classes a report is mostly made of, found by one lookup.
+# The kind of each class a value is written as, looked up by its exact class.
 _KINDS = {
-    cls: _kind(cls)
-    for cls in (
-        Fraction, int, str, bool, type(None), list, tuple, dict, NullBasis, Polynomial,
-        GridFunction,
-    )
+    Fraction: Fraction, int: int, str: str, bool: _CONSTANT, type(None): _CONSTANT,
+    list: _LIST, tuple: _LIST, NullBasis: _LIST, dict: _MAP,
+    Polynomial: Polynomial, GridFunction: GridFunction,
 }
+
+
+def _kind(cls: type) -> Any:
+    """How values of exactly the class cls are written: its kind in _KINDS,
+    a record if it is another dataclass, or None if they cannot be."""
+    return _KINDS.get(cls) or (_RECORD if is_dataclass(cls) else None)
+
 
 # The text of the 1 that every singleton vector of a NullBasis run holds.
 _ONE = str(ONE)
@@ -152,15 +141,11 @@ class _Run(NamedTuple):
 
     def texts(self) -> tuple[list[str], list[str]]:
         """The decimal texts of the run's indices i and of its columns k:
-        two slices of one list where they lie close, as i = k - c do."""
-        columns, n = self.columns, len(self.columns)
-        indices = range(self.start, self.start + n)
-        lo, hi = min(indices.start, columns.start), max(indices.stop, columns.stop)
-        if columns.step == 1 and hi - lo <= 2 * n:
-            texts = _decimals(range(lo, hi))
-            i, k = indices.start - lo, columns.start - lo
-            return texts[i:i + n], texts[k:k + n]
-        return _decimals(indices), _decimals(columns)
+        the first and the last n of one list, as a NullBasis run starts
+        at or past its index."""
+        n = len(self.columns)
+        texts = _decimals(range(self.start, self.columns.stop))
+        return texts[:n], texts[-n:]
 
     def tails(self) -> Iterator[str]:
         """What follows "path[" in the path of each 1: "i].k"."""
@@ -236,8 +221,6 @@ def _write(
             cls = type(v)
             if cls is range and runs:
                 # A run of untouched columns: the singleton vectors {c: 1}.
-                if not v:
-                    continue
                 run = _Run(path, k, v)
                 if inner is None:
                     out.append(run)
@@ -257,7 +240,7 @@ def _write(
                 _claim(seen, key, prefix)
         if inner is not None:
             out.append(opener if key is None else f"{opener}{_quote(key)}: ")
-        vkind = _KINDS.get(type(v)) or _kind(type(v))
+        vkind = _kind(type(v))
         if vkind is Fraction:
             cell = format_rational(v)
             text = f'"{cell}"'

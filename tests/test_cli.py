@@ -471,13 +471,27 @@ def test_duplicate_knots_exit_code(capsys):
     assert "0" in err
 
 
-def test_pole_exit_code(capsys):
-    code, out, err = run(
-        capsys, "fd", "--func", "ratfun:1;-1/2,1", "--x", "0", "--h", "1/2",
-        "--n", "1",
-    )
+# Each meets the pole at 1/2 of its function: an fd stencil point, a
+# knot k/n, and a lattice point x + m*h of a zero-extended shift sum.
+POLE_ARGS = {
+    "fd": ("fd", "--func", "ratfun:1;-1/2,1", "--x", "0", "--h", "1/2", "--n", "1"),
+    "uniform": ("uniform", "--func", "ratfun:1;-1,2", "--n", "2"),
+    **{
+        cmd: (
+            cmd, "--func", "ratfun:1;-1,2", "--extend-zero", "--x", "0", "--h", "1/4",
+            "--n", "2", "--N", "2",
+        )
+        for cmd in ("probe", "walkthrough")
+    },
+}
+
+
+@pytest.mark.parametrize("cmd", list(POLE_ARGS))
+def test_pole_exit_code(capsys, cmd):
+    code, out, err = run(capsys, *POLE_ARGS[cmd])
     assert code == 2
-    assert "pole" in err.lower() or "1/2" in err
+    assert out == ""
+    assert err == "divdiff: error: denominator vanishes at 1/2\n"
 
 
 def test_domain_error_exit_code(capsys, tmp_path):

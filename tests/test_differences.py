@@ -18,7 +18,6 @@ from divdiff import (
     Polynomial,
     PolynomialFunc,
     RationalFunc,
-    binomial,
     check_equispaced_identity,
     divided_difference_direct,
     divided_difference_recursive,
@@ -29,6 +28,7 @@ from divdiff.differences import difference_stencil
 
 from util import (
     add,
+    binomial,
     distinct_knots,
     finite_difference_via_integral,
     knot_values,

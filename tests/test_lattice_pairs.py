@@ -6,7 +6,10 @@ test here compares a shift sum with the reference of tests/util.py, which
 asks f.evaluate for every term, on inputs that stress the pairs: the
 zero polynomial, constants and degree 24, rational functions whose
 denominator is negative, negative x, and steps h whose denominators run
-to about a million, so that D and its powers are large.
+to about a million, so that D and its powers are large.  f.evaluate
+reads the same pairs, one point at a time, so these tests check how the
+points are gathered and summed; test_funcs.py holds the values of the
+pairs to reference_value, which reads no pair.
 """
 
 import dataclasses

@@ -21,7 +21,7 @@ PUBLIC = [
     "MinLipschitzResult", "NullspaceReport", "ParseError",
     "PiecewiseLinearFunc", "PoleError", "Polynomial", "PolynomialFunc", "Rational",
     "RationalFunc", "TelescopeCheck", "WalkthroughReport", "__version__",
-    "averaging_probe", "averaging_sweep", "binomial", "build_constraint_system",
+    "averaging_probe", "averaging_sweep", "build_constraint_system",
     "check_equispaced_identity", "decimal_string", "degree_reduced",
     "divided_difference_direct", "divided_difference_recursive", "finite_difference",
     "format_rational", "lagrange_equispaced",

@@ -1,4 +1,4 @@
-"""Polynomial evaluation, binomial coefficients, and the test-side
+"""Polynomial evaluation, and the test-side binomial coefficients and
 coefficient helpers: sums, the calculus steps and the sliding-window integral."""
 
 import random
@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from divdiff import Polynomial, binomial
+from divdiff import Polynomial
 
 from util import (
     add,
     antiderivative,
+    binomial,
     derivative,
     random_fraction,
     random_polynomial,

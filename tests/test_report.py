@@ -125,12 +125,21 @@ def test_csv_table_row_that_is_not_a_record_is_rejected():
         render_csv(Report("c", {}, {"rows": [{"N": 1}, Fraction(1, 2)]}))
 
 
+class Name(str):
+    pass
+
+
 def test_unserializable_values_are_rejected():
     report = Report(command="c", inputs={}, results={"v": object()})
     with pytest.raises(TypeError):
         render_json(report)
     with pytest.raises(TypeError):
         render_csv(report)
+    # A kind is looked up by the exact class: a str subclass is not a str.
+    report = Report("c", {}, {"v": [Name("x")]})
+    for render in (render_json, render_csv):
+        with pytest.raises(TypeError, match=r"^cannot serialize Name at results\.v\[0\]$"):
+            render(report)
 
 
 def test_float_values_are_rejected():

@@ -19,9 +19,12 @@ mapping's values; seeded lists of sparse vectors or of scalars with one
 member of another shape, first, last or anywhere between, are checked
 against the reference as well.  A ``NullBasis`` writes each run of
 singleton vectors with one join; its runs first, last, alone, of length
-1 or 0 or between vectors, under keys that need escaping, in a table cell
-and inside lists are checked the same way.  So is a table whose one column is named by the empty
-string, whose lines are each one cell: an empty one is written ``""``.
+1 or between vectors, under keys that need escaping, in a table cell
+and inside lists are checked the same way, and a run that kernel_basis
+never builds (empty, of another step, or starting at a column below its
+index) is refused.  A table whose one column is named by the empty
+string, whose lines are each one cell, is checked too: an empty one is
+written ``""``.
 
 A run's keys and paths come from one list of decimal texts, built past
 999 by blocks of 1000 that share a prefix.  Seeded bases whose runs
@@ -281,7 +284,6 @@ NULL_BASES = {
     ],
     "adjacent-runs": [range(0, 2), range(2, 5)],
     "a-vector-walked-in-its-place": [range(0, 2), {2: 1}, range(3, 5)],  # an int value
-    "empty-runs": [range(0, 0), range(0, 2), range(4, 4), {4: ONE}, range(7, 7)],
 }
 BASIS_KEYS = ("basis", "a,b", 'q"', "ä\nk")
 # Keys every basis is also written under, seeded ones too, drawn by no
@@ -315,6 +317,24 @@ def assert_written_as_its_vectors(place, key, segments):
 def test_null_bases_match_the_reference_writer(name, place):
     for key in BASIS_KEYS + EVERY_BASIS_KEYS:
         assert_written_as_its_vectors(place, key, NULL_BASES[name])
+
+
+@pytest.mark.parametrize(
+    "segments",
+    [
+        [range(0, 0), range(0, 2), range(4, 4), {4: ONE}, range(7, 7)],
+        [range(0, 2), {2: ONE}, range(7, 7)],
+        [range(0, 4, 2)],
+        [range(3, 0, -1)],
+        [{0: ONE}, {1: ONE}, range(1, 3)],
+    ],
+    ids=["empty-runs", "an-empty-run-last", "step-2", "step-minus-1", "column-below-index"],
+)
+def test_null_basis_refuses_runs_that_kernel_basis_never_builds(segments):
+    # kernel_basis builds only nonempty step-1 runs whose first column k
+    # is at or past the index i of its vector, k = i + c with c >= 0.
+    with pytest.raises(ValueError, match="not a run of columns from index"):
+        NullBasis(segments)
 
 
 def random_segments(rng):
@@ -386,11 +406,11 @@ def test_decimal_texts_match_str_on_digit_edges(edge):
 
 @pytest.mark.parametrize("edge", DIGIT_EDGES)
 def test_run_paths_on_digit_edges(edge):
-    # Each index below, on or past its column: from one list, or from two
-    # where the run is short and they lie far apart.
+    # Each index on or below its column, near it or, where the run is
+    # short, far below it: all from one list.
     for lo, hi in ((-3, 3), (-1, 1), (-1, 0), (0, 1), (-1001, 2)):
         columns = range(max(edge + lo, 0), max(edge + hi, 1))
-        for c in (-3, -1, 0, 1, 2, 5, 5000):
+        for c in (0, 1, 2, 5, 5000):
             start = max(columns.start - c, 0)
             indices = range(start, start + len(columns))
             paths = list(_Run("results.basis", start, columns).tails())

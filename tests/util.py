@@ -11,9 +11,14 @@ and every near and far index behind the lattice and closed-form shift
 sums in ``probes``, kept as oracles for them; ``reference_shift_average``
 at N = 1 (``reference_fd``) is also the oracle for ``finite_difference``
 on that lattice.  Every such reference asks ``f.evaluate`` for each term,
-and ``reference_equispaced`` samples the knots k/n the same way, so none
-of them reads the integer pairs of ``FuncSpec.pairs``.  ``outcome``
-turns what a call raised into a comparable value.  ``reference_kernel_basis`` and
+and ``reference_equispaced`` samples the knots k/n the same way: one
+point at a time, so they check how the package gathers and sums its
+points.  ``f.evaluate`` reads the integer pairs of ``FuncSpec.pairs`` as
+the sums do, so the values themselves are held to ``reference_value``,
+which computes f(x) from ``reference_evaluate`` and the grid values and
+reads neither.  ``binomial`` is the checked C(n, j), kept as the oracle
+for the stencil.  ``outcome`` turns what a call raised into a comparable
+value.  ``reference_kernel_basis`` and
 ``reference_forced_zeros`` are the null-space steps that list every free
 column before building its vector and scan every grid column for forced
 zeros, kept as oracles for ``kernel_basis`` and ``nullspace``.
@@ -54,10 +59,12 @@ from itertools import zip_longest
 from divdiff import (
     AveragingProbeResult,
     BoundaryTerm,
+    DomainEvaluationError,
     GridFunction,
     KnotValueList,
     LimitTerm,
     PiecewiseLinearFunc,
+    PoleError,
     Polynomial,
     PolynomialFunc,
     RationalFunc,
@@ -226,6 +233,36 @@ def reference_evaluate(p, x):
     for c in reversed(p.coefficients):
         acc = acc * x + c
     return acc
+
+
+def binomial(n, j):
+    """Exact C(n, j); j outside 0..n is an error, not a zero."""
+    if not 0 <= j <= n:
+        raise ValueError(f"binomial index out of range: C({n}, {j})")
+    return math.comb(n, j)
+
+
+def reference_value(f, x):
+    """f(x) for a polynomial, rational or piecewise-linear spec, reading
+    neither its pairs nor its evaluate: numerator and denominator by
+    reference_evaluate, 0 outside [0, 1] when f is zero-extended,
+    PoleError where the denominator vanishes, and the linear interpolant
+    of the two neighbouring grid values for a grid."""
+    x = Fraction(x)
+    if f.extended_by_zero and not 0 <= x <= 1:
+        return Fraction(0)
+    if isinstance(f, PolynomialFunc):
+        return reference_evaluate(f.poly, x)
+    if isinstance(f, RationalFunc):
+        den = reference_evaluate(f.denominator, x)
+        if den == 0:
+            raise PoleError(x)
+        return reference_evaluate(f.numerator, x) / den
+    if not 0 <= x <= 1:
+        raise DomainEvaluationError(f"{x} is outside [0, 1]")
+    k, t = divmod(x * f.grid.denominator, 1)
+    lo, hi = f.grid.entries.get(k, 0), f.grid.entries.get(k + 1, 0)
+    return lo + (hi - lo) * t
 
 
 def add(a, b):
