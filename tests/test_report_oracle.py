@@ -19,10 +19,10 @@ mapping's values; seeded lists of sparse vectors or of scalars with one
 member of another shape, first, last or anywhere between, are checked
 against the reference as well.  A ``NullBasis`` writes each run of
 singleton vectors with one join; its runs first, last, alone, of length
-1 or between vectors, under keys that need escaping, in a table cell
-and inside lists are checked the same way, and a run that kernel_basis
-never builds (empty, of another step, or starting at a column below its
-index) is refused.  A table whose one column is named by the empty
+1, between vectors or past gaps of pivot columns, under keys that need
+escaping, in a table cell and inside lists are checked the same way,
+and a run that kernel_basis never builds (empty, of another step, or
+starting at a column below its index) is refused.  A table whose one column is named by the empty
 string, whose lines are each one cell, is checked too: an empty one is
 written ``""``.
 
@@ -284,6 +284,10 @@ NULL_BASES = {
     ],
     "adjacent-runs": [range(0, 2), range(2, 5)],
     "a-vector-walked-in-its-place": [range(0, 2), {2: 1}, range(3, 5)],  # an int value
+    # Where empty runs would stand (at columns 0, 4 and 7) kernel_basis
+    # writes none: the pivot columns 2, 3, 5 and 6 are gaps, and the last
+    # run's columns lie past its vectors' indices.
+    "empty-runs": [range(0, 2), {4: ONE}, range(7, 9)],
 }
 BASIS_KEYS = ("basis", "a,b", 'q"', "ä\nk")
 # Keys every basis is also written under, seeded ones too, drawn by no
