@@ -9,11 +9,11 @@ flag rather than a convention.
 
 Shift sums and equispaced samples ask for f at lattice points t/D, t an
 integer, through FuncSpec.pairs(D): the map t -> (a, b), b > 0, with
-f(t/D) = a/b, not reduced.  Each kind overrides one evaluator.  A
-polynomial or a rational function computes its pairs as integer Horner
-sums (Polynomial.integer_sum), with no Fraction per point, and
-evaluate(x) reads the pair of x.  A piecewise-linear function
-interpolates its grid in _evaluate, and its pairs read that value.
+f(t/D) = a/b, not reduced.  Every kind gives pairs, and evaluate(x)
+reads the pair of x.  A polynomial or a rational function computes its
+pairs as integer Horner sums (Polynomial.integer_sum), with no Fraction
+per point.  Only the piecewise-linear kind has its own _evaluate: it
+interpolates its grid, and its pairs read that value through evaluate.
 
 Text syntax accepted by parse_funcspec:
 
@@ -100,8 +100,9 @@ class GridFunction:
 
 
 class FuncSpec:
-    """A function on the rationals that evaluates exactly.  A kind overrides
-    exactly one of _evaluate and pairs; each of the two here reads the other."""
+    """A function on the rationals that evaluates exactly.  Every kind
+    gives pairs, which _evaluate reads; a kind that evaluates point by
+    point overrides _evaluate."""
 
     extended_by_zero: bool
 
@@ -117,15 +118,8 @@ class FuncSpec:
         return Fraction(*self.pairs(x.denominator)(x.numerator))
 
     def pairs(self, D: int) -> Callable[[int], Pair]:
-        """The map t -> (a, b), b > 0, with f(t/D) = a/b, for D >= 1;
-        here through evaluate, one point at a time."""
-        evaluate = self.evaluate
-
-        def pair(t: int) -> Pair:
-            v = evaluate(Fraction(t, D))
-            return v.numerator, v.denominator
-
-        return pair
+        """The map t -> (a, b), b > 0, with f(t/D) = a/b, for D >= 1."""
+        raise NotImplementedError(f"{type(self).__name__} gives no pairs")
 
 
 @dataclass(frozen=True)
@@ -176,6 +170,11 @@ class PiecewiseLinearFunc(FuncSpec):
 
     def _evaluate(self, x: Fraction) -> Fraction:
         return self.grid.evaluate(x)
+
+    def pairs(self, D: int) -> Callable[[int], Pair]:
+        """t -> the value at t/D through evaluate, one point at a time."""
+        evaluate = self.evaluate
+        return lambda t: evaluate(Fraction(t, D)).as_integer_ratio()
 
 
 def parse_funcspec(text: str, extend_zero: bool = False) -> FuncSpec:

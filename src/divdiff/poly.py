@@ -40,12 +40,6 @@ class Polynomial:
     def zero(cls) -> "Polynomial":
         return cls(())
 
-    @classmethod
-    def monomial(cls, degree: int, coefficient: Scalar = 1) -> "Polynomial":
-        if degree < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        return cls((Fraction(0),) * degree + (Fraction(coefficient),))
-
     @property
     def is_zero(self) -> bool:
         return not self.coefficients

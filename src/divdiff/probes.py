@@ -34,14 +34,16 @@ the run:
   probe bound and the walkthrough's envelope read the largest |a|/b from
   the same pairs.
 - For a polynomial p (an unextended polynomial in the telescope check,
-  or i**n for the interpolant's averages in the walkthrough) the sum is
-  a difference of two prefix sums, each given by the hockey-stick
-  identity (Graham, Knuth & Patashnik, Concrete Mathematics, 2.6):
+  or i**n for the interpolant's averages in the walkthrough) a run
+  i = lo..hi is deg p + 1 integer weights on the points i = 0..deg p,
+  by the hockey-stick identity (Graham, Knuth & Patashnik, Concrete
+  Mathematics, 2.6):
 
       sum_{i=0}^{m} p(x + i*s) = sum_k C(m+1, k+1) * Delta_s^k p(x),
 
-  where the forward differences Delta_s^k p(x), k = 0..deg p, come from
-  the deg p + 1 values p(x), p(x+s), ..., p(x + deg(p)*s).
+  with Delta_s^k p(x) the order-k stencil on p(x), ..., p(x + k*s).  The
+  telescope check places the weights on the same lattice, as integer
+  pairs, with no Polynomial.evaluate per point.
 
 Only the telescope check on a rational or piecewise-linear function
 that is not zero-extended still sums every term (each point once).
@@ -59,22 +61,22 @@ from .poly import Polynomial
 from .rational import Rational
 
 
-def _polynomial_sum(p: Polynomial, x: Fraction, s: Fraction, lo: int, hi: int) -> Fraction:
-    """sum_{i=lo}^{hi} p(x + i*s) for 0 <= lo, by the hockey-stick identity.
+def _run_weights(count: int, lo: int, hi: int) -> list[int]:
+    """Integer weights c_0..c_{count-1} with sum_{i=lo}^{hi} p(x + i*s) =
+    sum_i c_i p(x + i*s) for every polynomial p of degree below count, by
+    the hockey-stick identity, for 0 <= lo <= hi + 1.
 
     The sum is the prefix sum up to hi minus the prefix sum up to lo - 1,
-    so the k-th forward difference enters with C(hi+1, k+1) - C(lo, k+1).
-    math.comb is 0 when k + 1 exceeds its top, as it must be when the run
-    is shorter than the degree.
+    so the k-th forward difference, sum_i stencil(k)[i] p(x + i*s), enters
+    with C(hi+1, k+1) - C(lo, k+1).  math.comb is 0 when k + 1 exceeds its
+    top, as it must be when the run is shorter than the degree.
     """
-    if p.is_zero:
-        return Fraction(0)
-    column = [p.evaluate(x + i * s) for i in range(len(p.coefficients))]
-    total = Fraction(0)
-    for k in range(len(column)):
-        total += (math.comb(hi + 1, k + 1) - math.comb(lo, k + 1)) * column[0]
-        column = [b - a for a, b in zip(column, column[1:])]
-    return total
+    weights = [0] * count
+    for k in range(count):
+        runs = math.comb(hi + 1, k + 1) - math.comb(lo, k + 1)
+        for i, w in enumerate(difference_stencil(k)):
+            weights[i] += runs * w
+    return weights
 
 
 def _validate_probe_args(f: FuncSpec, x: Fraction, h: Fraction, n: int, N: int) -> None:
@@ -198,10 +200,10 @@ def telescope_shift_identity(
 
     For a zero-extended g each sum runs over its survivors only, the i
     with 0 <= x + j*i*h <= 1 (x may be negative, and y may lie beyond 1);
-    for a polynomial g that is not zero-extended each sum is taken in
-    closed form by the hockey-stick identity.  Either way the cost does
-    not grow with N or j'.  Any other g is summed over every term, each
-    distinct point evaluated once.
+    for a polynomial g that is not zero-extended each sum is deg g + 1
+    integer weights, by the hockey-stick identity.  Either way the cost
+    does not grow with N or j'.  Any other g is summed over every term,
+    each distinct point evaluated once.
     """
     x, h = Fraction(x), Fraction(h)
     if n < 1:
@@ -215,29 +217,31 @@ def telescope_shift_identity(
     nfact = math.factorial(n)
     jprime = nfact // j
     y = x + nfact * h
+    # x + j*i*h is lattice point i*j, and y + j*i*h is point n! + i*j.
+    lattice = _Lattice(g.pairs, x, h, clip=g.extended_by_zero)
+    sides: dict[int, int] = {}
+    ends: dict[int, int] = {}
     if isinstance(g, PolynomialFunc) and not g.extended_by_zero:
-        p, step = g.poly, j * h
-        lhs = _polynomial_sum(p, x, step, 1, N) - _polynomial_sum(p, y, step, 1, N)
-        rhs = _polynomial_sum(p, x, step, 1, jprime) - _polynomial_sum(
-            p, x, step, N + 1, N + jprime
-        )
+        # Each run is deg g + 1 weights on its first points, i = 0..deg g.
+        count = len(g.poly.coefficients)
+        near, far = _run_weights(count, 1, jprime), _run_weights(count, N + 1, N + jprime)
+        for i, (c, a, b) in enumerate(zip(_run_weights(count, 1, N), near, far)):
+            sides[i * j] = sides.get(i * j, 0) + c
+            sides[nfact + i * j] = sides.get(nfact + i * j, 0) - c
+            ends[i * j] = a - b
     else:
-        # x + j*i*h is lattice point i*j, and y + j*i*h is point n! + i*j.
-        lattice = _Lattice(g.pairs, x, h, clip=g.extended_by_zero)
         xs, ys = lattice.shifts(j, 1, N), lattice.shifts(j, 1, N, nfact)
         # Ascending i, the x point before the y point, as the term-by-term
         # loop visits them, so a pole is reported at the same point.
-        sides: dict[int, int] = {}
         for i in sorted({*xs, *ys}):
             if i in xs:
                 sides[i * j] = sides.get(i * j, 0) + 1
             if i in ys:
                 sides[nfact + i * j] = sides.get(nfact + i * j, 0) - 1
-        lhs = lattice.total(sides)
-        ends: dict[int, int] = {}
         lattice.add(ends, 1, j, 1, jprime)
         lattice.add(ends, -1, j, N + 1, N + jprime)
-        rhs = lattice.total(ends)
+    lhs = lattice.total(sides)
+    rhs = lattice.total(ends)
     return TelescopeCheck(
         n=n, j=j, jprime=jprime, N=N, x=x, h=h, y=y, lhs=lhs, rhs=rhs, equal=lhs == rhs
     )
@@ -355,7 +359,7 @@ def proof_walkthrough(
     avg_defect_y = lattice.total(_average_weights(lattice, n, N, nfact)) / N
     # D_s^n q = n! * lead * s^n at every point, as q has degree <= n, so
     # both interpolant averages are (n! lead h^n / N) * sum_{i=1}^{N} i^n.
-    powers = _polynomial_sum(Polynomial.monomial(n), Fraction(0), Fraction(1), 1, N)
+    powers = sum(c * i**n for i, c in enumerate(_run_weights(n + 1, 1, N)))
     avg_interp_x = avg_interp_y = nfact * lead * h**n * powers / N
 
     blocks: list[tuple[int, int, Fraction, Fraction, list[int]]] = []

@@ -112,9 +112,9 @@ def _join(items: Iterator[str], head: str, tail: str, sep: str = "") -> str:
 
 
 def _decimals(keys: range) -> list[str]:
-    """[str(k) for k in keys].  Past 999, a range of step 1 goes by blocks
-    that share str(k // 1000): one join puts it before each suffix."""
-    if keys.step != 1 or keys.stop <= 1000:
+    """[str(k) for k in keys], a range of step 1.  Past 999 it goes by
+    blocks that share str(k // 1000): one join puts it before each suffix."""
+    if keys.stop <= 1000:
         return list(map(str, keys))
     if not _SUFFIXES:
         _SUFFIXES[:] = [f"{j:03d}" for j in range(1000)]  # whole, in one step

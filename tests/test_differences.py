@@ -32,6 +32,7 @@ from util import (
     distinct_knots,
     finite_difference_via_integral,
     knot_values,
+    monomial,
     pole_free_rational,
     random_fraction,
     random_funcspec,
@@ -63,14 +64,14 @@ def test_two_knots_give_the_slope():
 
 
 def test_square_on_three_equispaced_knots():
-    f = PolynomialFunc(Polynomial.monomial(2))
+    f = PolynomialFunc(monomial(2))
     kv = knot_values(f, [0, Fraction(1, 2), 1])
     assert divided_difference_direct(kv) == 1
     assert divided_difference_recursive(kv) == 1
 
 
 def test_cube_on_four_equispaced_knots():
-    f = PolynomialFunc(Polynomial.monomial(3))
+    f = PolynomialFunc(monomial(3))
     kv = KnotValueList.equispaced(f, 3)
     assert kv.knots == (0, Fraction(1, 3), Fraction(2, 3), 1)
     assert divided_difference_recursive(kv) == 1
@@ -122,7 +123,7 @@ def test_entries_are_fractions():
 
 
 def test_equispaced_requires_positive_order():
-    f = PolynomialFunc(Polynomial.monomial(1))
+    f = PolynomialFunc(monomial(1))
     kv = KnotValueList.equispaced(f, 0)
     assert kv.knots == (Fraction(0),)
     with pytest.raises(ValueError):
@@ -156,10 +157,10 @@ def test_monomial_annihilation_and_normalization():
     for n in range(1, 9):
         knots = distinct_knots(rng, n + 1)
         for k in range(n):
-            f = PolynomialFunc(Polynomial.monomial(k))
+            f = PolynomialFunc(monomial(k))
             kv = knot_values(f, knots)
             assert divided_difference_direct(kv) == 0
-        top = PolynomialFunc(Polynomial.monomial(n))
+        top = PolynomialFunc(monomial(n))
         kv = knot_values(top, knots)
         assert divided_difference_direct(kv) == 1
 
@@ -185,7 +186,7 @@ def test_weight_signs_alternate_from_the_top():
 
 
 def test_forward_difference_fixtures():
-    f = PolynomialFunc(Polynomial.monomial(2))
+    f = PolynomialFunc(monomial(2))
     half = Fraction(1, 2)
     assert finite_difference(f, 0, half, 1) == Fraction(1, 4)
     assert finite_difference(f, 0, half, 2) == Fraction(1, 2)
@@ -198,7 +199,7 @@ def test_forward_difference_of_top_monomial():
     for n in range(1, 13):
         h = abs(random_fraction(rng)) + Fraction(1, 5)
         x = random_fraction(rng)
-        f = PolynomialFunc(Polynomial.monomial(n))
+        f = PolynomialFunc(monomial(n))
         got = finite_difference(f, x, h, n)
         assert got == math.factorial(n) * h**n
 
@@ -277,7 +278,7 @@ def test_difference_stencil_is_the_signed_binomial_row():
 
 
 def test_finite_difference_validation():
-    f = PolynomialFunc(Polynomial.monomial(1))
+    f = PolynomialFunc(monomial(1))
     with pytest.raises(ValueError, match="step must be positive"):
         finite_difference(f, 0, 0, 1)
     with pytest.raises(ValueError, match="step must be positive"):
@@ -287,7 +288,7 @@ def test_finite_difference_validation():
 
 
 def test_via_integral_fixtures():
-    cubic = Polynomial.monomial(3)
+    cubic = monomial(3)
     assert finite_difference_via_integral(cubic, 0, Fraction(1, 2), 3) == Fraction(3, 4)
     quad = Polynomial((Fraction(2), Fraction(-1), Fraction(3)))
     assert finite_difference_via_integral(quad, Fraction(1, 5), Fraction(1, 2), 3) == 0
@@ -305,7 +306,7 @@ def test_via_integral_matches_binomial_sum():
 
 
 def test_identity_fixture_square():
-    check = check_equispaced_identity(PolynomialFunc(Polynomial.monomial(2)), 2)
+    check = check_equispaced_identity(PolynomialFunc(monomial(2)), 2)
     assert check == EquispacedIdentityCheck(2, Fraction(1), Fraction(1), True)
 
 
@@ -345,4 +346,4 @@ def test_identity_on_pole_free_rationals_high_order():
 
 def test_identity_requires_positive_order():
     with pytest.raises(ValueError):
-        check_equispaced_identity(PolynomialFunc(Polynomial.monomial(1)), 0)
+        check_equispaced_identity(PolynomialFunc(monomial(1)), 0)

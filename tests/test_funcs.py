@@ -7,6 +7,7 @@ import pytest
 
 from divdiff import (
     DomainEvaluationError,
+    FuncSpec,
     GridFunction,
     ParseError,
     PiecewiseLinearFunc,
@@ -270,3 +271,14 @@ def test_pairs_give_the_value_at_each_lattice_point():
                 expected = _value_or_error(reference_value, f, x)
                 assert _pair_or_error(pair, t) == expected, (f, D, t)
                 assert _value_or_error(f.evaluate, x) == expected, (f, D, t)
+
+
+def test_a_kind_without_pairs_is_refused_by_name():
+    # evaluate reads pairs and pairs never reads evaluate, so a subclass
+    # that gives neither pairs nor _evaluate fails at once, not by recursion.
+    class Bare(FuncSpec):
+        extended_by_zero = False
+
+    for call in (lambda: Bare().evaluate(Fraction(1, 3)), lambda: Bare().pairs(3)):
+        with pytest.raises(NotImplementedError, match="Bare"):
+            call()

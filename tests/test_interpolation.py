@@ -15,7 +15,7 @@ from divdiff import (
     leading_coefficient,
 )
 
-from util import random_fraction, random_polynomial
+from util import monomial, random_fraction, random_polynomial
 
 
 def test_sample_validation():
@@ -37,7 +37,7 @@ def test_order_zero_interpolant_is_constant():
 
 def test_line_through_endpoint_values():
     q = lagrange_equispaced((0, 1))
-    assert q == Polynomial.monomial(1)
+    assert q == monomial(1)
 
 
 def test_interpolant_matches_given_values():
@@ -67,12 +67,12 @@ def test_reproduction_fixture():
 
 
 def test_leading_coefficient_reads_the_requested_degree():
-    x = Polynomial.monomial(1)
+    x = monomial(1)
     assert leading_coefficient(x, 1) == 1
     assert leading_coefficient(x, 2) == 0
     assert leading_coefficient(Polynomial.zero(), 3) == 0
     with pytest.raises(ValueError):
-        leading_coefficient(Polynomial.monomial(3), 2)
+        leading_coefficient(monomial(3), 2)
 
 
 def test_leading_coefficient_is_the_divided_difference():
@@ -95,7 +95,7 @@ def test_degree_reduced_fixtures():
     assert degree_reduced(values)
     assert lagrange_equispaced(values).is_zero
 
-    square = KnotValueList.equispaced(PolynomialFunc(Polynomial.monomial(2)), 2).values
+    square = KnotValueList.equispaced(PolynomialFunc(monomial(2)), 2).values
     assert not degree_reduced(square)
 
     parabola = Polynomial((Fraction(0), Fraction(-1), Fraction(1)))

@@ -1,5 +1,5 @@
-"""Polynomial evaluation, and the test-side binomial coefficients and
-coefficient helpers: sums, the calculus steps and the sliding-window integral."""
+"""Polynomial evaluation, and the test-side binomial coefficients, monomials
+and coefficient helpers: sums, the calculus steps and the sliding-window integral."""
 
 import random
 from fractions import Fraction
@@ -15,6 +15,7 @@ from util import (
     antiderivative,
     binomial,
     derivative,
+    monomial,
     random_fraction,
     random_polynomial,
     reference_evaluate,
@@ -40,7 +41,7 @@ def test_zero_polynomial_degree():
 
 
 def test_monomial_and_leading():
-    p = Polynomial.monomial(3, Fraction(5, 2))
+    p = monomial(3, Fraction(5, 2))
     assert p.degree == 3
     assert p.coefficients[-1] == Fraction(5, 2)
     assert p.coefficient(0) == 0
@@ -48,7 +49,7 @@ def test_monomial_and_leading():
 
 
 def test_evaluate_fixtures():
-    x_sq = Polynomial.monomial(2)
+    x_sq = monomial(2)
     assert x_sq.evaluate(Fraction(1, 2)) == Fraction(1, 4)
     x_x_minus_1 = Polynomial((Fraction(0), Fraction(-1), Fraction(1)))
     assert x_x_minus_1.evaluate(Fraction(1, 2)) == Fraction(-1, 4)
@@ -75,7 +76,7 @@ def test_shifted_is_composition_with_translation(p, h, x):
 
 
 def test_derivative_fixtures():
-    cubic = Polynomial.monomial(3).coefficients
+    cubic = monomial(3).coefficients
     assert derivative(cubic, 3) == (6,)
     assert derivative(cubic, 4) == ()
     assert derivative((0, -1, 1)) == (-1, 2)

@@ -1,5 +1,10 @@
 """Shift averaging, the telescoping identity, and the walkthrough report.
 
+A polynomial's run of shifts is a few integer weights on its first
+points; they are checked against term-by-term sums and Faulhaber's
+closed forms, and spies check that the telescope reads them as lattice
+pairs with no Polynomial.evaluate.
+
 The hat function (grid value 1 at 1/2, zero at the ends, zero-extended)
 is small enough to check by hand and appears in several fixtures.
 """
@@ -26,12 +31,17 @@ from divdiff import (
     proof_walkthrough,
     telescope_shift_identity,
 )
+from divdiff.probes import _run_weights
 
 from util import (
+    monomial,
+    nonzero_polynomial,
     outcome,
     pole_free_rational,
+    random_fraction,
     random_funcspec,
     random_polynomial,
+    reference_evaluate,
     reference_fd,
     reference_probe,
     reference_telescope,
@@ -180,7 +190,7 @@ def test_telescope_validates_j():
 def test_walkthrough_on_reduced_degree_polynomial():
     # f = x (zero-extended) is its own interpolant at any order >= 1, so
     # every defect quantity vanishes
-    f = PolynomialFunc(Polynomial.monomial(1), extended_by_zero=True)
+    f = PolynomialFunc(monomial(1), extended_by_zero=True)
     w = proof_walkthrough(f, 2, Fraction(1, 16), 8, Fraction(1, 8))
     assert w.degree_reduced
     assert w.q_at_x == Fraction(1, 8)
@@ -218,7 +228,7 @@ def test_walkthrough_higher_order_fixture():
 
 
 def test_walkthrough_interpolant_terms_halve_with_n():
-    f = PolynomialFunc(Polynomial.monomial(2), extended_by_zero=True)
+    f = PolynomialFunc(monomial(2), extended_by_zero=True)
     w16 = proof_walkthrough(f, 2, Fraction(1, 64), 16, Fraction(1, 8))
     w32 = proof_walkthrough(f, 2, Fraction(1, 64), 32, Fraction(1, 8))
     assert w16.interp_limit_terms == (
@@ -262,7 +272,7 @@ def test_walkthrough_boundary_terms_are_consistent():
 
 
 def test_walkthrough_requires_zero_extension():
-    f = PolynomialFunc(Polynomial.monomial(1))
+    f = PolynomialFunc(monomial(1))
     with pytest.raises(ValueError):
         proof_walkthrough(f, 1, Fraction(1, 8), 4, Fraction(1, 2))
 
@@ -437,6 +447,9 @@ class Recording(FuncSpec):
     def _evaluate(self, x):
         raise AssertionError("evaluate is overridden")
 
+    def pairs(self, D):
+        return lambda t: self.evaluate(Fraction(t, D)).as_integer_ratio()
+
 
 def test_zero_extended_sums_evaluate_only_inside_the_unit_interval():
     f = PolynomialFunc(
@@ -502,3 +515,83 @@ def test_a_sweep_equals_its_single_runs():
         ), args
     with pytest.raises(ValueError):
         averaging_sweep(HAT, Fraction(0), Fraction(1, 4), 1, [4, 2])
+
+
+def test_run_weights_match_the_term_by_term_sum():
+    # Runs from lo = 0, empty runs (hi = lo - 1) and runs shorter than the
+    # degree among them; the zero polynomial gets no weights.
+    rng = random.Random(1206)
+    assert _run_weights(0, 1, 10**6) == []
+    for degree in range(9):
+        for _ in range(12):
+            lead = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+            p = Polynomial((*(random_fraction(rng) for _ in range(degree)), lead))
+            x = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+            s = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            lo = rng.choice((0, 1, rng.randint(0, 40)))
+            hi = lo - 1 + rng.choice((0, 1, rng.randint(0, degree + 1), rng.randint(0, 30)))
+            count = len(p.coefficients)
+            weights = _run_weights(count, lo, hi)
+            assert len(weights) == count
+            if hi < lo:
+                assert weights == [0] * count
+            points = [reference_evaluate(p, x + i * s) for i in range(count)]
+            run = (reference_evaluate(p, x + i * s) for i in range(lo, hi + 1))
+            expected = sum(run, Fraction(0))
+            assert sum(c * v for c, v in zip(weights, points)) == expected, (p, x, s, lo, hi)
+
+
+def test_run_weights_give_faulhaber_sums():
+    # sum_{i=1}^{m} i**k for k = 0..4; a run from lo = 0 adds 0**0 = 1 at k = 0.
+    faulhaber = (
+        lambda m: m,
+        lambda m: m * (m + 1) // 2,
+        lambda m: m * (m + 1) * (2 * m + 1) // 6,
+        lambda m: (m * (m + 1) // 2) ** 2,
+        lambda m: m * (m + 1) * (2 * m + 1) * (3 * m * m + 3 * m - 1) // 30,
+    )
+    tops = (0, 1, 2, 3, 7, 10**6, math.factorial(20) - 1, math.factorial(20))
+    for k, prefix in enumerate(faulhaber):
+        for count in (k + 1, 5):
+            for lo in (0, 1, 2, 10**6 + 1):
+                for hi in tops:
+                    if hi < lo - 1:
+                        continue
+                    weights = _run_weights(count, lo, hi)
+                    total = sum(c * i**k for i, c in enumerate(weights))
+                    expected = prefix(hi) - prefix(max(lo - 1, 0)) + (lo == 0 == k)
+                    assert total == expected, (k, count, lo, hi)
+
+
+def test_polynomial_runs_read_lattice_pairs_without_evaluate(monkeypatch):
+    asked = []
+    evaluated = []
+    pairs, evaluate = PolynomialFunc.pairs, Polynomial.evaluate
+
+    def counting_pairs(self, D):
+        pair = pairs(self, D)
+        return lambda t: asked.append(Fraction(t, D)) or pair(t)
+
+    def counting_evaluate(self, x):
+        evaluated.append((self, Fraction(x)))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(PolynomialFunc, "pairs", counting_pairs)
+    monkeypatch.setattr(Polynomial, "evaluate", counting_evaluate)
+    rng = random.Random(1207)
+    for _ in range(30):
+        g = PolynomialFunc(nonzero_polynomial(rng, max_degree=8))
+        n = rng.randint(1, 20)
+        j = rng.randint(1, n)
+        x = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+        h = Fraction(rng.randint(1, 9), rng.randint(1, 30))
+        N = rng.choice((1, 2, 10**9))
+        asked.clear()
+        check = telescope_shift_identity(g, x, n, j, h, N)
+        assert check.equal
+        assert 0 < len(asked) <= 4 * (g.poly.degree + 1), (g, n, j, N)
+        assert evaluated == []
+
+    f = pole_free_rational(random.Random(1208), extend_zero=True)
+    report = proof_walkthrough(f, 6, Fraction(1, 64), 10**6, Fraction(1, 3))
+    assert evaluated == [(report.interpolant, Fraction(1, 3))]

@@ -17,8 +17,9 @@ points.  ``f.evaluate`` reads the integer pairs of ``FuncSpec.pairs`` as
 the sums do, so the values themselves are held to ``reference_value``,
 which computes f(x) from ``reference_evaluate`` and the grid values and
 reads neither.  ``binomial`` is the checked C(n, j), kept as the oracle
-for the stencil.  ``outcome`` turns what a call raised into a comparable
-value.  ``reference_kernel_basis`` and
+for the stencil, and ``monomial`` builds c*x**k for the fixtures.
+``outcome`` turns what a call raised into a comparable value.
+``reference_kernel_basis`` and
 ``reference_forced_zeros`` are the null-space steps that list every free
 column before building its vector and scan every grid column for forced
 zeros, kept as oracles for ``kernel_basis`` and ``nullspace``.
@@ -240,6 +241,13 @@ def binomial(n, j):
     if not 0 <= j <= n:
         raise ValueError(f"binomial index out of range: C({n}, {j})")
     return math.comb(n, j)
+
+
+def monomial(degree, coefficient=1):
+    """coefficient * x**degree; a negative degree is an error."""
+    if degree < 0:
+        raise ValueError("monomial degree must be nonnegative")
+    return Polynomial((Fraction(0),) * degree + (Fraction(coefficient),))
 
 
 def reference_value(f, x):
