@@ -33,7 +33,12 @@ negative on [0, 1] (``probe``, ``walkthrough``, ``telescope``), the
 ``walkthrough`` of a polynomial whose points land on the knots k/n, and
 the unextended ``fd`` of a quadratic at order 5 were recorded while
 every point of a shift sum was still evaluated to a ``Fraction``
-through ``FuncSpec.evaluate``.
+through ``FuncSpec.evaluate``.  The ``uniform-3000`` and
+``identity-3000`` pins on the Runge function, the degree-5 ``interp``
+at n = 400 and the ``eval`` of a degree-7 polynomial at 129 unequally
+spaced knots were recorded while the direct kernel still summed over
+the lcm of all its denominators and both difference tables ran every
+pass past their first vanishing row.
 
 ``tests/test_golden.py`` runs these under pytest.  Without pytest, run
 
@@ -48,6 +53,7 @@ import hashlib
 import io
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -95,6 +101,17 @@ def _eval_argv(n):
 def _cascade_argv(degree):
     coeffs = [f"{(-1) ** k * (k + 1)}/{k % 5 + 1}" for k in range(degree + 1)]
     return ["cascade", "--func", "poly:" + ",".join(coeffs)]
+
+
+def _polynomial_eval_argv(count):
+    # Knot k is (-1)^k (k^2 + 1) / (k % 7 + 2): unequally spaced, of both
+    # signs and with mixed denominators.  The values are those of a
+    # degree-7 polynomial, so every difference past order 7 vanishes.
+    coeffs = [Fraction((-1) ** i * (2 * i + 1), i % 4 + 3) for i in range(8)]
+    knots = [Fraction((-1) ** k * (k * k + 1), k % 7 + 2) for k in range(count)]
+    values = [sum(c * x**i for i, c in enumerate(coeffs)) for x in knots]
+    return ["eval", "--knots=" + ",".join(map(str, knots)),
+            "--values=" + ",".join(map(str, values))]
 
 
 # Denominator -2 + x is negative on [0, 1]; the numerator's degree is higher.
@@ -330,6 +347,22 @@ PINS = {
             "--x", "1/3", "--h", "1/6", "--n", "3", "--N", "9",
         ],
         "b27b3efbe35f9596e40feaec86111ae4de642dc54f90f8e0abf22ac455d67d63",
+    ),
+    "uniform-3000": Pin(
+        ["uniform", "--func", RUNGE, "--n", "3000"],
+        "bca75cf7a695f9b8d3676e976ce9439ba75369c20010dc9abac25c7b86cf580b",
+    ),
+    "identity-3000": Pin(
+        ["identity", "--func", RUNGE, "--n", "3000"],
+        "18542883277617697c45f3eb7ed2aec57e810e53fd49c196b60d437503efebb9",
+    ),
+    "interp-poly-400": Pin(
+        ["interp", "--func", "poly:1,-2,0,3,-1/2,5/7", "--n", "400"],
+        "dd2b0d3eb6c206ffa48a8d726af76ce4d36c4a8baaae8d82a542bb472482f039",
+    ),
+    "eval-poly-129": Pin(
+        _polynomial_eval_argv(129),
+        "1eb916ffb3af0ed59043876bc0d02e7bbb640f77f5eb6141e6f6271ff7b0de08",
     ),
     "fd-poly-above-degree": Pin(
         ["fd", "--func", "poly:1,-2,3", "--x", "-7/3", "--h", "1/9", "--n", "5"],
