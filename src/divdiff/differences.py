@@ -20,20 +20,25 @@ finite_difference is the shift average of probes over the one shift
 i = 1, summed with integer weights on the same lattice of points x + m h.
 Each lattice point is t/D for an integer t and reaches the sum as the
 integer pair (a, b) with f(t/D) = a/b (FuncSpec.pairs), as do the
-equispaced sample's knots k/n, with D = n.  An unextended polynomial of
-degree below n gives D_h^n p = 0 with no point evaluated.
+equispaced sample's knots k/n, with D = n; check_equispaced_identity
+asks for each knot once and hands its pairs to both sums.  An
+unextended polynomial of degree below n gives D_h^n p = 0 with no point
+evaluated.
 
 The two divided-difference kernels work on integers: each scales the
 knots by the lcm D of their denominators to integers a_k = x_k D.  The
 direct sum forms W'(x_k) D^n as the integer product
-P_k = prod_{i != k} (a_k - a_i) and adds the terms over one common
-denominator.  When the a_k form an arithmetic progression a_0 + k d in
-the order given, as the equispaced knots k/n do, the product has the
-closed form P_k = (-1)^(n-k) d^n k! (n-k)!, read from one table of
-factorials; any other knots form each product from its n factors.
-The recursive table keeps each column as integer numerators over one
-denominator, reduced by one gcd per column.  Each kernel reduces to a
-Fraction once, at the end.
+P_k = prod_{i != k} (a_k - a_i) and adds the terms v_k / P_k as integer
+pairs in a balanced tree, each add cancelling the gcd of the two
+denominators (Henrici, J. ACM 3(1), 1956).  When the a_k form an
+arithmetic progression a_0 + k d in the order given, as the equispaced
+knots k/n do, the product has the closed form
+P_k = (-1)^(n-k) d^n k! (n-k)!, read from one table of factorials; any
+other knots form each product from its n factors.  The recursive table
+keeps each column as integer numerators over one denominator, reduced by
+one gcd per column, and once a column is all zero every later one is
+zero too, with no arithmetic.  Each kernel reduces to a Fraction once,
+at the end.
 """
 
 import math
@@ -78,11 +83,18 @@ class KnotValueList:
 
     @classmethod
     def equispaced(cls, f: FuncSpec, n: int) -> "KnotValueList":
-        """Knots k/n for k = 0..n; n = 0 degenerates to the single knot 0.
-        The knots are the lattice points t/D with D = n, read as f's pairs."""
-        knots = _equispaced_knots(n)
-        pair = f.pairs(max(n, 1))
-        return cls(knots, tuple(Fraction(*pair(k)) for k in range(n + 1)))
+        """Knots k/n for k = 0..n; n = 0 degenerates to the single knot 0."""
+        return _equispaced_sample(f, n)[0]
+
+
+def _equispaced_sample(f: FuncSpec, n: int) -> tuple[KnotValueList, dict[int, Pair]]:
+    """KnotValueList.equispaced(f, n) and the map k -> (a, b) of f's pairs
+    at its knots.  The knots are the lattice points t/D with D = n, asked
+    for in ascending k, so the first pole raised is at the lowest k."""
+    knots = _equispaced_knots(n)
+    pair = f.pairs(max(n, 1))
+    pairs = {k: pair(k) for k in range(n + 1)}
+    return KnotValueList(knots, tuple(Fraction(a, b) for a, b in pairs.values())), pairs
 
 
 def _fractions(items: Iterable[Scalar]) -> tuple[Fraction, ...]:
@@ -102,15 +114,25 @@ def divided_difference_direct(kv: KnotValueList) -> Fraction:
     """Sum of f(x_k) / W'(x_k) over the knots.
 
     With a_k = x_k D integers, W'(x_k) = P_k / D^n for the integer
-    P_k = prod_{i != k} (a_k - a_i); the terms f(x_k) / P_k are summed
-    over the lcm of their denominators and rescaled by D^n once."""
-    # The knots are scaled here and in _difference_columns separately, so
-    # the two kernels share no code and stay independent oracles.
+    P_k = prod_{i != k} (a_k - a_i).  The terms f(x_k) / P_k are added
+    as integer pairs (numerator, denominator) in a balanced tree: each add
+    of a/b and c/d divides b and d by g = gcd(b, d), and the sum s and the
+    new denominator by gcd(s, g), so no common denominator of all n + 1
+    terms is ever formed.  The sum is rescaled by D^n once."""
+    # The knots are scaled here and in _difference_columns separately, and
+    # the tree is not _pairwise_sum, so no oracle of this kernel shares its code.
     scale = math.lcm(*(x.denominator for x in kv.knots))
     points = [x.numerator * (scale // x.denominator) for x in kv.knots]
-    dens = [v.denominator * p for p, v in zip(_node_products(points), kv.values)]
-    common = math.lcm(*dens)
-    total = sum(v.numerator * (common // d) for v, d in zip(kv.values, dens))
+    terms = [(v.numerator, v.denominator * p) for p, v in zip(_node_products(points), kv.values)]
+    while len(terms) > 1:
+        sums = []
+        for (a, b), (c, d) in zip(terms[::2], terms[1::2]):
+            g = math.gcd(b, d)
+            s = a * (d // g) + c * (b // g)
+            t = math.gcd(s, g)
+            sums.append((s // t, b // g * (d // t)))
+        terms = sums + terms[len(sums) * 2:]
+    total, common = terms[0]
     return Fraction(total * scale**kv.order, common)
 
 
@@ -141,13 +163,18 @@ def _difference_columns(kv: KnotValueList) -> Iterator[tuple[list[int], int]]:
     numerators[i - d] / denominator.  The knots enter as a_i = x_i D with
     integer a_i, so a step is (t_i - t_{i-1}) D / (a_i - a_{i-d}); each
     column takes the lcm of its knot gaps into its denominator and is
-    reduced by one gcd, so it is in lowest terms as a whole."""
+    reduced by one gcd, so it is in lowest terms as a whole.  Every column
+    after an all-zero one is zero over 1, and is yielded with no
+    arithmetic: degree-d values cost O(d n) steps, not O(n^2)."""
     scale = math.lcm(*(x.denominator for x in kv.knots))
     points = [x.numerator * (scale // x.denominator) for x in kv.knots]
     den = math.lcm(*(v.denominator for v in kv.values))
     column = [v.numerator * (den // v.denominator) for v in kv.values]
     yield column, den
     for depth in range(1, len(points)):
+        if not any(column):  # and so is every later column
+            yield from (([0] * (len(points) - d), 1) for d in range(depth, len(points)))
+            return
         gaps = [points[i] - points[i - depth] for i in range(depth, len(points))]
         lcm = math.lcm(*gaps)
         column = [
@@ -304,7 +331,14 @@ def finite_difference(f: FuncSpec, x: Scalar, h: Scalar, n: int) -> Fraction:
     is asked for once, in ascending j, and a zero-extended f only at the
     points inside [0, 1].  An unextended polynomial of degree below n
     gives 0 with no point asked for."""
-    x, h = Fraction(x), Fraction(h)
+    return _finite_difference(f, Fraction(x), Fraction(h), n, {})
+
+
+def _finite_difference(
+    f: FuncSpec, x: Fraction, h: Fraction, n: int, known: dict[int, Pair]
+) -> Fraction:
+    """finite_difference with the lattice memo seeded by known, which maps
+    m to f's pair at the point x + m*h, so those points are not asked again."""
     if h <= 0:
         raise ValueError("step must be positive")
     if n < 0:
@@ -312,6 +346,7 @@ def finite_difference(f: FuncSpec, x: Scalar, h: Scalar, n: int) -> Fraction:
     if isinstance(f, PolynomialFunc) and not f.extended_by_zero and n > f.poly.degree:
         return Fraction(0)
     lattice = _Lattice(f.pairs, x, h, clip=f.extended_by_zero)
+    lattice.memo.update(known)
     return lattice.total(_average_weights(lattice, n, 1))
 
 
@@ -325,12 +360,16 @@ class EquispacedIdentityCheck:
 
 def check_equispaced_identity(f: FuncSpec, n: int) -> EquispacedIdentityCheck:
     """Compare the order-n divided difference at the knots k/n against the
-    scaled forward difference D_{1/n}^n f(0) / (n! (1/n)^n)."""
+    scaled forward difference D_{1/n}^n f(0) / (n! (1/n)^n).
+
+    f is asked for each knot once: the lattice points m/n of the forward
+    difference are the knots, so the sample's pairs seed its memo.  The
+    two sums stay separate."""
     if n < 1:
         raise ValueError("order must be at least 1")
     h = Fraction(1, n)
-    kv = KnotValueList.equispaced(f, n)
+    kv, pairs = _equispaced_sample(f, n)
     lhs = divided_difference_direct(kv)
     scale = math.factorial(n) * h**n
-    rhs = finite_difference(f, 0, h, n) / scale
+    rhs = _finite_difference(f, Fraction(0), h, n, pairs) / scale
     return EquispacedIdentityCheck(n, lhs, rhs, lhs == rhs)

@@ -31,7 +31,9 @@ def lagrange_equispaced(values: Sequence[Scalar]) -> Polynomial:
     With Y_k = y_k D integers over the lcm D of the denominators, the
     weights are Delta^k Y_0 n!/k! over B = D n!; the integer polynomial in
     t is built by nested multiplication, and the x^j coefficient is its
-    t^j coefficient times n^j / B."""
+    t^j coefficient times n^j / B.  The difference passes stop at the
+    first all-zero row and the multiplication starts at the last nonzero
+    weight, so values of degree d cost O(d n) steps, not O(n^2)."""
     ys = _fractions(values)
     n = len(ys) - 1
     if n < 0:
@@ -39,10 +41,16 @@ def lagrange_equispaced(values: Sequence[Scalar]) -> Polynomial:
     den = math.lcm(*(y.denominator for y in ys))
     weights = [y.numerator * (den // y.denominator) for y in ys]
     # In place, so one row of differences is alive: pass k leaves
-    # Delta^k Y_{i-k} at each i >= k, and Delta^k Y_0 at k for good.
+    # Delta^k Y_{i-k} at each i >= k, and Delta^k Y_0 at k for good.  Once
+    # that row is all zero, so is every later one, and the top weight is
+    # Delta^(k-1) Y_0.
+    top = n
     for k in range(1, n + 1):
         for i in range(n, k - 1, -1):
             weights[i] -= weights[i - 1]
+        if not any(weights[k:]):
+            top = k - 1
+            break
     # weights[k] *= n!/k!, the falling product n (n - 1) ... (k + 1).
     ratio = 1
     for k in range(n, 0, -1):
@@ -50,9 +58,9 @@ def lagrange_equispaced(values: Sequence[Scalar]) -> Polynomial:
         ratio *= k
     weights[0] *= ratio
     common = den * ratio
-    # acc <- acc * (t - k) + w_k for k = n-1 down to 0, on ascending coefficients.
-    acc = [weights[n]]
-    for k in range(n - 1, -1, -1):
+    # acc <- acc * (t - k) + w_k for k = top-1 down to 0, on ascending coefficients.
+    acc = [weights[top]]
+    for k in range(top - 1, -1, -1):
         middle = [lo - k * hi for lo, hi in zip(acc, acc[1:])]
         acc = [weights[k] - k * acc[0]] + middle + [acc[-1]]
     return Polynomial(tuple(Fraction(c * n**j, common) for j, c in enumerate(acc)))

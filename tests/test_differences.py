@@ -36,7 +36,9 @@ from util import (
     pole_free_rational,
     random_fraction,
     random_funcspec,
+    outcome,
     random_polynomial,
+    reference_equispaced,
     reference_fd,
 )
 
@@ -223,8 +225,14 @@ def test_forward_difference_is_linear():
 
 def _spied_polynomial(coefficients, extend, asked):
     """A PolynomialFunc that records each point asked of it, by either path."""
+    return _spied(PolynomialFunc(Polynomial(coefficients), extended_by_zero=extend), asked)
 
-    class Spy(PolynomialFunc):
+
+def _spied(f, asked):
+    """f as a spec of its own kind that records each point asked of it,
+    by either path."""
+
+    class Spy(type(f)):
         def evaluate(self, x):
             asked.append(Fraction(x))
             return super().evaluate(x)
@@ -238,7 +246,7 @@ def _spied_polynomial(coefficients, extend, asked):
 
             return spy
 
-    return Spy(Polynomial(coefficients), extended_by_zero=extend)
+    return Spy(**vars(f))
 
 
 def test_an_unextended_polynomial_above_its_degree_asks_for_no_point():
@@ -342,6 +350,41 @@ def test_identity_on_pole_free_rationals_high_order():
         f = pole_free_rational(rng)
         check = check_equispaced_identity(f, 12)
         assert check.equal
+
+
+def test_identity_asks_for_each_knot_once():
+    # The sample and the forward difference read the same pairs at k/n.
+    runge = RationalFunc(Polynomial((1,)), Polynomial((1, 0, 25)))
+    specs = [
+        runge,
+        RationalFunc(runge.numerator, runge.denominator, extended_by_zero=True),
+        PolynomialFunc(Polynomial((1, -2, 0, Fraction(3, 7)))),
+        PolynomialFunc(Polynomial((1, -2, 0, Fraction(3, 7))), extended_by_zero=True),
+    ]
+    for f in specs:
+        for n in range(1, 10):
+            asked = []
+            check = check_equispaced_identity(_spied(f, asked), n)
+            assert check == check_equispaced_identity(f, n)
+            assert check.equal
+            assert asked == [Fraction(k, n) for k in range(n + 1)], (f, n)
+
+
+def test_identity_raises_the_pole_at_the_lowest_knot():
+    # Poles at 3/8 and 1/2 are the knots k = 3 and 4 of n = 8, and 1/2
+    # alone is the knot k = 1 of n = 2.
+    for extend in (False, True):
+        f = RationalFunc(
+            Polynomial((1,)),
+            Polynomial((Fraction(3, 16), Fraction(-7, 8), Fraction(1))),
+            extended_by_zero=extend,
+        )
+        for n, pole in ((8, "3/8"), (2, "1/2"), (16, "3/8")):
+            asked = []
+            expected = ("PoleError", f"denominator vanishes at {pole}")
+            assert outcome(reference_equispaced, f, n) == expected
+            assert outcome(check_equispaced_identity, _spied(f, asked), n) == expected
+            assert asked == [Fraction(k, n) for k in range(int(Fraction(pole) * n) + 1)]
 
 
 def test_identity_requires_positive_order():

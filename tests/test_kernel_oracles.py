@@ -5,9 +5,11 @@ Polynomial.evaluate work on integers over one common denominator and
 reduce once at the end; the ``reference_*`` functions in util.py are
 the Fraction loops they replaced.  The direct kernel takes its node
 products in closed form when the knots are in arithmetic progression,
-and from n factors otherwise.  The inputs stress the scaling: knots
-with mixed denominators, negative and unsorted, values with large
-denominators, and the degenerate orders.
+and from n factors otherwise, and adds its terms in a balanced tree.
+The inputs stress the scaling: knots with mixed denominators, negative
+and unsorted, values with large denominators, and the degenerate orders.
+Polynomial values of degree d below the order stress the early exits of
+the two difference tables, whose differences vanish past order d.
 """
 
 import math
@@ -95,6 +97,95 @@ def test_difference_columns_are_in_lowest_terms():
             assert len(numerators) == kv.order + 1 - depth
             assert den > 0
             assert math.gcd(den, *numerators) == 1
+
+
+def polynomial_of_degree(rng, degree):
+    """A polynomial of exactly the given degree; the zero polynomial at -1."""
+    coefficients = [random_fraction(rng, max_num=20, max_den=12) for _ in range(degree)]
+    if degree >= 0:
+        coefficients.append(rng.choice([-3, -1, 1, Fraction(5, 7)]))
+    return Polynomial(tuple(coefficients))
+
+
+def test_newton_table_vanishes_past_the_degree_of_its_values():
+    rng = random.Random(42)
+    shapes = set()
+    for _ in range(120):
+        n = rng.randint(1, 16)
+        d = rng.randint(-1, n - 1)
+        p = polynomial_of_degree(rng, d)
+        knots = distinct_knots(rng, n + 1, max_num=40, max_den=12)
+        kv = KnotValueList(knots, tuple(reference_evaluate(p, x) for x in knots))
+        shapes.add((len({x.denominator for x in knots}) > 1, min(knots) < 0))
+        coefficients = newton_coefficients(kv)
+        assert coefficients == reference_newton_coefficients(kv)
+        assert coefficients[d + 1:] == (0,) * (n - d)
+        if d >= 0:
+            assert coefficients[d] == p.coefficients[-1]
+        columns = list(_difference_columns(kv))
+        assert len(columns) == n + 1
+        for depth, (numerators, den) in enumerate(columns):
+            assert len(numerators) == n + 1 - depth
+            assert den > 0 and math.gcd(den, *numerators) == 1
+            if depth > d:
+                assert (numerators, den) == ([0] * (n + 1 - depth), 1)
+            elif depth == d:
+                assert {Fraction(c, den) for c in numerators} == {p.coefficients[-1]}
+        assert divided_difference_direct(kv) == coefficients[-1]
+    assert (True, True) in shapes
+
+
+def test_interpolant_stops_at_the_degree_of_its_values():
+    rng = random.Random(43)
+    for n in range(0, 25):
+        constant = random_fraction(rng, max_num=50, max_den=40)
+        samples = [(0,) * (n + 1), (constant,) * (n + 1)]
+        # Degree d < n; d = n - 1 vanishes only at order n; d = n never.
+        for d in {rng.randint(0, max(n - 1, 0)), n - 1, n} - {-1}:
+            p = polynomial_of_degree(rng, d)
+            values = tuple(reference_evaluate(p, Fraction(k, max(n, 1))) for k in range(n + 1))
+            assert lagrange_equispaced(values) == p
+            samples.append(values)
+        for values in samples:
+            assert lagrange_equispaced(values) == reference_lagrange(values)
+
+
+def test_direct_sum_on_many_distinct_denominators():
+    # Prime and prime-power value denominators make every leaf of the tree
+    # a different denominator, at every order and on both sides of 0.
+    rng = random.Random(44)
+    primes = [q for q in range(2, 400) if all(q % r for r in range(2, q))]
+    for n in list(range(0, 12)) + [31, 32, 33, 63, 64]:
+        for knots in (
+            tuple(Fraction(k, max(n, 1)) for k in range(n + 1)),
+            distinct_knots(rng, n + 1, max_num=60, max_den=16),
+        ):
+            values = tuple(
+                Fraction(rng.randint(-99, 99), primes[k] ** rng.randint(1, 3))
+                for k in range(n + 1)
+            )
+            kv = KnotValueList(knots, values)
+            assert divided_difference_direct(kv) == reference_divided_difference(kv)
+
+
+def test_direct_sum_on_descending_knots():
+    # Descending knots make the node products' signs (-1)^k, so the tree
+    # adds negative denominators; the order-0 and order-1 cases are one
+    # leaf and one add.
+    rng = random.Random(45)
+    for n in range(0, 20):
+        progression_knots = tuple(Fraction(n - k, max(n, 1)) for k in range(n + 1))
+        spread = tuple(sorted(distinct_knots(rng, n + 1, max_num=40, max_den=9), reverse=True))
+        for knots in (progression_knots, spread):
+            for values in (random_fraction, large_denominator_value):
+                kv = KnotValueList(knots, tuple(values(rng) for _ in knots))
+                value = divided_difference_direct(kv)
+                assert value == reference_divided_difference(kv)
+                assert value == divided_difference_recursive(kv)
+                if n == 0:
+                    assert value == kv.values[0]
+                if n == 1:
+                    assert value == (kv.values[1] - kv.values[0]) / (knots[1] - knots[0])
 
 
 def test_interpolant_matches_reference():
