@@ -20,7 +20,10 @@ still built one grid function per basis vector and scanned every grid
 column for forced zeros.  The ``nullspace-13`` pins, JSON and CSV, the
 first with six-digit columns (L = 360,360), were recorded while the
 report writer still formatted each run's ``i].k`` paths one
-``str.format`` at a time.  The ``minlip`` pins at N = 4..6 were recorded
+``str.format`` at a time.  The ``nullspace-14`` (JSON) and
+``nullspace-16-csv`` pins were recorded while ``kernel_basis`` still
+ran the one-step fraction-free echelon on dense copies of the touched
+columns and back-substituted in Fractions.  The ``minlip`` pins at N = 4..6 were recorded
 with the rational (Fraction) tableau; those at N = 7..9 while ``minlip``
 still solved one LP per pin 0..L/2; those at N = 10..12, out of that
 loop's reach, by the gap search that replaced it.  The
@@ -225,6 +228,16 @@ PINS = {
     "nullspace-13-csv": Pin(
         ["nullspace", "--N", "13", "--max-N", "13", "--format", "csv"],
         "afb02fcd9f324353c22bc26bfc8a54ed35ee55ea579018c6a2bc9f13fab57b3f",
+    ),
+    "nullspace-14": Pin(
+        ["nullspace", "--N", "14", "--max-N", "16"],
+        "90a9400b4c35fc92d0a0046bb8844e3607f5a344893d9cf7a35d1821e2e9078b",
+    ),
+    "nullspace-16-csv": Pin(
+        # 81 touched columns; the JSON report at N = 16 is left out for
+        # the memory it takes.
+        ["nullspace", "--N", "16", "--max-N", "16", "--format", "csv"],
+        "83e4559c6d76f2c4569441ac87fa152e04c6dd6b7733200123cdcc16c50c5aa2",
     ),
     "minlip-2-infeasible": Pin(
         ["minlip", "--N", "2"],
