@@ -302,8 +302,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"divdiff: error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
-        # Raised by the exact self-checks (LP status, residual
-        # recomputation, fraction-free division), never by bad input.
+        # Raised by the exact self-checks (LP status and certificate,
+        # residual recomputation, null-space certificate), never by bad input.
         print(f"divdiff: error: internal check failed: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # ParseError among them

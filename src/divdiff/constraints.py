@@ -25,7 +25,7 @@ from functools import cached_property
 
 from .differences import difference_stencil
 from .funcs import GridFunction
-from .linalg import NullBasis, integer_echelon, kernel_basis
+from .linalg import NullBasis, _scaled, integer_echelon, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,7 @@ def _check_free_vector(
             f"null vector of column {free} is not 1 there and 0 in the other free columns"
         )
     # The vector times the lcm of its denominators, in integers.
-    scale = math.lcm(*(v.denominator for v in vector.values()))
-    scaled = {c: v.numerator * (scale // v.denominator) for c, v in vector.items()}
+    scaled, _ = _scaled(vector)
     for n, row in enumerate(system.rows):
         if sum(coeff * scaled[c] for c, coeff in row.items() if c in scaled):
             raise ArithmeticError(f"null vector of column {free} fails constraint row {n}")
@@ -150,9 +149,9 @@ def _check_rank(
     rank and the number of pivots.  The rows restricted to the pivot
     columns must have full column rank, so the rank is at least that
     number.  The rank of that submatrix modulo _PRIME bounds its rank
-    over the rationals from below, and only when it falls short is
-    fraction-free elimination run.  A check that fails raises
-    ArithmeticError.
+    over the rationals from below, and only when it falls short is the
+    minor brought to its exact echelon form by ``integer_echelon``.  A
+    check that fails raises ArithmeticError.
     """
     if not rank == len(pivot_cols) == system.ncols - dimension:
         raise ArithmeticError(
@@ -161,10 +160,8 @@ def _check_rank(
         )
     pivots = set(pivot_cols)
     minor = [{c: v for c, v in row.items() if c in pivots} for row in system.rows]
-    if _rank_modulo(minor, _PRIME) < rank:
-        dense = [[row.get(c, 0) for c in pivot_cols] for row in minor]
-        if len(integer_echelon(dense)[1]) < rank:
-            raise ArithmeticError(f"the rows have rank below their {rank} pivot columns")
+    if _rank_modulo(minor, _PRIME) < rank and len(integer_echelon(minor)[1]) < rank:
+        raise ArithmeticError(f"the rows have rank below their {rank} pivot columns")
 
 
 def nullspace(system: ConstraintSystem) -> NullspaceReport:

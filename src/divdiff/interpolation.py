@@ -51,9 +51,10 @@ def lagrange_equispaced(values: Sequence[Scalar]) -> Polynomial:
         if not any(weights[k:]):
             top = k - 1
             break
-    # weights[k] *= n!/k!, the falling product n (n - 1) ... (k + 1).
-    ratio = 1
-    for k in range(n, 0, -1):
+    # weights[k] *= n!/k!, the falling product n (n - 1) ... (k + 1), for
+    # the weights 0..top the multiplication reads.
+    ratio = math.perm(n, n - top)
+    for k in range(top, 0, -1):
         weights[k] *= ratio
         ratio *= k
     weights[0] *= ratio

@@ -1,14 +1,16 @@
-"""Exact linear algebra helpers: fraction-free echelon form and kernels.
+"""Exact linear algebra helpers: sparse integer rows, echelon form and kernels.
 
-Rows are sparse mappings from column index to coefficient.  Elimination
-and back-substitution run on the submatrix of columns actually touched by
-some row.  A column no row touches is free, with the singleton kernel
-vector {k: 1}, so it is never forced to zero.  The basis keeps each run
-of consecutive untouched columns as a ``range`` and builds their vectors
-only when they are read, so a very wide system costs little more than
-its touched columns.  The echelon step is the one-step fraction-free
-(integer-preserving) scheme: every division is exact, so no rational
-blowup occurs during pivoting.
+Rows are sparse mappings from column index to coefficient.  A ``Row``
+is one of integers, kept as a dict of its nonzero entries; the simplex
+tableau pivots on such rows too, with the same row operation
+``_eliminate``: p*row - f*prow, divided by the gcd of its entries, which
+touches only the nonzero entries of the two rows.  The echelon form is
+the reduced one, so each null vector is read off the echelon rows
+without back-substitution.  A column no row touches is free, with the
+singleton kernel vector {k: 1}, so it is never forced to zero.  The
+basis keeps each run of consecutive untouched columns as a ``range`` and
+builds their vectors only when they are read, so a very wide system
+costs little more than its touched columns.
 """
 
 import math
@@ -21,43 +23,62 @@ from typing import Iterable, Iterator, Mapping, Union
 # The value every vector holds in its own free column.
 ONE = Fraction(1)
 
-
-def _exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact division in fraction-free elimination")
-    return q
+Row = dict[int, int]
 
 
-def integer_echelon(matrix: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Row echelon form of an integer matrix by fraction-free elimination.
+def _reduced(row: Row) -> Row:
+    """``row`` divided by the gcd of its entries (a zero row is returned as is)."""
+    g = math.gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
 
-    Returns the nonzero echelon rows and their pivot column indices.
+
+def _scaled(row: Mapping[int, int | Fraction]) -> tuple[Row, int]:
+    """The nonzero entries of ``row`` times the lcm of its denominators, and that lcm."""
+    scale = math.lcm(*(v.denominator for v in row.values()))
+    return {j: v.numerator * (scale // v.denominator) for j, v in row.items() if v}, scale
+
+
+def _eliminate(row: Row, f: int, p: int, prow: Row) -> Row:
+    """p*row - f*prow, reduced, for p > 0: the entry f of row against p of prow."""
+    g = math.gcd(f, p)
+    if g > 1:
+        f //= g
+        p //= g
+    new = {j: p * v for j, v in row.items()} if p != 1 else row.copy()
+    for j, v in prow.items():
+        w = new.get(j, 0) - f * v
+        if w:
+            new[j] = w
+        else:
+            del new[j]
+    return _reduced(new)
+
+
+def integer_echelon(rows: Iterable[Mapping[int, int]]) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form of sparse integer rows, and its pivot columns.
+
+    The columns are visited in ascending order.  At each, the first
+    remaining row that holds it becomes a pivot row, negated if its entry
+    there is negative, and ``_eliminate`` removes the column from every
+    other row, remaining or already a pivot row, as a tableau pivot does.
+    Each returned row is reduced by its gcd and holds a positive entry at
+    its own pivot column and none at any other; the pivot columns ascend.
     """
-    rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    pending = [_reduced({j: v for j, v in row.items() if v}) for row in rows]
+    echelon: list[Row] = []
     pivot_cols: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, nrows):
-            factor = rows[i][c]
-            rows[i] = [
-                _exact_div(pivot * rows[i][j] - factor * rows[r][j], prev)
-                for j in range(ncols)
-            ]
-        prev = pivot
+    while pending := [row for row in pending if row]:
+        c = min(min(row) for row in pending)
+        prow = pending.pop(next(i for i, row in enumerate(pending) if c in row))
+        p = prow[c]
+        if p < 0:
+            prow = {j: -v for j, v in prow.items()}
+            p = -p
+        pending = [_eliminate(row, row[c], p, prow) if c in row else row for row in pending]
+        echelon = [_eliminate(row, row[c], p, prow) if c in row else row for row in echelon]
+        echelon.append(prow)
         pivot_cols.append(c)
-        r += 1
-    return rows[:r], pivot_cols
+    return echelon, pivot_cols
 
 
 class NullBasis(Sequence[dict[int, Fraction]]):
@@ -130,40 +151,24 @@ def kernel_basis(
     kept in the basis as runs of columns.
     """
     touched = sorted({c for row in rows for c in row})
-    col_of = {c: i for i, c in enumerate(touched)}
-
-    int_rows: list[list[int]] = []
-    for row in rows:
-        if not row:
-            continue
-        # ints and Fractions alike carry a numerator and a denominator.
-        scale = math.lcm(*(v.denominator for v in row.values()))
-        dense = [0] * len(touched)
-        for c, v in row.items():
-            dense[col_of[c]] = v.numerator * (scale // v.denominator)
-        int_rows.append(dense)
-
-    echelon, pivot_local = integer_echelon(int_rows) if int_rows else ([], [])
-    rank = len(pivot_local)
-    pivot_cols = [touched[c] for c in pivot_local]
-    pivot_set = set(pivot_local)
+    echelon, pivot_cols = integer_echelon(_scaled(row)[0] for row in rows)
+    pivot_set = set(pivot_cols)
 
     segments: list[Union[dict[int, Fraction], range]] = []
     start = 0  # the first column not yet in a segment
-    for local, f in enumerate(touched):
+    for f in touched:
         if f > start:
             segments.append(range(start, f))
         start = f + 1
-        if local in pivot_set:
+        if f in pivot_set:
             continue
-        vec_local: dict[int, Fraction] = {local: ONE}
-        for row, pc in zip(reversed(echelon), reversed(pivot_local)):
-            # row is zero left of pc, and vec_local holds only f and the
-            # pivots right of pc, so this is the sum over j > pc.
-            s = sum((row[j] * v for j, v in vec_local.items() if row[j]), Fraction(0))
-            if s:
-                vec_local[pc] = -s / row[pc]
-        segments.append({touched[j]: v for j, v in vec_local.items()})
+        # The pivot row of pc holds no other pivot column, and f's vector
+        # is 0 in every other free column: row[pc]*x[pc] + row[f]*1 = 0.
+        vector: dict[int, Fraction] = {f: ONE}
+        for row, pc in zip(echelon, pivot_cols):
+            if f in row:
+                vector[pc] = Fraction(-row[f], row[pc])
+        segments.append(vector)
     if ncols > start:
         segments.append(range(start, ncols))
-    return rank, pivot_cols, NullBasis(segments)
+    return len(pivot_cols), pivot_cols, NullBasis(segments)

@@ -14,7 +14,9 @@ its nonzero entries, column -> int, with the rhs under the key _RHS.
 Input rows are scaled once by the lcm of their denominators; a pivot
 replaces each row i that has a nonzero f in the pivot column by
 p*row_i - f*pivot_row, which touches only the nonzero entries of the two
-rows, and then divides the row by the gcd of its entries.  A positive
+rows, and then divides the row by the gcd of its entries.  The rows and
+this row operation (``linalg._eliminate``) are those of the null
+space's echelon form, so both solvers pivot one way.  A positive
 row scale changes neither the sign of an entry nor the ratio of two
 entries, which is all Bland's rule reads, so pivoting follows exactly
 the path of a rational tableau.  Feasibility, optimality and the
@@ -56,6 +58,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .linalg import Row, _eliminate, _reduced, _scaled
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -63,7 +67,6 @@ _ZERO = Fraction(0)
 _RHS = -1  # the key of a row's right-hand side
 _SCALE = -2  # the key of the cost row's positive scale
 
-Row = dict[int, int]
 InputRow = Mapping[int, int | Fraction]
 
 
@@ -77,34 +80,6 @@ class LpResult:
     value: Optional[Fraction]
     x: Optional[tuple[Fraction, ...]]
     dual: Optional[tuple[Fraction, ...]] = None
-
-
-def _reduced(row: Row) -> Row:
-    """``row`` divided by the gcd of its entries (a zero row is returned as is)."""
-    g = math.gcd(*row.values())
-    return {j: v // g for j, v in row.items()} if g > 1 else row
-
-
-def _scaled(row: InputRow) -> tuple[Row, int]:
-    """The nonzero entries of ``row`` times the lcm of its denominators, and that lcm."""
-    scale = math.lcm(*(v.denominator for v in row.values()))
-    return {j: v.numerator * (scale // v.denominator) for j, v in row.items() if v}, scale
-
-
-def _eliminate(row: Row, f: int, p: int, prow: Row) -> Row:
-    """p*row - f*prow, reduced, for p > 0: the entry f of row against p of prow."""
-    g = math.gcd(f, p)
-    if g > 1:
-        f //= g
-        p //= g
-    new = {j: p * v for j, v in row.items()} if p != 1 else row.copy()
-    for j, v in prow.items():
-        w = new.get(j, 0) - f * v
-        if w:
-            new[j] = w
-        else:
-            del new[j]
-    return _reduced(new)
 
 
 def _moved(row: Row, moves: list[tuple[int, int]], d: int) -> Row:

@@ -23,6 +23,7 @@ from util import (
     random_sparse_rows,
     reference_forced_zeros,
     reference_kernel_basis,
+    sparse_rows,
 )
 
 
@@ -230,13 +231,13 @@ def test_rank_modulo_a_prime_agrees_with_fraction_free_elimination():
                   for _ in range(rng.randint(1, 6))]
         if rng.random() < 0.3:  # a dependent row
             matrix.append([a + 2 * b for a, b in zip(matrix[0], matrix[-1])])
-        rows = [{c: v for c, v in enumerate(row) if v} for row in matrix]
-        assert constraints._rank_modulo(rows, constraints._PRIME) == len(integer_echelon(matrix)[1])
+        rows = sparse_rows(matrix)
+        assert constraints._rank_modulo(rows, constraints._PRIME) == len(integer_echelon(rows)[1])
 
 
 def test_rank_check_falls_back_when_the_prime_divides_the_minor(monkeypatch):
     # Modulo 3 the pivot minor of N = 4 is singular, so the check must
-    # fall back to fraction-free elimination, which proves the rank.
+    # fall back to the exact echelon form, which proves the rank.
     expected = nullspace(build_constraint_system(4))
     monkeypatch.setattr(constraints, "_PRIME", 3)
     assert nullspace(build_constraint_system(4)) == expected

@@ -1,12 +1,14 @@
-"""Fraction-free elimination, kernel bases, and square solves.
+"""Integer echelon form, kernel bases, and square solves.
 
 The rank oracle below repeats elimination with plain Fraction pivoting,
-a deliberately different code path from the integer-preserving scheme.
+and the dense Bareiss oracle in ``util`` eliminates fraction-free, both
+deliberately different code paths from the sparse reduced echelon form.
 A kernel basis is a ``NullBasis`` that keeps runs of untouched columns
 as ranges; it must behave as the list of vectors the per-column oracle
 builds, however its runs fall.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +16,13 @@ import pytest
 
 from divdiff.linalg import NullBasis, integer_echelon, kernel_basis
 
-from util import random_sparse_rows, reference_kernel_basis, solve_square
+from util import (
+    random_sparse_rows,
+    reference_integer_echelon,
+    reference_kernel_basis,
+    solve_square,
+    sparse_rows,
+)
 
 
 def fraction_rank(matrix):
@@ -50,22 +58,44 @@ def test_echelon_rank_matches_fraction_oracle():
         nrows = rng.randint(1, 6)
         ncols = rng.randint(1, 6)
         m = random_int_matrix(rng, nrows, ncols)
-        echelon, pivots = integer_echelon(m)
+        echelon, pivots = integer_echelon(sparse_rows(m))
         assert len(echelon) == len(pivots) == fraction_rank(m)
-        # pivot columns strictly increase and each pivot entry is nonzero
+        assert pivots == reference_integer_echelon(m)[1]
+        # pivot columns strictly increase and each row starts at its pivot
         assert pivots == sorted(set(pivots))
         for row, c in zip(echelon, pivots):
             assert row[c] != 0
-            assert all(v == 0 for v in row[:c])
+            assert min(row) == c
 
 
 def test_echelon_keeps_integer_entries():
     rng = random.Random(405)
     for _ in range(30):
         m = random_int_matrix(rng, 5, 5, density=0.9)
-        echelon, _ = integer_echelon(m)
+        echelon, _ = integer_echelon(sparse_rows(m))
         for row in echelon:
-            assert all(isinstance(v, int) for v in row)
+            assert all(isinstance(v, int) for v in row.values())
+
+
+def test_echelon_rows_are_reduced_with_a_positive_pivot():
+    # Inputs hold empty rows and explicit zero entries.
+    rng = random.Random(410)
+    for _ in range(300):
+        ncols = rng.randint(1, 10)
+        rows = [
+            {c: rng.choice((0, rng.randint(-6, 6), rng.randint(-60, 60))) for c in range(ncols)
+             if rng.random() < 0.5}
+            for _ in range(rng.randint(0, 7))
+        ]
+        echelon, pivots = integer_echelon(rows)
+        assert len(echelon) == len(pivots)
+        dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+        assert len(pivots) == fraction_rank(dense)
+        for row, c in zip(echelon, pivots):
+            assert row[c] > 0
+            assert math.gcd(*row.values()) == 1
+            assert all(row.values())
+            assert not any(d in row for d in pivots if d != c)
 
 
 def test_kernel_of_a_known_system():

@@ -19,10 +19,14 @@ which computes f(x) from ``reference_evaluate`` and the grid values and
 reads neither.  ``binomial`` is the checked C(n, j), kept as the oracle
 for the stencil, and ``monomial`` builds c*x**k for the fixtures.
 ``outcome`` turns what a call raised into a comparable value.
-``reference_kernel_basis`` and
+``reference_integer_echelon`` is Bareiss's one-step fraction-free
+elimination on dense integer lists, every division checked exact, kept
+as an echelon oracle that shares no code with the sparse reduced form
+in ``linalg``.  ``reference_kernel_basis`` (on top of it) and
 ``reference_forced_zeros`` are the null-space steps that list every free
-column before building its vector and scan every grid column for forced
-zeros, kept as oracles for ``kernel_basis`` and ``nullspace``.
+column before building its vector by back-substitution and scan every
+grid column for forced zeros, kept as oracles for ``kernel_basis`` and
+``nullspace``.
 ``reference_render_json`` and ``reference_render_csv`` write a report by
 first converting it to a document of dicts, lists and strings, then
 handing that to ``json.dumps(indent=2)`` or flattening it for the
@@ -78,7 +82,7 @@ from divdiff import (
     simplex,
 )
 from divdiff.extremal import MinLipschitzResult, _fill_witness, _program, _solve_pinned
-from divdiff.linalg import NullBasis, integer_echelon
+from divdiff.linalg import NullBasis
 from divdiff.rational import decimal_string, format_rational, integer_text
 
 
@@ -462,6 +466,38 @@ def reference_walkthrough_sums(f, n, h, N, x):
     }
 
 
+def reference_integer_echelon(matrix):
+    """(nonzero echelon rows, pivot columns) of a dense integer matrix, by
+    one-step fraction-free elimination."""
+    rows = [list(r) for r in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivot_cols = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot = rows[r][c]
+        for i in range(r + 1, nrows):
+            factor = rows[i][c]
+            new = []
+            for j in range(ncols):
+                q, rem = divmod(pivot * rows[i][j] - factor * rows[r][j], prev)
+                if rem:
+                    raise ArithmeticError("inexact division in fraction-free elimination")
+                new.append(q)
+            rows[i] = new
+        prev = pivot
+        pivot_cols.append(c)
+        r += 1
+    return rows[:r], pivot_cols
+
+
 def reference_kernel_basis(rows, ncols):
     """(rank, pivot columns, basis) with one vector built per free column."""
     touched = sorted({c for row in rows for c in row})
@@ -478,7 +514,7 @@ def reference_kernel_basis(rows, ncols):
             dense[col_of[c]] = scaled.numerator
         int_rows.append(dense)
 
-    echelon, pivot_local = integer_echelon(int_rows) if int_rows else ([], [])
+    echelon, pivot_local = reference_integer_echelon(int_rows)
     rank = len(pivot_local)
     pivot_cols = [touched[c] for c in pivot_local]
     pivot_set = set(pivot_local)
