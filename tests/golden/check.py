@@ -381,6 +381,14 @@ PINS = {
         ["fd", "--func", "poly:1,-2,3", "--x", "-7/3", "--h", "1/9", "--n", "5"],
         "46a19799e594659eec23268e5c89918f46984e507a2c3eecfddbc0009e82df7d",
     ),
+    "uniform-0": Pin(
+        ["uniform", "--func", RUNGE, "--n", "0"],
+        "3f98c4b9761709dad069c276a710bb550d4b013bef316ea5d162599a7e0022d4",
+    ),
+    "interp-0": Pin(
+        ["interp", "--func", "poly:3,1", "--n", "0"],
+        "4913368e8b9e8363218cc6d2d34b5c729459590c0ed9bfdda46b7212bd39f5fd",
+    ),
 }
 
 
