@@ -32,13 +32,13 @@ P_k = prod_{i != k} (a_k - a_i) and adds the terms v_k / P_k as integer
 pairs in a balanced tree, each add cancelling the gcd of the two
 denominators (Henrici, J. ACM 3(1), 1956).  When the a_k form an
 arithmetic progression a_0 + k d in the order given, as the equispaced
-knots k/n do, the product has the closed form
-P_k = (-1)^(n-k) d^n k! (n-k)!, read from one table of factorials; any
-other knots form each product from its n factors.  The recursive table
-keeps each column as integer numerators over one denominator, reduced by
-one gcd per column, and once a column is all zero every later one is
-zero too, with no arithmetic.  Each kernel reduces to a Fraction once,
-at the end.
+knots k/n do, the products follow from P_0 = (-d)^n n! by the ratio
+P_(k+1) = -P_k (k+1) / (n-k), one exact division by a small integer
+each; any other knots form each product from its n factors.  The
+recursive table keeps each column as integer numerators over one
+denominator, reduced by one gcd per column, and once a column is all
+zero every later one is zero too, with no arithmetic.  Each kernel
+reduces to a Fraction once, at the end.
 """
 
 import math
@@ -89,8 +89,8 @@ class KnotValueList:
 
 def _equispaced_sample(f: FuncSpec, n: int) -> tuple[KnotValueList, dict[int, Pair]]:
     """KnotValueList.equispaced(f, n) and the map k -> (a, b) of f's pairs
-    at its knots.  The knots are the lattice points t/D with D = n, asked
-    for in ascending k, so the first pole raised is at the lowest k."""
+    at its knots.  The knots are the lattice points t/D with D = max(n, 1),
+    asked for in ascending k, so the first pole raised is at the lowest k."""
     knots = _equispaced_knots(n)
     pair = f.pairs(max(n, 1))
     pairs = {k: pair(k) for k in range(n + 1)}
@@ -105,9 +105,7 @@ def _fractions(items: Iterable[Scalar]) -> tuple[Fraction, ...]:
 def _equispaced_knots(n: int) -> tuple[Fraction, ...]:
     if n < 0:
         raise ValueError("order must be nonnegative")
-    if n == 0:
-        return (Fraction(0),)
-    return tuple(Fraction(k, n) for k in range(n + 1))
+    return tuple(Fraction(k, max(n, 1)) for k in range(n + 1))
 
 
 def divided_difference_direct(kv: KnotValueList) -> Fraction:
@@ -139,20 +137,17 @@ def divided_difference_direct(kv: KnotValueList) -> Fraction:
 def _node_products(points: list[int]) -> list[int]:
     """P_k = prod_{i != k} (a_k - a_i) for each point a_k.
 
-    If a_k = a_0 + k d in the order given, then a_k - a_i = (k - i) d and
-    P_k = (-1)^(n-k) d^n k! (n-k)!; other points take the n-factor product."""
+    If a_k = a_0 + k d in the order given, then a_k - a_i = (k - i) d, so
+    P_0 = (-d)^n n! and P_(k+1) = -P_k (k+1) / (n-k), a division that is
+    exact; other points take the n-factor product."""
     n = len(points) - 1
     step = points[1] - points[0] if n else 0
     if any(b - a != step for a, b in zip(points, points[1:])):
         return [math.prod(ak - ai for ai in points if ai != ak) for ak in points]
-    factorials = [1]
-    for k in range(1, n + 1):
-        factorials.append(factorials[-1] * k)
-    power = step**n
-    return [
-        (-power if (n - k) % 2 else power) * factorials[k] * factorials[n - k]
-        for k in range(n + 1)
-    ]
+    products = [(-step) ** n * math.factorial(n)]
+    for k in range(n):
+        products.append(-products[-1] * (k + 1) // (n - k))
+    return products
 
 
 def _difference_columns(kv: KnotValueList) -> Iterator[tuple[list[int], int]]:

@@ -30,10 +30,10 @@ class Polynomial:
     coefficients: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+        coeffs = [Fraction(c) for c in self.coefficients]
         while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+            coeffs.pop()
+        object.__setattr__(self, "coefficients", tuple(coeffs))
 
     # Kept for __mul__, its one caller in the package.
     @classmethod

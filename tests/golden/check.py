@@ -41,7 +41,10 @@ through ``FuncSpec.evaluate``.  The ``uniform-3000`` and
 at n = 400 and the ``eval`` of a degree-7 polynomial at 129 unequally
 spaced knots were recorded while the direct kernel still summed over
 the lcm of all its denominators and both difference tables ran every
-pass past their first vanishing row.
+pass past their first vanishing row; those two Runge pins also while
+the node products at equispaced knots still came from a table of
+factorials.  The order-0 ``uniform`` and ``interp`` pins were recorded
+while the single knot 0 of order 0 still had its own branch.
 
 ``tests/test_golden.py`` runs these under pytest.  Without pytest, run
 

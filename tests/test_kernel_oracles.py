@@ -4,8 +4,9 @@ divided_difference_direct, newton_coefficients, lagrange_equispaced and
 Polynomial.evaluate work on integers over one common denominator and
 reduce once at the end; the ``reference_*`` functions in util.py are
 the Fraction loops they replaced.  The direct kernel takes its node
-products in closed form when the knots are in arithmetic progression,
-and from n factors otherwise, and adds its terms in a balanced tree.
+products by one ratio recurrence when the knots are in arithmetic
+progression, and from n factors otherwise, and adds its terms in a
+balanced tree.
 The inputs stress the scaling: knots with mixed denominators, negative
 and unsorted, values with large denominators, and the degenerate orders.
 Polynomial values of degree d below the order stress the early exits of
@@ -26,7 +27,7 @@ from divdiff import (
     lagrange_equispaced,
     newton_coefficients,
 )
-from divdiff.differences import _difference_columns
+from divdiff.differences import _difference_columns, _node_products
 
 from util import (
     distinct_knots,
@@ -264,6 +265,7 @@ def test_progression_knots_take_the_closed_form(prod_calls):
         (Fraction(1, 6), Fraction(1, 2), Fraction(5, 6)),   # scaled points 1, 3, 5: d = 2
         progression(Fraction(7, 10), Fraction(4, 15), 6),   # scaled d = 8, a_0 = 21
         progression(Fraction(-2, 5), Fraction(-3), 5),      # integer step, scaled d = -15
+        progression(Fraction(13, 5), Fraction(-1, 35), 101),  # 101 knots, d = -1, a_0 = 91
     ]
     for order in range(3):  # orders 0, 1 and 2
         shapes.append(progression(Fraction(-1, 3), Fraction(5, 2), order + 1))
@@ -274,6 +276,19 @@ def test_progression_knots_take_the_closed_form(prod_calls):
             assert not prod_calls
             assert value == reference_divided_difference(kv)
             assert value == divided_difference_recursive(kv)
+
+
+def test_progression_node_products_match_the_factor_products():
+    # Each product after the first is the previous one times -(k+1)/(n-k),
+    # so a division that was not exact would show here.
+    for count in (1, 2, 3, 18, 300):
+        for start, step in ((0, 1), (7, -3), (-11, 5), (40, -1)):
+            points = [start + k * step for k in range(count)]
+            expected = [
+                math.prod(points[k] - points[i] for i in range(count) if i != k)
+                for k in range(count)
+            ]
+            assert _node_products(points) == expected
 
 
 def test_knots_off_a_progression_take_the_general_products(prod_calls):
