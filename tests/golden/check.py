@@ -44,7 +44,10 @@ the lcm of all its denominators and both difference tables ran every
 pass past their first vanishing row; those two Runge pins also while
 the node products at equispaced knots still came from a table of
 factorials.  The order-0 ``uniform`` and ``interp`` pins were recorded
-while the single knot 0 of order 0 still had its own branch.
+while the single knot 0 of order 0 still had its own branch.  The
+``identity`` pin on a quadratic at n = 64 was recorded while the forward
+difference of an unextended polynomial of degree below n was still set
+to 0 and never summed.
 
 ``tests/test_golden.py`` runs these under pytest.  Without pytest, run
 
@@ -391,6 +394,10 @@ PINS = {
     "interp-0": Pin(
         ["interp", "--func", "poly:3,1", "--n", "0"],
         "4913368e8b9e8363218cc6d2d34b5c729459590c0ed9bfdda46b7212bd39f5fd",
+    ),
+    "identity-poly-below-order": Pin(
+        ["identity", "--func", "poly:1,-2,3", "--n", "64"],
+        "5ec7fdec3862cfc60c9dd2d01f79ad92036da325c5b841a63dc4a1b18901f94f",
     ),
 }
 
