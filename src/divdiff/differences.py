@@ -20,10 +20,11 @@ finite_difference is the shift average of probes over the one shift
 i = 1, summed with integer weights on the same lattice of points x + m h.
 Each lattice point is t/D for an integer t and reaches the sum as the
 integer pair (a, b) with f(t/D) = a/b (FuncSpec.pairs), as do the
-equispaced sample's knots k/n, with D = n; check_equispaced_identity
-asks for each knot once and hands its pairs to both sums.  An
-unextended polynomial of degree below n gives D_h^n p = 0 with no point
-evaluated.
+equispaced sample's knots k/n, with D = n.  check_equispaced_identity
+sums its stencil on the lattice of the knots, so each knot is asked for
+once, and takes the direct sum's values from that lattice; both sides
+are computed for every f.  finite_difference alone gives D_h^n p = 0
+for an unextended polynomial of degree below n, with no point evaluated.
 
 The two divided-difference kernels work on integers: each scales the
 knots by the lcm D of their denominators to integers a_k = x_k D.  The
@@ -48,7 +49,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import DuplicateKnotError
 from .funcs import FuncSpec, Pair, PolynomialFunc
-from .poly import Scalar
+from .poly import Scalar, _fractions
 
 
 @dataclass(frozen=True)
@@ -83,23 +84,13 @@ class KnotValueList:
 
     @classmethod
     def equispaced(cls, f: FuncSpec, n: int) -> "KnotValueList":
-        """Knots k/n for k = 0..n; n = 0 degenerates to the single knot 0."""
-        return _equispaced_sample(f, n)[0]
+        """Knots k/n for k = 0..n; n = 0 degenerates to the single knot 0.
 
-
-def _equispaced_sample(f: FuncSpec, n: int) -> tuple[KnotValueList, dict[int, Pair]]:
-    """KnotValueList.equispaced(f, n) and the map k -> (a, b) of f's pairs
-    at its knots.  The knots are the lattice points t/D with D = max(n, 1),
-    asked for in ascending k, so the first pole raised is at the lowest k."""
-    knots = _equispaced_knots(n)
-    pair = f.pairs(max(n, 1))
-    pairs = {k: pair(k) for k in range(n + 1)}
-    return KnotValueList(knots, tuple(Fraction(a, b) for a, b in pairs.values())), pairs
-
-
-def _fractions(items: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    """The items as Fractions; a Fraction is kept as it is."""
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in items)
+        f is read through its pairs at t/D with D = max(n, 1), in
+        ascending k, so the first pole raised is at the lowest k."""
+        knots = _equispaced_knots(n)
+        pair = f.pairs(max(n, 1))
+        return cls(knots, tuple(Fraction(*pair(k)) for k in range(n + 1)))
 
 
 def _equispaced_knots(n: int) -> tuple[Fraction, ...]:
@@ -326,14 +317,7 @@ def finite_difference(f: FuncSpec, x: Scalar, h: Scalar, n: int) -> Fraction:
     is asked for once, in ascending j, and a zero-extended f only at the
     points inside [0, 1].  An unextended polynomial of degree below n
     gives 0 with no point asked for."""
-    return _finite_difference(f, Fraction(x), Fraction(h), n, {})
-
-
-def _finite_difference(
-    f: FuncSpec, x: Fraction, h: Fraction, n: int, known: dict[int, Pair]
-) -> Fraction:
-    """finite_difference with the lattice memo seeded by known, which maps
-    m to f's pair at the point x + m*h, so those points are not asked again."""
+    x, h = Fraction(x), Fraction(h)
     if h <= 0:
         raise ValueError("step must be positive")
     if n < 0:
@@ -341,7 +325,6 @@ def _finite_difference(
     if isinstance(f, PolynomialFunc) and not f.extended_by_zero and n > f.poly.degree:
         return Fraction(0)
     lattice = _Lattice(f.pairs, x, h, clip=f.extended_by_zero)
-    lattice.memo.update(known)
     return lattice.total(_average_weights(lattice, n, 1))
 
 
@@ -357,14 +340,16 @@ def check_equispaced_identity(f: FuncSpec, n: int) -> EquispacedIdentityCheck:
     """Compare the order-n divided difference at the knots k/n against the
     scaled forward difference D_{1/n}^n f(0) / (n! (1/n)^n).
 
-    f is asked for each knot once: the lattice points m/n of the forward
-    difference are the knots, so the sample's pairs seed its memo.  The
-    two sums stay separate."""
+    The stencil is summed first, on the lattice of the points m/n, which
+    are the knots: it asks for each knot once, in ascending order, so the
+    first pole raised is at the lowest knot.  The direct sum takes its
+    values from that lattice's memo, and both sides are summed for every
+    f, an unextended polynomial of degree below n too."""
     if n < 1:
         raise ValueError("order must be at least 1")
     h = Fraction(1, n)
-    kv, pairs = _equispaced_sample(f, n)
-    lhs = divided_difference_direct(kv)
-    scale = math.factorial(n) * h**n
-    rhs = _finite_difference(f, Fraction(0), h, n, pairs) / scale
+    lattice = _Lattice(f.pairs, Fraction(0), h, clip=f.extended_by_zero)
+    rhs = lattice.total(_average_weights(lattice, n, 1)) / (math.factorial(n) * h**n)
+    values = tuple(Fraction(*lattice.memo[k]) for k in range(n + 1))
+    lhs = divided_difference_direct(KnotValueList(_equispaced_knots(n), values))
     return EquispacedIdentityCheck(n, lhs, rhs, lhs == rhs)

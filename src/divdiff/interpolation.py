@@ -19,8 +19,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .differences import _fractions
-from .poly import Polynomial, Scalar
+from .poly import Polynomial, Scalar, _fractions
 
 
 def lagrange_equispaced(values: Sequence[Scalar]) -> Polynomial:

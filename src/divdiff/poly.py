@@ -20,9 +20,14 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 Scalar = Union[int, Fraction]
+
+
+def _fractions(items: Iterable[Scalar]) -> tuple[Fraction, ...]:
+    """The items as Fractions; a Fraction is kept as it is."""
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in items)
 
 
 @dataclass(frozen=True)
@@ -30,7 +35,7 @@ class Polynomial:
     coefficients: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        coeffs = [Fraction(c) for c in self.coefficients]
+        coeffs = list(_fractions(self.coefficients))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))

@@ -24,6 +24,7 @@ from divdiff import (
     finite_difference,
     newton_coefficients,
 )
+from divdiff import differences
 from divdiff.differences import difference_stencil
 
 from util import (
@@ -385,6 +386,18 @@ def test_identity_raises_the_pole_at_the_lowest_knot():
             assert outcome(reference_equispaced, f, n) == expected
             assert outcome(check_equispaced_identity, _spied(f, asked), n) == expected
             assert asked == [Fraction(k, n) for k in range(int(Fraction(pole) * n) + 1)]
+
+
+def test_identity_sums_the_stencil_of_a_polynomial_below_the_order(monkeypatch):
+    # With a wrong stencil the forward side of a quadratic is no longer 0,
+    # so the check must tell the sides apart rather than assume that side.
+    f = PolynomialFunc(Polynomial((1, -2, 3)))
+    assert check_equispaced_identity(f, 5).equal
+    monkeypatch.setattr(differences, "difference_stencil", lambda n: (1,) * (n + 1))
+    check = check_equispaced_identity(f, 5)
+    assert check.lhs == 0
+    assert check.rhs != 0
+    assert not check.equal
 
 
 def test_identity_requires_positive_order():

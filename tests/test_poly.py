@@ -33,6 +33,13 @@ def test_trailing_zero_coefficients_are_trimmed():
     assert p.coefficients == (Fraction(1), Fraction(2))
 
 
+def test_fraction_coefficients_are_kept_as_given():
+    given = (Fraction(1, 3), Fraction(-2), Fraction(5, 7))
+    p = Polynomial(given + (Fraction(0),))
+    assert all(c is g for c, g in zip(p.coefficients, given, strict=True))
+    assert Polynomial((1, Fraction(1, 2))).coefficients == (Fraction(1), Fraction(1, 2))
+
+
 def test_zero_polynomial_degree():
     z = Polynomial.zero()
     assert z.is_zero
