@@ -47,7 +47,10 @@ factorials.  The order-0 ``uniform`` and ``interp`` pins were recorded
 while the single knot 0 of order 0 still had its own branch.  The
 ``identity`` pin on a quadratic at n = 64 was recorded while the forward
 difference of an unextended polynomial of degree below n was still set
-to 0 and never summed.
+to 0 and never summed.  The two ``telescope`` pins whose ``jprime`` (n!/j)
+has 690 and 5,080 digits were recorded under CPython's default
+int-to-str digit limit, while the report still wrote an int as a JSON
+number or a string by whether the running limit let ``str()`` convert it.
 
 ``tests/test_golden.py`` runs these under pytest.  Without pytest, run
 
@@ -398,6 +401,16 @@ PINS = {
     "identity-poly-below-order": Pin(
         ["identity", "--func", "poly:1,-2,3", "--n", "64"],
         "5ec7fdec3862cfc60c9dd2d01f79ad92036da325c5b841a63dc4a1b18901f94f",
+    ),
+    "telescope-jprime-690-digits": Pin(
+        ["telescope", "--func", "poly:1", "--x", "0", "--h", "1", "--n", "330",
+         "--j", "1", "--N", "1"],
+        "cdf501b30aa34fb3a306ececd0a55b4c12cc78de01d9135601c629afb34c2dbf",
+    ),
+    "telescope-jprime-5080-digits": Pin(
+        ["telescope", "--func", "poly:1,2", "--extend-zero", "--x", "0", "--h", "1/8",
+         "--n", "1800", "--j", "1", "--N", "5"],
+        "0a3b3e9864463bb268682b60f04c769b4fefb6b2de05cd3cfb1a9620686b5cff",
     ),
 }
 
