@@ -34,7 +34,6 @@ from .poly import Polynomial, Scalar
 from .rational import parse_integer, parse_rational, parse_rationals
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 Pair = tuple[int, int]  # (a, b), b > 0: the value a/b, not reduced
 

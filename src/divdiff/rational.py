@@ -8,7 +8,7 @@ package; decimal strings are display-only output, never input.
 """
 
 import re
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, DivisionByZero, InvalidOperation, Overflow
 from fractions import Fraction
 
 from .errors import ParseError
@@ -16,6 +16,12 @@ from .errors import ParseError
 Rational = Fraction
 
 DECIMAL_DIGITS = 15
+# Every decimal string is divided and written in this context.  Each field is
+# given, so neither the caller's context nor decimal.DefaultContext counts.
+_DECIMAL = Context(
+    prec=DECIMAL_DIGITS, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999,
+    capitals=1, clamp=0, traps=[InvalidOperation, DivisionByZero, Overflow],
+)
 
 # [0-9]: \d and int() also take other scripts' digits ("١", "１"), int() "1_0" too.
 _INTEGER_RE = re.compile("[+-]?[0-9]+")
@@ -62,18 +68,12 @@ def integer_text(value: int) -> str:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical text form: bare integer when the denominator is 1."""
-    try:
-        return str(value)  # Fraction's own text has this form
-    except ValueError:
-        pass  # past the digit limit of an int-to-str conversion
+    """Canonical text form, str(value) whatever the digit limit: "p/q", or "p" if q is 1."""
     if value.denominator == 1:
         return integer_text(value.numerator)
     return f"{integer_text(value.numerator)}/{integer_text(value.denominator)}"
 
 
 def decimal_string(value: Fraction) -> str:
-    """Display-only decimal rendering with DECIMAL_DIGITS significant digits."""
-    with localcontext() as ctx:
-        ctx.prec = DECIMAL_DIGITS
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+    """Display-only decimal rendering with DECIMAL_DIGITS significant digits, half-even."""
+    return _DECIMAL.to_sci_string(_DECIMAL.divide(value.numerator, value.denominator))

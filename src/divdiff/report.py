@@ -14,10 +14,14 @@ class (a subclass of str or dict, say, raises TypeError):
   lists.
 
 Every rational quantity is serialized as a canonical "p/q" string so
-reports are bit-reproducible and re-parseable without loss.  Fields
-with a name-like key additionally get a "<key>_decimal" sibling holding
-a 15-significant-digit decimal for human readers; these are display
-columns only and are listed as approximate in the provenance block.
+reports are bit-reproducible and re-parseable without loss.  An int is
+a JSON number up to 4,300 digits (CPython's default int-to-str limit)
+and a string of digits past that, whatever limit the interpreter runs
+with.  Fields with a name-like key additionally get a "<key>_decimal"
+sibling holding a 15-significant-digit decimal for human readers,
+rounded half-even in a context of its own, not the caller's; these are
+display columns only and are listed as approximate in the provenance
+block.
 
 A report document has four top-level keys: command, inputs, results,
 provenance.  Both formats come from one depth-first walk over the
@@ -245,13 +249,9 @@ def _write(
             cell = format_rational(v)
             text = f'"{cell}"'
         elif vkind is int:
-            try:
-                cell = text = str(v)
-            except ValueError:
-                # json cannot write an int past the digit limit as a number;
-                # it goes out as a string of digits, like other exact values.
-                cell = integer_text(v)
-                text = f'"{cell}"'
+            cell = integer_text(v)
+            # A string of digits past 4,300 digits, whatever limit runs.
+            text = cell if len(cell) - (v < 0) <= 4300 else f'"{cell}"'
         elif vkind is str:
             cell = v
             text = _quote(v)

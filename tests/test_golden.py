@@ -1,6 +1,8 @@
 """Every README example report, and the larger pinned runs, stay
 byte-identical to the outputs recorded in tests/golden/."""
 
+import decimal
+
 import pytest
 
 from golden.check import PINS, README_COMMANDS, golden_text, readme_argv, run, sha256
@@ -10,6 +12,20 @@ from golden.check import PINS, README_COMMANDS, golden_text, readme_argv, run, s
 @pytest.mark.parametrize("name", list(README_COMMANDS))
 def test_readme_command_matches_golden(name, fmt):
     code, out = run(readme_argv(name, fmt))
+    assert code == 0
+    assert out == golden_text(name, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", list(README_COMMANDS))
+def test_readme_command_matches_golden_in_another_decimal_context(name, fmt):
+    # The decimal siblings are computed in a context of their own.
+    with decimal.localcontext() as ctx:
+        ctx.rounding = decimal.ROUND_FLOOR
+        ctx.capitals = 0
+        before = repr(ctx)
+        code, out = run(readme_argv(name, fmt))
+        assert repr(decimal.getcontext()) == before
     assert code == 0
     assert out == golden_text(name, fmt)
 

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import divdiff
 from divdiff import ParseError, decimal_string, format_rational, parse_rational
 from divdiff.rational import parse_integer, parse_rationals
 
@@ -95,6 +98,28 @@ def test_decimal_strings():
 
 def test_decimal_keeps_leading_zeros_of_small_values():
     assert decimal_string(Fraction(1, 300000)) == "0.00000333333333333333"
+
+
+def test_decimal_ignores_a_changed_default_context():
+    # decimal.DefaultContext seeds each thread's context and fills every
+    # field a new Context is not given, so it is changed before the import.
+    code = (
+        "import decimal\n"
+        "decimal.DefaultContext.rounding = decimal.ROUND_FLOOR\n"
+        "decimal.DefaultContext.capitals = 0\n"
+        "decimal.DefaultContext.traps[decimal.Inexact] = True\n"
+        "from fractions import Fraction\n"
+        "from divdiff.rational import decimal_string\n"
+        "print(decimal_string(Fraction(2, 3)), decimal_string(Fraction(-1, 3 * 10**20)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(divdiff.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=env, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0.666666666666667 -3.33333333333333E-21\n"
 
 
 def test_format_past_the_str_digit_limit_matches_str():

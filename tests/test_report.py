@@ -1,6 +1,7 @@
 """Report documents: exact serialization, decimal twins, provenance, CSV."""
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -80,6 +81,39 @@ def test_json_rendering_is_deterministic():
     assert a == b
     assert a.endswith("\n")
     assert json.loads(a)["command"] == "demo"
+
+
+def test_an_int_is_a_json_number_up_to_4300_digits_whatever_the_digit_limit():
+    # 4,300 is CPython's default int-to-str limit; the report fixes it, so
+    # an int's form and text do not follow the limit the interpreter runs with.
+    values = {
+        "short": 10**4299,  # 4,300 digits
+        "long": 10**4300,  # 4,301 digits
+        "short_negative": -(10**4300 - 1),
+        "long_negative": -(10**4300),
+    }
+    report = Report(command="demo", inputs={}, results=values)
+    limit = sys.get_int_max_str_digits()
+    renders = set()
+    try:
+        for digits in (640, 4300, 0):
+            sys.set_int_max_str_digits(digits)
+            renders.add((render_json(report), render_csv(report)))
+        # The digit limit is lifted now, so the reports read back.
+        (text, csv_text), = renders
+        doc = json.loads(text)
+        texts = {key: str(v) for key, v in values.items()}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert doc["results"] == {
+        "short": values["short"],
+        "long": texts["long"],
+        "short_negative": values["short_negative"],
+        "long_negative": texts["long_negative"],
+    }
+    assert set(doc["provenance"]["exact_fields"]) == {f"results.{key}" for key in values}
+    lines = csv_text.splitlines()
+    assert all(f"results.{key},{texts[key]}" in lines for key in values)
 
 
 def test_csv_layout():

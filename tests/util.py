@@ -661,11 +661,10 @@ def _reference_convert(value, path, exact, approx):
         return format_rational(value)
     if isinstance(value, int):
         exact.append(path)
-        try:
-            str(value)
-        except ValueError:
-            return integer_text(value)
-        return value
+        # A JSON number up to CPython's default int-to-str limit of 4,300
+        # digits, whatever limit runs; a string of digits past it.
+        text = integer_text(value)
+        return value if len(text.lstrip("-")) <= 4300 else text
     if value is None or isinstance(value, str):
         return value
     if isinstance(value, NullBasis):
