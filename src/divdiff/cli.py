@@ -14,7 +14,8 @@ value is one line naming its flag), applies the checks the entry
 switches on (an option's least value, --extend-zero and a base point in
 [0, 1], the N cap of --max-N), parses --func, builds the Report with the
 required options as its inputs, and turns an infeasible result into
-exit 2 with a diagnostic.  main parses, renders and writes.  Diagnostics
+exit 2 with a diagnostic.  main parses, renders and writes: the same
+UTF-8 bytes on stdout and to --out, whatever the locale.  Diagnostics
 go to stderr only.  Exit codes: 0 success, 1 usage or parse errors and
 a report or help that cannot be written, 2 domain errors
 (duplicate knots, a rational-function pole, an infeasible optimization)
@@ -76,12 +77,18 @@ class _Parser(argparse.ArgumentParser):
 def _write(text: str, out: Optional[str]) -> bool:
     """Write text to the file out, or to stdout and flush it.
 
-    A failure is one line on stderr and False.
+    Both get its UTF-8 bytes as they are, whatever the locale, a path's
+    undecodable bytes (surrogate escapes) included; a stdout with no byte
+    layer takes the text.  A failure is one line on stderr and False.
     """
     try:
         if out is not None:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(out, "wb") as fh:
+                fh.write(text.encode("utf-8", "surrogateescape"))
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()
+            sys.stdout.buffer.write(text.encode("utf-8", "surrogateescape"))
+            sys.stdout.buffer.flush()
         else:
             sys.stdout.write(text)
             sys.stdout.flush()

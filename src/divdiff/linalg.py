@@ -94,8 +94,6 @@ class NullBasis(Sequence[dict[int, Fraction]]):
     its first vector's index; any other range raises ValueError.
     """
 
-    __slots__ = ("segments", "offsets", "_len")
-
     def __init__(self, segments: Iterable[Union[dict[int, Fraction], range]]) -> None:
         self.segments = tuple(segments)
         offsets = []

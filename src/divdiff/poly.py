@@ -40,11 +40,6 @@ class Polynomial:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
 
-    # Kept for __mul__, its one caller in the package.
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
     @property
     def is_zero(self) -> bool:
         return not self.coefficients
@@ -99,7 +94,7 @@ class Polynomial:
             return Polynomial(tuple(c * other for c in self.coefficients))
         a, b = self.coefficients, other.coefficients
         if not a or not b:
-            return Polynomial.zero()
+            return Polynomial()
         prod = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             for j, cb in enumerate(b):

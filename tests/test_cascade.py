@@ -10,7 +10,7 @@ from util import add, nonzero_polynomial
 
 
 def test_zero_polynomial_verdict():
-    result = polynomial_cascade(Polynomial.zero())
+    result = polynomial_cascade(Polynomial())
     assert (result.verdict, result.order) == ("ZeroPolynomial", None)
     assert result.rows == ()
 

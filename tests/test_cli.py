@@ -38,7 +38,7 @@ from divdiff import (
 )
 from divdiff.cli import main
 
-from golden.check import README_COMMANDS
+from golden.check import GOLDEN_DIR, README_COMMANDS
 from util import (
     corrupting_kernel_basis,
     corrupting_solve_lp,
@@ -384,6 +384,34 @@ def test_help_on_a_full_device_is_one_line_error(unbuffered):
     assert proc.stderr == (
         f"divdiff: error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
     )
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs bytes arguments")
+@pytest.mark.parametrize("name", ["hüt.csv", b"h\xfct.csv"], ids=["utf8-name", "raw-byte-name"])
+def test_a_report_is_the_same_utf8_bytes_whatever_the_stdout_encoding(tmp_path, name):
+    # The CSV cell inputs.func holds the path as it came.  A name that is
+    # not UTF-8 reaches Python as surrogate escapes and goes back as bytes.
+    try:
+        (tmp_path / os.fsdecode(name)).write_bytes((GOLDEN_DIR / "hat.csv").read_bytes())
+    except OSError:
+        pytest.skip("the file system refuses the name")
+    argv = [sys.executable, "-m", "divdiff", "probe", "--func", b"pl:" + os.fsencode(name),
+            "--extend-zero", "--x", "0", "--h", "1/4", "--n", "1", "--N", "2", "--format", "csv"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    reports = []
+    for encoding in ["utf-8", "latin-1", "ascii"]:
+        env["PYTHONIOENCODING"] = encoding
+        proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        reports.append(proc.stdout)
+    proc = subprocess.run(argv + ["--out", "report.csv"], cwd=tmp_path, env=env,
+                          capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    reports.append((tmp_path / "report.csv").read_bytes())
+    assert reports == [reports[0]] * 4
+    assert b"inputs.func,pl:" + os.fsencode(name) + b"\n" in reports[0]
 
 
 @pytest.mark.parametrize(
@@ -877,7 +905,7 @@ def test_exact_values_past_the_str_digit_limit_print(capsys, fmt):
 
 
 def test_integers_past_the_str_digit_limit_print_as_digit_strings(capsys):
-    # j' = 1800! has 5,050 digits; json and csv write it as a string
+    # j' = 1800! has 5,080 digits; json and csv write it as a string
     limit = sys.get_int_max_str_digits()
     argv = ["telescope", "--func", "poly:1,2", "--extend-zero", "--x", "0",
             "--h", "1/8", "--n", "1800", "--j", "1", "--N", "5"]

@@ -124,7 +124,7 @@ def test_rational_func_evaluates_and_raises_at_pole():
 
 def test_rational_func_rejects_zero_denominator():
     with pytest.raises(ParseError):
-        RationalFunc(Polynomial((1,)), Polynomial.zero())
+        RationalFunc(Polynomial((1,)), Polynomial())
 
 
 def test_parse_poly_spec():

@@ -1,11 +1,16 @@
 """Every README example report, and the larger pinned runs, stay
 byte-identical to the outputs recorded in tests/golden/."""
 
+import contextlib
 import decimal
+import io
 
 import pytest
 
-from golden.check import PINS, README_COMMANDS, golden_text, readme_argv, run, sha256
+from divdiff.cli import main
+from golden.check import (
+    GOLDEN_DIR, PINS, README_COMMANDS, golden_text, readme_argv, run, sha256,
+)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -28,6 +33,19 @@ def test_readme_command_matches_golden_in_another_decimal_context(name, fmt):
         assert repr(decimal.getcontext()) == before
     assert code == 0
     assert out == golden_text(name, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", list(README_COMMANDS))
+def test_readme_command_writes_golden_bytes_past_the_stdout_encoder(name, fmt, monkeypatch):
+    # A stdout with a byte layer gets the report's UTF-8 bytes, "\n" line
+    # ends as they are: neither its codec nor its newline touches them.
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii", newline="\r\n")
+    monkeypatch.chdir(GOLDEN_DIR)
+    with contextlib.redirect_stdout(stdout):
+        code = main(readme_argv(name, fmt))
+    assert code == 0
+    assert stdout.buffer.getvalue() == (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()
 
 
 @pytest.mark.parametrize("name", list(PINS))

@@ -70,7 +70,7 @@ def test_leading_coefficient_reads_the_requested_degree():
     x = monomial(1)
     assert leading_coefficient(x, 1) == 1
     assert leading_coefficient(x, 2) == 0
-    assert leading_coefficient(Polynomial.zero(), 3) == 0
+    assert leading_coefficient(Polynomial(), 3) == 0
     with pytest.raises(ValueError):
         leading_coefficient(monomial(3), 2)
 

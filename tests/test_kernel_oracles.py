@@ -221,7 +221,7 @@ def test_evaluate_matches_reference():
 
 
 def test_zero_polynomial_evaluates_to_zero():
-    zero = Polynomial.zero()
+    zero = Polynomial()
     for x in (0, -5, Fraction(2, 3)):
         assert zero.evaluate(x) == 0
         assert isinstance(zero.evaluate(x), Fraction)

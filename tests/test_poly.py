@@ -41,7 +41,7 @@ def test_fraction_coefficients_are_kept_as_given():
 
 
 def test_zero_polynomial_degree():
-    z = Polynomial.zero()
+    z = Polynomial()
     assert z.is_zero
     assert z.degree == float("-inf")
     assert z.evaluate(Fraction(3, 7)) == 0

@@ -66,7 +66,7 @@ def test_hat_probe_fixture():
 
 
 def test_zero_function_probes_to_zero():
-    z = PolynomialFunc(Polynomial.zero(), extended_by_zero=True)
+    z = PolynomialFunc(Polynomial(), extended_by_zero=True)
     r = averaging_probe(z, Fraction(1, 3), Fraction(1, 5), 2, 7)
     assert r.average == 0
     assert r.residual == 0

@@ -157,7 +157,7 @@ def random_value(rng, depth):
         # int and str keys together keep their own order
         return {3: random_scalar(rng), "b": random_scalar(rng), -1: random_fraction(rng)}
     if shape == 5:
-        return random_polynomial(rng) if rng.random() < 0.8 else Polynomial.zero()
+        return random_polynomial(rng) if rng.random() < 0.8 else Polynomial()
     if shape == 6:
         return random_grid_function(rng)
     if shape == 7:
