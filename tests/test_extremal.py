@@ -356,6 +356,22 @@ PIVOT_PATHS = {
     9: (732, 12, "31b1bc24dd619df7652382afc987a3876405b4dc3390cd770ee4ddeb338411c9"),
 }
 
+# SHA-256 of the results of the same LPs, relaxed and pinned, each
+# written "status value x_0,x_1,..." (x empty when there is none) and
+# joined by ";".  The relaxed LPs' vertices reach no report, so only
+# this pin sees them.  The duals are left out: a slope row may be
+# written at any positive scale, which scales its multiplier by the
+# inverse and leaves the vertex as it is.
+LP_VERTICES = {
+    3: "ac4f5842a8ae59b3c99b7d921ff12dd2247fafb86eadec398d8a371e0f0699c5",
+    4: "144569b3455205b07ff9986a1beab8296a9267add278d383f86205a0c914b081",
+    5: "1ce12582ebd057d96ed26f35a86b22648c4771639f266b358f6ba782df9736a4",
+    6: "366d8be0db81df28fc93ae0d3e83fc2a6e0a515e6db56ef3855154c9453b92e8",
+    7: "8fb871f1125b36a9b9d35b03843b4d554747c887de5d024e5c440ef66f2d6fad",
+    8: "f9481538fdbe3abdf6b16b52172092933079de05339eecf4dcb9e481c7440e13",
+    9: "9b820ae56143b47fee92b9c7d6a5304fc936987d973de2edb7e709780a822254",
+}
+
 
 @pytest.mark.parametrize("N", sorted(PIVOT_PATHS))
 def test_pivot_paths_are_pinned(N, monkeypatch):
@@ -368,17 +384,20 @@ def test_pivot_paths_are_pinned(N, monkeypatch):
         pivots.append(f"{'w' if self.warm else 'c'} {r},{c}")
         pivot(self, r, c)
 
-    def counting_solve(self, *args, **kwargs):
-        lps.append(None)
-        return solve(self, *args, **kwargs)
+    def recording_solve(self, *args, **kwargs):
+        res = solve(self, *args, **kwargs)
+        x = "" if res.x is None else ",".join(map(str, res.x))
+        lps.append(f"{res.status} {res.value} {x}")
+        return res
 
     monkeypatch.setattr(simplex._Tableau, "_pivot", recording_pivot)
-    monkeypatch.setattr(simplex._Tableau, "solve", counting_solve)
+    monkeypatch.setattr(simplex._Tableau, "solve", recording_solve)
     min_lipschitz_unit_norm(N)
     count, lp_count, digest = PIVOT_PATHS[N]
     assert len(pivots) == count
     assert len(lps) == lp_count
     assert hashlib.sha256(";".join(pivots).encode("ascii")).hexdigest() == digest
+    assert hashlib.sha256(";".join(lps).encode("ascii")).hexdigest() == LP_VERTICES[N]
 
 
 def test_rejects_nonpositive_n():

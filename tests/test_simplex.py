@@ -109,6 +109,9 @@ def test_an_rhs_change_to_an_infeasible_program_carries_a_farkas_ray():
     b_ub = [F(-7), F(3), F(3)]
     res = tableau.solve(b_ub)
     assert res.status == INFEASIBLE
+    # The ray is read from the leaving row at its lowest terms, so it is
+    # this one exactly, not only some positive multiple that certifies.
+    assert res.dual == (-1, -1, -1)
     certify(res, c, a_ub, b_ub)
     assert tableau.warm  # the basis is still dual feasible
     b_ub = [F(-2), F(3), F(3)]
