@@ -62,14 +62,14 @@ The relaxed programs of one call differ only in their right-hand
 sides, so they are solved as one program: one merged row per gap in
 [0, L/2] and every row of the touched-column program.  A gap is
 switched on by moving its merged row to -4 L / g and its two slope rows
-to 2 L / g, where no u in [0, 2] and t >= 0 reach them; every other
-merged row stays at 0, where it binds nothing.  The first relaxed
-program is solved from scratch, and each later one from the last
-optimal basis by the dual simplex method (:mod:`divdiff.simplex`), so
-the tableau is built once per call.  Only a relaxed program's value and
-p* are read, so the vertex it reaches does not matter; the pinned
-programs are solved from scratch by Bland's rule, so each pin's vertex
-is a function of its program alone.
+(written times g, see ``_program``) to 2 L, where no u in [0, 2] and
+t >= 0 reach them; every other merged row stays at 0, where it binds
+nothing.  The first relaxed program is solved from scratch, and each
+later one from the last optimal basis by the dual simplex method
+(:mod:`divdiff.simplex`), so the tableau is built once per call.  Only
+a relaxed program's value and p* are read, so the vertex it reaches
+does not matter; the pinned programs are solved from scratch by Bland's
+rule, so each pin's vertex is a function of its program alone.
 
 A wrong bound would prune the optimum silently, so every program the
 search solves, relaxed or pinned, is checked in exact arithmetic before
@@ -108,8 +108,15 @@ def _program(
     in cols, then t.  Each row maps an unknown's index to its nonzero
     coefficient.  The a_eq rows are the constraint rows, then with pin
     the row u_pin = 2.  The a_ub rows are the two slope rows
-    +-w (u_{i+1} - u_i) <= t of each gap cols[i]..cols[i + 1], with the
-    Fraction w = L / gap, at 2i and 2i + 1, then the box rows u_k <= 2.
+    +-L (u_{i+1} - u_i) - g t <= 0 of each gap cols[i]..cols[i + 1] of
+    width g, at 2i and 2i + 1, then the box rows u_k <= 2.
+
+    A slope row is +-w (u_{i+1} - u_i) <= t, w = L / g, times g, so it
+    is in integers.  That scales only its slack column, which no sign or
+    ratio of Bland's rule sees: every pivot and vertex stays, and only
+    its multiplier is divided by g.  The merged rows of ``_GapPrograms``
+    keep the Fraction w: a switched-on merged row is negated onto an
+    artificial, whose phase-1 cost would see the new scale.
     """
     index = {k: i for i, k in enumerate(cols)}
     t = len(cols)  # the index of the slope bound
@@ -122,9 +129,10 @@ def _program(
 
     a_ub: list[dict] = []
     b_ub: list = []
+    L = system.L
     for i in range(t - 1):
-        w = Fraction(system.L, cols[i + 1] - cols[i])
-        a_ub += [{i: -s * w, i + 1: s * w, t: -1} for s in (1, -1)]
+        g = cols[i + 1] - cols[i]
+        a_ub += [{i: -s * L, i + 1: s * L, t: -g} for s in (1, -1)]
         b_ub += [0, 0]
     a_ub += [{i: 1} for i in range(t)]
     b_ub += [2] * t
@@ -177,7 +185,7 @@ class _GapPrograms:
         weight = self.weights[i]
         slopes = len(self.weights) + 2 * i  # the first slope row of gap i
         b_ub[i] = -4 * weight
-        b_ub[slopes] = b_ub[slopes + 1] = 2 * weight
+        b_ub[slopes] = b_ub[slopes + 1] = 2 * self.L
         tableau = self.tableau
         result = tableau.solve(b_ub, self.b_eq)
         certify(result, tableau.c, tableau.a_ub, b_ub, tableau.a_eq, self.b_eq)

@@ -3,14 +3,17 @@
 Rows are sparse mappings from column index to coefficient.  A ``Row``
 is one of integers, kept as a dict of its nonzero entries; the simplex
 tableau pivots on such rows too, with the same row operation
-``_eliminate``: p*row - f*prow, divided by the gcd of its entries, which
-touches only the nonzero entries of the two rows.  The echelon form is
-the reduced one, so each null vector is read off the echelon rows
-without back-substitution.  A column no row touches is free, with the
-singleton kernel vector {k: 1}, so it is never forced to zero.  The
-basis keeps each run of consecutive untouched columns as a ``range`` and
-builds their vectors only when they are read, so a very wide system
-costs little more than its touched columns.
+``_eliminate``: p*row - f*prow, which touches only the nonzero entries
+of the two rows.  It leaves the result unreduced, and each caller
+divides rows by their gcd (``_reduced``) when it chooses: the echelon
+form every row it makes, the tableau its pivot row at each pivot and
+all its rows every few pivots.
+The echelon form is the reduced one, so each null vector is read off
+the echelon rows without back-substitution.  A column no row touches is
+free, with the singleton kernel vector {k: 1}, so it is never forced to
+zero.  The basis keeps each run of consecutive untouched columns as a
+``range`` and builds their vectors only when they are read, so a very
+wide system costs little more than its touched columns.
 """
 
 import math
@@ -39,7 +42,10 @@ def _scaled(row: Mapping[int, int | Fraction]) -> tuple[Row, int]:
 
 
 def _eliminate(row: Row, f: int, p: int, prow: Row) -> Row:
-    """p*row - f*prow, reduced, for p > 0: the entry f of row against p of prow."""
+    """p*row - f*prow, for p > 0: the entry f of row against p of prow.
+
+    f and p are divided by their gcd first; the result is not reduced.
+    """
     g = math.gcd(f, p)
     if g > 1:
         f //= g
@@ -51,7 +57,7 @@ def _eliminate(row: Row, f: int, p: int, prow: Row) -> Row:
             new[j] = w
         else:
             del new[j]
-    return _reduced(new)
+    return new
 
 
 def integer_echelon(rows: Iterable[Mapping[int, int]]) -> tuple[list[Row], list[int]]:
@@ -74,8 +80,12 @@ def integer_echelon(rows: Iterable[Mapping[int, int]]) -> tuple[list[Row], list[
         if p < 0:
             prow = {j: -v for j, v in prow.items()}
             p = -p
-        pending = [_eliminate(row, row[c], p, prow) if c in row else row for row in pending]
-        echelon = [_eliminate(row, row[c], p, prow) if c in row else row for row in echelon]
+        pending = [
+            _reduced(_eliminate(row, row[c], p, prow)) if c in row else row for row in pending
+        ]
+        echelon = [
+            _reduced(_eliminate(row, row[c], p, prow)) if c in row else row for row in echelon
+        ]
         echelon.append(prow)
         pivot_cols.append(c)
     return echelon, pivot_cols

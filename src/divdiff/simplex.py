@@ -11,17 +11,22 @@ nonzero coefficient, an int or a Fraction.
 The tableau is integer-preserving and sparse: each row (and the cost
 row) is a positive multiple of the true rational row, kept as a dict of
 its nonzero entries, column -> int, with the rhs under the key _RHS.
-Input rows are scaled once by the lcm of their denominators; a pivot
-replaces each row i that has a nonzero f in the pivot column by
+Input rows are scaled once by the lcm of their denominators and reduced;
+a pivot replaces each row i that has a nonzero f in the pivot column by
 p*row_i - f*pivot_row, which touches only the nonzero entries of the two
-rows, and then divides the row by the gcd of its entries.  The rows and
-this row operation (``linalg._eliminate``) are those of the null
-space's echelon form, so both solvers pivot one way.  A positive
-row scale changes neither the sign of an entry nor the ratio of two
-entries, which is all Bland's rule reads, so pivoting follows exactly
-the path of a rational tableau.  Feasibility, optimality and the
-reported optimum are therefore exact statements, never floating-point
-verdicts; the solution is read back as the Fraction rhs/basic-entry.
+rows.  The rows and this row operation (``linalg._eliminate``) are those
+of the null space's echelon form, so both solvers pivot one way.  A
+pivot reduces its pivot row (divides it by the gcd of its entries) but
+not the rows it makes; every _SWEEP pivots, one sweep reduces every row
+and the cost row, which keeps the entries short without a gcd per row
+per pivot.  So no read may depend on a row's scale.  A positive row
+scale changes neither the sign of an entry nor the ratio of two
+entries, which is all Bland's rule reads, in the primal and the dual
+method alike, so pivoting follows exactly the path of a rational
+tableau.  The solution is the Fraction rhs/basic-entry and a multiplier
+is a cost-row entry over the cost row's own scale (below), so neither
+sees the scale either.  Feasibility, optimality and the reported
+optimum are therefore exact statements, never floating-point verdicts.
 
 The cost row carries one more entry, under the key _SCALE: the positive
 factor it is scaled by, which the pivots update like any other entry.
@@ -49,14 +54,15 @@ its negative entry in that row enters, the smallest index on ties.
 That is Bland's rule on the dual, so it cannot cycle.  When the leaving
 row has no negative entry in a column that may enter, it states that a
 sum of nonnegative terms is negative: its unit-column entries, negated,
-are a Farkas ray, and the basis, still dual feasible, is kept for the
-next right-hand side.
+are a Farkas ray, read from the row at its lowest terms so that it is
+a function of the program alone, and the basis, still dual feasible, is
+kept for the next right-hand side.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .linalg import Row, _eliminate, _reduced, _scaled
 
@@ -66,6 +72,7 @@ UNBOUNDED = "unbounded"
 _ZERO = Fraction(0)
 _RHS = -1  # the key of a row's right-hand side
 _SCALE = -2  # the key of the cost row's positive scale
+_SWEEP = 16  # the pivots between two sweeps that reduce every row
 
 InputRow = Mapping[int, int | Fraction]
 
@@ -123,6 +130,7 @@ class _Tableau:
         self.units: list[tuple[int, int]] = []
         self.b: list[int | Fraction] = []  # the rhs the tableau holds, per input row
         self.limit = 0  # columns below it may enter the basis
+        self.unswept = 0  # pivots since the rows were last reduced
 
     def solve(self, b_ub: Sequence[Fraction] = (), b_eq: Sequence[Fraction] = ()) -> LpResult:
         if self.warm:
@@ -135,10 +143,12 @@ class _Tableau:
         p = prow[c]
         # Negating keeps the pivot row a positive multiple of the rational
         # row prow/p; the artificial cleanup and the dual simplex pivot on
-        # negative entries.
+        # negative entries.  Each row the pivot touches takes on the pivot
+        # row's scale, so that row is reduced first.
         if p < 0:
-            prow = rows[r] = {j: -v for j, v in prow.items()}
-            p = -p
+            prow = {j: -v for j, v in prow.items()}
+        prow = rows[r] = _reduced(prow)
+        p = prow[c]
         for i, row in enumerate(rows):
             f = row.get(c)
             if f and i != r:
@@ -147,6 +157,12 @@ class _Tableau:
         if f:
             self.cost = _eliminate(self.cost, f, p, prow)
         self.basis[r] = c
+        self.unswept += 1
+        if self.unswept == _SWEEP:
+            # In place: the callers hold self.rows across pivots.
+            rows[:] = map(_reduced, rows)
+            self.cost = _reduced(self.cost)
+            self.unswept = 0
 
     def _price_out(self) -> None:
         for row, b in zip(self.rows, self.basis):
@@ -312,7 +328,7 @@ class _Tableau:
         r = self._dual()
         if r is None:
             return self._optimum()
-        row = self.rows[r]
+        row = _reduced(self.rows[r])
         ray = tuple(Fraction(-sign * row.get(j, 0)) for j, sign in self.units)
         return LpResult(INFEASIBLE, None, None, ray)
 
@@ -333,17 +349,6 @@ def solve_lp(
     return _Tableau(c, a_ub, a_eq).solve(b_ub, b_eq)
 
 
-def _dot(pairs: Iterable[tuple[int | Fraction, Fraction]]) -> Fraction:
-    """sum(a * v for a, v in pairs) over the nonzero products, in integers, as one Fraction."""
-    num, den = 0, 1
-    for a, v in pairs:
-        if a and v:
-            d = a.denominator * v.denominator
-            num = num * d + a.numerator * v.numerator * den
-            den *= d
-    return Fraction(num, den)
-
-
 def certify(
     result: LpResult,
     c: Sequence[Fraction],
@@ -359,33 +364,48 @@ def certify(
     then makes value the exact optimum.  An INFEASIBLE result needs its
     ray y <= 0 on the a_ub rows with A^T y <= 0 and b.y > 0, which no
     x >= 0 can satisfy.  The rows are mappings of their nonzero entries,
-    as ``solve_lp`` takes them, and each sum of products runs in integers
-    over its nonzero terms.
+    as ``solve_lp`` takes them.  Each row, and each of y, x, b and c, is
+    taken over its common denominator, so every sum of products runs in
+    integers.
     """
     rows = [*a_ub, *a_eq]
+    b = [*b_ub, *b_eq]
     y = result.dual
     if result.status not in (OPTIMAL, INFEASIBLE) or y is None or len(y) != len(rows):
         raise ArithmeticError(f"LP result ({result.status}) carries no certificate")
     if any(v > 0 for v in y[: len(a_ub)]):
         raise ArithmeticError("LP multiplier of an inequality row is positive")
-    # A^T y, column by column, over the rows whose multiplier is not 0.
-    used = [(row, v) for row, v in zip(rows, y) if v]
-    ty = [_dot((row.get(j, 0), v) for row, v in used) for j in range(len(c))]
-    by = _dot(zip(y, [*b_ub, *b_eq]))
+    # Each row is R_i / s_i, y is Y / dy and b is B / db, in integers.
+    scaled = [_scaled(row) for row in rows]
+    Y, dy = _scaled(dict(enumerate(y)))
+    B, db = _scaled(dict(enumerate(b)))
+    by = Fraction(sum(v * B.get(i, 0) for i, v in Y.items()), dy * db)
+    # A^T y = ty / (dy * s), over the rows whose multiplier is not 0.
+    s = math.lcm(*(scaled[i][1] for i in Y))
+    ty = [0] * len(c)
+    for i, v in Y.items():
+        row, si = scaled[i]
+        v *= s // si
+        for j, a in row.items():
+            ty[j] += a * v
     if result.status == INFEASIBLE:
         if by <= 0 or any(v > 0 for v in ty):
             raise ArithmeticError("LP Farkas ray does not prove infeasibility")
         return
     x = result.x
-    if (
-        x is None
-        or len(x) != len(c)
-        or any(v < 0 for v in x)
-        or any(_dot((a, x[j]) for j, a in row.items()) > b for row, b in zip(a_ub, b_ub))
-        or any(_dot((a, x[j]) for j, a in row.items()) != b for row, b in zip(a_eq, b_eq))
-    ):
+    if x is None or len(x) != len(c) or any(v < 0 for v in x):
         raise ArithmeticError("LP solution is not feasible")
-    if any(v > cj for v, cj in zip(ty, c)):
+    dx = math.lcm(*(v.denominator for v in x))
+    X = [v.numerator * (dx // v.denominator) for v in x]
+    for i, ((row, si), bi) in enumerate(zip(scaled, b)):
+        # row.x = R.X / (si * dx) against bi, both sides times their denominators.
+        lhs = sum(a * X[j] for j, a in row.items()) * bi.denominator
+        rhs = bi.numerator * si * dx
+        if lhs > rhs or (lhs != rhs and i >= len(a_ub)):
+            raise ArithmeticError("LP solution is not feasible")
+    if any(v * cj.denominator > cj.numerator * dy * s for v, cj in zip(ty, c)):
         raise ArithmeticError("LP dual is not feasible")
-    if not _dot(zip(c, x)) == by == result.value:
+    C, dc = _scaled(dict(enumerate(c)))
+    cx = Fraction(sum(v * X[j] for j, v in C.items()), dc * dx)
+    if not cx == by == result.value:
         raise ArithmeticError("LP duality gap is not zero")

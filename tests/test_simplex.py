@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+from divdiff import simplex
 from divdiff.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, _Tableau, certify, solve_lp
 
 from util import solve_square, sparse_rows
@@ -87,6 +88,17 @@ def test_an_optimum_carries_its_dual():
     certify(res, *program)
     with pytest.raises(ArithmeticError, match="duality gap"):
         certify(replace(res, dual=(Fraction(-1, 2), Fraction(-1, 6))), *program)
+
+
+def test_a_point_off_an_equality_row_is_not_certified():
+    # minimize x + y with x/2 + y/3 = 1: the optimum is x = 2.  The point
+    # (1, 1/3) keeps x >= 0 and falls short of the equality by 7/18.
+    program = ([F(1), F(1)], [], [], [{0: Fraction(1, 2), 1: Fraction(1, 3)}], [F(1)])
+    res = solve_lp(*program)
+    assert (res.value, res.x) == (2, (2, 0))
+    certify(res, *program)
+    with pytest.raises(ArithmeticError, match="solution is not feasible"):
+        certify(replace(res, x=(F(1), Fraction(1, 3))), *program)
 
 
 def test_an_infeasible_program_carries_a_farkas_ray():
@@ -159,6 +171,54 @@ def test_warm_resolves_match_vertex_enumeration():
         statuses += len(seen) == 2
     assert warm >= 70
     assert statuses >= 15  # programs that went from optimal to infeasible or back
+
+
+def test_a_path_longer_than_two_sweeps_matches_vertex_enumeration(monkeypatch):
+    # The Klee-Minty cube in dimension 6, max sum 2^(6-i) x_i subject to
+    # 2 sum_{j<i} 2^(i-j) x_j + x_i <= 5^i, each row scaled by a seeded
+    # positive rational (which mixes denominators and moves no pivot),
+    # with sum x_i >= 5^5 and x_6 <= 5^6.  From x = 0, which the sum row
+    # cuts off, Bland's rule takes 40 pivots, so the tableau reduces its
+    # rows more than twice on the way.  Then x_6 <= 5^5, which the dual
+    # simplex method reaches in 10 pivots from the last basis, and then
+    # sum x_i >= 2 * 5^6, which no x in the cube meets.  Its Farkas ray
+    # is read after 4 more pivots from a row they left at twice its
+    # lowest terms, and must come out at lowest terms all the same.
+    rng = random.Random(818)
+    n = 6
+    c = [F(-(2 ** (n - i))) for i in range(1, n + 1)]
+    a_ub, b_ub = [], []
+    for i in range(1, n + 1):
+        scale = Fraction(rng.randint(1, 9), rng.randint(1, 6))
+        a_ub.append([scale * 2 ** (i - j + 1) for j in range(1, i)] + [scale] + [F(0)] * (n - i))
+        b_ub.append(scale * 5**i)
+    a_ub += [[F(-1)] * n, [F(0)] * (n - 1) + [F(1)]]
+    b_ub += [F(-(5**5)), F(5**6)]
+    pivots = []
+    pivot = simplex._Tableau._pivot
+
+    def recording_pivot(self, r, j):
+        pivots.append("w" if self.warm else "c")
+        pivot(self, r, j)
+
+    monkeypatch.setattr(simplex._Tableau, "_pivot", recording_pivot)
+    rows = sparse_rows(a_ub)
+    tableau = _Tableau(c, rows)
+    res = tableau.solve(b_ub)
+    assert pivots.count("c") == 40 > 2 * simplex._SWEEP
+    certify(res, c, rows, b_ub)
+    assert res.value == enumerate_optimum(c, a_ub, b_ub, [], [], n) == -(5**n)
+    b_ub[-1] = F(5**5)
+    res = tableau.solve(b_ub)
+    assert pivots.count("w") == 10
+    certify(res, c, rows, b_ub)
+    assert res.value == enumerate_optimum(c, a_ub, b_ub, [], [], n) == -9375
+    b_ub[-2] = F(-2 * 5**n)
+    res = tableau.solve(b_ub)
+    assert pivots.count("w") == 14
+    assert res.status == INFEASIBLE
+    assert res.dual == (0, 0, 0, 0, 0, -4, -28, -21)
+    certify(res, c, rows, b_ub)
 
 
 def enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, nvars):
