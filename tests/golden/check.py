@@ -51,6 +51,9 @@ to 0 and never summed.  The two ``telescope`` pins whose ``jprime`` (n!/j)
 has 690 and 5,080 digits were recorded under CPython's default
 int-to-str digit limit, while the report still wrote an int as a JSON
 number or a string by whether the running limit let ``str()`` convert it.
+The pins on ``zigzag.csv``, the second grid fixture here (L = 12), were
+recorded while a piecewise-linear function still interpolated each
+point as a ``Fraction`` through ``GridFunction.evaluate``.
 
 ``tests/test_golden.py`` runs these under pytest.  Without pytest, run
 
@@ -135,6 +138,11 @@ def _walkthrough_argv(fmt):
         "walkthrough", "--func", RUNGE, "--extend-zero",
         "--x", "1/10", "--h", "1/64", "--n", "3", "--N", "8", "--format", fmt,
     ]
+
+
+# A piecewise-linear grid of 12 steps with values of both signs and mixed
+# denominators, nonzero at 0 and at 1, and with its zero entries omitted.
+ZIGZAG = "pl:zigzag.csv"
 
 
 class Pin(NamedTuple):
@@ -411,6 +419,46 @@ PINS = {
         ["telescope", "--func", "poly:1,2", "--extend-zero", "--x", "0", "--h", "1/8",
          "--n", "1800", "--j", "1", "--N", "5"],
         "0a3b3e9864463bb268682b60f04c769b4fefb6b2de05cd3cfb1a9620686b5cff",
+    ),
+    "probe-zigzag-sweep": Pin(
+        # h = 1/30 is no multiple of the grid step 1/12.
+        ["probe", "--func", ZIGZAG, "--extend-zero",
+         "--x", "1/7", "--h", "1/30", "--n", "2", "--Nmax", "40"],
+        "b9177d7cd54797d2ab45bae6765ad6ed3c5729bcde194b4049ef86737df3925d",
+    ),
+    "telescope-zigzag": Pin(
+        ["telescope", "--func", ZIGZAG, "--extend-zero",
+         "--x", "1/5", "--h", "1/18", "--n", "3", "--j", "2", "--N", "12"],
+        "cb4c9b1d182af5eb66611deb9da4c341677262d9bda829e043784a0d37af67d0",
+    ),
+    "walkthrough-zigzag": Pin(
+        ["walkthrough", "--func", ZIGZAG, "--extend-zero",
+         "--x", "1/10", "--h", "1/26", "--n", "3", "--N", "9"],
+        "1ed979baaa0c2dc4df35a3f221da5f37a0231282ce856605a72a350200c0e07f",
+    ),
+    "identity-zigzag": Pin(
+        ["identity", "--func", ZIGZAG, "--n", "30"],
+        "dfc21b550b6e0a4524f11068f187a8362d68c4906e04bdff431a9f436c8ada96",
+    ),
+    "uniform-zigzag": Pin(
+        ["uniform", "--func", ZIGZAG, "--n", "25"],
+        "808178b52bcabd454a1e3492e7c5512d597b12067fab7ca095b6bc0fac5ab561",
+    ),
+    "interp-zigzag": Pin(
+        ["interp", "--func", ZIGZAG, "--n", "18"],
+        "002f9565629b460316a5a1e63827f58a0716495e4c3fccec6807c84e5ea41855",
+    ),
+    "fd-zigzag": Pin(
+        # Unextended, with every point 1/9 + j/20 inside [0, 1].
+        ["fd", "--func", ZIGZAG, "--x", "1/9", "--h", "1/20", "--n", "14"],
+        "e63fbd8b2bff5a9fc627cd2084ed9b3657cbf25d4ccedd399ee1dd2a78e36db2",
+    ),
+    "fd-zigzag-outside": Pin(
+        # Unextended, and the point 1/3 + 6/8 = 13/12 leaves [0, 1]: no
+        # report, exit 2.
+        ["fd", "--func", ZIGZAG, "--x", "1/3", "--h", "1/8", "--n", "7"],
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        code=2,
     ),
 }
 

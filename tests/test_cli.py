@@ -531,6 +531,17 @@ def test_domain_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+def test_unextended_grid_stencil_names_its_first_point_outside(capsys, monkeypatch):
+    # The points 1/3 + j/8 are asked for in ascending j; j = 6 and 7 give
+    # 13/12 and 29/24, both outside [0, 1], and the first one is named.
+    monkeypatch.chdir(GOLDEN_DIR)
+    code, out, err = run(
+        capsys, "fd", "--func", "pl:zigzag.csv", "--x", "1/3", "--h", "1/8", "--n", "7"
+    )
+    assert (code, out) == (2, "")
+    assert err == "divdiff: error: 13/12 is outside [0, 1]\n"
+
+
 def test_grid_file_not_utf8_is_one_line_exit_one(capsys, tmp_path):
     grid = tmp_path / "bad.csv"
     grid.write_bytes(b"L=2\n1,\xff\n")

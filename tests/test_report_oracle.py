@@ -50,7 +50,7 @@ from divdiff import Polynomial, cli
 from divdiff.linalg import ONE, NullBasis
 from divdiff.report import Report, _decimals, _Run, render_csv, render_json
 
-from golden.check import GOLDEN_DIR, PINS, README_COMMANDS
+from golden.check import GOLDEN_DIR, PINS, README_COMMANDS, sha256
 from util import (
     random_fraction,
     random_grid_function,
@@ -65,13 +65,14 @@ from util import (
 # cost seconds of LPs each, and nullspace-13, whose 27 MB report takes
 # the reference writer about 9 s (its bytes are pinned, and the digit
 # edges it crosses are checked on seeded bases below); a handler's
-# report does not depend on --format, so each is run once.
+# report does not depend on --format, so each is run once.  A pin of an
+# empty stdout is a run that ends in an error, with no report to write.
 LARGEST = ("-256", "minlip-10", "minlip-11", "minlip-12", "nullspace-13")
 CLI_RUNS = dict(README_COMMANDS)
 CLI_RUNS.update(
     (f"pin-{name}", pin.argv)
     for name, pin in PINS.items()
-    if not name.endswith(LARGEST) and "--format" not in pin.argv
+    if not name.endswith(LARGEST) and "--format" not in pin.argv and pin.digest != sha256("")
 )
 
 
