@@ -10,10 +10,11 @@ flag rather than a convention.
 Shift sums and equispaced samples ask for f at lattice points t/D, t an
 integer, through FuncSpec.pairs(D): the map t -> (a, b), b > 0, with
 f(t/D) = a/b, not reduced.  Every kind gives pairs, and evaluate(x)
-reads the pair of x.  A polynomial or a rational function computes its
-pairs as integer Horner sums (Polynomial.integer_sum), with no Fraction
-per point.  Only the piecewise-linear kind has its own _evaluate: it
-interpolates its grid, and its pairs read that value through evaluate.
+reads the pair of x.  No kind makes a Fraction per point.  A polynomial
+or a rational function computes its pairs as integer Horner sums
+(Polynomial.integer_sum).  A grid interpolates its values, cached as
+integers over their common denominator M, so that every point of a
+lattice shares the one denominator M D (GridFunction.pairs).
 
 Text syntax accepted by parse_funcspec:
 
@@ -24,8 +25,10 @@ Text syntax accepted by parse_funcspec:
 with every scalar written as "p/q" or a bare integer.
 """
 
+import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable
 
@@ -45,6 +48,7 @@ class GridFunction:
     Only nonzero entries are stored; absent grid indices hold 0.  Between
     grid points the function is the linear interpolant of the neighbouring
     values, so a GridFunction is also a piecewise-linear function on [0, 1].
+    Its pairs read the values' cached integer form, which is not a field.
     """
 
     denominator: int
@@ -73,18 +77,35 @@ class GridFunction:
     def dense(self) -> tuple[Fraction, ...]:
         return tuple(self.value(k) for k in range(self.denominator + 1))
 
+    @cached_property
+    def _integer_form(self) -> tuple[int, dict[int, int]]:
+        """(M, V) with the value at grid index k equal to V.get(k, 0) / M."""
+        M = math.lcm(*(v.denominator for v in self.entries.values()))
+        return M, {k: v.numerator * (M // v.denominator) for k, v in self.entries.items()}
+
+    def pairs(self, D: int, clip: bool = False) -> Callable[[int], Pair]:
+        """t -> (V_k (D - r) + V_(k+1) r, M D) for t L = k D + r, 0 <= r < D,
+        the interpolant at t/D, for D >= 1.  A point outside [0, 1] gives
+        (0, 1) when clip is set and raises DomainEvaluationError otherwise."""
+        M, V = self._integer_form
+        L, b, get = self.denominator, M * D, V.get
+
+        def pair(t: int) -> Pair:
+            if not 0 <= t <= D:
+                if clip:
+                    return 0, 1
+                raise DomainEvaluationError(f"{Fraction(t, D)} is outside [0, 1]")
+            s = t * L
+            k = s // D
+            r = s - k * D
+            # At t = D, k = L and r = 0, so the absent V_(L+1) weighs 0.
+            return get(k, 0) * (D - r) + get(k + 1, 0) * r, b
+
+        return pair
+
     def evaluate(self, x: Scalar) -> Fraction:
         x = Fraction(x)
-        if not 0 <= x <= 1:
-            raise DomainEvaluationError(f"{x} is outside [0, 1]")
-        scaled = x * self.denominator
-        k = scaled.numerator // scaled.denominator
-        if k == self.denominator:
-            return self.value(k)
-        t = scaled - k
-        lo = self.value(k)
-        hi = self.value(k + 1)
-        return lo + (hi - lo) * t
+        return Fraction(*self.pairs(x.denominator)(x.numerator))
 
     def sup_norm(self) -> Fraction:
         """Max of |value| over the grid; extrema of the interpolant sit on knots."""
@@ -100,20 +121,14 @@ class GridFunction:
 
 class FuncSpec:
     """A function on the rationals that evaluates exactly.  Every kind
-    gives pairs, which _evaluate reads; a kind that evaluates point by
-    point overrides _evaluate."""
+    gives pairs, with the zero extension applied, and evaluate reads
+    the pair of its point."""
 
     extended_by_zero: bool
 
     def evaluate(self, x: Scalar) -> Fraction:
         if type(x) is not Fraction:
             x = Fraction(x)
-        # 0 <= x <= 1 on the integers, as the denominator is positive.
-        if self.extended_by_zero and not 0 <= x.numerator <= x.denominator:
-            return ZERO
-        return self._evaluate(x)
-
-    def _evaluate(self, x: Fraction) -> Fraction:
         return Fraction(*self.pairs(x.denominator)(x.numerator))
 
     def pairs(self, D: int) -> Callable[[int], Pair]:
@@ -167,13 +182,9 @@ class PiecewiseLinearFunc(FuncSpec):
     grid: GridFunction
     extended_by_zero: bool = False
 
-    def _evaluate(self, x: Fraction) -> Fraction:
-        return self.grid.evaluate(x)
-
     def pairs(self, D: int) -> Callable[[int], Pair]:
-        """t -> the value at t/D through evaluate, one point at a time."""
-        evaluate = self.evaluate
-        return lambda t: evaluate(Fraction(t, D)).as_integer_ratio()
+        """The grid's integer pairs, each over the one denominator M D."""
+        return self.grid.pairs(D, clip=self.extended_by_zero)
 
 
 def parse_funcspec(text: str, extend_zero: bool = False) -> FuncSpec:

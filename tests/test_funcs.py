@@ -22,6 +22,12 @@ from divdiff import (
 from util import random_grid_function, random_polynomial, reference_value
 
 HAT = GridFunction(2, {1: Fraction(1)})
+# A few entries of mixed denominators on L = 27,720 = 2^3 3^2 5 7 11.
+WIDE = GridFunction(27_720, {
+    0: Fraction(-5, 7), 1: Fraction(3, 11), 9_240: Fraction(-13, 8),
+    13_861: Fraction(22, 9), 27_719: Fraction(1, 6), 27_720: Fraction(-4, 3),
+})
+EMPTY = GridFunction(5, {})
 
 
 def test_grid_drops_zero_entries():
@@ -247,7 +253,8 @@ def _value_or_error(value, *args):
 def test_pairs_give_the_value_at_each_lattice_point():
     # pairs(D)(t) is f(t/D) as integers a/b with b > 0, zero extension and
     # poles included: the denominators here are negative on [0, 1] and
-    # vanish at 2, at -1/2 and at 3/4.  evaluate reads the same pairs, so
+    # vanish at 2, at -1/2 and at 3/4.  The grids are random, wide and
+    # sparse, and empty.  evaluate reads the same pairs, so
     # both are held to reference_value, which reads neither.
     rng = random.Random(2025_02)
     negative = Polynomial((-2, 1))
@@ -259,6 +266,10 @@ def test_pairs_give_the_value_at_each_lattice_point():
         RationalFunc(Polynomial((3,)), Polynomial((Fraction(-3, 4), 1)), extended_by_zero=True),
         PiecewiseLinearFunc(random_grid_function(rng), extended_by_zero=True),
         PiecewiseLinearFunc(random_grid_function(rng)),
+        PiecewiseLinearFunc(WIDE),
+        PiecewiseLinearFunc(WIDE, extended_by_zero=True),
+        PiecewiseLinearFunc(EMPTY),
+        PiecewiseLinearFunc(EMPTY, extended_by_zero=True),
     ]
     for extend in (False, True):
         specs.append(PolynomialFunc(random_polynomial(rng, max_degree=24), extended_by_zero=extend))
@@ -273,9 +284,36 @@ def test_pairs_give_the_value_at_each_lattice_point():
                 assert _value_or_error(f.evaluate, x) == expected, (f, D, t)
 
 
+def test_grid_pairs_give_the_value_on_both_sides_of_every_piece_boundary():
+    # On WIDE, with D coprime to L, a boundary k/L lies between lattice
+    # points t/D unless k is 0 or L, and the points on both sides of each
+    # boundary are held to reference_value.  Every pair of one D inside
+    # [0, 1] has the one denominator M D, with M = lcm(7, 11, 8, 9, 6, 3)
+    # = 5,544 on WIDE and M = 1 on the empty grid.  Outside, the zero
+    # extension gives (0, 1) and the plain grid names the point.
+    for grid, M in ((WIDE, 5_544), (EMPTY, 1)):
+        L = grid.denominator
+        f = PiecewiseLinearFunc(grid)
+        for D in (13, 1_000_003):
+            pair = f.pairs(D)
+            extended = PiecewiseLinearFunc(grid, extended_by_zero=True).pairs(D)
+            inside = set()
+            for k in range(L + 1):
+                t = k * D // L
+                inside.update(u for u in (t - 1, t, t + 1, t + 2) if 0 <= u <= D)
+            for t in sorted(inside):
+                assert _pair_or_error(pair, t) == reference_value(f, Fraction(t, D)), (L, D, t)
+                assert pair(t)[1] == M * D, (L, D, t)
+                assert extended(t) == pair(t), (L, D, t)
+            for t in (-D, -1, D + 1, 2 * D):
+                message = f"{Fraction(t, D)} is outside [0, 1]"
+                assert _pair_or_error(pair, t) == ("DomainEvaluationError", message)
+                assert extended(t) == (0, 1), (L, D, t)
+
+
 def test_a_kind_without_pairs_is_refused_by_name():
     # evaluate reads pairs and pairs never reads evaluate, so a subclass
-    # that gives neither pairs nor _evaluate fails at once, not by recursion.
+    # that gives no pairs fails at once, not by recursion.
     class Bare(FuncSpec):
         extended_by_zero = False
 

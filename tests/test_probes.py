@@ -3,7 +3,9 @@
 A polynomial's run of shifts is a few integer weights on its first
 points; they are checked against term-by-term sums and Faulhaber's
 closed forms, and spies check that the telescope reads them as lattice
-pairs with no Polynomial.evaluate.
+pairs with no Polynomial.evaluate.  Other spies check that a grid
+function reaches probe, walkthrough, identity and uniform as the integer
+pairs of GridFunction.pairs, with no evaluate.
 
 The hat function (grid value 1 at 1/2, zero at the ends, zero-extended)
 is small enough to check by hand and appears in several fixtures.
@@ -31,8 +33,10 @@ from divdiff import (
     proof_walkthrough,
     telescope_shift_identity,
 )
+from divdiff.cli import main
 from divdiff.probes import _run_weights
 
+from golden.check import GOLDEN_DIR
 from util import (
     monomial,
     nonzero_polynomial,
@@ -444,9 +448,6 @@ class Recording(FuncSpec):
         self.points.append(Fraction(x))
         return self.inner.evaluate(x)
 
-    def _evaluate(self, x):
-        raise AssertionError("evaluate is overridden")
-
     def pairs(self, D):
         return lambda t: self.evaluate(Fraction(t, D)).as_integer_ratio()
 
@@ -595,3 +596,31 @@ def test_polynomial_runs_read_lattice_pairs_without_evaluate(monkeypatch):
     f = pole_free_rational(random.Random(1208), extend_zero=True)
     report = proof_walkthrough(f, 6, Fraction(1, 64), 10**6, Fraction(1, 3))
     assert evaluated == [(report.interpolant, Fraction(1, 3))]
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "--extend-zero", "--x", "1/7", "--h", "1/30", "--n", "2", "--Nmax", "40"],
+    ["walkthrough", "--extend-zero", "--x", "1/10", "--h", "1/26", "--n", "3", "--N", "9"],
+    ["identity", "--n", "30"],
+    ["uniform", "--n", "25"],
+], ids=lambda argv: argv[0])
+def test_piecewise_linear_runs_read_grid_pairs_without_evaluate(argv, monkeypatch, capsys):
+    # Every point of a grid function reaches these commands as an integer
+    # pair of GridFunction.pairs, with no evaluate of either kind.
+    asked = []
+    pairs = GridFunction.pairs
+
+    def counting_pairs(self, D, clip=False):
+        pair = pairs(self, D, clip)
+        return lambda t: asked.append(t) or pair(t)
+
+    def refused(self, x):
+        raise AssertionError(f"{type(self).__name__}.evaluate({x})")
+
+    monkeypatch.setattr(GridFunction, "pairs", counting_pairs)
+    monkeypatch.setattr(FuncSpec, "evaluate", refused)
+    monkeypatch.setattr(GridFunction, "evaluate", refused)
+    monkeypatch.chdir(GOLDEN_DIR)
+    code = main([argv[0], "--func", "pl:zigzag.csv", *argv[1:]])
+    assert code == 0, capsys.readouterr().err
+    assert asked

@@ -14,6 +14,7 @@ after its right-hand side changed.
 
 import itertools
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -130,6 +131,26 @@ def test_an_rhs_change_to_an_infeasible_program_carries_a_farkas_ray():
     res = tableau.solve(b_ub)
     assert (res.status, res.value) == (OPTIMAL, 2)
     certify(res, c, a_ub, b_ub)
+
+
+def test_a_pivot_that_changes_nothing_stops_at_the_cap(monkeypatch):
+    # A pivot that leaves the tableau as it is makes the same column enter
+    # again on every pass, for ever, in the primal method (a cold solve)
+    # and in the dual (a warm re-solve).  Past _MAX_PIVOTS pivots in one
+    # solve either one is an ArithmeticError, well within a second.
+    c = [F(1), F(1)]
+    a_ub = [{0: F(-1), 1: F(-1)}, {0: F(1)}, {1: F(1)}]
+    warm = _Tableau(c, a_ub)
+    assert warm.solve([F(-1), F(3), F(3)]).value == 1
+    monkeypatch.setattr(simplex._Tableau, "_pivot", lambda self, r, j: None)
+    message = f"passed {simplex._MAX_PIVOTS} pivots in one solve"
+    # x <= 0 cuts off the last optimum (1, 0): the dual method must pivot.
+    for solve in (lambda: solve_lp(c, a_ub, [F(-1), F(3), F(3)]),
+                  lambda: warm.solve([F(-1), F(0), F(3)])):
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match=message):
+            solve()
+        assert time.perf_counter() - start < 1
 
 
 def test_a_dropped_redundant_row_makes_the_next_solve_cold():
