@@ -58,6 +58,23 @@ are a Farkas ray, read from the row at its lowest terms so that it is
 a function of the program alone, and the basis, still dual feasible, is
 kept for the next right-hand side.
 
+A tableau may hold only some of the a_ub rows, its working set, and add
+the others as they are needed: row generation (Dantzig, Fulkerson &
+Johnson, Oper. Res. 2, 1954).  An omitted row i keeps its slack column
+n + i, so no column index, which is all Bland's rule breaks ties by,
+shifts.  After each optimum over the working set, ``solve`` checks the
+omitted rows against x in integers.  Each violated row is written in the
+current basis (``_eliminate`` against the row of each basic column it
+holds) with its slack basic at a negative rhs.  That leaves every
+reduced cost as it was, so the basis stays dual feasible and the dual
+simplex method runs again, as after a new right-hand side.  A row never
+leaves the working set, so the loop ends, at an optimum that meets every
+row.  Its multipliers, and a Farkas ray of the working set, are 0 on the
+omitted rows and certify the full program.  When the working set is
+unbounded (an omitted row may bound it) or phase 1 drops a redundant
+equality (which leaves no basis to add rows to), every row joins and the
+program is solved from scratch.
+
 Neither method can cycle, so a solve counts the pivots of both and
 raises ArithmeticError past _MAX_PIVOTS: a fault that made a tableau
 cycle ends the run instead of hanging it.
@@ -66,7 +83,7 @@ cycle ends the run instead of hanging it.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .linalg import Row, _eliminate, _reduced, _scaled
 
@@ -77,7 +94,7 @@ _ZERO = Fraction(0)
 _RHS = -1  # the key of a row's right-hand side
 _SCALE = -2  # the key of the cost row's positive scale
 _SWEEP = 16  # the pivots between two sweeps that reduce every row
-_MAX_PIVOTS = 25_000  # over 20 times the most one solve takes, 1,129 in minlip --N 13
+_MAX_PIVOTS = 25_000  # over 30 times the most one solve takes, 776 in minlip --N 13
 
 InputRow = Mapping[int, int | Fraction]
 
@@ -116,6 +133,10 @@ class _Tableau:
     scratch otherwise: on the first call, after a cold solve that found
     the program infeasible or unbounded, and after phase 1 dropped a
     redundant equality (whose row a new rhs could make inconsistent).
+
+    The a_ub rows whose indices are in ``lazy`` start out of the working
+    set, the rows the tableau holds; ``solve`` adds each one when an
+    optimum violates it (see the module docstring).
     """
 
     def __init__(
@@ -123,10 +144,13 @@ class _Tableau:
         c: Sequence[Fraction],
         a_ub: Sequence[InputRow] = (),
         a_eq: Sequence[InputRow] = (),
+        lazy: Iterable[int] = (),
     ) -> None:
         self.c = c
         self.a_ub = a_ub
         self.a_eq = a_eq
+        # Each a_ub row out of the working set, as _scaled gives it.
+        self.lazy = {i: _scaled(a_ub[i]) for i in sorted(lazy)}
         self.warm = False
         self.rows: list[Row] = []
         self.basis: list[int] = []
@@ -140,9 +164,42 @@ class _Tableau:
 
     def solve(self, b_ub: Sequence[Fraction] = (), b_eq: Sequence[Fraction] = ()) -> LpResult:
         self.pivots = 0
-        if self.warm:
-            return self._resolve([*b_ub, *b_eq])
-        return self._cold(b_ub, b_eq)
+        result = self._resolve([*b_ub, *b_eq]) if self.warm else self._cold(b_ub, b_eq)
+        while result.status == OPTIMAL and (violated := self._violated(result.x)):
+            for i in violated:
+                self._activate(i)
+            result = self._restore()
+        return result
+
+    def _violated(self, x: tuple[Fraction, ...]) -> list[int]:
+        """The rows out of the working set that x violates, in index order."""
+        dx = math.lcm(*(v.denominator for v in x))
+        X = [v.numerator * (dx // v.denominator) for v in x]
+        b = self.b
+        # row.x = R.X / (s * dx) against b_i, both sides times their denominators.
+        return [
+            i
+            for i, (row, s) in self.lazy.items()
+            if sum(a * X[j] for j, a in row.items()) * b[i].denominator > b[i].numerator * s * dx
+        ]
+
+    def _activate(self, i: int) -> None:
+        """Add a_ub row i to the working set, written in the current basis.
+
+        Its slack, column n + i, becomes basic.  The row is eliminated
+        against the row of each basic column it holds, which leaves every
+        reduced cost as it was, so the basis stays dual feasible.
+        """
+        del self.lazy[i]
+        slack = len(self.c) + i
+        row, s = _scaled({**self.a_ub[i], _RHS: self.b[i]})
+        row[slack] = s
+        at = {col: r for r, col in enumerate(self.basis)}
+        for col in [j for j in row if j in at]:
+            prow = self.rows[at[col]]
+            row = _eliminate(row, row[col], prow[col], prow)
+        self.rows.append(_reduced(row))
+        self.basis.append(slack)
 
     def _pivot(self, r: int, c: int) -> None:
         rows = self.rows
@@ -279,6 +336,9 @@ class _Tableau:
         basis: list[int] = []
         units: list[tuple[int, int]] = []
         for i, (a, b) in enumerate(inputs):
+            if i in self.lazy:
+                units.append((n + i, 1))
+                continue
             scaled, s = _scaled({**a, _RHS: b})
             sign = -1 if scaled.get(_RHS, 0) < 0 else 1
             row = {j: sign * v for j, v in scaled.items()}
@@ -324,7 +384,13 @@ class _Tableau:
         self.cost = _reduced({**scaled_c, _SCALE: s})
         self.limit = art_start
         self._price_out()
-        if self._primal() == UNBOUNDED:
+        unbounded = self._primal() == UNBOUNDED
+        if self.lazy and (unbounded or dropped):
+            # An omitted row may bound the program, and a dropped row leaves
+            # no warm basis to add rows to: solve over every row instead.
+            self.lazy = {}
+            return self._cold(b_ub, b_eq)
+        if unbounded:
             return LpResult(UNBOUNDED, None, None)
         self.b = [*b_ub, *b_eq]
         self.warm = not dropped
@@ -341,6 +407,10 @@ class _Tableau:
             d = math.lcm(*(delta.denominator for _, delta in moves))
             moves = [(unit, delta.numerator * (d // delta.denominator)) for unit, delta in moves]
             self.rows = [_moved(row, moves, d) for row in self.rows]
+        return self._restore()
+
+    def _restore(self) -> LpResult:
+        """The dual simplex method from the current basis, which is dual feasible."""
         r = self._dual()
         if r is None:
             return self._optimum()

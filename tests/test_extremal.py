@@ -309,6 +309,27 @@ def test_warm_relaxed_programs_match_cold_solves(N):
     assert programs.tableau.warm
 
 
+# The rows the relaxed programs' tableau holds at N = 9 after each gap, in
+# order: the 10 equality rows and 14 merged rows, then each slope or box
+# row that some optimum violated.  The full program has 109 rows.
+WORKING_ROWS_9 = [66, 78, 78, 78, 80, 80, 80, 80, 81, 86, 86, 87, 87, 92]
+
+
+def test_relaxed_programs_hold_only_the_rows_that_bind():
+    system = build_constraint_system(9)
+    cols = list(system.touched)
+    gaps = sum(2 * c <= system.L for c in cols) - 1
+    programs = _GapPrograms(system, cols, gaps)
+    tableau = programs.tableau
+    assert (len(tableau.a_eq), gaps, len(tableau.a_ub) + len(tableau.a_eq)) == (10, 14, 109)
+    held = []
+    for i in range(gaps):
+        programs.bound(i)
+        held.append(len(tableau.rows))
+    assert held == WORKING_ROWS_9
+    assert held[-1] < 109 and tableau.lazy
+
+
 def test_a_misplaced_integer_p_star_is_caught(monkeypatch):
     # At N = 5 the gap (0, 12) has the integer p* = 10.  Moved one pin
     # left, it credits pin 9 with the bound 6, which pin 9 does not attain.

@@ -242,6 +242,104 @@ def test_a_path_longer_than_two_sweeps_matches_vertex_enumeration(monkeypatch):
     certify(res, c, rows, b_ub)
 
 
+def test_lazy_rows_match_vertex_enumeration():
+    # Random boxed programs whose a_ub rows start out of the working set in
+    # a random subset, each re-solved for a run of right-hand sides.  Every
+    # result must match the oracle and certify against the full program,
+    # whose omitted rows it must therefore meet.
+    rng = random.Random(919)
+    draw = rational_draw(rng)
+    added = kept = fallbacks = infeasible = 0
+    for _ in range(60):
+        nvars = rng.randint(1, 3)
+        c = [draw(-4, 4) for _ in range(nvars)]
+        a_ub = [[draw(-3, 3) for _ in range(nvars)] for _ in range(rng.randint(1, 4))]
+        a_ub += [[F(int(i == j)) for j in range(nvars)] for i in range(nvars)]
+        a_eq = [[draw(-2, 2) for _ in range(nvars)]] if rng.random() < 0.4 else []
+        rows_ub, rows_eq = sparse_rows(a_ub), sparse_rows(a_eq)
+        lazy = [i for i in range(len(a_ub)) if rng.random() < 0.6]
+        tableau = _Tableau(c, rows_ub, rows_eq, lazy)
+        for _ in range(3):
+            b_ub = [draw(-2, 4) for _ in range(len(a_ub) - nvars)] + [F(3)] * nvars
+            b_eq = [draw(-2, 2) for _ in a_eq]
+            res = tableau.solve(b_ub, b_eq)
+            certify(res, c, rows_ub, b_ub, rows_eq, b_eq)
+            assert res.value == enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, nvars)
+            infeasible += res.status == INFEASIBLE
+        added += len(lazy) - len(tableau.lazy)
+        kept += len(tableau.lazy)
+        fallbacks += bool(lazy) and not tableau.lazy and len(tableau.rows) == len(a_ub) + len(a_eq)
+    assert added >= 40  # rows an optimum violated
+    assert kept >= 20  # rows no optimum violated, never written in the tableau
+    assert fallbacks >= 5  # unbounded working sets, solved over every row
+    assert infeasible >= 20
+
+
+def test_an_unbounded_working_set_is_solved_over_every_row():
+    # minimize -x - y: over x, y >= 0 alone it is unbounded, and the
+    # omitted rows x + y <= 3 and x <= 2 bound it.
+    c = [F(-1), F(-1)]
+    a_ub = [{0: F(1), 1: F(1)}, {0: F(1)}]
+    tableau = _Tableau(c, a_ub, lazy=[0, 1])
+    res = tableau.solve([F(3), F(2)])
+    assert (res.status, res.value) == (OPTIMAL, -3)
+    assert not tableau.lazy and len(tableau.rows) == 2
+    certify(res, c, a_ub, [F(3), F(2)])
+    # x >= 1 left out of a program that is unbounded whatever the rows.
+    res = _Tableau([F(-1)], [{0: F(-1)}], lazy=[0]).solve([F(-1)])
+    assert res.status == UNBOUNDED
+
+
+def test_an_infeasible_working_set_has_a_ray_that_is_zero_on_the_omitted_rows():
+    # x + y <= -1 is in the working set, and no x >= 0 meets it; the
+    # omitted box rows are never written in the tableau.
+    c = [F(1), F(1)]
+    a_ub = [{0: F(1)}, {0: F(1), 1: F(1)}, {1: F(1)}]
+    b_ub = [F(3), F(-1), F(3)]
+    tableau = _Tableau(c, a_ub, lazy=[0, 2])
+    res = tableau.solve(b_ub)
+    assert res.status == INFEASIBLE
+    assert res.dual == (0, -1, 0)
+    certify(res, c, a_ub, b_ub)
+    assert set(tableau.lazy) == {0, 2} and len(tableau.rows) == 1
+
+
+def test_a_violated_row_joins_the_working_set_in_the_current_basis():
+    # minimize -x - 2y with x + y <= 4: the working set's optimum (0, 4)
+    # violates the omitted y <= 3, whose slack becomes basic at -1; one
+    # dual pivot swaps it for x, at (1, 3).  Then y >= 5 joins against
+    # y <= 3, and the ray uses both rows.
+    c = [F(-1), F(-2)]
+    a_ub = [{0: F(1), 1: F(1)}, {1: F(1)}, {1: F(-1)}]
+    tableau = _Tableau(c, a_ub, lazy=[1, 2])
+    b_ub = [F(4), F(3), F(0)]
+    res = tableau.solve(b_ub)
+    assert (res.status, res.value, res.x) == (OPTIMAL, -7, (1, 3))
+    assert res.dual == (-1, -1, 0)
+    certify(res, c, a_ub, b_ub)
+    assert list(tableau.lazy) == [2] and sorted(tableau.basis) == [0, 1]
+    assert tableau.pivots == 3  # Bland's rule takes x, then y; the dual pivot x
+    b_ub = [F(4), F(3), F(-5)]
+    res = tableau.solve(b_ub)
+    assert res.status == INFEASIBLE
+    assert res.dual == (0, -1, -1)
+    certify(res, c, a_ub, b_ub)
+    assert not tableau.lazy
+
+
+def test_a_dropped_redundant_row_solves_over_every_row():
+    # Phase 1 drops the second equality, twice the first, so there is no
+    # warm basis to add the omitted row x <= 3 to.
+    c = [F(1), F(1)]
+    a_ub = [{0: F(1)}]
+    a_eq = [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}]
+    tableau = _Tableau(c, a_ub, a_eq, lazy=[0])
+    res = tableau.solve([F(3)], [F(1), F(2)])
+    assert (res.status, res.value) == (OPTIMAL, 1)
+    certify(res, c, a_ub, [F(3)], a_eq, [F(1), F(2)])
+    assert not tableau.lazy and len(tableau.rows) == 2
+
+
 def enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, nvars):
     rows = []
     rhs = []
