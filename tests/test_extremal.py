@@ -369,12 +369,12 @@ def test_minlip_report_is_byte_identical(N):
 # as it is.
 PIVOT_PATHS = {
     3: (22, 2, "838df5a1fa8146bd870c1c7c8b9740ae8542d8295edecac919064036d7ea8e52"),
-    4: (36, 3, "1bfa9c38ccb47160c1772c07c1b71441c7451aac7d8cd5f9c22af04f2a93f303"),
-    5: (68, 4, "0b190c249cb403c984f83446ea391bb62bc864295f007e205d4b4e20e027296f"),
-    6: (116, 5, "40ff8e11bbd3341383aeb008ea6bdd3333e289dc1d1f06f41aee20325fd29fe4"),
-    7: (331, 9, "4691fd18f8e7a9db543d963009097e051e326f8d684dcd6bb343b7277bd9013e"),
-    8: (512, 10, "1d89886bf8b87b38f2ebe1696a6096c09e7fb3d3c6bede97c5973e2416a5ee5a"),
-    9: (732, 12, "31b1bc24dd619df7652382afc987a3876405b4dc3390cd770ee4ddeb338411c9"),
+    4: (28, 3, "1f03e661012f573054599f17841bd5c49d957ba18ec05d2f8444c75198228812"),
+    5: (53, 4, "31af0189063e150704504ea14855307561e8d18221e9188480892059a7745711"),
+    6: (91, 5, "5e0c4da0aa27366245429324490f4e1ca5124deed001c737b04c52e900add9ff"),
+    7: (312, 9, "70b7fc011708b12222c93f23b8558a1043ff04925592a1aa6b8e004f8c358f6d"),
+    8: (547, 10, "ec918bdcfd3bc01e49749d17323c4063a88ed8a8949bb02f172bd254d6b0f082"),
+    9: (675, 12, "512db7bac3a0eb335512bc54c8118f68cf24aa3dcebcbe53f32f50f44dd77ebb"),
 }
 
 # SHA-256 of the results of the same LPs, relaxed and pinned, each
@@ -386,11 +386,11 @@ PIVOT_PATHS = {
 LP_VERTICES = {
     3: "ac4f5842a8ae59b3c99b7d921ff12dd2247fafb86eadec398d8a371e0f0699c5",
     4: "144569b3455205b07ff9986a1beab8296a9267add278d383f86205a0c914b081",
-    5: "1ce12582ebd057d96ed26f35a86b22648c4771639f266b358f6ba782df9736a4",
+    5: "5987b145e86d4d5624aab9e35f42eb6f36c104148c3c445bba274f0bb048c59f",
     6: "366d8be0db81df28fc93ae0d3e83fc2a6e0a515e6db56ef3855154c9453b92e8",
-    7: "8fb871f1125b36a9b9d35b03843b4d554747c887de5d024e5c440ef66f2d6fad",
-    8: "f9481538fdbe3abdf6b16b52172092933079de05339eecf4dcb9e481c7440e13",
-    9: "9b820ae56143b47fee92b9c7d6a5304fc936987d973de2edb7e709780a822254",
+    7: "9c9c33c70502d57c4ffde6e90b8050faee05c14437334fb76c0a4969079edb6e",
+    8: "5fe4b3e0f7bc5ca8765a1ace1ed36d889068c02341994e79d69e18271a6a235f",
+    9: "bace5dab9711633837a1957afa128fd997d3fd49d4567d04a056d88058fae1f8",
 }
 
 
