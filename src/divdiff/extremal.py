@@ -70,12 +70,11 @@ later one from the last optimal basis by the dual simplex method
 working set starts as the equality rows and the merged rows; a slope or
 box row joins it only when an optimum violates it, and then stays (at
 N = 12 it holds 118 of the 175 rows after the first relaxed program and
-148 after the last).
-An omitted row has multiplier 0, so each result is still certified
-against the full relaxed program.  Only
-a relaxed program's value and p* are read, so the vertex it reaches
-does not matter; the pinned programs are solved from scratch by Bland's
-rule, so each pin's vertex is a function of its program alone.
+148 after the last).  An omitted row has multiplier 0, so each result
+is still certified against the full relaxed program.  Only a relaxed
+program's value and p* are read, so the vertex it reaches does not
+matter; the pinned programs are solved from scratch by Bland's rule, so
+each pin's vertex is a function of its program alone.
 
 A wrong bound would prune the optimum silently, so every program the
 search solves, relaxed or pinned, is checked in exact arithmetic before
