@@ -53,7 +53,13 @@ int-to-str digit limit, while the report still wrote an int as a JSON
 number or a string by whether the running limit let ``str()`` convert it.
 The pins on ``zigzag.csv``, the second grid fixture here (L = 12), were
 recorded while a piecewise-linear function still interpolated each
-point as a ``Fraction`` through ``GridFunction.evaluate``.
+point as a ``Fraction`` through ``GridFunction.evaluate``.  The
+``cascade`` pins at degree 160 and with interior zero coefficients, and
+the ``uniform`` and ``identity`` pins on a degree-24 polynomial with
+mixed denominators and on a rational function whose denominator is
+negative on [0, 1], were recorded while the cascade still summed a
+lattice stencil for every order and the equispaced direct sum still
+made each knot and each value a ``Fraction``.
 
 ``tests/test_golden.py`` runs these under pytest.  Without pytest, run
 
@@ -138,6 +144,11 @@ def _walkthrough_argv(fmt):
         "walkthrough", "--func", RUNGE, "--extend-zero",
         "--x", "1/10", "--h", "1/64", "--n", "3", "--N", "8", "--format", fmt,
     ]
+
+
+# Degree 24, coefficients of both signs over the denominators 2..8, so
+# each equispaced pair (P(t), E) is an integer over E = 840 n^24.
+MIXED_24 = "poly:" + ",".join(f"{(-1) ** (k // 2) * (3 * k + 1)}/{k % 7 + 2}" for k in range(25))
 
 
 # A piecewise-linear grid of 12 steps with values of both signs and mixed
@@ -452,6 +463,37 @@ PINS = {
         # Unextended, with every point 1/9 + j/20 inside [0, 1].
         ["fd", "--func", ZIGZAG, "--x", "1/9", "--h", "1/20", "--n", "14"],
         "e63fbd8b2bff5a9fc627cd2084ed9b3657cbf25d4ccedd399ee1dd2a78e36db2",
+    ),
+    "cascade-160": Pin(
+        _cascade_argv(160),
+        "046922bcde50b280222714e3a25d809f5baed0c8d083a521b7171fee33c4d100",
+    ),
+    "cascade-interior-zeros": Pin(
+        # Degree 18, with runs of zero coefficients inside and a leading
+        # coefficient over a nine-digit prime.
+        ["cascade", "--func", "poly:5/3,0,-2,0,0,7/11,0,0,0,0,-1/9,0,3,0,0,0,0,0,-13/998244353"],
+        "b74151d6005514d1cd095aabf30ac9b2b7df202d276e810076b4311c806423cb",
+    ),
+    "uniform-mixed-24": Pin(
+        ["uniform", "--func", MIXED_24, "--n", "24"],
+        "0f464c80f9cbaabde6f770547adb9982f5cfef157aaf51a64acd999a0ef1ad67",
+    ),
+    "identity-mixed-24": Pin(
+        ["identity", "--func", MIXED_24, "--n", "24"],
+        "3715057c9ec304d13f29ad01a325085e94a616514da25ed21e5983c2215def9b",
+    ),
+    "uniform-mixed-256": Pin(
+        ["uniform", "--func", MIXED_24, "--n", "256"],
+        "53ef670c2e753344a5ad8ecc3de3e578d091c9ce4431dbf3507fe2b027a33734",
+    ),
+    "identity-mixed-256": Pin(
+        ["identity", "--func", MIXED_24, "--n", "256"],
+        "c094f1548c7e9ca2b5542587f8a0e2b352a74678cb9360da9df8f9b57181e69f",
+    ),
+    "uniform-negative-denominator": Pin(
+        # The pairs turn their signs so that each denominator is positive.
+        ["uniform", "--func", NEGATIVE_DENOMINATOR, "--n", "64"],
+        "e10fa687602dff009ea8c9b27c0f6dccc0682a74c515e4d51233b930d8ae1e45",
     ),
     "fd-zigzag-outside": Pin(
         # Unextended, and the point 1/3 + 6/8 = 13/12 leaves [0, 1]: no
