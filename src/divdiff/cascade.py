@@ -10,14 +10,28 @@ vanish.  The cascade evaluates the order-n difference with step 1/n for
 n = deg(p) down to 1, then the plain value p(0) at order 0, and reports
 the highest order whose value is nonzero.  Only the zero polynomial
 passes every check.
+
+Every order comes from one closed form.  The Stirling numbers of the
+second kind S(k, n) write x^k = sum_n S(k, n) x(x-1)...(x-n+1), so the
+order-n difference of x^k with step 1 at 0 is n! S(k, n) (Graham, Knuth
+and Patashnik, Concrete Mathematics, section 6.1).  With p's integer
+form C_k / den and step 1/n,
+
+    D_{1/n}^n p(0) = n! A_n / (den n^d),
+    A_n = sum_{k=n..d} C_k S(k, n) n^(d-k).
+
+All the A_n are built in one pass over ascending k, each by Horner in
+n, while one row S(k, 0..k) is kept and advanced by
+S(k, n) = n S(k-1, n) + S(k-1, n-1).  That is O(d^2) integer operations
+with O(d) numbers alive, where a stencil per order costs O(d^3) and a
+table of every S(k, n) O(d^2) memory.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .differences import finite_difference
-from .funcs import PolynomialFunc
 from .poly import Polynomial
 
 
@@ -49,12 +63,20 @@ def polynomial_cascade(p: Polynomial) -> CascadeResult:
     """
     if p.is_zero:
         return CascadeResult("ZeroPolynomial", None, ())
-    f = PolynomialFunc(p)
-    checks = []
-    for order in range(p.degree, 0, -1):
-        step = Fraction(1, order)
-        value = finite_difference(f, 0, step, order)
-        checks.append(CascadeCheck(order=order, step=step, value=value))
+    den, nums = p._integer_form
+    d = len(nums) - 1
+    stirling = [1]  # S(k, 0..k), here at k = 0
+    sums = [0] * (d + 1)  # sums[n] becomes A_n; sums[0] is not used
+    for k, c in enumerate(nums):
+        orders = range(1, k + 1)
+        if k:
+            # S(k, n) from S(k-1, n) (0 at n = k) and S(k-1, n-1)
+            stirling = [0] + [n * s + t for n, s, t in zip(orders, stirling[1:] + [0], stirling)]
+        sums[1 : k + 1] = [a * n + c * s for n, a, s in zip(orders, sums[1 : k + 1], stirling[1:])]
+    checks = [
+        CascadeCheck(n, Fraction(1, n), Fraction(math.factorial(n) * sums[n], den * n**d))
+        for n in range(d, 0, -1)
+    ]
     checks.append(CascadeCheck(order=0, step=None, value=p.evaluate(Fraction(0))))
     order = next((check.order for check in checks if check.nonzero), None)
     verdict = "ZeroPolynomial" if order is None else "NonzeroAtOrder"

@@ -34,6 +34,8 @@ from .cascade import CascadeResult, polynomial_cascade
 from .constraints import build_constraint_system, nullspace
 from .differences import (
     KnotValueList,
+    _direct_sum,
+    _equispaced_pairs,
     check_equispaced_identity,
     divided_difference_direct,
     divided_difference_recursive,
@@ -157,6 +159,13 @@ def _knot_differences(args: argparse.Namespace, f: Any) -> dict[str, Any]:
             "equal": direct == recursive}
 
 
+def _equispaced_difference(args: argparse.Namespace, f: Any) -> dict[str, Any]:
+    # The knots k/n are the integers k over the scale max(n, 1).
+    pairs = _equispaced_pairs(f, args.n)
+    return {"n": args.n,
+            "divided_difference": _direct_sum(list(range(args.n + 1)), pairs, max(args.n, 1))}
+
+
 def _interpolant(args: argparse.Namespace, f: Any) -> dict[str, Any]:
     q = lagrange_equispaced(KnotValueList.equispaced(f, args.n).values)
     lead = leading_coefficient(q, args.n)
@@ -187,8 +196,7 @@ COMMANDS = {
         _knot_differences),
     "uniform": Command(
         "divided difference at the equispaced knots k/n", (FUNC, EXTEND_ZERO, NONNEGATIVE_ORDER),
-        lambda args, f: {"n": args.n, "divided_difference": divided_difference_direct(
-            KnotValueList.equispaced(f, args.n))}),
+        _equispaced_difference),
     "fd": Command(
         "forward finite difference of order n with step h", (FUNC, EXTEND_ZERO, X, H, ORDER),
         lambda args, f: {"n": args.n, "x": args.x, "h": args.h,

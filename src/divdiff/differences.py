@@ -22,18 +22,24 @@ Each lattice point is t/D for an integer t and reaches the sum as the
 integer pair (a, b) with f(t/D) = a/b (FuncSpec.pairs), as do the
 equispaced sample's knots k/n, with D = n.  check_equispaced_identity
 sums its stencil on the lattice of the knots, so each knot is asked for
-once, and takes the direct sum's values from that lattice; both sides
-are computed for every f.  finite_difference alone gives D_h^n p = 0
+once, and takes the direct sum's values from that lattice's pairs; both
+sides are computed for every f.  finite_difference alone gives D_h^n p = 0
 for an unextended polynomial of degree below n, with no point evaluated.
 
 The two divided-difference kernels work on integers: each scales the
 knots by the lcm D of their denominators to integers a_k = x_k D.  The
-direct sum forms W'(x_k) D^n as the integer product
-P_k = prod_{i != k} (a_k - a_i) and adds the terms v_k / P_k as integer
-pairs in a balanced tree, each add cancelling the gcd of the two
-denominators (Henrici, J. ACM 3(1), 1956).  When the a_k form an
-arithmetic progression a_0 + k d in the order given, as the equispaced
-knots k/n do, the products follow from P_0 = (-d)^n n! by the ratio
+direct sum's core, _direct_sum, takes the points a_k, the scale D and
+the values as integer pairs (a, b), reduced or not.  It forms W'(x_k) D^n
+as the integer product P_k = prod_{i != k} (a_k - a_i) and adds the
+terms a / (b P_k) as integer pairs in a balanced tree, each add
+cancelling the gcd of the two denominators (Henrici, J. ACM 3(1), 1956).
+divided_difference_direct feeds it a KnotValueList.  The equispaced
+callers feed it the points 0..n over D = max(n, 1) and f's pairs as they
+come, with no Fraction per knot: the uniform command from the sampler
+that KnotValueList.equispaced also reads, check_equispaced_identity from
+its lattice's memo.  When the a_k form an arithmetic progression
+a_0 + k d in the order given, as the equispaced knots k/n do, the
+products follow from P_0 = (-d)^n n! by the ratio
 P_(k+1) = -P_k (k+1) / (n-k), one exact division by a small integer
 each; any other knots form each product from its n factors.  The
 recursive table keeps each column as integer numerators over one
@@ -88,31 +94,41 @@ class KnotValueList:
 
         f is read through its pairs at t/D with D = max(n, 1), in
         ascending k, so the first pole raised is at the lowest k."""
-        knots = _equispaced_knots(n)
-        pair = f.pairs(max(n, 1))
-        return cls(knots, tuple(Fraction(*pair(k)) for k in range(n + 1)))
+        values = tuple(Fraction(*pair) for pair in _equispaced_pairs(f, n))
+        return cls(tuple(Fraction(k, max(n, 1)) for k in range(n + 1)), values)
 
 
-def _equispaced_knots(n: int) -> tuple[Fraction, ...]:
+def _equispaced_pairs(f: FuncSpec, n: int) -> list[Pair]:
+    """The pairs of f at k/max(n, 1), k = 0..n, asked for in ascending k;
+    n < 0 is refused before f is asked for anything."""
     if n < 0:
         raise ValueError("order must be nonnegative")
-    return tuple(Fraction(k, max(n, 1)) for k in range(n + 1))
+    pair = f.pairs(max(n, 1))
+    return [pair(k) for k in range(n + 1)]
 
 
 def divided_difference_direct(kv: KnotValueList) -> Fraction:
-    """Sum of f(x_k) / W'(x_k) over the knots.
-
-    With a_k = x_k D integers, W'(x_k) = P_k / D^n for the integer
-    P_k = prod_{i != k} (a_k - a_i).  The terms f(x_k) / P_k are added
-    as integer pairs (numerator, denominator) in a balanced tree: each add
-    of a/b and c/d divides b and d by g = gcd(b, d), and the sum s and the
-    new denominator by gcd(s, g), so no common denominator of all n + 1
-    terms is ever formed.  The sum is rescaled by D^n once."""
+    """Sum of f(x_k) / W'(x_k) over the knots, by _direct_sum on the
+    knots scaled by the lcm D of their denominators."""
     # The knots are scaled here and in _difference_columns separately, and
     # the tree is not _pairwise_sum, so no oracle of this kernel shares its code.
     scale = math.lcm(*(x.denominator for x in kv.knots))
     points = [x.numerator * (scale // x.denominator) for x in kv.knots]
-    terms = [(v.numerator, v.denominator * p) for p, v in zip(_node_products(points), kv.values)]
+    return _direct_sum(points, [(v.numerator, v.denominator) for v in kv.values], scale)
+
+
+def _direct_sum(points: list[int], pairs: Iterable[Pair], scale: int) -> Fraction:
+    """Sum of f(x_k) / W'(x_k) over the knots x_k = a_k / D, from the
+    distinct integers a_k (points), the pairs (a, b), b > 0, of the
+    values f(x_k) = a/b, in lowest terms or not, and the scale D.
+
+    W'(x_k) = P_k / D^n for the integer P_k = prod_{i != k} (a_k - a_i).
+    The terms f(x_k) / P_k are added as integer pairs (numerator,
+    denominator) in a balanced tree: each add of a/b and c/d divides b
+    and d by g = gcd(b, d), and the sum s and the new denominator by
+    gcd(s, g), so no common denominator of all n + 1 terms is ever
+    formed.  The sum is rescaled by D^n once."""
+    terms = [(a, b * p) for p, (a, b) in zip(_node_products(points), pairs)]
     while len(terms) > 1:
         sums = []
         for (a, b), (c, d) in zip(terms[::2], terms[1::2]):
@@ -122,7 +138,7 @@ def divided_difference_direct(kv: KnotValueList) -> Fraction:
             sums.append((s // t, b // g * (d // t)))
         terms = sums + terms[len(sums) * 2:]
     total, common = terms[0]
-    return Fraction(total * scale**kv.order, common)
+    return Fraction(total * scale ** (len(points) - 1), common)
 
 
 def _node_products(points: list[int]) -> list[int]:
@@ -350,6 +366,5 @@ def check_equispaced_identity(f: FuncSpec, n: int) -> EquispacedIdentityCheck:
     h = Fraction(1, n)
     lattice = _Lattice(f.pairs, Fraction(0), h, clip=f.extended_by_zero)
     rhs = lattice.total(_average_weights(lattice, n, 1)) / (math.factorial(n) * h**n)
-    values = tuple(Fraction(*lattice.memo[k]) for k in range(n + 1))
-    lhs = divided_difference_direct(KnotValueList(_equispaced_knots(n), values))
+    lhs = _direct_sum(list(range(n + 1)), [lattice.memo[k] for k in range(n + 1)], n)
     return EquispacedIdentityCheck(n, lhs, rhs, lhs == rhs)

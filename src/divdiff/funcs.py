@@ -108,10 +108,10 @@ class GridFunction:
         return Fraction(*self.pairs(x.denominator)(x.numerator))
 
     def sup_norm(self) -> Fraction:
-        """Max of |value| over the grid; extrema of the interpolant sit on knots."""
-        if not self.entries:
-            return ZERO
-        return max(abs(v) for v in self.entries.values())
+        """Max of |value| over the grid; extrema of the interpolant sit on
+        knots.  It is max |V_k| / M from the integer form, one Fraction."""
+        M, V = self._integer_form
+        return Fraction(max(map(abs, V.values()), default=0), M)
 
     def lipschitz_constant(self) -> Fraction:
         """Largest slope magnitude of the piecewise-linear interpolant."""

@@ -4,9 +4,9 @@ import math
 import random
 from fractions import Fraction
 
-from divdiff import Polynomial, polynomial_cascade
+from divdiff import Polynomial, PolynomialFunc, finite_difference, polynomial_cascade
 
-from util import add, nonzero_polynomial
+from util import add, nonzero_polynomial, random_fraction
 
 
 def test_zero_polynomial_verdict():
@@ -79,3 +79,36 @@ def test_first_nonzero_order_is_the_degree():
         p = nonzero_polynomial(rng, max_degree=10)
         result = polynomial_cascade(p)
         assert (result.verdict, result.order) == ("NonzeroAtOrder", p.degree)
+
+
+def test_every_row_is_the_forward_difference_on_the_lattice():
+    # The rows come from Stirling numbers; finite_difference sums the
+    # binomial stencil on the points j/n, so the two methods share no code.
+    rng = random.Random(810)
+    for degree in range(31):
+        for _ in range(10):
+            coefficients = [
+                random_fraction(rng, max_num=40, max_den=30) if rng.random() < 0.6 else 0
+                for _ in range(degree + 1)
+            ]
+            lead = Fraction(rng.randint(1, 99), rng.randint(1, 10**9))
+            coefficients[-1] = rng.choice((-1, 1)) * lead
+            p = Polynomial(coefficients)
+            f = PolynomialFunc(p)
+            result = polynomial_cascade(p)
+            assert [c.order for c in result.rows] == list(range(degree, -1, -1))
+            for check in result.rows[:-1]:
+                n = check.order
+                assert check.step == Fraction(1, n)
+                assert check.value == finite_difference(f, 0, Fraction(1, n), n), (p, n)
+            assert result.rows[-1].value == p.coefficients[0]
+
+
+def test_degree_one_thousand():
+    lead = Fraction(-7, 3)
+    p = Polynomial((Fraction(1, 2),) + (0,) * 499 + (Fraction(5, 11),) + (0,) * 499 + (lead,))
+    result = polynomial_cascade(p)
+    assert (result.verdict, result.order) == ("NonzeroAtOrder", 1000)
+    assert len(result.rows) == 1001
+    assert result.rows[0].value == lead * math.factorial(1000) / Fraction(1000) ** 1000
+    assert result.rows[-1].value == Fraction(1, 2)

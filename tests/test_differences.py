@@ -5,6 +5,7 @@ independently, so each half of the module serves as an oracle for the
 other.  Randomized cases lean on that cross-check.
 """
 
+import argparse
 import math
 import random
 from fractions import Fraction
@@ -14,7 +15,9 @@ import pytest
 from divdiff import (
     DuplicateKnotError,
     EquispacedIdentityCheck,
+    GridFunction,
     KnotValueList,
+    PiecewiseLinearFunc,
     Polynomial,
     PolynomialFunc,
     RationalFunc,
@@ -24,7 +27,7 @@ from divdiff import (
     finite_difference,
     newton_coefficients,
 )
-from divdiff import differences
+from divdiff import cli, differences
 from divdiff.differences import difference_stencil
 
 from util import (
@@ -39,6 +42,7 @@ from util import (
     random_funcspec,
     outcome,
     random_polynomial,
+    reference_divided_difference,
     reference_equispaced,
     reference_fd,
 )
@@ -386,6 +390,56 @@ def test_identity_raises_the_pole_at_the_lowest_knot():
             assert outcome(reference_equispaced, f, n) == expected
             assert outcome(check_equispaced_identity, _spied(f, asked), n) == expected
             assert asked == [Fraction(k, n) for k in range(int(Fraction(pole) * n) + 1)]
+
+
+def _uniform(f, n):
+    """The uniform command's divided difference, read from f's pairs."""
+    return cli.COMMANDS["uniform"].handler(argparse.Namespace(n=n), f)["divided_difference"]
+
+
+def test_uniform_from_pairs_equals_the_direct_sum_of_the_sample():
+    # The pairs are not reduced, and a negative denominator of the
+    # rational function is turned positive in them.
+    rng = random.Random(3737)
+    zigzag = GridFunction(12, {0: Fraction(3, 4), 1: Fraction(-5, 6), 4: Fraction(7, 10),
+                               7: Fraction(-1, 9), 12: Fraction(2, 7)})
+    mixed = Polynomial(tuple(Fraction((-1) ** k * (3 * k + 1), k % 7 + 2) for k in range(9)))
+    for extend in (False, True):
+        specs = [
+            RationalFunc(Polynomial((1, 2, 0, 3)), Polynomial((-2, 1)), extended_by_zero=extend),
+            PolynomialFunc(mixed, extended_by_zero=extend),
+            PiecewiseLinearFunc(zigzag, extended_by_zero=extend),
+            random_funcspec(rng, extend_zero=extend),
+        ]
+        for f in specs:
+            for n in range(41):
+                expected = divided_difference_direct(KnotValueList.equispaced(f, n))
+                assert _uniform(f, n) == expected, (f, n)
+                if n % 8 == 0:  # and a kernel that shares no code with it
+                    assert expected == reference_divided_difference(reference_equispaced(f, n))
+
+
+def test_uniform_asks_for_each_knot_once_and_raises_the_pole_at_the_lowest_knot():
+    runge = RationalFunc(Polynomial((1,)), Polynomial((1, 0, 25)))
+    for n in range(0, 12):
+        asked = []
+        assert _uniform(_spied(runge, asked), n) == _uniform(runge, n)
+        assert asked == [Fraction(k, max(n, 1)) for k in range(n + 1)]
+    for extend in (False, True):
+        f = RationalFunc(
+            Polynomial((1,)),
+            Polynomial((Fraction(3, 16), Fraction(-7, 8), Fraction(1))),
+            extended_by_zero=extend,
+        )
+        for n, pole in ((8, "3/8"), (2, "1/2"), (16, "3/8")):
+            asked = []
+            expected = ("PoleError", f"denominator vanishes at {pole}")
+            assert outcome(_uniform, _spied(f, asked), n) == expected
+            assert asked == [Fraction(k, n) for k in range(int(Fraction(pole) * n) + 1)]
+    asked = []
+    with pytest.raises(ValueError):
+        _uniform(_spied(runge, asked), -1)
+    assert asked == []
 
 
 def test_identity_sums_the_stencil_of_a_polynomial_below_the_order(monkeypatch):

@@ -99,6 +99,19 @@ def test_lipschitz_is_max_slope():
     assert g.sup_norm() == 1
 
 
+def test_sup_norm_is_the_largest_magnitude_on_the_grid():
+    assert WIDE.sup_norm() == Fraction(22, 9)
+    assert EMPTY.sup_norm() == 0
+    negative = GridFunction(3, {1: Fraction(-7, 4), 3: Fraction(3, 2)})
+    assert negative.sup_norm() == Fraction(7, 4)
+    rng = random.Random(4141)
+    for _ in range(200):
+        g = random_grid_function(rng)
+        norm = g.sup_norm()
+        assert type(norm) is Fraction
+        assert norm == max(abs(v) for v in g.dense())
+
+
 def test_domain_error_without_extension():
     f = PiecewiseLinearFunc(HAT)
     with pytest.raises(DomainEvaluationError):

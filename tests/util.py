@@ -357,7 +357,7 @@ def reference_probe(f, x, h, n, N):
 
     average = reference_shift_average(ev, x, h, n, N)
     if isinstance(f, PiecewiseLinearFunc):
-        m_bound = f.grid.sup_norm()
+        m_bound = max((abs(v) for v in f.grid.entries.values()), default=Fraction(0))
     else:
         m_bound = max(
             (abs(v) for p, v in touched.items() if 0 <= p <= 1), default=Fraction(0)
