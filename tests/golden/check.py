@@ -59,7 +59,10 @@ the ``uniform`` and ``identity`` pins on a degree-24 polynomial with
 mixed denominators and on a rational function whose denominator is
 negative on [0, 1], were recorded while the cascade still summed a
 lattice stencil for every order and the equispaced direct sum still
-made each knot and each value a ``Fraction``.
+made each knot and each value a ``Fraction``.  The zero-extended ``fd``
+pins on a polynomial, on a rational function and on ``zigzag.csv`` were
+recorded while each kind of function still applied the zero extension
+in its own pairs.
 
 ``tests/test_golden.py`` runs these under pytest.  Without pytest, run
 
@@ -501,6 +504,23 @@ PINS = {
         ["fd", "--func", ZIGZAG, "--x", "1/3", "--h", "1/8", "--n", "7"],
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         code=2,
+    ),
+    "fd-negative-denominator-extended": Pin(
+        # Zero-extended from x = -1/3: the points below 0 and past 1 add 0.
+        ["fd", "--func", NEGATIVE_DENOMINATOR, "--extend-zero",
+         "--x", "-1/3", "--h", "1/7", "--n", "12"],
+        "40c73f8d98b77f6d3cf5a8d4cedb11a621fefc23a3b6c00398269c6bfaee37df",
+    ),
+    "fd-zigzag-extended": Pin(
+        # The zero-extended twin of fd-zigzag-outside: 13/12 adds 0.
+        ["fd", "--func", ZIGZAG, "--extend-zero", "--x", "1/3", "--h", "1/8", "--n", "7"],
+        "29e7f34a19ae2833ba2afcbdb7a601e4507eca939e939d46b67c2cacf430d2e7",
+    ),
+    "fd-poly-extended": Pin(
+        # Degree 2 below n = 5: only the zero extension keeps the sum from
+        # giving 0 with no point asked for.
+        ["fd", "--func", "poly:1,-2,3", "--extend-zero", "--x", "-1/2", "--h", "1/4", "--n", "5"],
+        "f31921c23f763b33c7606b59f610a5a0c951e6a88cc780d03fb9c3c9ecc00f9a",
     ),
 }
 
