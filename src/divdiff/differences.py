@@ -226,9 +226,10 @@ class _Lattice:
     With D = lcm(den x, den h), point m is (base + m*step) / D for the
     integers base = x*D and step = h*D.  pairs(D) gives the map from t to
     the pair (a, b), b > 0, of the value a/b at t/D, and memo maps m to
-    the pair at point m, so no point becomes a Fraction.  When clip is set
-    the function vanishes outside [0, 1], so only the m in lo..hi, the
-    points inside, are ever evaluated.
+    the pair at point m, so no point becomes a Fraction.  clip is where a
+    sum applies the zero extension: f vanishes outside [0, 1], so only the
+    m in lo..hi, the points inside, are ever asked of pairs(D), which give
+    f's own values.
     """
 
     def __init__(

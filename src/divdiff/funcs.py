@@ -1,20 +1,21 @@
 """Exactly evaluable function descriptions and uniform grid functions.
 
-Three kinds of functions evaluate exactly at any rational point:
-polynomials, ratios of polynomials, and piecewise-linear interpolants of
-values on the uniform grid {k/L}.  Each description optionally carries a
-zero extension: evaluation outside [0, 1] then returns exactly 0.  The
-shift-averaging machinery relies on that extension, so it is an explicit
-flag rather than a convention.
+Three kinds of functions evaluate exactly at any rational point of their
+domain: polynomials, ratios of polynomials, and piecewise-linear
+interpolants of values on the uniform grid {k/L} of [0, 1].  Each
+description optionally carries a zero extension, f = 0 outside [0, 1],
+which the shift-averaging machinery relies on.
 
-Shift sums and equispaced samples ask for f at lattice points t/D, t an
-integer, through FuncSpec.pairs(D): the map t -> (a, b), b > 0, with
-f(t/D) = a/b, not reduced.  Every kind gives pairs, and evaluate(x)
-reads the pair of x.  No kind makes a Fraction per point.  A polynomial
-or a rational function computes its pairs as integer Horner sums
-(Polynomial.integer_sum).  A grid interpolates its values, cached as
-integers over their common denominator M, so that every point of a
-lattice shares the one denominator M D (GridFunction.pairs).
+Sums and samples ask for f at points t/D, t an integer, through
+FuncSpec.pairs(D): the map t -> (a, b), b > 0, with f(t/D) = a/b, not
+reduced.  A kind's pairs give its own values, never the extension, which
+is applied where points are chosen: FuncSpec.evaluate returns 0 outside
+[0, 1], and a sum's lattice asks a zero-extended f only for the points
+inside.  No kind makes a Fraction per point.  A polynomial or a rational
+function computes its pairs as integer Horner sums
+(Polynomial.integer_sum); PiecewiseLinearFunc interpolates its grid's
+values, cached as integers over their common denominator M, so every
+point of a lattice shares the one denominator M D.
 
 Text syntax accepted by parse_funcspec:
 
@@ -45,10 +46,9 @@ Pair = tuple[int, int]  # (a, b), b > 0: the value a/b, not reduced
 class GridFunction:
     """Values on the uniform grid {k/denominator : 0 <= k <= denominator}.
 
-    Only nonzero entries are stored; absent grid indices hold 0.  Between
-    grid points the function is the linear interpolant of the neighbouring
-    values, so a GridFunction is also a piecewise-linear function on [0, 1].
-    Its pairs read the values' cached integer form, which is not a field.
+    Only nonzero entries are stored; absent grid indices hold 0.  A grid
+    holds values only; PiecewiseLinearFunc interpolates them, reading
+    their cached integer form, which is not a field.
     """
 
     denominator: int
@@ -83,30 +83,6 @@ class GridFunction:
         M = math.lcm(*(v.denominator for v in self.entries.values()))
         return M, {k: v.numerator * (M // v.denominator) for k, v in self.entries.items()}
 
-    def pairs(self, D: int, clip: bool = False) -> Callable[[int], Pair]:
-        """t -> (V_k (D - r) + V_(k+1) r, M D) for t L = k D + r, 0 <= r < D,
-        the interpolant at t/D, for D >= 1.  A point outside [0, 1] gives
-        (0, 1) when clip is set and raises DomainEvaluationError otherwise."""
-        M, V = self._integer_form
-        L, b, get = self.denominator, M * D, V.get
-
-        def pair(t: int) -> Pair:
-            if not 0 <= t <= D:
-                if clip:
-                    return 0, 1
-                raise DomainEvaluationError(f"{Fraction(t, D)} is outside [0, 1]")
-            s = t * L
-            k = s // D
-            r = s - k * D
-            # At t = D, k = L and r = 0, so the absent V_(L+1) weighs 0.
-            return get(k, 0) * (D - r) + get(k + 1, 0) * r, b
-
-        return pair
-
-    def evaluate(self, x: Scalar) -> Fraction:
-        x = Fraction(x)
-        return Fraction(*self.pairs(x.denominator)(x.numerator))
-
     def sup_norm(self) -> Fraction:
         """Max of |value| over the grid; extrema of the interpolant sit on
         knots.  It is max |V_k| / M from the integer form, one Fraction."""
@@ -121,18 +97,21 @@ class GridFunction:
 
 class FuncSpec:
     """A function on the rationals that evaluates exactly.  Every kind
-    gives pairs, with the zero extension applied, and evaluate reads
-    the pair of its point."""
+    gives pairs of its own values; evaluate applies the zero extension
+    and otherwise reads the pair of its point."""
 
     extended_by_zero: bool
 
     def evaluate(self, x: Scalar) -> Fraction:
         if type(x) is not Fraction:
             x = Fraction(x)
+        if self.extended_by_zero and not 0 <= x <= 1:
+            return ZERO
         return Fraction(*self.pairs(x.denominator)(x.numerator))
 
     def pairs(self, D: int) -> Callable[[int], Pair]:
-        """The map t -> (a, b), b > 0, with f(t/D) = a/b, for D >= 1."""
+        """The map t -> (a, b), b > 0, with f(t/D) = a/b, for D >= 1, the
+        zero extension not applied."""
         raise NotImplementedError(f"{type(self).__name__} gives no pairs")
 
 
@@ -144,8 +123,7 @@ class PolynomialFunc(FuncSpec):
     def pairs(self, D: int) -> Callable[[int], Pair]:
         """t -> (P(t), E) from the polynomial's integer sum."""
         P, E = self.poly.integer_sum(D)
-        clip = self.extended_by_zero
-        return lambda t: (0, 1) if clip and not 0 <= t <= D else (P(t), E)
+        return lambda t: (P(t), E)
 
 
 @dataclass(frozen=True)
@@ -163,11 +141,8 @@ class RationalFunc(FuncSpec):
         and Q/F of the denominator, signs turned so that b > 0."""
         P, E = self.numerator.integer_sum(D)
         Q, F = self.denominator.integer_sum(D)
-        clip = self.extended_by_zero
 
         def pair(t: int) -> Pair:
-            if clip and not 0 <= t <= D:
-                return 0, 1
             b = Q(t) * E
             if b == 0:
                 raise PoleError(Fraction(t, D))
@@ -183,8 +158,23 @@ class PiecewiseLinearFunc(FuncSpec):
     extended_by_zero: bool = False
 
     def pairs(self, D: int) -> Callable[[int], Pair]:
-        """The grid's integer pairs, each over the one denominator M D."""
-        return self.grid.pairs(D, clip=self.extended_by_zero)
+        """t -> (V_k (D - r) + V_(k+1) r, M D) for t L = k D + r, 0 <= r < D,
+        the grid's interpolant at t/D; a point outside [0, 1], which a sum
+        asks for only when f is not zero-extended, raises
+        DomainEvaluationError."""
+        M, V = self.grid._integer_form
+        L, b, get = self.grid.denominator, M * D, V.get
+
+        def pair(t: int) -> Pair:
+            if not 0 <= t <= D:
+                raise DomainEvaluationError(f"{Fraction(t, D)} is outside [0, 1]")
+            s = t * L
+            k = s // D
+            r = s - k * D
+            # At t = D, k = L and r = 0, so the absent V_(L+1) weighs 0.
+            return get(k, 0) * (D - r) + get(k + 1, 0) * r, b
+
+        return pair
 
 
 def parse_funcspec(text: str, extend_zero: bool = False) -> FuncSpec:

@@ -83,8 +83,9 @@ def test_evaluation_at_knots_matches_entries():
     rng = random.Random(12)
     for _ in range(20):
         g = random_grid_function(rng)
+        f = PiecewiseLinearFunc(g)
         for k in range(g.denominator + 1):
-            assert g.evaluate(Fraction(k, g.denominator)) == g.value(k)
+            assert f.evaluate(Fraction(k, g.denominator)) == g.value(k)
 
 
 def test_sup_norm_and_lipschitz_of_hat():
@@ -264,11 +265,13 @@ def _value_or_error(value, *args):
 
 
 def test_pairs_give_the_value_at_each_lattice_point():
-    # pairs(D)(t) is f(t/D) as integers a/b with b > 0, zero extension and
-    # poles included: the denominators here are negative on [0, 1] and
-    # vanish at 2, at -1/2 and at 3/4.  The grids are random, wide and
-    # sparse, and empty.  evaluate reads the same pairs, so
-    # both are held to reference_value, which reads neither.
+    # pairs(D)(t) is f(t/D) as integers a/b with b > 0, poles included:
+    # the denominators here are negative on [0, 1] and vanish at 2, at
+    # -1/2 and at 3/4.  The grids are random, wide and sparse, and empty.
+    # Both are held to reference_value, which reads neither: pairs give
+    # f's own values, so they are held to it at every t of an unextended
+    # f and at 0 <= t <= D of a zero-extended one, and evaluate, which
+    # applies the extension, at every t.
     rng = random.Random(2025_02)
     negative = Polynomial((-2, 1))
     specs = [
@@ -293,7 +296,8 @@ def test_pairs_give_the_value_at_each_lattice_point():
             for t in {0, D, -D // 2, 3 * D // 4, 2 * D, rng.randint(-2 * D, 3 * D)}:
                 x = Fraction(t, D)
                 expected = _value_or_error(reference_value, f, x)
-                assert _pair_or_error(pair, t) == expected, (f, D, t)
+                if not f.extended_by_zero or 0 <= t <= D:
+                    assert _pair_or_error(pair, t) == expected, (f, D, t)
                 assert _value_or_error(f.evaluate, x) == expected, (f, D, t)
 
 
@@ -302,14 +306,16 @@ def test_grid_pairs_give_the_value_on_both_sides_of_every_piece_boundary():
     # points t/D unless k is 0 or L, and the points on both sides of each
     # boundary are held to reference_value.  Every pair of one D inside
     # [0, 1] has the one denominator M D, with M = lcm(7, 11, 8, 9, 6, 3)
-    # = 5,544 on WIDE and M = 1 on the empty grid.  Outside, the zero
-    # extension gives (0, 1) and the plain grid names the point.
+    # = 5,544 on WIDE and M = 1 on the empty grid, and the zero extension
+    # does not change it.  Outside, the plain grid's pairs name the point,
+    # and the zero-extended grid evaluates to 0.
     for grid, M in ((WIDE, 5_544), (EMPTY, 1)):
         L = grid.denominator
         f = PiecewiseLinearFunc(grid)
+        g = PiecewiseLinearFunc(grid, extended_by_zero=True)
         for D in (13, 1_000_003):
             pair = f.pairs(D)
-            extended = PiecewiseLinearFunc(grid, extended_by_zero=True).pairs(D)
+            extended = g.pairs(D)
             inside = set()
             for k in range(L + 1):
                 t = k * D // L
@@ -321,7 +327,36 @@ def test_grid_pairs_give_the_value_on_both_sides_of_every_piece_boundary():
             for t in (-D, -1, D + 1, 2 * D):
                 message = f"{Fraction(t, D)} is outside [0, 1]"
                 assert _pair_or_error(pair, t) == ("DomainEvaluationError", message)
-                assert extended(t) == (0, 1), (L, D, t)
+                assert _value_or_error(f.evaluate, Fraction(t, D)) == (
+                    "DomainEvaluationError", message)
+                assert g.evaluate(Fraction(t, D)) == 0, (L, D, t)
+
+
+def test_evaluate_applies_the_zero_extension_without_asking_pairs(monkeypatch):
+    # Outside [0, 1] a zero-extended f is 0 by evaluate alone; its pairs,
+    # which give the kind's own values, are not asked for.  Inside, they
+    # are, once per call.
+    specs = [
+        PolynomialFunc(Polynomial((1, -2, 3)), extended_by_zero=True),
+        RationalFunc(Polynomial((1, 2, 0, 3)), Polynomial((-2, 1)), extended_by_zero=True),
+        # Its pole, 3/2, lies outside [0, 1], so evaluate never meets it.
+        RationalFunc(Polynomial((1,)), Polynomial((-3, 2)), extended_by_zero=True),
+        PiecewiseLinearFunc(WIDE, extended_by_zero=True),
+    ]
+    asked = []
+    for kind in {type(f) for f in specs}:
+        pairs = kind.pairs
+        monkeypatch.setattr(
+            kind, "pairs", lambda self, D, pairs=pairs: asked.append(D) or pairs(self, D)
+        )
+    for f in specs:
+        for x in (Fraction(-1, 3), Fraction(-1), Fraction(3, 2), 2, Fraction(1_000_001, 1_000_000)):
+            assert f.evaluate(x) == 0, (f, x)
+        assert asked == [], f
+        for x in (0, Fraction(2, 7), 1):
+            assert f.evaluate(x) == reference_value(f, x), (f, x)
+        assert asked == [1, 7, 1], f
+        asked.clear()
 
 
 def test_a_kind_without_pairs_is_refused_by_name():

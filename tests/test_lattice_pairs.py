@@ -7,16 +7,23 @@ asks f.evaluate for every term, on inputs that stress the pairs: the
 zero polynomial, constants and degree 24, rational functions whose
 denominator is negative, negative x, and steps h whose denominators run
 to about a million, so that D and its powers are large.  f.evaluate
-reads the same pairs, one point at a time, so these tests check how the
-points are gathered and summed; test_funcs.py holds the values of the
-pairs to reference_value, which reads no pair.
+reads the same pairs, one point at a time, and gives a zero-extended f
+0 outside [0, 1] with no pair, so these tests check how the points are
+gathered and summed; test_funcs.py holds the values of the pairs to
+reference_value, which reads no pair.  A kind's pairs give its own
+values, never the zero extension, so every command's lattice must ask a
+zero-extended f only for points inside [0, 1]; the last test runs each
+command with pairs that refuse any other point.
 """
 
 import dataclasses
 import random
 from fractions import Fraction
 
+import pytest
+
 from divdiff import (
+    PiecewiseLinearFunc,
     PolynomialFunc,
     RationalFunc,
     averaging_probe,
@@ -27,6 +34,7 @@ from divdiff import (
 from divdiff.differences import _average_weights, _Lattice
 from divdiff.poly import Polynomial
 
+from golden.check import NEGATIVE_DENOMINATOR, ZIGZAG, run
 from util import (
     add,
     outcome,
@@ -174,3 +182,40 @@ def test_only_the_points_the_weights_name_become_pairs():
         assert sorted(asked) == sorted(lattice.base + m * lattice.step for m in weights)
         assert set(lattice.memo) == set(weights)
         assert all(b > 0 for _, b in lattice.memo.values())
+
+
+# Every command that reads --func but cascade, from points that leave
+# [0, 1] on one side or both: fd and telescope start below 0, and the
+# probe and walkthrough lattices run past 1.
+ZERO_EXTENDED_RUNS = {
+    "uniform": ["--n", "9"],
+    "fd": ["--x", "-1/3", "--h", "1/7", "--n", "12"],
+    "identity": ["--n", "9"],
+    "interp": ["--n", "7"],
+    "probe": ["--x", "1/5", "--h", "1/16", "--n", "3", "--Nmax", "16"],
+    "telescope": ["--x", "-1/5", "--h", "1/48", "--n", "3", "--j", "2", "--N", "20"],
+    "walkthrough": ["--x", "1/10", "--h", "1/40", "--n", "3", "--N", "12"],
+}
+
+
+@pytest.mark.parametrize("func", ["poly:1,-2,3", NEGATIVE_DENOMINATOR, ZIGZAG])
+@pytest.mark.parametrize("command", list(ZERO_EXTENDED_RUNS))
+def test_a_zero_extended_run_asks_pairs_only_inside_the_interval(command, func, monkeypatch):
+    argv = [command, "--func", func, "--extend-zero", *ZERO_EXTENDED_RUNS[command]]
+    expected = run(argv)
+    outside = []
+    for kind in (PolynomialFunc, RationalFunc, PiecewiseLinearFunc):
+        def inside_only(self, D, pairs=kind.pairs):
+            pair = pairs(self, D)
+
+            def checked(t):
+                if not 0 <= t <= D:
+                    outside.append(Fraction(t, D))
+                    raise AssertionError(f"{type(self).__name__} asked for {t}/{D}")
+                return pair(t)
+
+            return checked
+
+        monkeypatch.setattr(kind, "pairs", inside_only)
+    assert run(argv) == expected
+    assert expected[0] == 0 and outside == []

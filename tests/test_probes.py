@@ -5,7 +5,7 @@ points; they are checked against term-by-term sums and Faulhaber's
 closed forms, and spies check that the telescope reads them as lattice
 pairs with no Polynomial.evaluate.  Other spies check that a grid
 function reaches probe, walkthrough, identity and uniform as the integer
-pairs of GridFunction.pairs, with no evaluate.
+pairs of PiecewiseLinearFunc.pairs, with no evaluate.
 
 The hat function (grid value 1 at 1/2, zero at the ends, zero-extended)
 is small enough to check by hand and appears in several fixtures.
@@ -606,20 +606,19 @@ def test_polynomial_runs_read_lattice_pairs_without_evaluate(monkeypatch):
 ], ids=lambda argv: argv[0])
 def test_piecewise_linear_runs_read_grid_pairs_without_evaluate(argv, monkeypatch, capsys):
     # Every point of a grid function reaches these commands as an integer
-    # pair of GridFunction.pairs, with no evaluate of either kind.
+    # pair of PiecewiseLinearFunc.pairs, with no evaluate.
     asked = []
-    pairs = GridFunction.pairs
+    pairs = PiecewiseLinearFunc.pairs
 
-    def counting_pairs(self, D, clip=False):
-        pair = pairs(self, D, clip)
+    def counting_pairs(self, D):
+        pair = pairs(self, D)
         return lambda t: asked.append(t) or pair(t)
 
     def refused(self, x):
         raise AssertionError(f"{type(self).__name__}.evaluate({x})")
 
-    monkeypatch.setattr(GridFunction, "pairs", counting_pairs)
+    monkeypatch.setattr(PiecewiseLinearFunc, "pairs", counting_pairs)
     monkeypatch.setattr(FuncSpec, "evaluate", refused)
-    monkeypatch.setattr(GridFunction, "evaluate", refused)
     monkeypatch.chdir(GOLDEN_DIR)
     code = main([argv[0], "--func", "pl:zigzag.csv", *argv[1:]])
     assert code == 0, capsys.readouterr().err
