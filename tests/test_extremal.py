@@ -312,7 +312,7 @@ def test_warm_relaxed_programs_match_cold_solves(N):
 # The rows the relaxed programs' tableau holds at N = 9 after each gap, in
 # order: the 10 equality rows and 14 merged rows, then each slope or box
 # row that some optimum violated.  The full program has 109 rows.
-WORKING_ROWS_9 = [66, 78, 78, 78, 80, 80, 80, 80, 81, 86, 86, 87, 87, 92]
+WORKING_ROWS_9 = [69, 69, 75, 75, 75, 76, 76, 76, 79, 82, 82, 84, 84, 85]
 
 
 def test_relaxed_programs_hold_only_the_rows_that_bind():
@@ -369,12 +369,12 @@ def test_minlip_report_is_byte_identical(N):
 # as it is.
 PIVOT_PATHS = {
     3: (22, 2, "838df5a1fa8146bd870c1c7c8b9740ae8542d8295edecac919064036d7ea8e52"),
-    4: (28, 3, "1f03e661012f573054599f17841bd5c49d957ba18ec05d2f8444c75198228812"),
-    5: (53, 4, "31af0189063e150704504ea14855307561e8d18221e9188480892059a7745711"),
-    6: (91, 5, "5e0c4da0aa27366245429324490f4e1ca5124deed001c737b04c52e900add9ff"),
-    7: (312, 9, "70b7fc011708b12222c93f23b8558a1043ff04925592a1aa6b8e004f8c358f6d"),
-    8: (547, 10, "ec918bdcfd3bc01e49749d17323c4063a88ed8a8949bb02f172bd254d6b0f082"),
-    9: (675, 12, "512db7bac3a0eb335512bc54c8118f68cf24aa3dcebcbe53f32f50f44dd77ebb"),
+    4: (27, 3, "eadd8c935c2fa03f9d0eb05817bfe373e797e5b60d653c7c3dd1dae20602bef2"),
+    5: (49, 4, "aa1f1be86f5e27073efd0dfc335e57d54bfc8e58e66116b65684dbca0b3edee8"),
+    6: (64, 5, "b378200e9b90881ca5b23d6ef2bdcb7242d3ae5ac7d6740e6c4d8f8de30e476f"),
+    7: (264, 9, "b7f122079db6325dd1061b7a79143561d69abbbe0262bb450f696b14a37412da"),
+    8: (428, 10, "7cbfccc35cded54953457b8702181f8824e292fb2acb0fa53c585d2acaf3bf8a"),
+    9: (602, 12, "9d39d97339ac61292af998f567da691ca2d2d873e282b78b4b634be4f62937f6"),
 }
 
 # SHA-256 of the results of the same LPs, relaxed and pinned, each
@@ -387,10 +387,10 @@ LP_VERTICES = {
     3: "ac4f5842a8ae59b3c99b7d921ff12dd2247fafb86eadec398d8a371e0f0699c5",
     4: "144569b3455205b07ff9986a1beab8296a9267add278d383f86205a0c914b081",
     5: "5987b145e86d4d5624aab9e35f42eb6f36c104148c3c445bba274f0bb048c59f",
-    6: "366d8be0db81df28fc93ae0d3e83fc2a6e0a515e6db56ef3855154c9453b92e8",
-    7: "9c9c33c70502d57c4ffde6e90b8050faee05c14437334fb76c0a4969079edb6e",
-    8: "5fe4b3e0f7bc5ca8765a1ace1ed36d889068c02341994e79d69e18271a6a235f",
-    9: "bace5dab9711633837a1957afa128fd997d3fd49d4567d04a056d88058fae1f8",
+    6: "d15a18f24189603922df5fd01124f3d0963d36d5bd46480bb38287734174ff9f",
+    7: "294f496cd37e03e8caa8749e8d9d570be0df9a6a6c432217517b89083b6280df",
+    8: "599cc77d2dc65014a07f1c74fd55329647da3cf8c5c3e400c0e9e66a1d9760ae",
+    9: "f42bb8ec36d0222be8e4edd4fc98108ecb8e92d2930ff97547c2b061a30306e0",
 }
 
 
