@@ -61,7 +61,7 @@ vertex Bland's rule reaches for that pin) are the loop's.
 The gap's slope rows may stay beside its merged row, which implies
 both: 4 - u_a - u_b >= |u_b - u_a| when u_a, u_b <= 2.  A relaxed
 program is therefore the touched-column program plus its gap's merged
-row, written times g as -L u_a - L u_b - g t <= -4 L, and the relaxed
+row, rearranged as -L u_a - L u_b - g t <= -4 L, and the relaxed
 programs of one call differ only in their right-hand sides.  So they
 are solved as one program: one merged row per gap in [0, L/2], then
 every row of the touched-column program.  A gap is switched on by

@@ -25,7 +25,7 @@ from divdiff import (
     nullspace,
     simplex,
 )
-from divdiff.extremal import _GapPrograms, _search
+from divdiff.extremal import _GapPrograms, _program, _search
 from divdiff.simplex import INFEASIBLE, OPTIMAL, certify, solve_lp
 
 from golden.check import golden_text, run
@@ -285,7 +285,7 @@ def test_lp_certificate_catches_a_corrupted_warm_result(monkeypatch, name):
         min_lipschitz_unit_norm(5)
 
 
-@pytest.mark.parametrize("N", range(3, 10))
+@pytest.mark.parametrize("N", range(3, 11))
 def test_warm_relaxed_programs_match_cold_solves(N):
     # Every gap in [0, L/2] once, in a seeded order, so a re-solve starts
     # from the basis of a gap to its left or to its right.
@@ -307,6 +307,42 @@ def test_warm_relaxed_programs_match_cold_solves(N):
             # u_a, u_b <= 2 and u_a + u_b >= 4 - t g / L put p* in the gap.
             assert cols[i] <= p_star <= cols[i + 1]
     assert programs.tableau.warm
+
+
+def test_a_relaxed_program_moves_only_its_merged_row(monkeypatch):
+    # Each relaxed LP is the touched-column program plus its gap's merged
+    # row: its rhs is the all-off rhs (every merged row at 0) with only
+    # that row at -4 L.  Every LP of the call is handed integer a_ub rows.
+    system = build_constraint_system(9)
+    cols = list(system.touched)
+    gaps = sum(2 * c <= system.L for c in cols) - 1
+    off = [0] * gaps + _program(system, cols)[2]
+    gap = []
+    solves = []
+    bound = _GapPrograms.bound
+    solve = simplex._Tableau.solve
+
+    def spying_bound(self, i):
+        gap.append(i)
+        try:
+            return bound(self, i)
+        finally:
+            gap.pop()
+
+    def spying_solve(self, b_ub=(), b_eq=()):
+        solves.append((gap[-1] if gap else None, list(b_ub), self.a_ub))
+        return solve(self, b_ub, b_eq)
+
+    monkeypatch.setattr(_GapPrograms, "bound", spying_bound)
+    monkeypatch.setattr(simplex._Tableau, "solve", spying_solve)
+    min_lipschitz_unit_norm(9)
+    relaxed = [(i, b_ub) for i, b_ub, _ in solves if i is not None]
+    assert (len(solves), len(relaxed)) == (12, 10)
+    for i, b_ub in relaxed:
+        assert b_ub == off[:i] + [-4 * system.L] + off[i + 1 :]
+        assert all(type(b) is int for b in b_ub)
+    for _, _, a_ub in solves:
+        assert all(type(a) is int for row in a_ub for a in row.values())
 
 
 # The rows the relaxed programs' tableau holds at N = 9 after each gap, in
