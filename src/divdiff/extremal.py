@@ -45,18 +45,24 @@ forced zero z has slope at least L / |p - z|.
 
 The search visits the gaps in order.  It skips a gap whose distance
 bound, or else whose relaxed bound, is no better than the best value
-found so far; in a gap that improves on it, it solves floor(p*) and
-ceil(p*).  The pins of the gap that attain its minimum m form an
+found so far; in a gap that improves on it, the candidates are
+floor(p*) and ceil(p*).  A gap with at most two unsolved pins (one,
+once a value is known) is cheaper to enumerate than to bound, and then
+each of its pins is a candidate.  The candidates are taken in ascending
+order, and one that is neither solved nor forced is skipped when its
+distance bound reaches the least value known at a smaller pin: that of
+the gap's earlier candidates, or else the best value so far.  Its v(p)
+is at least that bound, so it cannot win; at N = 3 this saves one of
+the two LPs.  The pins of the gap that attain its minimum m form an
 interval, {p : v(p) <= m}; its left end, the smallest such pin, is
 found by testing the pin left of the best candidate and, when that one
-attains m too, by bisection.  A gap with at most two unsolved pins (one,
-once a value is known) is cheaper to enumerate than to bound.  Because
-every skip is strict on the value and the gaps come in order, the
-result is the smallest v(p) at the smallest pin attaining it.  Each pin
-is solved by the same program the one-pin-at-a-time loop solved (the
-best pin at the end if its value came from a bound, and its optimum
-must equal that bound), so the value, the pin and the witness (the
-vertex Bland's rule reaches for that pin) are the loop's.
+attains m too, by bisection.  Because every skip is strict on the
+value and the gaps come in order, the result is the smallest v(p) at
+the smallest pin attaining it.  Each pin is solved by the same program
+the one-pin-at-a-time loop solved (the best pin at the end if its value
+came from a bound, and its optimum must equal that bound), so the
+value, the pin and the witness (the vertex Bland's rule reaches for
+that pin) are the loop's.
 
 The gap's slope rows may stay beside its merged row, which implies
 both: 4 - u_a - u_b >= |u_b - u_a| when u_a, u_b <= 2.  A relaxed
@@ -236,7 +242,8 @@ def _search(
     infeasible; it is called at most once per pin.  relaxed(i) is the
     least v over real p in [half[i], half[i + 1]] and a real p* attaining
     it, or None when no p there is feasible; lower(a, b) is a lower bound
-    on v over [a, b] that costs no LP.  None when no pin is feasible.
+    on v over [a, b] that costs no LP, asked of a single pin (a == b)
+    only when it is not forced.  None when no pin is feasible.
     """
     values: dict[int, Optional[Fraction]] = {}
 
@@ -273,7 +280,16 @@ def _search(
                 candidates = [low]
             else:
                 candidates = [low, low + 1]
-        found = [(v, p) for p in candidates if (v := value(p)) is not None]
+        found: list[tuple[Fraction, int]] = []
+        for p in candidates:
+            # The least value known, attained at a smaller pin: a pin whose
+            # cheap bound reaches it cannot win, and is not solved.
+            known = min(found)[0] if found else best[0] if best else None
+            skip = known is not None and p not in values and p not in forced
+            if skip and lower(p, p) >= known:
+                continue
+            if (v := value(p)) is not None:
+                found.append((v, p))
         if not found:
             continue
         m, q = min(found)

@@ -12,6 +12,7 @@ reductions at small N.
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -243,6 +244,41 @@ def test_gap_search_skips_a_gap_whose_bound_ties_the_best():
     best = _search(case.half, case.forced, case.pinned, case.relaxed, lambda a, b: 0)
     assert best == (1, 4)
     assert max(case.calls) <= 10
+
+
+# Seeds where a relaxed p* lies next to a forced pin after some pin was
+# solved, so that a candidate the skip rule looks at is forced.
+FORCED_CANDIDATE_SEEDS = {33, 36, 37}
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_gap_search_solves_no_pin_whose_bound_reaches_a_known_value(seed):
+    # With the exact lower bound, v(p) itself at a pin, a solved pin must
+    # beat every value already known at a smaller pin: any other cannot
+    # win.  lower is None at a forced pin, so it must not be asked there.
+    case = Bathtubs(random.Random(seed))
+    solved = {}
+    forced_candidates = []
+
+    def pinned(p):
+        known = [v for q, v in solved.items() if q < p and v is not None]
+        assert not known or case.v(p) < min(known), (p, solved)
+        solved[p] = case.pinned(p)
+        return solved[p]
+
+    def relaxed(i):
+        m, p_star = case.relaxed(i)
+        low = math.floor(p_star)
+        if solved and low != p_star and {low, low + 1} & case.forced:
+            forced_candidates.append(p_star)
+        return m, p_star
+
+    def lower(a, b):
+        return case.v(a) if a == b else next(g[4] for g in case.gaps if g[0] == a)
+
+    assert _search(case.half, case.forced, pinned, relaxed, lower) == case.answer()
+    if seed in FORCED_CANDIDATE_SEEDS:
+        assert forced_candidates
 
 
 def _reported_infeasible(result):
