@@ -36,7 +36,13 @@ def _reduced(row: Row) -> Row:
 
 
 def _scaled(row: Mapping[int, int | Fraction]) -> tuple[Row, int]:
-    """The nonzero entries of ``row`` times the lcm of its denominators, and that lcm."""
+    """The nonzero entries of ``row`` times the lcm of its denominators, and that lcm.
+
+    A row of ints alone (not bools) is its nonzero entries at scale 1,
+    with no lcm taken.
+    """
+    if all(type(v) is int for v in row.values()):
+        return {j: v for j, v in row.items() if v}, 1
     scale = math.lcm(*(v.denominator for v in row.values()))
     return {j: v.numerator * (scale // v.denominator) for j, v in row.items() if v}, scale
 

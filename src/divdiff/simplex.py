@@ -11,8 +11,10 @@ nonzero coefficient, an int or a Fraction.
 The tableau is integer-preserving and sparse: each row (and the cost
 row) is a positive multiple of the true rational row, kept as a dict of
 its nonzero entries, column -> int, with the rhs under the key _RHS.
-Input rows are scaled once by the lcm of their denominators and reduced;
-a pivot replaces each row i that has a nonzero f in the pivot column by
+Input rows are scaled once by the lcm of their denominators and reduced
+(a row of ints alone, as every row, rhs and cost of ``minlip`` is, is
+taken at scale 1 with no lcm, here and in ``certify``); a pivot replaces
+each row i that has a nonzero f in the pivot column by
 p*row_i - f*pivot_row, which touches only the nonzero entries of the two
 rows.  The rows and this row operation (``linalg._eliminate``) are those
 of the null space's echelon form, so both solvers pivot one way.  A
@@ -63,9 +65,10 @@ the others as they are needed: row generation (Dantzig, Fulkerson &
 Johnson, Oper. Res. 2, 1954).  An omitted row i keeps its slack column
 n + i, so no column index, which is all Bland's rule breaks ties by,
 shifts.  After each optimum over the working set, ``solve`` checks the
-omitted rows against x in integers.  Each violated row is written in the
-current basis (``_eliminate`` against the row of each basic column it
-holds) with its slack basic at a negative rhs.  That leaves every
+omitted rows against x in integers; it reads only x there, and builds
+the multipliers once, at the optimum it returns.  Each violated row is
+written in the current basis (``_eliminate`` against the row of each
+basic column it holds) with its slack basic at a negative rhs.  That leaves every
 reduced cost as it was, so the basis stays dual feasible and the dual
 simplex method runs again, as after a new right-hand side.  A row never
 leaves the working set, so the loop ends, at an optimum that meets every
@@ -165,7 +168,13 @@ class _Tableau:
     def solve(self, b_ub: Sequence[Fraction] = (), b_eq: Sequence[Fraction] = ()) -> LpResult:
         self.pivots = 0
         result = self._resolve([*b_ub, *b_eq]) if self.warm else self._cold(b_ub, b_eq)
-        while result.status == OPTIMAL and (violated := self._violated(result.x)):
+        while result is None:
+            # An optimum over the working set: only x is read until it
+            # meets every row, and only then are the multipliers built.
+            x = self._solution()
+            violated = self._violated(x) if self.lazy else []
+            if not violated:
+                return self._optimum(x)
             for i in violated:
                 self._activate(i)
             result = self._restore()
@@ -313,17 +322,23 @@ class _Tableau:
         y += [sign * (art_cost * scale - cost.get(j, 0)) for j, sign in self.units[m_ub:]]
         return tuple(Fraction(v, scale) if v else _ZERO for v in y)
 
-    def _optimum(self) -> LpResult:
-        """The result at the current basis, which is optimal."""
-        c = self.c
-        x = [_ZERO] * len(c)
+    def _solution(self) -> tuple[Fraction, ...]:
+        """x at the current basis."""
+        n = len(self.c)
+        x = [_ZERO] * n
         for row, b in zip(self.rows, self.basis):
-            if b < len(c):
+            if b < n:
                 x[b] = Fraction(row.get(_RHS, 0), row[b])
-        value = sum(ci * xi for ci, xi in zip(c, x))
-        return LpResult(OPTIMAL, value, tuple(x), self._multipliers(0))
+        return tuple(x)
 
-    def _cold(self, b_ub: Sequence[Fraction], b_eq: Sequence[Fraction]) -> LpResult:
+    def _optimum(self, x: tuple[Fraction, ...]) -> LpResult:
+        """The result at x, the solution at the current basis, which is optimal."""
+        value = sum((cj * x[j] for j, cj in enumerate(self.c) if cj), _ZERO)
+        return LpResult(OPTIMAL, value, x, self._multipliers(0))
+
+    def _cold(self, b_ub: Sequence[Fraction], b_eq: Sequence[Fraction]) -> Optional[LpResult]:
+        """The two-phase method from scratch: None when it ends at an optimal
+        basis, the result otherwise."""
         c = self.c
         inputs = [*zip(self.a_ub, b_ub, strict=True), *zip(self.a_eq, b_eq, strict=True)]
         n = len(c)
@@ -394,9 +409,9 @@ class _Tableau:
             return LpResult(UNBOUNDED, None, None)
         self.b = [*b_ub, *b_eq]
         self.warm = not dropped
-        return self._optimum()
+        return None
 
-    def _resolve(self, b: list) -> LpResult:
+    def _resolve(self, b: list) -> Optional[LpResult]:
         moves = [
             (unit, sign * (new - old))
             for (unit, sign), new, old in zip(self.units, b, self.b, strict=True)
@@ -409,11 +424,13 @@ class _Tableau:
             self.rows = [_moved(row, moves, d) for row in self.rows]
         return self._restore()
 
-    def _restore(self) -> LpResult:
-        """The dual simplex method from the current basis, which is dual feasible."""
+    def _restore(self) -> Optional[LpResult]:
+        """The dual simplex method from the current basis, which is dual
+        feasible: None when it ends at an optimal basis, the Farkas ray
+        otherwise."""
         r = self._dual()
         if r is None:
-            return self._optimum()
+            return None
         row = _reduced(self.rows[r])
         ray = tuple(Fraction(-sign * row.get(j, 0)) for j, sign in self.units)
         return LpResult(INFEASIBLE, None, None, ray)

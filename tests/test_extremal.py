@@ -311,6 +311,30 @@ def test_lp_certificate_catches_a_corrupted_result(monkeypatch, name, N):
         min_lipschitz_unit_norm(N)
 
 
+@pytest.mark.parametrize("name", list(LP_CORRUPTIONS))
+def test_lp_certificate_catches_a_corrupted_result_on_fraction_rows(name):
+    # minlip hands certify int rows only, which it takes at scale 1; here
+    # the pinned program of N = 3 at pin 1 has each row and its rhs
+    # divided by 2, 3 or 4, so every row goes over its denominators.
+    system = build_constraint_system(3)
+    c, a_ub, b_ub, a_eq, b_eq = _program(system, sorted({*system.touched, 1}), pin=1)
+
+    def divided(rows, rhs):
+        d = [Fraction(1, i % 3 + 2) for i in range(len(rows))]
+        return (
+            [{j: v * d[i] for j, v in row.items()} for i, row in enumerate(rows)],
+            [b * d[i] for i, b in enumerate(rhs)],
+        )
+
+    program = ([Fraction(v) for v in c], *divided(a_ub, b_ub), *divided(a_eq, b_eq))
+    result = solve_lp(*program)
+    certify(result, *program)
+    assert result.value == 6
+    corrupt, message = LP_CORRUPTIONS[name]
+    with pytest.raises(ArithmeticError, match=message):
+        certify(corrupt(result), *program)
+
+
 # At N = 5 the relaxed LP of the gap (0, 12) is solved cold, and the
 # next relaxed LP is the first one re-solved from its basis.
 @pytest.mark.parametrize("name", list(LP_CORRUPTIONS))

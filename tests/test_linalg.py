@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from divdiff.linalg import NullBasis, integer_echelon, kernel_basis
+from divdiff import linalg
+from divdiff.linalg import NullBasis, _scaled, integer_echelon, kernel_basis
 
 from util import (
     random_sparse_rows,
@@ -159,6 +160,29 @@ def test_kernel_accepts_fraction_coefficients():
     assert rank == 1
     assert len(basis) == 1
     assert apply_row(rows[0], basis[0]) == 0
+
+
+def test_scaled_keeps_an_int_row_at_scale_one(monkeypatch):
+    # An int row is its nonzero entries at scale 1, as the Fraction path
+    # makes of the same entries, and takes no lcm.  A bool or mixed row
+    # takes that path: its entries come back as ints over their lcm.
+    rng = random.Random(7)
+    rows = [{j: rng.randint(-3, 3) for j in range(rng.randint(0, 6))} for _ in range(50)]
+    fraction_path = [_scaled({j: Fraction(v) for j, v in row.items()}) for row in rows]
+
+    def no_lcm(*args):
+        raise AssertionError("an int row took an lcm")
+
+    monkeypatch.setattr(linalg.math, "lcm", no_lcm)
+    for row, expected in zip(rows, fraction_path):
+        scaled, scale = _scaled(row)
+        assert (scaled, scale) == expected == ({j: v for j, v in row.items() if v}, 1)
+        assert all(type(v) is int for v in scaled.values())
+    monkeypatch.undo()
+    bools, bool_scale = _scaled({0: True, 1: False, 2: 3})
+    assert (bools, bool_scale) == ({0: 1, 2: 3}, 1)
+    assert [type(v) for v in bools.values()] == [int, int]
+    assert _scaled({0: 2, 1: Fraction(1, 3), 2: 0, 3: Fraction(-1, 2)}) == ({0: 12, 1: 2, 3: -3}, 6)
 
 
 def test_kernel_matches_the_per_column_oracle_on_sparse_systems():
