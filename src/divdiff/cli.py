@@ -15,7 +15,10 @@ switches on (an option's least value, --extend-zero and a base point in
 [0, 1], the N cap of --max-N), parses --func, builds the Report with the
 required options as its inputs, and turns an infeasible result into
 exit 2 with a diagnostic.  main parses, renders and writes: the same
-UTF-8 bytes on stdout and to --out, whatever the locale.  Diagnostics
+UTF-8 bytes on stdout and to --out, whatever the locale.  It parses
+each call once: a known subcommand's own parser reads the arguments
+after it, as argparse's top-level pass would hand them on, and argv
+without one takes that top-level pass (_parse).  Diagnostics
 go to stderr only.  Exit codes: 0 success, 1 usage or parse errors and
 a report or help that cannot be written, 2 domain errors
 (duplicate knots, a rational-function pole, an infeasible optimization)
@@ -53,6 +56,9 @@ DEFAULT_MAX_N = 12
 
 
 class _Parser(argparse.ArgumentParser):
+    # The top-level parser's subcommand parsers, by name (set by build_parser).
+    commands: dict[str, argparse.ArgumentParser]
+
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         # argparse reads an argument that starts with "-" as a flag unless
@@ -235,7 +241,7 @@ COMMANDS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """The argument parser, built on the first call and shared after it.
 
     Parsing leaves no state in the parser, so one instance serves every
@@ -260,7 +266,27 @@ def build_parser() -> argparse.ArgumentParser:
                 target.add_argument(arg.flag, action="store_true", help=arg.help)
             else:
                 target.add_argument(arg.flag, required=arg.required, help=arg.help)
+    parser.commands = sub.choices
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as ``build_parser().parse_args(argv)`` parses it, in one pass.
+
+    The top-level parser reads argv only to hand all that follows the
+    subcommand to that subcommand's parser, so a known subcommand's
+    parser reads it directly; what it leaves is the top-level parser's
+    "unrecognized arguments" error, as in parse_args.  Any other argv[0],
+    or none, takes the top-level parser's own path.
+    """
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def run(args: argparse.Namespace) -> tuple[Report, int, Optional[str]]:
@@ -306,9 +332,8 @@ def run(args: argparse.Namespace) -> tuple[Report, int, Optional[str]]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -38,7 +38,7 @@ from divdiff import (
 )
 from divdiff.cli import main
 
-from golden.check import GOLDEN_DIR, README_COMMANDS
+from golden.check import GOLDEN_DIR, PINS, README_COMMANDS
 from util import (
     corrupting_kernel_basis,
     corrupting_solve_lp,
@@ -874,6 +874,52 @@ def test_parser_declarations_are_pinned():
         declared.append((name, helps[name], options, groups))
     assert declared == DECLARATIONS
     assert list(sub.choices) == list(README_COMMANDS)
+
+
+# Argvs that end in help or a usage error, or reach argparse's corners:
+# no subcommand, an unknown or abbreviated one, a bad choice, an
+# exclusive pair, extra positionals, an unknown flag, abbreviated and
+# --flag=value options, and "--".
+PARSE_EDGE_ARGVS = [
+    [],
+    ["-h"],
+    ["--help", "minlip"],
+    ["bogus"],
+    ["min", "--N", "3"],
+    ["--format", "csv", "minlip", "--N", "3"],
+    ["minlip"],
+    ["minlip", "-h"],
+    ["minlip", "--N", "3", "--help"],
+    ["minlip", "--N", "3", "--format", "xml"],
+    ["minlip", "--N=3", "--form=csv"],
+    ["minlip", "--N", "13", "--max", "13"],
+    ["minlip", "--N", "3", "extra", "positionals"],
+    ["minlip", "--", "--N", "3"],
+    ["minlip", "--N", "3", "--"],
+    ["uniform", "--func", "poly:1", "--n", "2", "--bogus"],
+    ["uniform", "--func", "poly:1", "--n", "2", "--bogus", "x", "--n"],
+    ["probe", "--func", "poly:1", "--extend-zero", "--x", "0", "--h", "1/2", "--n", "1",
+     "--N", "2", "--Nmax", "8"],
+    ["fd", "--func", "poly:1", "--x", "-1/10", "--h", "1/2", "--n", "1"],
+    ["eval", "--knots", "0,1", "--values", "0,1", "-z"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", [pin.argv for pin in PINS.values()] + PARSE_EDGE_ARGVS, ids=repr
+)
+def test_one_pass_parse_matches_parse_args(capsys, argv):
+    # main parses with cli._parse; the two-level parse of argparse itself
+    # is the oracle, for the namespace, the exit code, stdout and stderr.
+    def outcome(parse):
+        try:
+            parsed, code = vars(parse(list(argv))), None
+        except SystemExit as exc:
+            parsed, code = None, exc.code
+        captured = capsys.readouterr()
+        return parsed, code, captured.out, captured.err
+
+    assert outcome(cli._parse) == outcome(cli.build_parser().parse_args)
 
 
 def _parse_long_rational(text):
