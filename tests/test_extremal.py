@@ -138,7 +138,7 @@ def test_five_and_six_stay_at_six():
 
 # LPs the gap search solves, relaxed and pinned, cold and warm; the
 # per-pin loop solves 0, 0, 2, 5, 29, 29.
-GAP_SEARCH_LPS = {1: 0, 2: 0, 3: 2, 4: 3, 5: 4, 6: 5}
+GAP_SEARCH_LPS = {1: 0, 2: 0, 3: 1, 4: 3, 5: 4, 6: 5}
 
 
 @pytest.mark.parametrize("N", sorted(GAP_SEARCH_LPS))
@@ -464,7 +464,7 @@ def test_minlip_report_is_byte_identical(N):
 # format, or the scale an integer row is kept at, must leave every path
 # as it is.
 PIVOT_PATHS = {
-    3: (22, 2, "838df5a1fa8146bd870c1c7c8b9740ae8542d8295edecac919064036d7ea8e52"),
+    3: (12, 1, "2dd99717028d9987f85af970b05371829d921358de77f9c3f2af53ea3dfd5264"),
     4: (27, 3, "eadd8c935c2fa03f9d0eb05817bfe373e797e5b60d653c7c3dd1dae20602bef2"),
     5: (49, 4, "aa1f1be86f5e27073efd0dfc335e57d54bfc8e58e66116b65684dbca0b3edee8"),
     6: (64, 5, "b378200e9b90881ca5b23d6ef2bdcb7242d3ae5ac7d6740e6c4d8f8de30e476f"),
@@ -480,7 +480,7 @@ PIVOT_PATHS = {
 # written at any positive scale, which scales its multiplier by the
 # inverse and leaves the vertex as it is.
 LP_VERTICES = {
-    3: "ac4f5842a8ae59b3c99b7d921ff12dd2247fafb86eadec398d8a371e0f0699c5",
+    3: "573370ea317155ce7e59f579eaf90ee8ba54033123577efd21061e10651575b0",
     4: "144569b3455205b07ff9986a1beab8296a9267add278d383f86205a0c914b081",
     5: "5987b145e86d4d5624aab9e35f42eb6f36c104148c3c445bba274f0bb048c59f",
     6: "d15a18f24189603922df5fd01124f3d0963d36d5bd46480bb38287734174ff9f",
