@@ -15,14 +15,12 @@ switches on (an option's least value, --extend-zero and a base point in
 [0, 1], the N cap of --max-N), parses --func, builds the Report with the
 required options as its inputs, and turns an infeasible result into
 exit 2 with a diagnostic.  main parses, renders and writes: the same
-UTF-8 bytes on stdout and to --out, whatever the locale.  It parses
-each call once: a known subcommand's own parser reads the arguments
-after it, as argparse's top-level pass would hand them on, and argv
-without one takes that top-level pass (_parse).  Diagnostics
-go to stderr only.  Exit codes: 0 success, 1 usage or parse errors and
-a report or help that cannot be written, 2 domain errors
-(duplicate knots, a rational-function pole, an infeasible optimization)
-and failed internal checks.
+UTF-8 bytes on stdout and to --out, whatever the locale; a known
+subcommand's parser reads its arguments directly, so argv is parsed
+once (_parse).  Diagnostics go to stderr only.  Exit codes: 0 success,
+1 usage or parse errors and a report or help that cannot be written,
+2 domain errors (duplicate knots, a rational-function pole, an
+infeasible optimization) and failed internal checks.
 """
 
 import argparse
@@ -271,13 +269,11 @@ def build_parser() -> _Parser:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed as ``build_parser().parse_args(argv)`` parses it, in one pass.
+    """``build_parser().parse_args(argv)``, in one pass when argv[0] is a subcommand.
 
-    The top-level parser reads argv only to hand all that follows the
-    subcommand to that subcommand's parser, so a known subcommand's
-    parser reads it directly; what it leaves is the top-level parser's
-    "unrecognized arguments" error, as in parse_args.  Any other argv[0],
-    or none, takes the top-level parser's own path.
+    The top-level pass would only hand the rest of argv to that
+    subcommand's parser; what it leaves is the top-level parser's
+    "unrecognized arguments" error, as in parse_args.
     """
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None

@@ -182,7 +182,8 @@ def test_scaled_keeps_an_int_row_at_scale_one(monkeypatch):
     bools, bool_scale = _scaled({0: True, 1: False, 2: 3})
     assert (bools, bool_scale) == ({0: 1, 2: 3}, 1)
     assert [type(v) for v in bools.values()] == [int, int]
-    assert _scaled({0: 2, 1: Fraction(1, 3), 2: 0, 3: Fraction(-1, 2)}) == ({0: 12, 1: 2, 3: -3}, 6)
+    mixed = {0: 2, 1: Fraction(1, 3), 2: 0, 3: Fraction(-1, 2)}
+    assert _scaled(mixed) == ({0: 12, 1: 2, 3: -3}, 6)
 
 
 def test_kernel_matches_the_per_column_oracle_on_sparse_systems():
