@@ -72,11 +72,11 @@ basic column it holds) with its slack basic at a negative rhs.  That
 leaves every reduced cost as it was, so the basis stays dual feasible
 and the dual simplex method runs again, as after a new right-hand side.
 A row never leaves the working set, so the loop ends, at an optimum
-that meets every row.  Its multipliers, and a Farkas ray of the working set, are 0 on the
-omitted rows and certify the full program.  When the working set is
-unbounded (an omitted row may bound it) or phase 1 drops a redundant
-equality (which leaves no basis to add rows to), every row joins and the
-program is solved from scratch.
+that meets every row.  Its multipliers, and a Farkas ray of the working
+set, are 0 on the omitted rows and certify the full program.  When the
+working set is unbounded (an omitted row may bound it) or phase 1 drops
+a redundant equality (which leaves no basis to add rows to), every row
+joins and the program is solved from scratch.
 
 Neither method can cycle, so a solve counts the pivots of both and
 raises ArithmeticError past _MAX_PIVOTS: a fault that made a tableau
