@@ -34,6 +34,21 @@ e.g. one line per N), the rows are appended as a regular CSV table
 after a separating blank line, with the columns of all rows in the
 order they first appear.
 
+The walk writes a scalar member (a Fraction, int, str, bool or None)
+by its exact class, with one append, and a container by the plan of
+its exact class: a list, a mapping, or a record.  A record class is
+planned once, on its first record, and the plan is kept: its field
+names, each field's JSON key text, the name and key text of each
+field's "<name>_decimal" twin, and whether a twin is also a field.  A
+plan holds nothing of the values, so a field may hold another kind in
+each record.  The keys written so far are kept, and each checked with
+_claim, only where two could clash: in a record class one of whose
+twins is a field, where that field's twin is claimed when it holds a
+Fraction, and in a mapping whose keys are neither all ints nor all
+strs, or whose str keys include one ending in "_decimal".  A mapping
+of int keys is sorted, and its digit keys get no twin; a list of
+plain strings, such as the paths of provenance, is one join.
+
 A list is written by one loop over its members, which writes two
 kinds of member itself.  A NullBasis is walked by its segments, and a
 run of untouched columns is written whole: one join for the JSON text
@@ -58,17 +73,18 @@ first path: its paths add only digits, brackets and dots to the list's
 path, and none of those changes how a cell is quoted.
 
 `nullspace --N 12` writes a basis of 27,708 vectors, 27,674 of them in
-46 runs: 2.0 MB of JSON or 0.8 MB of CSV.  In process on Python 3.11
-(2 CPUs), four rounds of 30 renders each, render_json takes 5.7-17 ms
-(round medians 5.8-8.6 ms) and render_csv 3.7-5.2 ms (round medians
-3.8-4.1 ms).
+46 runs: 2.0 MB of JSON or 0.8 MB of CSV.  In process, with Python
+3.11.7 on a 2-CPU Intel Xeon virtual machine, timed by
+time.perf_counter in twelve rounds of 15 renders each, render_json
+takes 5.7-8.3 ms and render_csv 3.7-4.3 ms (round medians).
 """
 
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Iterator, NamedTuple, Optional, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import __version__
 from .funcs import GridFunction
@@ -84,24 +100,10 @@ class Report:
     results: Any  # a dict, or a result dataclass written as its fields
 
 
-# How a value is written: a scalar kind, or a container kind.
-_CONSTANT, _LIST, _MAP, _RECORD = "constant", "list", "map", "record"
-# A constant's JSON text and CSV cell.
+# How a container that is not a record is written: as a list or a mapping.
+_LIST, _MAP = "list", "map"
+# The JSON text and CSV cell of None, True and False.
 _CONSTANTS = {None: ("null", ""), True: ("true", "true"), False: ("false", "false")}
-
-
-# The kind of each class a value is written as, looked up by its exact class.
-_KINDS = {
-    Fraction: Fraction, int: int, str: str, bool: _CONSTANT, type(None): _CONSTANT,
-    list: _LIST, tuple: _LIST, NullBasis: _LIST, dict: _MAP,
-    Polynomial: Polynomial, GridFunction: GridFunction,
-}
-
-
-def _kind(cls: type) -> Any:
-    """How values of exactly the class cls are written: its kind in _KINDS,
-    a record if it is another dataclass, or None if they cannot be."""
-    return _KINDS.get(cls) or (_RECORD if is_dataclass(cls) else None)
 
 
 # The text of the 1 that every singleton vector of a NullBasis run holds.
@@ -160,19 +162,45 @@ class _Run(NamedTuple):
         return zip(map((self.path + "[").__add__, self.tails()), repeat(_ONE))
 
 
-def _items(value: Any, kind: Any) -> tuple[Any, bool]:
-    """The (key, value) pairs of a mapping or a record, in report order,
-    and whether two of them could be written under one key."""
-    if kind is _RECORD:
-        items = [(f.name, getattr(value, f.name)) for f in fields(value)]
-        return items, len(items) > 1
-    items = value.items()
-    if len(items) < 2:
-        return items, False
-    if all(map(isinstance, value, repeat(int))):
-        # Distinct ints have distinct texts, and a digit key has no twin.
-        return sorted(items), False
-    return items, True
+class _Record(NamedTuple):
+    """The plan of one record class: what writing its records needs that
+    the class alone decides, worked out once for it.
+
+    values gives the tuple of a record's field values, in the order of
+    names.  fields holds, per field, its name, its JSON key text (quoted,
+    with ": ") and the name and JSON key text of its decimal twin.  clash
+    says whether a twin is also a field, the one way two keys of a record
+    can clash."""
+
+    names: tuple[str, ...]
+    values: Callable[[Any], tuple]
+    fields: tuple[tuple[str, str, str, str], ...]
+    clash: bool
+
+
+# How a container is written, by its exact class: as a list, as a mapping,
+# as what a Polynomial or GridFunction holds, or by the _Record of a
+# dataclass, added by _record on first use.
+_PLANS: dict[type, Any] = {
+    list: _LIST, tuple: _LIST, NullBasis: _LIST, dict: _MAP,
+    Polynomial: Polynomial, GridFunction: GridFunction,
+}
+
+
+def _record(cls: type) -> Optional[_Record]:
+    """The plan of the record class cls, made on first use and kept in
+    _PLANS; None if cls is no dataclass, whose values cannot be written."""
+    if not is_dataclass(cls):
+        return None
+    names = tuple(f.name for f in fields(cls))
+    twins = [name + "_decimal" for name in names]  # a field name is no digit key
+    plan = _PLANS[cls] = _Record(
+        names,
+        attrgetter(*names) if len(names) > 1 else lambda r: tuple(getattr(r, n) for n in names),
+        tuple(zip(names, [_quote(n) + ": " for n in names], twins, [_quote(t) + ": " for t in twins])),
+        not set(names).isdisjoint(twins),
+    )
+    return plan
 
 
 def _claim(seen: set, name: str, prefix: str) -> None:
@@ -183,110 +211,137 @@ def _claim(seen: set, name: str, prefix: str) -> None:
 
 
 def _write(
-    value: Any, kind: Any, path: str, pad: Optional[str], out: list, exact: list, approx: list
+    value: Any, plan: Any, path: str, pad: Optional[str], out: list, exact: list, approx: list
 ) -> None:
-    """Write a list, mapping or record of the given kind, found at path, to out.
+    """Write a container by its plan (_LIST, _MAP or a _Record), found at path, to out.
 
     The path of a field is its container's path, a dot and its key, or
     the key alone at the top; the path of a list element adds "[i]".
     With pad a string (a newline and the indent of the value's first
-    line), out gets JSON text, and exact and approx get the paths of the
-    exact and the decimal fields.  With pad None, out gets one
-    (path, cell) pair per scalar, and exact and approx are left alone.
-    The paths, or the pairs, of a NullBasis run are one _Run.
-    A mapping or record that would write one key twice raises ValueError.
+    line), out gets JSON text, one string per scalar member, and exact
+    and approx get the paths of the exact and the decimal fields.  With
+    pad None, out gets one (path, cell) pair per scalar, and exact and
+    approx are left alone.  The paths, or the pairs, of a NullBasis run
+    are one _Run.  A mapping or record that would write one key twice
+    raises ValueError.
     """
     inner = None if pad is None else pad + "  "
+    prefix = path + "." if path else ""
     # The keys written so far, when two keys or a key and a decimal twin
     # could clash (two keys with one str(), or a key named "<k>_decimal").
     seen: Optional[set] = None
-    if kind is _LIST:
+    if plan is _LIST:
+        brackets = "[]"
         runs = type(value) is NullBasis
         items: Any = zip(value.offsets, value.segments) if runs else enumerate(value)
-        brackets = "[]"
         if inner is not None:
             # The JSON text of a singleton vector {c: 1}: head, c, tail.
             head, tail = "{" + inner + '  "', '"' + inner + "}"
-    else:
-        items, clash = _items(value, kind)
-        prefix = path + "." if path else ""
-        if clash:
-            seen = set()
+            if not runs and set(map(type, value)) == {str}:
+                # Plain strings, such as the paths of provenance: one join.
+                out.append(f"[{inner}" + f",{inner}".join(map(_quote, value)) + f"{pad}]")
+                return
+    elif plan is _MAP:
         brackets = "{}"
-    if inner is not None:
-        first, comma = brackets[0] + inner, "," + inner
-    # In JSON every member adds to out, so out keeps this length until
-    # the first member is written.
+        items = value.items()
+        if all(map(isinstance, value, repeat(int))):
+            # Distinct ints have distinct texts, and a digit key has no twin.
+            items = sorted(items)
+        elif set(map(type, value)) != {str} or any(map(str.endswith, value, repeat("_decimal"))):
+            seen = set()
+    else:
+        brackets = "{}"
+        items = zip(plan.fields, plan.values(value))
+        if plan.clash:
+            seen = set(plan.names)  # a twin that is a field clashes when written
+    # In JSON every member opens with a comma and adds to out; the first
+    # one's comma becomes the opening bracket when the last is written.
+    comma = "" if inner is None else "," + inner
     mark = len(out)
     for k, v in items:
-        if inner is not None:
-            opener = first if len(out) == mark else comma
-        if kind is _LIST:
-            cls = type(v)
+        cls = type(v)
+        if plan is _LIST:
             if cls is range and runs:
                 # A run of untouched columns: the singleton vectors {c: 1}.
                 run = _Run(path, k, v)
                 if inner is None:
                     out.append(run)
                 else:
-                    out += opener, _join(run.texts()[1], head, f'": "{_ONE}{tail}', comma)
+                    out += comma, _join(run.texts()[1], head, f'": "{_ONE}{tail}', comma)
                     exact.append(run)
                 continue
             if cls is _Run:
                 # The exact paths of a run, in the provenance block.
-                out += opener, _join(v.tails(), _quote(v.path)[:-1] + "[", '"', comma)
+                out += comma, _join(v.tails(), _quote(v.path)[:-1] + "[", '"', comma)
                 continue
-            key, child = None, f"{path}[{k}]"
-        else:
+            key = twin = None
+            child = f"{path}[{k}]"
+            keyed = comma
+        elif plan is _MAP:
             key = str(k)
             child = prefix + key
+            twin = None
             if seen is not None:
                 _claim(seen, key, prefix)
-        if inner is not None:
-            out.append(opener if key is None else f"{opener}{_quote(key)}: ")
-        vkind = _kind(type(v))
-        if vkind is Fraction:
-            cell = format_rational(v)
+            keyed = f"{comma}{_quote(key)}: "
+        else:
+            key, keyed, twin, twin_keyed = k
+            child = prefix + key
+            keyed = comma + keyed
+        if cls is Fraction:
+            try:
+                cell = str(v)
+            except ValueError:  # past the interpreter's int-to-str limit
+                cell = format_rational(v)
             text = f'"{cell}"'
-        elif vkind is int:
+            if plan is _MAP and not key.lstrip("+-").isdigit():
+                twin = key + "_decimal"
+                twin_keyed = _quote(twin) + ": "
+            if twin is not None:
+                # A name-like field gets a decimal twin for human readers.
+                if seen is not None:
+                    _claim(seen, twin, prefix)
+                decimal = decimal_string(v)
+                if inner is None:
+                    out += (child, cell), (child + "_decimal", decimal)
+                else:
+                    out.append(f'{keyed}{text}{comma}{twin_keyed}"{decimal}"')
+                    exact.append(child)
+                    approx.append(child + "_decimal")
+                continue
+        elif cls is int:
             cell = integer_text(v)
             # A string of digits past 4,300 digits, whatever limit runs.
             text = cell if len(cell) - (v < 0) <= 4300 else f'"{cell}"'
-        elif vkind is str:
+        elif cls is str:
             cell = v
             text = _quote(v)
-        elif vkind is _CONSTANT:
+        elif v is None or cls is bool:
             text, cell = _CONSTANTS[v]
-        elif vkind is Polynomial:
-            _write(v.coefficients, _LIST, child, inner, out, exact, approx)
-            continue
-        elif vkind is GridFunction:
-            _write(v.entries, _MAP, child, inner, out, exact, approx)
-            continue
-        elif vkind is not None:
-            _write(v, vkind, child, inner, out, exact, approx)
-            continue
         else:
-            raise TypeError(f"cannot serialize {type(v).__name__} at {child}")
+            vplan = _PLANS.get(cls) or _record(cls)
+            if vplan is Polynomial:
+                v, vplan = v.coefficients, _LIST
+            elif vplan is GridFunction:
+                v, vplan = v.entries, _MAP
+            elif vplan is None:
+                raise TypeError(f"cannot serialize {cls.__name__} at {child}")
+            if inner is not None:
+                out.append(keyed)
+            _write(v, vplan, child, inner, out, exact, approx)
+            continue
         if inner is None:
             out.append((child, cell))
         else:
-            out.append(text)
-            if vkind is not str and vkind is not _CONSTANT:
+            out.append(keyed + text)
+            if cls is Fraction or cls is int:
                 exact.append(child)
-        if vkind is Fraction and key is not None and not key.lstrip("+-").isdigit():
-            # A name-like field gets a decimal twin for human readers.
-            child += "_decimal"
-            if seen is not None:
-                _claim(seen, key + "_decimal", prefix)
-            cell = decimal_string(v)
-            if inner is None:
-                out.append((child, cell))
-            else:
-                out.append(f"{comma}{_quote(key + '_decimal')}: {_quote(cell)}")
-                approx.append(child)
     if inner is not None:
-        out.append(brackets if len(out) == mark else pad + brackets[1])
+        if len(out) == mark:
+            out.append(brackets)
+        else:
+            out[mark] = brackets[0] + out[mark][1:]
+            out.append(pad + brackets[1])
 
 
 def render_json(report: Report) -> str:
@@ -319,7 +374,9 @@ def _line(cells: Sequence[str]) -> str:
 
 
 def render_csv(report: Report) -> str:
-    results = dict(_items(report.results, _kind(type(report.results)))[0])
+    results = report.results
+    plan = _PLANS.get(type(results)) or _record(type(results))
+    results = dict(zip(plan.names, plan.values(results)) if type(plan) is _Record else results)
     table = results.pop("rows", None)
     document = {
         "command": report.command,
@@ -344,11 +401,11 @@ def render_csv(report: Report) -> str:
         lines.append(_line(()))
         rows = []
         for i, row in enumerate(table):
-            kind = _kind(type(row))
-            if kind is not _MAP and kind is not _RECORD:
+            plan = _PLANS.get(type(row)) or _record(type(row))
+            if plan is not _MAP and type(plan) is not _Record:
                 raise TypeError(f"results.rows[{i}] is not a record")
             cells: list = []
-            _write(row, kind, "", None, cells, [], [])
+            _write(row, plan, "", None, cells, [], [])
             rows.append(dict(
                 pair for c in cells for pair in (c.pairs() if type(c) is _Run else (c,))
             ))

@@ -34,6 +34,13 @@ whose index lies below an edge that its column is on or past, are
 checked against the reference; so are the decimal list of a step-1
 range against ``str`` and a run's paths against ``str.format`` on the
 same edges.
+
+The writer plans each record class once.  In one process, a record
+class whose fields take every kind of value in turn, a dataclass
+subclass of a record, a record and a str-keyed mapping with a key named
+like another key's decimal twin, and mappings that mix int and str keys
+are checked against the reference, and the ones whose keys clash are
+refused.
 """
 
 import csv
@@ -438,3 +445,111 @@ def test_a_table_of_one_empty_named_column_matches_the_reference_writer(cells):
     assert render_json(report) == reference_render_json(report)
     assert_csv_matches_the_reference(report)
     assert '\n""\n' in render_csv(report)  # the header, one empty cell
+
+
+# The writer plans each record class once, by its exact class: its
+# field names and key texts, and whether a twin can clash with a field.
+# What a field holds is never planned, and only a class whose twin is
+# also a field refuses anything.
+@dataclass(frozen=True)
+class Turn:
+    first: Any
+    second: Any
+
+
+@dataclass(frozen=True)
+class SubLeaf(Leaf):
+    extra: Fraction
+
+
+@dataclass(frozen=True)
+class Clashing:
+    x: Any
+    x_decimal: Any
+
+
+@dataclass(frozen=True)
+class ClashingTwinFirst:
+    x_decimal: Any
+    x: Any
+
+
+def every_kind(rng):
+    """One value of each kind a field can hold."""
+    return (
+        random_fraction(rng), rng.randint(-50, 50), rng.choice((HUGE, -HUGE)), rng.choice(TEXTS),
+        rng.random() < 0.5, None, random_leaf(rng), random_polynomial(rng),
+        random_grid_function(rng), [random_fraction(rng), rng.randint(0, 9)], {},
+    )
+
+
+def assert_both_match_the_reference(results):
+    report = Report("demo", {"x": Fraction(1, 3)}, results)
+    assert render_json(report) == reference_render_json(report), results
+    assert_csv_matches_the_reference(report, results)
+
+
+def test_a_record_class_writes_each_kind_its_fields_take_in_turn():
+    rng = random.Random(4101)
+    for _ in range(3):
+        kinds = every_kind(rng)
+        for i in range(len(kinds)):
+            # The same class, one field kind after another, in one process.
+            assert_both_match_the_reference({"turn": Turn(kinds[i], kinds[-1 - i])})
+        turns = [Turn(kinds[i], kinds[(i + 3) % len(kinds)]) for i in range(len(kinds))]
+        assert_both_match_the_reference({"turns": turns, "back": turns[::-1]})
+
+
+def test_a_dataclass_subclass_of_a_record_is_its_own_class():
+    rng = random.Random(4102)
+    for _ in range(10):
+        leaf = random_leaf(rng)
+        sub = SubLeaf(leaf.zeta, leaf.label, leaf.count, leaf.maybe, random_fraction(rng))
+        for results in ({"r": sub}, {"r": leaf}, {"rs": [leaf, sub, leaf, sub]}):
+            assert_both_match_the_reference(results)
+        assert '"extra": ' in render_json(Report("demo", {}, {"r": sub}))
+        assert '"extra": ' not in render_json(Report("demo", {}, {"r": leaf}))
+
+
+def assert_refused(results, field):
+    """Both formats refuse results that write field twice."""
+    for render in (render_json, render_csv):
+        with pytest.raises(ValueError, match=rf"{field} is written twice"):
+            render(Report("demo", {}, results))
+
+
+@pytest.mark.parametrize("cls", [Clashing, ClashingTwinFirst])
+def test_a_record_with_a_field_named_like_a_twin_refuses_only_a_fraction(cls):
+    for good in (
+        cls(x=3, x_decimal="own"), cls(x=HUGE, x_decimal=Fraction(1, 2)), cls(x=None, x_decimal=None),
+    ):
+        assert_both_match_the_reference({"r": good, "rs": [good, good]})
+    assert_refused({"r": cls(x=Fraction(1, 3), x_decimal="own")}, r"results\.r\.x_decimal")
+    assert_refused(
+        {"rs": [cls(x=1, x_decimal=2), cls(x=Fraction(-1, 2), x_decimal=3)]},
+        r"results\.rs\[1\]\.x_decimal",
+    )
+    # A refusal leaves the class's plan as it was.
+    assert_both_match_the_reference({"r": cls(x=4, x_decimal="own")})
+
+
+def test_a_str_keyed_mapping_with_a_twin_named_key():
+    for good in (
+        {"k": 2, "k_decimal": "own", "j": Fraction(1, 2)},
+        {"k_decimal": Fraction(1, 3), "j": Fraction(1, 2)},
+        {"j": Fraction(1, 2), "12": Fraction(3, 4), "12_decimal": "own"},
+    ):
+        assert_both_match_the_reference({"m": good, "ms": [good]})
+    for bad in ({"j": Fraction(1, 2), "k_decimal": "own", "k": Fraction(1, 3)},
+                {"k": Fraction(1, 3), "j": 1, "k_decimal": "own"}):
+        assert_refused({"m": bad}, r"results\.m\.k_decimal")
+
+
+def test_a_mapping_that_mixes_int_and_str_keys():
+    for good in (
+        {2: Fraction(1, 2), "1": "b", "x": Fraction(1, 3)},
+        {"x": Fraction(1, 3), 1: Fraction(1, 2), 3: None},
+    ):
+        assert_both_match_the_reference({"m": good, "ms": [good]})
+    for bad in ({1: Fraction(1, 2), "1": "b"}, {"1": "b", "x": Fraction(1, 3), 1: 2}):
+        assert_refused({"m": bad}, r"results\.m\.1")
