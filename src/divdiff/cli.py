@@ -46,7 +46,7 @@ from .errors import DomainEvaluationError, DuplicateKnotError, ParseError, PoleE
 from .extremal import min_lipschitz_unit_norm
 from .funcs import PolynomialFunc, parse_funcspec
 from .interpolation import lagrange_equispaced, leading_coefficient
-from .probes import averaging_sweep, proof_walkthrough, telescope_shift_identity
+from .probes import averaging_probe, averaging_sweep, proof_walkthrough, telescope_shift_identity
 from .rational import parse_integer, parse_rational, parse_rationals
 from .report import Report, render_csv, render_json
 
@@ -184,11 +184,14 @@ def _degree_search(args: argparse.Namespace, f: Any) -> CascadeResult:
 
 
 def _shift_averages(args: argparse.Namespace, f: Any) -> dict[str, Any]:
-    # One shift count, or the sweep N = 1, 2, 4, ... up to --Nmax.
-    counts = [args.N] if args.N is not None else [2**k for k in range(args.Nmax.bit_length())]
-    averages = averaging_sweep(f, args.x, args.h, args.n, counts)
-    rows = [{"N": N, "average": a.average, "residual": a.residual, "bound": a.bound}
-            for N, a in zip(counts, averages)]
+    # One shift count, or the sweep N = 1, 2, 4, ... up to --Nmax over one shared memo.
+    if args.N is not None:
+        averages = [averaging_probe(f, args.x, args.h, args.n, args.N)]
+    else:
+        counts = [2**k for k in range(args.Nmax.bit_length())]
+        averages = averaging_sweep(f, args.x, args.h, args.n, counts)
+    rows = [{"N": a.N, "average": a.average, "residual": a.residual, "bound": a.bound}
+            for a in averages]
     return {"n": args.n, "h": args.h, "x": args.x, "cutoff": averages[-1].cutoff, "rows": rows}
 
 

@@ -9,12 +9,13 @@ recovers (-1)**n * f(x) up to a residual that decays like 1/N:
     (1/N) * sum_{i=1}^{N} D_{ih}^n f(x)  =  (-1)**n f(x) + residual.
 
 This module computes the average, the residual, and an explicit
-envelope for it (:func:`averaging_probe`, and over ascending N with
-every point evaluated once, :func:`averaging_sweep`); verifies the exact
-reindexing identity behind that decay (:func:`telescope_shift_identity`);
-and assembles the full chain of intermediate quantities for the
-interpolation defect f - Q_n (:func:`proof_walkthrough`), where Q_n is
-the equispaced interpolating polynomial of f.
+envelope for it, for one N (:func:`averaging_probe`, run by ``probe
+--N``) or over ascending N in one shared memo (:func:`averaging_sweep`,
+run by ``probe --Nmax``); verifies the exact reindexing identity behind
+that decay (:func:`telescope_shift_identity`); and assembles the full
+chain of intermediate quantities for the interpolation defect f - Q_n
+(:func:`proof_walkthrough`), where Q_n is the equispaced interpolating
+polynomial of f.
 
 Every such quantity is a sum of f(x + i*s) over a run of shifts
 i = lo..hi along one step s = j*h, and the work is not the length of
@@ -79,15 +80,19 @@ def _run_weights(count: int, lo: int, hi: int) -> list[int]:
     return weights
 
 
-def _validate_probe_args(f: FuncSpec, x: Fraction, h: Fraction, n: int, N: int) -> None:
-    if not f.extended_by_zero:
-        raise ValueError("averaging requires a zero-extended function")
+def _check_shifts(h: Fraction, n: int, N: int) -> None:
     if h <= 0:
         raise ValueError("step h must be positive")
     if n < 1:
         raise ValueError("order n must be at least 1")
     if N < 1:
         raise ValueError("shift count N must be at least 1")
+
+
+def _validate_probe_args(f: FuncSpec, x: Fraction, h: Fraction, n: int, N: int) -> None:
+    if not f.extended_by_zero:
+        raise ValueError("averaging requires a zero-extended function")
+    _check_shifts(h, n, N)
     if not 0 <= x <= 1:
         raise ValueError("base point x must lie in [0, 1]")
 
@@ -104,9 +109,7 @@ class AveragingProbeResult:
     cutoff: int  # floor((1-x)/h); residual*N is constant for N >= cutoff
 
 
-def averaging_probe(
-    f: FuncSpec, x: Rational, h: Rational, n: int, N: int, *, _lattice: _Lattice | None = None
-) -> AveragingProbeResult:
+def averaging_probe(f: FuncSpec, x: Rational, h: Rational, n: int, N: int) -> AveragingProbeResult:
     """Average D_{ih}^n f(x) over i = 1..N for a zero-extended f.
 
     The residual is average - (-1)**n f(x).  It equals the boundary sum
@@ -121,35 +124,9 @@ def averaging_probe(
 
     f is evaluated only at the survivors x + j*i*h <= 1 (i <= N), once
     each, so the cost does not depend on N once N exceeds floor((1-x)/h).
+    This is averaging_sweep over the one count N.
     """
-    x, h = Fraction(x), Fraction(h)
-    _validate_probe_args(f, x, h, n, N)
-    lattice = _Lattice(f.pairs, x, h, clip=True) if _lattice is None else _lattice
-    average = lattice.total(_average_weights(lattice, n, N)) / N
-    residual = average - (-1) ** n * lattice.value(0)
-
-    # The check builds its own weights from each j's survivor count, which is
-    # floor((1-x)/(j*h)) = lattice.hi // j; the bound weighs each |stencil weight| by it.
-    boundary: dict[int, int] = {}
-    weight = 0
-    for j, w in enumerate(difference_stencil(n)[1:], 1):
-        survivors = lattice.hi // j
-        weight += abs(w) * survivors
-        for i in range(1, min(N, survivors) + 1):
-            boundary[i * j] = boundary.get(i * j, 0) + w
-    if lattice.total(boundary) / N != residual:
-        raise ArithmeticError("residual recomputation mismatch")
-
-    if isinstance(f, PiecewiseLinearFunc):
-        m_bound = f.grid.sup_norm()
-    else:
-        # Every point the lattice evaluated lies inside [0, 1]; x is one.
-        m_bound = lattice.largest(lattice.memo)
-    bound = Fraction(weight) * m_bound / N
-
-    return AveragingProbeResult(
-        n=n, h=h, x=x, N=N, average=average, residual=residual, bound=bound, cutoff=lattice.hi
-    )
+    return averaging_sweep(f, x, h, n, [N])[0]
 
 
 def averaging_sweep(
@@ -166,7 +143,27 @@ def averaging_sweep(
         raise ValueError("shift counts must ascend")
     _validate_probe_args(f, x, h, n, min(counts, default=1))
     lattice = _Lattice(f.pairs, x, h, clip=True)
-    return [averaging_probe(f, x, h, n, N, _lattice=lattice) for N in counts]
+    # Each j's survivor count is floor((1-x)/(j*h)) = lattice.hi // j, whatever N.  The
+    # check builds its own weights from it; the bound weighs each |stencil weight| by it.
+    stencil = difference_stencil(n)
+    survivors = {j: lattice.hi // j for j in range(1, n + 1)}
+    weight = sum(abs(stencil[j]) * s for j, s in survivors.items())
+    sup_norm = f.grid.sup_norm() if isinstance(f, PiecewiseLinearFunc) else None
+    results = []
+    for N in counts:
+        average = lattice.total(_average_weights(lattice, n, N)) / N
+        residual = average - (-1) ** n * lattice.value(0)
+        boundary: dict[int, int] = {}
+        for j, s in survivors.items():
+            for i in range(1, min(N, s) + 1):
+                boundary[i * j] = boundary.get(i * j, 0) + stencil[j]
+        if lattice.total(boundary) / N != residual:
+            raise ArithmeticError("residual recomputation mismatch")
+        # Every point the lattice evaluated lies inside [0, 1]; x is one.
+        m_bound = lattice.largest(lattice.memo) if sup_norm is None else sup_norm
+        bound = Fraction(weight) * m_bound / N
+        results.append(AveragingProbeResult(n, h, x, N, average, residual, bound, lattice.hi))
+    return results
 
 
 @dataclass(frozen=True)
@@ -206,14 +203,9 @@ def telescope_shift_identity(
     each distinct point evaluated once.
     """
     x, h = Fraction(x), Fraction(h)
-    if n < 1:
-        raise ValueError("order n must be at least 1")
+    _check_shifts(h, n, N)
     if not 1 <= j <= n:
         raise ValueError("j must lie in 1..n")
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    if N < 1:
-        raise ValueError("shift count N must be at least 1")
     nfact = math.factorial(n)
     jprime = nfact // j
     y = x + nfact * h

@@ -29,10 +29,10 @@ result values themselves; no intermediate document is built.  For JSON
 the walk writes the text json.dumps(document, indent=2) would give,
 and collects the paths of the exact and decimal fields for the
 provenance block.  For CSV it yields one key,value line per scalar,
-keyed by its path; when the results contain a "rows" list (a table,
-e.g. one line per N), the rows are appended as a regular CSV table
-after a separating blank line, with the columns of all rows in the
-order they first appear.
+keyed by its path; when the results, a dict or a record, contain a
+"rows" list (a table, e.g. one line per N), the rows are appended as a
+regular CSV table after a separating blank line, with the columns of
+all rows in the order they first appear.
 
 The walk writes a scalar member (a Fraction, int, str, bool or None)
 by its exact class, with one append, and a container by the plan of
@@ -374,10 +374,12 @@ def _line(cells: Sequence[str]) -> str:
 
 
 def render_csv(report: Report) -> str:
-    results = report.results
+    results, table = report.results, None
     plan = _PLANS.get(type(results)) or _record(type(results))
-    results = dict(zip(plan.names, plan.values(results)) if type(plan) is _Record else results)
-    table = results.pop("rows", None)
+    # Only a dict or a record holds a table; the walk writes, or refuses, the rest.
+    if plan is _MAP or type(plan) is _Record:
+        results = dict(results) if plan is _MAP else dict(zip(plan.names, plan.values(results)))
+        table = results.pop("rows", None)
     document = {
         "command": report.command,
         "inputs": report.inputs,

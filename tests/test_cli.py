@@ -423,6 +423,10 @@ def test_a_report_is_the_same_utf8_bytes_whatever_the_stdout_encoding(tmp_path, 
          ArithmeticError("the rows have rank below their 5 pivot columns")),
         ("averaging_sweep",
          ["probe", "--func", "poly:1", "--extend-zero", "--x", "0", "--h", "1/4",
+          "--n", "1", "--Nmax", "4"],
+         ZeroDivisionError("Fraction(1, 0)")),
+        ("averaging_probe",
+         ["probe", "--func", "poly:1", "--extend-zero", "--x", "0", "--h", "1/4",
           "--n", "1", "--N", "2"],
          ZeroDivisionError("Fraction(1, 0)")),
     ],
@@ -438,6 +442,26 @@ def test_internal_arithmetic_error_is_one_line_exit_two(
     assert code == 2
     assert out == ""
     assert err == f"divdiff: error: internal check failed: {exc}\n"
+
+
+@pytest.mark.parametrize(
+    "count, called",
+    [(["--N", "5"], "averaging_probe"), (["--Nmax", "5"], "averaging_sweep")],
+)
+def test_probe_runs_one_count_by_the_probe_and_a_sweep_by_the_sweep(
+    capsys, monkeypatch, count, called
+):
+    calls = []
+    for name in ("averaging_probe", "averaging_sweep"):
+        def spy(*args, _name=name, _real=getattr(cli, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, spy)
+    code, out, err = run(capsys, "probe", "--func", "poly:1,1", "--extend-zero", "--x", "1/3",
+                         "--h", "1/8", "--n", "2", *count)
+    assert (code, err) == (0, "")
+    assert calls == [called]
 
 
 def test_corrupted_null_vector_is_one_line_exit_two(capsys, monkeypatch):

@@ -14,6 +14,7 @@ is small enough to check by hand and appears in several fixtures.
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,35 @@ def test_telescope_validates_j():
         telescope_shift_identity(g, Fraction(0), 3, 0, Fraction(1, 9), 5)
     with pytest.raises(ValueError):
         telescope_shift_identity(g, Fraction(0), 3, 4, Fraction(1, 9), 5)
+
+
+def test_arguments_are_checked_in_a_fixed_order():
+    # Every argument starts bad; each call names the first in the order
+    # and the next call mends it, until the last call runs.
+    def checked_in(call, order, bad, good):
+        args = dict(bad)
+        for name, message in order:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(**args)
+            args[name] = good[name]
+        call(**args)
+
+    h, n, N = (
+        ("h", "step h must be positive"),
+        ("n", "order n must be at least 1"),
+        ("N", "shift count N must be at least 1"),
+    )
+    plain = PolynomialFunc(Polynomial((1,)))
+    bad = dict(f=plain, x=Fraction(2), h=Fraction(0), n=0, N=0)
+    good = dict(f=HAT, x=Fraction(0), h=Fraction(1, 4), n=1, N=2)
+    order = [("f", "averaging requires a zero-extended function"), h, n, N,
+             ("x", "base point x must lie in [0, 1]")]
+    checked_in(averaging_probe, order, bad, good)
+    checked_in(lambda N, **args: averaging_sweep(**args, counts=[N]), order, bad, good)
+    # The telescope takes any f and x; j is checked last.
+    bad = dict(g=plain, x=Fraction(2), h=Fraction(0), n=0, N=0, j=3)
+    good = dict(h=Fraction(1, 4), n=2, N=2, j=1)
+    checked_in(telescope_shift_identity, [h, n, N, ("j", "j must lie in 1..n")], bad, good)
 
 
 def test_walkthrough_on_reduced_degree_polynomial():

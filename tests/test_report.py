@@ -176,6 +176,22 @@ def test_unserializable_values_are_rejected():
             render(report)
 
 
+class Results(dict):
+    pass
+
+
+def test_both_formats_take_the_same_results():
+    # A list is written by both; a dict subclass is refused by both, by
+    # its exact class, before CSV could look in it for a table.
+    listed = Report("c", {}, [Fraction(1, 2), "a"])
+    assert json.loads(render_json(listed))["results"] == ["1/2", "a"]
+    assert "\nresults[0],1/2\nresults[1],a\n" in render_csv(listed)
+    subclassed = Report("c", {}, Results(rows=[{"N": 1}]))
+    for render in (render_json, render_csv):
+        with pytest.raises(TypeError, match=r"^cannot serialize Results at results$"):
+            render(subclassed)
+
+
 def test_float_values_are_rejected():
     # the whole point is exactness; a float sneaking in is a bug
     report = Report(command="c", inputs={}, results={"v": 0.5})
