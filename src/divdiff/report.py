@@ -51,32 +51,33 @@ plain strings, such as the paths of provenance, is one join.
 
 A list is written by one loop over its members, which writes two
 kinds of member itself.  A NullBasis is walked by its segments, and a
-run of untouched columns is written whole: one join for the JSON text
-of its singleton vectors, and one _Run for their exact paths or their
-CSV lines.  In provenance, such a _Run is written as its paths with one
-join.  Every other member, sparse vectors and scalars among them, is
-written by the code that writes the values of a mapping.
+run of untouched columns is written whole: one text of its singleton
+vectors, and one _Run for their exact paths, written in provenance, or
+their CSV lines.  Every other member, sparse vectors and scalars among
+them, is written by the code that writes the values of a mapping.
 
-A run's keys and paths are cut from one list of decimal texts, from its
-first index to its last column: the keys are one slice, and as index
-i = k - c for one c, each path "i].k" is "].".join of two slices' items.
-Past 999 the texts go by blocks of 1000 that share str(k // 1000), one
-join each over a table of the suffixes "000".."999".  The list is built
-wherever the run is written, and not kept.
+A run's keys and paths come from two static digit tables, made on
+first use: the texts of 0..999, and the suffixes "000".."999" that
+follow str(k // 1000) past 999.  _stretches cuts a run's indices i and
+columns k into stretches in which neither crosses a multiple of 1000,
+each a prefix and a table slice for i and for k.  With glue the text
+between two items, the keys are one (glue + p).join(slice) per block of
+columns, and the paths "i].k" one (glue + ip).join(map(("]." +
+kp).join, zip(isuf, ksuf))) per stretch.
 
 Every CSV line comes from one line writer: a cell goes in quotes, its
 quotes doubled, when it holds a comma, a quote, a newline or a carriage
 return, and a row of one empty cell is written "" so that it is not a
 blank line.  Each cell reads back unchanged through csv.reader.  The
-lines of a run are one join of its tails, cut from the line of its
-first path: its paths add only digits, brackets and dots to the list's
-path, and none of those changes how a cell is quoted.
+lines of a run are its paths between the halves of the line of (path +
+"[", 1), cut after that "[": its paths add only digits, brackets and
+dots to the list's path, and none of those changes how a cell is quoted.
 
 `nullspace --N 12` writes a basis of 27,708 vectors, 27,674 of them in
-46 runs: 2.0 MB of JSON or 0.8 MB of CSV.  In process, with Python
-3.11.7 on a 2-CPU Intel Xeon virtual machine, timed by
-time.perf_counter in twelve rounds of 15 renders each, render_json
-takes 5.7-8.3 ms and render_csv 3.7-4.3 ms (round medians).
+46 runs: 2.0 MB of JSON or 0.8 MB of CSV.  In process (Python 3.11.7,
+2-CPU Intel Xeon VM, time.perf_counter, twelve rounds of 15 renders),
+render_json takes 4.3-8.4 ms and render_csv 3.2-6.4 ms (round medians;
+10.0-14.3 and 6.1-9.7 ms when cut from one list of decimal texts).
 """
 
 from dataclasses import dataclass, fields, is_dataclass
@@ -108,58 +109,57 @@ _CONSTANTS = {None: ("null", ""), True: ("true", "true"), False: ("false", "fals
 
 # The text of the 1 that every singleton vector of a NullBasis run holds.
 _ONE = str(ONE)
-# The three-digit suffixes "000".."999" of _decimals, made on first use.
+# The texts of 0..999, and the suffixes "000".."999" that follow
+# str(k // 1000) past 999: each made on first use, whole, in one step.
+_TEXTS: list[str] = []
 _SUFFIXES: list[str] = []
 
 
-def _join(items: Iterator[str], head: str, tail: str, sep: str = "") -> str:
-    """head, the item and tail for each of items (at least one), joined by sep."""
-    return head + (tail + sep + head).join(items) + tail
-
-
-def _decimals(keys: range) -> list[str]:
-    """[str(k) for k in keys], a range of step 1.  Past 999 it goes by
-    blocks that share str(k // 1000): one join puts it before each suffix."""
-    if keys.stop <= 1000:
-        return list(map(str, keys))
-    if not _SUFFIXES:
-        _SUFFIXES[:] = [f"{j:03d}" for j in range(1000)]  # whole, in one step
-    texts = list(map(str, range(keys.start, 1000)))
-    k = max(keys.start, 1000)
-    while k < keys.stop:
-        block, low = divmod(k, 1000)
-        end = min(keys.stop - 1000 * block, 1000)
-        prefix = str(block)
-        texts += (prefix + (" " + prefix).join(_SUFFIXES[low:end])).split(" ")
-        k += end - low
-    return texts
+def _stretches(i: int, k: int, n: int) -> Iterator[list]:
+    """The n indices i, i + 1, ... and columns k, k + 1, ... of a run, in
+    stretches in which neither crosses a multiple of 1000: for each, the
+    prefix (str(j // 1000), or "" below 1000) and the table slice of its
+    indices j, then those of its columns."""
+    while n:
+        m = min(n, 1000 - i % 1000, 1000 - k % 1000)
+        cuts: list = []
+        for block, low in divmod(i, 1000), divmod(k, 1000):
+            table = _SUFFIXES if block else _TEXTS
+            if not table:
+                table[:] = map("{:03d}".format if block else str, range(1000))
+            cuts += str(block or ""), table[low:low + m]
+        yield cuts
+        i, k, n = i + m, k + m, n - m
 
 
 class _Run(NamedTuple):
     """The singleton vectors {k: 1} of a NullBasis run, members start,
     start + 1, ... of the list at path, with k going through columns.
     It stands in for their (path, cell) pairs in CSV, and for their exact
-    paths in JSON, until they are written with one join."""
+    paths in JSON, until they are written with one join per stretch."""
 
     path: str
     start: int
     columns: range
 
-    def texts(self) -> tuple[list[str], list[str]]:
-        """The decimal texts of the run's indices i and of its columns k:
-        the first and the last n of one list, as a NullBasis run starts
-        at or past its index."""
-        n = len(self.columns)
-        texts = _decimals(range(self.start, self.columns.stop))
-        return texts[:n], texts[-n:]
+    def keys(self, head: str, tail: str, sep: str) -> str:
+        """head, the text of k and tail for each column k, joined by sep."""
+        glue, k = tail + sep + head, self.columns.start
+        blocks = _stretches(k, k, len(self.columns))
+        return head + glue.join([p + (glue + p).join(ks) for _, _, p, ks in blocks]) + tail
 
-    def tails(self) -> Iterator[str]:
-        """What follows "path[" in the path of each 1: "i].k"."""
-        return map("].".join, zip(*self.texts()))
+    def paths(self, head: str, tail: str, sep: str = "") -> str:
+        """head, "i].k" and tail for each member i and its column k, joined by sep."""
+        glue = tail + sep + head
+        return head + glue.join([
+            ip + (glue + ip).join(map(("]." + kp).join, zip(isuf, ksuf)))
+            for ip, isuf, kp, ksuf in _stretches(self.start, self.columns.start, len(self.columns))
+        ]) + tail
 
     def pairs(self) -> Iterator[tuple[str, str]]:
         """The (path, cell) pairs of the 1s."""
-        return zip(map((self.path + "[").__add__, self.tails()), repeat(_ONE))
+        tails = self.paths("", "", "\n").split("\n")  # digits, brackets and dots
+        return zip(map((self.path + "[").__add__, tails), repeat(_ONE))
 
 
 class _Record(NamedTuple):
@@ -267,12 +267,12 @@ def _write(
                 if inner is None:
                     out.append(run)
                 else:
-                    out += comma, _join(run.texts()[1], head, f'": "{_ONE}{tail}', comma)
+                    out += comma, run.keys(head, f'": "{_ONE}{tail}', comma)
                     exact.append(run)
                 continue
             if cls is _Run:
                 # The exact paths of a run, in the provenance block.
-                out += comma, _join(v.tails(), _quote(v.path)[:-1] + "[", '"', comma)
+                out += comma, v.paths(_quote(v.path)[:-1] + "[", '"', comma)
                 continue
             key = twin = None
             child = f"{path}[{k}]"
@@ -393,10 +393,10 @@ def render_csv(report: Report) -> str:
         if type(pair) is _Run:
             # Its paths add to its path only digits, brackets and a dot,
             # none of which changes the quoting: the line of (path + "[",
-            # 1), cut after that "[", is what goes around each tail.
+            # 1), cut after that "[", is what goes around each "i].k".
             line = _line((pair.path + "[", _ONE))
             cut = line.rindex("[") + 1
-            lines.append(_join(pair.tails(), line[:cut], line[cut:]))
+            lines.append(pair.paths(line[:cut], line[cut:]))
         else:
             lines.append(_line(pair))
     if table is not None:

@@ -1,6 +1,8 @@
 """Report documents: exact serialization, decimal twins, provenance, CSV."""
 
 import json
+import os
+import subprocess
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -299,3 +301,23 @@ def test_a_key_named_like_a_decimal_twin_is_rejected(render):
         report = Report(command="demo", inputs={}, results=results)
         with pytest.raises(ValueError, match=r"results\.x_decimal is written twice"):
             render(report)
+
+
+def test_the_suffix_table_is_made_on_first_use():
+    # The suffixes "000".."999" are made only when a run reaches a column
+    # past 999: not for nullspace --N 8 (L = 840), and for N = 9 (L = 2520).
+    code = (
+        "import contextlib, io\n"
+        "from divdiff import cli, report\n"
+        "for argv in (['--N', '8'], ['--N', '8', '--format', 'csv'], ['--N', '9']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(['nullspace', *argv]) == 0\n"
+        "    print(len(report._SUFFIXES))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(divdiff.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "1000"]

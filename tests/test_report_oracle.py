@@ -26,14 +26,15 @@ starting at a column below its index) is refused.  A table whose one column is n
 string, whose lines are each one cell, is checked too: an empty one is
 written ``""``.
 
-A run's keys and paths come from one list of decimal texts, built past
-999 by blocks of 1000 that share a prefix.  Seeded bases whose runs
-start or stop on each digit edge (0, 1, 9/10, 99/100, up to
-999,999/1,000,000), runs of length 1 on the edges among them, and runs
-whose index lies below an edge that its column is on or past, are
-checked against the reference; so are the decimal list of a step-1
-range against ``str`` and a run's paths against ``str.format`` on the
-same edges.
+A run's keys and paths come from two digit tables, by stretches in
+which neither its index nor its column crosses a multiple of 1000, each
+a prefix and a table slice.  Seeded bases whose runs start or stop on
+each digit edge (0, 1, 9/10, 99/100, up to 999,999/1,000,000), runs of
+length 1 on the edges among them, and runs whose index lies below an
+edge that its column is on or past, are checked against the reference;
+on the same edges, each stretch's prefixes and suffixes are checked
+against ``str`` and against the edges of 1000, and a run's keys, paths
+and CSV lines against ``str.format``.
 
 The writer plans each record class once.  In one process, a record
 class whose fields take every kind of value in turn, a dataclass
@@ -55,7 +56,7 @@ import pytest
 
 from divdiff import Polynomial, cli
 from divdiff.linalg import ONE, NullBasis
-from divdiff.report import Report, _decimals, _Run, render_csv, render_json
+from divdiff.report import Report, _Run, _stretches, render_csv, render_json
 
 from golden.check import GOLDEN_DIR, PINS, README_COMMANDS, sha256
 from util import (
@@ -406,26 +407,50 @@ def edge_segments(rng, edge, cuts, lead):
     return segments
 
 
+def edge_runs(edge):
+    """The indices and columns of runs near edge: each index on or below
+    its column, near it or, where the run is short, far below it."""
+    for lo, hi in ((-3, 3), (-1, 1), (-1, 0), (0, 1), (-1001, 2), (-2, 2999)):
+        columns = range(max(edge + lo, 0), max(edge + hi, 1))
+        for c in (0, 1, 2, 5, 5000):
+            start = max(columns.start - c, 0)
+            yield range(start, start + len(columns)), columns
+
+
 @pytest.mark.parametrize("edge", DIGIT_EDGES)
 def test_decimal_texts_match_str_on_digit_edges(edge):
-    for lo, hi in (
-        (edge - 1, edge), (edge, edge + 1), (edge - 1, edge + 1), (edge - 3, edge + 4),
-        (edge - 1001, edge + 2), (edge - 2, edge + 2999), (edge, edge), (0, edge + 1),
-    ):
-        assert _decimals(range(lo, hi)) == list(map(str, range(lo, hi))), (lo, hi)
+    # Each stretch's prefix and suffixes give str() of its indices and
+    # of its columns, and neither crosses a multiple of 1000.
+    for indices, columns in edge_runs(edge):
+        i_texts: list = []
+        k_texts: list = []
+        for ip, isuf, kp, ksuf in _stretches(indices.start, columns.start, len(columns)):
+            assert isuf and len(isuf) == len(ksuf), (indices, columns)
+            for prefix, suffixes, texts in (ip, isuf, i_texts), (kp, ksuf, k_texts):
+                texts += [prefix + s for s in suffixes]
+                assert int(texts[-len(suffixes)]) // 1000 == int(texts[-1]) // 1000, texts[-1]
+        assert i_texts == list(map(str, indices)), (indices, columns)
+        assert k_texts == list(map(str, columns)), (indices, columns)
 
 
 @pytest.mark.parametrize("edge", DIGIT_EDGES)
 def test_run_paths_on_digit_edges(edge):
-    # Each index on or below its column, near it or, where the run is
-    # short, far below it: all from one list.
-    for lo, hi in ((-3, 3), (-1, 1), (-1, 0), (0, 1), (-1001, 2)):
-        columns = range(max(edge + lo, 0), max(edge + hi, 1))
-        for c in (0, 1, 2, 5, 5000):
-            start = max(columns.start - c, 0)
-            indices = range(start, start + len(columns))
-            paths = list(_Run("results.basis", start, columns).tails())
-            assert paths == [f"{i}].{k}" for i, k in zip(indices, columns)], (columns, start)
+    # The texts a run writes: in JSON its singleton vectors' keys and its
+    # exact paths, in CSV its lines, and its (path, cell) pairs in a table.
+    sep = ",\n    "
+    for indices, columns in edge_runs(edge):
+        run = _Run("results.basis", indices.start, columns)
+        both = list(zip(indices, columns))
+        assert run.keys('{\n      "', '": "1"\n    }', sep) == sep.join(
+            '{\n      "%d": "1"\n    }' % k for k in columns
+        ), (indices, columns)
+        assert run.paths('"results.basis[', '"', sep) == sep.join(
+            '"results.basis[{}].{}"'.format(i, k) for i, k in both
+        ), (indices, columns)
+        assert run.paths("results.basis[", ",1\n") == "".join(
+            "results.basis[{}].{},1\n".format(i, k) for i, k in both
+        ), (indices, columns)
+        assert list(run.pairs()) == [("results.basis[{}].{}".format(i, k), "1") for i, k in both]
 
 
 @pytest.mark.parametrize("edge", DIGIT_EDGES)
