@@ -37,7 +37,7 @@ _EXPORTS = {
         "AveragingProbeResult", "BoundaryTerm", "LimitTerm", "TelescopeCheck", "WalkthroughReport",
         "averaging_probe", "averaging_sweep", "proof_walkthrough", "telescope_shift_identity",
     ),
-    "rational": ("Rational", "decimal_string", "format_rational", "parse_rational"),
+    "rational": ("decimal_string", "format_rational", "parse_rational"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

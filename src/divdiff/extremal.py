@@ -112,17 +112,15 @@ class MinLipschitzResult:
     witness: Optional[GridFunction]
 
 
-def _program(
-    system: ConstraintSystem, cols: list[int], pin: Optional[int] = None
-) -> tuple[list, list, list, list, list]:
+def _program(system: ConstraintSystem, cols: list[int]) -> tuple[list, list, list, list, list]:
     """The program over cols as (objective, a_ub, b_ub, a_eq, b_eq).
 
     The unknowns are u_k = f(k/L) + 1 for k in cols, at the index of k
     in cols, then t.  Each row maps an unknown's index to its nonzero
-    coefficient.  The a_eq rows are the constraint rows, then with pin
-    the row u_pin = 2.  The a_ub rows are the two slope rows
-    +-L (u_{i+1} - u_i) - g t <= 0 of each gap cols[i]..cols[i + 1] of
-    width g, at 2i and 2i + 1, then the box rows u_k <= 2.
+    coefficient.  The a_eq rows are the constraint rows.  The a_ub rows
+    are the two slope rows +-L (u_{i+1} - u_i) - g t <= 0 of each gap
+    cols[i]..cols[i + 1] of width g, at 2i and 2i + 1, then the box rows
+    u_k <= 2.
 
     A slope row is +-w (u_{i+1} - u_i) <= t, w = L / g, times g, so it
     is in integers.  That scales only its slack column, which no sign or
@@ -134,9 +132,6 @@ def _program(
 
     a_eq = [{index[col]: coeff for col, coeff in row.items()} for row in system.rows]
     b_eq = [sum(row.values()) for row in system.rows]
-    if pin is not None:
-        a_eq.append({index[pin]: 1})
-        b_eq.append(2)
 
     a_ub: list[dict] = []
     b_ub: list = []
@@ -151,19 +146,6 @@ def _program(
     objective = [0] * (t + 1)
     objective[t] = 1
     return objective, a_ub, b_ub, a_eq, b_eq
-
-
-def _solve_pinned(
-    system: ConstraintSystem, cols: list[int], pin: int
-) -> tuple[Optional[Fraction], Optional[tuple[Fraction, ...]]]:
-    """v(pin) and its Bland vertex over cols, or (None, None) if infeasible.
-
-    The LP's certificate is checked, so it was optimal or infeasible.
-    """
-    program = _program(system, cols, pin=pin)
-    result = solve_lp(*program)
-    certify(result, *program)
-    return result.value, result.x
 
 
 class _GapPrograms:
@@ -322,11 +304,19 @@ def min_lipschitz_unit_norm(N: int) -> MinLipschitzResult:
     touched = list(system.touched)
     half = [c for c in touched if 2 * c <= L]
     forced = set(report.forced_zero_points)
-    vertices: dict[int, Optional[tuple[Fraction, ...]]] = {}
+    vertices: dict[int, tuple[list[int], Optional[tuple[Fraction, ...]]]] = {}
 
     def pinned(pin: int) -> Optional[Fraction]:
-        value, vertices[pin] = _solve_pinned(system, sorted({*touched, pin}), pin)
-        return value
+        """v(pin): the touched-column program over pin's columns plus the
+        row u_pin = 2, last among its equality rows, solved and certified."""
+        cols = sorted({*touched, pin})
+        c, a_ub, b_ub, a_eq, b_eq = _program(system, cols)
+        a_eq.append({cols.index(pin): 1})
+        b_eq.append(2)
+        result = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+        certify(result, c, a_ub, b_ub, a_eq, b_eq)
+        vertices[pin] = (cols, result.x)
+        return result.value
 
     best = _search(
         half,
@@ -348,12 +338,11 @@ def min_lipschitz_unit_norm(N: int) -> MinLipschitzResult:
             raise ArithmeticError(
                 f"pin {pin} has optimum {solved}, not its gap's bound {value}"
             )
-    cols = sorted({*touched, pin})
     return MinLipschitzResult(
         N=N,
         L=L,
         status="optimal",
         value=value,
         pin_index=pin,
-        witness=_fill_witness(L, cols, vertices[pin][: len(cols)]),
+        witness=_fill_witness(L, *vertices[pin]),
     )

@@ -58,8 +58,7 @@ from typing import Callable, Sequence
 from .differences import KnotValueList, _average_weights, _Lattice, difference_stencil
 from .funcs import FuncSpec, Pair, PiecewiseLinearFunc, PolynomialFunc
 from .interpolation import lagrange_equispaced, leading_coefficient
-from .poly import Polynomial
-from .rational import Rational
+from .poly import Polynomial, Scalar
 
 
 def _run_weights(count: int, lo: int, hi: int) -> list[int]:
@@ -109,7 +108,7 @@ class AveragingProbeResult:
     cutoff: int  # floor((1-x)/h); residual*N is constant for N >= cutoff
 
 
-def averaging_probe(f: FuncSpec, x: Rational, h: Rational, n: int, N: int) -> AveragingProbeResult:
+def averaging_probe(f: FuncSpec, x: Scalar, h: Scalar, n: int, N: int) -> AveragingProbeResult:
     """Average D_{ih}^n f(x) over i = 1..N for a zero-extended f.
 
     The residual is average - (-1)**n f(x).  It equals the boundary sum
@@ -130,7 +129,7 @@ def averaging_probe(f: FuncSpec, x: Rational, h: Rational, n: int, N: int) -> Av
 
 
 def averaging_sweep(
-    f: FuncSpec, x: Rational, h: Rational, n: int, counts: Sequence[int]
+    f: FuncSpec, x: Scalar, h: Scalar, n: int, counts: Sequence[int]
 ) -> list[AveragingProbeResult]:
     """averaging_probe at each N of counts, which must ascend.
 
@@ -181,7 +180,7 @@ class TelescopeCheck:
 
 
 def telescope_shift_identity(
-    g: FuncSpec, x: Rational, n: int, j: int, h: Rational, N: int
+    g: FuncSpec, x: Scalar, n: int, j: int, h: Scalar, N: int
 ) -> TelescopeCheck:
     """Check the reindexing identity behind the averaging decay.
 
@@ -294,7 +293,7 @@ _WALKTHROUGH_NOTE = (
 
 
 def proof_walkthrough(
-    f: FuncSpec, n: int, h: Rational, N: int, x: Rational
+    f: FuncSpec, n: int, h: Scalar, N: int, x: Scalar
 ) -> WalkthroughReport:
     """Trace the averaging argument for the defect g = f - Q_n, exactly.
 

@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from .errors import ParseError
 
-Rational = Fraction
-
 DECIMAL_DIGITS = 15
 # Every decimal string is divided and written in this context.  Each field is
 # given, so neither the caller's context nor decimal.DefaultContext counts.

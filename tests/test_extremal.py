@@ -297,6 +297,13 @@ LP_CORRUPTIONS = {
         lambda r: replace(r, x=r.x[:-1] + (r.x[-1] - 1,)), "solution is not feasible"
     ),
     "no certificate": (lambda r: replace(r, dual=None), "carries no certificate"),
+    "a doubled dual": (
+        lambda r: replace(r, dual=tuple(2 * v for v in r.dual)), "dual is not feasible"
+    ),
+    # Past the last column, so no row sees it: only the sign and length check does.
+    "an extra negative solution entry": (
+        lambda r: replace(r, x=r.x + (Fraction(-1),)), "solution is not feasible"
+    ),
 }
 
 
@@ -317,7 +324,9 @@ def test_lp_certificate_catches_a_corrupted_result_on_fraction_rows(name):
     # the pinned program of N = 3 at pin 1 has each row and its rhs
     # divided by 2, 3 or 4, so every row goes over its denominators.
     system = build_constraint_system(3)
-    c, a_ub, b_ub, a_eq, b_eq = _program(system, sorted({*system.touched, 1}), pin=1)
+    c, a_ub, b_ub, a_eq, b_eq = _program(system, sorted({*system.touched, 1}))
+    a_eq.append({1: 1})  # the pin row u_1 = 2, last; column 1 is at index 1
+    b_eq.append(2)
 
     def divided(rows, rhs):
         d = [Fraction(1, i % 3 + 2) for i in range(len(rows))]

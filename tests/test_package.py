@@ -19,7 +19,7 @@ PUBLIC = [
     "DivdiffError", "DomainEvaluationError", "DuplicateKnotError", "EquispacedIdentityCheck",
     "FuncSpec", "GridFunction", "KnotValueList", "LimitTerm",
     "MinLipschitzResult", "NullspaceReport", "ParseError",
-    "PiecewiseLinearFunc", "PoleError", "Polynomial", "PolynomialFunc", "Rational",
+    "PiecewiseLinearFunc", "PoleError", "Polynomial", "PolynomialFunc",
     "RationalFunc", "TelescopeCheck", "WalkthroughReport", "__version__",
     "averaging_probe", "averaging_sweep", "build_constraint_system",
     "check_equispaced_identity", "decimal_string", "degree_reduced",

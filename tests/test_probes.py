@@ -31,6 +31,7 @@ from divdiff import (
     averaging_probe,
     averaging_sweep,
     finite_difference,
+    probes,
     proof_walkthrough,
     telescope_shift_identity,
 )
@@ -107,6 +108,21 @@ def test_probe_bound_holds_on_random_functions():
             if N >= r.cutoff:
                 saturated.append(r.residual * N)
         assert len(set(saturated)) <= 1
+
+
+def test_a_spoiled_average_fails_the_residual_recomputation(monkeypatch):
+    # The residual is recomputed from the boundary sum alone, so one wrong
+    # weight in the shift average raises instead of reaching a report.
+    average_weights = probes._average_weights
+
+    def spoiled(lattice, n, N):
+        weights = average_weights(lattice, n, N)
+        weights[0] = weights.get(0, 0) + 1  # one more f(x), and hat(1/4) = 1/2
+        return weights
+
+    monkeypatch.setattr(probes, "_average_weights", spoiled)
+    with pytest.raises(ArithmeticError, match="residual recomputation mismatch"):
+        averaging_probe(HAT, Fraction(1, 4), Fraction(1, 4), 1, 2)
 
 
 def test_probe_requires_zero_extension():

@@ -81,7 +81,7 @@ from divdiff import (
     nullspace,
     simplex,
 )
-from divdiff.extremal import MinLipschitzResult, _fill_witness, _program, _solve_pinned
+from divdiff.extremal import MinLipschitzResult, _fill_witness, _program
 from divdiff.linalg import NullBasis
 from divdiff.rational import decimal_string, format_rational, integer_text
 
@@ -591,9 +591,13 @@ def reference_min_lipschitz(N):
         if pin in forced:
             continue
         cols = sorted(touched | {pin})
-        value, x = _solve_pinned(system, cols, pin)
-        if value is not None and (best is None or value < best[0]):
-            best = (value, x, cols, pin)
+        # The touched-column program over cols, with the pin row u_pin = 2 last.
+        c, a_ub, b_ub, a_eq, b_eq = _program(system, cols)
+        program = (c, a_ub, b_ub, [*a_eq, {cols.index(pin): 1}], [*b_eq, 2])
+        result = simplex.solve_lp(*program)
+        simplex.certify(result, *program)
+        if result.value is not None and (best is None or result.value < best[0]):
+            best = (result.value, result.x, cols, pin)
     if best is None:
         return infeasible
     value, x, cols, pin = best
