@@ -21,6 +21,8 @@ class Mutant(NamedTuple):
 
 
 EXTREMAL = "tests/test_extremal.py::"
+CONSTRAINTS = "tests/test_constraints.py::"
+SIMPLEX = "tests/test_simplex.py::"
 
 MUTANTS = {
     "certify-without-dual-feasibility": Mutant(
@@ -51,6 +53,13 @@ MUTANTS = {
         ),
         "an entry past the last column is seen by no row, only by this check",
     ),
+    "certify-without-solution-sign": Mutant(
+        "simplex.py",
+        "    if x is None or len(x) != len(c) or any(v < 0 for v in x):\n",
+        "    if x is None or len(x) != len(c):\n",
+        (SIMPLEX + "test_a_negative_solution_entry_is_not_certified",),
+        "a negative entry that breaks no row is seen only by the sign clause",
+    ),
     "sweep-without-residual-recomputation": Mutant(
         "probes.py",
         "        if lattice.total(boundary) / N != residual:\n"
@@ -69,5 +78,58 @@ MUTANTS = {
             EXTREMAL + "test_minlip_report_is_byte_identical[3]",
         ),
         "u_pin = 1 is f(pin) = 0, so the pinned programs lose the sup norm 1",
+    ),
+    "distance-bound-doubled": Mutant(
+        "extremal.py",
+        "    return Fraction(2 * L, min(twice_p - 2 * left, 2 * right - twice_p))\n",
+        "    return Fraction(4 * L, min(twice_p - 2 * left, 2 * right - twice_p))\n",
+        (
+            EXTREMAL + "test_gap_search_matches_the_per_pin_loop[4]",
+            EXTREMAL + "test_gap_search_matches_the_per_pin_loop[6]",
+            "tests/test_golden.py::test_pinned_report_digest[minlip-7]",
+        ),
+        "a lower bound above a gap's least value prunes the gap that holds the optimum",
+    ),
+    "rank-check-off": Mutant(
+        "constraints.py",
+        "    if _rank(minor) < rank:\n",
+        "    if False:\n",
+        (
+            CONSTRAINTS + "test_nullspace_certificate_catches_a_misreported_rank[an extra pivot]",
+            "tests/test_cli.py::test_an_extra_pivot_is_one_line_exit_two",
+        ),
+        "a free column reported as a pivot drops its null vector, and its forced zeros with it",
+    ),
+    "rank-counts-every-row": Mutant(
+        "constraints.py",
+        "    return len(kept)\n",
+        "    return len(rows)\n",
+        (CONSTRAINTS + "test_rank_agrees_with_fraction_free_elimination",),
+        "a dependent row would count toward the rank the check certifies",
+    ),
+    "free-vector-without-row-check": Mutant(
+        "constraints.py",
+        "    for n, row in enumerate(system.rows):\n"
+        "        if sum(coeff * scaled[c] for c, coeff in row.items() if c in scaled):\n"
+        "            raise ArithmeticError("
+        'f"null vector of column {free} fails constraint row {n}")\n',
+        "",
+        (
+            CONSTRAINTS + "test_nullspace_certificate_catches_a_corrupted_vector"
+            "[pivot entry off by one]",
+            "tests/test_cli.py::test_corrupted_null_vector_is_one_line_exit_two",
+        ),
+        "a null vector that some row does not annihilate would reach the report",
+    ),
+    "tableau-finds-no-violated-row": Mutant(
+        "simplex.py",
+        '        """The rows out of the working set that x violates, in index order."""\n',
+        '        """The rows out of the working set that x violates, in index order."""\n'
+        "        return []\n",
+        (
+            SIMPLEX + "test_a_violated_row_joins_the_working_set_in_the_current_basis",
+            SIMPLEX + "test_lazy_rows_match_vertex_enumeration",
+        ),
+        "an optimum of the working set alone would be taken for the optimum of every row",
     ),
 }

@@ -31,7 +31,7 @@ _EXPORTS = {
         "FuncSpec", "GridFunction", "PiecewiseLinearFunc", "PolynomialFunc", "RationalFunc",
         "load_grid_function", "parse_funcspec",
     ),
-    "interpolation": ("degree_reduced", "lagrange_equispaced", "leading_coefficient"),
+    "interpolation": ("lagrange_equispaced", "leading_coefficient"),
     "poly": ("Polynomial",),
     "probes": (
         "AveragingProbeResult", "BoundaryTerm", "LimitTerm", "TelescopeCheck", "WalkthroughReport",

@@ -20,7 +20,8 @@ subcommand's parser reads its arguments directly, so argv is parsed
 once (_parse).  Diagnostics go to stderr only.  Exit codes: 0 success,
 1 usage or parse errors and a report or help that cannot be written,
 2 domain errors (duplicate knots, a rational-function pole, an
-infeasible optimization) and failed internal checks.
+infeasible optimization), failed internal checks, an interrupt and a run
+out of memory.
 """
 
 import argparse
@@ -335,6 +336,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    try:
+        return _report(args)
+    except KeyboardInterrupt:
+        print("divdiff: interrupted", file=sys.stderr)
+    except MemoryError:
+        print(f"divdiff: error: {args.command} ran out of memory", file=sys.stderr)
+    return 2
+
+
+def _report(args: argparse.Namespace) -> int:
+    """Run args and write its report: the exit code."""
     try:
         report, code, diagnostic = run(args)
     except (DuplicateKnotError, PoleError, DomainEvaluationError) as exc:

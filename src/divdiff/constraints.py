@@ -25,7 +25,7 @@ from functools import cached_property
 
 from .differences import difference_stencil
 from .funcs import GridFunction
-from .linalg import NullBasis, _scaled, integer_echelon, kernel_basis
+from .linalg import NullBasis, _scaled, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -107,19 +107,15 @@ def _check_free_vector(
             raise ArithmeticError(f"null vector of column {free} fails constraint row {n}")
 
 
-# A word-size prime.  A minor with a nonzero residue modulo it is nonzero.
-_PRIME = (1 << 61) - 1
-
-
-def _rank_modulo(rows: list[dict[int, int]], prime: int) -> int:
-    """The rank of sparse integer rows modulo prime, by Gaussian elimination.
+def _rank(rows: list[dict[int, int]]) -> int:
+    """The rank of sparse integer rows, by exact Gaussian elimination.
 
     Each row is reduced by the kept rows until its leading column is new
     (a kept row joins) or nothing is left (the row was dependent).
     """
     kept: dict[int, dict[int, int]] = {}  # leading column -> row
     for row in rows:
-        r = {c: v % prime for c, v in row.items() if v % prime}
+        r = {c: v for c, v in row.items() if v}
         while r:
             lead = min(r)
             krow = kept.get(lead)
@@ -127,11 +123,11 @@ def _rank_modulo(rows: list[dict[int, int]], prime: int) -> int:
                 kept[lead] = r
                 break
             # r becomes p * r - f * krow, p and f their leading entries;
-            # p is a unit modulo prime, so r keeps its rank.
+            # p is not 0, so r keeps its rank.
             p, f = krow[lead], r[lead]
-            r = {c: v * p % prime for c, v in r.items()}
+            r = {c: v * p for c, v in r.items()}
             for c, v in krow.items():
-                w = (r.get(c, 0) - f * v) % prime
+                w = r.get(c, 0) - f * v
                 if w:
                     r[c] = w
                 else:
@@ -148,10 +144,8 @@ def _check_rank(
     check, so the rank is at most ncols - dimension; that must be the
     rank and the number of pivots.  The rows restricted to the pivot
     columns must have full column rank, so the rank is at least that
-    number.  The rank of that submatrix modulo _PRIME bounds its rank
-    over the rationals from below, and only when it falls short is the
-    minor brought to its exact echelon form by ``integer_echelon``.  A
-    check that fails raises ArithmeticError.
+    number.  ``_rank`` finds that rank by its own elimination, apart from
+    the echelon form it certifies.  A failed check raises ArithmeticError.
     """
     if not rank == len(pivot_cols) == system.ncols - dimension:
         raise ArithmeticError(
@@ -160,7 +154,7 @@ def _check_rank(
         )
     pivots = set(pivot_cols)
     minor = [{c: v for c, v in row.items() if c in pivots} for row in system.rows]
-    if _rank_modulo(minor, _PRIME) < rank and len(integer_echelon(minor)[1]) < rank:
+    if _rank(minor) < rank:
         raise ArithmeticError(f"the rows have rank below their {rank} pivot columns")
 
 

@@ -1,4 +1,4 @@
-"""Equispaced polynomial interpolation and the degree-reduction test.
+"""Equispaced polynomial interpolation and its leading coefficient.
 
 The interpolant of order n takes n + 1 values, such as those of
 KnotValueList.equispaced, at the knots 0, 1/n, ..., 1 (n = 0: the single
@@ -75,10 +75,3 @@ def leading_coefficient(q: Polynomial, n: int) -> Fraction:
         raise ValueError(f"degree {q.degree} exceeds formal order {n}")
     return q.coefficient(n)
 
-
-def degree_reduced(values: Sequence[Scalar]) -> bool:
-    """True when the interpolant of the values has degree below n = len(values) - 1."""
-    n = len(values) - 1
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    return leading_coefficient(lagrange_equispaced(values), n) == 0

@@ -8,8 +8,10 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -442,6 +444,69 @@ def test_internal_arithmetic_error_is_one_line_exit_two(
     assert code == 2
     assert out == ""
     assert err == f"divdiff: error: internal check failed: {exc}\n"
+
+
+# A child that caps its address space at argv[2] bytes unless that is 0,
+# writes one byte to the pipe argv[1] once divdiff is imported, and runs
+# cli.main on the rest of its argv.
+CHILD = """
+import os, resource, sys
+limit = int(sys.argv[2])
+if limit:
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from divdiff.cli import main
+os.write(int(sys.argv[1]), b"r")
+os.close(int(sys.argv[1]))
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+def launch_child(argv, memory=0):
+    """cli.main on argv in a child process; returns once divdiff is loaded there."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", CHILD, str(write), str(memory), *argv], pass_fds=(write,), env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        assert pipe.read(1) == b"r"
+    return proc
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs SIGINT and pass_fds")
+def test_an_interrupt_is_one_line_exit_two():
+    proc = launch_child(["minlip", "--N", "13", "--max-N", "13"])
+    time.sleep(0.5)  # into the LPs, which take seconds at N = 13
+    assert proc.poll() is None
+    proc.send_signal(signal.SIGINT)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (2, "", "divdiff: interrupted\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
+def test_running_out_of_memory_is_one_line_exit_two():
+    # The order-10^5 binomial row alone takes about 0.9 GB.
+    argv = ["fd", "--func", "ratfun:1;1,0,25", "--x", "0", "--h", "1/100000", "--n", "100000"]
+    proc = launch_child(argv, memory=512 << 20)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (2, "", "divdiff: error: fd ran out of memory\n")
+
+
+def test_only_an_interrupt_or_a_memory_error_is_caught(monkeypatch):
+    # A BaseException such as a caller's deadline passes through main.
+    class Deadline(BaseException):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Deadline
+
+    monkeypatch.setattr(cli, "nullspace", stop)
+    with pytest.raises(Deadline):
+        main(["nullspace", "--N", "3"])
 
 
 @pytest.mark.parametrize(

@@ -223,7 +223,7 @@ def test_only_the_rank_check_sees_an_extra_pivot(monkeypatch):
     assert report.forced_zero_points != (0, 6, 12)
 
 
-def test_rank_modulo_a_prime_agrees_with_fraction_free_elimination():
+def test_rank_agrees_with_fraction_free_elimination():
     rng = random.Random(818)
     for _ in range(200):
         ncols = rng.randint(1, 6)
@@ -232,15 +232,4 @@ def test_rank_modulo_a_prime_agrees_with_fraction_free_elimination():
         if rng.random() < 0.3:  # a dependent row
             matrix.append([a + 2 * b for a, b in zip(matrix[0], matrix[-1])])
         rows = sparse_rows(matrix)
-        assert constraints._rank_modulo(rows, constraints._PRIME) == len(integer_echelon(rows)[1])
-
-
-def test_rank_check_falls_back_when_the_prime_divides_the_minor(monkeypatch):
-    # Modulo 3 the pivot minor of N = 4 is singular, so the check must
-    # fall back to the exact echelon form, which proves the rank.
-    expected = nullspace(build_constraint_system(4))
-    monkeypatch.setattr(constraints, "_PRIME", 3)
-    assert nullspace(build_constraint_system(4)) == expected
-    monkeypatch.setattr(constraints, "kernel_basis", misreporting_kernel_basis(True))
-    with pytest.raises(ArithmeticError, match="rank below"):
-        nullspace(build_constraint_system(4))
+        assert constraints._rank(rows) == len(integer_echelon(rows)[1])

@@ -10,12 +10,11 @@ from divdiff import (
     Polynomial,
     PolynomialFunc,
     divided_difference_direct,
-    degree_reduced,
     lagrange_equispaced,
     leading_coefficient,
 )
 
-from util import monomial, random_fraction, random_polynomial
+from util import degree_reduced, monomial, random_fraction, random_polynomial
 
 
 def test_sample_validation():

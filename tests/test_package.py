@@ -22,7 +22,7 @@ PUBLIC = [
     "PiecewiseLinearFunc", "PoleError", "Polynomial", "PolynomialFunc",
     "RationalFunc", "TelescopeCheck", "WalkthroughReport", "__version__",
     "averaging_probe", "averaging_sweep", "build_constraint_system",
-    "check_equispaced_identity", "decimal_string", "degree_reduced",
+    "check_equispaced_identity", "decimal_string",
     "divided_difference_direct", "divided_difference_recursive", "finite_difference",
     "format_rational", "lagrange_equispaced",
     "leading_coefficient", "load_grid_function", "min_lipschitz_unit_norm",

@@ -21,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from divdiff import simplex
-from divdiff.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, _Tableau, certify, solve_lp
+from divdiff.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, _Tableau, certify, solve_lp
 
 from util import solve_square, sparse_rows
 
@@ -100,6 +100,14 @@ def test_a_point_off_an_equality_row_is_not_certified():
     certify(res, *program)
     with pytest.raises(ArithmeticError, match="solution is not feasible"):
         certify(replace(res, x=(F(1), Fraction(1, 3))), *program)
+
+
+def test_a_negative_solution_entry_is_not_certified():
+    # minimize 0 over x >= 0 with no rows: x = -1 breaks no row and no
+    # dual condition, so only the sign check sees it.
+    certify(LpResult(OPTIMAL, F(0), (F(0),), ()), [F(0)])
+    with pytest.raises(ArithmeticError, match="solution is not feasible"):
+        certify(LpResult(OPTIMAL, F(0), (F(-1),), ()), [F(0)])
 
 
 def test_an_infeasible_program_carries_a_farkas_ray():
