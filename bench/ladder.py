@@ -1,6 +1,6 @@
 """The ladder: divdiff launches timed end to end, written to BENCH_<label>.json.
 
-    python bench/ladder.py --label <label> [--launches K] [RUNG ...]
+    python bench/ladder.py --label <label>
 
 Each rung is one argv of the ``divdiff`` command line:
 
@@ -16,15 +16,14 @@ Each launch is ``python -m divdiff`` in a fresh child, run from
 ``tests/golden/`` (a grid file's relative ``pl:`` path enters its report)
 with this checkout's ``src/`` on ``PYTHONPATH``.  Its stdout is hashed and
 counted as it streams, so a large report is never held in memory, and
-the child's peak RSS comes from ``os.wait4``.  The rungs are launched K
-times each, one pass over all of them after another, so a drift in the
+the child's peak RSS comes from ``os.wait4``.  Every rung is launched
+LAUNCHES times, one pass over all of them after another, so a drift in the
 host's speed spreads over every rung.  For each rung the file records
 the median and quartiles of the wall time, the exit code, the stdout
 byte count and SHA-256, and the median and largest peak RSS.  Once per
 file it records the time of a fixed pure-Python reference loop, the
 host factor: divide a rung's time by it to compare hosts.  It also
-records the commit, whether ``src/`` differs from it, the Python
-version and the CPU count.
+records the commit, the Python version and the CPU count.
 
 The exit status is 1 when a rung's stdout differs between launches or
 from its pin, or its exit code from the pinned one; the file is written
@@ -86,6 +85,9 @@ def _rungs() -> dict:
 
 
 RUNGS = _rungs()
+
+# Launches per rung: enough for a median and quartiles.
+LAUNCHES = 5
 
 
 class Launch(NamedTuple):
@@ -166,43 +168,37 @@ def summary(rung: Rung, launches: list) -> dict:
     }
 
 
-def _git(*args: str) -> str:
+def _commit() -> str:
     try:
-        done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
     except OSError:
-        return ""
-    return done.stdout.strip() if done.returncode == 0 else ""
+        return "unknown"
+    return done.stdout.strip() if done.returncode == 0 else "unknown"
 
 
-def record(names: list, launches: int) -> dict:
-    """Launch each named rung ``launches`` times; the BENCH file's contents."""
+def record() -> dict:
+    """Launch every rung LAUNCHES times; the BENCH file's contents."""
     factor = host_factor_ms()
-    runs = {name: [] for name in names}
-    for _ in range(launches):
-        for name in names:
-            runs[name].append(launch(RUNGS[name].argv))
+    runs = {name: [] for name in RUNGS}
+    for _ in range(LAUNCHES):
+        for name, rung in RUNGS.items():
+            runs[name].append(launch(rung.argv))
             print(f"{name}: {runs[name][-1].seconds:.3f} s", file=sys.stderr)
     return {
-        "commit": _git("rev-parse", "HEAD") or "unknown",
-        "src_differs_from_commit": bool(_git("status", "--porcelain", "--", "src")),
+        "commit": _commit(),
         "python": sys.version.split()[0],
         "cpus": os.cpu_count(),
         "host_factor_ms": factor,
-        "launches": launches,
-        "rungs": {name: summary(RUNGS[name], runs[name]) for name in names},
+        "launches": LAUNCHES,
+        "rungs": {name: summary(RUNGS[name], runs[name]) for name in RUNGS},
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="writes bench/BENCH_<label>.json")
-    parser.add_argument("--launches", type=int, default=5, help="launches per rung (default 5)")
-    parser.add_argument("rungs", nargs="*", help="rung names (default: every rung)")
     args = parser.parse_args(argv)
-    unknown = sorted(set(args.rungs) - RUNGS.keys())
-    if unknown or args.launches < 1:
-        parser.error(f"unknown rungs {unknown}" if unknown else "--launches must be at least 1")
-    result = record(args.rungs or list(RUNGS), args.launches)
+    result = record()
     path = ROOT / "bench" / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     bad = [name for name, rung in result["rungs"].items() if not rung["ok"]]

@@ -337,32 +337,28 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _report(args)
+        try:
+            report, code, diagnostic = run(args)
+        except (DuplicateKnotError, PoleError, DomainEvaluationError) as exc:
+            print(f"divdiff: error: {exc}", file=sys.stderr)
+            return 2
+        except ArithmeticError as exc:
+            # Raised by the exact self-checks (LP status and certificate,
+            # residual recomputation, null-space certificate), never by bad input.
+            print(f"divdiff: error: internal check failed: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:  # ParseError among them
+            print(f"divdiff: error: {exc}", file=sys.stderr)
+            return 1
+        text = render_json(report) if args.format == "json" else render_csv(report)
+        if not _write(text, args.out):
+            return 1
     except KeyboardInterrupt:
         print("divdiff: interrupted", file=sys.stderr)
+        return 2
     except MemoryError:
         print(f"divdiff: error: {args.command} ran out of memory", file=sys.stderr)
-    return 2
-
-
-def _report(args: argparse.Namespace) -> int:
-    """Run args and write its report: the exit code."""
-    try:
-        report, code, diagnostic = run(args)
-    except (DuplicateKnotError, PoleError, DomainEvaluationError) as exc:
-        print(f"divdiff: error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        # Raised by the exact self-checks (LP status and certificate,
-        # residual recomputation, null-space certificate), never by bad input.
-        print(f"divdiff: error: internal check failed: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # ParseError among them
-        print(f"divdiff: error: {exc}", file=sys.stderr)
-        return 1
-    text = render_json(report) if args.format == "json" else render_csv(report)
-    if not _write(text, args.out):
-        return 1
     if diagnostic:
         print(diagnostic, file=sys.stderr)
     return code

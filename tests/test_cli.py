@@ -447,13 +447,15 @@ def test_internal_arithmetic_error_is_one_line_exit_two(
 
 
 # A child that caps its address space at argv[2] bytes unless that is 0,
-# writes one byte to the pipe argv[1] once divdiff is imported, and runs
-# cli.main on the rest of its argv.
+# turns SIGINT into KeyboardInterrupt even where its parent ignores the
+# signal, writes one byte to the pipe argv[1] once divdiff is imported,
+# and runs cli.main on the rest of its argv.
 CHILD = """
-import os, resource, sys
+import os, resource, signal, sys
 limit = int(sys.argv[2])
 if limit:
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+signal.signal(signal.SIGINT, signal.default_int_handler)
 from divdiff.cli import main
 os.write(int(sys.argv[1]), b"r")
 os.close(int(sys.argv[1]))
@@ -480,10 +482,14 @@ def launch_child(argv, memory=0):
 @pytest.mark.skipif(os.name != "posix", reason="needs SIGINT and pass_fds")
 def test_an_interrupt_is_one_line_exit_two():
     proc = launch_child(["minlip", "--N", "13", "--max-N", "13"])
-    time.sleep(0.5)  # into the LPs, which take seconds at N = 13
-    assert proc.poll() is None
-    proc.send_signal(signal.SIGINT)
-    out, err = proc.communicate(timeout=60)
+    try:
+        time.sleep(0.5)  # into the LPs, which take seconds at N = 13
+        assert proc.poll() is None
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.communicate()
     assert (proc.returncode, out, err) == (2, "", "divdiff: interrupted\n")
 
 
@@ -492,7 +498,11 @@ def test_running_out_of_memory_is_one_line_exit_two():
     # The order-10^5 binomial row alone takes about 0.9 GB.
     argv = ["fd", "--func", "ratfun:1;1,0,25", "--x", "0", "--h", "1/100000", "--n", "100000"]
     proc = launch_child(argv, memory=512 << 20)
-    out, err = proc.communicate(timeout=60)
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.communicate()
     assert (proc.returncode, out, err) == (2, "", "divdiff: error: fd ran out of memory\n")
 
 

@@ -17,9 +17,7 @@ points.  ``f.evaluate`` reads the integer pairs of ``FuncSpec.pairs`` as
 the sums do, so the values themselves are held to ``reference_value``,
 which computes f(x) from ``reference_evaluate`` and the grid values and
 reads neither.  ``binomial`` is the checked C(n, j), kept as the oracle
-for the stencil, ``monomial`` builds c*x**k for the fixtures, and
-``degree_reduced`` tells whether the interpolant of values at k/n drops
-below degree n, kept for the interpolation tests.
+for the stencil, and ``monomial`` builds c*x**k for the fixtures.
 ``outcome`` turns what a call raised into a comparable value.
 ``reference_integer_echelon`` is Bareiss's one-step fraction-free
 elimination on dense integer lists, every division checked exact, kept
@@ -254,14 +252,6 @@ def monomial(degree, coefficient=1):
     if degree < 0:
         raise ValueError("monomial degree must be nonnegative")
     return Polynomial((Fraction(0),) * degree + (Fraction(coefficient),))
-
-
-def degree_reduced(values):
-    """True when the interpolant of the values has degree below n = len(values) - 1."""
-    n = len(values) - 1
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    return leading_coefficient(lagrange_equispaced(values), n) == 0
 
 
 def reference_value(f, x):
