@@ -109,9 +109,9 @@ MUTANTS = {
     ),
     "free-vector-without-row-check": Mutant(
         "constraints.py",
-        "    for n, row in enumerate(system.rows):\n"
-        "        if sum(coeff * scaled[c] for c, coeff in row.items() if c in scaled):\n"
-        "            raise ArithmeticError("
+        "    if any(sums.values()):\n"
+        "        n = min(n for n, total in sums.items() if total)\n"
+        "        raise ArithmeticError("
         'f"null vector of column {free} fails constraint row {n}")\n',
         "",
         (
@@ -120,6 +120,16 @@ MUTANTS = {
             "tests/test_cli.py::test_corrupted_null_vector_is_one_line_exit_two",
         ),
         "a null vector that some row does not annihilate would reach the report",
+    ),
+    "column-index-keeps-first-row": Mutant(
+        "constraints.py",
+        "                index.setdefault(c, []).append((n, coeff))\n",
+        "                index.setdefault(c, [(n, coeff)])\n",
+        (
+            CONSTRAINTS + "test_full_rank_and_only_the_ends_and_midpoint_forced_up_to_forty",
+            CONSTRAINTS + "test_free_vector_check_agrees_with_the_all_rows_oracle",
+        ),
+        "a row left out of a column's index is never summed over the vectors that meet it",
     ),
     "tableau-finds-no-violated-row": Mutant(
         "simplex.py",

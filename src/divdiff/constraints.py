@@ -41,7 +41,17 @@ class ConstraintSystem:
     @cached_property
     def touched(self) -> tuple[int, ...]:
         """The columns some row has an entry in, in increasing order."""
-        return tuple(sorted({c for row in self.rows for c in row}))
+        return tuple(sorted(self._column_rows))
+
+    @cached_property
+    def _column_rows(self) -> dict[int, list[tuple[int, int]]]:
+        """For each touched column, the (row index, coefficient) pairs of
+        the rows that hold it, in increasing row order."""
+        index: dict[int, list[tuple[int, int]]] = {}
+        for n, row in enumerate(self.rows):
+            for c, coeff in row.items():
+                index.setdefault(c, []).append((n, coeff))
+        return index
 
     def residuals(self, g: GridFunction) -> tuple[Fraction, ...]:
         """Evaluate every constraint row at g (all zero iff g is a solution)."""
@@ -91,8 +101,10 @@ def _check_free_vector(
 
     It must hold 1 in its own free column and 0 in every other free
     column, which makes the basis independent, and every constraint row
-    must vanish on it.  A row reads only the touched columns.  A vector
-    that fails raises ArithmeticError.
+    must vanish on it.  Each row is summed over the vector's own columns
+    alone, through ``system._column_rows``: a row that holds none of them
+    vanishes on the vector.  A vector that fails raises ArithmeticError,
+    naming the lowest row it fails.
     """
     if vector.get(free) != 1 or any(
         v and c != free and c not in pivots for c, v in vector.items()
@@ -102,9 +114,13 @@ def _check_free_vector(
         )
     # The vector times the lcm of its denominators, in integers.
     scaled, _ = _scaled(vector)
-    for n, row in enumerate(system.rows):
-        if sum(coeff * scaled[c] for c, coeff in row.items() if c in scaled):
-            raise ArithmeticError(f"null vector of column {free} fails constraint row {n}")
+    sums: dict[int, int] = {}
+    for c, v in scaled.items():
+        for n, coeff in system._column_rows.get(c, ()):
+            sums[n] = sums.get(n, 0) + coeff * v
+    if any(sums.values()):
+        n = min(n for n, total in sums.items() if total)
+        raise ArithmeticError(f"null vector of column {free} fails constraint row {n}")
 
 
 def _rank(rows: list[dict[int, int]]) -> int:

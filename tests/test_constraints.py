@@ -21,6 +21,7 @@ from util import (
     misreporting_kernel_basis,
     random_funcspec,
     random_sparse_rows,
+    reference_failing_row,
     reference_forced_zeros,
     reference_kernel_basis,
     sparse_rows,
@@ -132,6 +133,15 @@ def test_endpoints_and_midpoint_always_forced():
         assert {0, half, report.L} <= set(report.forced_zero_points)
 
 
+def test_full_rank_and_only_the_ends_and_midpoint_forced_up_to_forty():
+    # The paper's null-space facts: the N + 1 rows are independent, and
+    # every grid point but 0, 1/2 and 1 is free in some solution.
+    for N in range(2, 41):
+        report = nullspace(build_constraint_system(N))
+        assert report.rank == N + 1, N
+        assert report.forced_zero_points == (0, report.L // 2, report.L), N
+
+
 def test_wide_system_stays_fast():
     report = nullspace(build_constraint_system(12))
     assert report.L == 27720
@@ -188,6 +198,10 @@ CORRUPTIONS = {
     "entry in another free column": (
         lambda v, free, pivot: v.update({1: Fraction(1, 3)}), "is not 1 there"
     ),
+    # Column 0 is a pivot that no null vector holds: f(0) = 0.
+    "entry at a pivot column it did not hold": (
+        lambda v, free, pivot: v.update({0: Fraction(1)}), "fails constraint row 0$"
+    ),
 }
 
 
@@ -197,6 +211,35 @@ def test_nullspace_certificate_catches_a_corrupted_vector(monkeypatch, name):
     monkeypatch.setattr(constraints, "kernel_basis", corrupting_kernel_basis(corrupt))
     with pytest.raises(ArithmeticError, match=message):
         nullspace(build_constraint_system(4))  # column 1 is untouched and free
+
+
+def test_free_vector_check_agrees_with_the_all_rows_oracle():
+    # Each touched free vector, whole or with one pivot entry set to 0, 1
+    # or a third (a free entry fails the check before any row is summed),
+    # fails a row exactly when the oracle finds one, and names that row.
+    rng = random.Random(4747)
+    checked = failed = 0
+    for _ in range(300):
+        L = rng.randint(1, 13)
+        rows = tuple(random_sparse_rows(rng, L + 1))
+        system = ConstraintSystem(N=len(rows), L=L, rows=rows)
+        _, pivot_cols, vectors = constraints.kernel_basis(system.rows, system.ncols)
+        pivots = set(pivot_cols)
+        for free in system.touched:
+            if free in pivots:
+                continue
+            vector = dict(vectors[free - sum(p < free for p in pivot_cols)])
+            if pivot_cols and rng.random() < 0.8:
+                vector[rng.choice(pivot_cols)] = rng.choice((0, 1, Fraction(rng.randint(-5, 5), 3)))
+            row = reference_failing_row(system, vector)
+            checked += 1
+            if row is None:
+                constraints._check_free_vector(system, pivots, free, vector)
+            else:
+                failed += 1
+                with pytest.raises(ArithmeticError, match=f"fails constraint row {row}$"):
+                    constraints._check_free_vector(system, pivots, free, vector)
+    assert checked > 200 and 0 < failed < checked  # both outcomes occur
 
 
 # At N = 4 the 7 touched columns hold 5 pivots; column 8 is touched and free.

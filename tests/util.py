@@ -33,6 +33,9 @@ handing that to ``json.dumps(indent=2)`` or flattening it for the
 ``csv`` module, kept as oracles for the one-pass writer in ``report``;
 they write a ``NullBasis`` as the tuple of its vectors, and
 ``reference_csv_rows`` gives the cells of each CSV line.
+``reference_failing_row`` sums every constraint row over all of its
+entries, kept as the oracle for the null-vector check in ``constraints``,
+which sums each row over the vector's own columns only.
 ``corrupting_kernel_basis`` spoils one null vector, and
 ``misreporting_kernel_basis`` drops one and may call its column a pivot,
 to show that the null-space certificate in ``constraints`` catches it.
@@ -647,6 +650,14 @@ def reference_gap_program(system, cols, i):
 def sparse_rows(rows):
     """Each dense row as the mapping of its nonzero entries, by index."""
     return [{j: a for j, a in enumerate(row) if a} for row in rows]
+
+
+def reference_failing_row(system, vector):
+    """The lowest constraint row that does not vanish on vector, or None."""
+    for n, row in enumerate(system.rows):
+        if sum(coeff * vector.get(c, 0) for c, coeff in row.items()):
+            return n
+    return None
 
 
 def reference_forced_zeros(vectors, ncols):
