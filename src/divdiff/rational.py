@@ -8,7 +8,9 @@ package; decimal strings are display-only output, never input.
 """
 
 import re
-from decimal import ROUND_HALF_EVEN, Context, DivisionByZero, InvalidOperation, Overflow
+from decimal import (
+    MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, DivisionByZero, InvalidOperation, Overflow,
+)
 from fractions import Fraction
 
 from .errors import ParseError
@@ -17,7 +19,7 @@ DECIMAL_DIGITS = 15
 # Every decimal string is divided and written in this context.  Each field is
 # given, so neither the caller's context nor decimal.DefaultContext counts.
 _DECIMAL = Context(
-    prec=DECIMAL_DIGITS, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999,
+    prec=DECIMAL_DIGITS, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX,
     capitals=1, clamp=0, traps=[InvalidOperation, DivisionByZero, Overflow],
 )
 

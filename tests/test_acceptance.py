@@ -34,6 +34,7 @@ from divdiff import (
 )
 
 from util import (
+    child_env,
     distinct_knots,
     finite_difference_via_integral,
     nonzero_polynomial,
@@ -262,6 +263,7 @@ def test_criterion_10_cli_round_trip(tmp_path):
                 [sys.executable, "-m", "divdiff", *argv],
                 capture_output=True,
                 text=True,
+                env=child_env(),
             )
             for _ in range(2)
         ]

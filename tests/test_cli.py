@@ -4,10 +4,12 @@ import argparse
 import csv
 import dataclasses
 import errno
+import hashlib
 import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -42,6 +44,7 @@ from divdiff.cli import main
 
 from golden.check import GOLDEN_DIR, PINS, README_COMMANDS
 from util import (
+    child_env,
     corrupting_kernel_basis,
     corrupting_solve_lp,
     corrupting_warm_tableau,
@@ -345,6 +348,25 @@ def test_closed_stdout_is_one_line_error(capsys, monkeypatch):
     )
 
 
+@pytest.mark.skipif(os.name != "posix", reason="needs a pipe that reports EPIPE")
+def test_a_pipe_closed_by_its_reader_is_one_line_error():
+    # The reader is gone before the report is written, and a 2 MB report
+    # cannot wait in the pipe's buffer.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "divdiff", "nullspace", "--N", "12"], env=child_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert (proc.returncode, err) == (
+        1, f"divdiff: error: cannot write <stdout>: {os.strerror(errno.EPIPE)}\n"
+    )
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "argv",
@@ -353,13 +375,10 @@ def test_closed_stdout_is_one_line_error(capsys, monkeypatch):
     [["uniform", "--func", "poly:0,0,1", "--n", "2"], ["nullspace", "--N", "9"]],
 )
 def test_stdout_on_a_full_device_is_one_line_error(argv):
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "divdiff", *argv],
-            stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            [sys.executable, "-m", "divdiff", *argv], stdout=full, stderr=subprocess.PIPE,
+            env=child_env(PYTHONUNBUFFERED=None), text=True, timeout=60,
         )
     assert proc.returncode == 1
     assert proc.stderr == (
@@ -372,15 +391,11 @@ def test_stdout_on_a_full_device_is_one_line_error(argv):
 def test_help_on_a_full_device_is_one_line_error(unbuffered):
     # Buffered, the help waits for the flush at exit; unbuffered, the
     # write itself fails.  argparse alone exits 120 or 0 here.
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = unbuffered
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "divdiff", "uniform", "--help"],
-            stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            [sys.executable, "-m", "divdiff", "uniform", "--help"], stdout=full,
+            stderr=subprocess.PIPE, env=child_env(PYTHONUNBUFFERED=unbuffered), text=True,
+            timeout=60,
         )
     assert proc.returncode == 1
     assert proc.stderr == (
@@ -399,21 +414,22 @@ def test_a_report_is_the_same_utf8_bytes_whatever_the_stdout_encoding(tmp_path, 
         pytest.skip("the file system refuses the name")
     argv = [sys.executable, "-m", "divdiff", "probe", "--func", b"pl:" + os.fsencode(name),
             "--extend-zero", "--x", "0", "--h", "1/4", "--n", "1", "--N", "2", "--format", "csv"]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     reports = []
     for encoding in ["utf-8", "latin-1", "ascii"]:
-        env["PYTHONIOENCODING"] = encoding
-        proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, timeout=60)
+        proc = subprocess.run(argv, cwd=tmp_path, env=child_env(PYTHONIOENCODING=encoding),
+                              capture_output=True, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, b"")
         reports.append(proc.stdout)
-    proc = subprocess.run(argv + ["--out", "report.csv"], cwd=tmp_path, env=env,
+    proc = subprocess.run(argv + ["--out", "report.csv"], cwd=tmp_path, env=child_env(),
                           capture_output=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
     reports.append((tmp_path / "report.csv").read_bytes())
     assert reports == [reports[0]] * 4
     assert b"inputs.func,pl:" + os.fsencode(name) + b"\n" in reports[0]
+    if name == "hüt.csv":
+        assert hashlib.sha256(reports[0]).hexdigest() == (
+            "66a1ba835ace2ce5ebb283c7542b923294cf8db5e1a15c7a56e2d690aa23c0fb"
+        )
 
 
 @pytest.mark.parametrize(
@@ -465,13 +481,10 @@ sys.exit(main(sys.argv[3:]))
 
 def launch_child(argv, memory=0):
     """cli.main on argv in a child process; returns once divdiff is loaded there."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     read, write = os.pipe()
     proc = subprocess.Popen(
-        [sys.executable, "-c", CHILD, str(write), str(memory), *argv], pass_fds=(write,), env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        [sys.executable, "-c", CHILD, str(write), str(memory), *argv], pass_fds=(write,),
+        env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     os.close(write)
     with os.fdopen(read, "rb") as pipe:
@@ -692,19 +705,31 @@ def test_x_beyond_one_is_refused(capsys, command):
 
 
 def test_usage_errors_exit_one(capsys):
-    for argv in (
-        [],
-        ["no-such-command"],
-        ["uniform", "--func", "poly:0,1"],
-        ["uniform", "--func", "poly:0,1", "--n", "x"],
-        ["uniform", "--func", "poly:0,1", "--n", "2", "--unknown-flag"],
-        ["fd", "--func", "poly:1", "--x", "0.5", "--h", "1/2", "--n", "1"],
-        ["eval", "--knots", "0,1", "--values", "0,1", "-z"],
-        ["fd", "--func", "poly:1", "--x", "-z", "--h", "1/2", "--n", "1"],
+    # No subcommand, an unknown one and an unknown flag after a known one
+    # hand over to argparse's top-level parser: its message is the last line.
+    for argv, last_line in (
+        ([], "divdiff: error: the following arguments are required: command"),
+        (["no-such-command"], "divdiff: error: .*invalid choice.*"),
+        (["uniform", "--func", "poly:0,1"], None),
+        (["uniform", "--func", "poly:0,1", "--n", "x"], None),
+        (["uniform", "--func", "poly:0,1", "--n", "2", "--unknown-flag"],
+         "divdiff: error: unrecognized arguments: --unknown-flag"),
+        (["fd", "--func", "poly:1", "--x", "0.5", "--h", "1/2", "--n", "1"], None),
+        (["eval", "--knots", "0,1", "--values", "0,1", "-z"], None),
+        (["fd", "--func", "poly:1", "--x", "-z", "--h", "1/2", "--n", "1"], None),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
         assert out == "", argv
+        if last_line is not None:
+            assert re.fullmatch(last_line, err.splitlines()[-1]), (argv, err)
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_each_subcommand_has_its_own_help(capsys, command):
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: divdiff {command} ")
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,6 @@ and no definition that only tests reach."""
 
 import ast
 import json
-import os
 import pkgutil
 import subprocess
 import sys
@@ -12,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import divdiff
+from util import child_env
 
 # The public API, in the order of divdiff.__all__.
 PUBLIC = [
@@ -33,14 +33,12 @@ PUBLIC = [
 
 def loaded_after(statement):
     """The divdiff modules a fresh interpreter holds after statement."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(divdiff.__file__)))
     code = (
         f"import json, sys\n{statement}\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'divdiff')))"
     )
-    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)

@@ -1,15 +1,15 @@
-import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import divdiff
 from divdiff import ParseError, decimal_string, format_rational, parse_rational
-from divdiff.rational import parse_integer, parse_rationals
+from divdiff.rational import _DECIMAL, parse_integer, parse_rationals
+from util import child_env
 
 
 def test_parse_integers():
@@ -100,6 +100,20 @@ def test_decimal_keeps_leading_zeros_of_small_values():
     assert decimal_string(Fraction(1, 300000)) == "0.00000333333333333333"
 
 
+@pytest.mark.parametrize(
+    "numerator, denominator, text",
+    [
+        (Decimal("1E1000020"), 3, "3.33333333333333E+1000019"),
+        (1, Decimal("3E1000020"), "3.33333333333333E-1000021"),
+    ],
+    ids=["large", "small"],
+)
+def test_decimal_keeps_exponents_past_a_million(numerator, denominator, text):
+    # decimal_string divides a Fraction's two ints in this context; Decimal
+    # operands stand in for million-digit ints, whose conversion takes seconds.
+    assert _DECIMAL.to_sci_string(_DECIMAL.divide(numerator, denominator)) == text
+
+
 def test_decimal_ignores_a_changed_default_context():
     # decimal.DefaultContext seeds each thread's context and fills every
     # field a new Context is not given, so it is changed before the import.
@@ -112,11 +126,8 @@ def test_decimal_ignores_a_changed_default_context():
         "from divdiff.rational import decimal_string\n"
         "print(decimal_string(Fraction(2, 3)), decimal_string(Fraction(-1, 3 * 10**20)))\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(divdiff.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, env=env, text=True, timeout=60
+        [sys.executable, "-c", code], capture_output=True, env=child_env(), text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0.666666666666667 -3.33333333333333E-21\n"

@@ -1,7 +1,6 @@
 """Report documents: exact serialization, decimal twins, provenance, CSV."""
 
 import json
-import os
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -13,6 +12,7 @@ import pytest
 import divdiff
 from divdiff import GridFunction, Polynomial, parse_rational
 from divdiff.report import Report, render_csv, render_json
+from util import child_env
 
 
 def sample_report():
@@ -314,10 +314,8 @@ def test_the_suffix_table_is_made_on_first_use():
         "        assert cli.main(['nullspace', *argv]) == 0\n"
         "    print(len(report._SUFFIXES))\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(divdiff.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0", "1000"]

@@ -54,16 +54,20 @@ entries that ``simplex`` takes.
 ``finite_difference_via_integral`` chains them into the n-fold window
 integral of the n-th derivative, kept as the oracle for
 ``finite_difference`` on a polynomial.
+``child_env`` is the environment of a child interpreter that imports the
+same ``divdiff`` as the tests, from the source tree or from an install.
 """
 
 import csv
 import io
 import json
 import math
+import os
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
+import divdiff
 from divdiff import (
     AveragingProbeResult,
     BoundaryTerm,
@@ -87,6 +91,22 @@ from divdiff import (
 from divdiff.extremal import MinLipschitzResult, _fill_witness, _program
 from divdiff.linalg import NullBasis
 from divdiff.rational import decimal_string, format_rational, integer_text
+
+
+def child_env(**overrides):
+    """os.environ with the imported package's directory first on PYTHONPATH.
+
+    Each override sets a variable, or removes it when None.
+    """
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(divdiff.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    for name, value in overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
 
 
 def random_fraction(rng, max_num=9, max_den=9):
