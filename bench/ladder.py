@@ -2,15 +2,12 @@
 
     python bench/ladder.py --label <label>
 
-Each rung is one argv of the ``divdiff`` command line:
-
-- ``readme-<command>-<format>``: every README example command
-  (``README_COMMANDS`` in ``tests/golden/check.py``) in JSON and in CSV,
-  whose stdout is the golden file of that name;
-- ``pin-<name>``: every argv of ``PINS`` there, with its SHA-256 and
-  exit code;
-- ``scale-*``: two runs larger than any pin, whose SHA-256 and exit code
-  are pinned in ``SCALE`` below.
+Each rung is one argv of the ``divdiff`` command line, with the SHA-256
+and exit code its stdout must give.  The rungs are the cases of ``CASES``
+in ``tests/golden/check.py``, under their names there
+(``readme-<command>-<format>``: the README commands, whose stdout is
+their golden file; ``pin-<name>``: the pins), then ``scale-*``: two runs
+larger than any pin, in ``SCALE`` below.
 
 Each launch is ``python -m divdiff`` in a fresh child, run from
 ``tests/golden/`` (a grid file's relative ``pl:`` path enters its report)
@@ -46,45 +43,21 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = ROOT / "tests" / "golden"
 sys.path[:0] = [str(ROOT / "src"), str(GOLDEN_DIR)]
 
-from check import PINS, README_COMMANDS  # noqa: E402
+from check import CASES, Pin  # noqa: E402
 
 # Recorded at the commit before the ladder existed, from tests/golden/.
 SCALE = {
-    "scale-minlip-13": (
+    "scale-minlip-13": Pin(
         ["minlip", "--N", "13", "--max-N", "13"],
         "a16d4b0889cace06b006b209d3d3d299a1cc55d3de245ca68ad4040cddf95be0",
     ),
-    "scale-nullspace-16": (
+    "scale-nullspace-16": Pin(
         ["nullspace", "--N", "16", "--max-N", "16"],
         "2dc25df0f4483cc7995145c63691bd338da7ccbe7e2a9c4105041dd556ed33a8",
     ),
 }
 
-
-class Rung(NamedTuple):
-    """One launch to time: its argv, and the SHA-256 and exit code of its stdout."""
-
-    argv: list
-    digest: str
-    code: int = 0
-
-
-def _rungs() -> dict:
-    rungs = {}
-    for name, argv in README_COMMANDS.items():
-        for fmt in ("json", "csv"):
-            golden = (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()
-            rungs[f"readme-{name}-{fmt}"] = Rung(
-                [*argv, "--format", fmt], hashlib.sha256(golden).hexdigest()
-            )
-    for name, pin in PINS.items():
-        rungs[f"pin-{name}"] = Rung(list(pin.argv), pin.digest, pin.code)
-    for name, (argv, digest) in SCALE.items():
-        rungs[name] = Rung(argv, digest)
-    return rungs
-
-
-RUNGS = _rungs()
+RUNGS = {**CASES, **SCALE}
 
 # Launches per rung: enough for a median and quartiles.
 LAUNCHES = 5
@@ -144,14 +117,11 @@ def host_factor_ms(samples: int = 7) -> float:
 
 
 def _quartiles(values: list) -> dict:
-    if len(values) == 1:
-        q1 = median = q3 = values[0]
-    else:
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
 
 
-def summary(rung: Rung, launches: list) -> dict:
+def summary(rung: Pin, launches: list) -> dict:
     """A rung's record over its launches; "ok" when every launch gave its pin."""
     digests = sorted({one.sha256 for one in launches})
     codes = sorted({one.code for one in launches})

@@ -142,4 +142,21 @@ MUTANTS = {
         ),
         "an optimum of the working set alone would be taken for the optimum of every row",
     ),
+    "stirling-with-n-minus-one": Mutant(
+        "cascade.py",
+        "[n * s + t for n, s, t in zip(orders, stirling[1:] + [0], stirling)]",
+        "[(n - 1) * s + t for n, s, t in zip(orders, stirling[1:] + [0], stirling)]",
+        ("tests/test_cascade.py::test_every_row_is_the_forward_difference_on_the_lattice",),
+        "S(k, n) = n S(k-1, n) + S(k-1, n-1); with n - 1, S(2, 1) is 0 and x^2 cascades wrong",
+    ),
+    "fd-lattice-unclipped": Mutant(
+        "differences.py",
+        "    lattice = _Lattice(f.pairs, x, h, clip=f.extended_by_zero)\n",
+        "    lattice = _Lattice(f.pairs, x, h, clip=False)\n",
+        (
+            "tests/test_differences.py::"
+            "test_an_unextended_polynomial_above_its_degree_asks_for_no_point",
+        ),
+        "a zero-extended f would add its values outside [0, 1] instead of 0",
+    ),
 }

@@ -64,12 +64,18 @@ pins on a polynomial, on a rational function and on ``zigzag.csv`` were
 recorded while each kind of function still applied the zero extension
 in its own pairs.
 
-``tests/test_golden.py`` runs these under pytest.  Without pytest, run
+``CASES`` lists each of these runs once, with the SHA-256 and exit code
+it must give: ``readme-<command>-<format>`` for every README command in
+JSON, then in CSV, whose digest is that of its golden file's bytes, then
+``pin-<name>`` for every pin.  The ladder in ``bench/`` launches the same
+table under the same names.  ``tests/test_golden.py`` runs these under
+pytest.  Without pytest, run
 
     PYTHONPATH=src python tests/golden/check.py
 
-from the root of a checkout; it prints one line per case and exits 1 if
-any report differs.
+from the root of a checkout; it prints one ``ok`` or ``FAIL`` line per
+case, under its ``CASES`` name, then ``python X.Y.Z: N failed``, and
+exits 1 if any report differs.
 """
 
 import contextlib
@@ -550,19 +556,26 @@ def sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+CASES = {
+    **{
+        f"readme-{name}-{fmt}": Pin(
+            readme_argv(name, fmt),
+            hashlib.sha256((GOLDEN_DIR / f"{name}.{fmt}").read_bytes()).hexdigest(),
+        )
+        for name in README_COMMANDS
+        for fmt in ("json", "csv")
+    },
+    **{f"pin-{name}": pin for name, pin in PINS.items()},
+}
+
+
 def _check_all():
     failures = 0
-    for name in README_COMMANDS:
-        for fmt in ("json", "csv"):
-            code, out = run(readme_argv(name, fmt))
-            ok = code == 0 and out == golden_text(name, fmt)
-            failures += not ok
-            print(f"{'ok  ' if ok else 'FAIL'} {name}.{fmt}")
-    for name, pin in PINS.items():
+    for name, pin in CASES.items():
         code, out = run(pin.argv)
         ok = code == pin.code and sha256(out) == pin.digest
         failures += not ok
-        print(f"{'ok  ' if ok else 'FAIL'} pin {name}")
+        print(f"{'ok  ' if ok else 'FAIL'} {name}")
     print(f"python {sys.version.split()[0]}: {failures} failed")
     return 1 if failures else 0
 

@@ -37,6 +37,7 @@ from util import (
     child_env,
     distinct_knots,
     finite_difference_via_integral,
+    lookup,
     nonzero_polynomial,
     pole_free_rational,
     random_fraction,
@@ -242,13 +243,6 @@ CLI_FIXTURES = [
     ["walkthrough", "--func", "GRID", "--extend-zero", "--x", "1/10",
      "--h", "1/8", "--n", "1", "--N", "8"],
 ]
-
-
-def lookup(doc, path):
-    node = doc
-    for piece in path.replace("]", "").replace("[", ".").split("."):
-        node = node[int(piece)] if isinstance(node, list) else node[piece]
-    return node
 
 
 def test_criterion_10_cli_round_trip(tmp_path):

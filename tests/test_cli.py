@@ -48,6 +48,7 @@ from util import (
     corrupting_kernel_basis,
     corrupting_solve_lp,
     corrupting_warm_tableau,
+    lookup,
     misreporting_kernel_basis,
 )
 
@@ -873,12 +874,6 @@ def test_every_exact_field_reparses_across_commands(capsys, tmp_path):
         ["walkthrough", "--func", f"pl:{grid}", "--extend-zero", "--x", "1/10",
          "--h", "1/8", "--n", "1", "--N", "8"],
     ]
-
-    def lookup(doc, path):
-        node = doc
-        for piece in path.replace("]", "").replace("[", ".").split("."):
-            node = node[int(piece)] if isinstance(node, list) else node[piece]
-        return node
 
     for argv in commands:
         doc = run_json(capsys, *argv)

@@ -12,7 +12,7 @@ import pytest
 import divdiff
 from divdiff import GridFunction, Polynomial, parse_rational
 from divdiff.report import Report, render_csv, render_json
-from util import child_env
+from util import child_env, lookup
 
 
 def sample_report():
@@ -62,15 +62,8 @@ def test_provenance_lists_field_paths():
 
 def test_every_exact_field_reparses():
     doc = json.loads(render_json(sample_report()))
-
-    def lookup(path):
-        node = doc
-        for piece in path.replace("]", "").replace("[", ".").split("."):
-            node = node[int(piece)] if isinstance(node, list) else node[piece]
-        return node
-
     for path in doc["provenance"]["exact_fields"]:
-        leaf = lookup(path)
+        leaf = lookup(doc, path)
         if isinstance(leaf, str):
             parse_rational(leaf)
         else:

@@ -56,6 +56,8 @@ integral of the n-th derivative, kept as the oracle for
 ``finite_difference`` on a polynomial.
 ``child_env`` is the environment of a child interpreter that imports the
 same ``divdiff`` as the tests, from the source tree or from an install.
+``lookup`` follows a path of ``provenance.exact_fields`` into a JSON
+report's document.
 """
 
 import csv
@@ -107,6 +109,14 @@ def child_env(**overrides):
         else:
             env[name] = value
     return env
+
+
+def lookup(doc, path):
+    """The value at an exact-field path such as ``results.rows[0].value``."""
+    node = doc
+    for piece in path.replace("]", "").replace("[", ".").split("."):
+        node = node[int(piece)] if isinstance(node, list) else node[piece]
+    return node
 
 
 def random_fraction(rng, max_num=9, max_den=9):
