@@ -27,38 +27,64 @@ SIMPLEX = "tests/test_simplex.py::"
 MUTANTS = {
     "certify-without-dual-feasibility": Mutant(
         "simplex.py",
-        '    if any(v * cj.denominator > cj.numerator * dy * s for v, cj in zip(ty, c)):\n'
+        "    if any(v > cj * dy for v, cj in zip(ty, c)):\n"
         '        raise ArithmeticError("LP dual is not feasible")\n',
         "",
         (
             EXTREMAL + "test_lp_certificate_catches_a_corrupted_result[a doubled dual-3]",
             EXTREMAL
-            + "test_lp_certificate_catches_a_corrupted_result_on_fraction_rows[a doubled dual]",
+            + "test_lp_certificate_catches_a_corrupted_result_on_scaled_rows[a doubled dual]",
             EXTREMAL + "test_lp_certificate_catches_a_corrupted_warm_result[a doubled dual]",
         ),
         "a dual that breaks A^T y <= c would let a value below the optimum certify",
     ),
     "certify-without-solution-sign-and-length": Mutant(
         "simplex.py",
-        "    if x is None or len(x) != len(c) or any(v < 0 for v in x):\n"
+        "    if x is None or len(x) != len(c):\n"
+        '        raise ArithmeticError("LP solution is not feasible")\n'
+        "    dx = math.lcm(*(v.denominator for v in x))\n"
+        "    X = [v.numerator * (dx // v.denominator) for v in x]\n"
+        "    if any(v < 0 for v in X):\n"
         '        raise ArithmeticError("LP solution is not feasible")\n',
-        "",
+        "    dx = math.lcm(*(v.denominator for v in x))\n"
+        "    X = [v.numerator * (dx // v.denominator) for v in x]\n",
         (
             EXTREMAL
             + "test_lp_certificate_catches_a_corrupted_result[an extra negative solution entry-3]",
-            EXTREMAL + "test_lp_certificate_catches_a_corrupted_result_on_fraction_rows"
+            EXTREMAL + "test_lp_certificate_catches_a_corrupted_result_on_scaled_rows"
             "[an extra negative solution entry]",
             EXTREMAL + "test_lp_certificate_catches_a_corrupted_warm_result"
             "[an extra negative solution entry]",
         ),
-        "an entry past the last column is seen by no row, only by this check",
+        "an entry past the last column is seen by no row, only by these checks",
     ),
     "certify-without-solution-sign": Mutant(
         "simplex.py",
-        "    if x is None or len(x) != len(c) or any(v < 0 for v in x):\n",
-        "    if x is None or len(x) != len(c):\n",
+        "    if any(v < 0 for v in X):\n"
+        '        raise ArithmeticError("LP solution is not feasible")\n',
+        "",
         (SIMPLEX + "test_a_negative_solution_entry_is_not_certified",),
-        "a negative entry that breaks no row is seen only by the sign clause",
+        "a negative entry that breaks no row is seen only by the sign check",
+    ),
+    "certify-row-check-without-dx": Mutant(
+        "simplex.py",
+        "        if lhs > bi * dx or (lhs != bi * dx and i >= len(a_ub)):\n",
+        "        if lhs > bi or (lhs != bi and i >= len(a_ub)):\n",
+        (
+            SIMPLEX + "test_an_optimum_carries_its_dual",
+            EXTREMAL + "test_four_attains_six_with_valid_witness",
+        ),
+        "row.X is dx times row.x: against b alone a feasible x off the integers fails",
+    ),
+    "violated-without-dx": Mutant(
+        "simplex.py",
+        " if sum(a * X[j] for j, a in row.items()) > b[i] * dx\n",
+        " if sum(a * X[j] for j, a in row.items()) > b[i]\n",
+        (
+            SIMPLEX + "test_an_omitted_row_is_checked_against_x_over_its_denominator",
+            EXTREMAL + "test_relaxed_programs_hold_only_the_rows_that_bind",
+        ),
+        "row.X is dx times row.x: against b alone a violated row with b < 0 can be missed",
     ),
     "sweep-without-residual-recomputation": Mutant(
         "probes.py",

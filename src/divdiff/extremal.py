@@ -123,9 +123,8 @@ def _program(system: ConstraintSystem, cols: list[int]) -> tuple[list, list, lis
     u_k <= 2.
 
     A slope row is +-w (u_{i+1} - u_i) <= t, w = L / g, times g, so it
-    is in integers.  That scales only its slack column, which no sign or
-    ratio of Bland's rule sees: every pivot and vertex stays, and only
-    its multiplier is divided by g.
+    is in integers, as :mod:`divdiff.simplex` takes it: every pivot and
+    vertex stays, and only its multiplier is divided by g.
     """
     index = {k: i for i, k in enumerate(cols)}
     t = len(cols)  # the index of the slope bound

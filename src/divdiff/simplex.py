@@ -1,4 +1,4 @@
-"""Exact linear programming over the rationals.
+"""Exact linear programming over integer programs.
 
 Solves   minimize c.x   subject to   A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
 
@@ -6,29 +6,35 @@ by the two-phase tableau simplex method with Bland's anti-cycling rule,
 and solves the same program again for new right-hand sides by the dual
 simplex method, starting from the last optimal basis.  The cost vector c
 is dense; each row of A_ub and A_eq maps a variable's index to its
-nonzero coefficient, an int or a Fraction.
+nonzero coefficient.  c, every coefficient and every rhs are ints, as
+``minlip`` builds them (a Fraction raises TypeError at the first gcd of
+a row that holds it); x, the value and the multipliers are Fractions.
 
 The tableau is integer-preserving and sparse: each row (and the cost
 row) is a positive multiple of the true rational row, kept as a dict of
-its nonzero entries, column -> int, with the rhs under the key _RHS.
-Input rows are scaled once by the lcm of their denominators and reduced
-(a row of ints alone, as every row, rhs and cost of ``minlip`` is, is
-taken at scale 1 with no lcm, here and in ``certify``); a pivot replaces
-each row i that has a nonzero f in the pivot column by
-p*row_i - f*pivot_row, which touches only the nonzero entries of the two
-rows.  The rows and this row operation (``linalg._eliminate``) are those
-of the null space's echelon form, so both solvers pivot one way.  A
-pivot reduces its pivot row (divides it by the gcd of its entries) but
-not the rows it makes; every _SWEEP pivots, one sweep reduces every row
-and the cost row, which keeps the entries short without a gcd per row
-per pivot.  So no read may depend on a row's scale.  A positive row
-scale changes neither the sign of an entry nor the ratio of two
-entries, which is all Bland's rule reads, in the primal and the dual
-method alike, so pivoting follows exactly the path of a rational
-tableau.  The solution is the Fraction rhs/basic-entry and a multiplier
-is a cost-row entry over the cost row's own scale (below), so neither
-sees the scale either.  Feasibility, optimality and the reported
-optimum are therefore exact statements, never floating-point verdicts.
+its nonzero entries, column -> int, with the rhs under the key _RHS
+when it is not 0.  An input row enters as it is, its slack or
+artificial column at 1; a pivot replaces each row i that has a nonzero
+f in the pivot column by p*row_i - f*pivot_row, which touches only the
+nonzero entries of the two rows.  The rows and this row operation
+(``linalg._eliminate``) are those of the null space's echelon form, so
+both solvers pivot one way.  A pivot reduces its pivot row (divides it
+by the gcd of its entries) but not the rows it makes; every _SWEEP
+pivots, one sweep reduces every row and the cost row, which keeps the
+entries short without a gcd per row per pivot.  So no read may depend
+on a row's scale.  A positive row scale changes neither the sign of an
+entry nor the ratio of two entries, which is all Bland's rule reads, in
+the primal and the dual method alike, so pivoting follows exactly the
+path of a rational tableau.  The solution is the Fraction
+rhs/basic-entry and a multiplier is a cost-row entry over the cost
+row's own scale (below), so neither sees the scale either.
+Feasibility, optimality and the reported optimum are therefore exact
+statements, never floating-point verdicts.  Rational data is written in
+integers by multiplying each row and its rhs by some k > 0, which
+scales only that row's slack or artificial column: the pivots and x
+stay, and the row's multiplier is divided by k, as long as the rows
+that start with an artificial (the equality rows and the a_ub rows with
+rhs < 0) share one k, since phase 1 minimizes the sum of those columns.
 
 The cost row carries one more entry, under the key _SCALE: the positive
 factor it is scaled by, which the pivots update like any other entry.
@@ -40,25 +46,24 @@ infeasible; ``certify`` checks either one from the program's own data,
 without the tableau.
 
 A new right-hand side needs no new tableau.  The tableau is D B^-1 times
-the scaled input rows, for the basis matrix B and a positive diagonal D
-of row scales, and the slack column of an inequality row (the
-artificial column of an equality row, negated when that row was) is D
-B^-1 times the row's unit vector at the row's input scale.  So every
-row's rhs is the sum over the input rows i of b_i times the row's entry
-in the unit column of i, and a change of b_i by d adds d times that
-entry, in the rows where it is nonzero.  The reduced costs do not
-depend on b, so the basis stays dual feasible (the cost row's rhs, the
-objective value, is not read after phase 1 and is left as it is).  The
-dual simplex method then restores primal feasibility: while some rhs
-is negative, the row of the smallest basic index with a negative rhs
-leaves, and the column with the least ratio of reduced cost to minus
-its negative entry in that row enters, the smallest index on ties.
-That is Bland's rule on the dual, so it cannot cycle.  When the leaving
-row has no negative entry in a column that may enter, it states that a
-sum of nonnegative terms is negative: its unit-column entries, negated,
-are a Farkas ray, read from the row at its lowest terms so that it is
-a function of the program alone, and the basis, still dual feasible, is
-kept for the next right-hand side.
+the input rows, for the basis matrix B and a positive diagonal D of row
+scales, and the slack column of an inequality row (the artificial
+column of an equality row, negated when that row was) is D B^-1 times
+the row's unit vector.  So every row's rhs is the sum over the input
+rows i of b_i times the row's entry in the unit column of i, and a
+change of b_i by d adds d times that entry, in the rows where it is
+nonzero.  The reduced costs do not depend on b, so the basis stays dual
+feasible (the cost row's rhs, the objective value, is not read after
+phase 1 and is left as it is).  The dual simplex method then restores
+primal feasibility: while some rhs is negative, the row of the smallest
+basic index with a negative rhs leaves, and the column with the least
+ratio of reduced cost to minus its negative entry in that row enters,
+the smallest index on ties.  That is Bland's rule on the dual, so it
+cannot cycle.  When the leaving row has no negative entry in a column
+that may enter, it states that a sum of nonnegative terms is negative:
+its unit-column entries, negated, are a Farkas ray, read from the row
+at its lowest terms so that it is a function of the program alone, and
+the basis, still dual feasible, is kept for the next right-hand side.
 
 A tableau may hold only some of the a_ub rows, its working set, and add
 the others as they are needed: row generation (Dantzig, Fulkerson &
@@ -88,7 +93,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .linalg import Row, _eliminate, _reduced, _scaled
+from .linalg import Row, _eliminate, _reduced
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -99,14 +104,14 @@ _SCALE = -2  # the key of the cost row's positive scale
 _SWEEP = 16  # the pivots between two sweeps that reduce every row
 _MAX_PIVOTS = 25_000  # over 30 times the most one solve takes, 776 in minlip --N 13
 
-InputRow = Mapping[int, int | Fraction]
+InputRow = Mapping[int, int]
 
 
 @dataclass(frozen=True)
 class LpResult:
-    """An LP outcome.  ``dual`` holds one multiplier per row, the a_ub rows
-    first: an optimal dual solution when OPTIMAL, a Farkas ray when
-    INFEASIBLE, None when UNBOUNDED."""
+    """An LP outcome, in Fractions.  ``dual`` holds one multiplier per row,
+    the a_ub rows first: an optimal dual solution when OPTIMAL, a Farkas
+    ray when INFEASIBLE, None when UNBOUNDED."""
 
     status: str
     value: Optional[Fraction]
@@ -114,16 +119,13 @@ class LpResult:
     dual: Optional[tuple[Fraction, ...]] = None
 
 
-def _moved(row: Row, moves: list[tuple[int, int]], d: int) -> Row:
-    """``row`` with its rhs moved by sum(delta * row[unit]) / d, over (unit, delta) in moves."""
+def _moved(row: Row, moves: list[tuple[int, int]]) -> Row:
+    """``row`` with its rhs moved by sum(delta * row[unit]), over (unit, delta) in moves."""
     s = sum(delta * row[unit] for unit, delta in moves if unit in row)
     if not s:
         return row
-    row = {j: d * v for j, v in row.items()}
-    rhs = row.get(_RHS, 0) + s
-    if rhs:
-        row[_RHS] = rhs
-    else:
+    row = {**row, _RHS: row.get(_RHS, 0) + s}
+    if not row[_RHS]:
         del row[_RHS]
     return _reduced(row)
 
@@ -139,12 +141,13 @@ class _Tableau:
 
     The a_ub rows whose indices are in ``lazy`` start out of the working
     set, the rows the tableau holds; ``solve`` adds each one when an
-    optimum violates it (see the module docstring).
+    optimum violates it (see the module docstring).  The program is in
+    ints, as for ``solve_lp``.
     """
 
     def __init__(
         self,
-        c: Sequence[Fraction],
+        c: Sequence[int],
         a_ub: Sequence[InputRow] = (),
         a_eq: Sequence[InputRow] = (),
         lazy: Iterable[int] = (),
@@ -152,20 +155,20 @@ class _Tableau:
         self.c = c
         self.a_ub = a_ub
         self.a_eq = a_eq
-        # Each a_ub row out of the working set, as _scaled gives it.
-        self.lazy = {i: _scaled(a_ub[i]) for i in sorted(lazy)}
+        # Each a_ub row out of the working set, by index.
+        self.lazy = {i: a_ub[i] for i in sorted(lazy)}
         self.warm = False
         self.rows: list[Row] = []
         self.basis: list[int] = []
         self.cost: Row = {}
         # (column, sign) per input row, a_ub rows first: the row's unit column.
         self.units: list[tuple[int, int]] = []
-        self.b: list[int | Fraction] = []  # the rhs the tableau holds, per input row
+        self.b: list[int] = []  # the rhs the tableau holds, per input row
         self.limit = 0  # columns below it may enter the basis
         self.unswept = 0  # pivots since the rows were last reduced
         self.pivots = 0  # simplex pivots in this solve
 
-    def solve(self, b_ub: Sequence[Fraction] = (), b_eq: Sequence[Fraction] = ()) -> LpResult:
+    def solve(self, b_ub: Sequence[int] = (), b_eq: Sequence[int] = ()) -> LpResult:
         self.pivots = 0
         result = self._resolve([*b_ub, *b_eq]) if self.warm else self._cold(b_ub, b_eq)
         while result is None:
@@ -185,11 +188,9 @@ class _Tableau:
         dx = math.lcm(*(v.denominator for v in x))
         X = [v.numerator * (dx // v.denominator) for v in x]
         b = self.b
-        # row.x = R.X / (s * dx) against b_i, both sides times their denominators.
+        # row.x = row.X / dx against b_i, both sides times dx.
         return [
-            i
-            for i, (row, s) in self.lazy.items()
-            if sum(a * X[j] for j, a in row.items()) * b[i].denominator > b[i].numerator * s * dx
+            i for i, row in self.lazy.items() if sum(a * X[j] for j, a in row.items()) > b[i] * dx
         ]
 
     def _activate(self, i: int) -> None:
@@ -201,8 +202,8 @@ class _Tableau:
         """
         del self.lazy[i]
         slack = len(self.c) + i
-        row, s = _scaled({**self.a_ub[i], _RHS: self.b[i]})
-        row[slack] = s
+        row = {j: v for j, v in {**self.a_ub[i], _RHS: self.b[i]}.items() if v}
+        row[slack] = 1
         at = {col: r for r, col in enumerate(self.basis)}
         for col in [j for j in row if j in at]:
             prow = self.rows[at[col]]
@@ -336,7 +337,7 @@ class _Tableau:
         value = sum((cj * x[j] for j, cj in enumerate(self.c) if cj), _ZERO)
         return LpResult(OPTIMAL, value, x, self._multipliers(0))
 
-    def _cold(self, b_ub: Sequence[Fraction], b_eq: Sequence[Fraction]) -> Optional[LpResult]:
+    def _cold(self, b_ub: Sequence[int], b_eq: Sequence[int]) -> Optional[LpResult]:
         """The two-phase method from scratch: None when it ends at an optimal
         basis, the result otherwise."""
         c = self.c
@@ -354,21 +355,21 @@ class _Tableau:
             if i in self.lazy:
                 units.append((n + i, 1))
                 continue
-            scaled, s = _scaled({**a, _RHS: b})
-            sign = -1 if scaled.get(_RHS, 0) < 0 else 1
-            row = {j: sign * v for j, v in scaled.items()}
+            sign = -1 if b < 0 else 1
+            # With its slack or artificial at +-1, the row is at its lowest terms.
+            row = {j: sign * v for j, v in {**a, _RHS: b}.items() if v}
             if i < m_ub:
-                row[n + i] = sign * s
+                row[n + i] = sign
                 units.append((n + i, 1))
             else:
                 units.append((art, sign))
             if i < m_ub and sign > 0:
                 basis.append(n + i)
             else:
-                row[art] = s
+                row[art] = 1
                 basis.append(art)
                 art += 1
-            rows.append(_reduced(row))
+            rows.append(row)
         self.rows, self.basis, self.units = rows, basis, units
         self.warm = False
 
@@ -395,8 +396,8 @@ class _Tableau:
         else:
             dropped = False
 
-        scaled_c, s = _scaled(dict(enumerate(c)))
-        self.cost = _reduced({**scaled_c, _SCALE: s})
+        self.cost = {j: v for j, v in enumerate(c) if v}
+        self.cost[_SCALE] = 1
         self.limit = art_start
         self._price_out()
         unbounded = self._primal() == UNBOUNDED
@@ -419,9 +420,7 @@ class _Tableau:
         ]
         self.b = b
         if moves:
-            d = math.lcm(*(delta.denominator for _, delta in moves))
-            moves = [(unit, delta.numerator * (d // delta.denominator)) for unit, delta in moves]
-            self.rows = [_moved(row, moves, d) for row in self.rows]
+            self.rows = [_moved(row, moves) for row in self.rows]
         return self._restore()
 
     def _restore(self) -> Optional[LpResult]:
@@ -437,28 +436,29 @@ class _Tableau:
 
 
 def solve_lp(
-    c: Sequence[Fraction],
+    c: Sequence[int],
     a_ub: Sequence[InputRow] = (),
-    b_ub: Sequence[Fraction] = (),
+    b_ub: Sequence[int] = (),
     a_eq: Sequence[InputRow] = (),
-    b_eq: Sequence[Fraction] = (),
+    b_eq: Sequence[int] = (),
 ) -> LpResult:
     """Minimize c.x over x >= 0 with the given inequality and equality rows.
 
     c is dense; each row maps a variable's index to its nonzero
-    coefficient.  Pivots follow Bland's rule, so the vertex returned is
-    a function of the program alone.
+    coefficient, all in ints (see the module docstring).  Pivots follow
+    Bland's rule, so the vertex returned is a function of the program
+    alone.
     """
     return _Tableau(c, a_ub, a_eq).solve(b_ub, b_eq)
 
 
 def certify(
     result: LpResult,
-    c: Sequence[Fraction],
+    c: Sequence[int],
     a_ub: Sequence[InputRow] = (),
-    b_ub: Sequence[Fraction] = (),
+    b_ub: Sequence[int] = (),
     a_eq: Sequence[InputRow] = (),
-    b_eq: Sequence[Fraction] = (),
+    b_eq: Sequence[int] = (),
 ) -> None:
     """Check result's certificate against the program; raise ArithmeticError if it fails.
 
@@ -466,49 +466,47 @@ def certify(
     the a_ub rows, A^T y <= c) and b.y == c.x == value: weak duality
     then makes value the exact optimum.  An INFEASIBLE result needs its
     ray y <= 0 on the a_ub rows with A^T y <= 0 and b.y > 0, which no
-    x >= 0 can satisfy.  The rows are mappings of their nonzero entries,
-    as ``solve_lp`` takes them.  Each row, and each of y, x, b and c, is
-    taken over its common denominator, so every sum of products runs in
-    integers.
+    x >= 0 can satisfy.  The program is in ints, as ``solve_lp`` takes
+    it, with each row a mapping of its nonzero entries.  y and x are
+    each taken over their common denominator, so every sign test and
+    every sum of products runs in integers.  Nothing here reads the
+    tableau.
     """
     rows = [*a_ub, *a_eq]
     b = [*b_ub, *b_eq]
     y = result.dual
     if result.status not in (OPTIMAL, INFEASIBLE) or y is None or len(y) != len(rows):
         raise ArithmeticError(f"LP result ({result.status}) carries no certificate")
-    if any(v > 0 for v in y[: len(a_ub)]):
+    dy = math.lcm(*(v.denominator for v in y))
+    Y = [v.numerator * (dy // v.denominator) for v in y]
+    if any(v > 0 for v in Y[: len(a_ub)]):
         raise ArithmeticError("LP multiplier of an inequality row is positive")
-    # Each row is R_i / s_i, y is Y / dy and b is B / db, in integers.
-    scaled = [_scaled(row) for row in rows]
-    Y, dy = _scaled(dict(enumerate(y)))
-    B, db = _scaled(dict(enumerate(b)))
-    by = Fraction(sum(v * B.get(i, 0) for i, v in Y.items()), dy * db)
-    # A^T y = ty / (dy * s), over the rows whose multiplier is not 0.
-    s = math.lcm(*(scaled[i][1] for i in Y))
+    # b.y = by / dy and A^T y = ty / dy, over the rows whose multiplier is not 0.
+    by = 0
     ty = [0] * len(c)
-    for i, v in Y.items():
-        row, si = scaled[i]
-        v *= s // si
-        for j, a in row.items():
-            ty[j] += a * v
+    for row, bi, v in zip(rows, b, Y):
+        if v:
+            by += bi * v
+            for j, a in row.items():
+                ty[j] += a * v
     if result.status == INFEASIBLE:
         if by <= 0 or any(v > 0 for v in ty):
             raise ArithmeticError("LP Farkas ray does not prove infeasibility")
         return
     x = result.x
-    if x is None or len(x) != len(c) or any(v < 0 for v in x):
+    if x is None or len(x) != len(c):
         raise ArithmeticError("LP solution is not feasible")
     dx = math.lcm(*(v.denominator for v in x))
     X = [v.numerator * (dx // v.denominator) for v in x]
-    for i, ((row, si), bi) in enumerate(zip(scaled, b)):
-        # row.x = R.X / (si * dx) against bi, both sides times their denominators.
-        lhs = sum(a * X[j] for j, a in row.items()) * bi.denominator
-        rhs = bi.numerator * si * dx
-        if lhs > rhs or (lhs != rhs and i >= len(a_ub)):
+    if any(v < 0 for v in X):
+        raise ArithmeticError("LP solution is not feasible")
+    for i, (row, bi) in enumerate(zip(rows, b)):
+        # row.x = row.X / dx against bi, both sides times dx.
+        lhs = sum(a * X[j] for j, a in row.items())
+        if lhs > bi * dx or (lhs != bi * dx and i >= len(a_ub)):
             raise ArithmeticError("LP solution is not feasible")
-    if any(v * cj.denominator > cj.numerator * dy * s for v, cj in zip(ty, c)):
+    if any(v > cj * dy for v, cj in zip(ty, c)):
         raise ArithmeticError("LP dual is not feasible")
-    C, dc = _scaled(dict(enumerate(c)))
-    cx = Fraction(sum(v * X[j] for j, v in C.items()), dc * dx)
-    if not cx == by == result.value:
+    cx = sum(cj * v for cj, v in zip(c, X) if cj)
+    if not Fraction(cx, dx) == Fraction(by, dy) == result.value:
         raise ArithmeticError("LP duality gap is not zero")

@@ -49,20 +49,20 @@ def full_grid_minimum(N):
 
     # u_k is the unknown at index k, so a constraint row is an LP row as it is.
     eq_rows = list(system.rows)
-    eq_rhs = [Fraction(sum(row.values())) for row in system.rows]
+    eq_rhs = [sum(row.values()) for row in system.rows]
 
     ub_rows = []
     ub_rhs = []
     for k in range(L):
         for sign in (1, -1):
-            ub_rows.append({k: Fraction(-sign * L), k + 1: Fraction(sign * L), t: Fraction(-1)})
-            ub_rhs.append(Fraction(0))
+            ub_rows.append({k: -sign * L, k + 1: sign * L, t: -1})
+            ub_rhs.append(0)
     for k in range(L + 1):
-        ub_rows.append({k: Fraction(1)})
-        ub_rhs.append(Fraction(2))
+        ub_rows.append({k: 1})
+        ub_rhs.append(2)
 
-    objective = [Fraction(0)] * nvars
-    objective[t] = Fraction(1)
+    objective = [0] * nvars
+    objective[t] = 1
 
     forced = set(report.forced_zero_points)
     best = None
@@ -73,8 +73,8 @@ def full_grid_minimum(N):
             objective,
             a_ub=ub_rows,
             b_ub=ub_rhs,
-            a_eq=eq_rows + [{pin: Fraction(1)}],
-            b_eq=eq_rhs + [Fraction(2)],
+            a_eq=eq_rows + [{pin: 1}],
+            b_eq=eq_rhs + [2],
         )
         if res.status == INFEASIBLE:
             continue
@@ -318,30 +318,62 @@ def test_lp_certificate_catches_a_corrupted_result(monkeypatch, name, N):
         min_lipschitz_unit_norm(N)
 
 
-@pytest.mark.parametrize("name", list(LP_CORRUPTIONS))
-def test_lp_certificate_catches_a_corrupted_result_on_fraction_rows(name):
-    # minlip hands certify int rows only, which it takes at scale 1; here
-    # the pinned program of N = 3 at pin 1 has each row and its rhs
-    # divided by 2, 3 or 4, so every row goes over its denominators.
+def first_pinned_program():
+    """The first LP of N = 3: the pinned program at pin 1, whose column is
+    at index 1, with the pin row u_1 = 2 last."""
     system = build_constraint_system(3)
     c, a_ub, b_ub, a_eq, b_eq = _program(system, sorted({*system.touched, 1}))
-    a_eq.append({1: 1})  # the pin row u_1 = 2, last; column 1 is at index 1
-    b_eq.append(2)
+    return c, a_ub, b_ub, [*a_eq, {1: 1}], [*b_eq, 2]
 
-    def divided(rows, rhs):
-        d = [Fraction(1, i % 3 + 2) for i in range(len(rows))]
-        return (
-            [{j: v * d[i] for j, v in row.items()} for i, row in enumerate(rows)],
-            [b * d[i] for i, b in enumerate(rhs)],
-        )
 
-    program = ([Fraction(v) for v in c], *divided(a_ub, b_ub), *divided(a_eq, b_eq))
+def scaled(program):
+    """program with each a_ub row and its rhs times 2, 3 or 4 in turn and
+    each equality row times 4, and the factor of each row, a_ub rows first.
+
+    The equality rows start with an artificial, so they share one factor:
+    phase 1 minimizes the sum of the artificials, which factors 2, 3 and 4
+    there would weigh differently (13 pivots here, not 12).
+    """
+    c, a_ub, b_ub, a_eq, b_eq = program
+    m = len(a_ub)
+    factors = [i % 3 + 2 for i in range(m)] + [4] * len(a_eq)
+    rows = [{j: k * v for j, v in row.items()} for row, k in zip([*a_ub, *a_eq], factors)]
+    rhs = [k * b for b, k in zip([*b_ub, *b_eq], factors)]
+    return (c, rows[:m], rhs[:m], rows[m:], rhs[m:]), factors
+
+
+@pytest.mark.parametrize("name", list(LP_CORRUPTIONS))
+def test_lp_certificate_catches_a_corrupted_result_on_scaled_rows(name):
+    # Each row of the program times 2, 3 or 4 divides its multiplier by
+    # that factor, so certify takes multipliers that are not all integers.
+    program, _ = scaled(first_pinned_program())
     result = solve_lp(*program)
     certify(result, *program)
     assert result.value == 6
     corrupt, message = LP_CORRUPTIONS[name]
     with pytest.raises(ArithmeticError, match=message):
         certify(corrupt(result), *program)
+
+
+def test_scaled_rows_keep_every_pivot_and_divide_their_multipliers(monkeypatch):
+    pivots = []
+    pivot = simplex._Tableau._pivot
+
+    def recording_pivot(self, r, j):
+        pivots.append((r, j))
+        pivot(self, r, j)
+
+    monkeypatch.setattr(simplex._Tableau, "_pivot", recording_pivot)
+    program = first_pinned_program()
+    plain = solve_lp(*program)
+    plain_pivots = pivots[:]
+    pivots.clear()
+    program, factors = scaled(program)
+    result = solve_lp(*program)
+    assert pivots == plain_pivots and len(pivots) == PIVOT_PATHS[3][0]
+    assert (result.status, result.value, result.x) == (plain.status, plain.value, plain.x)
+    assert result.dual == tuple(y / k for y, k in zip(plain.dual, factors))
+    assert any(y.denominator > 1 for y in result.dual)
 
 
 # At N = 5 the relaxed LP of the gap (0, 12) is solved cold, and the
@@ -381,15 +413,18 @@ def test_warm_relaxed_programs_match_cold_solves(N):
 def test_a_relaxed_program_moves_only_its_merged_row(monkeypatch):
     # Each relaxed LP is the touched-column program plus its gap's merged
     # row: its rhs is the all-off rhs (every merged row at 0) with only
-    # that row at -4 L.  Every LP of the call is handed integer a_ub rows.
+    # that row at -4 L.  Every LP of the call, relaxed or pinned, is
+    # solved and certified in ints: c, each row's entries, b_ub and b_eq.
     system = build_constraint_system(9)
     cols = list(system.touched)
     gaps = sum(2 * c <= system.L for c in cols) - 1
     off = [0] * gaps + _program(system, cols)[2]
     gap = []
     solves = []
+    certified = []
     bound = _GapPrograms.bound
     solve = simplex._Tableau.solve
+    check = extremal.certify
 
     def spying_bound(self, i):
         gap.append(i)
@@ -399,19 +434,24 @@ def test_a_relaxed_program_moves_only_its_merged_row(monkeypatch):
             gap.pop()
 
     def spying_solve(self, b_ub=(), b_eq=()):
-        solves.append((gap[-1] if gap else None, list(b_ub), self.a_ub))
+        solves.append((gap[-1] if gap else None, (self.c, self.a_ub, b_ub, self.a_eq, b_eq)))
         return solve(self, b_ub, b_eq)
+
+    def spying_certify(result, *program):
+        certified.append(program)
+        check(result, *program)
 
     monkeypatch.setattr(_GapPrograms, "bound", spying_bound)
     monkeypatch.setattr(simplex._Tableau, "solve", spying_solve)
+    monkeypatch.setattr(extremal, "certify", spying_certify)
     min_lipschitz_unit_norm(9)
-    relaxed = [(i, b_ub) for i, b_ub, _ in solves if i is not None]
-    assert (len(solves), len(relaxed)) == (12, 10)
+    relaxed = [(i, list(program[2])) for i, program in solves if i is not None]
+    assert (len(solves), len(relaxed), len(certified)) == (12, 10, 12)
     for i, b_ub in relaxed:
         assert b_ub == off[:i] + [-4 * system.L] + off[i + 1 :]
-        assert all(type(b) is int for b in b_ub)
-    for _, _, a_ub in solves:
-        assert all(type(a) is int for row in a_ub for a in row.values())
+    for c, a_ub, b_ub, a_eq, b_eq in [program for _, program in solves] + certified:
+        entries = [a for row in [*a_ub, *a_eq] for a in row.values()]
+        assert all(type(v) is int for v in [*c, *entries, *b_ub, *b_eq])
 
 
 # The rows the relaxed programs' tableau holds at N = 9 after each gap, in

@@ -26,55 +26,51 @@ from divdiff.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, _Tableau, 
 from util import solve_square, sparse_rows
 
 
-def F(x):
-    return Fraction(x)
-
-
 def test_one_variable_lower_bound():
     # minimize x subject to x >= 3
-    res = solve_lp([F(1)], a_ub=[{0: F(-1)}], b_ub=[F(-3)])
+    res = solve_lp([1], a_ub=[{0: -1}], b_ub=[-3])
     assert res.status == OPTIMAL
     assert res.value == 3
     assert res.x == (3,)
 
 
 def test_unbounded_direction_detected():
-    res = solve_lp([F(-1)], a_ub=[], b_ub=[])
+    res = solve_lp([-1], a_ub=[], b_ub=[])
     assert res.status == UNBOUNDED
 
 
 def test_infeasible_sign_conflict():
-    res = solve_lp([F(1)], a_ub=[{0: F(1)}], b_ub=[F(-1)])
+    res = solve_lp([1], a_ub=[{0: 1}], b_ub=[-1])
     assert res.status == INFEASIBLE
 
 
 def test_equality_row():
     # minimize x with x + y = 1
-    res = solve_lp([F(1), F(0)], a_eq=[{0: F(1), 1: F(1)}], b_eq=[F(1)])
+    res = solve_lp([1, 0], a_eq=[{0: 1, 1: 1}], b_eq=[1])
     assert res.status == OPTIMAL
     assert res.value == 0
     assert res.x == (0, 1)
 
 
 def test_redundant_equalities_are_tolerated():
-    rows = [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}]
-    res = solve_lp([F(1), F(1)], a_eq=rows, b_eq=[F(1), F(2)])
+    rows = [{0: 1, 1: 1}, {0: 2, 1: 2}]
+    res = solve_lp([1, 1], a_eq=rows, b_eq=[1, 2])
     assert res.status == OPTIMAL
     assert res.value == 1
 
 
 def test_contradictory_equalities_are_infeasible():
-    rows = [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}]
-    res = solve_lp([F(1), F(1)], a_eq=rows, b_eq=[F(1), F(3)])
+    rows = [{0: 1, 1: 1}, {0: 2, 1: 2}]
+    res = solve_lp([1, 1], a_eq=rows, b_eq=[1, 3])
     assert res.status == INFEASIBLE
 
 
 def test_fractional_optimum_is_exact():
     # minimize -x - y subject to 2x + y <= 1, x + 3y <= 2
     res = solve_lp(
-        [F(-1), F(-1)],
-        a_ub=[{0: F(2), 1: F(1)}, {0: F(1), 1: F(3)}],
-        b_ub=[F(1), F(2)],
+        [-1, -1],
+        a_ub=[{0: 2, 1: 1}, {0: 1, 1: 3}],
+        b_ub=[1, 2],
     )
     assert res.status == OPTIMAL
     assert res.x == (Fraction(1, 5), Fraction(3, 5))
@@ -83,7 +79,7 @@ def test_fractional_optimum_is_exact():
 
 def test_an_optimum_carries_its_dual():
     # The dual of test_fractional_optimum: both rows are tight.
-    program = ([F(-1), F(-1)], [{0: F(2), 1: F(1)}, {0: F(1), 1: F(3)}], [F(1), F(2)])
+    program = ([-1, -1], [{0: 2, 1: 1}, {0: 1, 1: 3}], [1, 2])
     res = solve_lp(*program)
     assert res.dual == (Fraction(-2, 5), Fraction(-1, 5))
     certify(res, *program)
@@ -92,26 +88,26 @@ def test_an_optimum_carries_its_dual():
 
 
 def test_a_point_off_an_equality_row_is_not_certified():
-    # minimize x + y with x/2 + y/3 = 1: the optimum is x = 2.  The point
-    # (1, 1/3) keeps x >= 0 and falls short of the equality by 7/18.
-    program = ([F(1), F(1)], [], [], [{0: Fraction(1, 2), 1: Fraction(1, 3)}], [F(1)])
+    # minimize x + y with 3x + 2y = 6: the optimum is x = 2.  The point
+    # (1, 1/3) keeps x >= 0 and falls short of the equality by 7/3.
+    program = ([1, 1], [], [], [{0: 3, 1: 2}], [6])
     res = solve_lp(*program)
     assert (res.value, res.x) == (2, (2, 0))
     certify(res, *program)
     with pytest.raises(ArithmeticError, match="solution is not feasible"):
-        certify(replace(res, x=(F(1), Fraction(1, 3))), *program)
+        certify(replace(res, x=(Fraction(1), Fraction(1, 3))), *program)
 
 
 def test_a_negative_solution_entry_is_not_certified():
     # minimize 0 over x >= 0 with no rows: x = -1 breaks no row and no
     # dual condition, so only the sign check sees it.
-    certify(LpResult(OPTIMAL, F(0), (F(0),), ()), [F(0)])
+    certify(LpResult(OPTIMAL, Fraction(0), (Fraction(0),), ()), [0])
     with pytest.raises(ArithmeticError, match="solution is not feasible"):
-        certify(LpResult(OPTIMAL, F(0), (F(-1),), ()), [F(0)])
+        certify(LpResult(OPTIMAL, Fraction(0), (Fraction(-1),), ()), [0])
 
 
 def test_an_infeasible_program_carries_a_farkas_ray():
-    program = ([F(1), F(1)], [], [], [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}], [F(1), F(3)])
+    program = ([1, 1], [], [], [{0: 1, 1: 1}, {0: 2, 1: 2}], [1, 3])
     res = solve_lp(*program)
     assert res.status == INFEASIBLE
     certify(res, *program)
@@ -122,12 +118,12 @@ def test_an_infeasible_program_carries_a_farkas_ray():
 def test_an_rhs_change_to_an_infeasible_program_carries_a_farkas_ray():
     # minimize x + y with x + y >= 1 and the box x, y <= 3; then x + y >= 7,
     # which the box rules out; then x + y >= 2 again.
-    c = [F(1), F(1)]
-    a_ub = [{0: F(-1), 1: F(-1)}, {0: F(1)}, {1: F(1)}]
+    c = [1, 1]
+    a_ub = [{0: -1, 1: -1}, {0: 1}, {1: 1}]
     tableau = _Tableau(c, a_ub)
-    assert tableau.solve([F(-1), F(3), F(3)]).value == 1
+    assert tableau.solve([-1, 3, 3]).value == 1
     assert tableau.warm
-    b_ub = [F(-7), F(3), F(3)]
+    b_ub = [-7, 3, 3]
     res = tableau.solve(b_ub)
     assert res.status == INFEASIBLE
     # The ray is read from the leaving row at its lowest terms, so it is
@@ -135,7 +131,7 @@ def test_an_rhs_change_to_an_infeasible_program_carries_a_farkas_ray():
     assert res.dual == (-1, -1, -1)
     certify(res, c, a_ub, b_ub)
     assert tableau.warm  # the basis is still dual feasible
-    b_ub = [F(-2), F(3), F(3)]
+    b_ub = [-2, 3, 3]
     res = tableau.solve(b_ub)
     assert (res.status, res.value) == (OPTIMAL, 2)
     certify(res, c, a_ub, b_ub)
@@ -146,15 +142,15 @@ def test_a_pivot_that_changes_nothing_stops_at_the_cap(monkeypatch):
     # again on every pass, for ever, in the primal method (a cold solve)
     # and in the dual (a warm re-solve).  Past _MAX_PIVOTS pivots in one
     # solve either one is an ArithmeticError, well within a second.
-    c = [F(1), F(1)]
-    a_ub = [{0: F(-1), 1: F(-1)}, {0: F(1)}, {1: F(1)}]
+    c = [1, 1]
+    a_ub = [{0: -1, 1: -1}, {0: 1}, {1: 1}]
     warm = _Tableau(c, a_ub)
-    assert warm.solve([F(-1), F(3), F(3)]).value == 1
+    assert warm.solve([-1, 3, 3]).value == 1
     monkeypatch.setattr(simplex._Tableau, "_pivot", lambda self, r, j: None)
     message = f"passed {simplex._MAX_PIVOTS} pivots in one solve"
     # x <= 0 cuts off the last optimum (1, 0): the dual method must pivot.
-    for solve in (lambda: solve_lp(c, a_ub, [F(-1), F(3), F(3)]),
-                  lambda: warm.solve([F(-1), F(0), F(3)])):
+    for solve in (lambda: solve_lp(c, a_ub, [-1, 3, 3]),
+                  lambda: warm.solve([-1, 0, 3])):
         start = time.perf_counter()
         with pytest.raises(ArithmeticError, match=message):
             solve()
@@ -164,33 +160,33 @@ def test_a_pivot_that_changes_nothing_stops_at_the_cap(monkeypatch):
 def test_a_dropped_redundant_row_makes_the_next_solve_cold():
     # Phase 1 drops the second row, twice the first; a warm start would
     # then miss that the new rhs makes the two rows contradict.
-    c = [F(1), F(1)]
-    a_eq = [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}]
+    c = [1, 1]
+    a_eq = [{0: 1, 1: 1}, {0: 2, 1: 2}]
     tableau = _Tableau(c, (), a_eq)
-    assert tableau.solve((), [F(1), F(2)]).value == 1
+    assert tableau.solve((), [1, 2]).value == 1
     assert not tableau.warm
-    res = tableau.solve((), [F(1), F(3)])
+    res = tableau.solve((), [1, 3])
     assert res.status == INFEASIBLE
-    certify(res, c, (), (), a_eq, [F(1), F(3)])
+    certify(res, c, (), (), a_eq, [1, 3])
 
 
 def test_warm_resolves_match_vertex_enumeration():
     # One tableau per program, re-solved for a run of right-hand sides;
     # each result must match the oracle and carry a valid certificate.
     rng = random.Random(717)
-    draw = rational_draw(rng)
+    draw = rng.randint
     warm = statuses = 0
     for _ in range(40):
         nvars = rng.randint(1, 3)
         c = [draw(-4, 4) for _ in range(nvars)]
         a_ub = [[draw(-3, 3) for _ in range(nvars)] for _ in range(rng.randint(1, 3))]
-        a_ub += [[F(int(i == j)) for j in range(nvars)] for i in range(nvars)]
+        a_ub += [[int(i == j) for j in range(nvars)] for i in range(nvars)]
         a_eq = [[draw(-2, 2) for _ in range(nvars)]] if rng.random() < 0.4 else []
         rows_ub, rows_eq = sparse_rows(a_ub), sparse_rows(a_eq)
         tableau = _Tableau(c, rows_ub, rows_eq)
         seen = set()
         for _ in range(4):
-            b_ub = [draw(-2, 4) for _ in range(len(a_ub) - nvars)] + [F(3)] * nvars
+            b_ub = [draw(-2, 4) for _ in range(len(a_ub) - nvars)] + [3] * nvars
             b_eq = [draw(-2, 2) for _ in a_eq]  # a negative one negates its row
             warm += tableau.warm
             res = tableau.solve(b_ub, b_eq)
@@ -204,8 +200,8 @@ def test_warm_resolves_match_vertex_enumeration():
 
 def test_a_path_longer_than_two_sweeps_matches_vertex_enumeration(monkeypatch):
     # The Klee-Minty cube in dimension 6, max sum 2^(6-i) x_i subject to
-    # 2 sum_{j<i} 2^(i-j) x_j + x_i <= 5^i, each row scaled by a seeded
-    # positive rational (which mixes denominators and moves no pivot),
+    # 2 sum_{j<i} 2^(i-j) x_j + x_i <= 5^i, each row times a seeded
+    # positive integer (which scales its slack column and moves no pivot),
     # with sum x_i >= 5^5 and x_6 <= 5^6.  From x = 0, which the sum row
     # cuts off, Bland's rule takes 40 pivots, so the tableau reduces its
     # rows more than twice on the way.  Then x_6 <= 5^5, which the dual
@@ -215,14 +211,14 @@ def test_a_path_longer_than_two_sweeps_matches_vertex_enumeration(monkeypatch):
     # lowest terms, and must come out at lowest terms all the same.
     rng = random.Random(818)
     n = 6
-    c = [F(-(2 ** (n - i))) for i in range(1, n + 1)]
+    c = [-(2 ** (n - i)) for i in range(1, n + 1)]
     a_ub, b_ub = [], []
     for i in range(1, n + 1):
-        scale = Fraction(rng.randint(1, 9), rng.randint(1, 6))
-        a_ub.append([scale * 2 ** (i - j + 1) for j in range(1, i)] + [scale] + [F(0)] * (n - i))
+        scale = rng.randint(1, 9)
+        a_ub.append([scale * 2 ** (i - j + 1) for j in range(1, i)] + [scale] + [0] * (n - i))
         b_ub.append(scale * 5**i)
-    a_ub += [[F(-1)] * n, [F(0)] * (n - 1) + [F(1)]]
-    b_ub += [F(-(5**5)), F(5**6)]
+    a_ub += [[-1] * n, [0] * (n - 1) + [1]]
+    b_ub += [-(5**5), 5**6]
     pivots = []
     pivot = simplex._Tableau._pivot
 
@@ -237,16 +233,16 @@ def test_a_path_longer_than_two_sweeps_matches_vertex_enumeration(monkeypatch):
     assert pivots.count("c") == 40 > 2 * simplex._SWEEP
     certify(res, c, rows, b_ub)
     assert res.value == enumerate_optimum(c, a_ub, b_ub, [], [], n) == -(5**n)
-    b_ub[-1] = F(5**5)
+    b_ub[-1] = 5**5
     res = tableau.solve(b_ub)
     assert pivots.count("w") == 10
     certify(res, c, rows, b_ub)
     assert res.value == enumerate_optimum(c, a_ub, b_ub, [], [], n) == -9375
-    b_ub[-2] = F(-2 * 5**n)
+    b_ub[-2] = -2 * 5**n
     res = tableau.solve(b_ub)
     assert pivots.count("w") == 14
     assert res.status == INFEASIBLE
-    assert res.dual == (0, 0, 0, 0, 0, -4, -28, -21)
+    assert res.dual == (0, 0, 0, 0, 0, -1, -8, -6)
     certify(res, c, rows, b_ub)
 
 
@@ -264,19 +260,19 @@ def test_lazy_rows_match_vertex_enumeration(monkeypatch):
 
     monkeypatch.setattr(_Tableau, "_cold", recording_cold)
     rng = random.Random(919)
-    draw = rational_draw(rng)
+    draw = rng.randint
     added = kept = fallbacks = infeasible = 0
     for _ in range(60):
         nvars = rng.randint(1, 3)
         c = [draw(-4, 4) for _ in range(nvars)]
         a_ub = [[draw(-3, 3) for _ in range(nvars)] for _ in range(rng.randint(1, 4))]
-        a_ub += [[F(int(i == j)) for j in range(nvars)] for i in range(nvars)]
+        a_ub += [[int(i == j) for j in range(nvars)] for i in range(nvars)]
         a_eq = [[draw(-2, 2) for _ in range(nvars)]] if rng.random() < 0.4 else []
         rows_ub, rows_eq = sparse_rows(a_ub), sparse_rows(a_eq)
         lazy = [i for i in range(len(a_ub)) if rng.random() < 0.6]
         tableau = _Tableau(c, rows_ub, rows_eq, lazy)
         for _ in range(3):
-            b_ub = [draw(-2, 4) for _ in range(len(a_ub) - nvars)] + [F(3)] * nvars
+            b_ub = [draw(-2, 4) for _ in range(len(a_ub) - nvars)] + [3] * nvars
             b_eq = [draw(-2, 2) for _ in a_eq]
             colds.clear()
             res = tableau.solve(b_ub, b_eq)
@@ -295,24 +291,24 @@ def test_lazy_rows_match_vertex_enumeration(monkeypatch):
 def test_an_unbounded_working_set_is_solved_over_every_row():
     # minimize -x - y: over x, y >= 0 alone it is unbounded, and the
     # omitted rows x + y <= 3 and x <= 2 bound it.
-    c = [F(-1), F(-1)]
-    a_ub = [{0: F(1), 1: F(1)}, {0: F(1)}]
+    c = [-1, -1]
+    a_ub = [{0: 1, 1: 1}, {0: 1}]
     tableau = _Tableau(c, a_ub, lazy=[0, 1])
-    res = tableau.solve([F(3), F(2)])
+    res = tableau.solve([3, 2])
     assert (res.status, res.value) == (OPTIMAL, -3)
     assert not tableau.lazy and len(tableau.rows) == 2
-    certify(res, c, a_ub, [F(3), F(2)])
+    certify(res, c, a_ub, [3, 2])
     # x >= 1 left out of a program that is unbounded whatever the rows.
-    res = _Tableau([F(-1)], [{0: F(-1)}], lazy=[0]).solve([F(-1)])
+    res = _Tableau([-1], [{0: -1}], lazy=[0]).solve([-1])
     assert res.status == UNBOUNDED
 
 
 def test_an_infeasible_working_set_has_a_ray_that_is_zero_on_the_omitted_rows():
     # x + y <= -1 is in the working set, and no x >= 0 meets it; the
     # omitted box rows are never written in the tableau.
-    c = [F(1), F(1)]
-    a_ub = [{0: F(1)}, {0: F(1), 1: F(1)}, {1: F(1)}]
-    b_ub = [F(3), F(-1), F(3)]
+    c = [1, 1]
+    a_ub = [{0: 1}, {0: 1, 1: 1}, {1: 1}]
+    b_ub = [3, -1, 3]
     tableau = _Tableau(c, a_ub, lazy=[0, 2])
     res = tableau.solve(b_ub)
     assert res.status == INFEASIBLE
@@ -326,17 +322,17 @@ def test_a_violated_row_joins_the_working_set_in_the_current_basis():
     # violates the omitted y <= 3, whose slack becomes basic at -1; one
     # dual pivot swaps it for x, at (1, 3).  Then y >= 5 joins against
     # y <= 3, and the ray uses both rows.
-    c = [F(-1), F(-2)]
-    a_ub = [{0: F(1), 1: F(1)}, {1: F(1)}, {1: F(-1)}]
+    c = [-1, -2]
+    a_ub = [{0: 1, 1: 1}, {1: 1}, {1: -1}]
     tableau = _Tableau(c, a_ub, lazy=[1, 2])
-    b_ub = [F(4), F(3), F(0)]
+    b_ub = [4, 3, 0]
     res = tableau.solve(b_ub)
     assert (res.status, res.value, res.x) == (OPTIMAL, -7, (1, 3))
     assert res.dual == (-1, -1, 0)
     certify(res, c, a_ub, b_ub)
     assert list(tableau.lazy) == [2] and sorted(tableau.basis) == [0, 1]
     assert tableau.pivots == 3  # Bland's rule takes x, then y; the dual pivot x
-    b_ub = [F(4), F(3), F(-5)]
+    b_ub = [4, 3, -5]
     res = tableau.solve(b_ub)
     assert res.status == INFEASIBLE
     assert res.dual == (0, -1, -1)
@@ -344,16 +340,30 @@ def test_a_violated_row_joins_the_working_set_in_the_current_basis():
     assert not tableau.lazy
 
 
+def test_an_omitted_row_is_checked_against_x_over_its_denominator():
+    # minimize y - x with 2x <= 3: the working set's optimum (3/2, 0) is
+    # X / 2 for X = (3, 0).  The omitted x + y >= 2, as -x - y <= -2,
+    # reads -3 > -2 * 2 there, so it joins, though -3 > -2 is false.
+    c = [-1, 1]
+    a_ub = [{0: 2}, {0: -1, 1: -1}]
+    b_ub = [3, -2]
+    tableau = _Tableau(c, a_ub, lazy=[1])
+    res = tableau.solve(b_ub)
+    assert (res.status, res.value, res.x) == (OPTIMAL, -1, (Fraction(3, 2), Fraction(1, 2)))
+    certify(res, c, a_ub, b_ub)
+    assert not tableau.lazy
+
+
 def test_a_dropped_redundant_row_solves_over_every_row():
     # Phase 1 drops the second equality, twice the first, so there is no
     # warm basis to add the omitted row x <= 3 to.
-    c = [F(1), F(1)]
-    a_ub = [{0: F(1)}]
-    a_eq = [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}]
+    c = [1, 1]
+    a_ub = [{0: 1}]
+    a_eq = [{0: 1, 1: 1}, {0: 2, 1: 2}]
     tableau = _Tableau(c, a_ub, a_eq, lazy=[0])
-    res = tableau.solve([F(3)], [F(1), F(2)])
+    res = tableau.solve([3], [1, 2])
     assert (res.status, res.value) == (OPTIMAL, 1)
-    certify(res, c, a_ub, [F(3)], a_eq, [F(1), F(2)])
+    certify(res, c, a_ub, [3], a_eq, [1, 2])
     assert not tableau.lazy and len(tableau.rows) == 2
 
 
@@ -367,8 +377,8 @@ def enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, nvars):
         rows.append(list(row))
         rhs.append(b)
     for i in range(nvars):
-        rows.append([F(0)] * i + [F(1)] + [F(0)] * (nvars - 1 - i))
-        rhs.append(F(0))
+        rows.append([0] * i + [1] + [0] * (nvars - 1 - i))
+        rhs.append(0)
 
     def feasible(x):
         for row, b in zip(a_ub, b_ub):
@@ -388,20 +398,6 @@ def enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, nvars):
         if best is None or value < best:
             best = value
     return best
-
-
-def integer_draw(rng):
-    return lambda lo, hi: F(rng.randint(lo, hi))
-
-
-def rational_draw(rng):
-    # p/q with its own q per entry, so a row mixes denominators and the
-    # tableau's per-row lcm scaling is exercised.
-    def draw(lo, hi):
-        q = rng.randint(1, 6)
-        return Fraction(rng.randint(lo * q, hi * q), q)
-
-    return draw
 
 
 def assert_matches_enumeration(c, a_ub, b_ub, a_eq, b_eq):
@@ -437,27 +433,32 @@ def assert_matches_enumeration(c, a_ub, b_ub, a_eq, b_eq):
     return expected
 
 
-def count_against_enumeration(rng, draw, cases):
-    """Solve random boxed LPs drawn by ``draw``; count optimal and infeasible."""
+def count_against_enumeration(rng, cases, factor=lambda: 1):
+    """Solve random boxed LPs in integers; count optimal and infeasible.
+
+    Each drawn row and its rhs are multiplied by ``factor()``.
+    """
     optimal_seen = 0
     infeasible_seen = 0
     for _ in range(cases):
         nvars = rng.randint(1, 3)
-        c = [draw(-4, 4) for _ in range(nvars)]
+        c = [rng.randint(-4, 4) for _ in range(nvars)]
         a_ub = []
         b_ub = []
         for _ in range(rng.randint(1, 4)):
-            a_ub.append([draw(-3, 3) for _ in range(nvars)])
-            b_ub.append(draw(-2, 4))
+            k = factor()
+            a_ub.append([k * rng.randint(-3, 3) for _ in range(nvars)])
+            b_ub.append(k * rng.randint(-2, 4))
         # box rows keep the region bounded, so UNBOUNDED cannot occur
         for i in range(nvars):
-            a_ub.append([F(0)] * i + [F(1)] + [F(0)] * (nvars - 1 - i))
-            b_ub.append(F(3))
+            a_ub.append([0] * i + [1] + [0] * (nvars - 1 - i))
+            b_ub.append(3)
         a_eq = []
         b_eq = []
         if rng.random() < 0.4:
-            a_eq.append([draw(-2, 2) for _ in range(nvars)])
-            b_eq.append(draw(0, 2))
+            k = factor()
+            a_eq.append([k * rng.randint(-2, 2) for _ in range(nvars)])
+            b_eq.append(k * rng.randint(0, 2))
 
         if assert_matches_enumeration(c, a_ub, b_ub, a_eq, b_eq) is None:
             infeasible_seen += 1
@@ -468,42 +469,47 @@ def count_against_enumeration(rng, draw, cases):
 
 def test_against_vertex_enumeration():
     rng = random.Random(515)
-    optimal_seen, infeasible_seen = count_against_enumeration(rng, integer_draw(rng), 50)
+    optimal_seen, infeasible_seen = count_against_enumeration(rng, 50)
     assert optimal_seen >= 20
     assert infeasible_seen >= 3
 
 
-def test_against_vertex_enumeration_with_rational_data():
+def test_against_vertex_enumeration_with_row_factors():
+    # Each row is 2 to 6 times a row of small integers, so its entries
+    # have a gcd above 1 that nothing divides out before the pivots.
     rng = random.Random(616)
-    optimal_seen, infeasible_seen = count_against_enumeration(rng, rational_draw(rng), 80)
+    optimal_seen, infeasible_seen = count_against_enumeration(
+        rng, 80, lambda: rng.randint(2, 6)
+    )
     assert optimal_seen >= 30
     assert infeasible_seen >= 20
 
 
-BOX = ([[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]], [F(3), F(3), Fraction(7, 2)])
+BOX = ([[1, 0, 0], [0, 1, 0], [0, 0, 2]], [3, 3, 7])
 
 
 def test_cleanup_pivots_an_artificial_out_on_a_negative_entry():
-    # Phase 1 stops at once: pricing out -5/3 x - y = 0 leaves reduced
-    # costs 5/3 and 1, so the artificial stays basic at level 0 and the
-    # cleanup pivots it out on the entry -5/3.
-    c = [Fraction(5, 3), F(2), Fraction(-1, 2)]
-    a_eq = [[Fraction(-5, 3), F(-1), F(0)]]
-    assert assert_matches_enumeration(c, *BOX, a_eq, [F(0)]) == Fraction(-7, 4)
+    # Phase 1 stops at once: pricing out -5x - 3y = 0 leaves reduced
+    # costs 5 and 3, so the artificial stays basic at level 0 and the
+    # cleanup pivots it out on the entry -5.
+    c = [10, 12, -3]
+    a_eq = [[-5, -3, 0]]
+    assert assert_matches_enumeration(c, *BOX, a_eq, [0]) == Fraction(-21, 2)
 
 
 def test_cleanup_pivots_one_artificial_out_and_drops_its_redundant_twin():
     # The two rows are -3 times each other, so phase 1 again stops at
     # once with both artificials at level 0.  The first is pivoted out on
-    # 1/2; that turns the second row into 0 = 0, which is dropped.
-    c = [Fraction(1, 2), Fraction(-2, 3), Fraction(-1, 3)]
-    a_eq = [[Fraction(1, 2), Fraction(1, 3), F(0)], [Fraction(-3, 2), F(-1), F(0)]]
-    assert assert_matches_enumeration(c, *BOX, a_eq, [F(0), F(0)]) == Fraction(-7, 6)
+    # 3; that turns the second row into 0 = 0, which is dropped.
+    c = [3, -4, -2]
+    a_eq = [[3, 2, 0], [-9, -6, 0]]
+    assert assert_matches_enumeration(c, *BOX, a_eq, [0, 0]) == -7
 
 
-def test_redundant_rational_equalities_are_dropped():
-    # Phase 1 pivots x in on a ratio tie; the second row, three times the
-    # first, becomes 0 = 0 and is dropped without a cleanup pivot.
-    c = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
-    a_eq = [[Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)], [Fraction(3, 2), F(1), Fraction(3, 5)]]
-    assert assert_matches_enumeration(c, *BOX, a_eq, [Fraction(1, 5), Fraction(3, 5)]) == Fraction(1, 5)
+def test_redundant_equalities_with_row_factors_are_dropped():
+    # Phase 1 pivots x in on a ratio tie; the second row, 3/2 times the
+    # first, becomes 0 = 0 and is dropped without a cleanup pivot.  The
+    # rows are 2 and 3 times 15x + 10y + 6z = 6.
+    c = [6, 4, 3]
+    a_eq = [[30, 20, 12], [45, 30, 18]]
+    assert assert_matches_enumeration(c, *BOX, a_eq, [12, 18]) == Fraction(12, 5)

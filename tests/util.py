@@ -667,13 +667,13 @@ def reference_gap_program(system, cols, i):
 
     The touched-column program with the two slope rows of the gap
     replaced by their sum for a pin in the gap,
-    L / g (4 - u_a - u_b) <= t for the gap width g.
+    L / g (4 - u_a - u_b) <= t for the gap width g, written in integers
+    as -L u_a - L u_b - g t <= -4 L.
     """
     objective, a_ub, b_ub, a_eq, b_eq = _program(system, cols)
-    weight = Fraction(system.L, cols[i + 1] - cols[i])
-    merged = {i: -weight, i + 1: -weight, len(cols): -1}
-    a_ub[2 * i : 2 * i + 2] = [merged]
-    b_ub[2 * i : 2 * i + 2] = [-4 * weight]
+    L, g = system.L, cols[i + 1] - cols[i]
+    a_ub[2 * i : 2 * i + 2] = [{i: -L, i + 1: -L, len(cols): -g}]
+    b_ub[2 * i : 2 * i + 2] = [-4 * L]
     return objective, a_ub, b_ub, a_eq, b_eq
 
 
