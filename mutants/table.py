@@ -152,10 +152,21 @@ MUTANTS = {
         "                index.setdefault(c, []).append((n, coeff))\n",
         "                index.setdefault(c, [(n, coeff)])\n",
         (
-            CONSTRAINTS + "test_full_rank_and_only_the_ends_and_midpoint_forced_up_to_forty",
+            CONSTRAINTS + "test_full_rank_and_only_the_ends_and_midpoint_forced_up_to_sixty",
             CONSTRAINTS + "test_free_vector_check_agrees_with_the_all_rows_oracle",
         ),
         "a row left out of a column's index is never summed over the vectors that meet it",
+    ),
+    "kernel-index-keeps-first-holder": Mutant(
+        "linalg.py",
+        "            holders.setdefault(c, []).append((row, pc))\n",
+        "            holders.setdefault(c, [(row, pc)])\n",
+        (
+            "tests/test_linalg.py::test_kernel_matches_the_per_column_oracle_on_sparse_systems",
+            CONSTRAINTS + "test_full_rank_and_only_the_ends_and_midpoint_forced_up_to_sixty",
+            CONSTRAINTS + "test_nullspace_matches_the_full_scan_oracle[6]",
+        ),
+        "a free column's vector would miss the pivot entries of every echelon row but its first",
     ),
     "tableau-finds-no-violated-row": Mutant(
         "simplex.py",

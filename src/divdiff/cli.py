@@ -20,8 +20,8 @@ subcommand's parser reads its arguments directly, so argv is parsed
 once (_parse).  Diagnostics go to stderr only.  Exit codes: 0 success,
 1 usage or parse errors and a report or help that cannot be written,
 2 domain errors (duplicate knots, a rational-function pole, an
-infeasible optimization), failed internal checks, an interrupt and a run
-out of memory.
+infeasible optimization), failed internal checks, an interrupt, a run
+out of memory and one past a size limit (an OverflowError).
 """
 
 import argparse
@@ -342,6 +342,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         except (DuplicateKnotError, PoleError, DomainEvaluationError) as exc:
             print(f"divdiff: error: {exc}", file=sys.stderr)
             return 2
+        except OverflowError:
+            raise  # a size limit, not a failed check: ended below
         except ArithmeticError as exc:
             # Raised by the exact self-checks (LP status and certificate,
             # residual recomputation, null-space certificate), never by bad input.
@@ -358,6 +360,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except MemoryError:
         print(f"divdiff: error: {args.command} ran out of memory", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"divdiff: error: {args.command} exceeds a size limit: {exc}", file=sys.stderr)
         return 2
     if diagnostic:
         print(diagnostic, file=sys.stderr)

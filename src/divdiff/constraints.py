@@ -25,7 +25,7 @@ from functools import cached_property
 
 from .differences import difference_stencil
 from .funcs import GridFunction
-from .linalg import NullBasis, _scaled, kernel_basis
+from .linalg import NullBasis, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,11 @@ def _check_free_vector(
         raise ArithmeticError(
             f"null vector of column {free} is not 1 there and 0 in the other free columns"
         )
-    # The vector times the lcm of its denominators, in integers.
-    scaled, _ = _scaled(vector)
+    # Each entry times the lcm of the vector's denominators, in integers.
+    d = math.lcm(*(v.denominator for v in vector.values()))
     sums: dict[int, int] = {}
-    for c, v in scaled.items():
+    for c, v in vector.items():
+        v = v.numerator * (d // v.denominator)
         for n, coeff in system._column_rows.get(c, ()):
             sums[n] = sums.get(n, 0) + coeff * v
     if any(sums.values()):
@@ -181,22 +182,21 @@ def nullspace(system: ConstraintSystem) -> NullspaceReport:
     vanishes there, i.e. no basis vector has a nonzero entry in column k.
     An untouched column carries its own singleton vector, so only touched
     columns can be forced, and only the vectors of touched free columns
-    can cover them.  The vectors come in free-column order, so the vector
-    of free column c sits at c minus the number of pivot columns below c.
-    Each vector of a touched free column is certified on the way; the
-    singleton vectors of untouched columns hold by construction.  The
-    rank is certified as well, so no null vector can be missing.
+    can cover them.  The basis holds their vectors as its dict segments,
+    in free-column order, so the touched free columns, walked in
+    increasing order, take them one by one.  Each vector of a touched free
+    column is certified on the way; the singleton vectors of untouched
+    columns hold by construction.  The rank is certified as well, so no
+    null vector can be missing.
     """
-    rank, pivot_cols, vectors = kernel_basis(system.rows, system.ncols)
-    _check_rank(system, rank, pivot_cols, len(vectors))
+    rank, pivot_cols, basis = kernel_basis(system.rows, system.ncols)
+    _check_rank(system, rank, pivot_cols, basis.dimension)
     pivots = set(pivot_cols)
     covered: set[int] = set()
-    pivots_below = 0
+    vectors = (segment for segment in basis.segments if type(segment) is dict)
     for c in system.touched:
-        if c in pivots:
-            pivots_below += 1
-        else:
-            vector = vectors[c - pivots_below]
+        if c not in pivots:
+            vector = next(vectors)
             _check_free_vector(system, pivots, c, vector)
             covered.update(vector)
     forced = tuple(c for c in system.touched if c not in covered)
@@ -204,7 +204,7 @@ def nullspace(system: ConstraintSystem) -> NullspaceReport:
         N=system.N,
         L=system.L,
         rank=rank,
-        dimension=len(vectors),
+        dimension=basis.dimension,
         forced_zero_points=forced,
-        basis=vectors,
+        basis=basis,
     )

@@ -12,16 +12,14 @@ The echelon form is the reduced one, so each null vector is read off
 the echelon rows without back-substitution.  A column no row touches is
 free, with the singleton kernel vector {k: 1}, so it is never forced to
 zero.  The basis keeps each run of consecutive untouched columns as a
-``range`` and builds their vectors only when they are read, so a very
-wide system costs little more than its touched columns.
+``range`` and builds their vectors only when they are iterated, so a
+very wide system costs little more than its touched columns, and its
+dimension is an exact int at any width.
 """
 
 import math
-from bisect import bisect_right
-from collections.abc import Sequence
 from fractions import Fraction
-from operator import index
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 # The value every vector holds in its own free column.
 ONE = Fraction(1)
@@ -33,18 +31,6 @@ def _reduced(row: Row) -> Row:
     """``row`` divided by the gcd of its entries (a zero row is returned as is)."""
     g = math.gcd(*row.values())
     return {j: v // g for j, v in row.items()} if g > 1 else row
-
-
-def _scaled(row: Mapping[int, int | Fraction]) -> tuple[Row, int]:
-    """The nonzero entries of ``row`` times the lcm of its denominators, and that lcm.
-
-    A row of ints alone (not bools) is its nonzero entries at scale 1,
-    with no lcm taken.
-    """
-    if all(type(v) is int for v in row.values()):
-        return {j: v for j, v in row.items() if v}, 1
-    scale = math.lcm(*(v.denominator for v in row.values()))
-    return {j: v.numerator * (scale // v.denominator) for j, v in row.items() if v}, scale
 
 
 def _eliminate(row: Row, f: int, p: int, prow: Row) -> Row:
@@ -97,46 +83,31 @@ def integer_echelon(rows: Iterable[Mapping[int, int]]) -> tuple[list[Row], list[
     return echelon, pivot_cols
 
 
-class NullBasis(Sequence[dict[int, Fraction]]):
-    """A null-space basis: a sequence of sparse vectors in free-column order.
+class NullBasis:
+    """A null-space basis: sparse vectors in free-column order, kept as segments.
 
     ``segments`` holds the vector of each touched free column as a dict,
     and each run of consecutive untouched columns as a range, whose
-    vectors are the singletons {k: ONE} for k in the run; those are built
-    only when they are read.  ``offsets[s]`` is the index of the first
-    vector of ``segments[s]``.  A NullBasis equals any list, tuple or
-    NullBasis of the same vectors in the same order.  As in kernel_basis,
-    a run is nonempty, of step 1, and its first column is no lower than
-    its first vector's index; any other range raises ValueError.
+    vectors {k: ONE} are built only when iterated.  ``dimension``, the
+    number of vectors, is an exact int: a run counts stop - start.  A
+    NullBasis has no len() or index; it iterates its vectors and equals
+    any list, tuple or NullBasis of the same vectors in the same order.
+    As in kernel_basis, a run is nonempty, of step 1, and starts at a
+    column no lower than its first vector's place in the basis; any
+    other range raises ValueError.
     """
 
     def __init__(self, segments: Iterable[Union[dict[int, Fraction], range]]) -> None:
         self.segments = tuple(segments)
-        offsets = []
         n = 0
         for segment in self.segments:
-            offsets.append(n)
-            run = type(segment) is range
-            if run and not (segment and segment.step == 1 and segment.start >= n):
+            if type(segment) is not range:
+                n += 1
+            elif segment and segment.step == 1 and segment.start >= n:
+                n += segment.stop - segment.start
+            else:
                 raise ValueError(f"not a run of columns from index {n}: {segment!r}")
-            n += len(segment) if run else 1
-        self.offsets = tuple(offsets)
-        self._len = n
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i: int) -> dict[int, Fraction]:
-        j = index(i)
-        if j < 0:
-            j += self._len
-        if not 0 <= j < self._len:
-            raise IndexError("null space basis index out of range")
-        s = bisect_right(self.offsets, j) - 1
-        segment = self.segments[s]
-        if type(segment) is range:
-            return {segment[j - self.offsets[s]]: ONE}
-        return segment
+        self.dimension = n
 
     def __iter__(self) -> Iterator[dict[int, Fraction]]:
         for segment in self.segments:
@@ -148,25 +119,32 @@ class NullBasis(Sequence[dict[int, Fraction]]):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (list, tuple, NullBasis)):
             return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        n = other.dimension if isinstance(other, NullBasis) else len(other)
+        return self.dimension == n and all(a == b for a, b in zip(self, other))
 
     def __repr__(self) -> str:
         return f"NullBasis({list(self.segments)!r})"
 
 
 def kernel_basis(
-    rows: Sequence[Mapping[int, int | Fraction]], ncols: int
+    rows: Sequence[Mapping[int, int]], ncols: int
 ) -> tuple[int, list[int], NullBasis]:
-    """Null-space basis of a sparse row system over the columns 0..ncols-1.
+    """Null-space basis of sparse integer rows over the columns 0..ncols-1.
 
-    Returns (rank, pivot columns, basis).  Each basis vector is a sparse
-    mapping normalised so its free column holds 1; vectors are ordered by
-    free column.  Untouched columns always contribute singleton vectors,
-    kept in the basis as runs of columns.
+    Returns (rank, pivot columns, basis).  The rows go to integer_echelon
+    as they are, so a Fraction entry raises TypeError at the first gcd.
+    Each basis vector is a sparse mapping normalised so its free column
+    holds 1, read off the echelon rows that hold that column, found
+    through an index made once; vectors are ordered by free column.
+    Untouched columns contribute singleton vectors, kept as runs.
     """
     touched = sorted({c for row in rows for c in row})
-    echelon, pivot_cols = integer_echelon(_scaled(row)[0] for row in rows)
+    echelon, pivot_cols = integer_echelon(rows)
     pivot_set = set(pivot_cols)
+    holders: dict[int, list[tuple[Row, int]]] = {}
+    for row, pc in zip(echelon, pivot_cols):
+        for c in row:
+            holders.setdefault(c, []).append((row, pc))
 
     segments: list[Union[dict[int, Fraction], range]] = []
     start = 0  # the first column not yet in a segment
@@ -179,9 +157,8 @@ def kernel_basis(
         # The pivot row of pc holds no other pivot column, and f's vector
         # is 0 in every other free column: row[pc]*x[pc] + row[f]*1 = 0.
         vector: dict[int, Fraction] = {f: ONE}
-        for row, pc in zip(echelon, pivot_cols):
-            if f in row:
-                vector[pc] = Fraction(-row[f], row[pc])
+        for row, pc in holders.get(f, ()):
+            vector[pc] = Fraction(-row[f], row[pc])
         segments.append(vector)
     if ncols > start:
         segments.append(range(start, ncols))

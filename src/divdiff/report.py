@@ -50,8 +50,9 @@ of int keys is sorted, and its digit keys get no twin; a list of
 plain strings, such as the paths of provenance, is one join.
 
 A list is written by one loop over its members, which writes two
-kinds of member itself.  A NullBasis is walked by its segments, and a
-run of untouched columns is written whole: one text of its singleton
+kinds of member itself.  A NullBasis is walked by its segments, each
+one's first list index counted from the sizes of those before it, and
+a run of untouched columns is written whole: one text of its singleton
 vectors, and one _Run for their exact paths, written in provenance, or
 their CSV lines.  Every other member, sparse vectors and scalars among
 them, is written by the code that writes the values of a mapping.
@@ -65,6 +66,8 @@ between two items, the keys are one (glue + p).join(slice) per block of
 columns.  The paths "i].k" of a stretch are one join of one list: the
 separators glue + ip and "]." + kp repeated, with the slices isuf and
 ksuf put between them by slice assignment.
+A run of more than sys.maxsize columns (a NullBasis past N = 46) has
+no len(), and writing it raises OverflowError.
 
 Every CSV line comes from one line writer: a cell goes in quotes, its
 quotes doubled, when it holds a comma, a quote, a newline or a carriage
@@ -83,7 +86,7 @@ render_json takes 2.4-4.1 ms and render_csv 1.6-2.7 ms (round medians;
 
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
@@ -237,7 +240,11 @@ def _write(
     if plan is _LIST:
         brackets = "[]"
         runs = type(value) is NullBasis
-        items: Any = zip(value.offsets, value.segments) if runs else enumerate(value)
+        items: Any = enumerate(value)
+        if runs:
+            # Each segment with the list index of its first vector.
+            sizes = [s.stop - s.start if type(s) is range else 1 for s in value.segments]
+            items = zip(accumulate(sizes, initial=0), value.segments)
         if inner is not None:
             # The JSON text of a singleton vector {c: 1}: head, c, tail.
             head, tail = "{" + inner + '  "', '"' + inner + "}"

@@ -520,6 +520,32 @@ def test_running_out_of_memory_is_one_line_exit_two():
     assert (proc.returncode, out, err) == (2, "", "divdiff: error: fd ran out of memory\n")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_run_past_an_index_sized_integer_is_one_line_exit_two(fmt):
+    # At N = 50 the basis's first run of untouched columns is longer than
+    # sys.maxsize, so the writer cannot take its len().
+    proc = launch_child(["nullspace", "--N", "50", "--max-N", "50", "--format", fmt])
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert (proc.returncode, out) == (2, "")
+    assert err.startswith("divdiff: error: nullspace exceeds a size limit: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("callee", ["nullspace", "render_json", "_write"])
+def test_an_overflow_in_run_render_or_write_is_a_size_limit(capsys, monkeypatch, callee):
+    def fail(*args, **kwargs):
+        raise OverflowError("too wide")
+
+    monkeypatch.setattr(cli, callee, fail)
+    code, out, err = run(capsys, "nullspace", "--N", "3")
+    assert (code, out) == (2, "")
+    assert err == "divdiff: error: nullspace exceeds a size limit: too wide\n"
+
+
 def test_only_an_interrupt_or_a_memory_error_is_caught(monkeypatch):
     # A BaseException such as a caller's deadline passes through main.
     class Deadline(BaseException):

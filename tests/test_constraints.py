@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -133,13 +134,23 @@ def test_endpoints_and_midpoint_always_forced():
         assert {0, half, report.L} <= set(report.forced_zero_points)
 
 
-def test_full_rank_and_only_the_ends_and_midpoint_forced_up_to_forty():
+def test_full_rank_and_only_the_ends_and_midpoint_forced_up_to_sixty():
     # The paper's null-space facts: the N + 1 rows are independent, and
     # every grid point but 0, 1/2 and 1 is free in some solution.
-    for N in range(2, 41):
+    for N in range(2, 61):
         report = nullspace(build_constraint_system(N))
         assert report.rank == N + 1, N
+        assert report.dimension == report.basis.dimension == report.L - N, N
         assert report.forced_zero_points == (0, report.L // 2, report.L), N
+
+
+def test_the_dimension_is_exact_past_sys_maxsize():
+    # From N = 43 on, L + 1 columns no longer fit an index-sized integer.
+    report = nullspace(build_constraint_system(43))
+    assert report.L == 9_419_588_158_802_421_600
+    assert report.dimension == 9_419_588_158_802_421_557 > sys.maxsize
+    assert report.rank == 44
+    assert report.forced_zero_points == (0, report.L // 2, report.L)
 
 
 def test_wide_system_stays_fast():
@@ -225,10 +236,12 @@ def test_free_vector_check_agrees_with_the_all_rows_oracle():
         system = ConstraintSystem(N=len(rows), L=L, rows=rows)
         _, pivot_cols, vectors = constraints.kernel_basis(system.rows, system.ncols)
         pivots = set(pivot_cols)
+        # The basis vectors come one per free column, in column order.
+        by_free = dict(zip((c for c in range(system.ncols) if c not in pivots), vectors))
         for free in system.touched:
             if free in pivots:
                 continue
-            vector = dict(vectors[free - sum(p < free for p in pivot_cols)])
+            vector = dict(by_free[free])
             if pivot_cols and rng.random() < 0.8:
                 vector[rng.choice(pivot_cols)] = rng.choice((0, 1, Fraction(rng.randint(-5, 5), 3)))
             row = reference_failing_row(system, vector)

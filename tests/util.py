@@ -149,12 +149,12 @@ def random_sparse_rows(rng, ncols):
     """Up to six rows over a random half of the columns 0..ncols-1.
 
     The other columns stay untouched.  Rows may be empty, coefficients are
-    integers or fractions, and a zero coefficient still touches its column.
+    integers in -4..4, and a zero coefficient still touches its column.
     """
     used = [c for c in range(ncols) if rng.random() < 0.5]
     return [
         {
-            c: rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.randint(1, 4))))
+            c: rng.randint(-4, 4)
             for c in used
             if rng.random() < 0.6
         }
