@@ -179,6 +179,41 @@ MUTANTS = {
         ),
         "an optimum of the working set alone would be taken for the optimum of every row",
     ),
+    "tableau-ignores-lazy": Mutant(
+        "simplex.py",
+        "        self.lazy = {i: a_ub[i] for i in sorted(lazy)}\n",
+        "        self.lazy = {}\n",
+        (
+            SIMPLEX + "test_a_violated_row_joins_the_working_set_in_the_current_basis",
+            SIMPLEX + "test_an_infeasible_working_set_has_a_ray_that_is_zero_on_the_omitted_rows",
+            EXTREMAL + "test_relaxed_programs_hold_only_the_rows_that_bind",
+            EXTREMAL + "test_pivot_paths_are_pinned[9]",
+        ),
+        "every row would join the working set at once, and each relaxed LP pivot over all of them",
+    ),
+    "search-asks-lower-before-forced": Mutant(
+        "extremal.py",
+        "        if pin in forced or lower(pin, pin) > m:\n",
+        "        if lower(pin, pin) > m or pin in forced:\n",
+        (
+            EXTREMAL + "test_three_attains_six",
+            EXTREMAL + "test_gap_search_finds_the_smallest_pin_of_the_least_value[1]",
+            EXTREMAL + "test_gap_search_solves_no_pin_whose_bound_reaches_a_known_value[36]",
+        ),
+        "a forced pin is at distance 0 from a forced zero, where the distance bound divides by 0",
+    ),
+    "evaluate-without-zero-extension": Mutant(
+        "funcs.py",
+        "        if self.extended_by_zero and not 0 <= x <= 1:\n"
+        "            return ZERO\n",
+        "",
+        (
+            "tests/test_funcs.py::test_zero_extension_returns_zero_outside",
+            "tests/test_funcs.py::test_evaluate_applies_the_zero_extension_without_asking_pairs",
+            "tests/test_probes.py::test_probe_matches_the_full_loop",
+        ),
+        "a zero-extended f would give its formula's value outside [0, 1] in place of 0",
+    ),
     "stirling-with-n-minus-one": Mutant(
         "cascade.py",
         "[n * s + t for n, s, t in zip(orders, stirling[1:] + [0], stirling)]",

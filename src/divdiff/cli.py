@@ -337,32 +337,29 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        try:
-            report, code, diagnostic = run(args)
-        except (DuplicateKnotError, PoleError, DomainEvaluationError) as exc:
-            print(f"divdiff: error: {exc}", file=sys.stderr)
-            return 2
-        except OverflowError:
-            raise  # a size limit, not a failed check: ended below
-        except ArithmeticError as exc:
-            # Raised by the exact self-checks (LP status and certificate,
-            # residual recomputation, null-space certificate), never by bad input.
-            print(f"divdiff: error: internal check failed: {exc}", file=sys.stderr)
-            return 2
-        except ValueError as exc:  # ParseError among them
-            print(f"divdiff: error: {exc}", file=sys.stderr)
-            return 1
+        report, code, diagnostic = run(args)
         text = render_json(report) if args.format == "json" else render_csv(report)
         if not _write(text, args.out):
             return 1
+    except (DuplicateKnotError, PoleError, DomainEvaluationError) as exc:
+        print(f"divdiff: error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a size limit, not a failed check
+        print(f"divdiff: error: {args.command} exceeds a size limit: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # Raised by the exact self-checks (LP status and certificate,
+        # residual recomputation, null-space certificate), never by bad input.
+        print(f"divdiff: error: internal check failed: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # ParseError among them
+        print(f"divdiff: error: {exc}", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         print("divdiff: interrupted", file=sys.stderr)
         return 2
     except MemoryError:
         print(f"divdiff: error: {args.command} ran out of memory", file=sys.stderr)
-        return 2
-    except OverflowError as exc:
-        print(f"divdiff: error: {args.command} exceeds a size limit: {exc}", file=sys.stderr)
         return 2
     if diagnostic:
         print(diagnostic, file=sys.stderr)

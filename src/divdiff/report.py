@@ -66,8 +66,9 @@ between two items, the keys are one (glue + p).join(slice) per block of
 columns.  The paths "i].k" of a stretch are one join of one list: the
 separators glue + ip and "]." + kp repeated, with the slices isuf and
 ksuf put between them by slice assignment.
-A run of more than sys.maxsize columns (a NullBasis past N = 46) has
-no len(), and writing it raises OverflowError.
+A NullBasis of more than sys.maxsize vectors (past N = 42) has members
+that no list index reaches, and writing it raises OverflowError before
+any of its text is made.
 
 Every CSV line comes from one line writer: a cell goes in quotes, its
 quotes doubled, when it holds a comma, a quote, a newline or a carriage
@@ -84,6 +85,7 @@ render_json takes 2.4-4.1 ms and render_csv 1.6-2.7 ms (round medians;
 3.5-5.5 and 2.7-4.4 ms when each path was a string of its own).
 """
 
+import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -230,7 +232,8 @@ def _write(
     pad None, out gets one (path, cell) pair per scalar, and exact and
     approx are left alone.  The paths, or the pairs, of a NullBasis run
     are one _Run.  A mapping or record that would write one key twice
-    raises ValueError.
+    raises ValueError, and a NullBasis past sys.maxsize vectors
+    OverflowError.
     """
     inner = None if pad is None else pad + "  "
     prefix = path + "." if path else ""
@@ -242,6 +245,8 @@ def _write(
         runs = type(value) is NullBasis
         items: Any = enumerate(value)
         if runs:
+            if value.dimension > sys.maxsize:
+                raise OverflowError(f"a basis of {value.dimension} vectors is past sys.maxsize")
             # Each segment with the list index of its first vector.
             sizes = [s.stop - s.start if type(s) is range else 1 for s in value.segments]
             items = zip(accumulate(sizes, initial=0), value.segments)

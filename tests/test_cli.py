@@ -522,17 +522,21 @@ def test_running_out_of_memory_is_one_line_exit_two():
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_a_run_past_an_index_sized_integer_is_one_line_exit_two(fmt):
-    # At N = 50 the basis's first run of untouched columns is longer than
-    # sys.maxsize, so the writer cannot take its len().
-    proc = launch_child(["nullspace", "--N", "50", "--max-N", "50", "--format", fmt])
-    try:
-        out, err = proc.communicate(timeout=60)
-    finally:
-        proc.kill()
-        proc.communicate()
-    assert (proc.returncode, out) == (2, "")
-    assert err.startswith("divdiff: error: nullspace exceeds a size limit: ")
-    assert err.count("\n") == 1 and err.endswith("\n")
+    # From N = 43 the basis holds more than sys.maxsize vectors, which no
+    # list index reaches; at N = 50 its first run of untouched columns alone
+    # is longer than that.  On Linux a memory cap ends a writer that starts
+    # anyway.
+    cap = 512 << 20 if sys.platform.startswith("linux") else 0
+    for n in ("43", "50"):
+        proc = launch_child(["nullspace", "--N", n, "--max-N", n, "--format", fmt], memory=cap)
+        try:
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.communicate()
+        assert (proc.returncode, out) == (2, ""), n
+        assert err.startswith("divdiff: error: nullspace exceeds a size limit: "), n
+        assert err.count("\n") == 1 and err.endswith("\n"), n
 
 
 @pytest.mark.parametrize("callee", ["nullspace", "render_json", "_write"])
@@ -1134,32 +1138,3 @@ def test_probe_with_a_huge_shift_count_finishes(capsys, tmp_path):
     assert abs(residual) <= parse_rational(big["bound"])
     # residual * N is constant once N passes the cutoff floor((1-x)/h) = 57
     assert residual * 100000000 == parse_rational(small["residual"]) * 64
-
-
-def test_walkthrough_of_order_fifteen_finishes(capsys, tmp_path):
-    grid = tmp_path / "hat.csv"
-    grid.write_text("L=2\n1,1\n")
-    results = run_json(
-        capsys, "walkthrough", "--func", f"pl:{grid}", "--extend-zero",
-        "--x", "1/10", "--h", "1/64", "--n", "15", "--N", "8",
-    )["results"]
-    assert results["identity_equal"] is True
-    assert results["residual"] == results["boundary_total"]
-    assert len(results["boundary"]) == 15
-
-
-@pytest.mark.parametrize(
-    "func, extend",
-    [("poly:1,-2,3/5,7", True), ("poly:1,-2,3/5,7", False), ("pl:{grid}", True)],
-)
-def test_telescope_of_order_twenty_finishes(capsys, tmp_path, func, extend):
-    grid = tmp_path / "hat.csv"
-    grid.write_text("L=2\n1,1\n")
-    argv = ["telescope", "--func", func.format(grid=grid), "--x", "1/10",
-            "--h", "1/50", "--n", "20", "--j", "3", "--N", "1000"]
-    if extend:
-        argv.append("--extend-zero")
-    results = run_json(capsys, *argv)["results"]
-    assert results["jprime"] == math.factorial(20) // 3
-    assert results["equal"] is True
-    assert results["lhs"] == results["rhs"]

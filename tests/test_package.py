@@ -2,6 +2,7 @@
 and no definition that only tests reach."""
 
 import ast
+import importlib.metadata
 import json
 import pkgutil
 import subprocess
@@ -66,6 +67,15 @@ def test_public_names():
     for name, module in divdiff._MODULE_OF.items():
         defining = sys.modules[f"divdiff.{module}"]
         assert getattr(divdiff, name) is getattr(defining, name) is namespace[name]
+
+
+def test_installed_metadata_carries_the_package_version():
+    # pyproject.toml reads the version from divdiff.__version__ at build time.
+    try:
+        installed = importlib.metadata.version("divdiff")
+    except importlib.metadata.PackageNotFoundError:
+        pytest.skip("divdiff is imported from a tree that is not installed")
+    assert installed == divdiff.__version__
 
 
 def test_rebound_name_is_not_cached(monkeypatch):
