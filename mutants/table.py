@@ -20,6 +20,8 @@ class Mutant(NamedTuple):
     reason: str
 
 
+CLI = "tests/test_cli.py::"
+PARSE = CLI + "test_one_pass_parse_matches_parse_args"
 EXTREMAL = "tests/test_extremal.py::"
 CONSTRAINTS = "tests/test_constraints.py::"
 SIMPLEX = "tests/test_simplex.py::"
@@ -230,5 +232,35 @@ MUTANTS = {
             "test_an_unextended_polynomial_above_its_degree_asks_for_no_point",
         ),
         "a zero-extended f would add its values outside [0, 1] instead of 0",
+    ),
+    "pass-keeps-a-repeated-flag": Mutant(
+        "cli.py",
+        "        if arg is None or arg.dest in given:\n",
+        "        if arg is None:\n",
+        (PARSE + "[['minlip', '--N', '3', '--N', '4']]", PARSE + "_on_drawn_argvs"),
+        "a flag given twice would be read by the pass, which argparse alone may read",
+    ),
+    "pass-takes-a-dash-value": Mutant(
+        "cli.py",
+        'if not value or value.startswith("-") or ',
+        "if not value or ",
+        (
+            PARSE + "[['minlip', '--N', '-h']]",
+            PARSE + "[['minlip', '--N=--']]",
+            PARSE + "_on_drawn_argvs",
+        ),
+        "a value such as -h or -- is a flag or an end of options to argparse, not a value",
+    ),
+    "pass-without-required-check": Mutant(
+        "cli.py",
+        "    if any(arg.required and arg.dest not in given for arg in command.options):\n"
+        "        return None\n",
+        "",
+        (
+            PARSE + "[['minlip']]",
+            PARSE + "[['uniform', '--n', '2', '--extend-zero']]",
+            PARSE + "_on_drawn_argvs",
+        ),
+        "a missing required option would reach run as None, not as argparse's usage error",
     ),
 }

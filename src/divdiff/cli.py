@@ -15,9 +15,10 @@ switches on (an option's least value, --extend-zero and a base point in
 [0, 1], the N cap of --max-N), parses --func, builds the Report with the
 required options as its inputs, and turns an infeasible result into
 exit 2 with a diagnostic.  main parses, renders and writes: the same
-UTF-8 bytes on stdout and to --out, whatever the locale; a known
-subcommand's parser reads its arguments directly, so argv is parsed
-once (_parse).  Diagnostics go to stderr only.  Exit codes: 0 success,
+UTF-8 bytes on stdout and to --out, whatever the locale, written in
+slices of the report.  A plain argv is read in one pass over its
+subcommand's options, every other argv by argparse (_parse), to the
+same namespace.  Diagnostics go to stderr only.  Exit codes: 0 success,
 1 usage or parse errors and a report or help that cannot be written,
 2 domain errors (duplicate knots, a rational-function pole, an
 infeasible optimization), failed internal checks, an interrupt, a run
@@ -52,12 +53,10 @@ from .rational import parse_integer, parse_rational, parse_rationals
 from .report import Report, render_csv, render_json
 
 DEFAULT_MAX_N = 12
+_SLICE = 1 << 20  # characters of a report encoded and written at a time
 
 
 class _Parser(argparse.ArgumentParser):
-    # The top-level parser's subcommand parsers, by name (set by build_parser).
-    commands: dict[str, argparse.ArgumentParser]
-
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         # argparse reads an argument that starts with "-" as a flag unless
@@ -81,6 +80,13 @@ class _Parser(argparse.ArgumentParser):
             self.exit(1)
 
 
+def _encode_into(fh: IO[bytes], text: str) -> None:
+    # Each code point encodes alone, so slices give the bytes of the whole
+    # text without holding a second copy of it.
+    for start in range(0, len(text), _SLICE):
+        fh.write(text[start:start + _SLICE].encode("utf-8", "surrogateescape"))
+
+
 def _write(text: str, out: Optional[str]) -> bool:
     """Write text to the file out, or to stdout and flush it.
 
@@ -91,10 +97,10 @@ def _write(text: str, out: Optional[str]) -> bool:
     try:
         if out is not None:
             with open(out, "wb") as fh:
-                fh.write(text.encode("utf-8", "surrogateescape"))
+                _encode_into(fh, text)
         elif hasattr(sys.stdout, "buffer"):
             sys.stdout.flush()
-            sys.stdout.buffer.write(text.encode("utf-8", "surrogateescape"))
+            _encode_into(sys.stdout.buffer, text)
             sys.stdout.buffer.flush()
         else:
             sys.stdout.write(text)
@@ -117,9 +123,11 @@ class Arg:
     """One option of a subcommand; type bool declares an on/off flag.
 
     Required options are the report's inputs; exclusive ones form the
-    subcommand's required mutually exclusive group.  argparse keeps the
-    text; when the option is given, run converts it with type and checks
-    least, so that a malformed value is a one-line error naming the flag.
+    subcommand's required mutually exclusive group; an option with
+    choices takes only those texts, and the first when it is not given.
+    The parse keeps the text; when the option is given, run converts it
+    with type and checks least, so that a malformed value is a one-line
+    error naming the flag.
     """
 
     flag: str
@@ -128,10 +136,17 @@ class Arg:
     required: bool = True
     least: Optional[int] = None
     exclusive: bool = False
+    choices: Optional[tuple[str, ...]] = None
 
-    @property
+    @functools.cached_property
     def dest(self) -> str:
         return self.flag.lstrip("-").replace("-", "_")
+
+    @functools.cached_property
+    def default(self) -> Any:
+        if self.choices:
+            return self.choices[0]
+        return False if self.type is bool else None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,6 +169,9 @@ ORDER, NONNEGATIVE_ORDER = Arg("--n", parse_integer), Arg("--n", parse_integer, 
 SHIFTS, LATTICE_N = Arg("--N", parse_integer), Arg("--N", parse_integer, least=1)
 MAX_N = Arg("--max-N", parse_integer, f"raise the N cap (default {DEFAULT_MAX_N})",
             required=False, least=1)
+# The options every subcommand takes before its own.
+_SHARED = (Arg("--format", required=False, choices=("json", "csv")),
+           Arg("--out", help="write the report to this path instead of stdout", required=False))
 
 
 def _knot_differences(args: argparse.Namespace, f: Any) -> dict[str, Any]:
@@ -257,36 +275,66 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help, description=command.help)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", help="write the report to this path instead of stdout")
         group = None
-        for arg in command.options:
+        for arg in _SHARED + command.options:
             target = p
             if arg.exclusive:
                 target = group = group or p.add_mutually_exclusive_group(required=True)
             if arg.type is bool:
                 target.add_argument(arg.flag, action="store_true", help=arg.help)
             else:
-                target.add_argument(arg.flag, required=arg.required, help=arg.help)
-    parser.commands = sub.choices
+                target.add_argument(arg.flag, required=arg.required, help=arg.help,
+                                    choices=arg.choices, default=arg.default)
     return parser
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, in one pass when argv[0] is a subcommand.
+    """Read argv as ``build_parser().parse_args(argv)`` does.
 
-    The top-level pass would only hand the rest of argv to that
-    subcommand's parser; what it leaves is the top-level parser's
-    "unrecognized arguments" error, as in parse_args.
+    A plain argv (see _plain) is read in one pass over its subcommand's
+    options; every other argv, with help, usage errors, abbreviations and
+    "--" among them, goes to argparse.
     """
-    parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    command = COMMANDS.get(argv[0]) if argv else None
+    given = _plain(command, argv[1:]) if command is not None else None
+    if given is None:
+        return build_parser().parse_args(argv)
+    return argparse.Namespace(command=argv[0], **given)
+
+
+def _plain(command: Command, tokens: list[str]) -> Optional[dict[str, Any]]:
+    """Every option's text by dest, argparse's default where not given, or
+    None unless the tokens are plain.
+
+    Plain tokens name each option at most once and in full, as "--flag
+    value" or "--flag=value" (a bool flag alone); each value is nonempty,
+    does not start with "-" and is one of the option's choices; every
+    required option is given, and one of an exclusive pair.
+    """
+    options = {arg.flag: arg for arg in _SHARED + command.options}
+    given: dict[str, Any] = {}
+    rest = iter(tokens)
+    for token in rest:
+        flag, eq, value = token.partition("=")
+        arg = options.get(flag)
+        if arg is None or arg.dest in given:
+            return None
+        if arg.type is bool:
+            if eq:
+                return None
+            given[arg.dest] = True
+            continue
+        if not eq:
+            value = next(rest, "")
+        if not value or value.startswith("-") or arg.choices and value not in arg.choices:
+            return None
+        given[arg.dest] = value
+    if any(arg.required and arg.dest not in given for arg in command.options):
+        return None
+    exclusive = [arg.dest in given for arg in command.options if arg.exclusive]
+    if exclusive and sum(exclusive) != 1:
+        return None
+    return {arg.dest: given.get(arg.dest, arg.default) for arg in options.values()}
 
 
 def run(args: argparse.Namespace) -> tuple[Report, int, Optional[str]]:
