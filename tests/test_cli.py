@@ -1090,7 +1090,7 @@ def _subparser(name):
     return sub.choices[name]
 
 
-def _plain(argv):
+def _is_plain(argv):
     """Whether cli._parse reads argv itself, by the rules of cli._plain,
     judged from the subcommand parser's own declarations."""
     if not argv or argv[0] not in cli.COMMANDS:
@@ -1138,7 +1138,7 @@ def _check_against_parse_args(argv):
     expected = _outcome(cli.build_parser().parse_args, argv)
     with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as fallback:
         assert _outcome(cli._parse, argv) == expected
-    assert fallback.called != _plain(argv), argv
+    assert fallback.called != _is_plain(argv), argv
     return not fallback.called
 
 
