@@ -3,32 +3,29 @@
     python bench/ladder.py --label <label>
 
 Each rung is one argv of the ``divdiff`` command line, with the SHA-256
-and exit code its stdout must give.  The rungs are the cases of ``CASES``
+and exit code its report must give.  The rungs are the cases of ``CASES``
 in ``tests/golden/check.py``, under their names there
 (``readme-<command>-<format>``: the README commands, whose stdout is
-their golden file; ``pin-<name>``: the pins), then ``scale-*``: two runs
-larger than any pin, in ``SCALE`` below.
+their golden file; ``pin-<name>``: the pins), then the whole launches at
+scale of ``SCALE`` there, as ``scale-<name>``.
 
-Each launch is ``python -m divdiff`` in a fresh child, run from
-``tests/golden/`` (a grid file's relative ``pl:`` path enters its report)
-with this checkout's ``src/`` on ``PYTHONPATH``.  Its stdout is hashed and
-counted as it streams, so a large report is never held in memory, and
-the child's peak RSS comes from ``os.wait4``.  Every rung is launched
-LAUNCHES times, one pass over all of them after another, so a drift in the
-host's speed spreads over every rung.  For each rung the file records
-the median and quartiles of the wall time, the exit code, the stdout
-byte count and SHA-256, and the median and largest peak RSS.  Once per
-file it records the time of a fixed pure-Python reference loop, the
-host factor: divide a rung's time by it to compare hosts.  It also
-records the commit, the Python version and the CPU count.
+Each launch is one ``check.launch``, unbounded, with this checkout's
+``src/`` first on ``PYTHONPATH``; only its report's size and SHA-256
+are kept.  Every rung is launched LAUNCHES times, one pass over all of
+them after another, so a drift in the host's speed spreads over every
+rung.  For each rung the file records the median and quartiles of the
+wall time, the exit code, the report byte count and SHA-256 (as
+``stdout_bytes`` and ``stdout_sha256``), and the median and largest peak
+RSS.  Once per file it records the time of a fixed pure-Python reference
+loop, the host factor: divide a rung's time by it to compare hosts.  It
+also records the commit, the Python version and the CPU count.
 
-The exit status is 1 when a rung's stdout differs between launches or
+The exit status is 1 when a rung's report differs between launches or
 from its pin, or its exit code from the pinned one; the file is written
 either way.  Only the standard library is used.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import statistics
@@ -37,61 +34,23 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN_DIR = ROOT / "tests" / "golden"
-sys.path[:0] = [str(ROOT / "src"), str(GOLDEN_DIR)]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests" / "golden")]
 
-from check import CASES, Pin  # noqa: E402
+from check import CASES, SCALE, Pin, launch  # noqa: E402
 
-# Recorded at the commit before the ladder existed, from tests/golden/.
-SCALE = {
-    "scale-minlip-13": Pin(
-        ["minlip", "--N", "13", "--max-N", "13"],
-        "a16d4b0889cace06b006b209d3d3d299a1cc55d3de245ca68ad4040cddf95be0",
-    ),
-    "scale-nullspace-16": Pin(
-        ["nullspace", "--N", "16", "--max-N", "16"],
-        "2dc25df0f4483cc7995145c63691bd338da7ccbe7e2a9c4105041dd556ed33a8",
-    ),
-}
-
-RUNGS = {**CASES, **SCALE}
+RUNGS = {**CASES, **{f"scale-{name}": run for name, run in SCALE.items()}}
 
 # Launches per rung: enough for a median and quartiles.
 LAUNCHES = 5
 
 
-class Launch(NamedTuple):
-    seconds: float
-    code: int
-    stdout_bytes: int
-    sha256: str
-    peak_rss_kib: int
-
-
-def launch(argv: list) -> Launch:
-    """One ``python -m divdiff`` child on argv, from tests/golden/."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    digest, count = hashlib.sha256(), 0
-    start = time.perf_counter()
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "divdiff", *argv],
-        cwd=GOLDEN_DIR, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-    )
-    with proc.stdout:
-        while chunk := proc.stdout.read(1 << 20):
-            digest.update(chunk)
-            count += len(chunk)
-    # wait4 reaps the child, so Popen is told its exit code here.
-    _, status, usage = os.wait4(proc.pid, 0)
-    seconds = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    # ru_maxrss is in KiB on Linux and in bytes on macOS.
-    rss = usage.ru_maxrss // 1024 if sys.platform == "darwin" else usage.ru_maxrss
-    return Launch(seconds, proc.returncode, count, digest.hexdigest(), rss)
+def measure(argv: list) -> tuple:
+    """One launch of argv, without its report: (seconds, exit code, report
+    bytes, SHA-256, peak RSS in KiB)."""
+    one = launch(argv)
+    return one.seconds, one.code, len(one.report), one.sha256, one.peak_rss_kib
 
 
 def reference_loop() -> int:
@@ -122,18 +81,18 @@ def _quartiles(values: list) -> dict:
 
 
 def summary(rung: Pin, launches: list) -> dict:
-    """A rung's record over its launches; "ok" when every launch gave its pin."""
-    digests = sorted({one.sha256 for one in launches})
-    codes = sorted({one.code for one in launches})
-    sizes = sorted({one.stdout_bytes for one in launches})
-    rss = [one.peak_rss_kib / 1024 for one in launches]
+    """A rung's record over its measured launches; "ok" when every launch
+    gave its pin."""
+    seconds, codes, sizes, digests, rss = zip(*launches)
+    codes, sizes, digests = (sorted(set(values)) for values in (codes, sizes, digests))
+    rss = [kib / 1024 for kib in rss]
     return {
         "argv": rung.argv,
         "ok": digests == [rung.digest] and codes == [rung.code],
         "code": codes[0] if len(codes) == 1 else codes,
         "stdout_bytes": sizes[0] if len(sizes) == 1 else sizes,
         "stdout_sha256": digests[0] if len(digests) == 1 else digests,
-        "wall_s": _quartiles([one.seconds for one in launches]),
+        "wall_s": _quartiles(seconds),
         "peak_rss_mib": {"median": round(statistics.median(rss), 1), "max": round(max(rss), 1)},
     }
 
@@ -152,8 +111,8 @@ def record() -> dict:
     runs = {name: [] for name in RUNGS}
     for _ in range(LAUNCHES):
         for name, rung in RUNGS.items():
-            runs[name].append(launch(rung.argv))
-            print(f"{name}: {runs[name][-1].seconds:.3f} s", file=sys.stderr)
+            runs[name].append(measure(rung.argv))
+            print(f"{name}: {runs[name][-1][0]:.3f} s", file=sys.stderr)
     return {
         "commit": _commit(),
         "python": sys.version.split()[0],

@@ -67,9 +67,13 @@ in its own pairs.
 ``CASES`` lists each of these runs once, with the SHA-256 and exit code
 it must give: ``readme-<command>-<format>`` for every README command in
 JSON, then in CSV, whose digest is that of its golden file's bytes, then
-``pin-<name>`` for every pin.  The ladder in ``bench/`` launches the same
-table under the same names.  ``tests/test_golden.py`` runs these under
-pytest.  Without pytest, run
+``pin-<name>`` for every pin.  ``SCALE`` lists the runs too large or too
+slow to run in process, each with its time bound in seconds.  ``launch``
+runs one argv as a whole ``python -m divdiff`` child, from this directory:
+``tests/test_scale.py`` launches every bounded run of ``SCALE``, and the
+ladder in ``bench/`` times every case of both tables, under the same
+names (``scale-<name>`` for ``SCALE``).  ``tests/test_golden.py`` runs
+``CASES`` under pytest.  Without pytest, run
 
     PYTHONPATH=src python tests/golden/check.py
 
@@ -82,11 +86,17 @@ import contextlib
 import hashlib
 import io
 import os
+import signal
+import subprocess
 import sys
+import tempfile
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
+import divdiff
 from divdiff.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent
@@ -166,11 +176,13 @@ ZIGZAG = "pl:zigzag.csv"
 
 
 class Pin(NamedTuple):
-    """A pinned run: its argv, the SHA-256 of its stdout, its exit code."""
+    """A pinned run: its argv, the SHA-256 of its report, its exit code, and
+    for a run of SCALE its time bound in seconds (None: timed, not bounded)."""
 
     argv: list
     digest: str
     code: int = 0
+    bound: float | None = None
 
 
 PINS = {
@@ -567,6 +579,184 @@ CASES = {
     },
     **{f"pin-{name}": pin for name, pin in PINS.items()},
 }
+
+
+HAT = "pl:hat.csv"
+SQUARE = "poly:0,0,1"
+
+
+def _nullspace_argv(n, fmt, *out):
+    return ["nullspace", "--N", str(n), "--max-N", str(n), "--format", fmt, *out]
+
+
+def _telescope_of_order_twenty_argv(func, *extend):
+    return ["telescope", "--func", func, *extend, "--x", "1/10", "--h", "1/50", "--n", "20",
+            "--j", "3", "--N", "1000"]
+
+
+# Whole launches past the pins, and three pins launched whole.  minlip-13
+# was recorded at the commit before the ladder existed, every other new
+# digest at caed0ea, from this directory.  An "{out}" in an argv is a file
+# that launch() makes.
+SCALE = {
+    # About 13 s: the ladder times it, and no bound is set.
+    "minlip-13": Pin(
+        ["minlip", "--N", "13", "--max-N", "13"],
+        "a16d4b0889cace06b006b209d3d3d299a1cc55d3de245ca68ad4040cddf95be0",
+    ),
+    # 27,721 and 720,721 grid columns; nearly all of the 27,708 and
+    # 720,704 basis vectors are written as runs of untouched columns.
+    # The file holds the bytes of the stdout pin.
+    "nullspace-12-csv-out": Pin(
+        _nullspace_argv(12, "csv", "--out", "{out}"), PINS["nullspace-12-csv"].digest, bound=30,
+    ),
+    "nullspace-12-json-out": Pin(
+        _nullspace_argv(12, "json", "--out", "{out}"), PINS["nullspace-12"].digest, bound=30,
+    ),
+    "nullspace-16-csv": PINS["nullspace-16-csv"]._replace(bound=30),
+    "nullspace-16-json": Pin(
+        _nullspace_argv(16, "json"),
+        "2dc25df0f4483cc7995145c63691bd338da7ccbe7e2a9c4105041dd556ed33a8", bound=30,
+    ),
+    # About 20,000 points of the lattice x + m*h lie in [0, 1], each
+    # evaluated once; the residual and bound run to tens of thousands of
+    # digits.
+    "probe-runge-h-1-20000": Pin(
+        ["probe", "--func", RUNGE, "--extend-zero", "--x", "0", "--h", "1/20000", "--n", "4",
+         "--N", "100000"],
+        "05589e2305d38e75a235fce530d8ac4b01fd421c77010146ea40c0b49fb83795", bound=60,
+    ),
+    # Both vanish on x^2: the node products at equispaced knots and the
+    # binomial row come by a ratio recurrence.  The identity sums both of
+    # its sides on x^2 too.
+    "uniform-square-3000": Pin(
+        ["uniform", "--func", SQUARE, "--n", "3000"],
+        "2137e7ea03318335c7332f0e87c5fb1011a9a6fde60b0953da77a07d3c79e75c", bound=30,
+    ),
+    "fd-square-20000": Pin(
+        ["fd", "--func", SQUARE, "--x", "0", "--h", "1/2", "--n", "20000"],
+        "1a0700a2abfdb9b4e237cb9f1f464c4f44d323a070655b6fa8fcf5fbd886c9de", bound=30,
+    ),
+    "identity-square-3000": Pin(
+        ["identity", "--func", SQUARE, "--n", "3000"],
+        "f48ad7aa5729ca9364d99ee46ddda99c38bdfce8e64c9946bff960af65c6ec18", bound=30,
+    ),
+    # The direct kernel adds its 3001 terms, each over its own
+    # denominator, in a balanced tree; identity asks for each knot once.
+    "uniform-runge-3000": PINS["uniform-3000"]._replace(bound=10),
+    "identity-runge-3000": PINS["identity-3000"]._replace(bound=10),
+    # The polynomial trims its trailing zeros in one pass.  Linux caps one
+    # argument at 128 KiB, so a --func text holds at most about 65,000.
+    "cascade-60000-zeros": Pin(
+        ["cascade", "--func", "poly:1" + ",0" * 60000],
+        "551aa7c4368e951c3ff1f3a14a9f875ccab8ba7801af75f6b857545e9a028fea", bound=3,
+    ),
+    # An unextended polynomial of degree below n gives 0 after the h and
+    # n checks, with no stencil: its binomial row alone would hold about
+    # 0.9 GB at n = 100,000.
+    "fd-square-100000": Pin(
+        ["fd", "--func", SQUARE, "--x", "0", "--h", "1/2", "--n", "100000"],
+        "61d02b021a5582bb585d8e25be388bc8cbefbe8fd50dfa8b00f1409658363381", bound=10,
+    ),
+    # Each of its four runs is deg p + 1 integer weights on the lattice,
+    # so N = 10^9 and j' = 20! cost what N = 1 does.
+    "telescope-cubic-N-1e9": Pin(
+        ["telescope", "--func", "poly:1,-2,0,3", "--x", "1/10", "--h", "1/50", "--n", "20",
+         "--j", "1", "--N", "1000000000"],
+        "2081a8428000dcb9268f17482bd776ab75f55a6b2b81e7b60a651d921cc93db2", bound=10,
+    ),
+    "walkthrough-hat-15": Pin(
+        ["walkthrough", "--func", HAT, "--extend-zero", "--x", "1/10", "--h", "1/64",
+         "--n", "15", "--N", "8"],
+        "89bcdec6e522857080cc7c8577ac3c1e2ed9a6936ea1eee4c6f62d5febe758d3", bound=10,
+    ),
+    "telescope-20-cubic-extended": Pin(
+        _telescope_of_order_twenty_argv("poly:1,-2,3/5,7", "--extend-zero"),
+        "9e6959c554e4de2de3e67c70603d6b84029b54b1957d0cc97ce020ba3c77458f", bound=10,
+    ),
+    "telescope-20-cubic": Pin(
+        _telescope_of_order_twenty_argv("poly:1,-2,3/5,7"),
+        "01fe36fdf4a4e40432e0ed52982175947868aee72a09723f61a1e77bd51f1259", bound=10,
+    ),
+    "telescope-20-hat-extended": Pin(
+        _telescope_of_order_twenty_argv(HAT, "--extend-zero"),
+        "5b1cc925385929472bd33ade8b8b1cd8dc426a62c845b64031854301f31f4a5e", bound=10,
+    ),
+}
+
+
+def child_env(**overrides):
+    """os.environ with the imported divdiff's directory first on PYTHONPATH,
+    so that a child imports the same package: src/ or an install.
+
+    Each override sets a variable, or removes it when None.
+    """
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(divdiff.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    for name, value in overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+class Launch(NamedTuple):
+    """One child: its exit code, report and stderr, its wall time in
+    seconds and its peak RSS in KiB."""
+
+    code: int
+    report: bytes
+    stderr: bytes
+    seconds: float
+    peak_rss_kib: int
+
+    @property
+    def sha256(self):
+        return hashlib.sha256(self.report).hexdigest()
+
+
+def _kill(pid, killed):
+    # A child reaped in the meantime is left alone.
+    with contextlib.suppress(ProcessLookupError):
+        os.kill(pid, signal.SIGKILL)
+        killed.set()
+
+
+def launch(argv, bound=None):
+    """``python -m divdiff <argv>`` in a child, run from GOLDEN_DIR with
+    ``child_env()``.
+
+    The report is the child's stdout.  An ``{out}`` in argv becomes a file
+    in a temporary directory, and the report is then stdout, which must
+    stay empty, followed by that file's bytes.  A child still running after
+    bound seconds is killed, and TimeoutError raised.
+    """
+    with tempfile.TemporaryDirectory(prefix="divdiff-launch-") as tmp:
+        stdout, stderr, out = (Path(tmp, name) for name in ("stdout", "stderr", "out"))
+        with open(stdout, "wb") as stdout_file, open(stderr, "wb") as stderr_file:
+            start = time.perf_counter()
+            child = subprocess.Popen(
+                [sys.executable, "-m", "divdiff", *(arg.replace("{out}", str(out)) for arg in argv)],
+                cwd=GOLDEN_DIR, env=child_env(), stdout=stdout_file, stderr=stderr_file,
+            )
+        killed = threading.Event()
+        timer = threading.Timer(bound, _kill, (child.pid, killed))
+        if bound is not None:
+            timer.start()
+        # wait4 reaps the child, so Popen is told its exit code here.
+        _, status, usage = os.wait4(child.pid, 0)
+        seconds = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
+        timer.cancel()
+        if killed.is_set():
+            raise TimeoutError(f"divdiff {argv[0]} ran past its bound of {bound} s and was killed")
+        report = b"".join(path.read_bytes() for path in (stdout, out) if path.exists())
+        errors = stderr.read_bytes()
+    # ru_maxrss is in KiB on Linux and in bytes on macOS.
+    rss = usage.ru_maxrss // 1024 if sys.platform == "darwin" else usage.ru_maxrss
+    return Launch(child.returncode, report, errors, seconds, rss)
 
 
 def _check_all():

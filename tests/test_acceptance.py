@@ -8,8 +8,6 @@ the stated time budgets are informational and printed with each line.
 
 import json
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
@@ -33,8 +31,8 @@ from divdiff import (
     telescope_shift_identity,
 )
 
+from golden.check import launch
 from util import (
-    child_env,
     distinct_knots,
     finite_difference_via_integral,
     lookup,
@@ -236,35 +234,25 @@ CLI_FIXTURES = [
     ["cascade", "--func", "poly:0,-1,1"],
     ["nullspace", "--N", "3"],
     ["minlip", "--N", "3"],
-    ["probe", "--func", "GRID", "--extend-zero", "--x", "0", "--h", "1/4",
+    ["probe", "--func", "pl:hat.csv", "--extend-zero", "--x", "0", "--h", "1/4",
      "--n", "1", "--Nmax", "8"],
-    ["telescope", "--func", "GRID", "--extend-zero", "--x", "1/10",
+    ["telescope", "--func", "pl:hat.csv", "--extend-zero", "--x", "1/10",
      "--h", "1/50", "--n", "2", "--j", "1", "--N", "6"],
-    ["walkthrough", "--func", "GRID", "--extend-zero", "--x", "1/10",
+    ["walkthrough", "--func", "pl:hat.csv", "--extend-zero", "--x", "1/10",
      "--h", "1/8", "--n", "1", "--N", "8"],
 ]
 
 
-def test_criterion_10_cli_round_trip(tmp_path):
+def test_criterion_10_cli_round_trip():
+    # Launched from tests/golden/, so that pl:hat.csv names the fixture there.
     started = time.perf_counter()
-    grid = tmp_path / "hat.csv"
-    grid.write_text("L=2\n1,1\n")
     ok = True
-    for fixture in CLI_FIXTURES:
-        argv = [arg if arg != "GRID" else f"pl:{grid}" for arg in fixture]
-        runs = [
-            subprocess.run(
-                [sys.executable, "-m", "divdiff", *argv],
-                capture_output=True,
-                text=True,
-                env=child_env(),
-            )
-            for _ in range(2)
-        ]
-        if runs[0].stdout != runs[1].stdout or not runs[0].stdout:
+    for argv in CLI_FIXTURES:
+        runs = [launch(argv) for _ in range(2)]
+        if runs[0].report != runs[1].report or not runs[0].report:
             ok = False
             break
-        doc = json.loads(runs[0].stdout)
+        doc = json.loads(runs[0].report)
         for path in doc["provenance"]["exact_fields"]:
             leaf = lookup(doc, path)
             if isinstance(leaf, str):

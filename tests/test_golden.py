@@ -3,6 +3,7 @@ byte-identical to the outputs recorded in tests/golden/."""
 
 import contextlib
 import decimal
+import hashlib
 import io
 
 import pytest
@@ -54,3 +55,14 @@ def test_pinned_report_digest(name):
     code, out = run(pin.argv)
     assert code == pin.code
     assert sha256(out) == pin.digest
+
+
+@pytest.mark.parametrize("name", [name for name in PINS if name.startswith("nullspace-")])
+def test_a_nullspace_pin_through_out_writes_its_bytes(name, tmp_path):
+    # Half the reports perfbench writes go through --out: the file holds
+    # the pinned bytes, and stdout stays empty.
+    assert sum(name.startswith("nullspace-") for name in PINS) == 12
+    pin = PINS[name]
+    out = tmp_path / "report"
+    assert run(pin.argv + ["--out", str(out)]) == (pin.code, "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == pin.digest

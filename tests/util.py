@@ -54,8 +54,9 @@ entries that ``simplex`` takes.
 ``finite_difference_via_integral`` chains them into the n-fold window
 integral of the n-th derivative, kept as the oracle for
 ``finite_difference`` on a polynomial.
-``child_env`` is the environment of a child interpreter that imports the
-same ``divdiff`` as the tests, from the source tree or from an install.
+``child_env``, from ``golden/check.py``, whose launcher uses it too, is the
+environment of a child interpreter that imports the same ``divdiff`` as
+the tests, from the source tree or from an install.
 ``lookup`` follows a path of ``provenance.exact_fields`` into a JSON
 report's document.
 """
@@ -64,12 +65,10 @@ import csv
 import io
 import json
 import math
-import os
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-import divdiff
 from divdiff import (
     AveragingProbeResult,
     BoundaryTerm,
@@ -93,22 +92,7 @@ from divdiff import (
 from divdiff.extremal import MinLipschitzResult, _fill_witness, _program
 from divdiff.linalg import NullBasis
 from divdiff.rational import decimal_string, format_rational, integer_text
-
-
-def child_env(**overrides):
-    """os.environ with the imported package's directory first on PYTHONPATH.
-
-    Each override sets a variable, or removes it when None.
-    """
-    env = dict(os.environ)
-    root = os.path.dirname(os.path.dirname(os.path.abspath(divdiff.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    for name, value in overrides.items():
-        if value is None:
-            env.pop(name, None)
-        else:
-            env[name] = value
-    return env
+from golden.check import child_env  # noqa: F401  (re-exported for the child tests)
 
 
 def lookup(doc, path):
