@@ -10,11 +10,13 @@ their golden file; ``pin-<name>``: the pins), then the whole launches at
 scale of ``SCALE`` there, as ``scale-<name>``.
 
 Each launch is one ``check.launch``, unbounded, with this checkout's
-``src/`` first on ``PYTHONPATH``; only its report's size and SHA-256
-are kept.  Every rung is launched LAUNCHES times, one pass over all of
-them after another, so a drift in the host's speed spreads over every
-rung.  For each rung the file records the median and quartiles of the
-wall time, the exit code, the report byte count and SHA-256 (as
+``src/`` first on ``PYTHONPATH``: its report is hashed and counted 64 KiB
+at a time, never held.  The child's peak RSS from ``os.wait4`` counts the
+ladder's own at the spawn, about 22 MiB, so a smaller child reads that
+floor.  Every rung is launched LAUNCHES times, one pass over all of them
+after another, so a drift in the host's speed spreads over every rung.
+For each rung the file records the median and quartiles of the wall
+time, the exit code, the report byte count and SHA-256 (as
 ``stdout_bytes`` and ``stdout_sha256``), and the median and largest peak
 RSS.  Once per file it records the time of a fixed pure-Python reference
 loop, the host factor: divide a rung's time by it to compare hosts.  It
@@ -46,13 +48,6 @@ RUNGS = {**CASES, **{f"scale-{name}": run for name, run in SCALE.items()}}
 LAUNCHES = 5
 
 
-def measure(argv: list) -> tuple:
-    """One launch of argv, without its report: (seconds, exit code, report
-    bytes, SHA-256, peak RSS in KiB)."""
-    one = launch(argv)
-    return one.seconds, one.code, len(one.report), one.sha256, one.peak_rss_kib
-
-
 def reference_loop() -> int:
     """A fixed piece of pure-Python work: Fraction arithmetic, dict inserts
     and string formatting, about 50 ms on a shared 2-CPU host."""
@@ -81,18 +76,18 @@ def _quartiles(values: list) -> dict:
 
 
 def summary(rung: Pin, launches: list) -> dict:
-    """A rung's record over its measured launches; "ok" when every launch
-    gave its pin."""
-    seconds, codes, sizes, digests, rss = zip(*launches)
-    codes, sizes, digests = (sorted(set(values)) for values in (codes, sizes, digests))
-    rss = [kib / 1024 for kib in rss]
+    """A rung's record over its launches; "ok" when every launch gave its pin."""
+    digests = sorted({one.sha256 for one in launches})
+    codes = sorted({one.code for one in launches})
+    sizes = sorted({one.size for one in launches})
+    rss = [one.peak_rss_kib / 1024 for one in launches]
     return {
         "argv": rung.argv,
         "ok": digests == [rung.digest] and codes == [rung.code],
         "code": codes[0] if len(codes) == 1 else codes,
         "stdout_bytes": sizes[0] if len(sizes) == 1 else sizes,
         "stdout_sha256": digests[0] if len(digests) == 1 else digests,
-        "wall_s": _quartiles(seconds),
+        "wall_s": _quartiles([one.seconds for one in launches]),
         "peak_rss_mib": {"median": round(statistics.median(rss), 1), "max": round(max(rss), 1)},
     }
 
@@ -111,8 +106,8 @@ def record() -> dict:
     runs = {name: [] for name in RUNGS}
     for _ in range(LAUNCHES):
         for name, rung in RUNGS.items():
-            runs[name].append(measure(rung.argv))
-            print(f"{name}: {runs[name][-1][0]:.3f} s", file=sys.stderr)
+            runs[name].append(launch(rung.argv))
+            print(f"{name}: {runs[name][-1].seconds:.3f} s", file=sys.stderr)
     return {
         "commit": _commit(),
         "python": sys.version.split()[0],

@@ -23,11 +23,20 @@ CHEAP = ["readme-probe-csv", "pin-minlip-2-infeasible", "pin-fd-zigzag-extended"
 @pytest.mark.parametrize("name", CHEAP)
 def test_a_rung_repeats_its_pin(name):
     rung = ladder.RUNGS[name]
-    launches = [ladder.measure(rung.argv) for _ in range(2)]
-    assert [(code, digest) for _, code, _, digest, _ in launches] == [(rung.code, rung.digest)] * 2
-    assert launches[0][2] == launches[1][2] > 0
-    assert all(seconds > 0 and rss > 0 for seconds, *_, rss in launches)
+    launches = [ladder.launch(rung.argv) for _ in range(2)]
+    assert [(one.code, one.sha256) for one in launches] == [(rung.code, rung.digest)] * 2
+    assert launches[0].size == launches[1].size > 0
+    assert all(one.peak_rss_kib > 0 and one.seconds > 0 for one in launches)
     assert ladder.summary(rung, launches)["ok"]
+
+
+def test_a_large_report_leaves_the_next_rungs_rss_alone():
+    # A child's peak RSS counts its parent's at the spawn: a launcher that
+    # held nullspace-16's 55 MB report would raise every later rung's.
+    small = ladder.RUNGS["readme-probe-csv"].argv
+    alone = ladder.launch(small).peak_rss_kib
+    assert ladder.launch(ladder.RUNGS["scale-nullspace-16-json"].argv).size > 50 << 20
+    assert ladder.launch(small).peak_rss_kib <= alone
 
 
 def test_the_recording_lists_every_rung_with_its_pin():

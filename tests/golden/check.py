@@ -703,35 +703,30 @@ def child_env(**overrides):
 
 
 class Launch(NamedTuple):
-    """One child: its exit code, report and stderr, its wall time in
-    seconds and its peak RSS in KiB."""
+    """One child: its exit code, its report's byte count and SHA-256, its
+    stderr, its wall time in seconds, its peak RSS in KiB, and the report's
+    bytes when they were kept."""
 
     code: int
-    report: bytes
+    size: int
+    sha256: str
     stderr: bytes
     seconds: float
     peak_rss_kib: int
-
-    @property
-    def sha256(self):
-        return hashlib.sha256(self.report).hexdigest()
+    report: bytes | None
 
 
-def _kill(pid, killed):
-    # A child reaped in the meantime is left alone.
-    with contextlib.suppress(ProcessLookupError):
-        os.kill(pid, signal.SIGKILL)
-        killed.set()
-
-
-def launch(argv, bound=None):
+def launch(argv, bound=None, keep_report=False):
     """``python -m divdiff <argv>`` in a child, run from GOLDEN_DIR with
     ``child_env()``.
 
     The report is the child's stdout.  An ``{out}`` in argv becomes a file
     in a temporary directory, and the report is then stdout, which must
-    stay empty, followed by that file's bytes.  A child still running after
-    bound seconds is killed, and TimeoutError raised.
+    stay empty, followed by that file's bytes.  The report is hashed and
+    counted 64 KiB at a time and held only with keep_report: a child's peak
+    RSS counts its parent's at the spawn, so a held report would show in
+    the next child's.  A child still running after bound seconds is
+    killed, and TimeoutError raised.
     """
     with tempfile.TemporaryDirectory(prefix="divdiff-launch-") as tmp:
         stdout, stderr, out = (Path(tmp, name) for name in ("stdout", "stderr", "out"))
@@ -741,22 +736,35 @@ def launch(argv, bound=None):
                 [sys.executable, "-m", "divdiff", *(arg.replace("{out}", str(out)) for arg in argv)],
                 cwd=GOLDEN_DIR, env=child_env(), stdout=stdout_file, stderr=stderr_file,
             )
-        killed = threading.Event()
-        timer = threading.Timer(bound, _kill, (child.pid, killed))
+        timer = threading.Timer(bound, os.kill, (child.pid, signal.SIGKILL))
         if bound is not None:
             timer.start()
+        # The child is reaped only once the timer can no longer fire, so a
+        # late SIGKILL reaches this child, at worst a zombie, and no other.
+        os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)
+        seconds = time.perf_counter() - start
+        if bound is not None:
+            timer.cancel()
+            timer.join()
         # wait4 reaps the child, so Popen is told its exit code here.
         _, status, usage = os.wait4(child.pid, 0)
-        seconds = time.perf_counter() - start
         child.returncode = os.waitstatus_to_exitcode(status)
-        timer.cancel()
-        if killed.is_set():
+        # The timer fires bound seconds after start at the earliest.
+        if child.returncode == -signal.SIGKILL and bound is not None and seconds >= bound:
             raise TimeoutError(f"divdiff {argv[0]} ran past its bound of {bound} s and was killed")
-        report = b"".join(path.read_bytes() for path in (stdout, out) if path.exists())
+        digest, size, chunks = hashlib.sha256(), 0, []
+        for path in (stdout, out):
+            with contextlib.suppress(FileNotFoundError), open(path, "rb") as file:
+                while chunk := file.read(1 << 16):
+                    digest.update(chunk)
+                    size += len(chunk)
+                    if keep_report:
+                        chunks.append(chunk)
         errors = stderr.read_bytes()
     # ru_maxrss is in KiB on Linux and in bytes on macOS.
     rss = usage.ru_maxrss // 1024 if sys.platform == "darwin" else usage.ru_maxrss
-    return Launch(child.returncode, report, errors, seconds, rss)
+    report = b"".join(chunks) if keep_report else None
+    return Launch(child.returncode, size, digest.hexdigest(), errors, seconds, rss, report)
 
 
 def _check_all():

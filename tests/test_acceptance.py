@@ -248,7 +248,7 @@ def test_criterion_10_cli_round_trip():
     started = time.perf_counter()
     ok = True
     for argv in CLI_FIXTURES:
-        runs = [launch(argv) for _ in range(2)]
+        runs = [launch(argv, keep_report=True) for _ in range(2)]
         if runs[0].report != runs[1].report or not runs[0].report:
             ok = False
             break

@@ -46,9 +46,8 @@ from divdiff import (
 )
 from divdiff.cli import main
 
-from golden.check import CASES, GOLDEN_DIR, PINS, README_COMMANDS
+from golden.check import CASES, GOLDEN_DIR, PINS, README_COMMANDS, child_env
 from util import (
-    child_env,
     corrupting_kernel_basis,
     corrupting_solve_lp,
     corrupting_warm_tableau,

@@ -61,7 +61,6 @@ def test_pinned_report_digest(name):
 def test_a_nullspace_pin_through_out_writes_its_bytes(name, tmp_path):
     # Half the reports perfbench writes go through --out: the file holds
     # the pinned bytes, and stdout stays empty.
-    assert sum(key.startswith("nullspace-") for key in PINS) == 12
     pin = PINS[name]
     out = tmp_path / "report"
     assert run(pin.argv + ["--out", str(out)]) == (pin.code, "")

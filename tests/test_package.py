@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import divdiff
-from util import child_env
+from golden.check import child_env
 
 # The public API, in the order of divdiff.__all__.
 PUBLIC = [

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from divdiff import ParseError, decimal_string, format_rational, parse_rational
 from divdiff.rational import _DECIMAL, parse_integer, parse_rationals
-from util import child_env
+from golden.check import child_env
 
 
 def test_parse_integers():

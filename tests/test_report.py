@@ -12,7 +12,8 @@ import pytest
 import divdiff
 from divdiff import GridFunction, Polynomial, parse_rational
 from divdiff.report import Report, render_csv, render_json
-from util import child_env, lookup
+from golden.check import child_env
+from util import lookup
 
 
 def sample_report():

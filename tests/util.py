@@ -54,9 +54,6 @@ entries that ``simplex`` takes.
 ``finite_difference_via_integral`` chains them into the n-fold window
 integral of the n-th derivative, kept as the oracle for
 ``finite_difference`` on a polynomial.
-``child_env``, from ``golden/check.py``, whose launcher uses it too, is the
-environment of a child interpreter that imports the same ``divdiff`` as
-the tests, from the source tree or from an install.
 ``lookup`` follows a path of ``provenance.exact_fields`` into a JSON
 report's document.
 """
@@ -92,7 +89,6 @@ from divdiff import (
 from divdiff.extremal import MinLipschitzResult, _fill_witness, _program
 from divdiff.linalg import NullBasis
 from divdiff.rational import decimal_string, format_rational, integer_text
-from golden.check import child_env  # noqa: F401  (re-exported for the child tests)
 
 
 def lookup(doc, path):
