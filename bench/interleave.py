@@ -13,8 +13,12 @@ up; then each call of ``cli.main`` is timed alone, with its stdout and
 stderr kept in memory, as perfbench does.
 
 For each tree it prints the median pass time with its quartiles, the
-passes it won, and the p50 and p90 of its op times, and then the change's
-pass time over the parent's, per pass: the median and the range.  A
+passes it won, the p50 and p90 of its op times, and perfbench's tail of
+them: over each block of as many passes as a 12 s perfbench run makes
+(``workloads.passes_for``), the nearest-rank percentile that
+``workloads.tail_percentile`` picks for the block's op count, and the
+median over the blocks.  Then it prints the change's pass time over the
+parent's, per pass: the median and the range.  A
 per-op cost too small to resolve from a launch (60 us inside a 100 ms
 launch) shows here, because the two trees share every drift of the
 host's speed.  Only the standard library is used.
@@ -25,6 +29,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import math
 import statistics
 import sys
 import tempfile
@@ -78,22 +83,31 @@ def interleave(clis, argvs, passes):
 
 
 def _nearest_rank(values, q):
+    """The q-th percentile of values by nearest rank, as perfbench takes it."""
     values = sorted(values)
-    return values[max(0, -(-len(values) * q // 100) - 1)]
+    return values[max(1, math.ceil(q / 100.0 * len(values))) - 1]
 
 
-def summary(times):
-    """Per side: pass-time median and quartiles, wins, op p50 and p90 (ms);
-    and the change's pass time over the parent's per pass."""
+def summary(times, block):
+    """Per side: pass-time median and quartiles, wins, op p50 and p90 and
+    the perfbench tail over blocks of block passes (ms); the tail's
+    percentile; and the change's pass time over the parent's per pass.
+    Fewer passes than block make one block."""
     totals = {side: [sum(row) / 1e6 for row in times[side]] for side in SIDES}
-    result = {}
+    block = min(block, len(totals["parent"]))
+    tail_p = workloads.tail_percentile(block * len(times["parent"][0]))
+    result = {"tail_p": tail_p}
     for side, other in zip(SIDES, reversed(SIDES)):
         ops = [ns / 1e6 for row in times[side] for ns in row]
+        rows = times[side]
+        tails = [_nearest_rank([ns / 1e6 for row in rows[i:i + block] for ns in row], tail_p)
+                 for i in range(0, len(rows) - block + 1, block)]
         result[side] = {
             "pass_ms": tuple(statistics.quantiles(totals[side], n=4)),
             "wins": sum(a < b for a, b in zip(totals[side], totals[other])),
             "p50_ms": _nearest_rank(ops, 50),
             "p90_ms": _nearest_rank(ops, 90),
+            "tail_ms": statistics.median(tails),
         }
     ratios = [c / p for p, c in zip(totals["parent"], totals["change"])]
     result["ratio"] = (min(ratios), statistics.median(ratios), max(ratios))
@@ -113,14 +127,16 @@ def main(argv=None):
     clis = (load(args.parent, "divdiff_parent"), load(args.change, "divdiff_change"))
     with tempfile.TemporaryDirectory(prefix="divdiff-interleave-") as tmp:
         argvs = child._prepare(workloads.build(args.workload, args.seed), Path(tmp))
-        result = summary(interleave(clis, argvs, args.passes))
+        block = workloads.passes_for(args.workload, 12)
+        result = summary(interleave(clis, argvs, args.passes), block)
     print(f"{args.workload} seed {args.seed}: {len(argvs)} ops, {args.passes} passes after 1 warm-up")
-    print("side     pass ms [q1 median q3]       wins   op p50 ms   op p90 ms")
+    tail = f"p{result['tail_p']:g} ms"
+    print(f"side     pass ms [q1 median q3]       wins   op p50 ms   op p90 ms  {tail:>11}")
     for side in SIDES:
         s = result[side]
         q1, median, q3 = s["pass_ms"]
         print(f"{side:8} {q1:8.2f} {median:8.2f} {q3:8.2f}  {s['wins']:5}  "
-              f"{s['p50_ms']:10.4f}  {s['p90_ms']:10.4f}")
+              f"{s['p50_ms']:10.4f}  {s['p90_ms']:10.4f}  {s['tail_ms']:11.4f}")
     low, median, high = result["ratio"]
     print(f"change/parent pass time: median {median:.4f}, range {low:.4f} .. {high:.4f}")
     return 0

@@ -25,6 +25,8 @@ PARSE = CLI + "test_one_pass_parse_matches_parse_args"
 EXTREMAL = "tests/test_extremal.py::"
 CONSTRAINTS = "tests/test_constraints.py::"
 SIMPLEX = "tests/test_simplex.py::"
+ORACLES = "tests/test_kernel_oracles.py::"
+INTERPOLATION = "tests/test_interpolation.py::"
 
 MUTANTS = {
     "certify-without-dual-feasibility": Mutant(
@@ -223,6 +225,40 @@ MUTANTS = {
         ("tests/test_cascade.py::test_every_row_is_the_forward_difference_on_the_lattice",),
         "S(k, n) = n S(k-1, n) + S(k-1, n-1); with n - 1, S(2, 1) is 0 and x^2 cascades wrong",
     ),
+    "tree-cofactors-swapped": Mutant(
+        "differences.py",
+        "            sums.append((a * (d // g) + c * (b // g), b // g * d))\n",
+        "            sums.append((a * (b // g) + c * (d // g), b // g * d))\n",
+        (
+            ORACLES + "test_direct_sum_off_a_progression_with_shared_small_gaps[128]",
+            ORACLES + "test_direct_sum_on_descending_knots",
+            ORACLES + "test_direct_sum_on_many_distinct_denominators",
+        ),
+        "a/b + c/d over lcm(b, d) scales a by d/g and c by b/g; swapped, each term is wrong",
+    ),
+    "node-product-skips-a-factor": Mutant(
+        "differences.py",
+        "points[:k] + points[k + 1:]",
+        "points[:k] + points[k + 2:]",
+        (
+            ORACLES + "test_knots_off_a_progression_take_the_general_products",
+            ORACLES + "test_direct_sum_off_a_progression_with_shared_small_gaps[256]",
+            ORACLES + "test_mixed_negative_unsorted_knots",
+        ),
+        "P_k is the product over every i != k; a slice one off drops the factor a_k - a_(k+1)",
+    ),
+    "interpolant-not-divided-by-d": Mutant(
+        "interpolation.py",
+        "    return pairs, Polynomial(tuple(c / den for c in q.coefficients))\n",
+        "    return pairs, q\n",
+        (
+            INTERPOLATION + "test_interpolant_of_f_from_its_pairs_matches_the_sample[40]",
+            INTERPOLATION + "test_interpolant_of_f_from_its_pairs_matches_the_sample[256]",
+            "tests/test_golden.py::test_pinned_report_digest[interp-256]",
+            "tests/test_probes.py::test_walkthrough_matches_the_full_loop",
+        ),
+        "Q_n through the integers a (D/b) is D times too large until it is divided by D",
+    ),
     "fd-lattice-unclipped": Mutant(
         "differences.py",
         "    lattice = _Lattice(f.pairs, x, h, clip=f.extended_by_zero)\n",
@@ -242,14 +278,15 @@ MUTANTS = {
     ),
     "pass-takes-a-dash-value": Mutant(
         "cli.py",
-        'if not value or value.startswith("-") or ',
+        "if not value or dash or ",
         "if not value or ",
         (
             PARSE + "[['minlip', '--N', '-h']]",
             PARSE + "[['minlip', '--N=--']]",
             PARSE + "_on_drawn_argvs",
         ),
-        "a value such as -h or -- is a flag or an end of options to argparse, not a value",
+        "a spaced value such as -h, or an = value of --, is a flag or an end of options "
+        "to argparse, not a value",
     ),
     "pass-without-required-check": Mutant(
         "cli.py",

@@ -47,7 +47,7 @@ from .differences import (
 from .errors import DomainEvaluationError, DuplicateKnotError, ParseError, PoleError
 from .extremal import min_lipschitz_unit_norm
 from .funcs import PolynomialFunc, parse_funcspec
-from .interpolation import lagrange_equispaced, leading_coefficient
+from .interpolation import _equispaced_interpolant, leading_coefficient
 from .probes import averaging_probe, averaging_sweep, proof_walkthrough, telescope_shift_identity
 from .rational import parse_integer, parse_rational, parse_rationals
 from .report import Report, render_csv, render_json
@@ -190,7 +190,7 @@ def _equispaced_difference(args: argparse.Namespace, f: Any) -> dict[str, Any]:
 
 
 def _interpolant(args: argparse.Namespace, f: Any) -> dict[str, Any]:
-    q = lagrange_equispaced(KnotValueList.equispaced(f, args.n).values)
+    _, q = _equispaced_interpolant(f, args.n)
     lead = leading_coefficient(q, args.n)
     return {"n": args.n, "coefficients": q, "degree": "-inf" if q.is_zero else q.degree,
             "leading": lead, "degree_reduced": lead == 0}
@@ -307,9 +307,11 @@ def _plain(command: Command, tokens: list[str]) -> Optional[dict[str, Any]]:
     None unless the tokens are plain.
 
     Plain tokens name each option at most once and in full, as "--flag
-    value" or "--flag=value" (a bool flag alone); each value is nonempty,
-    does not start with "-" and is one of the option's choices; every
-    required option is given, and one of an exclusive pair.
+    value" or "--flag=value" (a bool flag alone); each value is nonempty
+    and one of the option's choices, and does not start with "-" in the
+    space form nor is "--" in the "=" form; every required option is
+    given, and one of an exclusive pair.  argparse takes an "=" value
+    that starts with "-" as it is, but "--" as no value before 3.13.
     """
     options = {arg.flag: arg for arg in _SHARED + command.options}
     given: dict[str, Any] = {}
@@ -326,7 +328,8 @@ def _plain(command: Command, tokens: list[str]) -> Optional[dict[str, Any]]:
             continue
         if not eq:
             value = next(rest, "")
-        if not value or value.startswith("-") or arg.choices and value not in arg.choices:
+        dash = value == "--" if eq else value.startswith("-")
+        if not value or dash or arg.choices and value not in arg.choices:
             return None
         given[arg.dest] = value
     if any(arg.required and arg.dest not in given for arg in command.options):

@@ -31,15 +31,16 @@ knots by the lcm D of their denominators to integers a_k = x_k D.  The
 direct sum's core, _direct_sum, takes the points a_k, the scale D and
 the values as integer pairs (a, b), reduced or not.  It forms W'(x_k) D^n
 as the integer product P_k = prod_{i != k} (a_k - a_i) and adds the
-terms a / (b P_k) as integer pairs in a balanced tree, each add
-cancelling the gcd of the two denominators (Henrici, J. ACM 3(1), 1956).
+terms a / (b P_k) as integer pairs in a balanced tree, each add putting
+the two terms over the lcm of their denominators by one gcd, the first
+of Henrici's two (J. ACM 3(1), 1956); the sum is reduced once, at the end.
 divided_difference_direct feeds it a KnotValueList.  The equispaced
 callers feed it the points 0..n over D = max(n, 1) and f's pairs as they
 come, with no Fraction per knot: the uniform command from the sampler
-that KnotValueList.equispaced also reads, check_equispaced_identity from
-its lattice's memo.  When the a_k form an arithmetic progression
-a_0 + k d in the order given, as the equispaced knots k/n do, the
-products follow from P_0 = (-d)^n n! by the ratio
+that KnotValueList.equispaced and the interpolant of f also read,
+check_equispaced_identity from its lattice's memo.  When the a_k form an
+arithmetic progression a_0 + k d in the order given, as the equispaced
+knots k/n do, the products follow from P_0 = (-d)^n n! by the ratio
 P_(k+1) = -P_k (k+1) / (n-k), one exact division by a small integer
 each; any other knots form each product from its n factors.  The
 recursive table keeps each column as integer numerators over one
@@ -49,8 +50,10 @@ reduces to a Fraction once, at the end.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterable, Iterator
 
 from .errors import DuplicateKnotError
@@ -124,18 +127,17 @@ def _direct_sum(points: list[int], pairs: Iterable[Pair], scale: int) -> Fractio
 
     W'(x_k) = P_k / D^n for the integer P_k = prod_{i != k} (a_k - a_i).
     The terms f(x_k) / P_k are added as integer pairs (numerator,
-    denominator) in a balanced tree: each add of a/b and c/d divides b
-    and d by g = gcd(b, d), and the sum s and the new denominator by
-    gcd(s, g), so no common denominator of all n + 1 terms is ever
-    formed.  The sum is rescaled by D^n once."""
+    denominator) in a balanced tree: an add of a/b and c/d, with
+    g = gcd(b, d), gives (a (d/g) + c (b/g), (b/g) d), so each node's
+    denominator is the lcm of its leaves' b P_k and no common denominator
+    of all n + 1 terms is formed unless the terms need it.  The sum is
+    rescaled by D^n and reduced once, by the closing Fraction."""
     terms = [(a, b * p) for p, (a, b) in zip(_node_products(points), pairs)]
     while len(terms) > 1:
         sums = []
         for (a, b), (c, d) in zip(terms[::2], terms[1::2]):
             g = math.gcd(b, d)
-            s = a * (d // g) + c * (b // g)
-            t = math.gcd(s, g)
-            sums.append((s // t, b // g * (d // t)))
+            sums.append((a * (d // g) + c * (b // g), b // g * d))
         terms = sums + terms[len(sums) * 2:]
     total, common = terms[0]
     return Fraction(total * scale ** (len(points) - 1), common)
@@ -150,7 +152,8 @@ def _node_products(points: list[int]) -> list[int]:
     n = len(points) - 1
     step = points[1] - points[0] if n else 0
     if any(b - a != step for a, b in zip(points, points[1:])):
-        return [math.prod(ak - ai for ai in points if ai != ak) for ak in points]
+        return [math.prod(map(operator.sub, repeat(ak, n), points[:k] + points[k + 1:]))
+                for k, ak in enumerate(points)]
     products = [(-step) ** n * math.factorial(n)]
     for k in range(n):
         products.append(-products[-1] * (k + 1) // (n - k))

@@ -1,10 +1,13 @@
 """Equispaced polynomial interpolation and its leading coefficient.
 
-The interpolant of order n takes n + 1 values, such as those of
-KnotValueList.equispaced, at the knots 0, 1/n, ..., 1 (n = 0: the single
-knot 0) and is built in Newton form, so its x^n coefficient is exactly
-the order-n divided difference at those knots.  The interpolant drops to
-degree n-1 or lower precisely when that divided difference vanishes.
+The interpolant of order n takes n + 1 values at the knots 0, 1/n, ...,
+1 (n = 0: the single knot 0) and is built in Newton form, so its x^n
+coefficient is exactly the order-n divided difference at those knots.
+The interpolant drops to degree n-1 or lower precisely when that divided
+difference vanishes.  Q_n, the interpolant of a function f, is built
+from f's integer pairs at the knots (_equispaced_interpolant): they are
+put over their common denominator D as integers, interpolated, and the
+coefficients divided by D once, with no Fraction per knot.
 
 The Newton form is assembled on integers: in t = n x the knots are
 t = 0..n, the Newton basis is the falling factorial t (t - 1) ... (t - k + 1),
@@ -19,7 +22,9 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Polynomial, Scalar, _fractions
+from .differences import _equispaced_pairs
+from .funcs import FuncSpec, Pair
+from .poly import Polynomial, Scalar
 
 
 def lagrange_equispaced(values: Sequence[Scalar]) -> Polynomial:
@@ -33,7 +38,8 @@ def lagrange_equispaced(values: Sequence[Scalar]) -> Polynomial:
     t^j coefficient times n^j / B.  The difference passes stop at the
     first all-zero row and the multiplication starts at the last nonzero
     weight, so values of degree d cost O(d n) steps, not O(n^2)."""
-    ys = _fractions(values)
+    # An int is its own numerator over 1: only other values become Fractions.
+    ys = [y if type(y) in (int, Fraction) else Fraction(y) for y in values]
     n = len(ys) - 1
     if n < 0:
         raise ValueError("order must be nonnegative")
@@ -64,6 +70,18 @@ def lagrange_equispaced(values: Sequence[Scalar]) -> Polynomial:
         middle = [lo - k * hi for lo, hi in zip(acc, acc[1:])]
         acc = [weights[k] - k * acc[0]] + middle + [acc[-1]]
     return Polynomial(tuple(Fraction(c * n**j, common) for j, c in enumerate(acc)))
+
+
+def _equispaced_interpolant(f: FuncSpec, n: int) -> tuple[list[Pair], Polynomial]:
+    """f's pairs at the knots k/n, asked for in ascending k, so the first
+    pole raised is at the lowest k, and Q_n, the interpolant through them.
+
+    The pairs a/b become the integers a (D/b) over their common
+    denominator D, and the interpolant of those is divided by D once."""
+    pairs = _equispaced_pairs(f, n)
+    den = math.lcm(*(b for _, b in pairs))
+    q = lagrange_equispaced([a * (den // b) for a, b in pairs])
+    return pairs, Polynomial(tuple(c / den for c in q.coefficients))
 
 
 def leading_coefficient(q: Polynomial, n: int) -> Fraction:

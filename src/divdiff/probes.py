@@ -55,9 +55,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .differences import KnotValueList, _average_weights, _Lattice, difference_stencil
+from .differences import _average_weights, _Lattice, difference_stencil
 from .funcs import FuncSpec, Pair, PiecewiseLinearFunc, PolynomialFunc
-from .interpolation import lagrange_equispaced, leading_coefficient
+from .interpolation import _equispaced_interpolant, leading_coefficient
 from .poly import Polynomial, Scalar
 
 
@@ -314,14 +314,13 @@ def proof_walkthrough(
     The defect is evaluated at its survivors inside [0, 1] only, once per
     distinct point, and the interpolant's averages come from its x^n
     coefficient and one closed-form power sum, so neither N nor n! sets
-    the cost.  f is asked for each point once: at a knot k/n the
-    sample's value serves.  A point's defect is one pair, f's pair a/b
-    less Q's integer sum P(t)/E, that is (a*E - P(t)*b, b*E).
+    the cost.  f is asked for each point once: at a knot k/n the pair
+    that Q_n was built from serves.  A point's defect is one pair, f's
+    pair a/b less Q's integer sum P(t)/E, that is (a*E - P(t)*b, b*E).
     """
     x, h = Fraction(x), Fraction(h)
     _validate_probe_args(f, x, h, n, N)
-    values = KnotValueList.equispaced(f, n).values
-    q = lagrange_equispaced(values)
+    pairs, q = _equispaced_interpolant(f, n)
     lead = leading_coefficient(q, n)
     nfact = math.factorial(n)
     y = x + nfact * h
@@ -334,8 +333,8 @@ def proof_walkthrough(
             k, r = divmod(t * n, D)
             if r:
                 a, b = f_pair(t)
-            else:  # the knot k/n: the sample holds f's value
-                a, b = values[k].numerator, values[k].denominator
+            else:  # the knot k/n: Q_n's pairs hold f's value
+                a, b = pairs[k]
             return a * E - P(t) * b, b * E
 
         return pair

@@ -594,6 +594,14 @@ def _telescope_of_order_twenty_argv(func, *extend):
             "--j", "3", "--N", "1000"]
 
 
+def _runge_eval_argv(n):
+    # The knots k/(k+1), k = 0..n: off a progression, with n + 1 distinct
+    # denominators; the values are Runge's 1/(1 + 25 x^2) there.
+    knots = [f"{k}/{k + 1}" for k in range(n + 1)]
+    values = [f"{(k + 1) ** 2}/{(k + 1) ** 2 + 25 * k * k}" for k in range(n + 1)]
+    return ["eval", "--knots=" + ",".join(knots), "--values=" + ",".join(values)]
+
+
 # Whole launches past the pins, and three pins launched whole.  minlip-13
 # was recorded at the commit before the ladder existed, every other new
 # digest at caed0ea, from this directory.  An "{out}" in an argv is a file
@@ -645,6 +653,13 @@ SCALE = {
     # denominator, in a balanced tree; identity asks for each knot once.
     "uniform-runge-3000": PINS["uniform-3000"]._replace(bound=10),
     "identity-runge-3000": PINS["identity-3000"]._replace(bound=10),
+    # 257 knots off a progression: 257 node products of 256 factors each,
+    # and the recursive table besides.  Recorded at 537fa16; about 2.5 s,
+    # timed by the ladder and not bounded.
+    "eval-runge-257": Pin(
+        _runge_eval_argv(256),
+        "1815a397781ac3df65c3ca3b1707650f51e16e73e9c22f352bc872265941af35",
+    ),
     # The polynomial trims its trailing zeros in one pass.  Linux caps one
     # argument at 128 KiB, so a --func text holds at most about 65,000.
     "cascade-60000-zeros": Pin(

@@ -1111,7 +1111,8 @@ def _is_plain(argv):
             if not eq:
                 i += 1
                 value = argv[i] if i < len(argv) else ""
-            if value[:1] in ("", "-") or action.choices and value not in action.choices:
+            dash = value == "--" if eq else value[:1] == "-"
+            if not value or dash or action.choices and value not in action.choices:
                 return False
         i += 1
     if any(action.required and action not in seen for action in actions.values()):
@@ -1152,9 +1153,10 @@ def test_one_pass_parse_matches_parse_args(argv):
 
 def test_every_case_without_an_odd_value_takes_the_pass():
     # An argv of the golden and pinned runs goes to argparse only for an
-    # empty value or one that starts with "-"; the pass is not dead.
+    # empty value, a spaced one that starts with "-" or an "=" one that is
+    # "--"; the pass is not dead.
     for name, case in CASES.items():
-        odd = any(token == "" or token.partition("=")[2].startswith("-")
+        odd = any(token == "" or token.partition("=")[2] == "--"
                   or token.startswith("-") and not token.startswith("--")
                   for token in case.argv)
         assert _check_against_parse_args(case.argv) == (not odd), name

@@ -1,5 +1,6 @@
 """Equispaced interpolation and its ties to divided differences."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,14 +8,25 @@ import pytest
 
 from divdiff import (
     KnotValueList,
+    PiecewiseLinearFunc,
+    PoleError,
     Polynomial,
     PolynomialFunc,
     divided_difference_direct,
     lagrange_equispaced,
     leading_coefficient,
+    parse_funcspec,
 )
+from divdiff.differences import _equispaced_pairs
+from divdiff.interpolation import _equispaced_interpolant
 
-from util import monomial, random_fraction, random_polynomial
+from util import (
+    monomial,
+    pole_free_rational,
+    random_fraction,
+    random_grid_function,
+    random_polynomial,
+)
 
 
 def test_sample_validation():
@@ -105,3 +117,29 @@ def test_degree_reduced_agrees_with_interpolant_degree():
         values = tuple(random_fraction(rng, max_num=3) for _ in range(n + 1))
         q = lagrange_equispaced(values)
         assert (leading_coefficient(q, n) == 0) == (q.degree < n)
+
+
+@pytest.mark.parametrize("n", [*range(41), 256])
+def test_interpolant_of_f_from_its_pairs_matches_the_sample(n):
+    # Q_n from f's pairs over their common denominator equals the
+    # interpolant of the Fraction sample, for each kind of function, plain
+    # and zero-extended; the pairs are those of the sampler.
+    rng = random.Random(318 + n)
+    kinds = (PolynomialFunc(random_polynomial(rng)), pole_free_rational(rng),
+             PiecewiseLinearFunc(random_grid_function(rng)))
+    for extend in (False, True):
+        for f in (dataclasses.replace(f, extended_by_zero=extend) for f in kinds):
+            pairs, q = _equispaced_interpolant(f, n)
+            assert pairs == _equispaced_pairs(f, n)
+            assert q == lagrange_equispaced(KnotValueList.equispaced(f, n).values)
+
+
+def test_a_pole_at_a_knot_stops_the_interpolant_at_the_lowest_knot():
+    # Poles at 1/3 and 2/3, both knots at n = 6: the error names 1/3, as
+    # the Fraction sample's does.
+    f = parse_funcspec("ratfun:1;2,-9,9")
+    with pytest.raises(PoleError) as sample:
+        KnotValueList.equispaced(f, 6)
+    with pytest.raises(PoleError) as interpolant:
+        _equispaced_interpolant(f, 6)
+    assert str(interpolant.value) == str(sample.value) == "denominator vanishes at 1/3"

@@ -27,7 +27,7 @@ from divdiff import (
     lagrange_equispaced,
     newton_coefficients,
 )
-from divdiff.differences import _difference_columns, _node_products
+from divdiff.differences import _difference_columns, _direct_sum, _node_products
 
 from util import (
     distinct_knots,
@@ -187,6 +187,32 @@ def test_direct_sum_on_descending_knots():
                     assert value == kv.values[0]
                 if n == 1:
                     assert value == (kv.values[1] - kv.values[0]) / (knots[1] - knots[0])
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_direct_sum_off_a_progression_with_shared_small_gaps(n):
+    # Gaps of 1, 2 and 3 over the scale 6 make the node products share
+    # their small factors, so the tree's denominators share factors at
+    # every add.  Reversed, the knots descend and the products' signs
+    # alternate.  The pairs are not reduced.  The values of a polynomial
+    # of degree below n sum to exactly 0.
+    rng = random.Random(46)
+    points = [0]
+    while len(points) <= n:
+        points.append(points[-1] + rng.choice((1, 1, 2, 3)))
+    assert len({b - a for a, b in zip(points, points[1:])}) > 1
+    p = random_polynomial(rng, max_degree=9)
+    for points in (points, points[::-1]):
+        knots = tuple(Fraction(a, 6) for a in points)
+        for values in (
+            tuple(random_fraction(rng, max_num=50, max_den=40) for _ in knots),
+            tuple(p.evaluate(x) for x in knots),
+        ):
+            pairs = [(m * v.numerator, m * v.denominator)
+                     for m, v in zip((rng.randint(1, 6) for _ in knots), values)]
+            value = _direct_sum(points, pairs, 6)
+            assert value == reference_divided_difference(KnotValueList(knots, values))
+        assert value == 0
 
 
 def test_interpolant_matches_reference():

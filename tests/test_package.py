@@ -99,6 +99,8 @@ UNNAMED_ON_PURPOSE = {
     "residuals": "ConstraintSystem.residuals checks a minlip witness against the rows",
     "lipschitz_constant": "GridFunction.lipschitz_constant checks a witness's slope bound",
     "dense": "GridFunction.dense reads a witness on the full grid",
+    "equispaced": "KnotValueList.equispaced is public API in the README tour; "
+    "interp and the walkthrough read f's pairs instead",
 }
 
 
