@@ -5,9 +5,8 @@ The interpolant of order n takes n + 1 values at the knots 0, 1/n, ...,
 coefficient is exactly the order-n divided difference at those knots.
 The interpolant drops to degree n-1 or lower precisely when that divided
 difference vanishes.  Q_n, the interpolant of a function f, is built
-from f's integer pairs at the knots (_equispaced_interpolant): they are
-put over their common denominator D as integers, interpolated, and the
-coefficients divided by D once, with no Fraction per knot.
+from f's integer pairs at the knots, with no Fraction per knot
+(_equispaced_interpolant).
 
 The Newton form is assembled on integers: in t = n x the knots are
 t = 0..n, the Newton basis is the falling factorial t (t - 1) ... (t - k + 1),

@@ -666,6 +666,7 @@ def test_duplicate_knots_exit_code(capsys):
 POLE_ARGS = {
     "fd": ("fd", "--func", "ratfun:1;-1/2,1", "--x", "0", "--h", "1/2", "--n", "1"),
     "uniform": ("uniform", "--func", "ratfun:1;-1,2", "--n", "2"),
+    "interp": ("interp", "--func", "ratfun:1;-1,2", "--n", "2"),
     **{
         cmd: (
             cmd, "--func", "ratfun:1;-1,2", "--extend-zero", "--x", "0", "--h", "1/4",
