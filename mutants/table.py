@@ -172,6 +172,70 @@ MUTANTS = {
         ),
         "a free column's vector would miss the pivot entries of every echelon row but its first",
     ),
+    "certify-without-duality-gap": Mutant(
+        "simplex.py",
+        "    if not Fraction(cx, dx) == Fraction(by, dy) == result.value:\n"
+        '        raise ArithmeticError("LP duality gap is not zero")\n',
+        "",
+        (
+            EXTREMAL + "test_lp_certificate_catches_a_corrupted_result[a lower value-3]",
+            EXTREMAL + "test_lp_certificate_catches_a_corrupted_result_on_scaled_rows"
+            "[a lower value]",
+            EXTREMAL + "test_lp_certificate_catches_a_corrupted_warm_result[a lower value]",
+            SIMPLEX + "test_an_optimum_carries_its_dual",
+        ),
+        "a value below the optimum, with x and y each feasible, would certify",
+    ),
+    "certify-without-farkas-check": Mutant(
+        "simplex.py",
+        "        if by <= 0 or any(v > 0 for v in ty):\n"
+        '            raise ArithmeticError("LP Farkas ray does not prove infeasibility")\n',
+        "",
+        (
+            EXTREMAL
+            + "test_lp_certificate_catches_a_corrupted_result[an optimum reported infeasible-3]",
+            EXTREMAL + "test_lp_certificate_catches_a_corrupted_result_on_scaled_rows"
+            "[an optimum reported infeasible]",
+            EXTREMAL + "test_lp_certificate_catches_a_corrupted_warm_result"
+            "[an optimum reported infeasible]",
+            SIMPLEX + "test_an_infeasible_program_carries_a_farkas_ray",
+        ),
+        "any multipliers would pass for a ray, so a feasible program could be reported infeasible",
+    ),
+    "certify-without-multiplier-sign": Mutant(
+        "simplex.py",
+        "    if any(v > 0 for v in Y[: len(a_ub)]):\n"
+        '        raise ArithmeticError("LP multiplier of an inequality row is positive")\n',
+        "",
+        (
+            EXTREMAL + "test_lp_certificate_catches_a_corrupted_result[a positive multiplier-3]",
+            EXTREMAL + "test_lp_certificate_catches_a_corrupted_result_on_scaled_rows"
+            "[a positive multiplier]",
+            EXTREMAL + "test_lp_certificate_catches_a_corrupted_warm_result[a positive multiplier]",
+        ),
+        "a positive multiplier turns an inequality row around, so weak duality no longer holds",
+    ),
+    "certify-without-certificate-check": Mutant(
+        "simplex.py",
+        "    if result.status not in (OPTIMAL, INFEASIBLE) or y is None or len(y) != len(rows):\n"
+        '        raise ArithmeticError(f"LP result ({result.status}) carries no certificate")\n',
+        "",
+        (
+            EXTREMAL + "test_lp_certificate_catches_a_corrupted_result[no certificate-3]",
+            EXTREMAL + "test_lp_certificate_catches_a_corrupted_result_on_scaled_rows"
+            "[no certificate]",
+            EXTREMAL + "test_lp_certificate_catches_a_corrupted_warm_result[no certificate]",
+        ),
+        "a result with no multipliers would reach the sums unchecked, and fail there by accident",
+    ),
+    "tableau-accepts-a-negative-cost": Mutant(
+        "simplex.py",
+        "        if any(v < 0 for v in c):\n"
+        '            raise ValueError("the simplex method here takes no negative cost")\n',
+        "",
+        (SIMPLEX + "test_a_negative_cost_is_refused",),
+        "a negative cost may leave a program unbounded, which the solver has no outcome for",
+    ),
     "tableau-finds-no-violated-row": Mutant(
         "simplex.py",
         '        """The rows out of the working set that x violates, in index order."""\n',

@@ -5,10 +5,12 @@ Solves   minimize c.x   subject to   A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
 by the two-phase tableau simplex method with Bland's anti-cycling rule,
 and solves the same program again for new right-hand sides by the dual
 simplex method, starting from the last optimal basis.  The cost vector c
-is dense; each row of A_ub and A_eq maps a variable's index to its
-nonzero coefficient.  c, every coefficient and every rhs are ints, as
-``minlip`` builds them (a Fraction raises TypeError at the first gcd of
-a row that holds it); x, the value and the multipliers are Fractions.
+is dense and, as ``minlip`` builds it, nonnegative, so c.x >= 0 and each
+solve ends optimal or infeasible.  Each row of A_ub and A_eq maps a
+variable's index to its nonzero coefficient.  c, every coefficient and
+every rhs are ints, as ``minlip`` builds them (a Fraction raises
+TypeError at the first gcd of a row that holds it); x, the value and
+the multipliers are Fractions.
 
 The tableau is integer-preserving and sparse: each row (and the cost
 row) is a positive multiple of the true rational row, kept as a dict of
@@ -78,10 +80,10 @@ leaves every reduced cost as it was, so the basis stays dual feasible
 and the dual simplex method runs again, as after a new right-hand side.
 A row never leaves the working set, so the loop ends, at an optimum
 that meets every row.  Its multipliers, and a Farkas ray of the working
-set, are 0 on the omitted rows and certify the full program.  When the
-working set is unbounded (an omitted row may bound it) or phase 1 drops
-a redundant equality (which leaves no basis to add rows to), every row
-joins and the program is solved from scratch.
+set, are 0 on the omitted rows and certify the full program.  A row
+that phase 1 drops as redundant had its artificial basic, so that column
+is in no other row and has reduced cost 0: the row's multiplier and ray
+entry are 0, and omitted rows still join the rows that are left.
 
 Neither method can cycle, so a solve counts the pivots of both and
 raises ArithmeticError past _MAX_PIVOTS: a fault that made a tableau
@@ -97,7 +99,6 @@ from .linalg import Row, _eliminate, _reduced
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 _ZERO = Fraction(0)
 _RHS = -1  # the key of a row's right-hand side
 _SCALE = -2  # the key of the cost row's positive scale
@@ -111,7 +112,7 @@ InputRow = Mapping[int, int]
 class LpResult:
     """An LP outcome, in Fractions.  ``dual`` holds one multiplier per row,
     the a_ub rows first: an optimal dual solution when OPTIMAL, a Farkas
-    ray when INFEASIBLE, None when UNBOUNDED."""
+    ray when INFEASIBLE."""
 
     status: str
     value: Optional[Fraction]
@@ -136,13 +137,13 @@ class _Tableau:
     ``solve(b_ub, b_eq)`` starts from the last optimal basis by the dual
     simplex method when there is one, and runs the two-phase method from
     scratch otherwise: on the first call, after a cold solve that found
-    the program infeasible or unbounded, and after phase 1 dropped a
-    redundant equality (whose row a new rhs could make inconsistent).
+    the program infeasible, and after phase 1 dropped a redundant
+    equality (whose row a new rhs could make inconsistent).
 
     The a_ub rows whose indices are in ``lazy`` start out of the working
     set, the rows the tableau holds; ``solve`` adds each one when an
     optimum violates it (see the module docstring).  The program is in
-    ints, as for ``solve_lp``.
+    ints, as for ``solve_lp``, and a negative cost is a ValueError.
     """
 
     def __init__(
@@ -152,6 +153,8 @@ class _Tableau:
         a_eq: Sequence[InputRow] = (),
         lazy: Iterable[int] = (),
     ) -> None:
+        if any(v < 0 for v in c):
+            raise ValueError("the simplex method here takes no negative cost")
         self.c = c
         self.a_ub = a_ub
         self.a_eq = a_eq
@@ -251,15 +254,16 @@ class _Tableau:
             if f:
                 self.cost = _eliminate(self.cost, f, row[b], row)
 
-    def _primal(self) -> str:
-        """Primal simplex by Bland's rule; OPTIMAL or UNBOUNDED."""
+    def _primal(self) -> None:
+        """Primal simplex by Bland's rule, to an optimal basis.  The cost is
+        nonnegative, so an entering column with no leaving row is a fault."""
         rows, basis, limit = self.rows, self.basis, self.limit
         while True:
             entering = min(
                 (j for j, v in self.cost.items() if v < 0 and 0 <= j < limit), default=None
             )
             if entering is None:
-                return OPTIMAL
+                return
             leaving = None
             best_rhs = best_coeff = 0
             for i, row in enumerate(rows):
@@ -273,7 +277,7 @@ class _Tableau:
                         best_rhs, best_coeff = row.get(_RHS, 0), coeff
                         leaving = i
             if leaving is None:
-                return UNBOUNDED
+                raise ArithmeticError(f"simplex column {entering} has no row to leave")
             self._count_pivot()
             self._pivot(leaving, entering)
 
@@ -339,7 +343,7 @@ class _Tableau:
 
     def _cold(self, b_ub: Sequence[int], b_eq: Sequence[int]) -> Optional[LpResult]:
         """The two-phase method from scratch: None when it ends at an optimal
-        basis, the result otherwise."""
+        basis, the infeasible result with its Farkas ray otherwise."""
         c = self.c
         inputs = [*zip(self.a_ub, b_ub, strict=True), *zip(self.a_eq, b_eq, strict=True)]
         n = len(c)
@@ -371,14 +375,15 @@ class _Tableau:
                 art += 1
             rows.append(row)
         self.rows, self.basis, self.units = rows, basis, units
-        self.warm = False
+        self.warm = dropped = False
 
         if art > art_start:
             self.cost = {j: 1 for j in range(art_start, art)}
             self.cost[_SCALE] = 1
             self.limit = art
             self._price_out()
-            if self._primal() != OPTIMAL or -self.cost.get(_RHS, 0) > 0:
+            self._primal()
+            if -self.cost.get(_RHS, 0) > 0:
                 return LpResult(INFEASIBLE, None, None, self._multipliers(1))
             # Pivot leftover artificials out of the basis; rows that cannot be
             # pivoted are redundant and get dropped.
@@ -393,21 +398,12 @@ class _Tableau:
             dropped = len(keep) < len(rows)
             self.rows = [rows[i] for i in keep]
             self.basis = [basis[i] for i in keep]
-        else:
-            dropped = False
 
         self.cost = {j: v for j, v in enumerate(c) if v}
         self.cost[_SCALE] = 1
         self.limit = art_start
         self._price_out()
-        unbounded = self._primal() == UNBOUNDED
-        if self.lazy and (unbounded or dropped):
-            # An omitted row may bound the program, and a dropped row leaves
-            # no warm basis to add rows to: solve over every row instead.
-            self.lazy = {}
-            return self._cold(b_ub, b_eq)
-        if unbounded:
-            return LpResult(UNBOUNDED, None, None)
+        self._primal()
         self.b = [*b_ub, *b_eq]
         self.warm = not dropped
         return None

@@ -21,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from divdiff import simplex
-from divdiff.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, _Tableau, certify, solve_lp
+from divdiff.simplex import INFEASIBLE, OPTIMAL, LpResult, _Tableau, certify, solve_lp
 
 from util import solve_square, sparse_rows
 
@@ -34,9 +34,13 @@ def test_one_variable_lower_bound():
     assert res.x == (3,)
 
 
-def test_unbounded_direction_detected():
-    res = solve_lp([-1], a_ub=[], b_ub=[])
-    assert res.status == UNBOUNDED
+def test_a_negative_cost_is_refused():
+    # Every program minlip builds minimises t >= 0 over x >= 0, so the
+    # solver takes only c >= 0, and no program it takes is unbounded.
+    with pytest.raises(ValueError, match="no negative cost"):
+        solve_lp([1, -1], a_ub=[{0: 1}], b_ub=[1])
+    with pytest.raises(ValueError, match="no negative cost"):
+        _Tableau([-1])
 
 
 def test_infeasible_sign_conflict():
@@ -66,23 +70,25 @@ def test_contradictory_equalities_are_infeasible():
 
 
 def test_fractional_optimum_is_exact():
-    # minimize -x - y subject to 2x + y <= 1, x + 3y <= 2
+    # minimize y subject to x + y >= 1, 3x <= 2
     res = solve_lp(
-        [-1, -1],
-        a_ub=[{0: 2, 1: 1}, {0: 1, 1: 3}],
-        b_ub=[1, 2],
+        [0, 1],
+        a_ub=[{0: -1, 1: -1}, {0: 3}],
+        b_ub=[-1, 2],
     )
     assert res.status == OPTIMAL
-    assert res.x == (Fraction(1, 5), Fraction(3, 5))
-    assert res.value == Fraction(-4, 5)
+    assert res.x == (Fraction(2, 3), Fraction(1, 3))
+    assert res.value == Fraction(1, 3)
 
 
 def test_an_optimum_carries_its_dual():
-    # The dual of test_fractional_optimum: both rows are tight.
-    program = ([-1, -1], [{0: 2, 1: 1}, {0: 1, 1: 3}], [1, 2])
+    # The dual of test_fractional_optimum: both rows are tight, and 3x <= 2
+    # holds at x = 2/3 with equality, so it reads 3X = 6 = 2 * dx for X = 3x.
+    program = ([0, 1], [{0: -1, 1: -1}, {0: 3}], [-1, 2])
     res = solve_lp(*program)
-    assert res.dual == (Fraction(-2, 5), Fraction(-1, 5))
+    assert res.dual == (-1, Fraction(-1, 3))
     certify(res, *program)
+    # A^T y <= c holds for this y too, at b.y = 1/6.
     with pytest.raises(ArithmeticError, match="duality gap"):
         certify(replace(res, dual=(Fraction(-1, 2), Fraction(-1, 6))), *program)
 
@@ -182,12 +188,14 @@ def test_warm_resolves_match_vertex_enumeration():
         a_ub = [[draw(-3, 3) for _ in range(nvars)] for _ in range(rng.randint(1, 3))]
         a_ub += [[int(i == j) for j in range(nvars)] for i in range(nvars)]
         a_eq = [[draw(-2, 2) for _ in range(nvars)]] if rng.random() < 0.4 else []
+        c, a_ub, a_eq, moved = complemented(c, a_ub, a_eq)
         rows_ub, rows_eq = sparse_rows(a_ub), sparse_rows(a_eq)
         tableau = _Tableau(c, rows_ub, rows_eq)
         seen = set()
         for _ in range(4):
             b_ub = [draw(-2, 4) for _ in range(len(a_ub) - nvars)] + [3] * nvars
             b_eq = [draw(-2, 2) for _ in a_eq]  # a negative one negates its row
+            b_ub, b_eq = moved(b_ub, b_eq)
             warm += tableau.warm
             res = tableau.solve(b_ub, b_eq)
             certify(res, c, rows_ub, b_ub, rows_eq, b_eq)
@@ -199,26 +207,27 @@ def test_warm_resolves_match_vertex_enumeration():
 
 
 def test_a_path_longer_than_two_sweeps_matches_vertex_enumeration(monkeypatch):
-    # The Klee-Minty cube in dimension 6, max sum 2^(6-i) x_i subject to
-    # 2 sum_{j<i} 2^(i-j) x_j + x_i <= 5^i, each row times a seeded
-    # positive integer (which scales its slack column and moves no pivot),
-    # with sum x_i >= 5^5 and x_6 <= 5^6.  From x = 0, which the sum row
-    # cuts off, Bland's rule takes 40 pivots, so the tableau reduces its
-    # rows more than twice on the way.  Then x_6 <= 5^5, which the dual
-    # simplex method reaches in 10 pivots from the last basis, and then
+    # The Klee-Minty cube in dimension 6, 2 sum_{j<i} 2^(i-j) x_j + x_i
+    # <= 5^i, each row times a seeded positive integer (which scales its
+    # slack column and moves no pivot), with sum x_i >= 5^6 and
+    # x_6 >= 5^5; minimize sum x_i.  Only the cube's vertex x_6 = 5^6
+    # reaches the sum 5^6, and from x = 0, which both rows cut off,
+    # Bland's rule takes 41 pivots to it, so the tableau reduces its rows
+    # more than twice on the way.  Then sum x_i >= 5^4, which the dual
+    # simplex method reaches in 15 pivots from the last basis, and then
     # sum x_i >= 2 * 5^6, which no x in the cube meets.  Its Farkas ray
-    # is read after 4 more pivots from a row they left at twice its
+    # is read after 17 more pivots from a row they left at 16 times its
     # lowest terms, and must come out at lowest terms all the same.
     rng = random.Random(818)
     n = 6
-    c = [-(2 ** (n - i)) for i in range(1, n + 1)]
+    c = [1] * n
     a_ub, b_ub = [], []
     for i in range(1, n + 1):
         scale = rng.randint(1, 9)
         a_ub.append([scale * 2 ** (i - j + 1) for j in range(1, i)] + [scale] + [0] * (n - i))
         b_ub.append(scale * 5**i)
-    a_ub += [[-1] * n, [0] * (n - 1) + [1]]
-    b_ub += [-(5**5), 5**6]
+    a_ub += [[-1] * n, [0] * (n - 1) + [-1]]
+    b_ub += [-(5**6), -(5**5)]
     pivots = []
     pivot = simplex._Tableau._pivot
 
@@ -230,77 +239,53 @@ def test_a_path_longer_than_two_sweeps_matches_vertex_enumeration(monkeypatch):
     rows = sparse_rows(a_ub)
     tableau = _Tableau(c, rows)
     res = tableau.solve(b_ub)
-    assert pivots.count("c") == 40 > 2 * simplex._SWEEP
+    assert pivots.count("c") == 41 > 2 * simplex._SWEEP
     certify(res, c, rows, b_ub)
-    assert res.value == enumerate_optimum(c, a_ub, b_ub, [], [], n) == -(5**n)
-    b_ub[-1] = 5**5
+    assert res.value == enumerate_optimum(c, a_ub, b_ub, [], [], n) == 5**n
+    b_ub[-2] = -(5**4)
     res = tableau.solve(b_ub)
-    assert pivots.count("w") == 10
+    assert pivots.count("w") == 15
     certify(res, c, rows, b_ub)
-    assert res.value == enumerate_optimum(c, a_ub, b_ub, [], [], n) == -9375
+    assert res.value == enumerate_optimum(c, a_ub, b_ub, [], [], n) == 5**5
     b_ub[-2] = -2 * 5**n
     res = tableau.solve(b_ub)
-    assert pivots.count("w") == 14
+    assert pivots.count("w") == 32
     assert res.status == INFEASIBLE
-    assert res.dual == (0, 0, 0, 0, 0, -1, -8, -6)
+    assert res.dual == (0, 0, 0, 0, 0, -1, -2, 0)
     certify(res, c, rows, b_ub)
 
 
-def test_lazy_rows_match_vertex_enumeration(monkeypatch):
+def test_lazy_rows_match_vertex_enumeration():
     # Random boxed programs whose a_ub rows start out of the working set in
     # a random subset, each re-solved for a run of right-hand sides.  Every
     # result must match the oracle and certify against the full program,
     # whose omitted rows it must therefore meet.
-    colds = []
-    cold = _Tableau._cold
-
-    def recording_cold(self, *args):
-        colds.append(None)
-        return cold(self, *args)
-
-    monkeypatch.setattr(_Tableau, "_cold", recording_cold)
     rng = random.Random(919)
     draw = rng.randint
-    added = kept = fallbacks = infeasible = 0
+    added = kept = infeasible = 0
     for _ in range(60):
         nvars = rng.randint(1, 3)
         c = [draw(-4, 4) for _ in range(nvars)]
         a_ub = [[draw(-3, 3) for _ in range(nvars)] for _ in range(rng.randint(1, 4))]
         a_ub += [[int(i == j) for j in range(nvars)] for i in range(nvars)]
         a_eq = [[draw(-2, 2) for _ in range(nvars)]] if rng.random() < 0.4 else []
+        c, a_ub, a_eq, moved = complemented(c, a_ub, a_eq)
         rows_ub, rows_eq = sparse_rows(a_ub), sparse_rows(a_eq)
         lazy = [i for i in range(len(a_ub)) if rng.random() < 0.6]
         tableau = _Tableau(c, rows_ub, rows_eq, lazy)
         for _ in range(3):
             b_ub = [draw(-2, 4) for _ in range(len(a_ub) - nvars)] + [3] * nvars
             b_eq = [draw(-2, 2) for _ in a_eq]
-            colds.clear()
+            b_ub, b_eq = moved(b_ub, b_eq)
             res = tableau.solve(b_ub, b_eq)
             certify(res, c, rows_ub, b_ub, rows_eq, b_eq)
             assert res.value == enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, nvars)
             infeasible += res.status == INFEASIBLE
-            fallbacks += len(colds) == 2  # the second over every row
         added += len(lazy) - len(tableau.lazy)
         kept += len(tableau.lazy)
     assert added >= 40  # rows an optimum violated
     assert kept >= 20  # rows no optimum violated, never written in the tableau
-    assert fallbacks >= 5  # solves that fell back to every row
     assert infeasible >= 20
-
-
-def test_an_unbounded_working_set_is_solved_over_every_row():
-    # minimize -x - y: over x, y >= 0 alone it is unbounded, and the
-    # omitted rows x + y <= 3 and x <= 2 bound it.
-    c = [-1, -1]
-    a_ub = [{0: 1, 1: 1}, {0: 1}]
-    tableau = _Tableau(c, a_ub, lazy=[0, 1])
-    res = tableau.solve([3, 2])
-    assert (res.status, res.value) == (OPTIMAL, -3)
-    assert not tableau.lazy and len(tableau.rows) == 2
-    certify(res, c, a_ub, [3, 2])
-    # x >= 1 left out of a program that is unbounded whatever the rows.
-    res = _Tableau([-1], [{0: -1}], lazy=[0]).solve([-1])
-    assert res.status == UNBOUNDED
 
 
 def test_an_infeasible_working_set_has_a_ray_that_is_zero_on_the_omitted_rows():
@@ -318,21 +303,21 @@ def test_an_infeasible_working_set_has_a_ray_that_is_zero_on_the_omitted_rows():
 
 
 def test_a_violated_row_joins_the_working_set_in_the_current_basis():
-    # minimize -x - 2y with x + y <= 4: the working set's optimum (0, 4)
+    # minimize 2x + y with x + y >= 4: the working set's optimum (0, 4)
     # violates the omitted y <= 3, whose slack becomes basic at -1; one
     # dual pivot swaps it for x, at (1, 3).  Then y >= 5 joins against
     # y <= 3, and the ray uses both rows.
-    c = [-1, -2]
-    a_ub = [{0: 1, 1: 1}, {1: 1}, {1: -1}]
+    c = [2, 1]
+    a_ub = [{0: -1, 1: -1}, {1: 1}, {1: -1}]
     tableau = _Tableau(c, a_ub, lazy=[1, 2])
-    b_ub = [4, 3, 0]
+    b_ub = [-4, 3, 0]
     res = tableau.solve(b_ub)
-    assert (res.status, res.value, res.x) == (OPTIMAL, -7, (1, 3))
-    assert res.dual == (-1, -1, 0)
+    assert (res.status, res.value, res.x) == (OPTIMAL, 5, (1, 3))
+    assert res.dual == (-2, -1, 0)
     certify(res, c, a_ub, b_ub)
     assert list(tableau.lazy) == [2] and sorted(tableau.basis) == [0, 1]
-    assert tableau.pivots == 3  # Bland's rule takes x, then y; the dual pivot x
-    b_ub = [4, 3, -5]
+    assert tableau.pivots == 3  # phase 1 takes x, phase 2 y; the dual pivot x
+    b_ub = [-4, 3, -5]
     res = tableau.solve(b_ub)
     assert res.status == INFEASIBLE
     assert res.dual == (0, -1, -1)
@@ -341,30 +326,69 @@ def test_a_violated_row_joins_the_working_set_in_the_current_basis():
 
 
 def test_an_omitted_row_is_checked_against_x_over_its_denominator():
-    # minimize y - x with 2x <= 3: the working set's optimum (3/2, 0) is
+    # minimize 2x + y with 2x >= 3: the working set's optimum (3/2, 0) is
     # X / 2 for X = (3, 0).  The omitted x + y >= 2, as -x - y <= -2,
     # reads -3 > -2 * 2 there, so it joins, though -3 > -2 is false.
-    c = [-1, 1]
-    a_ub = [{0: 2}, {0: -1, 1: -1}]
-    b_ub = [3, -2]
+    c = [2, 1]
+    a_ub = [{0: -2}, {0: -1, 1: -1}]
+    b_ub = [-3, -2]
     tableau = _Tableau(c, a_ub, lazy=[1])
     res = tableau.solve(b_ub)
-    assert (res.status, res.value, res.x) == (OPTIMAL, -1, (Fraction(3, 2), Fraction(1, 2)))
+    assert (res.status, res.value) == (OPTIMAL, Fraction(7, 2))
+    assert res.x == (Fraction(3, 2), Fraction(1, 2))
     certify(res, c, a_ub, b_ub)
     assert not tableau.lazy
 
 
-def test_a_dropped_redundant_row_solves_over_every_row():
-    # Phase 1 drops the second equality, twice the first, so there is no
-    # warm basis to add the omitted row x <= 3 to.
-    c = [1, 1]
+def test_an_omitted_row_joins_the_rows_left_after_a_drop():
+    # minimize x + 2y with x + y = 2, twice over: phase 1 drops one of the
+    # two equalities, and x <= b stays out until an optimum violates it.
+    # The dropped row's multiplier and ray entry are 0, and every result,
+    # optimal or infeasible, certifies against the full program.
+    c = [1, 2]
     a_ub = [{0: 1}]
     a_eq = [{0: 1, 1: 1}, {0: 2, 1: 2}]
     tableau = _Tableau(c, a_ub, a_eq, lazy=[0])
-    res = tableau.solve([3], [1, 2])
-    assert (res.status, res.value) == (OPTIMAL, 1)
-    certify(res, c, a_ub, [3], a_eq, [1, 2])
+    res = tableau.solve([3], [2, 4])
+    assert (res.status, res.value, res.x) == (OPTIMAL, 2, (2, 0))
+    certify(res, c, a_ub, [3], a_eq, [2, 4])
+    assert list(tableau.lazy) == [0] and len(tableau.rows) == 1
+    assert not tableau.warm  # a new rhs could make the dropped row inconsistent
+    # x <= 1 cuts off (2, 0): the row joins the one row that is left.
+    res = tableau.solve([1], [2, 4])
+    assert (res.status, res.value, res.x) == (OPTIMAL, 3, (1, 1))
+    certify(res, c, a_ub, [1], a_eq, [2, 4])
     assert not tableau.lazy and len(tableau.rows) == 2
+    res = tableau.solve([1], [2, 5])
+    assert res.status == INFEASIBLE
+    certify(res, c, a_ub, [1], a_eq, [2, 5])
+
+
+def complemented(c, a_ub, a_eq):
+    """A boxed program with x'_j = 3 - x_j for each column j of negative cost.
+
+    The a_ub rows end in the box rows x_j <= 3, one per column.  Under the
+    change x_j >= 0 becomes x'_j <= 3, which is j's box row as it stands,
+    and x_j <= 3 becomes x'_j >= 0; every other row negates column j and
+    takes 3 times its old entry off its rhs.  This maps feasible points
+    one to one, so a program and its image are feasible together, and the
+    vertex oracle holds for the image, whose costs are all >= 0.  Returns
+    the new c, a_ub and a_eq, and the map from (b_ub, b_eq) to the new rhs.
+    """
+    flip = {j for j, cj in enumerate(c) if cj < 0}
+    drawn = a_ub[: len(a_ub) - len(c)]
+
+    def turned(row):
+        return [-v if j in flip else v for j, v in enumerate(row)]
+
+    def moved(rows, b):
+        return [bi - 3 * sum(row[j] for j in flip) for row, bi in zip(rows, b)]
+
+    def rhs(b_ub, b_eq):
+        return moved(drawn, b_ub) + b_ub[len(drawn):], moved(a_eq, b_eq)
+
+    new_ub = [*map(turned, drawn), *a_ub[len(drawn):]]
+    return [abs(cj) for cj in c], new_ub, [*map(turned, a_eq)], rhs
 
 
 def enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, nvars):
@@ -449,7 +473,7 @@ def count_against_enumeration(rng, cases, factor=lambda: 1):
             k = factor()
             a_ub.append([k * rng.randint(-3, 3) for _ in range(nvars)])
             b_ub.append(k * rng.randint(-2, 4))
-        # box rows keep the region bounded, so UNBOUNDED cannot occur
+        # box rows keep the region bounded, and complemented makes c >= 0
         for i in range(nvars):
             a_ub.append([0] * i + [1] + [0] * (nvars - 1 - i))
             b_ub.append(3)
@@ -459,6 +483,8 @@ def count_against_enumeration(rng, cases, factor=lambda: 1):
             k = factor()
             a_eq.append([k * rng.randint(-2, 2) for _ in range(nvars)])
             b_eq.append(k * rng.randint(0, 2))
+        c, a_ub, a_eq, moved = complemented(c, a_ub, a_eq)
+        b_ub, b_eq = moved(b_ub, b_eq)
 
         if assert_matches_enumeration(c, a_ub, b_ub, a_eq, b_eq) is None:
             infeasible_seen += 1
@@ -492,18 +518,18 @@ def test_cleanup_pivots_an_artificial_out_on_a_negative_entry():
     # Phase 1 stops at once: pricing out -5x - 3y = 0 leaves reduced
     # costs 5 and 3, so the artificial stays basic at level 0 and the
     # cleanup pivots it out on the entry -5.
-    c = [10, 12, -3]
+    c = [10, 12, 3]
     a_eq = [[-5, -3, 0]]
-    assert assert_matches_enumeration(c, *BOX, a_eq, [0]) == Fraction(-21, 2)
+    assert assert_matches_enumeration(c, *BOX, a_eq, [0]) == 0
 
 
 def test_cleanup_pivots_one_artificial_out_and_drops_its_redundant_twin():
     # The two rows are -3 times each other, so phase 1 again stops at
     # once with both artificials at level 0.  The first is pivoted out on
     # 3; that turns the second row into 0 = 0, which is dropped.
-    c = [3, -4, -2]
+    c = [3, 4, 2]
     a_eq = [[3, 2, 0], [-9, -6, 0]]
-    assert assert_matches_enumeration(c, *BOX, a_eq, [0, 0]) == -7
+    assert assert_matches_enumeration(c, *BOX, a_eq, [0, 0]) == 0
 
 
 def test_redundant_equalities_with_row_factors_are_dropped():
