@@ -120,6 +120,35 @@ MUTANTS = {
         ),
         "a lower bound above a gap's least value prunes the gap that holds the optimum",
     ),
+    "witness-unchecked": Mutant(
+        "extremal.py",
+        "        if u[j] != 2 or not all(0 <= v <= 2 for v in u):\n"
+        '            raise ArithmeticError(f"pin {pin}\'s witness is not 1 there or leaves [-1, 1]")\n'
+        "        for a, b, u_a, u_b in zip(cols, cols[1:], u, u[1:]):\n"
+        "            if abs(u_b - u_a) * self.L > t * (b - a):\n"
+        "                slope = abs(u_b - u_a) * self.L / (b - a)\n"
+        "                raise ArithmeticError(\n"
+        '                    f"pin {pin}\'s witness has slope {slope} over [{a}, {b}], above its bound {t}"\n'
+        "                )\n",
+        "",
+        (
+            EXTREMAL + "test_a_misplaced_integer_p_star_is_caught",
+            EXTREMAL + "test_a_spoiled_relaxed_witness_is_caught[a pin below 1]",
+            EXTREMAL + "test_a_spoiled_relaxed_witness_is_caught[a value above 1]",
+        ),
+        "a relaxed optimum that is no optimum of its pin would reach the report as its witness",
+    ),
+    "witness-from-the-last-gap-left-of-the-pin": Mutant(
+        "extremal.py",
+        "        cols, shifted = programs.witness(gap, pin, value)\n",
+        "        last = max(i for i in programs.vertices if programs.cols[i] <= pin)\n"
+        "        cols, shifted = programs.witness(last, pin, value)\n",
+        (
+            EXTREMAL + "test_a_pin_at_a_shared_gap_end_takes_its_witness_from_the_gap_that_credited_it",
+        ),
+        "a shared gap end may be bounded by the next gap too, whose optimum is not the one "
+        "that credited the pin",
+    ),
     "rank-check-off": Mutant(
         "constraints.py",
         "    if _rank(minor) < rank:\n",

@@ -58,11 +58,20 @@ interval, {p : v(p) <= m}; its left end, the smallest such pin, is
 found by testing the pin left of the best candidate and, when that one
 attains m too, by bisection.  Because every skip is strict on the
 value and the gaps come in order, the result is the smallest v(p) at
-the smallest pin attaining it.  Each pin is solved by the same program
-the one-pin-at-a-time loop solved (the best pin at the end if its value
-came from a bound, and its optimum must equal that bound), so the
-value, the pin and the witness (the vertex Bland's rule reaches for
-that pin) are the loop's.
+the smallest pin attaining it.  Each pin that is solved is solved by
+the same program the one-pin-at-a-time loop solved, so the value and
+the pin are the loop's, and so is the witness of a solved pin (the
+vertex Bland's rule reaches for it).
+
+A pin whose value came from its gap's bound at an integer p* is not
+solved.  The gap's relaxed optimum with u_p = 2 meets every row of the
+pin's program (the slope from a to p is t by the formula for p*, and
+the merged row bounds the slope from p to b by t), so it is an optimum
+there and, checked exactly, the witness when that pin wins.  The search
+hands back the gap that credited the pin, as a shared gap end may be
+bounded by both of its gaps.  At N = 4..6 the winner is such a pin,
+and its gap's optimum is the first relaxed program's, solved from
+scratch by Bland's rule: the vertex that the pinned program reaches.
 
 The gap's slope rows may stay beside its merged row, which implies
 both: 4 - u_a - u_b >= |u_b - u_a| when u_a, u_b <= 2.  A relaxed
@@ -79,19 +88,21 @@ working set starts as the equality rows and the merged rows; a slope or
 box row joins it only when an optimum violates it, and then stays (at
 N = 12 it holds 116 of the 175 rows after the first relaxed program and
 143 after the last).  An omitted row has multiplier 0, so each result
-is still certified against the full relaxed program.  Only a relaxed
-program's value and p* are read, so the vertex it reaches does not
-matter; the pinned programs are solved from scratch by Bland's rule, so
-each pin's vertex is a function of its program alone.
+is still certified against the full relaxed program.  A relaxed
+program's vertex reaches a report only as the witness of a winning pin
+at its integer p*; the pinned programs are solved from scratch by
+Bland's rule, so each solved pin's vertex is a function of its program
+alone.
 
 A wrong bound would prune the optimum silently, so every program the
 search solves, relaxed or pinned, is checked in exact arithmetic before
 it is used: an optimum must come with a feasible dual solution of the
 same value, and an infeasible program with a Farkas ray
-(:func:`divdiff.simplex.certify`).  A failed check raises
-ArithmeticError.
+(:func:`divdiff.simplex.certify`).  A failed check, or a witness from a
+relaxed optimum that fails its own, raises ArithmeticError.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -169,11 +180,13 @@ class _GapPrograms:
         merged = [{i: -L, i + 1: -L, t: cols[i] - cols[i + 1]} for i in range(gaps)]
         self.b_off = [0] * gaps + b_ub
         self.tableau = _Tableau(objective, merged + a_ub, a_eq, range(gaps, len(self.b_off)))
+        self.vertices: dict[int, tuple[Fraction, ...]] = {}
 
     def bound(self, i: int) -> Optional[tuple[Fraction, Fraction]]:
         """The relaxed optimum over the gap cols[i]..cols[i + 1] and a real pin
         p* attaining it, or None when no pin of the gap is feasible; the LP's
-        certificate is checked against gap i's own rhs."""
+        certificate is checked against gap i's own rhs.  At an integer p*
+        the optimum is kept in vertices[i], as the witness of the pin p*."""
         b_ub = list(self.b_off)
         b_ub[i] = -4 * self.L
         tableau = self.tableau
@@ -183,15 +196,42 @@ class _GapPrograms:
             return None
         u_a, t = result.x[i], result.x[-1]
         a = self.cols[i]
-        return result.value, (a + (2 - u_a) * self.L / t if t else Fraction(a))
+        p_star = a + (2 - u_a) * self.L / t if t else Fraction(a)
+        if p_star.denominator == 1:
+            self.vertices[i] = result.x
+        return result.value, p_star
+
+    def witness(self, i: int, pin: int, t: Fraction) -> tuple[list[int], tuple[Fraction, ...]]:
+        """Gap i's relaxed optimum, of value t at the integer p* = pin, as an
+        optimum of the pin's program: its columns with pin among them, and
+        u on them with u_pin = 2.  ArithmeticError unless u_pin = 2, every
+        u is in [0, 2] and no slope over the columns exceeds t."""
+        cols, u = self.cols, self.vertices[i][:-1]
+        j = bisect.bisect_left(cols, pin)
+        if cols[j] != pin:
+            cols, u = cols[:j] + [pin] + cols[j:], u[:j] + (Fraction(2),) + u[j:]
+        if u[j] != 2 or not all(0 <= v <= 2 for v in u):
+            raise ArithmeticError(f"pin {pin}'s witness is not 1 there or leaves [-1, 1]")
+        for a, b, u_a, u_b in zip(cols, cols[1:], u, u[1:]):
+            if abs(u_b - u_a) * self.L > t * (b - a):
+                slope = abs(u_b - u_a) * self.L / (b - a)
+                raise ArithmeticError(
+                    f"pin {pin}'s witness has slope {slope} over [{a}, {b}], above its bound {t}"
+                )
+        return cols, u
 
 
 def _fill_witness(L: int, cols: list[int], shifted: tuple[Fraction, ...]) -> GridFunction:
+    """The grid function f = u - 1 on cols, straight between them.  The
+    point k of the gap [a, b] with f(a) = pa/qa and f(b) = pb/qb is
+    (pa qb (b - k) + pb qa (k - a)) / (qa qb (b - a)), one Fraction."""
     entries = {k: shifted[i] - 1 for i, k in enumerate(cols)}
     for a, b in zip(cols, cols[1:]):
         va, vb = entries[a], entries[b]
+        wa, wb = va.numerator * vb.denominator, vb.numerator * va.denominator
+        den = va.denominator * vb.denominator * (b - a)
         for k in range(a + 1, b):
-            entries[k] = va + (vb - va) * Fraction(k - a, b - a)
+            entries[k] = Fraction(wa * (b - k) + wb * (k - a), den)
     return GridFunction(denominator=L, entries=entries)
 
 
@@ -215,8 +255,10 @@ def _search(
     pinned: Callable[[int], Optional[Fraction]],
     relaxed: Callable[[int], Optional[tuple[Fraction, Fraction]]],
     lower: Callable[[int, int], Fraction],
-) -> Optional[tuple[Fraction, int]]:
-    """The least v(p) over the pins half[0]..half[-1], at the smallest pin attaining it.
+) -> Optional[tuple[Fraction, int, Optional[int]]]:
+    """The least v(p) over the pins half[0]..half[-1], at the smallest pin
+    attaining it, and the gap whose relaxed optimum gave that pin its
+    value, or None when the pin was solved.
 
     half holds the gap ends in increasing order, and forced the pins
     known to be infeasible.  pinned(p) is v(p), or None when the pin is
@@ -227,6 +269,7 @@ def _search(
     only when it is not forced.  None when no pin is feasible.
     """
     values: dict[int, Optional[Fraction]] = {}
+    credited: dict[int, int] = {}  # pin -> the gap i whose relaxed(i) gave values[pin]
 
     def value(pin: int) -> Optional[Fraction]:
         if pin in forced:
@@ -257,7 +300,9 @@ def _search(
             low = math.floor(p_star)
             if low == p_star:
                 # The relaxed optimum is feasible for this pin, so v = m there.
-                values.setdefault(low, m)
+                if low not in values:
+                    values[low] = m
+                    credited[low] = i
                 candidates = [low]
             else:
                 candidates = [low, low + 1]
@@ -286,7 +331,7 @@ def _search(
                     q = mid
         if best is None or (m, q) < best:
             best = (m, q)
-    return best
+    return None if best is None else (*best, credited.get(best[1]))
 
 
 def min_lipschitz_unit_norm(N: int) -> MinLipschitzResult:
@@ -317,31 +362,23 @@ def min_lipschitz_unit_norm(N: int) -> MinLipschitzResult:
         vertices[pin] = (cols, result.x)
         return result.value
 
+    programs = _GapPrograms(system, touched, len(half) - 1)
     best = _search(
-        half,
-        forced,
-        pinned,
-        _GapPrograms(system, touched, len(half) - 1).bound,
-        lambda a, b: _distance_bound(L, forced, a, b),
+        half, forced, pinned, programs.bound, lambda a, b: _distance_bound(L, forced, a, b)
     )
     if best is None:
         return infeasible
-    value, pin = best
-    if pin not in vertices:
-        # The value came from the gap's bound at an integer p*: the pin
-        # that wins is solved, and must attain that bound.  A losing such
-        # pin cannot change the answer, since its value only ever bounds
-        # it from below.
-        solved = pinned(pin)
-        if solved != value:
-            raise ArithmeticError(
-                f"pin {pin} has optimum {solved}, not its gap's bound {value}"
-            )
+    value, pin, gap = best
+    if gap is None:
+        cols, shifted = vertices[pin]
+    else:
+        # The value came from gap's bound at the integer p* = pin.
+        cols, shifted = programs.witness(gap, pin, value)
     return MinLipschitzResult(
         N=N,
         L=L,
         status="optimal",
         value=value,
         pin_index=pin,
-        witness=_fill_witness(L, *vertices[pin]),
+        witness=_fill_witness(L, cols, shifted),
     )

@@ -50,7 +50,7 @@ from golden.check import CASES, GOLDEN_DIR, PINS, README_COMMANDS, child_env
 from util import (
     corrupting_kernel_basis,
     corrupting_solve_lp,
-    corrupting_warm_tableau,
+    corrupting_tableau,
     lookup,
     misreporting_kernel_basis,
 )
@@ -645,7 +645,7 @@ def test_corrupted_warm_dual_is_one_line_exit_two(capsys, monkeypatch):
     def negate_the_dual(result):
         return dataclasses.replace(result, dual=tuple(-y for y in result.dual))
 
-    monkeypatch.setattr(extremal, "_Tableau", corrupting_warm_tableau(negate_the_dual))
+    monkeypatch.setattr(extremal, "_Tableau", corrupting_tableau(negate_the_dual, warm=True))
     code, out, err = run(capsys, "minlip", "--N", "5")
     assert code == 2
     assert out == ""

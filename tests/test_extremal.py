@@ -26,13 +26,13 @@ from divdiff import (
     nullspace,
     simplex,
 )
-from divdiff.extremal import _GapPrograms, _program, _search
+from divdiff.extremal import _fill_witness, _GapPrograms, _program, _search
 from divdiff.simplex import INFEASIBLE, OPTIMAL, certify, solve_lp
 
 from golden.check import golden_text, run
 from util import (
     corrupting_solve_lp,
-    corrupting_warm_tableau,
+    corrupting_tableau,
     reference_gap_program,
     reference_min_lipschitz,
 )
@@ -137,8 +137,9 @@ def test_five_and_six_stay_at_six():
 
 
 # LPs the gap search solves, relaxed and pinned, cold and warm; the
-# per-pin loop solves 0, 0, 2, 5, 29, 29.
-GAP_SEARCH_LPS = {1: 0, 2: 0, 3: 1, 4: 3, 5: 4, 6: 5}
+# per-pin loop solves 0, 0, 2, 5, 29, 29.  At N = 4..6 they are all
+# relaxed: the winner's value and witness come from gap 0's optimum.
+GAP_SEARCH_LPS = {1: 0, 2: 0, 3: 1, 4: 2, 5: 3, 6: 4}
 
 
 @pytest.mark.parametrize("N", sorted(GAP_SEARCH_LPS))
@@ -227,8 +228,13 @@ def test_gap_search_finds_the_smallest_pin_of_the_least_value(seed):
         # The exact least value: the value at a pin, the level over a gap.
         return case.v(a) if a == b else next(g[4] for g in case.gaps if g[0] == a)
 
-    assert _search(case.half, case.forced, case.pinned, case.relaxed, lower) == case.answer()
+    *best, gap = _search(case.half, case.forced, case.pinned, case.relaxed, lower)
+    assert tuple(best) == case.answer()
     assert len(case.calls) == len(set(case.calls))
+    # A pin that was never solved took its value from the relaxed optimum
+    # of a gap whose p* is that pin.
+    assert (gap is None) == (best[1] in case.calls)
+    assert gap is None or case.gaps[gap][7] == best[1]
 
 
 def test_gap_search_skips_a_gap_whose_bound_ties_the_best():
@@ -242,8 +248,28 @@ def test_gap_search_skips_a_gap_whose_bound_ties_the_best():
         (10, 20, Fraction(3), Fraction(3), Fraction(1), 14, 16, Fraction(31, 2)),
     ]
     best = _search(case.half, case.forced, case.pinned, case.relaxed, lambda a, b: 0)
-    assert best == (1, 4)
+    assert best == (1, 4, None)
     assert max(case.calls) <= 10
+
+
+def test_gap_search_credits_a_shared_gap_end_to_the_first_gap():
+    # p* = 10 in both gaps: the first credits pin 10 with its level 1, and
+    # the second's bound ties it, so the pin keeps the first gap's optimum.
+    case = Bathtubs(random.Random(0))
+    case.half, case.forced = [0, 10, 20], {0}
+    case.gaps = [
+        (0, 10, Fraction(10), Fraction(1), Fraction(1), 10, 10, Fraction(10)),
+        (10, 20, Fraction(1), Fraction(3), Fraction(1), 10, 10, Fraction(10)),
+    ]
+    relaxed = []
+
+    def spying_relaxed(i):
+        relaxed.append(i)
+        return case.relaxed(i)
+
+    best = _search(case.half, case.forced, case.pinned, spying_relaxed, lambda a, b: 0)
+    assert best == (1, 10, 0)
+    assert relaxed == [0, 1] and case.calls == [9]
 
 
 # Seeds where a relaxed p* lies next to a forced pin after some pin was
@@ -276,7 +302,7 @@ def test_gap_search_solves_no_pin_whose_bound_reaches_a_known_value(seed):
     def lower(a, b):
         return case.v(a) if a == b else next(g[4] for g in case.gaps if g[0] == a)
 
-    assert _search(case.half, case.forced, pinned, relaxed, lower) == case.answer()
+    assert _search(case.half, case.forced, pinned, relaxed, lower)[:2] == case.answer()
     if seed in FORCED_CANDIDATE_SEEDS:
         assert forced_candidates
 
@@ -308,8 +334,8 @@ LP_CORRUPTIONS = {
 
 
 # solve_lp solves the pinned LPs: the first LP of N = 3 (its gaps are
-# enumerated), and at N = 5 the pin 10 after three relaxed LPs.
-@pytest.mark.parametrize("N", [3, 5])
+# enumerated), and at N = 7 the pin 66 after two relaxed LPs.
+@pytest.mark.parametrize("N", [3, 7])
 @pytest.mark.parametrize("name", list(LP_CORRUPTIONS))
 def test_lp_certificate_catches_a_corrupted_result(monkeypatch, name, N):
     corrupt, message = LP_CORRUPTIONS[name]
@@ -381,7 +407,17 @@ def test_scaled_rows_keep_every_pivot_and_divide_their_multipliers(monkeypatch):
 @pytest.mark.parametrize("name", list(LP_CORRUPTIONS))
 def test_lp_certificate_catches_a_corrupted_warm_result(monkeypatch, name):
     corrupt, message = LP_CORRUPTIONS[name]
-    monkeypatch.setattr(extremal, "_Tableau", corrupting_warm_tableau(corrupt))
+    monkeypatch.setattr(extremal, "_Tableau", corrupting_tableau(corrupt, warm=True))
+    with pytest.raises(ArithmeticError, match=message):
+        min_lipschitz_unit_norm(5)
+
+
+# At N = 5 that cold solve's optimum, at the integer p* = 10, is also the
+# winner's witness, so it is used twice: as a bound and as a vertex.
+@pytest.mark.parametrize("name", list(LP_CORRUPTIONS))
+def test_lp_certificate_catches_a_corrupted_cold_result(monkeypatch, name):
+    corrupt, message = LP_CORRUPTIONS[name]
+    monkeypatch.setattr(extremal, "_Tableau", corrupting_tableau(corrupt, warm=False))
     with pytest.raises(ArithmeticError, match=message):
         min_lipschitz_unit_norm(5)
 
@@ -476,8 +512,9 @@ def test_relaxed_programs_hold_only_the_rows_that_bind():
 
 
 def test_a_misplaced_integer_p_star_is_caught(monkeypatch):
-    # At N = 5 the gap (0, 12) has the integer p* = 10.  Moved one pin
-    # left, it credits pin 9 with the bound 6, which pin 9 does not attain.
+    # At N = 5 the gap (0, 12) has the integer p* = 10 and u_0 = 1.  Moved
+    # one pin left, it credits pin 9 with the bound 6, which pin 9 does
+    # not attain: the witness climbs from 0 at 0 to 1 at 9, slope 60/9.
     gap_bound = _GapPrograms.bound
 
     def misplaced(self, i):
@@ -487,8 +524,73 @@ def test_a_misplaced_integer_p_star_is_caught(monkeypatch):
         return bound[0], bound[1] - 1
 
     monkeypatch.setattr(_GapPrograms, "bound", misplaced)
-    with pytest.raises(ArithmeticError, match="pin 9 has optimum 20/3, not its gap's bound 6"):
+    message = r"pin 9's witness has slope 20/3 over \[0, 9\], above its bound 6"
+    with pytest.raises(ArithmeticError, match=message):
         min_lipschitz_unit_norm(5)
+
+
+# At N = 6 pin 10, where gap 0's optimum has u = 2, is a touched column,
+# so the witness is that optimum as it is; u_0 = 1 there.
+WITNESS_SPOILS = {
+    "a pin below 1": lambda x, j: x[:j] + (Fraction(3, 2),) + x[j + 1 :],
+    "a value above 1": lambda x, j: (Fraction(3),) + x[1:],
+}
+
+
+@pytest.mark.parametrize("spoil", list(WITNESS_SPOILS))
+def test_a_spoiled_relaxed_witness_is_caught(monkeypatch, spoil):
+    gap_bound = _GapPrograms.bound
+
+    def spoiling(self, i):
+        bound = gap_bound(self, i)
+        if i == 0:
+            self.vertices[0] = WITNESS_SPOILS[spoil](self.vertices[0], self.cols.index(10))
+        return bound
+
+    monkeypatch.setattr(_GapPrograms, "bound", spoiling)
+    with pytest.raises(ArithmeticError, match="pin 10's witness is not 1 there or leaves"):
+        min_lipschitz_unit_norm(6)
+
+
+@pytest.mark.parametrize("N", [4, 5, 6])
+def test_a_relaxed_witness_is_the_pinned_programs_vertex(N, monkeypatch):
+    # The winner's witness comes from a relaxed optimum, with no pinned
+    # LP; it is the vertex Bland's rule reaches on the pinned program.
+    pinned = []
+    monkeypatch.setattr(extremal, "solve_lp", lambda *program: pinned.append(program))
+    result = min_lipschitz_unit_norm(N)
+    assert not pinned
+    system = build_constraint_system(N)
+    cols = sorted({*system.touched, result.pin_index})
+    c, a_ub, b_ub, a_eq, b_eq = _program(system, cols)
+    program = (c, a_ub, b_ub, [*a_eq, {cols.index(result.pin_index): 1}], [*b_eq, 2])
+    bland = solve_lp(*program)
+    certify(bland, *program)
+    assert bland.value == result.value
+    assert _fill_witness(system.L, cols, bland.x) == result.witness
+    witness_is_valid(result)
+
+
+def test_a_pin_at_a_shared_gap_end_takes_its_witness_from_the_gap_that_credited_it(
+    monkeypatch,
+):
+    # At N = 6 the gaps (0, 10) and (10, 12) both have p* = 10, their
+    # shared end.  Gap 0 credits pin 10 with 6; gap 1's bound ties it and
+    # credits nothing, so only gap 0's optimum may give the witness.
+    read = []
+    kept = {}
+    witness = _GapPrograms.witness
+
+    def spying_witness(self, i, pin, t):
+        read.append((i, pin))
+        kept.update(self.vertices)
+        return witness(self, i, pin, t)
+
+    monkeypatch.setattr(_GapPrograms, "witness", spying_witness)
+    result = min_lipschitz_unit_norm(6)
+    assert (result.value, result.pin_index) == (6, 10)
+    assert read == [(0, 10)]
+    assert {0, 1} <= set(kept)
 
 
 # N = 3 is the README example, whose report is kept whole in
@@ -514,9 +616,9 @@ def test_minlip_report_is_byte_identical(N):
 # as it is.
 PIVOT_PATHS = {
     3: (12, 1, "2dd99717028d9987f85af970b05371829d921358de77f9c3f2af53ea3dfd5264"),
-    4: (27, 3, "eadd8c935c2fa03f9d0eb05817bfe373e797e5b60d653c7c3dd1dae20602bef2"),
-    5: (49, 4, "aa1f1be86f5e27073efd0dfc335e57d54bfc8e58e66116b65684dbca0b3edee8"),
-    6: (64, 5, "b378200e9b90881ca5b23d6ef2bdcb7242d3ae5ac7d6740e6c4d8f8de30e476f"),
+    4: (11, 2, "7d55423b167c9ca1609bd099f39382c1f43a26139e01d9922c54448390241112"),
+    5: (25, 3, "6781737e68026d31f2a9c9ee6dc9113768be028b5e7f79ddd66932ea69c6fc96"),
+    6: (36, 4, "345fba1327119f2c4783f6b6c37591b920407c60d968381e57d42ff63ef44685"),
     7: (264, 9, "b7f122079db6325dd1061b7a79143561d69abbbe0262bb450f696b14a37412da"),
     8: (428, 10, "7cbfccc35cded54953457b8702181f8824e292fb2acb0fa53c585d2acaf3bf8a"),
     9: (602, 12, "9d39d97339ac61292af998f567da691ca2d2d873e282b78b4b634be4f62937f6"),
@@ -524,15 +626,16 @@ PIVOT_PATHS = {
 
 # SHA-256 of the results of the same LPs, relaxed and pinned, each
 # written "status value x_0,x_1,..." (x empty when there is none) and
-# joined by ";".  The relaxed LPs' vertices reach no report, so only
-# this pin sees them.  The duals are left out: a slope row may be
-# written at any positive scale, which scales its multiplier by the
-# inverse and leaves the vertex as it is.
+# joined by ";".  A relaxed LP's vertex reaches a report only as the
+# witness of a winning pin at its integer p* (N = 4..6), so this pin is
+# the one that sees the others.  The duals are left out: a slope row
+# may be written at any positive scale, which scales its multiplier by
+# the inverse and leaves the vertex as it is.
 LP_VERTICES = {
     3: "573370ea317155ce7e59f579eaf90ee8ba54033123577efd21061e10651575b0",
-    4: "144569b3455205b07ff9986a1beab8296a9267add278d383f86205a0c914b081",
-    5: "5987b145e86d4d5624aab9e35f42eb6f36c104148c3c445bba274f0bb048c59f",
-    6: "d15a18f24189603922df5fd01124f3d0963d36d5bd46480bb38287734174ff9f",
+    4: "6a0d4ebfff22f6c006ee8ee6c73b60a75c536f18260bf9da0568daac6b3ce396",
+    5: "ff6e067413fbb05c5be98c0fd33909c0377ee97af8ce0c097456c5f213a6650d",
+    6: "dd62f3d1b55e202fce7291e4a48b5030ec5d340f4269607909523b1eb9687076",
     7: "294f496cd37e03e8caa8749e8d9d570be0df9a6a6c432217517b89083b6280df",
     8: "599cc77d2dc65014a07f1c74fd55329647da3cf8c5c3e400c0e9e66a1d9760ae",
     9: "f42bb8ec36d0222be8e4edd4fc98108ecb8e92d2930ff97547c2b061a30306e0",
@@ -564,6 +667,22 @@ def test_pivot_paths_are_pinned(N, monkeypatch):
     assert len(lps) == lp_count
     assert hashlib.sha256(";".join(pivots).encode("ascii")).hexdigest() == digest
     assert hashlib.sha256(";".join(lps).encode("ascii")).hexdigest() == LP_VERTICES[N]
+
+
+def test_minlip_three_solves_one_lp_through_solve_lp(monkeypatch):
+    # Of the N = 1..5 that perfbench runs, only N = 3 still solves a
+    # pinned LP, through extremal's solve_lp, the name that the simplex
+    # layer of perfbench's tracer wraps; it is also the minlip op that
+    # every perfbench workload carries.
+    solved = []
+
+    def counting_solve_lp(*program):
+        solved.append(None)
+        return solve_lp(*program)
+
+    monkeypatch.setattr(extremal, "solve_lp", counting_solve_lp)
+    code, _ = run(["minlip", "--N", "3"])
+    assert code == 0 and len(solved) == 1
 
 
 def test_rejects_nonpositive_n():

@@ -42,8 +42,9 @@ to show that the null-space certificate in ``constraints`` catches it.
 ``reference_min_lipschitz`` solves one pinned LP per pin 0..L/2, kept
 as the oracle for the gap search in ``extremal``, and
 ``corrupting_solve_lp`` spoils every LP result, to show that the LP
-certificate check there catches it, and ``corrupting_warm_tableau``
-spoils every result the dual simplex re-solve hands back.
+certificate check there catches it, and ``corrupting_tableau`` spoils
+every result the dual simplex re-solve hands back, or every result
+solved from scratch.
 ``reference_gap_program`` is the relaxed program of one gap alone, with
 the gap's two slope rows replaced by their merged row, kept as the
 oracle for the one relaxed program that serves every gap.
@@ -629,15 +630,16 @@ def corrupting_solve_lp(corrupt):
     return solve_lp
 
 
-def corrupting_warm_tableau(corrupt):
+def corrupting_tableau(corrupt, warm):
     """simplex._Tableau that hands back corrupt(result) in place of every
-    result it re-solves from a kept basis."""
+    result it re-solves from a kept basis (warm) or solves from scratch
+    (not warm)."""
 
     class Tableau(simplex._Tableau):
         def solve(self, b_ub=(), b_eq=()):
-            warm = self.warm
+            spoil = self.warm == warm
             result = super().solve(b_ub, b_eq)
-            return corrupt(result) if warm else result
+            return corrupt(result) if spoil else result
 
     return Tableau
 
