@@ -288,6 +288,30 @@ MUTANTS = {
         ),
         "every row would join the working set at once, and each relaxed LP pivot over all of them",
     ),
+    "cleanup-keeps-a-row-with-no-pivot": Mutant(
+        "simplex.py",
+        '                        raise ArithmeticError(f"phase 1 left row {i} with no column to pivot on")\n',
+        "                        continue\n",
+        (
+            SIMPLEX + "test_redundant_equalities_are_refused",
+            SIMPLEX + "test_cleanup_pivots_one_artificial_out_and_refuses_its_redundant_twin",
+            SIMPLEX + "test_redundant_equalities_with_row_factors_are_refused",
+            SIMPLEX + "test_warm_resolves_match_vertex_enumeration",
+        ),
+        "dependent equality rows, which no program of minlip has, would pass for independent ones",
+    ),
+    "dual-returns-with-no-entering-column": Mutant(
+        "simplex.py",
+        '                raise ArithmeticError(f"dual simplex row {leaving} has no column to enter")\n',
+        "                return\n",
+        (
+            SIMPLEX + "test_an_rhs_change_to_an_infeasible_program_is_refused",
+            SIMPLEX + "test_a_violated_row_joins_the_working_set_in_the_current_basis",
+            SIMPLEX + "test_a_path_longer_than_two_sweeps_matches_vertex_enumeration",
+            SIMPLEX + "test_lazy_rows_match_vertex_enumeration",
+        ),
+        "a basis with a negative rhs would be taken for optimal, and its x, negative there, returned",
+    ),
     "search-asks-lower-before-forced": Mutant(
         "extremal.py",
         "        if pin in forced or lower(pin, pin) > m:\n",

@@ -110,7 +110,7 @@ from typing import Callable, Optional
 
 from .constraints import ConstraintSystem, build_constraint_system, nullspace
 from .funcs import GridFunction
-from .simplex import INFEASIBLE, _Tableau, certify, solve_lp
+from .simplex import _Tableau, certify, solve_lp
 
 
 @dataclass(frozen=True)
@@ -182,21 +182,20 @@ class _GapPrograms:
         self.tableau = _Tableau(objective, merged + a_ub, a_eq, range(gaps, len(self.b_off)))
         self.vertices: dict[int, tuple[Fraction, ...]] = {}
 
-    def bound(self, i: int) -> Optional[tuple[Fraction, Fraction]]:
+    def bound(self, i: int) -> tuple[Fraction, Fraction]:
         """The relaxed optimum over the gap cols[i]..cols[i + 1] and a real pin
-        p* attaining it, or None when no pin of the gap is feasible; the LP's
-        certificate is checked against gap i's own rhs.  At an integer p*
-        the optimum is kept in vertices[i], as the witness of the pin p*."""
+        p* attaining it; the LP's certificate is checked against gap i's own
+        rhs.  At an integer p* the optimum is kept in vertices[i], as the
+        witness of the pin p*.  The program is feasible (u = 1, t = 2 L / g
+        meets every row) and t > 0 at its optimum (t = 0 forces u = u_0 = 1,
+        which breaks the merged row)."""
         b_ub = list(self.b_off)
         b_ub[i] = -4 * self.L
         tableau = self.tableau
         result = tableau.solve(b_ub, self.b_eq)
         certify(result, tableau.c, tableau.a_ub, b_ub, tableau.a_eq, self.b_eq)
-        if result.status == INFEASIBLE:
-            return None
         u_a, t = result.x[i], result.x[-1]
-        a = self.cols[i]
-        p_star = a + (2 - u_a) * self.L / t if t else Fraction(a)
+        p_star = self.cols[i] + (2 - u_a) * self.L / t
         if p_star.denominator == 1:
             self.vertices[i] = result.x
         return result.value, p_star
@@ -253,7 +252,7 @@ def _search(
     half: list[int],
     forced: set[int],
     pinned: Callable[[int], Optional[Fraction]],
-    relaxed: Callable[[int], Optional[tuple[Fraction, Fraction]]],
+    relaxed: Callable[[int], tuple[Fraction, Fraction]],
     lower: Callable[[int, int], Fraction],
 ) -> Optional[tuple[Fraction, int, Optional[int]]]:
     """The least v(p) over the pins half[0]..half[-1], at the smallest pin
@@ -264,9 +263,9 @@ def _search(
     known to be infeasible.  pinned(p) is v(p), or None when the pin is
     infeasible; it is called at most once per pin.  relaxed(i) is the
     least v over real p in [half[i], half[i + 1]] and a real p* attaining
-    it, or None when no p there is feasible; lower(a, b) is a lower bound
-    on v over [a, b] that costs no LP, asked of a single pin (a == b)
-    only when it is not forced.  None when no pin is feasible.
+    it, which always exist; lower(a, b) is a lower bound on v over [a, b]
+    that costs no LP, asked of a single pin (a == b) only when it is not
+    forced.  None when no pin is feasible.
     """
     values: dict[int, Optional[Fraction]] = {}
     credited: dict[int, int] = {}  # pin -> the gap i whose relaxed(i) gave values[pin]
@@ -293,10 +292,9 @@ def _search(
         if sum(p not in values for p in pins) <= (2 if best is None else 1):
             candidates = pins
         else:
-            bound = relaxed(i)
-            if bound is None or (best is not None and bound[0] >= best[0]):
+            m, p_star = relaxed(i)
+            if best is not None and m >= best[0]:
                 continue
-            m, p_star = bound
             low = math.floor(p_star)
             if low == p_star:
                 # The relaxed optimum is feasible for this pin, so v = m there.

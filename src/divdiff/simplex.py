@@ -43,9 +43,9 @@ factor it is scaled by, which the pivots update like any other entry.
 With it the final cost row gives the simplex multipliers exactly: the
 reduced cost of a row's slack (or, for an equality, its artificial)
 column is minus that row's multiplier.  A solve returns them as a dual
-solution when the program is optimal and as a Farkas ray when it is
-infeasible; ``certify`` checks either one from the program's own data,
-without the tableau.
+solution when the program is optimal and as a Farkas ray when phase 1
+finds it infeasible; ``certify`` checks either one from the program's
+own data, without the tableau.
 
 A new right-hand side needs no new tableau.  The tableau is D B^-1 times
 the input rows, for the basis matrix B and a positive diagonal D of row
@@ -61,11 +61,13 @@ primal feasibility: while some rhs is negative, the row of the smallest
 basic index with a negative rhs leaves, and the column with the least
 ratio of reduced cost to minus its negative entry in that row enters,
 the smallest index on ties.  That is Bland's rule on the dual, so it
-cannot cycle.  When the leaving row has no negative entry in a column
-that may enter, it states that a sum of nonnegative terms is negative:
-its unit-column entries, negated, are a Farkas ray, read from the row
-at its lowest terms so that it is a function of the program alone, and
-the basis, still dual feasible, is kept for the next right-hand side.
+cannot cycle.  A leaving row with no negative entry in a column that
+may enter would state that a sum of nonnegative terms is negative, that
+the program is infeasible, and no program re-solved here is: for each
+gap i of ``minlip``'s relaxed programs, u = 1 with t = 2 L / g meets
+every constraint, box, slope and merged row at gap i's rhs, and the
+working set is a subset of those rows.  So that row is a fault, an
+ArithmeticError; the basis stays dual feasible for the next solve.
 
 A tableau may hold only some of the a_ub rows, its working set, and add
 the others as they are needed: row generation (Dantzig, Fulkerson &
@@ -80,10 +82,15 @@ leaves every reduced cost as it was, so the basis stays dual feasible
 and the dual simplex method runs again, as after a new right-hand side.
 A row never leaves the working set, so the loop ends, at an optimum
 that meets every row.  Its multipliers, and a Farkas ray of the working
-set, are 0 on the omitted rows and certify the full program.  A row
-that phase 1 drops as redundant had its artificial basic, so that column
-is in no other row and has reduced cost 0: the row's multiplier and ray
-entry are 0, and omitted rows still join the rows that are left.
+set, are 0 on the omitted rows and certify the full program.
+
+The equality rows are independent, so phase 1 can pivot every
+artificial left at level 0 out on a real column; one with no real
+column in its row is a fault, an ArithmeticError.  On the columns 0,
+L/1, .., L/N, ``minlip``'s constraint row m holds L/n only when n
+divides m, and +-m at n = m: a lower-triangular minor.  A pinned
+program adds u_p = 2, dependent only at a forced zero p, where u = 1
+shows it inconsistent; no forced pin is solved.
 
 Neither method can cycle, so a solve counts the pivots of both and
 raises ArithmeticError past _MAX_PIVOTS: a fault that made a tableau
@@ -136,9 +143,8 @@ class _Tableau:
 
     ``solve(b_ub, b_eq)`` starts from the last optimal basis by the dual
     simplex method when there is one, and runs the two-phase method from
-    scratch otherwise: on the first call, after a cold solve that found
-    the program infeasible, and after phase 1 dropped a redundant
-    equality (whose row a new rhs could make inconsistent).
+    scratch otherwise: on the first call, and after a cold solve that
+    found the program infeasible.
 
     The a_ub rows whose indices are in ``lazy`` start out of the working
     set, the rows the tableau holds; ``solve`` adds each one when an
@@ -173,18 +179,19 @@ class _Tableau:
 
     def solve(self, b_ub: Sequence[int] = (), b_eq: Sequence[int] = ()) -> LpResult:
         self.pivots = 0
-        result = self._resolve([*b_ub, *b_eq]) if self.warm else self._cold(b_ub, b_eq)
-        while result is None:
-            # An optimum over the working set: only x is read until it
-            # meets every row, and only then are the multipliers built.
-            x = self._solution()
-            violated = self._violated(x) if self.lazy else []
-            if not violated:
-                return self._optimum(x)
+        if self.warm:
+            self._resolve([*b_ub, *b_eq])
+        elif (infeasible := self._cold(b_ub, b_eq)) is not None:
+            return infeasible
+        # An optimum over the working set: only x is read until it meets
+        # every row, and only then are the multipliers built.
+        x = self._solution()
+        while self.lazy and (violated := self._violated(x)):
             for i in violated:
                 self._activate(i)
-            result = self._restore()
-        return result
+            self._dual()
+            x = self._solution()
+        return self._optimum(x)
 
     def _violated(self, x: tuple[Fraction, ...]) -> list[int]:
         """The rows out of the working set that x violates, in index order."""
@@ -281,13 +288,11 @@ class _Tableau:
             self._count_pivot()
             self._pivot(leaving, entering)
 
-    def _dual(self) -> Optional[int]:
-        """Dual simplex by Bland's rule on the dual, from a dual feasible basis.
-
-        None once every rhs is nonnegative (the basis is then optimal), or
-        the index of a row with a negative rhs and no negative entry in a
-        column that may enter, which proves the program infeasible.
-        """
+    def _dual(self) -> None:
+        """Dual simplex by Bland's rule on the dual, from a dual feasible basis,
+        until every rhs is nonnegative and the basis is optimal.  Every
+        program it runs on is feasible, so a row with a negative rhs and no
+        negative entry in a column that may enter is a fault: ArithmeticError."""
         rows, basis, limit = self.rows, self.basis, self.limit
         while True:
             leaving = min(
@@ -296,7 +301,7 @@ class _Tableau:
                 default=None,
             )
             if leaving is None:
-                return None
+                return
             cost = self.cost
             entering = None
             best_cost = best_coeff = 0
@@ -309,7 +314,7 @@ class _Tableau:
                         best_cost, best_coeff = cost.get(j, 0), v
                         entering = j
             if entering is None:
-                return leaving
+                raise ArithmeticError(f"dual simplex row {leaving} has no column to enter")
             self._count_pivot()
             self._pivot(leaving, entering)
 
@@ -343,7 +348,8 @@ class _Tableau:
 
     def _cold(self, b_ub: Sequence[int], b_eq: Sequence[int]) -> Optional[LpResult]:
         """The two-phase method from scratch: None when it ends at an optimal
-        basis, the infeasible result with its Farkas ray otherwise."""
+        basis, the infeasible result with its Farkas ray otherwise.  The
+        equality rows must be independent: ArithmeticError if they are not."""
         c = self.c
         inputs = [*zip(self.a_ub, b_ub, strict=True), *zip(self.a_eq, b_eq, strict=True)]
         n = len(c)
@@ -375,7 +381,6 @@ class _Tableau:
                 art += 1
             rows.append(row)
         self.rows, self.basis, self.units = rows, basis, units
-        self.warm = dropped = False
 
         if art > art_start:
             self.cost = {j: 1 for j in range(art_start, art)}
@@ -385,19 +390,14 @@ class _Tableau:
             self._primal()
             if -self.cost.get(_RHS, 0) > 0:
                 return LpResult(INFEASIBLE, None, None, self._multipliers(1))
-            # Pivot leftover artificials out of the basis; rows that cannot be
-            # pivoted are redundant and get dropped.
-            keep: list[int] = []
+            # Pivot leftover artificials out of the basis.  The equality rows
+            # are independent, so each such row holds a real column.
             for i in range(len(rows)):
                 if basis[i] >= art_start:
                     col = min((j for j in rows[i] if 0 <= j < art_start), default=None)
                     if col is None:
-                        continue
+                        raise ArithmeticError(f"phase 1 left row {i} with no column to pivot on")
                     self._pivot(i, col)
-                keep.append(i)
-            dropped = len(keep) < len(rows)
-            self.rows = [rows[i] for i in keep]
-            self.basis = [basis[i] for i in keep]
 
         self.cost = {j: v for j, v in enumerate(c) if v}
         self.cost[_SCALE] = 1
@@ -405,10 +405,11 @@ class _Tableau:
         self._price_out()
         self._primal()
         self.b = [*b_ub, *b_eq]
-        self.warm = not dropped
+        self.warm = True
         return None
 
-    def _resolve(self, b: list) -> Optional[LpResult]:
+    def _resolve(self, b: list) -> None:
+        """The dual simplex method from the current basis, for the rhs b."""
         moves = [
             (unit, sign * (new - old))
             for (unit, sign), new, old in zip(self.units, b, self.b, strict=True)
@@ -417,18 +418,7 @@ class _Tableau:
         self.b = b
         if moves:
             self.rows = [_moved(row, moves) for row in self.rows]
-        return self._restore()
-
-    def _restore(self) -> Optional[LpResult]:
-        """The dual simplex method from the current basis, which is dual
-        feasible: None when it ends at an optimal basis, the Farkas ray
-        otherwise."""
-        r = self._dual()
-        if r is None:
-            return None
-        row = _reduced(self.rows[r])
-        ray = tuple(Fraction(-sign * row.get(j, 0)) for j, sign in self.units)
-        return LpResult(INFEASIBLE, None, None, ray)
+        self._dual()
 
 
 def solve_lp(

@@ -10,6 +10,12 @@ solution of some square subsystem of active constraints.  Enumerating all
 square subsystems is exponential but exact, which is all the tests need.
 The same oracle checks a program re-solved by the dual simplex method
 after its right-hand side changed.
+
+The solver takes only programs whose equality rows are independent and
+whose re-solves are feasible, as ``minlip`` builds them; the first two
+tests show that its programs are such.  Where the oracles find that a
+drawn program breaks either premise, the solve must raise
+ArithmeticError.
 """
 
 import itertools
@@ -21,9 +27,45 @@ from fractions import Fraction
 import pytest
 
 from divdiff import simplex
+from divdiff.constraints import build_constraint_system
+from divdiff.extremal import _GapPrograms
 from divdiff.simplex import INFEASIBLE, OPTIMAL, LpResult, _Tableau, certify, solve_lp
 
-from util import solve_square, sparse_rows
+from util import reference_integer_echelon, solve_square, sparse_rows
+
+
+def test_the_constraint_rows_are_independent_by_a_triangular_minor():
+    # The premise of the phase 1 refusal.  On the columns 0, L/1, .., L/N
+    # row m holds L/n only when n divides m, and +-m at n = m, so the
+    # minor is lower-triangular with diagonal 1, +-1, .., +-N: rank N + 1.
+    for N in range(1, 61):
+        system = build_constraint_system(N)
+        cols = [0, *(system.L // n for n in range(1, N + 1))]
+        minor = [[row.get(col, 0) for col in cols] for row in system.rows]
+        assert not any(minor[m][k] for m in range(N + 1) for k in range(m + 1, N + 1))
+        assert [abs(minor[m][m]) for m in range(N + 1)] == [1, *range(1, N + 1)]
+
+
+def test_one_point_meets_every_row_of_each_relaxed_program():
+    # The premise of the dual refusal.  u = 1 with t = 2 L / g, for the
+    # width g of gap i, meets every row of the relaxed programs' one
+    # tableau at gap i's rhs, so no re-solve of it, over any working set,
+    # is infeasible.  In integers, as certify checks: g times the point.
+    for N in range(3, 14):
+        system = build_constraint_system(N)
+        L, touched = system.L, list(system.touched)
+        gaps = sum(2 * c <= L for c in touched) - 1
+        programs = _GapPrograms(system, touched, gaps)
+        tableau = programs.tableau
+        for i in range(gaps):
+            g = touched[i + 1] - touched[i]
+            X = [g] * len(touched) + [2 * L]
+            b_ub = list(programs.b_off)
+            b_ub[i] = -4 * L
+            for row, b in zip(tableau.a_ub, b_ub, strict=True):
+                assert sum(a * X[j] for j, a in row.items()) <= b * g
+            for row, b in zip(tableau.a_eq, programs.b_eq, strict=True):
+                assert sum(a * X[j] for j, a in row.items()) == b * g
 
 
 def test_one_variable_lower_bound():
@@ -56,11 +98,12 @@ def test_equality_row():
     assert res.x == (0, 1)
 
 
-def test_redundant_equalities_are_tolerated():
+def test_redundant_equalities_are_refused():
+    # Phase 1 meets x + y = 1 and its double; no real column is left to
+    # pivot the second row's artificial out on.
     rows = [{0: 1, 1: 1}, {0: 2, 1: 2}]
-    res = solve_lp([1, 1], a_eq=rows, b_eq=[1, 2])
-    assert res.status == OPTIMAL
-    assert res.value == 1
+    with pytest.raises(ArithmeticError, match="phase 1 left row 1 with no column to pivot on"):
+        solve_lp([1, 1], a_eq=rows, b_eq=[1, 2])
 
 
 def test_contradictory_equalities_are_infeasible():
@@ -121,21 +164,17 @@ def test_an_infeasible_program_carries_a_farkas_ray():
         certify(replace(res, dual=tuple(-y for y in res.dual)), *program)
 
 
-def test_an_rhs_change_to_an_infeasible_program_carries_a_farkas_ray():
+def test_an_rhs_change_to_an_infeasible_program_is_refused():
     # minimize x + y with x + y >= 1 and the box x, y <= 3; then x + y >= 7,
-    # which the box rules out; then x + y >= 2 again.
+    # which the box rules out, so the dual method reaches a row with no
+    # column to enter; then x + y >= 2 again, from the basis it stopped at.
     c = [1, 1]
     a_ub = [{0: -1, 1: -1}, {0: 1}, {1: 1}]
     tableau = _Tableau(c, a_ub)
     assert tableau.solve([-1, 3, 3]).value == 1
     assert tableau.warm
-    b_ub = [-7, 3, 3]
-    res = tableau.solve(b_ub)
-    assert res.status == INFEASIBLE
-    # The ray is read from the leaving row at its lowest terms, so it is
-    # this one exactly, not only some positive multiple that certifies.
-    assert res.dual == (-1, -1, -1)
-    certify(res, c, a_ub, b_ub)
+    with pytest.raises(ArithmeticError, match="dual simplex row 2 has no column to enter"):
+        tableau.solve([-7, 3, 3])
     assert tableau.warm  # the basis is still dual feasible
     b_ub = [-2, 3, 3]
     res = tableau.solve(b_ub)
@@ -163,22 +202,10 @@ def test_a_pivot_that_changes_nothing_stops_at_the_cap(monkeypatch):
         assert time.perf_counter() - start < 1
 
 
-def test_a_dropped_redundant_row_makes_the_next_solve_cold():
-    # Phase 1 drops the second row, twice the first; a warm start would
-    # then miss that the new rhs makes the two rows contradict.
-    c = [1, 1]
-    a_eq = [{0: 1, 1: 1}, {0: 2, 1: 2}]
-    tableau = _Tableau(c, (), a_eq)
-    assert tableau.solve((), [1, 2]).value == 1
-    assert not tableau.warm
-    res = tableau.solve((), [1, 3])
-    assert res.status == INFEASIBLE
-    certify(res, c, (), (), a_eq, [1, 3])
-
-
 def test_warm_resolves_match_vertex_enumeration():
     # One tableau per program, re-solved for a run of right-hand sides;
-    # each result must match the oracle and carry a valid certificate.
+    # each result must match the oracle and carry a valid certificate,
+    # and each refusal is counted as the outcome the oracle finds.
     rng = random.Random(717)
     draw = rng.randint
     warm = statuses = 0
@@ -197,13 +224,30 @@ def test_warm_resolves_match_vertex_enumeration():
             b_eq = [draw(-2, 2) for _ in a_eq]  # a negative one negates its row
             b_ub, b_eq = moved(b_ub, b_eq)
             warm += tableau.warm
-            res = tableau.solve(b_ub, b_eq)
+            res, expected = solved(tableau, c, a_ub, b_ub, a_eq, b_eq)
+            if res is None:
+                seen.add(OPTIMAL if expected is not None else INFEASIBLE)
+                continue
             certify(res, c, rows_ub, b_ub, rows_eq, b_eq)
-            assert res.value == enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, nvars)
+            assert res.value == expected
             seen.add(res.status)
         statuses += len(seen) == 2
     assert warm >= 70
     assert statuses >= 15  # programs that went from optimal to infeasible or back
+
+
+def recording_pivots(monkeypatch):
+    """("w" on a warm tableau, else "c", row, column) of every pivot any
+    tableau makes from now on."""
+    pivots = []
+    pivot = simplex._Tableau._pivot
+
+    def recording_pivot(self, r, j):
+        pivots.append(("w" if self.warm else "c", r, j))
+        pivot(self, r, j)
+
+    monkeypatch.setattr(simplex._Tableau, "_pivot", recording_pivot)
+    return pivots
 
 
 def test_a_path_longer_than_two_sweeps_matches_vertex_enumeration(monkeypatch):
@@ -215,9 +259,8 @@ def test_a_path_longer_than_two_sweeps_matches_vertex_enumeration(monkeypatch):
     # Bland's rule takes 41 pivots to it, so the tableau reduces its rows
     # more than twice on the way.  Then sum x_i >= 5^4, which the dual
     # simplex method reaches in 15 pivots from the last basis, and then
-    # sum x_i >= 2 * 5^6, which no x in the cube meets.  Its Farkas ray
-    # is read after 17 more pivots from a row they left at 16 times its
-    # lowest terms, and must come out at lowest terms all the same.
+    # sum x_i >= 2 * 5^6, which no x in the cube meets: after 17 more
+    # pivots the dual method reaches a row with no column to enter.
     rng = random.Random(818)
     n = 6
     c = [1] * n
@@ -228,38 +271,34 @@ def test_a_path_longer_than_two_sweeps_matches_vertex_enumeration(monkeypatch):
         b_ub.append(scale * 5**i)
     a_ub += [[-1] * n, [0] * (n - 1) + [-1]]
     b_ub += [-(5**6), -(5**5)]
-    pivots = []
-    pivot = simplex._Tableau._pivot
+    pivots = recording_pivots(monkeypatch)
 
-    def recording_pivot(self, r, j):
-        pivots.append("w" if self.warm else "c")
-        pivot(self, r, j)
+    def count(side):
+        return sum(s == side for s, _, _ in pivots)
 
-    monkeypatch.setattr(simplex._Tableau, "_pivot", recording_pivot)
     rows = sparse_rows(a_ub)
     tableau = _Tableau(c, rows)
     res = tableau.solve(b_ub)
-    assert pivots.count("c") == 41 > 2 * simplex._SWEEP
+    assert count("c") == 41 > 2 * simplex._SWEEP
     certify(res, c, rows, b_ub)
     assert res.value == enumerate_optimum(c, a_ub, b_ub, [], [], n) == 5**n
     b_ub[-2] = -(5**4)
     res = tableau.solve(b_ub)
-    assert pivots.count("w") == 15
+    assert count("w") == 15
     certify(res, c, rows, b_ub)
     assert res.value == enumerate_optimum(c, a_ub, b_ub, [], [], n) == 5**5
     b_ub[-2] = -2 * 5**n
-    res = tableau.solve(b_ub)
-    assert pivots.count("w") == 32
-    assert res.status == INFEASIBLE
-    assert res.dual == (0, 0, 0, 0, 0, -1, -2, 0)
-    certify(res, c, rows, b_ub)
+    with pytest.raises(ArithmeticError, match="no column to enter"):
+        tableau.solve(b_ub)
+    assert count("w") == 32
 
 
 def test_lazy_rows_match_vertex_enumeration():
     # Random boxed programs whose a_ub rows start out of the working set in
     # a random subset, each re-solved for a run of right-hand sides.  Every
     # result must match the oracle and certify against the full program,
-    # whose omitted rows it must therefore meet.
+    # whose omitted rows it must therefore meet; a refusal of an infeasible
+    # program counts as infeasible.
     rng = random.Random(919)
     draw = rng.randint
     added = kept = infeasible = 0
@@ -277,10 +316,11 @@ def test_lazy_rows_match_vertex_enumeration():
             b_ub = [draw(-2, 4) for _ in range(len(a_ub) - nvars)] + [3] * nvars
             b_eq = [draw(-2, 2) for _ in a_eq]
             b_ub, b_eq = moved(b_ub, b_eq)
-            res = tableau.solve(b_ub, b_eq)
-            certify(res, c, rows_ub, b_ub, rows_eq, b_eq)
-            assert res.value == enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, nvars)
-            infeasible += res.status == INFEASIBLE
+            res, expected = solved(tableau, c, a_ub, b_ub, a_eq, b_eq)
+            infeasible += expected is None
+            if res is not None:
+                certify(res, c, rows_ub, b_ub, rows_eq, b_eq)
+                assert res.value == expected
         added += len(lazy) - len(tableau.lazy)
         kept += len(tableau.lazy)
     assert added >= 40  # rows an optimum violated
@@ -306,7 +346,7 @@ def test_a_violated_row_joins_the_working_set_in_the_current_basis():
     # minimize 2x + y with x + y >= 4: the working set's optimum (0, 4)
     # violates the omitted y <= 3, whose slack becomes basic at -1; one
     # dual pivot swaps it for x, at (1, 3).  Then y >= 5 joins against
-    # y <= 3, and the ray uses both rows.
+    # y <= 3, and the dual method finds no column to enter.
     c = [2, 1]
     a_ub = [{0: -1, 1: -1}, {1: 1}, {1: -1}]
     tableau = _Tableau(c, a_ub, lazy=[1, 2])
@@ -317,11 +357,8 @@ def test_a_violated_row_joins_the_working_set_in_the_current_basis():
     certify(res, c, a_ub, b_ub)
     assert list(tableau.lazy) == [2] and sorted(tableau.basis) == [0, 1]
     assert tableau.pivots == 3  # phase 1 takes x, phase 2 y; the dual pivot x
-    b_ub = [-4, 3, -5]
-    res = tableau.solve(b_ub)
-    assert res.status == INFEASIBLE
-    assert res.dual == (0, -1, -1)
-    certify(res, c, a_ub, b_ub)
+    with pytest.raises(ArithmeticError, match="dual simplex row 2 has no column to enter"):
+        tableau.solve([-4, 3, -5])
     assert not tableau.lazy
 
 
@@ -338,30 +375,6 @@ def test_an_omitted_row_is_checked_against_x_over_its_denominator():
     assert res.x == (Fraction(3, 2), Fraction(1, 2))
     certify(res, c, a_ub, b_ub)
     assert not tableau.lazy
-
-
-def test_an_omitted_row_joins_the_rows_left_after_a_drop():
-    # minimize x + 2y with x + y = 2, twice over: phase 1 drops one of the
-    # two equalities, and x <= b stays out until an optimum violates it.
-    # The dropped row's multiplier and ray entry are 0, and every result,
-    # optimal or infeasible, certifies against the full program.
-    c = [1, 2]
-    a_ub = [{0: 1}]
-    a_eq = [{0: 1, 1: 1}, {0: 2, 1: 2}]
-    tableau = _Tableau(c, a_ub, a_eq, lazy=[0])
-    res = tableau.solve([3], [2, 4])
-    assert (res.status, res.value, res.x) == (OPTIMAL, 2, (2, 0))
-    certify(res, c, a_ub, [3], a_eq, [2, 4])
-    assert list(tableau.lazy) == [0] and len(tableau.rows) == 1
-    assert not tableau.warm  # a new rhs could make the dropped row inconsistent
-    # x <= 1 cuts off (2, 0): the row joins the one row that is left.
-    res = tableau.solve([1], [2, 4])
-    assert (res.status, res.value, res.x) == (OPTIMAL, 3, (1, 1))
-    certify(res, c, a_ub, [1], a_eq, [2, 4])
-    assert not tableau.lazy and len(tableau.rows) == 2
-    res = tableau.solve([1], [2, 5])
-    assert res.status == INFEASIBLE
-    certify(res, c, a_ub, [1], a_eq, [2, 5])
 
 
 def complemented(c, a_ub, a_eq):
@@ -424,6 +437,39 @@ def enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, nvars):
     return best
 
 
+def solved(tableau, c, a_ub, b_ub, a_eq, b_eq):
+    """(tableau.solve(b_ub, b_eq), the vertex oracle's optimum) for the
+    tableau of the dense program, with None in place of the result when
+    the solve must be refused, once it is checked to raise.
+
+    A warm re-solve of an infeasible program is refused by the dual
+    method.  A solve from scratch whose working set phase 1 finds
+    feasible is refused when the equality rows are dependent, and else,
+    by the dual method once an omitted row joins, when the program is
+    infeasible.  Rank and feasibility are the oracles' own.
+    """
+    nvars = len(c)
+    expected = enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, nvars)
+    refusal = None
+    if tableau.warm:
+        phase_1_feasible = False
+    elif tableau.lazy:
+        kept = [i for i in range(len(a_ub)) if i not in tableau.lazy]
+        working = ([a_ub[i] for i in kept], [b_ub[i] for i in kept])
+        phase_1_feasible = enumerate_optimum(c, *working, a_eq, b_eq, nvars) is not None
+    else:
+        phase_1_feasible = expected is not None
+    if phase_1_feasible and len(reference_integer_echelon(a_eq)[0]) < len(a_eq):
+        refusal = "no column to pivot on"
+    elif expected is None and (tableau.warm or phase_1_feasible):
+        refusal = "no column to enter"
+    if refusal is None:
+        return tableau.solve(b_ub, b_eq), expected
+    with pytest.raises(ArithmeticError, match=refusal):
+        tableau.solve(b_ub, b_eq)
+    return None, expected
+
+
 def assert_matches_enumeration(c, a_ub, b_ub, a_eq, b_eq):
     """Check solve_lp against the vertex oracle; return the oracle's optimum.
 
@@ -431,16 +477,22 @@ def assert_matches_enumeration(c, a_ub, b_ub, a_eq, b_eq):
     result's dual or Farkas ray must pass ``certify`` as well, and so
     must a re-solve of the program from the basis of the program with
     every rhs one larger, which must reach the same status and value.
+    Where the solver must refuse a solve (see ``solved``), it is checked
+    to; each solve it does not refuse is checked in full.
     """
     rows_ub, rows_eq = sparse_rows(a_ub), sparse_rows(a_eq)
-    res = solve_lp(c, a_ub=rows_ub, b_ub=b_ub, a_eq=rows_eq, b_eq=b_eq)
-    certify(res, c, rows_ub, b_ub, rows_eq, b_eq)
+    res, expected = solved(_Tableau(c, rows_ub, rows_eq), c, a_ub, b_ub, a_eq, b_eq)
     tableau = _Tableau(c, rows_ub, rows_eq)
-    tableau.solve([b + 1 for b in b_ub], [b + 1 for b in b_eq])
-    warm = tableau.solve(b_ub, b_eq)
-    certify(warm, c, rows_ub, b_ub, rows_eq, b_eq)
-    assert (warm.status, warm.value) == (res.status, res.value)
-    expected = enumerate_optimum(c, a_ub, b_ub, a_eq, b_eq, len(c))
+    solved(tableau, c, a_ub, [b + 1 for b in b_ub], a_eq, [b + 1 for b in b_eq])
+    warm, _ = solved(tableau, c, a_ub, b_ub, a_eq, b_eq)
+    if warm is not None:
+        certify(warm, c, rows_ub, b_ub, rows_eq, b_eq)
+        assert (warm.status, warm.value) == (
+            (INFEASIBLE, None) if expected is None else (OPTIMAL, expected)
+        )
+    if res is None:
+        return expected
+    certify(res, c, rows_ub, b_ub, rows_eq, b_eq)
     if expected is None:
         assert res.status == INFEASIBLE
         return None
@@ -523,19 +575,23 @@ def test_cleanup_pivots_an_artificial_out_on_a_negative_entry():
     assert assert_matches_enumeration(c, *BOX, a_eq, [0]) == 0
 
 
-def test_cleanup_pivots_one_artificial_out_and_drops_its_redundant_twin():
+def test_cleanup_pivots_one_artificial_out_and_refuses_its_redundant_twin(monkeypatch):
     # The two rows are -3 times each other, so phase 1 again stops at
     # once with both artificials at level 0.  The first is pivoted out on
-    # 3; that turns the second row into 0 = 0, which is dropped.
-    c = [3, 4, 2]
-    a_eq = [[3, 2, 0], [-9, -6, 0]]
-    assert assert_matches_enumeration(c, *BOX, a_eq, [0, 0]) == 0
+    # 3; that turns the second row into 0 = 0, which is refused.
+    pivots = recording_pivots(monkeypatch)
+    tableau = _Tableau([3, 4, 2], sparse_rows(BOX[0]), sparse_rows([[3, 2, 0], [-9, -6, 0]]))
+    with pytest.raises(ArithmeticError, match="phase 1 left row 4 with no column to pivot on"):
+        tableau.solve(BOX[1], [0, 0])
+    assert (tableau.pivots, pivots) == (0, [("c", 3, 0)])
 
 
-def test_redundant_equalities_with_row_factors_are_dropped():
+def test_redundant_equalities_with_row_factors_are_refused(monkeypatch):
     # Phase 1 pivots x in on a ratio tie; the second row, 3/2 times the
-    # first, becomes 0 = 0 and is dropped without a cleanup pivot.  The
+    # first, becomes 0 = 0 and is refused without a cleanup pivot.  The
     # rows are 2 and 3 times 15x + 10y + 6z = 6.
-    c = [6, 4, 3]
-    a_eq = [[30, 20, 12], [45, 30, 18]]
-    assert assert_matches_enumeration(c, *BOX, a_eq, [12, 18]) == Fraction(12, 5)
+    pivots = recording_pivots(monkeypatch)
+    tableau = _Tableau([6, 4, 3], sparse_rows(BOX[0]), sparse_rows([[30, 20, 12], [45, 30, 18]]))
+    with pytest.raises(ArithmeticError, match="phase 1 left row 4 with no column to pivot on"):
+        tableau.solve(BOX[1], [12, 18])
+    assert (tableau.pivots, pivots) == (1, [("c", 3, 0)])
